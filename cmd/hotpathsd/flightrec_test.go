@@ -10,6 +10,7 @@ import (
 
 	"hotpaths"
 	"hotpaths/internal/flightrec"
+	"hotpaths/internal/httpapi"
 )
 
 // lastEventSeq is the exactly-once baseline: every assertion below
@@ -28,7 +29,7 @@ func lastEventSeq() uint64 {
 // and keeps only events newer than the baseline seq.
 func eventsVia(t *testing.T, typ string, after uint64) []map[string]any {
 	t.Helper()
-	rec := do(t, adminHandler(), http.MethodGet, "/debug/events?type="+typ, nil)
+	rec := do(t, httpapi.AdminHandler(), http.MethodGet, "/debug/events?type="+typ, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/events: %d %s", rec.Code, rec.Body.String())
 	}
@@ -63,8 +64,8 @@ func TestPoisonedWALEventExactlyOnce(t *testing.T) {
 	h := newServer(dur, serverOpts{dur: dur}).handler()
 
 	obs := func(tick int64) int {
-		return do(t, h, http.MethodPost, "/observe", observeRequest{
-			Observations: []observationJSON{{Object: 1, X: float64(tick), Y: 0, T: tick}},
+		return do(t, h, http.MethodPost, "/observe", httpapi.ObserveRequest{
+			Observations: []hotpaths.ObservationJSON{{Object: 1, X: float64(tick), Y: 0, T: tick}},
 		}).Code
 	}
 	if code := obs(1); code != http.StatusOK {

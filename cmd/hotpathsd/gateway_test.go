@@ -9,9 +9,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"hotpaths"
 	"hotpaths/internal/gateway"
+	"hotpaths/internal/httpapi"
+	"hotpaths/internal/httpapi/httpapitest"
+	"hotpaths/internal/metrics"
 	"hotpaths/internal/partition"
 )
 
@@ -87,8 +91,8 @@ func goldenFleet(t *testing.T) (gw, ref *httptest.Server) {
 // disjoint lanes (separation 200 ≫ 2ε, so lanes never interact), lane l
 // at y = 200·l driven by two objects owned by partition l mod 4, zigging
 // like feedZigZag so corridors form and expire.
-func goldenBatch(lanes [][]int, now int64) []observationJSON {
-	var batch []observationJSON
+func goldenBatch(lanes [][]int, now int64) []hotpaths.ObservationJSON {
+	var batch []hotpaths.ObservationJSON
 	for l, objs := range lanes {
 		base := float64(200 * l)
 		x := float64(now) * 6
@@ -97,8 +101,8 @@ func goldenBatch(lanes [][]int, now int64) []observationJSON {
 			y = base + 40
 		}
 		batch = append(batch,
-			observationJSON{Object: objs[0], X: x, Y: y, T: now},
-			observationJSON{Object: objs[1], X: x, Y: y + 0.5, T: now},
+			hotpaths.ObservationJSON{Object: objs[0], X: x, Y: y, T: now},
+			hotpaths.ObservationJSON{Object: objs[1], X: x, Y: y + 0.5, T: now},
 		)
 	}
 	return batch
@@ -187,7 +191,7 @@ func TestGatewayMatchesSingleNode(t *testing.T) {
 		epochEvery = 10 // serverTestConfig().Epoch
 	)
 	for now := int64(1); now <= lastTick; now++ {
-		req := observeRequest{Observations: goldenBatch(lanes, now), Tick: now}
+		req := httpapi.ObserveRequest{Observations: goldenBatch(lanes, now), Tick: now}
 		for _, base := range []string{gw.URL, ref.URL} {
 			rec := postJSON(t, base+"/observe", req)
 			if rec != http.StatusOK {
@@ -251,4 +255,108 @@ func postJSON(t *testing.T, url string, v any) int {
 	}
 	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
+}
+
+// The thin loop over the shared query matrix: the real hotpathsd handler
+// and the real gateway handler must answer every malformed query with the
+// same status and the same error body, and every well-formed one alike
+// too — they parse with one parser, and this holds them to it.
+func TestQueryMatrixBothServers(t *testing.T) {
+	gw, ref := goldenFleet(t)
+	for want, queries := range map[int][]string{
+		http.StatusBadRequest: httpapitest.BadQueries,
+		http.StatusOK:         httpapitest.GoodQueries,
+	} {
+		for _, q := range queries {
+			gs, _, gb := fetchGolden(t, gw.URL, q)
+			rs, _, rb := fetchGolden(t, ref.URL, q)
+			if gs != want || rs != want {
+				t.Errorf("GET %s: gateway %d, hotpathsd %d, want %d (%s)", q, gs, rs, want, rb)
+			}
+			if gb != rb {
+				t.Errorf("GET %s: bodies diverge\ngateway:   %s\nhotpathsd: %s", q, gb, rb)
+			}
+		}
+	}
+}
+
+// The gateway documents itself as hotpathsd's HTTP API: every public
+// route it mounts must be mounted, under the same method, by a plain
+// daemon, or a client written against a fleet breaks on a single node.
+func TestGatewaySurfaceIsDaemonSurface(t *testing.T) {
+	eng, err := hotpaths.NewEngine(hotpaths.EngineConfig{Config: serverTestConfig(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	daemon := newServer(eng, serverOpts{})
+	srv := httptest.NewServer(daemon.handler())
+	t.Cleanup(srv.Close)
+	g, err := gateway.New(gateway.Config{Table: partition.NewTable(srv.URL), ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+
+	mounted := daemon.routes()
+	routes := g.Routes()
+	if len(routes) < 9 {
+		t.Fatalf("gateway mounts only %v", routes)
+	}
+	for pattern := range routes {
+		if mounted[pattern] == nil {
+			t.Errorf("gateway mounts %q, hotpathsd does not", pattern)
+		}
+	}
+}
+
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	_, _, body := fetchGolden(t, url, "")
+	return body
+}
+
+// A /watch stream is a connection, not a request: holding one open past
+// the latency SLO threshold and closing it must not spend latency error
+// budget — on the daemon's stack or the gateway's (whose fan-in also
+// holds one stream per partition daemon).
+func TestStreamsDoNotBurnLatencySLO(t *testing.T) {
+	gw, ref := goldenFleet(t)
+	for _, tc := range []struct{ name, base, series string }{
+		{"hotpathsd", ref.URL, `hotpaths_http_request_seconds_count{route="/watch"}`},
+		{"hotpathsgw", gw.URL, `hotpathsgw_http_request_seconds_count{route="/watch"}`},
+	} {
+		before := sampleValue(getBody(t, tc.base+"/metrics"), tc.series)
+		resp, err := http.Get(tc.base + "/watch")
+		if err != nil {
+			t.Fatalf("%s: GET /watch: %v", tc.name, err)
+		}
+		if _, err := readSSEEvent(bufio.NewReader(resp.Body)); err != nil {
+			t.Fatalf("%s: no baseline event: %v", tc.name, err)
+		}
+		time.Sleep(350 * time.Millisecond) // past the 250ms latency threshold
+		resp.Body.Close()
+		// The handler returns — and is observed — once it notices the
+		// client is gone.
+		deadline := time.Now().Add(10 * time.Second)
+		for sampleValue(getBody(t, tc.base+"/metrics"), tc.series) == before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the closed /watch was never observed", tc.name)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		var health struct {
+			Components struct {
+				SLO struct {
+					Burn metrics.SLOStatus `json:"burn"`
+				} `json:"slo"`
+			} `json:"components"`
+		}
+		if err := json.Unmarshal([]byte(getBody(t, tc.base+"/healthz?verbose=1")), &health); err != nil {
+			t.Fatal(err)
+		}
+		if b := health.Components.SLO.Burn; b.LatencyFast != 0 || b.LatencySlow != 0 {
+			t.Errorf("%s: a closed /watch stream spent latency budget: %+v", tc.name, b)
+		}
+	}
 }

@@ -11,41 +11,21 @@
 //	hotpathsd -follow http://primary:8080 [-addr :8081] [-shards 0]
 //	          [-buffer 256] [-max-lag 100000]
 //
-// Endpoints:
+// The public routes, their bodies, query parameters, SSE framing, the
+// -pprof admin listener and the logging/tracing flags are the wire
+// contract hotpathsd shares with hotpathsgw (package
+// hotpaths/internal/httpapi): see the README's "HTTP API" section. On top
+// of it the daemon mounts:
 //
-//	POST /observe           {"observations":[{"object":1,"x":10,"y":20,"t":3}], "tick":3}
-//	POST /tick              {"now": 4}
-//	GET  /topk              top-k hottest paths as JSON (k defaults to -k)
-//	GET  /paths             every live path as JSON
-//	GET  /paths.geojson     live paths as a GeoJSON FeatureCollection
-//	GET  /stats             ingestion, coordinator, WAL and replication counters
-//	GET  /metrics           Prometheus text exposition: latency histograms and
-//	                        counters for every layer (see the README's
-//	                        Observability section for the metric families)
-//	GET  /watch             Server-Sent Events: one result delta per epoch
 //	POST /admin/checkpoint  force a checkpoint + WAL truncation (-wal only)
-//	GET  /healthz           liveness probe; 503 once WAL I/O has failed
-//	                        or (with -follow) replication is down/lagging
 //	GET  /wal/meta          -wal only: the journal's Config (followers fetch it)
 //	GET  /wal/checkpoint    -wal only: newest checkpoint blob for follower bootstrap
 //	GET  /wal/stream        -wal only: live WAL frame stream from ?from=LSN
 //	POST /admin/reconnect   -follow only: drop and re-establish the stream
 //
-// With -pprof ADDR a second, admin-only listener serves net/http/pprof
-// under /debug/pprof/, another /metrics mount, and the distributed-tracing
-// ring: GET /debug/traces lists recently completed traces and
-// GET /debug/traces/{id} returns every span this process recorded for one
-// trace ID (spans of the same request on other fleet members are fetched
-// from their admin listeners under the same ID). Debug endpoints never
-// appear on the public port; bind the admin listener to localhost or a
-// management network.
-//
-// Tracing is sampled: -trace-sample RATE records that fraction of
-// requests (continued traceparent decisions from a gateway always win),
-// and -trace-slow DURATION force-records any request slower than the
-// threshold and logs it with its trace_id. Logs are structured (log/slog);
-// -log-format selects text (default) or json, and request-scoped lines
-// carry trace_id/span_id so logs and traces cross-reference.
+// GET /healthz answers 503 once WAL I/O has failed or (with -follow)
+// replication is down or lagging; GET /stats carries the ingestion,
+// coordinator, WAL and replication counters.
 //
 // With -wal DIR the daemon journals every observation and tick to a
 // write-ahead log before applying it, checkpoints the full engine state
@@ -73,22 +53,6 @@
 // is down or the record lag exceeds -max-lag. See the README's
 // "Replication & read scaling" section.
 //
-// The three read endpoints answer from one consistent engine snapshot per
-// request and share the query parameters
-//
-//	k=10 | limit=10                   cap the result (k defaults to -k on /topk)
-//	min_hotness=3                     only paths with hotness >= 3
-//	bbox=minx,miny,maxx,maxy          only paths ending inside the box
-//	sort=hotness|score                rank by hotness (default) or hotness×length
-//
-// GET /watch accepts the same parameters (k defaulting to -k, like /topk)
-// but holds the connection open as a Server-Sent Events stream: the first
-// "delta" event carries the query's current result, and each epoch
-// boundary afterwards emits the paths that entered, left or changed
-// hotness. A slow consumer never blocks ingestion — undelivered deltas
-// are dropped and the next event re-baselines the client with the full
-// result ("reset": true, "missed" counting the dropped epochs).
-//
 // Time is logical and client-driven: producers POST observation batches
 // for a timestamp, then advance the clock (inline via "tick", or from a
 // single place via POST /tick). On SIGINT/SIGTERM the daemon stops
@@ -101,23 +65,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"hotpaths"
 	"hotpaths/internal/flightrec"
-	"hotpaths/internal/tracing"
+	"hotpaths/internal/httpapi"
 )
 
 func main() {
@@ -145,44 +102,36 @@ func run() int {
 		segBytes = flag.Int64("wal-segment", 0, "WAL segment rotation size in bytes (with -wal; 0 = 64 MiB default)")
 		follow   = flag.String("follow", "", "primary base URL: run as a read-only replica of that hotpathsd (e.g. http://primary:8080)")
 		maxLag   = flag.Uint64("max-lag", 100_000, "with -follow: /healthz degrades once the follower lags this many records behind the primary (0 disables)")
-		pprof    = flag.String("pprof", "", "admin listen address (e.g. localhost:6060) serving net/http/pprof, /metrics and /debug/traces; empty disables it")
 		partID   = flag.Int("partition-id", 0, "with -partition-count: this daemon's partition slot (0-based)")
 		partN    = flag.Int("partition-count", 0, "run as partition -partition-id of this many primaries behind a hotpathsgw gateway; 0 = unpartitioned")
-		logFmt   = flag.String("log-format", "text", "log output format: text or json")
-		frDump   = flag.String("flightrec-dump", "", "directory for flight-recorder ring dumps: written on WAL poisoning and on shutdown; empty disables dumps")
-		trSample = flag.Float64("trace-sample", 0, "fraction of requests to trace in [0,1]; sampled traces are kept in the /debug/traces ring")
-		trSlow   = flag.Duration("trace-slow", 0, "force-trace and log any request slower than this (0 disables); works even with -trace-sample 0")
+		proc     = httpapi.NewProcess(flag.CommandLine, "hotpathsd", "localhost:6060",
+			"directory for flight-recorder ring dumps: written on WAL poisoning and on shutdown; empty disables dumps")
 	)
 	flag.Parse()
 
-	if err := tracing.SetupSlog(*logFmt, "hotpathsd"); err != nil {
-		fmt.Fprintf(os.Stderr, "hotpathsd: %v\n", err)
-		return 1
+	if err := proc.Setup(); err != nil {
+		return httpapi.Fail(err)
 	}
-	if *trSample < 0 || *trSample > 1 {
-		return fail(fmt.Errorf("-trace-sample must be in [0,1], got %g", *trSample))
-	}
-	tracing.Default.Configure("hotpathsd", *trSample, *trSlow)
-	if *frDump != "" {
+	if dir := proc.DumpDir(); dir != "" {
 		// Arm the crash-forensics dump: the moment the WAL poisons, the
 		// event ring — the last N things the daemon did — hits disk, even
 		// if nobody reaches /debug/events before a restart wipes it.
-		flightrec.Default.AutoDump(*frDump, flightrec.EvWALPoisoned)
+		flightrec.Default.AutoDump(dir, flightrec.EvWALPoisoned)
 	}
 
 	if *partN < 0 {
-		return fail(errors.New("-partition-count must be non-negative"))
+		return httpapi.Fail(errors.New("-partition-count must be non-negative"))
 	}
 	if *partN == 0 && *partID != 0 {
-		return fail(errors.New("-partition-id requires -partition-count"))
+		return httpapi.Fail(errors.New("-partition-id requires -partition-count"))
 	}
 	if *partN > 0 && (*partID < 0 || *partID >= *partN) {
-		return fail(fmt.Errorf("-partition-id %d out of range for -partition-count %d", *partID, *partN))
+		return httpapi.Fail(fmt.Errorf("-partition-id %d out of range for -partition-count %d", *partID, *partN))
 	}
 
-	rect, err := parseBounds(*bounds)
+	rect, err := httpapi.ParseBounds(*bounds)
 	if err != nil {
-		return fail(err)
+		return httpapi.Fail(err)
 	}
 	cfg := hotpaths.Config{
 		Eps:      *eps,
@@ -205,14 +154,14 @@ func run() int {
 	)
 	if *follow != "" {
 		if *walDir != "" {
-			return fail(errors.New("-follow and -wal are mutually exclusive: a follower replays the primary's journal instead of writing its own"))
+			return httpapi.Fail(errors.New("-follow and -wal are mutually exclusive: a follower replays the primary's journal instead of writing its own"))
 		}
 		fol, err = hotpaths.OpenFollower(*follow, hotpaths.FollowerConfig{
 			Shards: *shards,
 			Buffer: *buffer,
 		})
 		if err != nil {
-			return fail(err)
+			return httpapi.Fail(err)
 		}
 		src, drain = fol, fol.Close
 		rs := fol.Replication()
@@ -231,7 +180,7 @@ func run() int {
 			SegmentBytes:  *segBytes,
 		})
 		if err != nil {
-			return fail(err)
+			return httpapi.Fail(err)
 		}
 		src, drain = dur, dur.Close
 		ws := dur.WAL()
@@ -247,7 +196,7 @@ func run() int {
 			Buffer: *buffer,
 		})
 		if err != nil {
-			return fail(err)
+			return httpapi.Fail(err)
 		}
 		src, drain = eng, eng.Close
 	}
@@ -256,41 +205,10 @@ func run() int {
 		dur: dur, fol: fol, maxLag: *maxLag,
 		partitionID: *partID, partitionCount: *partN,
 	})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api.handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	// End open /watch streams when Shutdown begins: their subscriptions
 	// only close when the backend drains, which happens after Shutdown —
 	// without the hook every watcher would pin Shutdown to its timeout.
-	srv.RegisterOnShutdown(api.stopWatches)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The admin mux carries profiling and metrics on its own listener so
-	// pprof is never reachable through the public port. Its failure is
-	// fatal: an operator who asked for profiling and silently did not get
-	// it would debug the wrong thing.
-	var admin *http.Server
-	if *pprof != "" {
-		admin = &http.Server{
-			Addr:              *pprof,
-			Handler:           adminHandler(),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	if admin != nil {
-		go func() {
-			if err := admin.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				errc <- fmt.Errorf("admin listener: %w", err)
-			}
-		}()
-		slog.Info("admin listener up (pprof + metrics + traces)", "addr", *pprof)
-	}
+	proc.Start(*addr, api.handler(), api.stopWatches)
 	// Log the resolved config, not the flags: a follower adopts the
 	// primary's journal parameters and ignores the local pipeline flags.
 	rcfg := src.Config()
@@ -300,30 +218,17 @@ func run() int {
 		"eps", rcfg.Eps,
 		"w", rcfg.W,
 		"epoch", rcfg.Epoch)
-
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			return fail(err)
-		}
-	case <-ctx.Done():
+	if err := proc.Wait(); err != nil {
+		return httpapi.Fail(err)
 	}
 
 	// Graceful drain: stop accepting, finish in-flight requests, then
 	// drain the ingestion shards (checkpointing and closing the WAL when
-	// enabled) and snapshot the final state.
-	slog.Info("shutting down")
+	// enabled) and snapshot the final state. A listener that would not
+	// shut down in time is logged, not fatal: the drain below is what
+	// protects data.
 	code := 0
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		slog.Error("http shutdown failed", "error", err)
-	}
-	if admin != nil {
-		if err := admin.Shutdown(shutCtx); err != nil {
-			slog.Error("admin shutdown failed", "error", err)
-		}
-	}
+	_ = proc.Shutdown()
 	if err := drain(); err != nil {
 		slog.Error("drain failed", "error", err)
 		code = 1
@@ -336,16 +241,7 @@ func run() int {
 			slog.Info("snapshot written", "path", *snapshot)
 		}
 	}
-	if *frDump != "" {
-		// The final flight-recorder snapshot: what the daemon was doing in
-		// its last moments, for postmortems that start after the process
-		// (and its in-memory ring) is gone.
-		if path, err := flightrec.Default.DumpTo(*frDump, "shutdown"); err != nil {
-			slog.Error("flight-recorder dump failed", "error", err)
-		} else {
-			slog.Info("flight-recorder dump written", "path", path)
-		}
-	}
+	_ = proc.DumpFlightRecorder() // logged; a lost dump does not fail the exit
 	st := src.Stats()
 	slog.Info("final state",
 		"observations", st.Observations,
@@ -366,34 +262,4 @@ func writeSnapshot(path string, src backend) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseBounds(s string) (hotpaths.Rect, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return hotpaths.Rect{}, fmt.Errorf("bounds must be minx,miny,maxx,maxy, got %q", s)
-	}
-	vals := make([]float64, 4)
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return hotpaths.Rect{}, fmt.Errorf("bounds component %q: %w", p, err)
-		}
-		// ParseFloat accepts "NaN" and "Inf", and every ordered comparison
-		// downstream (max < min, rectangle containment) is false for NaN —
-		// a non-finite box would silently match nothing.
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return hotpaths.Rect{}, fmt.Errorf("bounds component %q must be finite", p)
-		}
-		vals[i] = v
-	}
-	return hotpaths.Rect{
-		Min: hotpaths.Pt(vals[0], vals[1]),
-		Max: hotpaths.Pt(vals[2], vals[3]),
-	}, nil
-}
-
-func fail(err error) int {
-	slog.Error("startup failed", "error", err)
-	return 1
 }

@@ -3,8 +3,11 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
+
+	"hotpaths/internal/httpapi"
 )
 
 func scrapeMetrics(t *testing.T, h http.Handler) string {
@@ -45,6 +48,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	feedZigZag(t, h) // 40 POSTs to /observe, 80 observations, 40 ticks
 	do(t, h, http.MethodGet, "/topk", nil)
 	do(t, h, http.MethodGet, "/stats", nil)
+	// The gateway's name for /observe: same handler, its own route label.
+	if rec := do(t, h, http.MethodPost, "/observe_batch", httpapi.ObserveRequest{}); rec.Code != http.StatusOK {
+		t.Fatalf("POST /observe_batch: %d %s", rec.Code, rec.Body.String())
+	}
 
 	body := scrapeMetrics(t, h)
 	checkPrometheusText(t, body)
@@ -73,12 +80,56 @@ func TestMetricsEndpoint(t *testing.T) {
 		{`hotpaths_http_request_seconds_count{route="/observe"}`, 40},
 		{`hotpaths_http_requests_total{code="2xx",route="/topk"}`, 1},
 		{`hotpaths_http_requests_total{code="2xx",route="/stats"}`, 1},
+		{`hotpaths_http_requests_total{code="2xx",route="/observe_batch"}`, 1},
 		{`hotpaths_engine_observations_total`, 80},
 	} {
 		got := sampleValue(body, tc.series) - sampleValue(before, tc.series)
 		if got != tc.delta {
 			t.Errorf("%s moved by %g, want %g", tc.series, got, tc.delta)
 		}
+	}
+}
+
+// familyHeaders returns the sorted # HELP / # TYPE lines of the families
+// whose names start with one of the prefixes.
+func familyHeaders(body string, prefixes ...string) string {
+	var lines []string
+	for _, line := range strings.Split(body, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 3 || fields[0] != "#" {
+			continue
+		}
+		for _, p := range prefixes {
+			if strings.HasPrefix(fields[2], p) {
+				lines = append(lines, line)
+			}
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// The HTTP-layer families are registered through internal/httpapi but
+// named here, and dashboards, the SLO sampler and benchmark/ read them by
+// name: their names, kinds and help strings are frozen.
+func TestHTTPMetricFamiliesGolden(t *testing.T) {
+	const golden = `# HELP hotpaths_http_request_seconds HTTP request duration by route.
+# HELP hotpaths_http_requests_total HTTP requests by route and status class.
+# HELP hotpaths_slo_availability_burn_ratio availability error-budget burn rate over the window (1.0 = spending budget exactly at the objective rate)
+# HELP hotpaths_slo_availability_objective_ratio configured availability SLO: target fraction of non-5xx requests
+# HELP hotpaths_slo_latency_burn_ratio latency error-budget burn rate over the window (1.0 = spending budget exactly at the objective rate)
+# HELP hotpaths_slo_latency_objective_ratio configured latency SLO: target fraction of requests under the threshold
+# HELP hotpaths_slo_latency_threshold_seconds latency SLO threshold (snapped down to a histogram bucket bound)
+# TYPE hotpaths_http_request_seconds histogram
+# TYPE hotpaths_http_requests_total counter
+# TYPE hotpaths_slo_availability_burn_ratio gauge
+# TYPE hotpaths_slo_availability_objective_ratio gauge
+# TYPE hotpaths_slo_latency_burn_ratio gauge
+# TYPE hotpaths_slo_latency_objective_ratio gauge
+# TYPE hotpaths_slo_latency_threshold_seconds gauge`
+	got := familyHeaders(scrapeMetrics(t, newTestHandler(t)), "hotpaths_http_", "hotpaths_slo_")
+	if got != golden {
+		t.Errorf("HTTP metric families drifted:\n got:\n%s\nwant:\n%s", got, golden)
 	}
 }
 
@@ -104,7 +155,7 @@ func TestMetricsStatusClasses(t *testing.T) {
 // TestAdminHandler covers the -pprof listener's mux: /metrics and the
 // pprof index must both answer.
 func TestAdminHandler(t *testing.T) {
-	h := adminHandler()
+	h := httpapi.AdminHandler()
 	if rec := do(t, h, http.MethodGet, "/metrics", nil); rec.Code != http.StatusOK {
 		t.Fatalf("admin GET /metrics: %d", rec.Code)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hotpaths"
+	"hotpaths/internal/httpapi"
 )
 
 // newReplicaPair builds a durable primary served over a real listener and
@@ -50,8 +51,8 @@ func TestFollowerWritesForbidden(t *testing.T) {
 		method, path string
 		body         any
 	}{
-		{http.MethodPost, "/observe", observeRequest{Observations: []observationJSON{{Object: 1, X: 1, Y: 2, T: 3}}}},
-		{http.MethodPost, "/tick", tickRequest{Now: 5}},
+		{http.MethodPost, "/observe", httpapi.ObserveRequest{Observations: []hotpaths.ObservationJSON{{Object: 1, X: 1, Y: 2, T: 3}}}},
+		{http.MethodPost, "/tick", httpapi.TickRequest{Now: 5}},
 		{http.MethodPost, "/admin/checkpoint", nil},
 	}
 	for _, wr := range writes {
@@ -81,13 +82,13 @@ func TestFollowerServesIdenticalReads(t *testing.T) {
 	// A deterministic three-lane flow, driven through the primary's HTTP
 	// ingest exactly as a producer would.
 	for tick := int64(1); tick <= 60; tick++ {
-		var obs []observationJSON
+		var obs []hotpaths.ObservationJSON
 		for lane := 0; lane < 3; lane++ {
-			obs = append(obs, observationJSON{
+			obs = append(obs, hotpaths.ObservationJSON{
 				Object: lane, X: float64(tick) * 10, Y: float64(lane * 50), T: tick,
 			})
 		}
-		rec := do(t, primary, http.MethodPost, "/observe", observeRequest{Observations: obs, Tick: tick})
+		rec := do(t, primary, http.MethodPost, "/observe", httpapi.ObserveRequest{Observations: obs, Tick: tick})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("primary observe at t=%d: %d %s", tick, rec.Code, rec.Body)
 		}

@@ -19,6 +19,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"hotpaths"
+	"hotpaths/internal/httpapi"
 )
 
 // buildDaemon compiles hotpathsd (with -race, so the spawned daemons are
@@ -151,8 +154,8 @@ func (d *daemon) stats() map[string]any {
 // e2eObservations mirrors the commuter-flow idea of the in-process golden
 // tests: three lanes of objects marching along a corridor so paths form,
 // heat up and expire within the run.
-func e2eObservations(tick int64) []observationJSON {
-	var obs []observationJSON
+func e2eObservations(tick int64) []hotpaths.ObservationJSON {
+	var obs []hotpaths.ObservationJSON
 	for lane := int64(0); lane < 4; lane++ {
 		for o := int64(0); o < 3; o++ {
 			id := lane*3 + o
@@ -161,7 +164,7 @@ func e2eObservations(tick int64) []observationJSON {
 			if s < 0 || s > 60 {
 				continue
 			}
-			obs = append(obs, observationJSON{
+			obs = append(obs, hotpaths.ObservationJSON{
 				Object: int(id),
 				X:      float64(s) * 11,
 				Y:      float64(lane*40) + float64(o),
@@ -192,7 +195,7 @@ func TestReplicationE2E(t *testing.T) {
 	const horizon = 120
 	feed := func(tick int64) {
 		t.Helper()
-		code, b := primary.post("/observe", observeRequest{Observations: e2eObservations(tick), Tick: tick})
+		code, b := primary.post("/observe", httpapi.ObserveRequest{Observations: e2eObservations(tick), Tick: tick})
 		if code != http.StatusOK {
 			t.Fatalf("observe t=%d: %d %s", tick, code, b)
 		}
@@ -282,10 +285,10 @@ func TestReplicationE2E(t *testing.T) {
 	}
 
 	// Writes on the follower are forbidden.
-	if code, _ := follower.post("/observe", observeRequest{Observations: e2eObservations(1), Tick: 0}); code != http.StatusForbidden {
+	if code, _ := follower.post("/observe", httpapi.ObserveRequest{Observations: e2eObservations(1), Tick: 0}); code != http.StatusForbidden {
 		t.Errorf("follower observe: %d, want 403", code)
 	}
-	if code, _ := follower.post("/tick", tickRequest{Now: 999}); code != http.StatusForbidden {
+	if code, _ := follower.post("/tick", httpapi.TickRequest{Now: 999}); code != http.StatusForbidden {
 		t.Errorf("follower tick: %d, want 403", code)
 	}
 

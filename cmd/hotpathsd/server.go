@@ -1,23 +1,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hotpaths"
-	"hotpaths/internal/flightrec"
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/metrics"
 	"hotpaths/internal/partition"
-	"hotpaths/internal/tracing"
 )
 
 // backend is the ingestion and query surface the server drives: the bare
@@ -83,10 +78,8 @@ type server struct {
 	// slo derives burn-rate gauges from the daemon's request instruments.
 	slo *metrics.SLO
 
-	// lastHealth remembers the previous /healthz verdict so only state
-	// transitions — not every poll — become flight-recorder events.
-	healthMu   sync.Mutex
-	lastHealth string
+	// health turns /healthz verdict flips into flight-recorder events.
+	health httpapi.Health
 }
 
 type cachedSnapshot struct {
@@ -104,6 +97,7 @@ func newServer(src backend, opts serverOpts) *server {
 		partN:   opts.partitionCount,
 		started: time.Now(),
 		closing: make(chan struct{}),
+		health:  httpapi.Health{Component: "daemon"},
 	}
 	if opts.dur != nil {
 		// The library feed, wired to the shutdown channel so open streams
@@ -164,37 +158,48 @@ func (s *server) snapshot() hotpaths.Snapshot {
 // invalidate marks the cached snapshot stale after a write.
 func (s *server) invalidate() { s.gen.Add(1) }
 
-func (s *server) handler() http.Handler {
-	// Every route is wrapped at registration (an outer middleware cannot
-	// see which ServeMux pattern matched), so each handler's histogram and
-	// status counters are bound to its route label up front. The tracing
-	// middleware stacks inside the metrics one: metrics always run, the
-	// tracing layer adds a server span only when the request is sampled
-	// (or continues a sampled trace) and otherwise costs one header check.
-	mux := http.NewServeMux()
-	wrap := func(route string, h http.HandlerFunc) http.HandlerFunc {
-		return instrument(route, tracing.Default.Middleware(route, h))
+// routeMetrics registers one route's request instruments.
+func routeMetrics(route string) httpapi.RouteMetrics {
+	m := httpapi.RouteMetrics{Seconds: metrics.Default.Histogram("hotpaths_http_request_seconds",
+		"HTTP request duration by route.",
+		metrics.LatencyBuckets, metrics.Labels{"route": route})}
+	for i, class := range httpapi.StatusClasses {
+		m.Requests[i] = metrics.Default.Counter("hotpaths_http_requests_total",
+			"HTTP requests by route and status class.",
+			metrics.Labels{"route": route, "code": class})
 	}
-	mux.HandleFunc("POST /observe", wrap("/observe", s.handleObserve))
-	mux.HandleFunc("POST /tick", wrap("/tick", s.handleTick))
-	mux.HandleFunc("GET /topk", wrap("/topk", s.handleTopK))
-	mux.HandleFunc("GET /paths", wrap("/paths", s.handlePaths))
-	mux.HandleFunc("GET /paths.geojson", wrap("/paths.geojson", s.handleGeoJSON))
-	mux.HandleFunc("GET /stats", wrap("/stats", s.handleStats))
-	mux.HandleFunc("GET /watch", wrap("/watch", s.handleWatch))
-	mux.HandleFunc("POST /admin/checkpoint", wrap("/admin/checkpoint", s.handleCheckpoint))
-	mux.HandleFunc("GET /healthz", wrap("/healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", instrument("/metrics", metrics.Handler().ServeHTTP))
+	return m
+}
+
+// routes is the daemon's public surface, by ServeMux pattern; the wire
+// contract behind it (and GET /metrics) is internal/httpapi's.
+func (s *server) routes() map[string]http.HandlerFunc {
+	routes := map[string]http.HandlerFunc{
+		"POST /observe": s.handleObserve,
+		// The gateway's name for the same write, so a client written
+		// against a fleet keeps working when pointed at a single node.
+		"POST /observe_batch":    s.handleObserve,
+		"POST /tick":             s.handleTick,
+		"GET /topk":              s.answerQuery(true, false),
+		"GET /paths":             s.answerQuery(false, false),
+		"GET /paths.geojson":     s.answerQuery(false, true),
+		"GET /stats":             s.handleStats,
+		"GET /watch":             s.handleWatch,
+		"POST /admin/checkpoint": s.handleCheckpoint,
+		"GET /healthz":           s.handleHealthz,
+	}
 	if s.repl != nil {
 		// The primary-side replication feed: followers bootstrap from the
 		// checkpoint and tail the WAL as a long-lived frame stream.
-		mux.Handle("/wal/", wrap("/wal/", s.repl.ServeHTTP))
+		routes["/wal/"] = s.repl.ServeHTTP
 	}
 	if s.fol != nil {
-		mux.HandleFunc("POST /admin/reconnect", wrap("/admin/reconnect", s.handleReconnect))
+		routes["POST /admin/reconnect"] = s.handleReconnect
 	}
-	return mux
+	return routes
 }
+
+func (s *server) handler() http.Handler { return httpapi.NewMux(routeMetrics, s.routes()) }
 
 // rejectReadOnly answers writes on a follower: 403 rather than 400/405,
 // because the request is well-formed and allowed — just not here. The
@@ -204,48 +209,10 @@ func (s *server) rejectReadOnly(w http.ResponseWriter) bool {
 	if s.fol == nil {
 		return false
 	}
-	writeJSON(w, http.StatusForbidden, map[string]any{
+	httpapi.WriteJSON(w, http.StatusForbidden, map[string]any{
 		"error":   hotpaths.ErrReadOnly.Error(),
 		"primary": s.fol.Primary(),
 	})
-	return true
-}
-
-// observationJSON is the wire form of one measurement — the library's
-// canonical encoding, shared with the gateway's router.
-type observationJSON = hotpaths.ObservationJSON
-
-// observeRequest is the POST /observe body. Tick, when positive, advances
-// the engine clock after the batch is ingested — the convenient form for a
-// single-writer feed that ticks as it streams; multi-writer deployments
-// should leave it zero and drive POST /tick from one place.
-type observeRequest struct {
-	Observations []observationJSON `json:"observations"`
-	Tick         int64             `json:"tick,omitempty"`
-}
-
-type tickRequest struct {
-	Now int64 `json:"now"`
-}
-
-// maxRequestBytes caps request bodies so one oversized batch cannot
-// exhaust the daemon's memory.
-const maxRequestBytes = 8 << 20
-
-// decodeBody decodes a size-limited JSON request body, reporting 413 for
-// oversized payloads and 400 for malformed ones. It returns false after
-// writing the error response.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		}
-		return false
-	}
 	return true
 }
 
@@ -253,15 +220,15 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
 	}
-	var req observeRequest
-	if !decodeBody(w, r, &req) {
+	var req httpapi.ObserveRequest
+	if !httpapi.DecodeBody(w, r, &req) {
 		return
 	}
 	batch := make([]hotpaths.Observation, len(req.Observations))
 	for i, o := range req.Observations {
 		if s.partN > 0 {
 			if owner := partition.Index(o.Object, s.partN); owner != s.partID {
-				httpError(w, http.StatusBadRequest, fmt.Errorf(
+				httpapi.Error(w, http.StatusBadRequest, fmt.Errorf(
 					"object %d belongs to partition %d of %d, not this daemon (partition %d); check the router's table",
 					o.Object, owner, s.partN, s.partID))
 				return
@@ -270,7 +237,7 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		batch[i] = o.Observation()
 	}
 	if err := s.src.ObserveBatchCtx(r.Context(), batch); err != nil {
-		httpError(w, s.writeErrStatus(), err)
+		httpapi.Error(w, s.writeErrStatus(), err)
 		return
 	}
 	s.invalidate()
@@ -281,7 +248,7 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// The batch was already ingested; report that alongside the
 			// tick failure so clients don't re-send the observations.
-			writeJSON(w, s.writeErrStatus(), map[string]any{
+			httpapi.WriteJSON(w, s.writeErrStatus(), map[string]any{
 				"error":    err.Error(),
 				"accepted": len(batch),
 			})
@@ -289,7 +256,7 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["now"] = req.Tick
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeErrStatus picks the status for a failed write: 400 for what must
@@ -308,172 +275,37 @@ func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
 	}
-	var req tickRequest
-	if !decodeBody(w, r, &req) {
+	var req httpapi.TickRequest
+	if !httpapi.DecodeBody(w, r, &req) {
 		return
 	}
 	err := s.src.TickCtx(r.Context(), req.Now)
 	s.invalidate()
 	if err != nil {
-		httpError(w, s.writeErrStatus(), err)
+		httpapi.Error(w, s.writeErrStatus(), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"now": req.Now})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"now": req.Now})
 }
 
-// queryParams builds a hotpaths.Query from the shared URL parameters
-// k (or limit), min_hotness, bbox=minx,miny,maxx,maxy and
-// sort=hotness|score. defaultK caps the result when no k is given
-// (0 means unlimited).
-func queryParams(r *http.Request, defaultK int) (hotpaths.Query, error) {
-	q := hotpaths.Query{}
-	vals := r.URL.Query()
-	if vals.Get("k") != "" && vals.Get("limit") != "" {
-		return q, fmt.Errorf("k and limit are aliases; pass only one")
-	}
-	k := defaultK
-	for _, name := range []string{"k", "limit"} {
-		if s := vals.Get(name); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 0 {
-				return q, fmt.Errorf("%s must be a non-negative integer, got %q", name, s)
-			}
-			k = n
+// answerQuery serves a read endpoint from the cached snapshot: the
+// k/min_hotness/bbox/sort selection — capped at the engine's Config.K
+// when topK and no k is given — as JSON or, with geo, as a GeoJSON
+// FeatureCollection.
+func (s *server) answerQuery(topK, geo bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defaultK := 0
+		if topK {
+			defaultK = s.src.Config().K
 		}
-	}
-	q = q.K(k)
-	if s := vals.Get("min_hotness"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return q, fmt.Errorf("min_hotness must be a non-negative integer, got %q", s)
-		}
-		q = q.MinHotness(n)
-	}
-	if s := vals.Get("bbox"); s != "" {
-		rect, err := parseBounds(s)
+		q, err := httpapi.ParseQuery(r, defaultK)
 		if err != nil {
-			return q, fmt.Errorf("bbox: %w", err)
+			httpapi.Error(w, http.StatusBadRequest, err)
+			return
 		}
-		if rect.Max.X < rect.Min.X || rect.Max.Y < rect.Min.Y {
-			return q, fmt.Errorf("bbox %q has max < min", s)
-		}
-		q = q.Region(rect)
+		snap := s.snapshot()
+		httpapi.WritePaths(w, r, http.StatusOK, snap.Epoch(), snap.Clock(), snap.Query(q), geo)
 	}
-	switch s := vals.Get("sort"); s {
-	case "", "hotness":
-		q = q.SortBy(hotpaths.ByHotness)
-	case "score":
-		q = q.SortBy(hotpaths.ByScore)
-	default:
-		return q, fmt.Errorf("sort must be \"hotness\" or \"score\", got %q", s)
-	}
-	return q, nil
-}
-
-// epochHeaders stamps the answering snapshot's epoch and clock on the
-// response, so a scatter-gather reader can verify that every partition
-// answered at the same epoch before merging.
-func epochHeaders(w http.ResponseWriter, snap hotpaths.Snapshot) {
-	w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(snap.Epoch(), 10))
-	w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(snap.Clock(), 10))
-}
-
-// handleTopK serves GET /topk: the k hottest paths (k defaults to the
-// engine's Config.K), optionally restricted by bbox/min_hotness and
-// re-ranked by sort=score.
-func (s *server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	q, err := queryParams(r, s.src.Config().K)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	snap := s.snapshot()
-	epochHeaders(w, snap)
-	writeJSON(w, http.StatusOK, hotpaths.PathsJSON(snap.Query(q)))
-}
-
-// handlePaths serves GET /paths: every live path, with the same
-// k/min_hotness/bbox/sort selection as /topk but no default cap.
-func (s *server) handlePaths(w http.ResponseWriter, r *http.Request) {
-	q, err := queryParams(r, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	snap := s.snapshot()
-	epochHeaders(w, snap)
-	writeJSON(w, http.StatusOK, hotpaths.PathsJSON(snap.Query(q)))
-}
-
-// handleGeoJSON serves GET /paths.geojson, accepting the same bbox and
-// limit parameters. The FeatureCollection is buffered before the first
-// byte is written — it is bounded by the live index size — so an encoding
-// failure still returns a proper 500 instead of a truncated body after
-// headers are gone.
-func (s *server) handleGeoJSON(w http.ResponseWriter, r *http.Request) {
-	q, err := queryParams(r, 0)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	snap := s.snapshot()
-	var buf bytes.Buffer
-	if err := hotpaths.WriteGeoJSON(&buf, snap.Query(q)); err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("encode geojson: %w", err))
-		return
-	}
-	epochHeaders(w, snap)
-	w.Header().Set("Content-Type", "application/geo+json")
-	if _, err := buf.WriteTo(w); err != nil {
-		// The client went away mid-response; nothing left to salvage.
-		slog.Warn("write geojson failed", append([]any{"error", err}, tracing.LogAttrs(r.Context())...)...)
-	}
-}
-
-// deltaJSON is the wire form of one subscription delta, carried as the
-// data of an SSE "delta" event on GET /watch. Entered and changed use
-// the PathJSON shape of /topk except that rank is 0: a delta only sees a
-// slice of the result, so a real rank cannot be assigned, and a
-// positional one would read as the /topk meaning and mislead clients.
-type deltaJSON struct {
-	Clock   int64               `json:"clock"`
-	Epoch   int64               `json:"epoch"`
-	Reset   bool                `json:"reset,omitempty"`
-	Missed  int                 `json:"missed,omitempty"`
-	Entered []hotpaths.PathJSON `json:"entered"`
-	Changed []hotpaths.PathJSON `json:"changed"`
-	Left    []uint64            `json:"left"`
-}
-
-// unranked converts delta paths to the wire form with rank zeroed (see
-// deltaJSON).
-func unranked(paths []hotpaths.HotPath) []hotpaths.PathJSON {
-	out := hotpaths.PathsJSON(paths)
-	for i := range out {
-		out[i].Rank = 0
-	}
-	return out
-}
-
-func writeSSE(w http.ResponseWriter, d hotpaths.Delta) error {
-	left := d.Left
-	if left == nil {
-		left = []uint64{}
-	}
-	body, err := json.Marshal(deltaJSON{
-		Clock:   d.Clock,
-		Epoch:   d.Epoch,
-		Reset:   d.Reset,
-		Missed:  d.Missed,
-		Entered: unranked(d.Entered),
-		Changed: unranked(d.Changed),
-		Left:    left,
-	})
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: delta\ndata: %s\n\n", d.Epoch, body)
-	return err
 }
 
 // handleWatch serves GET /watch: a Server-Sent Events stream carrying one
@@ -485,28 +317,23 @@ func writeSSE(w http.ResponseWriter, d hotpaths.Delta) error {
 // reset event whose missed field counts the dropped epochs (see the
 // README's watching section).
 func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
-	q, err := queryParams(r, s.src.Config().K)
+	q, err := httpapi.ParseQuery(r, s.src.Config().K)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpapi.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
+		httpapi.Error(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
 		return
 	}
 	sub, err := s.src.Subscribe(q)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
+		httpapi.Error(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	defer sub.Close()
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	httpapi.StartSSE(w, fl)
 	for {
 		select {
 		case <-r.Context().Done():
@@ -517,7 +344,7 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // backend closed: daemon shutting down
 			}
-			if err := writeSSE(w, d); err != nil {
+			if err := httpapi.WriteDelta(w, d); err != nil {
 				return // client went away mid-event
 			}
 			fl.Flush()
@@ -582,7 +409,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["wal_error"] = walErr
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleCheckpoint serves POST /admin/checkpoint: force a full-state
@@ -593,21 +420,16 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.dur == nil {
-		httpError(w, http.StatusConflict, errors.New("durability is disabled; start the daemon with -wal"))
+		httpapi.Error(w, http.StatusConflict, errors.New("durability is disabled; start the daemon with -wal"))
 		return
 	}
 	lsn, err := s.dur.Checkpoint()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpapi.Error(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"lsn": lsn})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"lsn": lsn})
 }
-
-// sloDegradedBurn is the fast-window burn rate past which the /healthz
-// slo component reports degraded: spending error budget an order of
-// magnitude faster than the objective allows is an incident, not noise.
-const sloDegradedBurn = 10.0
 
 // handleHealthz reports liveness — and, with -wal, writability: once the
 // journal is poisoned by an I/O failure every write is failing, so
@@ -649,18 +471,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	status, code := "ok", http.StatusOK
-	if reason != "" {
-		status, code = "degraded", http.StatusServiceUnavailable
-		body["reason"] = reason
-		body["error"] = errMsg
-	}
-	body["status"] = status
-	s.recordHealthTransition(r.Context(), status, reason)
-	if r.URL.Query().Get("verbose") == "1" {
-		body["components"] = s.healthComponents(rs, reason)
-	}
-	writeJSON(w, code, body)
+	s.health.Answer(w, r, body, reason, errMsg, func() map[string]any {
+		return s.healthComponents(rs, reason)
+	})
 }
 
 // healthComponents is the ?verbose=1 breakdown: one entry per subsystem
@@ -697,37 +510,8 @@ func (s *server) healthComponents(rs hotpaths.ReplicationStats, reason string) m
 		topo["partition_count"] = s.partN
 	}
 	comps["topology"] = topo
-	slo := s.slo.Status()
-	sloStatus := "ok"
-	if slo.Max() >= sloDegradedBurn {
-		sloStatus = "degraded"
-	}
-	comps["slo"] = map[string]any{"status": sloStatus, "burn": slo}
+	comps["slo"] = httpapi.SLOComponent(s.slo)
 	return comps
-}
-
-// recordHealthTransition emits one health_transition event per state
-// change. /healthz is polled constantly; repeats are not news.
-func (s *server) recordHealthTransition(ctx context.Context, status, reason string) {
-	s.healthMu.Lock()
-	prev := s.lastHealth
-	s.lastHealth = status
-	s.healthMu.Unlock()
-	if prev == status {
-		return
-	}
-	if prev == "" {
-		prev = "unknown"
-	}
-	attrs := []flightrec.Attr{
-		flightrec.KV("component", "daemon"),
-		flightrec.KV("from", prev),
-		flightrec.KV("to", status),
-	}
-	if reason != "" {
-		attrs = append(attrs, flightrec.KV("reason", reason))
-	}
-	flightrec.Default.RecordCtx(ctx, flightrec.EvHealthTransition, attrs...)
 }
 
 // handleReconnect serves POST /admin/reconnect on followers: drop the
@@ -736,17 +520,5 @@ func (s *server) recordHealthTransition(ctx context.Context, status, reason stri
 // test uses to force a mid-run reconnect.
 func (s *server) handleReconnect(w http.ResponseWriter, r *http.Request) {
 	s.fol.Reconnect()
-	writeJSON(w, http.StatusOK, map[string]any{"reconnecting": true})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		slog.Warn("write response failed", "error", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]any{"error": err.Error()})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"reconnecting": true})
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hotpaths"
+	"hotpaths/internal/httpapi"
 )
 
 func serverTestConfig() hotpaths.Config {
@@ -91,8 +92,8 @@ func feedZigZag(t *testing.T, h http.Handler) {
 		if (now/5)%2 == 0 {
 			y = 40
 		}
-		req := observeRequest{
-			Observations: []observationJSON{
+		req := httpapi.ObserveRequest{
+			Observations: []hotpaths.ObservationJSON{
 				{Object: 1, X: x, Y: y, T: now},
 				{Object: 2, X: x, Y: y + 0.5, T: now},
 			},
@@ -190,11 +191,11 @@ func TestGeoJSONEndpoint(t *testing.T) {
 
 func TestTickEndpoint(t *testing.T) {
 	h := newTestHandler(t)
-	if rec := do(t, h, http.MethodPost, "/tick", tickRequest{Now: 5}); rec.Code != http.StatusOK {
+	if rec := do(t, h, http.MethodPost, "/tick", httpapi.TickRequest{Now: 5}); rec.Code != http.StatusOK {
 		t.Fatalf("tick: %d %s", rec.Code, rec.Body.String())
 	}
 	// Backwards time must be rejected.
-	if rec := do(t, h, http.MethodPost, "/tick", tickRequest{Now: 3}); rec.Code != http.StatusBadRequest {
+	if rec := do(t, h, http.MethodPost, "/tick", httpapi.TickRequest{Now: 3}); rec.Code != http.StatusBadRequest {
 		t.Errorf("backwards tick: %d, want 400", rec.Code)
 	}
 }
@@ -209,7 +210,7 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("malformed observe: %d, want 400", rec.Code)
 	}
 	// Noise without the (eps,delta) model enabled.
-	bad := observeRequest{Observations: []observationJSON{{Object: 1, T: 1, SigmaX: 1, SigmaY: 1}}}
+	bad := httpapi.ObserveRequest{Observations: []hotpaths.ObservationJSON{{Object: 1, T: 1, SigmaX: 1, SigmaY: 1}}}
 	if rec := do(t, h, http.MethodPost, "/observe", bad); rec.Code != http.StatusBadRequest {
 		t.Errorf("noisy observe without delta: %d, want 400", rec.Code)
 	}
@@ -223,7 +224,7 @@ func TestOversizedRequestRejected(t *testing.T) {
 	h := newTestHandler(t)
 	// Valid JSON that streams past the size cap, so the decoder hits the
 	// limit rather than a syntax error.
-	raw := append([]byte(`{"pad":"`), bytes.Repeat([]byte("a"), maxRequestBytes+1)...)
+	raw := append([]byte(`{"pad":"`), bytes.Repeat([]byte("a"), httpapi.MaxRequestBytes+1)...)
 	raw = append(raw, '"', '}')
 	body := bytes.NewReader(raw)
 	req := httptest.NewRequest(http.MethodPost, "/observe", body)
@@ -244,15 +245,15 @@ func TestSparseTickTriggersEpoch(t *testing.T) {
 		if now > 4 {
 			y = 40 // sharp turn forces a report
 		}
-		req := observeRequest{
-			Observations: []observationJSON{{Object: 1, X: x, Y: y, T: now}},
+		req := httpapi.ObserveRequest{
+			Observations: []hotpaths.ObservationJSON{{Object: 1, X: x, Y: y, T: now}},
 		}
 		if rec := do(t, h, http.MethodPost, "/observe", req); rec.Code != http.StatusOK {
 			t.Fatalf("observe at t=%d: %d", now, rec.Code)
 		}
 	}
 	// Jump from 0 straight past the epoch boundary at 10.
-	if rec := do(t, h, http.MethodPost, "/tick", tickRequest{Now: 13}); rec.Code != http.StatusOK {
+	if rec := do(t, h, http.MethodPost, "/tick", httpapi.TickRequest{Now: 13}); rec.Code != http.StatusOK {
 		t.Fatalf("tick: %d %s", rec.Code, rec.Body.String())
 	}
 	rec := do(t, h, http.MethodGet, "/stats", nil)
@@ -335,7 +336,7 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 
 	// Silence past the window (W=100): every crossing expires, so the
 	// refreshed snapshot must be empty.
-	if rec := do(t, h, http.MethodPost, "/tick", tickRequest{Now: 400}); rec.Code != http.StatusOK {
+	if rec := do(t, h, http.MethodPost, "/tick", httpapi.TickRequest{Now: 400}); rec.Code != http.StatusOK {
 		t.Fatalf("tick: %d", rec.Code)
 	}
 	after := decode[[]hotpaths.PathJSON](t, do(t, h, http.MethodGet, "/paths", nil))
@@ -474,67 +475,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestParseBounds(t *testing.T) {
-	r, err := parseBounds("0, 0, 100, 200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Max.X != 100 || r.Max.Y != 200 {
-		t.Errorf("parsed %+v", r)
-	}
-	for _, bad := range []string{
-		"", "1,2,3", "a,b,c,d",
-		// ParseFloat accepts these spellings; the daemon must not.
-		"NaN,0,1,1", "0,nan,1,1", "0,0,Inf,1", "0,0,1,-Inf", "+Inf,0,1,1",
-	} {
-		if _, err := parseBounds(bad); err == nil {
-			t.Errorf("parseBounds(%q) must fail", bad)
-		}
-	}
-}
-
-// The shared query-parameter parser must reject the whole error matrix —
-// including non-finite bbox components, which strconv.ParseFloat happily
-// accepts and every rectangle comparison then silently mismatches.
-func TestQueryParamsErrorMatrix(t *testing.T) {
-	h := newTestHandler(t)
-	bad := []string{
-		"/topk?k=1&limit=2",
-		"/topk?k=-1",
-		"/topk?k=abc",
-		"/topk?limit=-5",
-		"/paths?min_hotness=-1",
-		"/paths?min_hotness=x",
-		"/topk?bbox=1,2,3",
-		"/topk?bbox=a,b,c,d",
-		"/topk?bbox=NaN,0,10,10",
-		"/topk?bbox=0,NaN,10,10",
-		"/topk?bbox=0,0,Inf,10",
-		"/topk?bbox=0,0,10,-Inf",
-		"/topk?bbox=+Inf,0,10,10",
-		"/paths.geojson?bbox=10,10,0,0",
-		"/watch?bbox=0,NaN,5,5",
-		"/watch?k=2&limit=3",
-		"/topk?sort=banana",
-	}
-	for _, u := range bad {
-		if rec := do(t, h, http.MethodGet, u, nil); rec.Code != http.StatusBadRequest {
-			t.Errorf("GET %s = %d, want 400 (%s)", u, rec.Code, rec.Body.String())
-		}
-	}
-	good := []string{
-		"/topk?k=3&min_hotness=1&bbox=0,0,500,500&sort=score",
-		"/paths?limit=2&sort=hotness",
-		"/paths?bbox=-10,-10,10,10",
-		"/paths.geojson?bbox=5,5,5,5", // degenerate point box is a valid region
-	}
-	for _, u := range good {
-		if rec := do(t, h, http.MethodGet, u, nil); rec.Code != http.StatusOK {
-			t.Errorf("GET %s = %d, want 200 (%s)", u, rec.Code, rec.Body.String())
-		}
-	}
-}
-
 // GET /watch end to end: an SSE client subscribes, the zig-zag feed runs
 // its epochs, and the deltas — applied event by event — must reconstruct
 // exactly what /topk reports from the final snapshot.
@@ -570,7 +510,7 @@ scan:
 		case line == "event: delta":
 			sawEvent = true
 		case strings.HasPrefix(line, "data: "):
-			var d deltaJSON
+			var d httpapi.DeltaJSON
 			if err := json.Unmarshal([]byte(line[len("data: "):]), &d); err != nil {
 				t.Fatalf("bad delta payload %q: %v", line, err)
 			}
@@ -656,8 +596,8 @@ func TestHealthzReportsPoisonedWAL(t *testing.T) {
 	}
 
 	obs := func(tick int64) *httptest.ResponseRecorder {
-		return do(t, h, http.MethodPost, "/observe", observeRequest{
-			Observations: []observationJSON{{Object: 1, X: float64(tick), Y: 0, T: tick}},
+		return do(t, h, http.MethodPost, "/observe", httpapi.ObserveRequest{
+			Observations: []hotpaths.ObservationJSON{{Object: 1, X: float64(tick), Y: 0, T: tick}},
 		})
 	}
 	if rec := obs(1); rec.Code != http.StatusOK {

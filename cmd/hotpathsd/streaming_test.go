@@ -22,10 +22,9 @@ func withTracing(t *testing.T) {
 
 // Streaming endpoints type-assert their ResponseWriter: /watch needs
 // http.Flusher for SSE, /wal/stream refuses to start without it. Both
-// must keep working through the full middleware stack — metrics recorder
-// wrapping tracing recorder wrapping the real writer — with tracing
-// sampling every request. This is the regression test for the recorders
-// forwarding Flush (and declaring it unconditionally).
+// must keep working through the daemon's full route wrapper with tracing
+// sampling every request. (The wrapper's own Flusher/Hijacker/ReaderFrom
+// forwarding is unit-tested in internal/httpapi.)
 func TestStreamingSurvivesMiddlewareStack(t *testing.T) {
 	withTracing(t)
 	h, _ := newDurableHandler(t)

@@ -9,31 +9,27 @@
 //	           [-k 10] [-timeout 10s] [-probe 1s] [-pprof localhost:6061]
 //	           [-log-format text|json] [-trace-sample 0.01] [-trace-slow 250ms]
 //
-// Endpoints (hotpathsd's public surface, routed or merged):
+// It serves hotpathsd's public routes (the wire contract of package
+// hotpaths/internal/httpapi; see the README's "HTTP API" section), routed
+// or merged:
 //
 //	POST /observe        split by owning partition and forwarded exactly once
 //	POST /observe_batch  alias of /observe
 //	POST /tick           epoch barrier: forwarded to every partition
 //	GET  /topk           merged top-k across the fleet at one shared epoch
-//	GET  /paths          merged live paths (same k/min_hotness/bbox/sort params)
+//	GET  /paths          merged live paths
 //	GET  /paths.geojson  merged paths as GeoJSON
 //	GET  /watch          merged SSE delta stream, one delta per shared epoch
 //	GET  /stats          fleet-wide counter sums + per-partition status
 //	GET  /healthz        503 while any partition is down, misdeclared or lagging
 //	GET  /metrics        gateway request/fan-out/merge instruments
 //
-// With -pprof ADDR a second, admin-only listener serves net/http/pprof
-// under /debug/pprof/, another /metrics mount, and the distributed-tracing
-// ring under /debug/traces — the same admin surface hotpathsd exposes.
-//
-// Tracing: -trace-sample P records that fraction of requests; each
-// partition leg becomes a child span and the trace context propagates to
-// the partitions in the traceparent header, so a gateway write shows up as
-// one trace spanning the gateway and every touched hotpathsd (start the
-// daemons with -pprof to read their half from /debug/traces/{id}).
-// -trace-slow D force-traces and logs any request slower than D even when
-// unsampled. Logs go to stderr via log/slog; -log-format json switches
-// them to one-JSON-object-per-line.
+// The -pprof admin listener and the logging/tracing flags are that
+// contract's too. A traced request gets one child span per partition leg
+// and the trace context propagates to the partitions in the traceparent
+// header, so a gateway write shows up as one trace spanning the gateway
+// and every touched hotpathsd (start the daemons with -pprof to read
+// their half from /debug/traces/{id}).
 //
 // Partition slot i of the -partitions list must be the base URL of a
 // hotpathsd started with -partition-count N -partition-id i (the prober
@@ -45,22 +41,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"hotpaths/internal/flightrec"
 	"hotpaths/internal/gateway"
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/partition"
-	"hotpaths/internal/tracing"
 )
 
 func main() {
@@ -69,30 +59,21 @@ func main() {
 
 func run() int {
 	var (
-		addr     = flag.String("addr", ":8090", "listen address")
-		parts    = flag.String("partitions", "", "comma-separated partition base URLs, slot order (required); slot i must run hotpathsd -partition-count N -partition-id i")
-		k        = flag.Int("k", 10, "default top-k for /topk and /watch (mirrors hotpathsd -k)")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-partition sub-request timeout")
-		probe    = flag.Duration("probe", time.Second, "partition health probe interval")
-		pprofA   = flag.String("pprof", "", "admin listen address (e.g. localhost:6061) serving net/http/pprof, /metrics and /debug/traces; empty disables it")
-		logFmt   = flag.String("log-format", "text", "log output format: text or json")
-		trSample = flag.Float64("trace-sample", 0, "fraction of requests to trace in [0,1]; sampled traces are kept in the /debug/traces ring")
-		trSlow   = flag.Duration("trace-slow", 0, "force-trace and log any request slower than this (0 disables); works even with -trace-sample 0")
-		frDump   = flag.String("flightrec-dump", "", "directory for a flight-recorder ring dump on shutdown; empty disables it")
+		addr    = flag.String("addr", ":8090", "listen address")
+		parts   = flag.String("partitions", "", "comma-separated partition base URLs, slot order (required); slot i must run hotpathsd -partition-count N -partition-id i")
+		k       = flag.Int("k", 10, "default top-k for /topk and /watch (mirrors hotpathsd -k)")
+		timeout = flag.Duration("timeout", 10*time.Second, "per-partition sub-request timeout")
+		probe   = flag.Duration("probe", time.Second, "partition health probe interval")
+		proc    = httpapi.NewProcess(flag.CommandLine, "hotpathsgw", "localhost:6061",
+			"directory for a flight-recorder ring dump on shutdown; empty disables it")
 	)
 	flag.Parse()
 
-	if err := tracing.SetupSlog(*logFmt, "hotpathsgw"); err != nil {
-		fmt.Fprintf(os.Stderr, "hotpathsgw: %v\n", err)
-		return 1
+	if err := proc.Setup(); err != nil {
+		return httpapi.Fail(err)
 	}
-	if *trSample < 0 || *trSample > 1 {
-		return fail(fmt.Errorf("-trace-sample must be in [0,1], got %g", *trSample))
-	}
-	tracing.Default.Configure("hotpathsgw", *trSample, *trSlow)
-
 	if *parts == "" {
-		return fail(errors.New("-partitions is required: a comma-separated list of partition base URLs"))
+		return httpapi.Fail(errors.New("-partitions is required: a comma-separated list of partition base URLs"))
 	}
 	var urls []string
 	for _, u := range strings.Split(*parts, ",") {
@@ -107,75 +88,21 @@ func run() int {
 		ProbeInterval:  *probe,
 	})
 	if err != nil {
-		return fail(err)
+		return httpapi.Fail(err)
 	}
 	defer gw.Close()
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	var admin *http.Server
-	if *pprofA != "" {
-		admin = &http.Server{
-			Addr:              *pprofA,
-			Handler:           adminHandler(),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	if admin != nil {
-		go func() {
-			if err := admin.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-				errc <- fmt.Errorf("admin listener: %w", err)
-			}
-		}()
-		slog.Info("admin listener up (pprof + metrics + traces)", "addr", *pprofA)
-	}
+	proc.Start(*addr, gw.Handler(), nil)
 	slog.Info("listening", "addr", *addr, "partitions", len(urls), "k", *k)
-
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			return fail(err)
-		}
-	case <-ctx.Done():
+	if err := proc.Wait(); err != nil {
+		return httpapi.Fail(err)
 	}
 
-	slog.Info("shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	// Closing the gateway first ends open /watch fan-ins, which would
 	// otherwise pin Shutdown to its timeout.
 	gw.Close()
-	code := 0
-	if err := srv.Shutdown(shutCtx); err != nil {
-		slog.Error("http shutdown failed", "error", err)
-		code = 1
+	if errors.Join(proc.Shutdown(), proc.DumpFlightRecorder()) != nil {
+		return 1 // already logged
 	}
-	if admin != nil {
-		if err := admin.Shutdown(shutCtx); err != nil {
-			slog.Error("admin shutdown failed", "error", err)
-			code = 1
-		}
-	}
-	if *frDump != "" {
-		if path, err := flightrec.Default.DumpTo(*frDump, "shutdown"); err != nil {
-			slog.Error("flight-recorder dump failed", "error", err)
-			code = 1
-		} else {
-			slog.Info("flight-recorder dump written", "path", path)
-		}
-	}
-	return code
-}
-
-func fail(err error) int {
-	slog.Error("startup failed", "error", err)
-	return 1
+	return 0
 }

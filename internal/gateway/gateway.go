@@ -52,15 +52,11 @@ import (
 
 	"hotpaths"
 	"hotpaths/internal/flightrec"
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/metrics"
 	"hotpaths/internal/partition"
 	"hotpaths/internal/tracing"
 )
-
-// sloDegradedBurn is the fast-window burn rate past which the /healthz
-// slo component reports degraded: spending error budget an order of
-// magnitude faster than the objective allows is an incident, not noise.
-const sloDegradedBurn = 10.0
 
 // Config parameterises a Gateway.
 type Config struct {
@@ -208,10 +204,8 @@ type Gateway struct {
 	// slo derives burn-rate gauges from the gateway's request instruments.
 	slo *metrics.SLO
 
-	// lastHealth remembers the previous /healthz verdict so only state
-	// transitions — not every poll — become flight-recorder events.
-	healthMu   sync.Mutex
-	lastHealth string
+	// health turns /healthz verdict flips into flight-recorder events.
+	health httpapi.Health
 }
 
 // mergedView is the fleet's merged read state at one epoch: every
@@ -236,6 +230,7 @@ func New(cfg Config) (*Gateway, error) {
 		start:     time.Now(),
 		closing:   make(chan struct{}),
 		probeDone: make(chan struct{}),
+		health:    httpapi.Health{Component: "gateway"},
 	}
 	for _, pt := range cfg.Table.Partitions {
 		label := metrics.Labels{"partition": strconv.Itoa(pt.ID)}
@@ -272,53 +267,50 @@ func (g *Gateway) Close() {
 	g.slo.Stop()
 }
 
-// Handler mounts the gateway's HTTP surface: the hotpathsd read/write
-// endpoints (routed/merged), /stats, /healthz and /metrics.
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// Metrics outermost, tracing inside: the histogram sees the whole
-	// request, the root span starts before any partition leg.
-	wrap := func(route string, h http.HandlerFunc) http.HandlerFunc {
-		return g.instrument(route, tracing.Default.Middleware(route, h))
+// Routes is the gateway's public surface, by ServeMux pattern: the
+// hotpathsd read/write endpoints (routed/merged), /stats and /healthz,
+// speaking internal/httpapi's wire contract like the daemons behind it.
+func (g *Gateway) Routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"POST /observe":       g.handleObserve,
+		"POST /observe_batch": g.handleObserve,
+		"POST /tick":          g.handleTick,
+		"GET /topk":           g.answerQuery(g.cfg.K, false),
+		"GET /paths":          g.answerQuery(0, false),
+		"GET /paths.geojson":  g.answerQuery(0, true),
+		"GET /watch":          g.handleWatch,
+		"GET /stats":          g.handleStats,
+		"GET /healthz":        g.handleHealthz,
 	}
-	mux.HandleFunc("POST /observe", wrap("/observe", g.handleObserve))
-	mux.HandleFunc("POST /observe_batch", wrap("/observe_batch", g.handleObserve))
-	mux.HandleFunc("POST /tick", wrap("/tick", g.handleTick))
-	mux.HandleFunc("GET /topk", wrap("/topk", g.handleTopK))
-	mux.HandleFunc("GET /paths", wrap("/paths", g.handlePaths))
-	mux.HandleFunc("GET /paths.geojson", wrap("/paths.geojson", g.handleGeoJSON))
-	mux.HandleFunc("GET /watch", wrap("/watch", g.handleWatch))
-	mux.HandleFunc("GET /stats", wrap("/stats", g.handleStats))
-	mux.HandleFunc("GET /healthz", wrap("/healthz", g.handleHealthz))
-	mux.Handle("GET /metrics", g.instrument("/metrics", metrics.Handler().ServeHTTP))
-	return mux
 }
+
+// Handler mounts Routes (and /metrics).
+func (g *Gateway) Handler() http.Handler { return httpapi.NewMux(routeMetrics, g.Routes()) }
 
 // ---- partition sub-requests ----------------------------------------------
 
-// do runs one sub-request against a partition with the configured
-// deadline, recording its latency. When the caller's context carries a
-// sampled trace, the leg gets its own child span — ended when the caller
-// closes the body, so body-read time counts — and the trace context is
-// propagated to the partition in the traceparent header.
-func (g *Gateway) do(ctx context.Context, p *part, method, path string, body []byte) (*http.Response, error) {
+// call runs one sub-request against a partition with the configured
+// deadline, recording its latency; it must answer 200, and its JSON body
+// is decoded into v (nil drains it instead, so the connection is reused).
+// A non-200 is an *upstreamError carrying the status. It returns the
+// response headers. When the caller's context carries a sampled trace,
+// the leg gets its own child span — covering the body read — and the
+// trace context is propagated to the partition in the traceparent header.
+func (g *Gateway) call(ctx context.Context, p *part, method, path string, body []byte, v any) (http.Header, error) {
 	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
+	defer cancel()
 	ctx, span := tracing.StartSpan(ctx, "partition.leg")
+	defer span.End()
 	span.SetAttr("partition", p.id)
 	span.SetAttr("http.method", method)
 	span.SetAttr("http.path", path)
-	done := func() {
-		span.End()
-		cancel()
-	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, p.url+path, rd)
 	if err != nil {
-		done()
 		return nil, err
 	}
 	if body != nil {
@@ -332,7 +324,6 @@ func (g *Gateway) do(ctx context.Context, p *part, method, path string, body []b
 	mInflight.Add(-1)
 	if err != nil {
 		span.Annotate("leg failed: %v", err)
-		done()
 		// A transport failure on a live request is fresher evidence than
 		// the last probe: flip the partition to degraded now, in the
 		// request's trace context, so the health transition and the 206
@@ -344,22 +335,17 @@ func (g *Gateway) do(ctx context.Context, p *part, method, path string, body []b
 		}
 		return nil, err
 	}
+	defer resp.Body.Close()
 	span.SetAttr("http.status", resp.StatusCode)
-	// Tie the deadline (and the leg span) to the body: the caller just
-	// reads and closes.
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: done}
-	return resp, nil
-}
-
-type cancelBody struct {
-	io.ReadCloser
-	cancel func()
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
+	if resp.StatusCode != http.StatusOK {
+		return nil, readError(resp)
+	}
+	if v == nil {
+		io.Copy(io.Discard, resp.Body) // the 200 already says it all
+	} else if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return nil, fmt.Errorf("decode %s: %w", path, err)
+	}
+	return resp.Header, nil
 }
 
 // partError is a sub-request failure tagged with its partition.
@@ -401,24 +387,18 @@ func readError(resp *http.Response) error {
 
 // fetchPaths fetches one partition's full path set and the epoch/clock it
 // was answered at.
-func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.PathJSON, epoch, clock int64, err error) {
-	resp, err := g.do(ctx, p, http.MethodGet, "/paths", nil)
+func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.HotPath, epoch, clock int64, err error) {
+	var wire []hotpaths.PathJSON
+	hdr, err := g.call(ctx, p, http.MethodGet, "/paths", nil, &wire)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, 0, readError(resp)
-	}
-	defer resp.Body.Close()
-	epoch, err = strconv.ParseInt(resp.Header.Get(hotpaths.EpochHeader), 10, 64)
+	epoch, err = strconv.ParseInt(hdr.Get(hotpaths.EpochHeader), 10, 64)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("missing %s header: is this a current hotpathsd?", hotpaths.EpochHeader)
 	}
-	clock, _ = strconv.ParseInt(resp.Header.Get(hotpaths.ClockHeader), 10, 64)
-	if err := json.NewDecoder(resp.Body).Decode(&paths); err != nil {
-		return nil, 0, 0, fmt.Errorf("decode paths: %w", err)
-	}
-	return paths, epoch, clock, nil
+	clock, _ = strconv.ParseInt(hdr.Get(hotpaths.ClockHeader), 10, 64)
+	return httpapi.HotPaths(wire), epoch, clock, nil
 }
 
 // gather fetches every partition's paths at one agreed epoch. Partitions
@@ -427,7 +407,7 @@ func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.Pat
 // than the newest is re-fetched until the fleet agrees.
 func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []partError) {
 	type result struct {
-		paths []hotpaths.PathJSON
+		paths []hotpaths.HotPath
 		epoch int64
 		clock int64
 		err   error
@@ -495,37 +475,22 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 			epoch = results[i].epoch
 		}
 	}
-	byID := make(map[uint64]hotpaths.HotPath)
+	var states [][]hotpaths.HotPath
 	for i := range results {
 		switch {
 		case results[i].err != nil:
 			missing = append(missing, partError{id: g.parts[i].id, err: results[i].err})
-			continue
 		case results[i].epoch != epoch:
 			missing = append(missing, partError{
 				id:  g.parts[i].id,
 				err: fmt.Errorf("stuck at epoch %d while the fleet reached %d", results[i].epoch, epoch),
 			})
-			continue
-		}
-		if results[i].clock > clock {
-			clock = results[i].clock
-		}
-		for _, pj := range results[i].paths {
-			hp := pj.HotPath()
-			if prev, ok := byID[hp.ID]; ok {
-				// The same corridor discovered by more than one partition:
-				// content-addressed ids make the merge a sum by id.
-				hp.Hotness += prev.Hotness
-			}
-			byID[hp.ID] = hp
+		default:
+			clock = max(clock, results[i].clock)
+			states = append(states, results[i].paths)
 		}
 	}
-	out := make([]hotpaths.HotPath, 0, len(byID))
-	for _, hp := range byID {
-		out = append(out, hp)
-	}
-	hotpaths.SortResults(out, hotpaths.ByHotness)
+	out := mergeStates(states)
 	mMergeSeconds.ObserveSince(t0)
 	sort.Slice(missing, func(i, j int) bool { return missing[i].id < missing[j].id })
 	return &mergedView{epoch: epoch, clock: clock, paths: out}, missing
@@ -578,33 +543,25 @@ func writePartial(ctx context.Context, w http.ResponseWriter, missing []partErro
 	return http.StatusPartialContent
 }
 
-func (g *Gateway) answerQuery(w http.ResponseWriter, r *http.Request, defaultK int, geo bool) {
-	q, err := parseQuery(r, defaultK)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	mv, missing := g.merged(r.Context())
-	if len(missing) == len(g.parts) {
-		httpError(w, http.StatusBadGateway, errors.Join(asErrs(missing)...))
-		return
-	}
-	sel := q.apply(mv.paths)
-	w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(mv.epoch, 10))
-	w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(mv.clock, 10))
-	status := writePartial(r.Context(), w, missing)
-	if geo {
-		var buf bytes.Buffer
-		if err := hotpaths.WriteGeoJSON(&buf, sel); err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("encode geojson: %w", err))
+// answerQuery serves a read endpoint from the merged view: the query's
+// selection (capped at defaultK when no k is given; 0 = no cap) as JSON
+// or, with geo, as GeoJSON — 206 when partitions are missing, 502 when
+// none answered.
+func (g *Gateway) answerQuery(defaultK int, geo bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := httpapi.ParseQuery(r, defaultK)
+		if err != nil {
+			httpapi.Error(w, http.StatusBadRequest, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/geo+json")
-		w.WriteHeader(status)
-		buf.WriteTo(w)
-		return
+		mv, missing := g.merged(r.Context())
+		if len(missing) == len(g.parts) {
+			httpapi.Error(w, http.StatusBadGateway, errors.Join(asErrs(missing)...))
+			return
+		}
+		status := writePartial(r.Context(), w, missing)
+		httpapi.WritePaths(w, r, status, mv.epoch, mv.clock, q.Select(mv.paths), geo)
 	}
-	writeJSON(w, status, hotpaths.PathsJSON(sel))
 }
 
 func asErrs(pes []partError) []error {
@@ -615,45 +572,7 @@ func asErrs(pes []partError) []error {
 	return out
 }
 
-func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
-	g.answerQuery(w, r, g.cfg.K, false)
-}
-
-func (g *Gateway) handlePaths(w http.ResponseWriter, r *http.Request) {
-	g.answerQuery(w, r, 0, false)
-}
-
-func (g *Gateway) handleGeoJSON(w http.ResponseWriter, r *http.Request) {
-	g.answerQuery(w, r, 0, true)
-}
-
 // ---- write routing -------------------------------------------------------
-
-type observeRequest struct {
-	Observations []hotpaths.ObservationJSON `json:"observations"`
-	Tick         int64                      `json:"tick,omitempty"`
-}
-
-type tickRequest struct {
-	Now int64 `json:"now"`
-}
-
-// maxRequestBytes mirrors hotpathsd's request-body cap.
-const maxRequestBytes = 8 << 20
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		}
-		return false
-	}
-	return true
-}
 
 // postAll posts one body to the given partitions concurrently and
 // collects the failures. bodies[i] addresses parts[i]; a nil body skips
@@ -671,17 +590,7 @@ func (g *Gateway) postAll(ctx context.Context, path string, bodies [][]byte) []p
 		wg.Add(1)
 		go func(p *part, body []byte) {
 			defer wg.Done()
-			var err error
-			resp, derr := g.do(ctx, p, http.MethodPost, path, body)
-			if derr != nil {
-				err = derr
-			} else if resp.StatusCode != http.StatusOK {
-				err = readError(resp)
-			} else {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			if err != nil {
+			if _, err := g.call(ctx, p, http.MethodPost, path, body, nil); err != nil {
 				mu.Lock()
 				errs = append(errs, partError{id: p.id, err: err})
 				mu.Unlock()
@@ -695,7 +604,7 @@ func (g *Gateway) postAll(ctx context.Context, path string, bodies [][]byte) []p
 
 // tickAll drives the epoch barrier: POST /tick to every partition.
 func (g *Gateway) tickAll(ctx context.Context, now int64) []partError {
-	body, _ := json.Marshal(tickRequest{Now: now})
+	body, _ := json.Marshal(httpapi.TickRequest{Now: now})
 	bodies := make([][]byte, len(g.parts))
 	for i := range bodies {
 		bodies[i] = body
@@ -746,8 +655,8 @@ func (g *Gateway) errPartitions(errs []partError, touched [][]byte) map[string]s
 // by owner, forward each share exactly once, then (with "tick") drive the
 // epoch barrier.
 func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req observeRequest
-	if !decodeBody(w, r, &req) {
+	var req httpapi.ObserveRequest
+	if !httpapi.DecodeBody(w, r, &req) {
 		return
 	}
 	n := len(g.parts)
@@ -761,9 +670,9 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 		if len(share) == 0 {
 			continue
 		}
-		b, err := json.Marshal(observeRequest{Observations: share})
+		b, err := json.Marshal(httpapi.ObserveRequest{Observations: share})
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			httpapi.Error(w, http.StatusInternalServerError, err)
 			return
 		}
 		bodies[i] = b
@@ -778,7 +687,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if len(errs) != 0 {
 		// Exactly-once means no blind retry: the failed partitions never
 		// saw their share, the others applied theirs. Report both sides.
-		writeJSON(w, writeErrStatus(errs), map[string]any{
+		httpapi.WriteJSON(w, writeErrStatus(errs), map[string]any{
 			"error":      errors.Join(asErrs(errs)...).Error(),
 			"partitions": g.errPartitions(errs, bodies),
 		})
@@ -787,7 +696,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{"accepted": len(req.Observations)}
 	if req.Tick > 0 {
 		if errs := g.tickAll(r.Context(), req.Tick); len(errs) != 0 {
-			writeJSON(w, writeErrStatus(errs), map[string]any{
+			httpapi.WriteJSON(w, writeErrStatus(errs), map[string]any{
 				"error":      errors.Join(asErrs(errs)...).Error(),
 				"accepted":   len(req.Observations),
 				"partitions": g.errPartitions(errs, nil),
@@ -796,23 +705,23 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		resp["now"] = req.Tick
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTick serves POST /tick as the fleet-wide epoch barrier.
 func (g *Gateway) handleTick(w http.ResponseWriter, r *http.Request) {
-	var req tickRequest
-	if !decodeBody(w, r, &req) {
+	var req httpapi.TickRequest
+	if !httpapi.DecodeBody(w, r, &req) {
 		return
 	}
 	if errs := g.tickAll(r.Context(), req.Now); len(errs) != 0 {
-		writeJSON(w, writeErrStatus(errs), map[string]any{
+		httpapi.WriteJSON(w, writeErrStatus(errs), map[string]any{
 			"error":      errors.Join(asErrs(errs)...).Error(),
 			"partitions": g.errPartitions(errs, nil),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"now": req.Now})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"now": req.Now})
 }
 
 // ---- health and stats ----------------------------------------------------
@@ -856,32 +765,13 @@ type statsProbe struct {
 
 func (g *Gateway) probe(p *part) {
 	ctx := context.Background()
-	resp, err := g.do(ctx, p, http.MethodGet, "/healthz", nil)
-	if err != nil {
-		p.setHealth(ctx, false, err.Error(), 0, 0)
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		p.setHealth(ctx, false, readError(resp).Error(), 0, 0)
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	resp, err = g.do(ctx, p, http.MethodGet, "/stats", nil)
-	if err != nil {
-		p.setHealth(ctx, false, err.Error(), 0, 0)
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		p.setHealth(ctx, false, readError(resp).Error(), 0, 0)
-		return
-	}
 	var st statsProbe
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
+	_, err := g.call(ctx, p, http.MethodGet, "/healthz", nil, nil)
+	if err == nil {
+		_, err = g.call(ctx, p, http.MethodGet, "/stats", nil, &st)
+	}
 	if err != nil {
-		p.setHealth(ctx, false, fmt.Sprintf("decode stats: %v", err), 0, 0)
+		p.setHealth(ctx, false, err.Error(), 0, 0)
 		return
 	}
 	if st.PartitionCount != 0 && (st.PartitionCount != len(g.parts) || st.PartitionID != p.id) {
@@ -974,66 +864,21 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case lagging:
 		reason = "partition_lagging"
 	}
-	status, code := "ok", http.StatusOK
-	if len(degraded) > 0 {
-		status, code = "degraded", http.StatusServiceUnavailable
-	}
-	g.recordHealthTransition(r.Context(), status, reason)
-	body := map[string]any{
-		"status":     status,
-		"partitions": sts,
-	}
-	if reason != "" {
-		body["reason"] = reason
-		body["error"] = strings.Join(degraded, "; ")
-	}
-	if r.URL.Query().Get("verbose") == "1" {
+	body := map[string]any{"partitions": sts}
+	g.health.Answer(w, r, body, reason, strings.Join(degraded, "; "), func() map[string]any {
 		topoStatus := "ok"
-		if len(degraded) > 0 {
+		if reason != "" {
 			topoStatus = "degraded"
 		}
-		slo := g.slo.Status()
-		sloStatus := "ok"
-		if slo.Max() >= sloDegradedBurn {
-			sloStatus = "degraded"
-		}
-		body["components"] = map[string]any{
+		return map[string]any{
 			"topology": map[string]any{
 				"status":     topoStatus,
 				"partitions": len(sts),
 				"max_epoch":  maxEpoch,
 			},
-			"slo": map[string]any{
-				"status": sloStatus,
-				"burn":   slo,
-			},
+			"slo": httpapi.SLOComponent(g.slo),
 		}
-	}
-	writeJSON(w, code, body)
-}
-
-// recordHealthTransition emits one gateway-level health_transition event
-// per state change. /healthz is polled constantly; repeats are not news.
-func (g *Gateway) recordHealthTransition(ctx context.Context, status, reason string) {
-	g.healthMu.Lock()
-	prev := g.lastHealth
-	g.lastHealth = status
-	g.healthMu.Unlock()
-	if prev == status {
-		return
-	}
-	if prev == "" {
-		prev = "unknown"
-	}
-	attrs := []flightrec.Attr{
-		flightrec.KV("component", "gateway"),
-		flightrec.KV("from", prev),
-		flightrec.KV("to", status),
-	}
-	if reason != "" {
-		attrs = append(attrs, flightrec.KV("reason", reason))
-	}
-	flightrec.Default.RecordCtx(ctx, flightrec.EvHealthTransition, attrs...)
+	})
 }
 
 // handleStats aggregates the fleet's counters: sums for the additive
@@ -1061,15 +906,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func(p *part) {
 			defer wg.Done()
 			var c counters
-			resp, err := g.do(r.Context(), p, http.MethodGet, "/stats", nil)
-			if err == nil {
-				if resp.StatusCode != http.StatusOK {
-					err = readError(resp)
-				} else {
-					err = json.NewDecoder(resp.Body).Decode(&c)
-					resp.Body.Close()
-				}
-			}
+			_, err := g.call(r.Context(), p, http.MethodGet, "/stats", nil, &c)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -1096,7 +933,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if len(errs) == len(g.parts) {
 		// No partition answered: all-zero sums would be a lie. Fail hard,
 		// matching the merged read endpoints.
-		httpError(w, http.StatusBadGateway, errors.Join(asErrs(errs)...))
+		httpapi.Error(w, http.StatusBadGateway, errors.Join(asErrs(errs)...))
 		return
 	}
 	resp := map[string]any{
@@ -1123,15 +960,5 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp["error"] = errors.Join(asErrs(errs)...).Error()
 		status = writePartial(r.Context(), w, errs)
 	}
-	writeJSON(w, status, resp)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]any{"error": err.Error()})
+	httpapi.WriteJSON(w, status, resp)
 }

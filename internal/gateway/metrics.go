@@ -1,13 +1,7 @@
 package gateway
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"time"
-
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/metrics"
 )
 
@@ -25,80 +19,15 @@ var (
 		"Scatter-gather responses missing at least one partition.", nil)
 )
 
-// statusClasses matches hotpathsd's per-route counter buckets.
-var statusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
-
-// instrument wraps one gateway route with a request-duration histogram
-// and status-class counters, hotpathsd's idiom: instruments register at
-// wrap time, the request path touches only atomics.
-func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := metrics.Default.Histogram("hotpathsgw_http_request_seconds",
+// routeMetrics registers one gateway route's request instruments.
+func routeMetrics(route string) httpapi.RouteMetrics {
+	m := httpapi.RouteMetrics{Seconds: metrics.Default.Histogram("hotpathsgw_http_request_seconds",
 		"Gateway HTTP request duration by route.",
-		metrics.LatencyBuckets, metrics.Labels{"route": route})
-	var counts [5]*metrics.Counter
-	for i, class := range statusClasses {
-		counts[i] = metrics.Default.Counter("hotpathsgw_http_requests_total",
+		metrics.LatencyBuckets, metrics.Labels{"route": route})}
+	for i, class := range httpapi.StatusClasses {
+		m.Requests[i] = metrics.Default.Counter("hotpathsgw_http_requests_total",
 			"Gateway HTTP requests by route and status class.",
 			metrics.Labels{"route": route, "code": class})
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r)
-		hist.ObserveSince(t0)
-		cls := rec.status / 100
-		if cls < 1 || cls > 5 {
-			cls = 2 // nothing written: net/http sends an implicit 200
-		}
-		counts[cls-1].Inc()
-	}
-}
-
-// statusRecorder captures the response status for the class counters. It
-// implements Flusher unconditionally so the SSE /watch fan-in — which
-// type-asserts its writer — keeps streaming through the wrapper, and
-// forwards Hijacker/ReaderFrom to the underlying writer when it supports
-// them.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if hj, ok := r.ResponseWriter.(http.Hijacker); ok {
-		return hj.Hijack()
-	}
-	return nil, nil, fmt.Errorf("hotpathsgw: underlying ResponseWriter does not support hijacking")
-}
-
-func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(src)
-	}
-	// Strip ReadFrom from the destination or io.Copy would recurse right
-	// back into this method.
-	return io.Copy(struct{ io.Writer }{r.ResponseWriter}, src)
+	return m
 }

@@ -1,16 +1,14 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"hotpaths"
+	"hotpaths/internal/httpapi"
 )
 
 // The /watch fan-in merges the partitions' per-epoch delta streams into
@@ -33,75 +31,6 @@ import (
 // the exact contract a single daemon's slow-consumer path has. A
 // partition stream that dies ends the merged stream; the client
 // reconnects and re-baselines, which is already its reconnect story.
-
-// deltaJSON is hotpathsd's SSE delta wire form; the gateway both parses
-// it (partition streams) and emits it (the merged stream).
-type deltaJSON struct {
-	Clock   int64               `json:"clock"`
-	Epoch   int64               `json:"epoch"`
-	Reset   bool                `json:"reset,omitempty"`
-	Missed  int                 `json:"missed,omitempty"`
-	Entered []hotpaths.PathJSON `json:"entered"`
-	Changed []hotpaths.PathJSON `json:"changed"`
-	Left    []uint64            `json:"left"`
-}
-
-// delta converts the wire form back to the library type.
-func (dj deltaJSON) delta() hotpaths.Delta {
-	toHot := func(ps []hotpaths.PathJSON) []hotpaths.HotPath {
-		if len(ps) == 0 {
-			return nil
-		}
-		out := make([]hotpaths.HotPath, len(ps))
-		for i, p := range ps {
-			out[i] = p.HotPath()
-		}
-		return out
-	}
-	return hotpaths.Delta{
-		Clock:   dj.Clock,
-		Epoch:   dj.Epoch,
-		Reset:   dj.Reset,
-		Missed:  dj.Missed,
-		Entered: toHot(dj.Entered),
-		Changed: toHot(dj.Changed),
-		Left:    dj.Left,
-		Order:   hotpaths.ByHotness,
-	}
-}
-
-// unranked converts delta paths to the wire form with rank zeroed — a
-// delta sees a slice of the result, so no real rank exists (hotpathsd's
-// rule, replicated for byte-identical streams).
-func unranked(paths []hotpaths.HotPath) []hotpaths.PathJSON {
-	out := hotpaths.PathsJSON(paths)
-	for i := range out {
-		out[i].Rank = 0
-	}
-	return out
-}
-
-// writeSSEDelta emits one delta in hotpathsd's exact SSE framing.
-func writeSSEDelta(w http.ResponseWriter, d hotpaths.Delta) error {
-	left := d.Left
-	if left == nil {
-		left = []uint64{}
-	}
-	body, err := json.Marshal(deltaJSON{
-		Clock:   d.Clock,
-		Epoch:   d.Epoch,
-		Reset:   d.Reset,
-		Missed:  d.Missed,
-		Entered: unranked(d.Entered),
-		Changed: unranked(d.Changed),
-		Left:    left,
-	})
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: delta\ndata: %s\n\n", d.Epoch, body)
-	return err
-}
 
 // partUpdate is one partition's rebuilt full result at one epoch.
 type partUpdate struct {
@@ -137,41 +66,26 @@ func (g *Gateway) openWatch(ctx context.Context, p *part, bbox string) (*http.Re
 // full result with Delta.Apply and pushing one partUpdate per epoch.
 func (g *Gateway) watchPartition(ctx context.Context, idx int, resp *http.Response, updates chan<- partUpdate) error {
 	defer resp.Body.Close()
-	rd := bufio.NewReaderSize(resp.Body, 64<<10)
-	var event, data string
+	rd := httpapi.NewDeltaReader(resp.Body)
 	var prev []hotpaths.HotPath
 	for {
-		line, err := rd.ReadString('\n')
+		d, err := rd.Next()
 		if err != nil {
 			return fmt.Errorf("stream ended: %w", err)
 		}
-		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case line == "":
-			if event == "delta" && data != "" {
-				var dj deltaJSON
-				if err := json.Unmarshal([]byte(data), &dj); err != nil {
-					return fmt.Errorf("decode delta: %w", err)
-				}
-				d := dj.delta()
-				prev = d.Apply(prev)
-				select {
-				case updates <- partUpdate{idx: idx, epoch: d.Epoch, clock: d.Clock, state: prev}:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			event, data = "", ""
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
+		prev = d.Apply(prev)
+		select {
+		case updates <- partUpdate{idx: idx, epoch: d.Epoch, clock: d.Clock, state: prev}:
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
 
 // mergeStates merges per-partition results into one canonical-order
-// result, summing hotness by (content-addressed) id.
+// result. The same corridor discovered by more than one partition has the
+// same content-addressed id everywhere, so the merge is a hotness sum by
+// id.
 func mergeStates(states [][]hotpaths.HotPath) []hotpaths.HotPath {
 	byID := make(map[uint64]hotpaths.HotPath)
 	for _, st := range states {
@@ -193,14 +107,14 @@ func mergeStates(states [][]hotpaths.HotPath) []hotpaths.HotPath {
 // handleWatch serves GET /watch: the merged SSE delta stream, with
 // hotpathsd's parameters and framing.
 func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
-	q, err := parseQuery(r, g.cfg.K)
+	q, err := httpapi.ParseQuery(r, g.cfg.K)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpapi.Error(w, http.StatusBadRequest, err)
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
+		httpapi.Error(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
 		return
 	}
 	ctx, cancel := context.WithCancel(r.Context())
@@ -216,18 +130,13 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 			for _, open := range resps[:i] {
 				open.Body.Close()
 			}
-			httpError(w, http.StatusServiceUnavailable, partError{id: p.id, err: err})
+			httpapi.Error(w, http.StatusServiceUnavailable, partError{id: p.id, err: err})
 			return
 		}
 		resps[i] = resp
 	}
 
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	httpapi.StartSSE(w, fl)
 
 	updates := make(chan partUpdate)
 	readerErr := make(chan error, len(g.parts))
@@ -249,7 +158,7 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 		started    bool
 	)
 	emit := func(e partUpdate, states [][]hotpaths.HotPath, clock int64) error {
-		cur := q.apply(mergeStates(states))
+		cur := q.Select(mergeStates(states))
 		var d hotpaths.Delta
 		if !started || e.epoch != lastEpoch+1 {
 			// First event, or a partition re-baselined across missed
@@ -261,14 +170,14 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 			}
 			d = hotpaths.Delta{
 				Clock: clock, Epoch: e.epoch,
-				Entered: cur, Reset: true, Missed: missed, Order: q.order,
+				Entered: cur, Reset: true, Missed: missed, Order: q.Order(),
 			}
 		} else {
-			d = hotpaths.DiffResults(prevResult, cur, q.order)
+			d = hotpaths.DiffResults(prevResult, cur, q.Order())
 			d.Clock, d.Epoch = clock, e.epoch
 		}
 		started, lastEpoch, prevResult = true, e.epoch, cur
-		if err := writeSSEDelta(w, d); err != nil {
+		if err := httpapi.WriteDelta(w, d); err != nil {
 			return err
 		}
 		fl.Flush()

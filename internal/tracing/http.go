@@ -1,98 +1,10 @@
 package tracing
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"io"
-	"log/slog"
-	"net"
 	"net/http"
 	"time"
 )
-
-// Middleware wraps an HTTP handler with the per-request server span: a
-// continuation of the caller's traceparent when one arrives, a fresh root
-// otherwise. Stacks with the metrics middleware; on an unrecorded request
-// the only cost is the sampling check in StartRequest. With a slow
-// threshold configured, a request exceeding it is committed to the ring
-// regardless of sampling and logged through slog with its trace ID.
-func (t *Tracer) Middleware(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, span := t.StartRequest(r.Context(), route, r.Header.Get(Header))
-		if span == nil {
-			h(w, r)
-			return
-		}
-		rec := &responseRecorder{ResponseWriter: w}
-		h(rec, r.WithContext(ctx))
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		span.SetAttr("http.method", r.Method)
-		span.SetAttr("http.status", status)
-		dur := span.End()
-		if slow := t.SlowThreshold(); slow > 0 && dur >= slow {
-			slog.Warn("slow request",
-				"route", route,
-				"method", r.Method,
-				"status", status,
-				"duration", dur,
-				"trace_id", span.TraceID().String(),
-				"span_id", span.SpanID().String(),
-			)
-		}
-	}
-}
-
-// responseRecorder captures the status code while forwarding the optional
-// ResponseWriter interfaces (Flusher for SSE, Hijacker for connection
-// takeover, ReaderFrom for sendfile) to the underlying writer when it
-// supports them.
-type responseRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *responseRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *responseRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-func (r *responseRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *responseRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if hj, ok := r.ResponseWriter.(http.Hijacker); ok {
-		return hj.Hijack()
-	}
-	return nil, nil, fmt.Errorf("tracing: underlying ResponseWriter does not support hijacking")
-}
-
-func (r *responseRecorder) ReadFrom(src io.Reader) (int64, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(src)
-	}
-	// Strip ReadFrom from the copy destination or io.Copy would recurse
-	// right back into this method.
-	return io.Copy(struct{ io.Writer }{r.ResponseWriter}, src)
-}
 
 // RegisterDebug mounts GET /debug/traces and GET /debug/traces/{id} on an
 // admin mux, alongside /metrics and /debug/pprof.

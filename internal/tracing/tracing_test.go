@@ -308,43 +308,6 @@ func TestDebugHandlers(t *testing.T) {
 	}
 }
 
-func TestMiddlewareContinuesAndRecords(t *testing.T) {
-	tracer := New("test", 0, 0)
-	var sawSpan *Span
-	h := tracer.Middleware("POST /observe_batch", func(w http.ResponseWriter, r *http.Request) {
-		sawSpan = FromContext(r.Context())
-		w.WriteHeader(http.StatusAccepted)
-	})
-
-	// Sampled traceparent: handler sees the span; trace commits on return.
-	req := httptest.NewRequest("POST", "/observe_batch", nil)
-	req.Header.Set(Header, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	h(httptest.NewRecorder(), req)
-	if sawSpan == nil {
-		t.Fatal("handler did not see the request span")
-	}
-	entries := tracer.ring.byID(sawSpan.TraceID())
-	if len(entries) != 1 {
-		t.Fatalf("trace not committed: %d entries", len(entries))
-	}
-	var status any
-	for _, a := range entries[0].spans[0].attrs {
-		if a.Key == "http.status" {
-			status = a.Value
-		}
-	}
-	if status != http.StatusAccepted {
-		t.Fatalf("http.status attr = %v, want 202", status)
-	}
-
-	// No header at rate 0: handler runs without a span, nothing recorded.
-	sawSpan = nil
-	h(httptest.NewRecorder(), httptest.NewRequest("POST", "/observe_batch", nil))
-	if sawSpan != nil {
-		t.Fatal("unsampled request should not carry a span")
-	}
-}
-
 func TestSetupSlogFormats(t *testing.T) {
 	var buf strings.Builder
 	if err := setupSlog(&buf, "json", "hotpathsd"); err != nil {

@@ -162,41 +162,72 @@ func (s Snapshot) Len() int {
 	return len(s.snap.Paths)
 }
 
+// Order returns the query's sort order.
+func (q Query) Order() SortOrder { return q.order }
+
+// Select runs the query over paths, which must be in canonical (ByHotness)
+// order and is not modified, and returns what Snapshot.Query would return
+// for a snapshot holding exactly those paths. It is exported for readers
+// that hold a merged path set instead of a Snapshot (the gateway's
+// scatter-gather view); the region step is a linear filter here, the
+// rest is shared with Snapshot.Query.
+func (q Query) Select(paths []HotPath) []HotPath {
+	sel := paths
+	if q.hasRegion {
+		sel = make([]HotPath, 0, len(paths))
+		for _, hp := range paths {
+			if hp.End.X >= q.region.Min.X && hp.End.X <= q.region.Max.X &&
+				hp.End.Y >= q.region.Min.Y && hp.End.Y <= q.region.Max.Y {
+				sel = append(sel, hp)
+			}
+		}
+	}
+	sel = sel[:q.prefix(len(sel), func(i int) int { return sel[i].Hotness })]
+	return q.shape(append(make([]HotPath, 0, len(sel)), sel...))
+}
+
+// prefix returns how many leading paths of an n-long selection in
+// canonical order survive MinHotness and — under ByHotness, where the k
+// best are a prefix too — K, so both cuts happen before any copy.
+func (q Query) prefix(n int, hotness func(i int) int) int {
+	if q.minHotness > 0 {
+		// Canonical order is hotness descending: the matches are a prefix.
+		n = sort.Search(n, func(i int) bool { return hotness(i) < q.minHotness })
+	}
+	if q.order == ByHotness && q.k > 0 && q.k < n {
+		n = q.k
+	}
+	return n
+}
+
+// shape finishes a materialised selection: re-sort and cut to K for the
+// orders prefix could not cut.
+func (q Query) shape(out []HotPath) []HotPath {
+	if q.order == ByHotness {
+		return out
+	}
+	sortResults(out, q.order)
+	if q.k > 0 && q.k < len(out) {
+		out = out[:q.k]
+	}
+	return out
+}
+
 // Query runs a selection over the snapshot and returns the matching paths
 // in the query's order. The result is a fresh slice owned by the caller.
 func (s Snapshot) Query(q Query) []HotPath {
 	if s.snap == nil {
 		return nil
 	}
-	var sel []motion.HotPath
+	sel := s.snap.Paths
 	if q.hasRegion {
 		sel = s.snap.Region(geom.Rect{
 			Lo: geom.Pt(q.region.Min.X, q.region.Min.Y),
 			Hi: geom.Pt(q.region.Max.X, q.region.Max.Y),
 		})
-	} else {
-		sel = s.snap.Paths
 	}
-	if q.minHotness > 0 {
-		// sel is in canonical order — hotness descending — so the matches
-		// are exactly a prefix.
-		cut := sort.Search(len(sel), func(i int) bool { return sel[i].Hotness < q.minHotness })
-		sel = sel[:cut]
-	}
-	if q.order == ByHotness {
-		// Canonical order already — the k best are a prefix, so cut
-		// before materialising the public copies.
-		if q.k > 0 && q.k < len(sel) {
-			sel = sel[:q.k]
-		}
-		return convert(sel)
-	}
-	out := convert(sel)
-	sortResults(out, q.order)
-	if q.k > 0 && q.k < len(out) {
-		out = out[:q.k]
-	}
-	return out
+	sel = sel[:q.prefix(len(sel), func(i int) int { return sel[i].Hotness })]
+	return q.shape(convert(sel))
 }
 
 // TopK returns the Config.K hottest paths, hottest first.

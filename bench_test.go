@@ -10,6 +10,7 @@
 package hotpaths_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -392,7 +393,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, batch := range batches {
-					if err := eng.ObserveBatch(batch); err != nil {
+					if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 						b.Fatal(err)
 					}
 					if err := eng.Tick(batch[0].T); err != nil {
@@ -415,25 +416,25 @@ func BenchmarkEngineIngest(b *testing.B) {
 // workload pushed through OpenDurable at the default group-commit
 // interval, so every observation and tick is journaled before it is
 // applied. The acceptance bar for the durability subsystem is >=50% of
-// the in-memory Engine's obs/s.
+// the in-memory Engine's obs/s at the same shard count.
 func BenchmarkWALAppend(b *testing.B) {
 	const nObjects, horizon = 512, 60
 	batches := ingestBatches(nObjects, horizon)
-	for _, backend := range []string{"system", "engine"} {
-		b.Run(backend, func(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dir := b.TempDir() // fresh journal per iteration, not timed
 				b.StartTimer()
 				dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
-					Config:     ingestConfig(),
-					Concurrent: backend == "engine",
+					Config: ingestConfig(),
+					Shards: shards,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				for _, batch := range batches {
-					if err := dur.ObserveBatch(batch); err != nil {
+					if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 						b.Fatal(err)
 					}
 					if err := dur.Tick(batch[0].T); err != nil {
@@ -477,7 +478,7 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, batch := range batches {
-			if err := dur.ObserveBatch(batch); err != nil {
+			if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 				b.Fatal(err)
 			}
 			if err := dur.Tick(batch[0].T); err != nil {
@@ -489,35 +490,31 @@ func BenchmarkRecover(b *testing.B) {
 		}
 		return dir
 	}
-	b.Run("replay", func(b *testing.B) {
-		dir := prepare(b, -1) // no checkpoints: recovery replays every record
+	// Recover's Engine is started and closed inside the loop: a restart
+	// pays for both.
+	recoverLoop := func(b *testing.B, dir string) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			src, err := hotpaths.Recover(dir)
+			eng, err := hotpaths.Recover(dir)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if src.Snapshot().Stats().Observations != nObjects*horizon {
+			got := eng.Stats().Observations
+			if err := eng.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if got != nObjects*horizon {
 				b.Fatal("short recovery")
 			}
 		}
 		b.StopTimer()
 		reportObsRate(b, nObjects*horizon)
+	}
+	b.Run("replay", func(b *testing.B) {
+		recoverLoop(b, prepare(b, -1)) // no checkpoints: recovery replays every record
 	})
 	b.Run("checkpoint", func(b *testing.B) {
-		dir := prepare(b, 0) // default cadence + final checkpoint on Close
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src, err := hotpaths.Recover(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if src.Snapshot().Stats().Observations != nObjects*horizon {
-				b.Fatal("short recovery")
-			}
-		}
-		b.StopTimer()
-		reportObsRate(b, nObjects*horizon)
+		recoverLoop(b, prepare(b, 0)) // default cadence + final checkpoint on Close
 	})
 }
 
@@ -541,7 +538,7 @@ func BenchmarkFollowerReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, batch := range batches {
-		if err := dur.ObserveBatch(batch); err != nil {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
 		if err := dur.Tick(batch[0].T); err != nil {

@@ -6,17 +6,14 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
-	"hotpaths/internal/coordinator"
 	"hotpaths/internal/engine"
-	"hotpaths/internal/raytrace"
-	"hotpaths/internal/trajectory"
 )
 
-// Checkpoint codec: the serialized form of a System's or Engine's complete
-// state, written by the durability layer at epoch boundaries so recovery
-// replays at most one window of WAL records instead of the full history.
+// Checkpoint codec: the serialized form of an Engine's complete state,
+// written by the durability layer at epoch boundaries so recovery replays
+// at most one window of WAL records instead of the full history, and
+// fetched by followers over HTTP as their bootstrap.
 //
 // The payload is framed as
 //
@@ -29,16 +26,29 @@ import (
 // decoding verifies it against the recovering instance's Config, since
 // restoring state into a differently-parameterised pipeline would break
 // the determinism that recovery relies on.
+//
+// Version 2 encodes every coordinate by its IEEE-754 bits (geom.Point's
+// GobEncode): gob's own float encoding omits zero-valued fields, so a
+// version-1 checkpoint brought a -0 coordinate back as +0 and /paths was
+// byte-unequal after a restart. Version-1 files are refused by number —
+// recovery falls back to the journal and says so if that cannot reach.
 
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 var checkpointMagic = []byte("HPCK")
 
 var checkpointCRC = crc32.MakeTable(crc32.Castagnoli)
 
+// A checkpointVersionError refuses a checkpoint written in a format this
+// build does not read; typed so a failed recovery can be seen to name it.
+type checkpointVersionError struct{ version uint32 }
+
+func (e *checkpointVersionError) Error() string {
+	return fmt.Sprintf("hotpaths: checkpoint version %d not supported", e.version)
+}
+
 // checkpointBody is the gob-encoded checkpoint content. engine.State is
-// deployment-agnostic: System and Engine dump to and restore from the
-// same structure.
+// shard-count-agnostic: a dump restores into an Engine of any width.
 type checkpointBody struct {
 	Config Config
 	State  engine.State
@@ -65,7 +75,7 @@ func decodeCheckpoint(b []byte, want Config) (engine.State, error) {
 		return engine.State{}, fmt.Errorf("hotpaths: not a checkpoint file")
 	}
 	if v := binary.LittleEndian.Uint32(b[len(checkpointMagic):]); v != checkpointVersion {
-		return engine.State{}, fmt.Errorf("hotpaths: checkpoint version %d not supported", v)
+		return engine.State{}, &checkpointVersionError{version: v}
 	}
 	body := b[hdr:]
 	if got, wantCRC := crc32.Checksum(body, checkpointCRC), binary.LittleEndian.Uint32(b[len(checkpointMagic)+4:]); got != wantCRC {
@@ -79,56 +89,4 @@ func decodeCheckpoint(b []byte, want Config) (engine.State, error) {
 		return engine.State{}, fmt.Errorf("hotpaths: checkpoint was written under config %+v, recovering with %+v", cb.Config, want)
 	}
 	return cb.State, nil
-}
-
-// dumpState captures the System's complete state in the shared
-// checkpoint structure. The System's pending list already interleaves
-// follow-up and observation-raised reports in batch order.
-func (s *System) dumpState() engine.State {
-	st := engine.State{
-		Clock:        trajectory.Time(s.lastNow),
-		Observations: int64(s.stats.Observations),
-		Reports:      int64(s.stats.Reports),
-		Responses:    s.stats.Responses,
-		Pending:      append([]coordinator.Report(nil), s.pending...),
-		Coord:        s.coord.DumpState(),
-	}
-	for id, f := range s.filters {
-		sig := s.sigmas[id]
-		st.Filters = append(st.Filters, engine.FilterEntry{
-			ObjectID: id,
-			SigmaX:   sig[0],
-			SigmaY:   sig[1],
-			Filter:   f.Dump(),
-		})
-	}
-	sort.Slice(st.Filters, func(i, j int) bool { return st.Filters[i].ObjectID < st.Filters[j].ObjectID })
-	return st
-}
-
-// restoreState replaces the System's state with a dumped one. The System
-// must be freshly built from the same Config.
-func (s *System) restoreState(st engine.State) error {
-	if err := s.coord.RestoreState(st.Coord); err != nil {
-		return err
-	}
-	s.filters = make(map[int]*raytrace.Filter, len(st.Filters))
-	s.sigmas = make(map[int][2]float64)
-	for _, fe := range st.Filters {
-		if _, dup := s.filters[fe.ObjectID]; dup {
-			return fmt.Errorf("hotpaths: restored filter for object %d is duplicated", fe.ObjectID)
-		}
-		s.filters[fe.ObjectID] = raytrace.Restore(fe.Filter, s.cfg.toleranceFunc(fe.SigmaX, fe.SigmaY))
-		if fe.SigmaX != 0 || fe.SigmaY != 0 {
-			s.sigmas[fe.ObjectID] = [2]float64{fe.SigmaX, fe.SigmaY}
-		}
-	}
-	s.pending = append([]coordinator.Report(nil), st.Pending...)
-	s.lastNow = int64(st.Clock)
-	s.stats = Stats{
-		Observations: int(st.Observations),
-		Reports:      int(st.Reports),
-		Responses:    st.Responses,
-	}
-	return nil
 }

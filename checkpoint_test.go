@@ -1,0 +1,227 @@
+package hotpaths
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
+	"math"
+	"testing"
+
+	"hotpaths/internal/wal"
+)
+
+// negZeroWorkload drives four objects east along y = -0 and then turns
+// them north, so the paths they share start at a vertex whose y is
+// negative zero — a value gob's float encoding cannot carry.
+func negZeroWorkload() [][]Observation {
+	negZero := math.Copysign(0, -1)
+	var out [][]Observation
+	for t := int64(1); t <= 60; t++ {
+		var batch []Observation
+		for i := 0; i < 4; i++ {
+			x, y := float64(8*t), negZero
+			if t > 20 {
+				x, y = 160+float64(i), float64(5*(t-20))
+			}
+			batch = append(batch, Observation{ObjectID: i, X: x, Y: y, T: t})
+		}
+		out = append(out, batch)
+	}
+	return out
+}
+
+// pathsBytes is the /paths wire form of a snapshot: the byte-level view in
+// which -0 and +0 differ ("-0" vs "0"), unlike == and reflect.DeepEqual.
+func pathsBytes(t *testing.T, snap Snapshot) []byte {
+	t.Helper()
+	b, err := json.Marshal(PathsJSON(snap.HotPaths()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// A checkpoint must round-trip every coordinate bit for bit. Version 1
+// went through gob's float encoding, which omits zero-valued fields, so a
+// -0 coordinate came back +0 and /paths was byte-unequal after a restart.
+func TestCheckpointKeepsSignOfZero(t *testing.T) {
+	cfg := engineTestConfig()
+	dir := t.TempDir()
+	dur, err := OpenDurable(dir, DurableConfig{Config: cfg, FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range negZeroWorkload() {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := dur.Tick(batch[0].T); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := dur.Snapshot()
+	want := pathsBytes(t, live)
+	negZeros := 0
+	for _, hp := range live.HotPaths() {
+		for _, v := range []float64{hp.Start.X, hp.Start.Y, hp.End.X, hp.End.Y} {
+			if v == 0 && math.Signbit(v) {
+				negZeros++
+			}
+		}
+	}
+	if negZeros == 0 {
+		t.Fatalf("workload produced no -0 vertex: %s", want)
+	}
+	if err := dur.Close(); err != nil { // final checkpoint: recovery replays nothing
+		t.Fatal(err)
+	}
+
+	rec, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := pathsBytes(t, rec.Snapshot()); !bytes.Equal(want, got) {
+		t.Errorf("paths are byte-unequal after recovery from a checkpoint:\n live      %s\n recovered %s", want, got)
+	}
+}
+
+// A directory whose only checkpoint is in a format this build refuses and
+// whose journal no longer reaches back to LSN 0 cannot be recovered; the
+// refusal must name the checkpoint's version, not just the WAL gap.
+func TestRecoverNamesSkippedCheckpointVersion(t *testing.T) {
+	dir := t.TempDir()
+	dur, err := OpenDurable(dir, DurableConfig{
+		Config:          engineTestConfig(),
+		FsyncInterval:   -1,
+		SegmentBytes:    4 << 10, // several segments, so the checkpoint truncates the head
+		CheckpointEvery: -1,
+		KeepCheckpoints: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range flowWorkload(32, 80, 3) {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := dur.Tick(batch[0].T); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lsn, err := dur.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eng, err := Recover(dir); err != nil {
+		t.Fatalf("control: the untouched directory must recover: %v", err)
+	} else {
+		eng.Close()
+	}
+
+	// Rewrite the checkpoint as version 1. The CRC covers the body only,
+	// so the file is otherwise what a version-1 build left behind.
+	payload, err := wal.ReadCheckpoint(dir, lsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(payload[len(checkpointMagic):], 1)
+	if err := wal.WriteCheckpoint(dir, lsn, payload, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := Recover(dir)
+	if err == nil {
+		eng.Close()
+		t.Fatal("a version-1 checkpoint over a truncated journal was recovered")
+	}
+	var verr *checkpointVersionError
+	if !errors.As(err, &verr) || verr.version != 1 {
+		t.Errorf("refusal does not name the checkpoint version: %v", err)
+	}
+	if _, err := OpenDurable(dir, DurableConfig{Config: engineTestConfig()}); !errors.As(err, &verr) {
+		t.Errorf("OpenDurable's refusal does not name the checkpoint version: %v", err)
+	}
+}
+
+// checkpointSeed runs a workload through an Engine under cfg and returns
+// the checkpoint a Durable would write for the resulting state.
+func checkpointSeed(tb testing.TB, cfg Config, batches [][]Observation) []byte {
+	tb.Helper()
+	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer eng.Close()
+	for _, batch := range batches {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
+			tb.Fatal(err)
+		}
+		if err := eng.Tick(batch[0].T); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	st, err := eng.eng.DumpState()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := encodeCheckpoint(eng.cfg, st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzCheckpointDecode: a follower decodes a blob fetched over HTTP from
+// /wal/checkpoint, so the decoder faces a socket. It must never panic,
+// and whatever it accepts must survive its own encoder: encode(decode(b))
+// decodes, and re-encodes to the same bytes. The CRC would stop almost
+// every mutation at the door, so each input is also tried with the
+// checksum re-stamped over its mutated body — that is the gob decoder on
+// hostile bytes.
+func FuzzCheckpointDecode(f *testing.F) {
+	cfg := engineTestConfig()
+	cfg.Delta = 0.05
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Cut mid-epoch: the state then holds pending reports and waiting
+	// filters, the parts of a checkpoint an epoch boundary leaves empty.
+	f.Add(checkpointSeed(f, cfg, flowWorkload(16, 80, 9)[:45]))
+	f.Add(checkpointSeed(f, cfg, makeNoisy(flowWorkload(16, 80, 9)[:45])))
+	f.Add(checkpointSeed(f, cfg, negZeroWorkload()))
+
+	hdr := len(checkpointMagic) + 8
+	f.Fuzz(func(t *testing.T, b []byte) {
+		inputs := [][]byte{b}
+		if len(b) >= hdr {
+			restamped := append([]byte(nil), b...)
+			binary.LittleEndian.PutUint32(restamped[len(checkpointMagic)+4:], crc32.Checksum(restamped[hdr:], checkpointCRC))
+			inputs = append(inputs, restamped)
+		}
+		for _, in := range inputs {
+			st, err := decodeCheckpoint(in, cfg)
+			if err != nil {
+				continue
+			}
+			again, err := encodeCheckpoint(cfg, st)
+			if err != nil {
+				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+			}
+			st2, err := decodeCheckpoint(again, cfg)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			if third, err := encodeCheckpoint(cfg, st2); err != nil || !bytes.Equal(again, third) {
+				t.Fatalf("encode(decode(b)) is not a fixed point (err %v)", err)
+			}
+		}
+	})
+}

@@ -21,7 +21,9 @@
 //
 // The replay drives the hotpaths.Source interface, so -engine swaps the
 // single-goroutine System for the concurrent sharded Engine without
-// touching the replay loop; results are bit-identical. -json prints the
+// touching the replay loop; results are bit-identical. With -wal-record
+// the replay always runs through the Engine — a journaled deployment is
+// one — so -engine changes nothing there. -json prints the
 // final top-k in the canonical PathJSON wire form instead of a table.
 // -watch additionally subscribes a standing top-k query to the replay
 // and prints one line per epoch delta — the continuous-query view a
@@ -118,7 +120,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		netFile   = flag.String("net", "", "road network file (default: generate Athens-like)")
 		traceIn   = flag.String("trace", "", "replay a recorded measurement trace instead of simulating")
-		useEng    = flag.Bool("engine", false, "replay through the concurrent Engine instead of the System")
+		useEng    = flag.Bool("engine", false, "replay through the concurrent Engine instead of the System (-wal-record always does)")
 		jsonOut   = flag.Bool("json", false, "print replay results as canonical PathJSON")
 		watch     = flag.Bool("watch", false, "with -trace: print one subscription delta line per epoch while replaying")
 		walRecord = flag.String("wal-record", "", "journal the trace replay into this write-ahead log directory")
@@ -339,11 +341,12 @@ func tailWAL(target string, from uint64) error {
 // The directory's meta file carries the configuration, so no workload
 // flags apply.
 func replayWAL(dir string, jsonOut bool) error {
-	src, err := hotpaths.Recover(dir)
+	eng, err := hotpaths.Recover(dir)
 	if err != nil {
 		return err
 	}
-	return printReplay(src.Snapshot(), jsonOut)
+	defer eng.Close()
+	return printReplay(eng.Snapshot(), jsonOut)
 }
 
 // replayTrace feeds a recorded trace through the public API and prints the
@@ -387,7 +390,6 @@ func replayTrace(path string, eps float64, w, epoch int64, k int, useEngine, jso
 		// bulk load, not a live ingest.
 		dur, err := hotpaths.OpenDurable(walRecord, hotpaths.DurableConfig{
 			Config:          cfg,
-			Concurrent:      useEngine,
 			FsyncInterval:   -1,
 			CheckpointEvery: -1,
 		})

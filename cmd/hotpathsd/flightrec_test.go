@@ -51,7 +51,6 @@ func TestPoisonedWALEventExactlyOnce(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:          serverTestConfig(),
-		Concurrent:      true,
 		Shards:          2,
 		FsyncInterval:   -1,
 		CheckpointEvery: -1,

@@ -173,7 +173,6 @@ func run() int {
 	} else if *walDir != "" {
 		dur, err = hotpaths.OpenDurable(*walDir, hotpaths.DurableConfig{
 			Config:        cfg,
-			Concurrent:    true,
 			Shards:        *shards,
 			Buffer:        *buffer,
 			FsyncInterval: *fsync,

@@ -19,7 +19,6 @@ func newReplicaPair(t *testing.T, maxLag uint64) (primary http.Handler, dur *hot
 	dir := t.TempDir()
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:        serverTestConfig(),
-		Concurrent:    true,
 		Shards:        2,
 		FsyncInterval: time.Millisecond,
 	})

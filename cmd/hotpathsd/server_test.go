@@ -48,7 +48,6 @@ func newDurableHandler(t *testing.T) (http.Handler, string) {
 	dir := t.TempDir()
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:        serverTestConfig(),
-		Concurrent:    true,
 		Shards:        2,
 		FsyncInterval: -1,
 	})
@@ -449,6 +448,7 @@ func TestDurableEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rec2.Close()
 	got := hotpaths.PathsJSON(rec2.Snapshot().HotPaths())
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("recovered paths diverge from served paths:\n want %+v\n got  %+v", want, got)
@@ -575,7 +575,6 @@ func TestHealthzReportsPoisonedWAL(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:          serverTestConfig(),
-		Concurrent:      true,
 		Shards:          2,
 		FsyncInterval:   -1,
 		CheckpointEvery: -1,

@@ -11,9 +11,9 @@ import (
 	"sync"
 	"time"
 
-	"hotpaths/internal/engine"
 	"hotpaths/internal/flightrec"
 	"hotpaths/internal/tracing"
+	"hotpaths/internal/trajectory"
 	"hotpaths/internal/wal"
 )
 
@@ -22,15 +22,14 @@ import (
 type DurableConfig struct {
 	Config
 
-	// Concurrent selects the backing deployment: false wraps the
-	// single-goroutine System, true wraps the sharded Engine. Either way
-	// the Durable write path is serialised by its own mutex (journaling
-	// fixes a total observation order — the order recovery replays), so
-	// Concurrent mainly buys concurrent reads and the Engine's batched
-	// filter tier.
+	// Concurrent is ignored: a Durable always journals in front of the
+	// sharded Engine (it used to select a System-backed variant that no
+	// served traffic took). The field stays declared only because the
+	// frozen benchmark/ module still sets it; ROADMAP lists it for removal
+	// by the next benchmark PR.
 	Concurrent bool
 
-	// Shards, Buffer are the Engine's concurrency knobs (Concurrent only).
+	// Shards, Buffer are the backing Engine's concurrency knobs.
 	Shards, Buffer int
 
 	// SegmentBytes rotates WAL segments at this size (default 64 MiB).
@@ -92,18 +91,18 @@ type WALStats struct {
 	Replayed            uint64 // WAL records replayed while opening
 }
 
-// Durable wraps a System or Engine with a write-ahead log: every Observe
-// and Tick is journaled before it is applied, so the exact state can be
-// reconstructed after a crash by OpenDurable (which recovers
-// automatically) or Recover. Because both deployments are
-// observation-order-deterministic, replaying the journal reproduces the
-// pre-crash state bit for bit; periodic checkpoints bound the replay to
-// roughly one window.
+// Durable is an Engine behind a write-ahead log: every Observe and Tick is
+// journaled before it is applied, so the exact state can be reconstructed
+// after a crash by OpenDurable (which recovers automatically) or Recover.
+// Because the pipeline is observation-order-deterministic, replaying the
+// journal reproduces the pre-crash state bit for bit; periodic
+// checkpoints bound the replay to roughly one window.
 //
 // Durable implements Source. All write methods are serialised by an
 // internal mutex — the journal fixes the total observation order that
-// recovery replays — and are safe to call from many goroutines. Snapshot
-// is safe concurrently with writes.
+// recovery replays — and are safe to call from many goroutines. Snapshot,
+// Stats, Clock and Subscribe go straight to the Engine and never wait on
+// a writer.
 //
 // Durability is group-committed: an acknowledged write is on disk no
 // later than FsyncInterval after it returned. Call Sync for a hard
@@ -117,11 +116,10 @@ type Durable struct {
 	cfg DurableConfig
 	dir string
 
-	mu     sync.Mutex
-	sys    *System // exactly one of sys/eng is non-nil
-	eng    *Engine
-	log    *wal.Log
-	clock  int64
+	eng *Engine
+	log *wal.Log
+
+	mu     sync.Mutex // serialises journal-then-apply; guards the fields below
 	closed bool
 
 	lastCkptClock int64
@@ -143,34 +141,7 @@ func writeMeta(dir string, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, metaFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, metaFile)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return wal.WriteFileAtomic(dir, metaFile, b)
 }
 
 func readMeta(dir string) (Config, bool, error) {
@@ -221,50 +192,41 @@ func OpenDurable(dir string, cfg DurableConfig) (*Durable, error) {
 		return nil, err
 	}
 
-	d := &Durable{cfg: cfg, dir: dir, log: log}
-	if err := d.buildSource(); err != nil {
-		log.Close()
-		return nil, err
-	}
-	ckptLSN, replayed, err := recoverInto(dir, cfg.Config, d.source())
+	eng, ckptLSN, replayed, err := recoverEngine(dir, EngineConfig{Config: cfg.Config, Shards: cfg.Shards, Buffer: cfg.Buffer})
 	if err != nil {
-		d.closeSource()
 		log.Close()
 		return nil, err
 	}
-	d.clock = d.snapshotClock()
-	d.lastCkptClock = d.clock
-	d.lastCkptLSN = ckptLSN
-	d.replayed = replayed
+	d := &Durable{
+		cfg: cfg, dir: dir, eng: eng, log: log,
+		lastCkptClock: eng.Clock(), lastCkptLSN: ckptLSN, replayed: replayed,
+	}
 	if log.NextLSN() < ckptLSN {
 		// The checkpoint is newer than the log's decodable end (segments
 		// removed out-of-band): appending below its LSN would write
 		// records recovery skips.
-		if err := log.ResetTo(ckptLSN); err != nil {
-			d.closeSource()
-			log.Close()
-			return nil, err
-		}
+		err = log.ResetTo(ckptLSN)
 	}
-	if replayed > 0 && cfg.CheckpointEvery >= 0 {
+	if err == nil && replayed > 0 && cfg.CheckpointEvery >= 0 {
 		// Re-checkpoint after a non-trivial replay so the next recovery
 		// starts from here instead of paying the same replay again.
-		if err := d.checkpointLocked(context.Background()); err != nil {
-			d.closeSource()
-			log.Close()
-			return nil, err
-		}
+		err = d.checkpointLocked(context.Background())
+	}
+	if err != nil {
+		eng.Close()
+		log.Close()
+		return nil, err
 	}
 	return d, nil
 }
 
 // Recover rebuilds the state journaled in dir — latest checkpoint plus
-// WAL tail — into a fresh single-goroutine System and returns it, without
-// opening the directory for writing. It is the read-only half of the
-// durability contract: the returned Source is bit-identical to the
-// Durable that wrote the journal at its last applied record. The
-// directory's meta file supplies the Config.
-func Recover(dir string) (Source, error) {
+// WAL tail — into a fresh Engine and returns it, without opening the
+// directory for writing. It is the read-only half of the durability
+// contract: the returned Engine is bit-identical to the Durable that
+// wrote the journal at its last applied record, and is the caller's to
+// Close. The directory's meta file supplies the Config.
+func Recover(dir string) (*Engine, error) {
 	cfg, ok, err := readMeta(dir)
 	if err != nil {
 		return nil, err
@@ -272,114 +234,8 @@ func Recover(dir string) (Source, error) {
 	if !ok {
 		return nil, fmt.Errorf("hotpaths: %s has no %s; not a durable log directory", dir, metaFile)
 	}
-	sys, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := recoverInto(dir, cfg, sys); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// restorer is the state-restoration surface shared by System and Engine.
-type restorer interface {
-	Source
-	restoreCheckpoint(st engine.State) error
-}
-
-func (s *System) restoreCheckpoint(st engine.State) error { return s.restoreState(st) }
-
-func (e *Engine) restoreCheckpoint(st engine.State) error { return e.eng.RestoreState(st) }
-
-// recoverInto loads the newest decodable checkpoint into src and replays
-// the WAL tail after it. Apply errors during replay are ignored: the
-// original run saw the identical error from the identical call and
-// carried on, so ignoring it reproduces the original state.
-func recoverInto(dir string, cfg Config, src restorer) (ckptLSN uint64, replayed uint64, err error) {
-	lsns, err := wal.Checkpoints(dir)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := len(lsns) - 1; i >= 0; i-- {
-		payload, rerr := wal.ReadCheckpoint(dir, lsns[i])
-		if rerr != nil {
-			continue
-		}
-		st, derr := decodeCheckpoint(payload, cfg)
-		if derr != nil {
-			continue // corrupt or mismatched checkpoint: fall back to an older one
-		}
-		if err := src.restoreCheckpoint(st); err != nil {
-			return 0, 0, err
-		}
-		ckptLSN = lsns[i]
-		break
-	}
-	err = wal.ReadFrom(dir, ckptLSN, func(lsn uint64, r wal.Record) error {
-		replayed++
-		applyRecord(src, r)
-		return nil
-	})
-	if err != nil {
-		return ckptLSN, replayed, err
-	}
-	return ckptLSN, replayed, nil
-}
-
-// applyRecord replays one journaled call, discarding the error exactly as
-// the journaling path did after writing the record.
-func applyRecord(src Source, r wal.Record) {
-	switch r.Kind {
-	case wal.KindObserve:
-		if r.SigmaX != 0 || r.SigmaY != 0 {
-			type noisy interface {
-				ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error
-			}
-			_ = src.(noisy).ObserveNoisy(int(r.ObjectID), r.X, r.Y, r.SigmaX, r.SigmaY, r.T)
-			return
-		}
-		_ = src.Observe(int(r.ObjectID), r.X, r.Y, r.T)
-	case wal.KindTick:
-		_ = src.Tick(r.T)
-	}
-}
-
-func (d *Durable) buildSource() error {
-	if d.cfg.Concurrent {
-		eng, err := NewEngine(EngineConfig{Config: d.cfg.Config, Shards: d.cfg.Shards, Buffer: d.cfg.Buffer})
-		if err != nil {
-			return err
-		}
-		d.eng = eng
-		return nil
-	}
-	sys, err := New(d.cfg.Config)
-	if err != nil {
-		return err
-	}
-	d.sys = sys
-	return nil
-}
-
-func (d *Durable) source() restorer {
-	if d.eng != nil {
-		return d.eng
-	}
-	return d.sys
-}
-
-func (d *Durable) closeSource() {
-	if d.eng != nil {
-		d.eng.Close()
-	}
-}
-
-func (d *Durable) snapshotClock() int64 {
-	if d.eng != nil {
-		return d.eng.Snapshot().Clock()
-	}
-	return d.sys.lastNow
+	eng, _, _, err := recoverEngine(dir, EngineConfig{Config: cfg})
+	return eng, err
 }
 
 // Observe journals and applies one exact location measurement. It is
@@ -389,21 +245,11 @@ func (d *Durable) Observe(objectID int, x, y float64, t int64) error {
 	if err := checkCoords(x, y); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrDurableClosed
-	}
-	if _, err := d.log.Append(wal.Record{
-		Kind: wal.KindObserve, ObjectID: int64(objectID), T: t, X: x, Y: y,
-	}); err != nil {
-		return fmt.Errorf("hotpaths: journal observe: %w", err)
-	}
-	return d.source().Observe(objectID, x, y, t)
+	return d.observe(Observation{ObjectID: objectID, X: x, Y: y, T: t})
 }
 
 // ObserveNoisy journals and applies one Gaussian measurement. It requires
-// Config.Delta > 0, like the underlying deployments.
+// Config.Delta > 0, like the underlying Engine.
 func (d *Durable) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
 	if d.cfg.Delta <= 0 {
 		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
@@ -414,51 +260,44 @@ func (d *Durable) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int
 	if err := checkSigmas(sigmaX, sigmaY); err != nil {
 		return err
 	}
+	return d.observe(Observation{ObjectID: objectID, X: x, Y: y, T: t, SigmaX: sigmaX, SigmaY: sigmaY})
+}
+
+// observe journals and applies one validated observation on the Engine's
+// allocation-free single-observation path.
+func (d *Durable) observe(o Observation) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrDurableClosed
 	}
-	if _, err := d.log.Append(wal.Record{
-		Kind: wal.KindObserve, ObjectID: int64(objectID), T: t, X: x, Y: y,
-		SigmaX: sigmaX, SigmaY: sigmaY,
-	}); err != nil {
+	if _, err := d.log.Append(recordOf(o)); err != nil {
 		return fmt.Errorf("hotpaths: journal observe: %w", err)
 	}
-	if d.eng != nil {
-		return d.eng.ObserveNoisy(objectID, x, y, sigmaX, sigmaY, t)
-	}
-	return d.sys.ObserveNoisy(objectID, x, y, sigmaX, sigmaY, t)
+	return d.eng.eng.Observe(o.internal())
 }
 
-// ObserveBatch journals and applies a batch of observations under one
+// ObserveBatchCtx journals and applies a batch of observations under one
 // lock acquisition and one journal write — the fast path for network
 // ingestion. The batch is validated before anything is journaled, so a
 // rejected batch leaves both journal and state untouched (matching
-// Engine.ObserveBatch's all-or-nothing contract). A journal I/O failure
+// Engine.ObserveBatchCtx's all-or-nothing contract). A journal I/O failure
 // poisons the log — every later write fails until the process restarts
 // and recovers — so the journal can never silently diverge from the
-// acknowledged stream.
-func (d *Durable) ObserveBatch(batch []Observation) error {
-	return d.ObserveBatchCtx(context.Background(), batch)
-}
-
-// ObserveBatchCtx is ObserveBatch recording spans on the context's trace:
-// one wal.append span per journal write plus the engine's batch span. On
-// an unrecorded context the only cost is a context check per layer.
+// acknowledged stream. On the context's trace it records one wal.append
+// span per journal write plus the engine's batch span; on an unrecorded
+// context the only cost is a context check per layer.
 func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	conv, err := d.cfg.convertBatch(batch)
+	if err != nil {
+		return err
+	}
 	recs := make([]wal.Record, len(batch))
 	for i, o := range batch {
-		if err := checkObservation(i, o, d.cfg.Delta); err != nil {
-			return err
-		}
-		recs[i] = wal.Record{
-			Kind: wal.KindObserve, ObjectID: int64(o.ObjectID), T: o.T,
-			X: o.X, Y: o.Y, SigmaX: o.SigmaX, SigmaY: o.SigmaY,
-		}
+		recs[i] = recordOf(o)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -467,24 +306,14 @@ func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) erro
 	}
 	_, wspan := tracing.StartSpan(ctx, "wal.append")
 	wspan.SetAttr("records", len(recs))
-	_, err := d.log.AppendBatch(recs)
+	_, err = d.log.AppendBatch(recs)
 	wspan.End()
 	if err != nil {
 		return fmt.Errorf("hotpaths: journal batch: %w", err)
 	}
-	if d.eng != nil {
-		return d.eng.ObserveBatchCtx(ctx, batch)
-	}
-	// The System applies record-by-record — exactly how recovery replays —
-	// with per-record errors ignored, matching applyRecord.
-	for _, o := range batch {
-		if o.SigmaX != 0 || o.SigmaY != 0 {
-			_ = d.sys.ObserveNoisy(o.ObjectID, o.X, o.Y, o.SigmaX, o.SigmaY, o.T)
-			continue
-		}
-		_ = d.sys.Observe(o.ObjectID, o.X, o.Y, o.T)
-	}
-	return nil
+	// conv is the batch just validated and journaled; the Engine's own
+	// validate-and-convert pass would only repeat that work.
+	return d.eng.eng.ObserveBatchCtx(ctx, conv)
 }
 
 // Tick journals and applies a clock advance. At epoch boundaries, once
@@ -510,19 +339,10 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 	if aerr != nil {
 		return fmt.Errorf("hotpaths: journal tick: %w", aerr)
 	}
-	var err error
-	if d.eng != nil {
-		err = d.eng.TickCtx(ctx, now)
-	} else {
-		err = d.sys.Tick(now)
-	}
-	if now <= d.clock {
-		return err // clock did not advance; no epoch, no checkpoint
-	}
-	prev := d.clock
-	d.clock = now
-	boundary := now/d.cfg.Epoch != prev/d.cfg.Epoch
-	if boundary && d.cfg.CheckpointEvery >= 0 && now-d.lastCkptClock >= d.cfg.CheckpointEvery {
+	// The Engine says whether this tick fired an epoch; the epoch rule is
+	// not re-derived here.
+	epoch, err := d.eng.eng.TickCtx(ctx, trajectory.Time(now))
+	if epoch && d.cfg.CheckpointEvery >= 0 && now-d.lastCkptClock >= d.cfg.CheckpointEvery {
 		if cerr := d.checkpointLocked(ctx); cerr != nil {
 			err = errors.Join(err, cerr)
 		}
@@ -531,34 +351,19 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 }
 
 // Snapshot captures an immutable view of the current hot paths, counters
-// and clock. With a Concurrent backend it does not block writers.
-func (d *Durable) Snapshot() Snapshot {
-	if d.eng != nil {
-		return d.eng.Snapshot()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sys.Snapshot()
-}
+// and clock. It does not block writers.
+func (d *Durable) Snapshot() Snapshot { return d.eng.Snapshot() }
 
-// Stats returns the underlying deployment's counters (no path copy).
-func (d *Durable) Stats() Stats {
-	if d.eng != nil {
-		return d.eng.Stats()
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sys.Stats()
-}
+// Subscribe registers a standing query with the backing Engine: deltas
+// fire at the same epoch boundaries, so a Durable emits the identical
+// stream to a bare Engine fed the same journal.
+func (d *Durable) Subscribe(q Query) (*Subscription, error) { return d.eng.Subscribe(q) }
 
-// Shards returns the backing Engine's shard count (1 for the
-// single-goroutine System backend).
-func (d *Durable) Shards() int {
-	if d.eng != nil {
-		return d.eng.Shards()
-	}
-	return 1
-}
+// Stats returns the backing Engine's counters (no path copy).
+func (d *Durable) Stats() Stats { return d.eng.Stats() }
+
+// Shards returns the backing Engine's shard count.
+func (d *Durable) Shards() int { return d.eng.Shards() }
 
 // Config returns the configuration with defaults applied.
 func (d *Durable) Config() Config { return d.cfg.Config }
@@ -594,15 +399,9 @@ func (d *Durable) checkpointLocked(ctx context.Context) error {
 		return fmt.Errorf("hotpaths: checkpoint sync: %w", serr)
 	}
 	lsn := d.log.NextLSN()
-	var st engine.State
-	if d.eng != nil {
-		var err error
-		st, err = d.eng.eng.DumpState()
-		if err != nil {
-			return err
-		}
-	} else {
-		st = d.sys.dumpState()
+	st, err := d.eng.eng.DumpState()
+	if err != nil {
+		return err
 	}
 	payload, err := encodeCheckpoint(d.cfg.Config, st)
 	if err != nil {
@@ -639,12 +438,9 @@ func (d *Durable) NextLSN() uint64 {
 
 // Clock returns the deployment's current clock: the timestamp of the
 // last applied Tick (or the recovered clock right after open). Cheap —
-// no snapshot is taken.
-func (d *Durable) Clock() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.clock
-}
+// no snapshot is taken, and no writer is waited on: replication
+// heartbeats read it at stream rate.
+func (d *Durable) Clock() int64 { return d.eng.Clock() }
 
 // Err reports the durability layer's poisoned state: the first journal
 // I/O failure, or nil while the log is healthy. Once non-nil, every write
@@ -689,8 +485,8 @@ func (d *Durable) WAL() WALStats {
 
 // Close checkpoints the final state (unless automatic checkpoints are
 // disabled), commits and closes the journal, and stops the Engine's
-// shards when Concurrent. The directory recovers instantly on the next
-// OpenDurable. Close is idempotent.
+// shards, which closes every subscription channel. The directory recovers
+// instantly on the next OpenDurable. Close is idempotent.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -706,14 +502,8 @@ func (d *Durable) Close() error {
 	if err := d.log.Close(); err != nil {
 		errs = append(errs, err)
 	}
-	if d.eng != nil {
-		if err := d.eng.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	} else {
-		// The Engine backend closes its subscriptions itself; the System
-		// has no Close, so shut its hub down here.
-		d.sys.subs.closeAll()
+	if err := d.eng.Close(); err != nil {
+		errs = append(errs, err)
 	}
 	d.closed = true
 	return errors.Join(errs...)

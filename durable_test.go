@@ -1,17 +1,20 @@
 package hotpaths_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hotpaths"
 	"hotpaths/internal/wal"
@@ -27,18 +30,77 @@ func durableTestConfig() hotpaths.Config {
 	}
 }
 
+// observe feeds one observation through the single-call API, the noisy
+// variant when it carries sigmas.
+func observe(src hotpaths.Source, o hotpaths.Observation) error {
+	if o.SigmaX == 0 && o.SigmaY == 0 {
+		return src.Observe(o.ObjectID, o.X, o.Y, o.T)
+	}
+	return src.(interface {
+		ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error
+	}).ObserveNoisy(o.ObjectID, o.X, o.Y, o.SigmaX, o.SigmaY, o.T)
+}
+
 // feed drives src with the workload: per timestamp, the batch's
 // observations then one tick (errors are fatal — this workload is clean).
 func feed(t *testing.T, src hotpaths.Source, batches [][]hotpaths.Observation) {
 	t.Helper()
 	for _, batch := range batches {
 		for _, o := range batch {
-			if err := src.Observe(o.ObjectID, o.X, o.Y, o.T); err != nil {
+			if err := observe(src, o); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := src.Tick(batch[0].T); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// noisyHalf turns a workload into an (ε,δ) one: every odd object reports
+// Gaussian measurements, the even ones stay exact. The config to run it
+// under needs Delta > 0.
+func noisyHalf(batches [][]hotpaths.Observation) [][]hotpaths.Observation {
+	out := make([][]hotpaths.Observation, len(batches))
+	for i, batch := range batches {
+		out[i] = append([]hotpaths.Observation(nil), batch...)
+		for j := range out[i] {
+			if out[i][j].ObjectID%2 == 1 {
+				out[i][j].SigmaX, out[i][j].SigmaY = 0.8, 0.5
+			}
+		}
+	}
+	return out
+}
+
+// shardGoroutines counts the live internal-engine shard goroutines.
+func shardGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "engine.(*shard).run")
+}
+
+// recoverClosed recovers dir read-only, hands the state to check, then
+// closes the Engine and requires that none of its shard goroutines
+// outlives the Close.
+func recoverClosed(t *testing.T, dir string, check func(hotpaths.Snapshot)) {
+	t.Helper()
+	before := shardGoroutines()
+	rec, err := hotpaths.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shardGoroutines() == before {
+		t.Fatal("the recovered Engine's shard goroutines are not visible to this check")
+	}
+	check(rec.Snapshot())
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close waits for every shard's done channel, which closes as the
+	// goroutine's last act; give the scheduler a moment to retire them.
+	for deadline := time.Now().Add(2 * time.Second); shardGoroutines() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shard goroutines outlive the recovered Engine's Close", shardGoroutines()-before)
 		}
 	}
 }
@@ -62,40 +124,48 @@ func assertSameState(t *testing.T, label string, want, got hotpaths.Snapshot) {
 }
 
 // A Durable deployment must be indistinguishable from the in-memory
-// System it wraps, and Recover must reproduce it from disk alone.
+// System reference, and Recover must reproduce it from disk alone — at any
+// shard count (the journal and checkpoints are shard-count-agnostic:
+// Recover always rebuilds at the default width) and in (ε,δ) mode.
 func TestDurableMatchesSystem(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
-			cfg := durableTestConfig()
+	plain := hotpaths.IngestWorkload(48, 120, 42)
+	noisy := durableTestConfig()
+	noisy.Delta = 0.05
+	for _, tc := range []struct {
+		name    string
+		cfg     hotpaths.Config
+		shards  int
+		batches [][]hotpaths.Observation
+	}{
+		{"shards=1", durableTestConfig(), 1, plain},
+		{"shards=4", durableTestConfig(), 4, plain},
+		{"noisy", noisy, 2, noisyHalf(plain)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			batches := hotpaths.IngestWorkload(48, 120, 42)
-
-			sys, err := hotpaths.New(cfg)
+			sys, err := hotpaths.New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
-				Config:        cfg,
-				Concurrent:    concurrent,
+				Config:        tc.cfg,
+				Shards:        tc.shards,
 				FsyncInterval: -1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			feed(t, sys, batches)
-			feed(t, dur, batches)
+			feed(t, sys, tc.batches)
+			feed(t, dur, tc.batches)
 
 			want := sys.Snapshot()
 			assertSameState(t, "live durable vs system", want, dur.Snapshot())
 			if err := dur.Close(); err != nil {
 				t.Fatal(err)
 			}
-
-			rec, err := hotpaths.Recover(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameState(t, "recovered vs system", want, rec.Snapshot())
+			recoverClosed(t, dir, func(got hotpaths.Snapshot) {
+				assertSameState(t, "recovered vs system", want, got)
+			})
 		})
 	}
 }
@@ -132,11 +202,9 @@ func TestDurableRestartContinuity(t *testing.T) {
 		}
 	}
 
-	rec, err := hotpaths.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameState(t, "split run vs uninterrupted", sys.Snapshot(), rec.Snapshot())
+	recoverClosed(t, dir, func(got hotpaths.Snapshot) {
+		assertSameState(t, "split run vs uninterrupted", sys.Snapshot(), got)
+	})
 
 	// Reopening with a different Config must be refused: replaying a
 	// journal under different parameters silently breaks determinism.
@@ -254,7 +322,9 @@ func replayPrefix(t *testing.T, cfg hotpaths.Config, recs []wal.Record, n uint64
 	for _, r := range recs[:n] {
 		switch r.Kind {
 		case wal.KindObserve:
-			if err := sys.Observe(int(r.ObjectID), r.X, r.Y, r.T); err != nil {
+			if err := observe(sys, hotpaths.Observation{
+				ObjectID: int(r.ObjectID), X: r.X, Y: r.Y, T: r.T, SigmaX: r.SigmaX, SigmaY: r.SigmaY,
+			}); err != nil {
 				t.Fatal(err)
 			}
 		case wal.KindTick:
@@ -322,10 +392,6 @@ func TestCrashRecoveryGolden(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			crashed := cutDir(t, dir, cut)
-			rec, err := hotpaths.Recover(crashed)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// The longest decodable prefix of the torn journal.
 			n := uint64(0)
 			if err := wal.ReadFrom(crashed, 0, func(lsn uint64, r wal.Record) error {
@@ -337,8 +403,10 @@ func TestCrashRecoveryGolden(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			assertSameState(t, "recovered vs longest-prefix replay",
-				replayPrefix(t, cfg, recs, n), rec.Snapshot())
+			recoverClosed(t, crashed, func(got hotpaths.Snapshot) {
+				assertSameState(t, "recovered vs longest-prefix replay",
+					replayPrefix(t, cfg, recs, n), got)
+			})
 		})
 	}
 }
@@ -347,9 +415,20 @@ func TestCrashRecoveryGolden(t *testing.T) {
 // head: recovery = checkpoint + decodable tail, which must equal the
 // uninterrupted prefix run even though the early records are gone.
 func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
-	cfg := durableTestConfig()
-	dir := t.TempDir()
 	batches := hotpaths.IngestWorkload(32, 100, 13)
+	crashRecoveryAfterCheckpoint(t, durableTestConfig(), batches)
+	// The (ε,δ) mode through the same mill: the mid-run checkpoint carries
+	// FilterEntry sigmas, and recovery must rebuild each noisy object's
+	// tolerance model from them before replaying the torn tail.
+	t.Run("noisy", func(t *testing.T) {
+		cfg := durableTestConfig()
+		cfg.Delta = 0.05
+		crashRecoveryAfterCheckpoint(t, cfg, noisyHalf(batches))
+	})
+}
+
+func crashRecoveryAfterCheckpoint(t *testing.T, cfg hotpaths.Config, batches [][]hotpaths.Observation) {
+	dir := t.TempDir()
 
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:          cfg,
@@ -380,7 +459,7 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	var recs []wal.Record
 	for _, b := range batches {
 		for _, o := range b {
-			recs = append(recs, wal.Record{Kind: wal.KindObserve, ObjectID: int64(o.ObjectID), T: o.T, X: o.X, Y: o.Y})
+			recs = append(recs, wal.Record{Kind: wal.KindObserve, ObjectID: int64(o.ObjectID), T: o.T, X: o.X, Y: o.Y, SigmaX: o.SigmaX, SigmaY: o.SigmaY})
 		}
 		recs = append(recs, wal.Record{Kind: wal.KindTick, T: b[0].T})
 	}
@@ -407,10 +486,6 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			crashed := cutDir(t, dir, cut)
-			rec, err := hotpaths.Recover(crashed)
-			if err != nil {
-				t.Fatal(err)
-			}
 			n := ckptLSN // with the whole tail gone, the checkpoint state stands
 			if err := wal.ReadFrom(crashed, oldestSegStart(t, crashed), func(lsn uint64, r wal.Record) error {
 				if r != recs[lsn] {
@@ -423,8 +498,10 @@ func TestCrashRecoveryAfterCheckpoint(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			assertSameState(t, "recovered vs prefix replay",
-				replayPrefix(t, cfg, recs, n), rec.Snapshot())
+			recoverClosed(t, crashed, func(got hotpaths.Snapshot) {
+				assertSameState(t, "recovered vs prefix replay",
+					replayPrefix(t, cfg, recs, n), got)
+			})
 		})
 	}
 }
@@ -439,9 +516,8 @@ func TestDurableConcurrentProducers(t *testing.T) {
 	batches := hotpaths.IngestWorkload(64, 80, 17)
 
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
-		Config:     cfg,
-		Concurrent: true,
-		Shards:     4,
+		Config: cfg,
+		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +534,7 @@ func TestDurableConcurrentProducers(t *testing.T) {
 			wg.Add(1)
 			go func(part []hotpaths.Observation) {
 				defer wg.Done()
-				if err := dur.ObserveBatch(part); err != nil {
+				if err := dur.ObserveBatchCtx(context.Background(), part); err != nil {
 					t.Error(err)
 				}
 			}(part)
@@ -477,11 +553,9 @@ func TestDurableConcurrentProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := hotpaths.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameState(t, "recovered vs live concurrent", want, rec.Snapshot())
+	recoverClosed(t, dir, func(got hotpaths.Snapshot) {
+		assertSameState(t, "recovered vs live concurrent", want, got)
+	})
 }
 
 func TestRecoverErrors(t *testing.T) {

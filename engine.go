@@ -22,6 +22,17 @@ type Observation struct {
 	SigmaX, SigmaY float64
 }
 
+// internal is the observation in the internal engine's form.
+func (o Observation) internal() engine.Observation {
+	return engine.Observation{
+		ObjectID: o.ObjectID,
+		P:        geom.Pt(o.X, o.Y),
+		T:        trajectory.Time(o.T),
+		SigmaX:   o.SigmaX,
+		SigmaY:   o.SigmaY,
+	}
+}
+
 // EngineConfig parameterises an Engine: the common Config plus the
 // concurrency knobs.
 type EngineConfig struct {
@@ -44,7 +55,7 @@ type EngineConfig struct {
 // SinglePath coordinator, so results are bit-identical to a System fed the
 // same observations in the same order.
 //
-// Concurrency contract: Observe/ObserveNoisy/ObserveBatch may be called
+// Concurrency contract: Observe/ObserveNoisy/ObserveBatchCtx may be called
 // from many goroutines concurrently, and queries (TopK, HotPaths, Score,
 // Stats) are safe at any time. Observations for one object must be
 // produced in timestamp order by one producer at a time. Tick must not
@@ -112,11 +123,7 @@ func (e *Engine) Observe(objectID int, x, y float64, t int64) error {
 	if err := checkCoords(x, y); err != nil {
 		return err
 	}
-	return e.eng.Observe(engine.Observation{
-		ObjectID: objectID,
-		P:        geom.Pt(x, y),
-		T:        trajectory.Time(t),
-	})
+	return e.eng.Observe(Observation{ObjectID: objectID, X: x, Y: y, T: t}.internal())
 }
 
 // ObserveNoisy enqueues a Gaussian measurement with per-axis standard
@@ -131,13 +138,7 @@ func (e *Engine) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int6
 	if err := checkSigmas(sigmaX, sigmaY); err != nil {
 		return err
 	}
-	return e.eng.Observe(engine.Observation{
-		ObjectID: objectID,
-		P:        geom.Pt(x, y),
-		T:        trajectory.Time(t),
-		SigmaX:   sigmaX,
-		SigmaY:   sigmaY,
-	})
+	return e.eng.Observe(Observation{ObjectID: objectID, X: x, Y: y, T: t, SigmaX: sigmaX, SigmaY: sigmaY}.internal())
 }
 
 // checkObservation validates one batched observation against the
@@ -161,32 +162,32 @@ func checkObservation(i int, o Observation, delta float64) error {
 	return nil
 }
 
-// ObserveBatch enqueues a batch of observations in one pass — the fast
+// ObserveBatchCtx enqueues a batch of observations in one pass — the fast
 // path for network ingestion: the batch is split into at most one queue
 // message per shard. Order is preserved per object. The batch is
-// validated up front, so a rejected batch enqueues nothing.
-func (e *Engine) ObserveBatch(batch []Observation) error {
-	return e.ObserveBatchCtx(context.Background(), batch)
-}
-
-// ObserveBatchCtx is ObserveBatch recording spans on the context's trace
-// (one engine span per batch — never per record). Tracing-aware callers
-// like the daemon's HTTP layer use it; everyone else keeps ObserveBatch.
+// validated up front, so a rejected batch enqueues nothing. One engine
+// span per batch — never per record — lands on the context's trace; pass
+// context.Background() when there is none.
 func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
-	conv := make([]engine.Observation, len(batch))
-	for i, o := range batch {
-		if err := checkObservation(i, o, e.cfg.Delta); err != nil {
-			return err
-		}
-		conv[i] = engine.Observation{
-			ObjectID: o.ObjectID,
-			P:        geom.Pt(o.X, o.Y),
-			T:        trajectory.Time(o.T),
-			SigmaX:   o.SigmaX,
-			SigmaY:   o.SigmaY,
-		}
+	conv, err := e.cfg.convertBatch(batch)
+	if err != nil {
+		return err
 	}
 	return e.eng.ObserveBatchCtx(ctx, conv)
+}
+
+// convertBatch validates a batch against the deployment's noise mode and
+// converts it to the internal engine's form in the same pass; Durable
+// calls it before journaling and hands the result straight to the shards.
+func (cfg Config) convertBatch(batch []Observation) ([]engine.Observation, error) {
+	conv := make([]engine.Observation, len(batch))
+	for i, o := range batch {
+		if err := checkObservation(i, o, cfg.Delta); err != nil {
+			return nil, err
+		}
+		conv[i] = o.internal()
+	}
+	return conv, nil
 }
 
 // Tick advances the engine clock to now: the hotness window slides, and at
@@ -196,13 +197,14 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 // observations; sparse clocks that jump over a boundary still trigger the
 // epoch.
 func (e *Engine) Tick(now int64) error {
-	return e.eng.Tick(trajectory.Time(now))
+	return e.TickCtx(context.Background(), now)
 }
 
 // TickCtx is Tick recording the epoch-boundary spans (engine.tick and its
 // epoch-barrier child) on the context's trace.
 func (e *Engine) TickCtx(ctx context.Context, now int64) error {
-	return e.eng.TickCtx(ctx, trajectory.Time(now))
+	_, err := e.eng.TickCtx(ctx, trajectory.Time(now))
+	return err
 }
 
 // Close drains and stops the shard goroutines and closes every

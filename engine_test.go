@@ -1,6 +1,7 @@
 package hotpaths
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func TestEngineMatchesSystem(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		now := batch[0].T
@@ -122,7 +123,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 			wg.Add(1)
 			go func(part []Observation) {
 				defer wg.Done()
-				if err := eng.ObserveBatch(part); err != nil {
+				if err := eng.ObserveBatchCtx(context.Background(), part); err != nil {
 					t.Error(err)
 				}
 			}(part)
@@ -170,7 +171,7 @@ func TestSparseTicksCrossEpochBoundaries(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		now := batch[0].T
@@ -274,7 +275,7 @@ func TestEngineValidation(t *testing.T) {
 	if err := eng.ObserveNoisy(1, 0, 0, 1, 1, 1); err == nil {
 		t.Error("ObserveNoisy without Delta must error")
 	}
-	if err := eng.ObserveBatch([]Observation{{ObjectID: 1, X: 0, Y: 0, T: 1, SigmaX: 1}}); err == nil {
+	if err := eng.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, X: 0, Y: 0, T: 1, SigmaX: 1}}); err == nil {
 		t.Error("noisy batched observation without Delta must error")
 	}
 
@@ -288,7 +289,7 @@ func TestEngineValidation(t *testing.T) {
 	if err := eng2.ObserveNoisy(1, 0, 0, 0, 1, 1); err == nil {
 		t.Error("non-positive sigma must error")
 	}
-	if err := eng2.ObserveBatch([]Observation{{ObjectID: 1, T: 1, SigmaX: 0.5, SigmaY: -1}}); err == nil {
+	if err := eng2.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, T: 1, SigmaX: 0.5, SigmaY: -1}}); err == nil {
 		t.Error("mixed-sign sigmas must error")
 	}
 	if err := eng2.ObserveNoisy(1, 0, 0, 0.5, 0.5, 1); err != nil {

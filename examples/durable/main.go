@@ -108,11 +108,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Offline reconstruction — what `hotpaths -wal-replay DIR` runs.
+	// Offline reconstruction — what `hotpaths -wal-replay DIR` runs. The
+	// replica is an Engine like the one behind dur: ours to query, and to
+	// Close.
 	replica, err := hotpaths.Recover(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer replica.Close()
 	if replica.Snapshot().Stats() != final.Stats() {
 		log.Fatal("offline replica diverged")
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -83,7 +84,7 @@ func main() {
 					x, y := pos(i, s)
 					batch = append(batch, hotpaths.Observation{ObjectID: i, X: x, Y: y, T: now})
 				}
-				if err := eng.ObserveBatch(batch); err != nil {
+				if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 					log.Fatal(err)
 				}
 			}(p)

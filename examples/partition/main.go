@@ -20,6 +20,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,7 +70,7 @@ func partitionNode(id int, eng *hotpaths.Engine) http.Handler {
 			}
 			batch = append(batch, o.Observation())
 		}
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(r.Context(), batch); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -182,7 +183,7 @@ func main() {
 		for j, o := range batch {
 			refBatch[j] = o.Observation()
 		}
-		if err := ref.ObserveBatch(refBatch); err != nil {
+		if err := ref.ObserveBatchCtx(context.Background(), refBatch); err != nil {
 			log.Fatal(err)
 		}
 		if err := ref.Tick(now); err != nil {

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -48,7 +49,6 @@ func main() {
 			K:      5,
 			Bounds: hotpaths.Rect{Min: hotpaths.Pt(-100, -100), Max: hotpaths.Pt(2000, 400)},
 		},
-		Concurrent:    true,
 		FsyncInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
@@ -81,7 +81,7 @@ func main() {
 					ObjectID: i, X: float64(s) * 8, Y: avenue + offset[i], T: now,
 				})
 			}
-			if err := dur.ObserveBatch(batch); err != nil {
+			if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 				log.Fatal(err)
 			}
 			if err := dur.Tick(now); err != nil {

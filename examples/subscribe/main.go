@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -86,7 +87,7 @@ func main() {
 			}
 			// Act 3 (t>260): silence — the sliding window drains the hot set.
 		}
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			log.Fatal(err)
 		}
 		if err := eng.Tick(now); err != nil {

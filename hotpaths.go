@@ -90,7 +90,7 @@
 //     of the paper's distributed design: objects hash to shards, each shard
 //     goroutine owns a bank of RayTrace filters fed through a buffered
 //     queue, and reports funnel into a single coordinator at epoch
-//     boundaries. Observe/ObserveBatch are safe to call from many
+//     boundaries. Observe/ObserveBatchCtx are safe to call from many
 //     goroutines at once (observations for the same object must still be
 //     time-ordered by their producer), so Engine is the right choice when
 //     many producers push observations concurrently — e.g. the
@@ -99,18 +99,22 @@
 // Both produce bit-identical hot paths, scores and counters when fed the
 // same observations in the same order, because the Engine merges shard
 // reports back into the single-threaded arrival order before the
-// coordinator processes an epoch.
+// coordinator processes an epoch. That equality is what the System is
+// kept for: it is the independent serial reference the golden tests and
+// the benchmark oracle hold every other deployment against, and it knows
+// nothing of journals, checkpoints or replication.
 //
 // # Durability: OpenDurable and Recover
 //
-// Both deployments are in-memory; OpenDurable wraps either in a
+// Both deployments are in-memory; OpenDurable puts an Engine behind a
 // write-ahead log so the discovered state survives crashes and restarts.
 // Every Observe and Tick is journaled (length-prefixed, CRC-checksummed,
 // group-committed to disk every DurableConfig.FsyncInterval) before it is
 // applied; full-state checkpoints at epoch boundaries bound recovery to
-// about one window of replay. Because replaying the journal is just
-// re-running the deterministic pipeline, the recovered state — via
-// OpenDurable on the same directory, or read-only via Recover — is
+// about one window of replay. Replaying the journal is just re-running
+// the deterministic pipeline, and one applier does it for everyone — the
+// reopening OpenDurable, the read-only Recover (which hands back the
+// rebuilt Engine) and a Follower — so the recovered state is
 // bit-identical to the pre-crash state at the last durable record, a
 // property the crash-recovery golden tests enforce by cutting the log at
 // arbitrary byte offsets. The cmd/hotpathsd daemon exposes this as
@@ -131,8 +135,9 @@
 // A Follower implements Source, but only the read half of it. The
 // contract every Source consumer should know:
 //
-//   - Observe, ObserveNoisy, ObserveBatch, Tick — always return
-//     ErrReadOnly (check with errors.Is); writes belong on the primary.
+//   - Observe, ObserveNoisy, ObserveBatchCtx, Tick, TickCtx — always
+//     return ErrReadOnly (check with errors.Is); writes belong on the
+//     primary.
 //   - Snapshot, Subscribe, Stats, Config, Shards — work normally,
 //     answered locally with no primary round-trip.
 //
@@ -243,10 +248,6 @@ type System struct {
 	cfg     Config
 	coord   *coordinator.Coordinator
 	filters map[int]*raytrace.Filter
-	// sigmas remembers each object's first-observation noise levels — the
-	// parameters its tolerance model was built with — so checkpoints can
-	// rebuild the filter's ToleranceFunc on restore.
-	sigmas  map[int][2]float64
 	pending []coordinator.Report
 	stats   Stats
 	lastNow int64
@@ -321,7 +322,6 @@ func New(cfg Config) (*System, error) {
 		cfg:     cfg,
 		coord:   coord,
 		filters: make(map[int]*raytrace.Filter),
-		sigmas:  make(map[int][2]float64),
 	}, nil
 }
 
@@ -398,9 +398,6 @@ func (s *System) observe(objectID int, tp trajectory.TimePoint, sigmaX, sigmaY f
 	f, ok := s.filters[objectID]
 	if !ok {
 		s.filters[objectID] = raytrace.NewWithTolerance(tp, s.cfg.toleranceFunc(sigmaX, sigmaY))
-		if sigmaX != 0 || sigmaY != 0 {
-			s.sigmas[objectID] = [2]float64{sigmaX, sigmaY}
-		}
 		return nil
 	}
 	st, report, err := f.Process(tp)
@@ -511,11 +508,6 @@ func (s *System) Score() float64 { return s.Snapshot().Score() }
 func (s *System) WriteGeoJSON(w io.Writer) error {
 	return s.Snapshot().WriteGeoJSON(w)
 }
-
-// Clock returns the timestamp of the last Tick — cheap (no snapshot),
-// for monitoring probes. Like every System method it must be called from
-// the goroutine driving the System.
-func (s *System) Clock() int64 { return s.lastNow }
 
 // Stats returns the system's counters.
 func (s *System) Stats() Stats {

@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -107,7 +108,7 @@ func cases() []benchCase {
 					return err
 				}
 				for _, batch := range batches {
-					if err := eng.ObserveBatch(batch); err != nil {
+					if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 						return err
 					}
 					if err := eng.Tick(batch[0].T); err != nil {
@@ -129,15 +130,12 @@ func cases() []benchCase {
 					return err
 				}
 				b.StartTimer()
-				dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
-					Config:     config(),
-					Concurrent: true,
-				})
+				dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{Config: config()})
 				if err != nil {
 					return err
 				}
 				for _, batch := range batches {
-					if err := dur.ObserveBatch(batch); err != nil {
+					if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 						return err
 					}
 					if err := dur.Tick(batch[0].T); err != nil {
@@ -176,7 +174,7 @@ func cases() []benchCase {
 			}
 			defer dur.Close()
 			for _, batch := range batches {
-				if err := dur.ObserveBatch(batch); err != nil {
+				if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 					return err
 				}
 				if err := dur.Tick(batch[0].T); err != nil {
@@ -270,7 +268,7 @@ func recoverCase(batches [][]hotpaths.Observation, ckptEvery int64) func(b *test
 			return err
 		}
 		for _, batch := range batches {
-			if err := dur.ObserveBatch(batch); err != nil {
+			if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 				return err
 			}
 			if err := dur.Tick(batch[0].T); err != nil {
@@ -282,11 +280,15 @@ func recoverCase(batches [][]hotpaths.Observation, ckptEvery int64) func(b *test
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			src, err := hotpaths.Recover(dir)
+			eng, err := hotpaths.Recover(dir)
 			if err != nil {
 				return err
 			}
-			if got := src.Snapshot().Stats().Observations; got != nObjects*horizon {
+			got := eng.Stats().Observations
+			if err := eng.Close(); err != nil {
+				return err
+			}
+			if got != nObjects*horizon {
 				return fmt.Errorf("recovered %d observations, want %d", got, nObjects*horizon)
 			}
 		}

@@ -16,11 +16,7 @@ import (
 // derived from the paths, and the crossing list carries the window's heap
 // layout verbatim.
 type State struct {
-	Paths []motion.Path // sorted by id, for a canonical encoding
-	// NextID is vestigial: ids are content-addressed (motion.PathIDFor),
-	// so there is no allocator to checkpoint. The field stays so old gob
-	// checkpoints decode; its value is ignored on restore.
-	NextID    motion.PathID
+	Paths     []motion.Path // sorted by id, for a canonical encoding
 	Stats     Stats
 	Crossings []hotness.Crossing // the window's pending events, heap order
 }

@@ -31,7 +31,7 @@
 // enqueue, so after the flush barrier the shard goroutines are guaranteed
 // idle and Tick may touch their filter banks directly — delivering epoch
 // responses without any per-message channel round trips. Queries
-// (TopK/AllPaths/Score/Stats) take the read lock: the coordinator is only
+// (Snapshot/Stats/Clock) take the read lock: the coordinator is only
 // mutated under the write lock, so they are safe concurrently with
 // ingestion.
 package engine
@@ -49,7 +49,6 @@ import (
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/flightrec"
 	"hotpaths/internal/geom"
-	"hotpaths/internal/motion"
 	"hotpaths/internal/partition"
 	"hotpaths/internal/raytrace"
 	"hotpaths/internal/tracing"
@@ -178,8 +177,8 @@ func (e *Engine) shardIndex(objectID int) int {
 }
 
 // Observe enqueues a single observation without the batching overhead of
-// ObserveBatch (no per-shard grouping allocations). See ObserveBatch for
-// the ordering contract.
+// ObserveBatchCtx (no per-shard grouping allocations). See ObserveBatchCtx
+// for the ordering contract.
 func (e *Engine) Observe(o Observation) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -192,19 +191,14 @@ func (e *Engine) Observe(o Observation) error {
 	return nil
 }
 
-// ObserveBatch enqueues a batch of observations, preserving their order
+// ObserveBatchCtx enqueues a batch of observations, preserving their order
 // per object. It is safe to call from many goroutines, but observations
 // for the same object must be produced in timestamp order by a single
 // producer (or otherwise externally ordered). Processing is asynchronous:
 // per-observation errors (e.g. a non-increasing timestamp) surface from
-// the next epoch-boundary Tick.
-func (e *Engine) ObserveBatch(batch []Observation) error {
-	return e.ObserveBatchCtx(context.Background(), batch)
-}
-
-// ObserveBatchCtx is ObserveBatch recording a span on the context's trace.
-// Span granularity is one span per batch, never per record; on an
-// unrecorded context the only cost is the context check.
+// the next epoch-boundary Tick. It records one span per batch on the
+// context's trace, never per record; on an unrecorded context the only
+// cost is the context check.
 func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
 	if len(batch) == 0 {
 		return nil
@@ -235,32 +229,29 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	return nil
 }
 
-// Tick advances the engine clock to now. The hotness window slides every
+// TickCtx advances the engine clock to now. The hotness window slides every
 // tick; at epoch boundaries — whenever the clock reaches or crosses a
 // multiple of Config.Epoch, so sparse client-driven clocks cannot skip an
 // epoch — the engine drains all shards, merges their reports back into
 // arrival order, runs the coordinator's SinglePath batch, and re-seeds the
-// reporting filters.
-// Tick must not be called concurrently with itself; it is safe
-// concurrently with ObserveBatch, but observations racing a Tick may only
-// be counted in a later epoch — callers wanting the System-identical
-// schedule must order Observe-before-Tick themselves.
-func (e *Engine) Tick(now trajectory.Time) error {
-	return e.TickCtx(context.Background(), now)
-}
-
-// TickCtx is Tick recording spans on the context's trace: an engine.tick
-// span per epoch-boundary batch, with an engine.epoch_barrier child timing
-// the shard drain.
-func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) error {
-	err, view := e.tick(ctx, now)
+// reporting filters. epoch reports whether this tick was such a boundary
+// (also when the batch itself then failed), so layers above — checkpoint
+// cadence, replication positions — never re-derive the epoch rule.
+// TickCtx must not be called concurrently with itself; it is safe
+// concurrently with ObserveBatchCtx, but observations racing a tick may
+// only be counted in a later epoch — callers wanting the System-identical
+// schedule must order Observe-before-Tick themselves. On the context's
+// trace it records an engine.tick span per epoch-boundary batch, with an
+// engine.epoch_barrier child timing the shard drain.
+func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, err error) {
+	epoch, view, err := e.tick(ctx, now)
 	if view != nil {
 		// Captured under the write lock, delivered outside it: the
 		// callback's fan-out work never stalls ingestion. See
 		// Config.OnEpoch for the ordering caveat.
 		e.cfg.OnEpoch(view.snap, view.now, view.st)
 	}
-	return err
+	return epoch, err
 }
 
 // epochView is the OnEpoch argument set, captured atomically with the
@@ -271,22 +262,22 @@ type epochView struct {
 	st   Stats
 }
 
-// tick is Tick under the write lock; a non-nil view means an epoch batch
-// was processed and OnEpoch should run with it.
-func (e *Engine) tick(ctx context.Context, now trajectory.Time) (err error, view *epochView) {
+// tick is TickCtx under the write lock; a non-nil view means an epoch
+// batch was processed and OnEpoch should run with it.
+func (e *Engine) tick(ctx context.Context, now trajectory.Time) (epoch bool, view *epochView, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return ErrClosed, nil
+		return false, nil, ErrClosed
 	}
 	if now <= e.lastNow {
-		return fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, e.lastNow), nil
+		return false, nil, fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, e.lastNow)
 	}
 	prev := e.lastNow
 	e.lastNow = now
 	e.coord.Advance(now)
 	if now/e.cfg.Epoch == prev/e.cfg.Epoch {
-		return nil, nil
+		return false, nil, nil
 	}
 	tEpoch := time.Now()
 	ctx, span := tracing.StartSpan(ctx, "engine.tick")
@@ -350,7 +341,7 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (err error, view
 		// future epoch (mirrors System.Tick). RayTrace filters cannot
 		// produce such reports.
 		errs = append(errs, perr)
-		return errors.Join(errs...), nil
+		return true, nil, errors.Join(errs...)
 	}
 	// A sparse clock that jumped more than W past the reports' exit
 	// timestamps makes the just-recorded crossings already stale; expire
@@ -375,7 +366,7 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (err error, view
 		//hotpathsvet:ignore locksnapshot epoch views are EpochWanted-gated and the snapshot must be consistent with this tick's staged reports, which only the lock guarantees
 		view = &epochView{snap: e.coord.Snapshot(), now: e.lastNow, st: e.statsLocked()}
 	}
-	return errors.Join(errs...), view
+	return true, view, errors.Join(errs...)
 }
 
 // drainLocked flushes every shard queue and waits until all shards are
@@ -390,6 +381,20 @@ func (e *Engine) drainLocked() {
 	for _, ack := range acks {
 		<-ack
 	}
+}
+
+// Drain blocks until every observation enqueued before the call has been
+// processed by its shard, which makes the Observations/Reports counters
+// exact. Journal replay ends with it: a journal rarely stops on an epoch
+// boundary, and "recovered" must not mean "still settling".
+func (e *Engine) Drain() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrClosed
+	}
+	e.drainLocked()
+	return nil
 }
 
 // Close drains the shards and stops their goroutines. Queries remain
@@ -413,27 +418,6 @@ func (e *Engine) Close() error {
 		<-s.done
 	}
 	return firstErr
-}
-
-// TopK returns the k hottest motion paths, hottest first.
-func (e *Engine) TopK(k int) []motion.HotPath {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.coord.TopK(k)
-}
-
-// AllPaths returns every live motion path, hottest first.
-func (e *Engine) AllPaths() []motion.HotPath {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.coord.AllPaths()
-}
-
-// Score returns the paper's quality metric over the current top-k set.
-func (e *Engine) Score(k int) float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.coord.Score(k)
 }
 
 // Clock returns the timestamp of the last Tick — cheap (no snapshot, no

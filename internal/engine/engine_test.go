@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -24,6 +25,12 @@ func testCoordinator(t *testing.T) *coordinator.Coordinator {
 }
 
 func fixedTol(_, _ float64) raytrace.ToleranceFunc { return raytrace.FixedTolerance(5) }
+
+// tick is the test shorthand for an untraced TickCtx.
+func tick(e *Engine, now trajectory.Time) error {
+	_, err := e.TickCtx(context.Background(), now)
+	return err
+}
 
 func testEngine(t *testing.T, shards int) *Engine {
 	t.Helper()
@@ -85,11 +92,11 @@ func TestBarrierDrains(t *testing.T) {
 	for i := range batch {
 		batch[i] = Observation{ObjectID: i, P: geom.Pt(float64(i), 0), T: 1}
 	}
-	if err := e.ObserveBatch(batch); err != nil {
+	if err := e.ObserveBatchCtx(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	for now := trajectory.Time(1); now <= 10; now++ {
-		if err := e.Tick(now); err != nil {
+		if err := tick(e, now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,10 +115,10 @@ func TestProcessingErrorSurfaces(t *testing.T) {
 		{ObjectID: 7, P: geom.Pt(1, 1), T: 6},
 		{ObjectID: 7, P: geom.Pt(2, 2), T: 6}, // repeated timestamp
 	}
-	if err := e.ObserveBatch(feed); err != nil {
+	if err := e.ObserveBatchCtx(context.Background(), feed); err != nil {
 		t.Fatal(err)
 	}
-	err := e.Tick(10)
+	err := tick(e, 10)
 	if err == nil {
 		t.Fatal("Tick must surface the shard processing error")
 	}
@@ -127,23 +134,23 @@ func TestProcessingErrorSurfaces(t *testing.T) {
 		t.Errorf("Epochs = %d after erroring Tick, want 1", got)
 	}
 	// The error is consumed; the engine keeps working.
-	if err := e.Tick(20); err != nil {
+	if err := tick(e, 20); err != nil {
 		t.Errorf("engine did not recover: %v", err)
 	}
 }
 
 func TestTickMonotonic(t *testing.T) {
 	e := testEngine(t, 2)
-	if err := e.Tick(0); err == nil {
+	if err := tick(e, 0); err == nil {
 		t.Error("Tick(0) must error (clock starts at 0)")
 	}
-	if err := e.Tick(5); err != nil {
+	if err := tick(e, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Tick(5); err == nil {
+	if err := tick(e, 5); err == nil {
 		t.Error("repeated Tick must error")
 	}
-	if err := e.Tick(3); err == nil {
+	if err := tick(e, 3); err == nil {
 		t.Error("backwards Tick must error")
 	}
 }
@@ -162,14 +169,14 @@ func TestCloseSemantics(t *testing.T) {
 	if err := e.Observe(Observation{ObjectID: 1, P: geom.Pt(1, 1), T: 2}); err != ErrClosed {
 		t.Errorf("Observe after Close = %v, want ErrClosed", err)
 	}
-	if err := e.Tick(10); err != ErrClosed {
+	if err := tick(e, 10); err != ErrClosed {
 		t.Errorf("Tick after Close = %v, want ErrClosed", err)
 	}
 	// Queries remain valid.
 	if got := e.Stats().Observations; got != 1 {
 		t.Errorf("Stats after Close: Observations = %d, want 1", got)
 	}
-	if paths := e.AllPaths(); paths == nil && len(paths) != 0 {
-		t.Error("AllPaths after Close must not panic")
+	if snap, now, _ := e.Snapshot(); len(snap.Paths) != 0 || now != 0 {
+		t.Errorf("Snapshot after Close: %d paths at clock %d, want an empty view at 0", len(snap.Paths), now)
 	}
 }

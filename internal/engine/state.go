@@ -18,11 +18,11 @@ type FilterEntry struct {
 }
 
 // State is the engine's complete mutable state, exported for
-// checkpointing. It is deployment-agnostic: the same State restores into
-// an Engine with any shard count, or into the single-goroutine
-// hotpaths.System, with bit-identical future behaviour — Pending holds
-// the next epoch's reports (follow-ups first, then observation-raised
-// reports) in the exact order that epoch's batch will process them.
+// checkpointing. It is shard-count-agnostic: the same State restores into
+// an Engine of any width with bit-identical future behaviour — Pending
+// holds the next epoch's reports (follow-ups first, then
+// observation-raised reports) in the exact order that epoch's batch will
+// process them.
 type State struct {
 	Clock        trajectory.Time
 	Observations int64
@@ -51,16 +51,13 @@ func (e *Engine) DumpState() (State, error) {
 	}
 	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
 
+	counters := e.statsLocked()
 	st := State{
 		Clock:        e.lastNow,
 		Responses:    e.responses,
-		Reports:      int64(e.followed) + e.baseReported,
-		Observations: e.baseObserved,
+		Reports:      int64(counters.Reports),
+		Observations: int64(counters.Observations),
 		Coord:        e.coord.DumpState(),
-	}
-	for _, s := range e.shards {
-		st.Observations += s.observed.Load()
-		st.Reports += s.reported.Load()
 	}
 	st.Pending = append(st.Pending, e.followUps...)
 	for _, tr := range e.staged {

@@ -59,43 +59,47 @@ func ReadFrom(dir string, from uint64, fn func(lsn uint64, r Record) error) erro
 	return nil
 }
 
-// WriteCheckpoint atomically writes a checkpoint file whose state covers
-// every record with LSN < lsn: payload goes to a temp file, is fsynced,
-// and is renamed into place. Older checkpoint files beyond the most recent
-// `keep` are deleted afterwards (keep < 1 keeps only the new one).
-func WriteCheckpoint(dir string, lsn uint64, payload []byte, keep int) error {
+// WriteFileAtomic durably replaces dir/name with payload: the bytes go to
+// a temp file, are fsynced, and are renamed into place, then the
+// directory is fsynced so the rename itself survives a power loss. A
+// reader therefore sees the old file or the whole new one, never a
+// renamed-but-empty one. Checkpoints and the journal's config file — the
+// files recovery trusts without replaying anything — are written this way.
+func WriteFileAtomic(dir, name string, payload []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	final := filepath.Join(dir, ckptName(lsn))
+	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
+	if _, err = f.Write(payload); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
+	return syncDir(dir)
+}
+
+// WriteCheckpoint atomically writes a checkpoint file whose state covers
+// every record with LSN < lsn. Older checkpoint files beyond the most
+// recent `keep` are deleted afterwards (keep < 1 keeps only the new one).
+func WriteCheckpoint(dir string, lsn uint64, payload []byte, keep int) error {
 	// The rename must be durable BEFORE the caller deletes the segments
 	// this checkpoint covers; without the directory fsync a power loss
 	// could persist the unlinks but not the rename, losing both the
 	// checkpoint and the records that could rebuild it.
-	if err := syncDir(dir); err != nil {
+	if err := WriteFileAtomic(dir, ckptName(lsn), payload); err != nil {
 		return err
 	}
 	// Retention: drop old checkpoints beyond the newest `keep` extras.

@@ -13,7 +13,6 @@ import (
 	"hotpaths/internal/engine"
 	"hotpaths/internal/flightrec"
 	"hotpaths/internal/replication"
-	"hotpaths/internal/tracing"
 	"hotpaths/internal/wal"
 )
 
@@ -100,21 +99,15 @@ type ReplicationStats struct {
 	LastError  string // most recent stream/bootstrap error, "" when none
 }
 
-// followerBatch is how many consecutive Observe records the applier
-// groups into one Engine.ObserveBatch call. Batching is what keeps
-// follower apply throughput at the same order as recovery replay; it
-// cannot change results because the Engine merges observations back into
-// arrival order at epoch boundaries regardless of batch boundaries.
-const followerBatch = 1024
-
 // Follower is a read-only replica: it bootstraps from the primary's
 // latest checkpoint, tails the primary's write-ahead log over HTTP, and
-// applies the records to a local Engine. Because both deployments are
-// observation-order-deterministic, the follower's Snapshot().Query(q) is
-// byte-identical to the primary's at every shared epoch boundary.
+// applies the records to a local Engine through the same applier crash
+// recovery uses. Because the pipeline is observation-order-deterministic,
+// the follower's Snapshot().Query(q) is byte-identical to the primary's
+// at every shared epoch boundary.
 //
 // Follower implements Source, but it is the read-only half: Observe,
-// ObserveNoisy, ObserveBatch and Tick always return ErrReadOnly, while
+// ObserveNoisy, ObserveBatchCtx and Tick always return ErrReadOnly, while
 // Snapshot, Subscribe and Stats serve local state with no primary
 // round-trip. Reads are eventually consistent with the primary —
 // replication lag is bounded by the primary's group-commit flush cadence
@@ -130,7 +123,6 @@ const followerBatch = 1024
 type Follower struct {
 	primary string
 	cfg     FollowerConfig
-	conf    Config
 	client  *replication.Client
 	eng     *Engine
 
@@ -141,8 +133,6 @@ type Follower struct {
 	mu           sync.Mutex
 	streamCancel context.CancelFunc // cancels the live stream (Reconnect)
 	applied      uint64
-	clock        int64
-	epoch        int64 // local epoch sequence, mirrored incrementally off applied ticks
 	hb           replication.Status
 	hbSeen       bool
 	connected    bool
@@ -184,7 +174,6 @@ func OpenFollower(primary string, cfg FollowerConfig) (*Follower, error) {
 	f := &Follower{
 		primary: primary,
 		cfg:     cfg,
-		conf:    eng.Config(),
 		client:  client,
 		eng:     eng,
 		cancel:  cancel,
@@ -208,39 +197,28 @@ func OpenFollower(primary string, cfg FollowerConfig) (*Follower, error) {
 func (f *Follower) bootstrap(ctx context.Context) error {
 	t0 := time.Now()
 	lsn, payload, err := f.client.Checkpoint(ctx)
-	if errors.Is(err, replication.ErrNoCheckpoint) {
+	var st engine.State // stays empty (a wipe, at LSN 0) without a checkpoint
+	switch {
+	case errors.Is(err, replication.ErrNoCheckpoint):
 		f.mu.Lock()
 		applied := f.applied
 		f.mu.Unlock()
 		if applied == 0 {
 			return nil // initial open: the engine is already fresh at LSN 0
 		}
-		if err := f.eng.eng.RestoreState(engine.State{}); err != nil {
+		lsn = 0
+	case err != nil:
+		return err
+	default:
+		if st, err = decodeCheckpoint(payload, f.eng.cfg); err != nil {
 			return err
 		}
-		f.mu.Lock()
-		f.applied, f.clock, f.epoch = 0, 0, 0
-		f.bootstraps++
-		f.mu.Unlock()
-		f.gen.Add(1)
-		mFollowerBootstrap.ObserveSince(t0)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	st, err := decodeCheckpoint(payload, f.conf)
-	if err != nil {
-		return err
 	}
 	if err := f.eng.eng.RestoreState(st); err != nil {
 		return err
 	}
-	epoch := f.eng.Snapshot().Epoch()
 	f.mu.Lock()
 	f.applied = lsn
-	f.clock = int64(st.Clock)
-	f.epoch = epoch
 	f.bootstraps++
 	f.mu.Unlock()
 	f.gen.Add(1)
@@ -307,14 +285,10 @@ func (f *Follower) run(ctx context.Context) {
 	}
 }
 
-// streamOnce runs one stream connection until it ends, applying records
-// to the local engine. Observe records are grouped into batches flushed
-// at every Tick, heartbeat, or followerBatch records — so the applied
-// LSN only advances over fully-applied prefixes, and a dropped connection
-// resumes exactly after the last applied record. Apply errors are
-// discarded: the primary saw the identical error from the identical call
-// and carried on, so discarding reproduces its state (the same contract
-// recovery's replay uses).
+// streamOnce runs one stream connection until it ends, feeding its
+// records to the applier, flushed at every heartbeat too. The applied LSN
+// only advances over fully-applied prefixes, so a dropped connection
+// resumes exactly after the last applied record.
 func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -362,71 +336,24 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 		}
 	}()
 
-	batch := make([]Observation, 0, followerBatch)
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		// The apply loop has no inbound request to continue, so each flush
-		// is its own probabilistically sampled local-root trace — slow
-		// follower applies surface in /debug/traces like slow writes do on
-		// the primary.
-		actx, span := tracing.Default.StartRoot(context.Background(), "replication.apply")
-		span.SetAttr("records", len(batch))
-		_ = f.eng.ObserveBatchCtx(actx, batch)
-		span.End()
+	a := newApplier(f.eng)
+	a.traced = true
+	a.applied = func(next uint64) {
 		f.mu.Lock()
-		f.applied += uint64(len(batch))
+		n := next - f.applied
+		f.applied = next
 		f.mu.Unlock()
-		mFollowerApplied.Add(uint64(len(batch)))
-		batch = batch[:0]
+		mFollowerApplied.Add(n)
 		f.gen.Add(1)
 	}
 	err = f.client.Stream(sctx, from,
 		func(lsn uint64, rec wal.Record) error {
 			touch()
-			switch rec.Kind {
-			case wal.KindObserve:
-				batch = append(batch, Observation{
-					ObjectID: int(rec.ObjectID),
-					X:        rec.X, Y: rec.Y, T: rec.T,
-					SigmaX: rec.SigmaX, SigmaY: rec.SigmaY,
-				})
-				if len(batch) >= followerBatch {
-					flush()
-				}
-			case wal.KindTick:
-				flush()
-				actx, span := tracing.Default.StartRoot(context.Background(), "replication.tick")
-				span.SetAttr("tick", rec.T)
-				_ = f.eng.TickCtx(actx, rec.T)
-				span.End()
-				f.mu.Lock()
-				f.applied = lsn + 1
-				// Mirror the engine's epoch/clock rules instead of taking a
-				// snapshot per tick: the clock only moves forward (a
-				// non-advancing Tick was an error on the primary too), and
-				// an epoch fires when it crosses a multiple of Epoch.
-				if rec.T > f.clock {
-					if rec.T/f.conf.Epoch != f.clock/f.conf.Epoch {
-						f.epoch++
-					}
-					f.clock = rec.T
-				}
-				f.mu.Unlock()
-				mFollowerApplied.Inc()
-				f.gen.Add(1)
-			default:
-				// A record kind this build does not know: it cannot apply
-				// it, and silently skipping would diverge. Surface it; the
-				// operator must upgrade the follower.
-				return fmt.Errorf("hotpaths: stream carried unknown record kind %d at LSN %d; follower too old?", rec.Kind, lsn)
-			}
-			return nil
+			return a.apply(lsn, rec)
 		},
 		func(st replication.Status) {
 			touch()
-			flush()
+			a.flush()
 			f.mu.Lock()
 			wasConnected := f.connected
 			f.hb = st
@@ -449,7 +376,7 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 			mFollowerLag.Set(lag)
 			hadConnection = true
 		})
-	flush() // records received before the drop are valid; keep them
+	a.flush() // records received before the drop are valid; keep them
 	cancel()
 	<-watchdogDone // also orders the `stalled` read after its last write
 	if stalled {
@@ -466,10 +393,7 @@ func (f *Follower) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t in
 	return ErrReadOnly
 }
 
-// ObserveBatch always returns ErrReadOnly: followers reject writes.
-func (f *Follower) ObserveBatch(batch []Observation) error { return ErrReadOnly }
-
-// ObserveBatchCtx always returns ErrReadOnly, like ObserveBatch.
+// ObserveBatchCtx always returns ErrReadOnly: followers reject writes.
 func (f *Follower) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
 	return ErrReadOnly
 }
@@ -496,15 +420,11 @@ func (f *Follower) Stats() Stats { return f.eng.Stats() }
 
 // Clock returns the timestamp of the last applied Tick — cheap (no
 // snapshot), for monitoring probes.
-func (f *Follower) Clock() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.clock
-}
+func (f *Follower) Clock() int64 { return f.eng.Clock() }
 
 // Config returns the primary's journal configuration, which the follower
 // replays under (defaults applied).
-func (f *Follower) Config() Config { return f.conf }
+func (f *Follower) Config() Config { return f.eng.cfg }
 
 // Shards returns the local engine's shard count.
 func (f *Follower) Shards() int { return f.eng.Shards() }
@@ -535,14 +455,18 @@ func (f *Follower) Reconnect() {
 // primary. The primary-side fields come from the stream's heartbeats and
 // are zero until the first one arrives.
 func (f *Follower) Replication() ReplicationStats {
+	// The local epoch and clock are the Engine's own, not a mirror of its
+	// epoch rule; read before taking f.mu so a probe never holds it across
+	// the engine lock.
+	epoch, clock := int64(f.eng.Stats().Epochs), f.eng.Clock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := ReplicationStats{
 		Primary:      f.primary,
 		Connected:    f.connected,
 		AppliedLSN:   f.applied,
-		AppliedEpoch: f.epoch,
-		AppliedClock: f.clock,
+		AppliedEpoch: epoch,
+		AppliedClock: clock,
 		Reconnects:   f.reconnects,
 		Bootstraps:   f.bootstraps,
 	}

@@ -80,12 +80,41 @@ func waitCaughtUp(t *testing.T, f *Follower, clock, epoch int64) Snapshot {
 // variant over real hotpathsd processes lives in cmd/hotpathsd behind the
 // replication_e2e build tag.)
 func TestFollowerMatchesPrimary(t *testing.T) {
-	cfg := engineTestConfig()
 	batches := flowWorkload(48, 160, 42)
+	followerMatchesPrimary(t, engineTestConfig(), batches)
+	// The (ε,δ) mode over the same path: half the objects noisy, so sigmas
+	// travel in the stream's records AND in the bootstrap checkpoint's
+	// filter entries, and the primary itself is held to a System fed
+	// ObserveNoisy.
+	t.Run("noisy", func(t *testing.T) {
+		cfg := engineTestConfig()
+		cfg.Delta = 0.05
+		followerMatchesPrimary(t, cfg, makeNoisy(batches))
+	})
+}
+
+// makeNoisy turns a workload, in place, into an (ε,δ) one: every odd
+// object reports Gaussian measurements, the even ones stay exact. The
+// config to run it under needs Delta > 0.
+func makeNoisy(batches [][]Observation) [][]Observation {
+	for _, batch := range batches {
+		for i := range batch {
+			if batch[i].ObjectID%2 == 1 {
+				batch[i].SigmaX, batch[i].SigmaY = 0.8, 0.5
+			}
+		}
+	}
+	return batches
+}
+
+func followerMatchesPrimary(t *testing.T, cfg Config, batches [][]Observation) {
 	dir := t.TempDir()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dur, err := OpenDurable(dir, DurableConfig{
 		Config:        cfg,
-		Concurrent:    true,
 		Shards:        4,
 		SegmentBytes:  8 << 10, // rotate often so truncation really deletes segments
 		FsyncInterval: time.Millisecond,
@@ -98,10 +127,23 @@ func TestFollowerMatchesPrimary(t *testing.T) {
 
 	feed := func(batch []Observation) {
 		t.Helper()
-		if err := dur.ObserveBatch(batch); err != nil {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := dur.Tick(batch[0].T); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range batch {
+			if o.SigmaX != 0 || o.SigmaY != 0 {
+				err = sys.ObserveNoisy(o.ObjectID, o.X, o.Y, o.SigmaX, o.SigmaY, o.T)
+			} else {
+				err = sys.Observe(o.ObjectID, o.X, o.Y, o.T)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sys.Tick(batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,11 +188,16 @@ func TestFollowerMatchesPrimary(t *testing.T) {
 		}
 		psnap := dur.Snapshot()
 		fsnap := waitCaughtUp(t, f, psnap.Clock(), psnap.Epoch())
+		ssnap := sys.Snapshot()
 		for qi, q := range replicationQueries() {
 			pq, fq := psnap.Query(q), fsnap.Query(q)
 			if !reflect.DeepEqual(pq, fq) {
 				t.Fatalf("epoch %d query %d: follower diverged\nprimary:  %v\nfollower: %v",
 					psnap.Epoch(), qi, pq, fq)
+			}
+			if sq := ssnap.Query(q); !reflect.DeepEqual(sq, pq) {
+				t.Fatalf("epoch %d query %d: primary diverged from the System reference\nsystem:  %v\nprimary: %v",
+					psnap.Epoch(), qi, sq, pq)
 			}
 		}
 		if psnap.Stats() != fsnap.Stats() {
@@ -239,7 +286,7 @@ func TestFollowerHealsDivergenceWithoutCheckpoint(t *testing.T) {
 
 	batches := flowWorkload(16, 80, 5)
 	for _, batch := range batches[:60] {
-		if err := dur.ObserveBatch(batch); err != nil {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := dur.Tick(batch[0].T); err != nil {
@@ -321,7 +368,7 @@ func TestFollowerHealsDivergenceWithoutCheckpoint(t *testing.T) {
 	// primary past the next epoch boundaries (counters are exact only at
 	// boundaries — an Engine drains its shards there) and converge.
 	for _, batch := range batches[60:] {
-		if err := dur.ObserveBatch(batch); err != nil {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := dur.Tick(batch[0].T); err != nil {
@@ -413,8 +460,8 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	if err := f.ObserveNoisy(1, 2, 3, 1, 1, 4); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("ObserveNoisy: got %v, want ErrReadOnly", err)
 	}
-	if err := f.ObserveBatch([]Observation{{ObjectID: 1, T: 1}}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("ObserveBatch: got %v, want ErrReadOnly", err)
+	if err := f.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, T: 1}}); !errors.Is(err, ErrReadOnly) {
+		t.Errorf("ObserveBatchCtx: got %v, want ErrReadOnly", err)
 	}
 	if err := f.Tick(9); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("Tick: got %v, want ErrReadOnly", err)
@@ -435,7 +482,7 @@ func TestFollowerSubscriptions(t *testing.T) {
 	batches := flowWorkload(16, 80, 7)
 	dir := t.TempDir()
 	dur, err := OpenDurable(dir, DurableConfig{
-		Config: cfg, Concurrent: true, FsyncInterval: time.Millisecond,
+		Config: cfg, FsyncInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +502,7 @@ func TestFollowerSubscriptions(t *testing.T) {
 	defer sub.Close()
 
 	for _, batch := range batches {
-		if err := dur.ObserveBatch(batch); err != nil {
+		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := dur.Tick(batch[0].T); err != nil {

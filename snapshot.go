@@ -10,10 +10,12 @@ import (
 )
 
 // Source is the common surface of the package's deployments: the
-// single-goroutine System, the concurrent sharded Engine, the journaled
-// Durable, and the replicated Follower. Callers that ingest a stream and
-// read results back — replay tools, network frontends, tests — can be
-// written once against Source and handed any of them.
+// single-goroutine System, the concurrent sharded Engine, and the two
+// shells around an Engine — the journaled Durable and the replicated
+// Follower. Callers that ingest a stream and read results back — replay
+// tools, network frontends, tests — can be written once against Source
+// and handed any of them. Batched and trace-aware writes are not part of
+// it: ObserveBatchCtx and TickCtx exist on the Engine-backed three only.
 //
 // The concurrency contract stays per-implementation: System must be driven
 // from one goroutine; Engine accepts concurrent Observes. Snapshot is the

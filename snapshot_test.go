@@ -2,6 +2,7 @@ package hotpaths
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -29,7 +30,7 @@ func feedBoth(t *testing.T, cfg Config, nObjects int, horizon, seed int64) (*Sys
 				t.Fatal(err)
 			}
 		}
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		now := batch[0].T
@@ -207,7 +208,7 @@ func TestSnapshotImmuneToLaterIngestion(t *testing.T) {
 
 	batches := IngestWorkload(48, 200, 5)
 	for _, batch := range batches[:100] {
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Tick(batch[0].T); err != nil {
@@ -234,7 +235,7 @@ func TestSnapshotImmuneToLaterIngestion(t *testing.T) {
 		}()
 	}
 	for _, batch := range batches[100:] {
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Tick(batch[0].T); err != nil {

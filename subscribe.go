@@ -431,19 +431,3 @@ func (s *System) Subscribe(q Query) (*Subscription, error) {
 func (e *Engine) Subscribe(q Query) (*Subscription, error) {
 	return e.subs.subscribe(q, e.Snapshot)
 }
-
-// Subscribe registers a standing query with the durable deployment,
-// delegating to the backing System or Engine: deltas fire at the same
-// epoch boundaries, so a Durable emits the identical stream to the bare
-// deployment fed the same journal.
-func (d *Durable) Subscribe(q Query) (*Subscription, error) {
-	if d.eng != nil {
-		return d.eng.Subscribe(q)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return nil, ErrSourceClosed
-	}
-	return d.sys.Subscribe(q)
-}

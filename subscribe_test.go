@@ -1,6 +1,7 @@
 package hotpaths
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -144,10 +145,10 @@ func runSubscribed(t *testing.T, src Source, queries []Query, batches [][]Observ
 // deployment offers, mirroring how each is driven in production.
 func observeAll(src Source, batch []Observation) error {
 	type batcher interface {
-		ObserveBatch(batch []Observation) error
+		ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	}
 	if b, ok := src.(batcher); ok {
-		return b.ObserveBatch(batch)
+		return b.ObserveBatchCtx(context.Background(), batch)
 	}
 	for _, o := range batch {
 		if err := src.Observe(o.ObjectID, o.X, o.Y, o.T); err != nil {
@@ -177,7 +178,6 @@ func TestSubscriptionMatchesSnapshots(t *testing.T) {
 	t.Cleanup(func() { eng.Close() })
 	dur, err := OpenDurable(t.TempDir(), DurableConfig{
 		Config:        cfg,
-		Concurrent:    true,
 		Shards:        4,
 		FsyncInterval: -1,
 	})
@@ -329,7 +329,7 @@ func TestSubscribeConcurrentWithIngestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range IngestWorkload(32, 120, 3) {
-		if err := eng.ObserveBatch(batch); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.Tick(batch[0].T); err != nil {
@@ -382,7 +382,7 @@ func TestConcurrentTickersWithSubscriberStayOrdered(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, batch := range batches {
-				_ = eng.ObserveBatch(batch)
+				_ = eng.ObserveBatchCtx(context.Background(), batch)
 				_ = eng.Tick(batch[0].T) // the loser errors; that's the contract
 			}
 		}()
@@ -476,14 +476,14 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 		}
 	}
 	for _, src := range []interface {
-		ObserveBatch(batch []Observation) error
+		ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	}{eng, dur} {
-		err := src.ObserveBatch([]Observation{
+		err := src.ObserveBatchCtx(context.Background(), []Observation{
 			{ObjectID: 1, X: 0, Y: 0, T: 1},
 			{ObjectID: 2, X: nan, Y: 0, T: 1},
 		})
 		if err == nil {
-			t.Errorf("%T.ObserveBatch accepted a NaN coordinate", src)
+			t.Errorf("%T.ObserveBatchCtx accepted a NaN coordinate", src)
 		}
 	}
 	// The WAL must not have journaled any rejected record: recovery would

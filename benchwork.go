@@ -2,7 +2,6 @@ package hotpaths
 
 import (
 	"math/rand"
-	"sort"
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/geom"
@@ -56,16 +55,7 @@ func NewBenchSnapshot(paths []HotPath, bounds Rect, cols, rows, k int) Snapshot 
 			Hotness: hp.Hotness,
 		}
 	}
-	sort.Slice(mp, func(i, j int) bool {
-		if mp[i].Hotness != mp[j].Hotness {
-			return mp[i].Hotness > mp[j].Hotness
-		}
-		li, lj := mp[i].Path.Length(), mp[j].Path.Length()
-		if li != lj {
-			return li > lj
-		}
-		return mp[i].Path.ID < mp[j].Path.ID
-	})
+	motion.SortRanked(mp, (*motion.HotPath).Rank)
 	gb := geom.Rect{Lo: geom.Pt(bounds.Min.X, bounds.Min.Y), Hi: geom.Pt(bounds.Max.X, bounds.Max.Y)}
 	return Snapshot{snap: coordinator.SnapshotOf(mp, gb, cols, rows), k: k}
 }

@@ -54,17 +54,23 @@ type checkpointBody struct {
 	State  engine.State
 }
 
-// encodeCheckpoint serializes a state dump taken under cfg.
+// encodeCheckpoint serializes a state dump taken under cfg. The body is
+// encoded behind a reserved header in one buffer, whose checksum is
+// filled in afterwards: a second copy of the payload would be live at the
+// very moment the process's heap peaks (the dump, gob's own buffer and
+// the payload all at once).
 func encodeCheckpoint(cfg Config, st engine.State) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(checkpointBody{Config: cfg, State: st}); err != nil {
+	var out bytes.Buffer
+	out.Write(checkpointMagic)
+	out.Write(binary.LittleEndian.AppendUint32(nil, checkpointVersion))
+	out.Write(make([]byte, 4)) // the body's CRC, once there is a body
+	hdr := out.Len()
+	if err := gob.NewEncoder(&out).Encode(checkpointBody{Config: cfg, State: st}); err != nil {
 		return nil, fmt.Errorf("hotpaths: encode checkpoint: %w", err)
 	}
-	out := make([]byte, 0, len(checkpointMagic)+8+body.Len())
-	out = append(out, checkpointMagic...)
-	out = binary.LittleEndian.AppendUint32(out, checkpointVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body.Bytes(), checkpointCRC))
-	return append(out, body.Bytes()...), nil
+	b := out.Bytes()
+	binary.LittleEndian.PutUint32(b[hdr-4:], crc32.Checksum(b[hdr:], checkpointCRC))
+	return b, nil
 }
 
 // decodeCheckpoint validates and deserializes a checkpoint payload,

@@ -113,13 +113,15 @@ func familyHeaders(body string, prefixes ...string) string {
 // named here, and dashboards, the SLO sampler and benchmark/ read them by
 // name: their names, kinds and help strings are frozen.
 func TestHTTPMetricFamiliesGolden(t *testing.T) {
-	const golden = `# HELP hotpaths_http_request_seconds HTTP request duration by route.
+	const golden = `# HELP hotpaths_http_observe_fallback_total POST /observe bodies outside the canonical form, decoded by encoding/json.
+# HELP hotpaths_http_request_seconds HTTP request duration by route.
 # HELP hotpaths_http_requests_total HTTP requests by route and status class.
 # HELP hotpaths_slo_availability_burn_ratio availability error-budget burn rate over the window (1.0 = spending budget exactly at the objective rate)
 # HELP hotpaths_slo_availability_objective_ratio configured availability SLO: target fraction of non-5xx requests
 # HELP hotpaths_slo_latency_burn_ratio latency error-budget burn rate over the window (1.0 = spending budget exactly at the objective rate)
 # HELP hotpaths_slo_latency_objective_ratio configured latency SLO: target fraction of requests under the threshold
 # HELP hotpaths_slo_latency_threshold_seconds latency SLO threshold (snapped down to a histogram bucket bound)
+# TYPE hotpaths_http_observe_fallback_total counter
 # TYPE hotpaths_http_request_seconds histogram
 # TYPE hotpaths_http_requests_total counter
 # TYPE hotpaths_slo_availability_burn_ratio gauge

@@ -220,21 +220,22 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
 	}
-	var req httpapi.ObserveRequest
-	if !httpapi.DecodeBody(w, r, &req) {
+	b := batches.Get().(*observeBatch)
+	defer batches.Put(b)
+	tick, _, ok := httpapi.DecodeObserve(w, r, b, mObserveFallback)
+	if !ok {
 		return
 	}
-	batch := make([]hotpaths.Observation, len(req.Observations))
-	for i, o := range req.Observations {
-		if s.partN > 0 {
-			if owner := partition.Index(o.Object, s.partN); owner != s.partID {
+	batch := b.obs
+	if s.partN > 0 {
+		for _, o := range batch {
+			if owner := partition.Index(o.ObjectID, s.partN); owner != s.partID {
 				httpapi.Error(w, http.StatusBadRequest, fmt.Errorf(
 					"object %d belongs to partition %d of %d, not this daemon (partition %d); check the router's table",
-					o.Object, owner, s.partN, s.partID))
+					o.ObjectID, owner, s.partN, s.partID))
 				return
 			}
 		}
-		batch[i] = o.Observation()
 	}
 	if err := s.src.ObserveBatchCtx(r.Context(), batch); err != nil {
 		httpapi.Error(w, s.writeErrStatus(), err)
@@ -242,8 +243,8 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.invalidate()
 	resp := map[string]any{"accepted": len(batch)}
-	if req.Tick > 0 {
-		err := s.src.TickCtx(r.Context(), req.Tick)
+	if tick > 0 {
+		err := s.src.TickCtx(r.Context(), tick)
 		s.invalidate()
 		if err != nil {
 			// The batch was already ingested; report that alongside the
@@ -254,10 +255,31 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		resp["now"] = req.Tick
+		resp["now"] = tick
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
+
+// observeBatch is the daemon's httpapi.ObserveSink: one request's
+// observations in the form the backend ingests. The backend copies what
+// it keeps (into shard queues and WAL records) before ObserveBatchCtx
+// returns, so a batch goes back to the pool with its request.
+type observeBatch struct {
+	obs []hotpaths.Observation
+}
+
+func (b *observeBatch) Reset() { b.obs = b.obs[:0] }
+
+func (b *observeBatch) Add(o hotpaths.ObservationJSON, _ []byte) {
+	b.obs = append(b.obs, o.Observation())
+}
+
+var batches = sync.Pool{New: func() any { return new(observeBatch) }}
+
+// mObserveFallback counts the /observe bodies encoding/json had to decode
+// because they were not in the canonical form (see httpapi.DecodeObserve).
+var mObserveFallback = metrics.Default.Counter("hotpaths_http_observe_fallback_total",
+	"POST /observe bodies outside the canonical form, decoded by encoding/json.", nil)
 
 // writeErrStatus picks the status for a failed write: 400 for what must
 // be the client's bad input, 503 once the WAL is poisoned — then every

@@ -27,7 +27,6 @@ package coordinator
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hotpaths/internal/geom"
 	"hotpaths/internal/gridindex"
@@ -384,10 +383,9 @@ func (c *Coordinator) insertPath(s, e geom.Point) motion.PathID {
 
 // TopK returns the k hottest stored paths, sorted by hotness descending
 // (ties: longer first, then smaller id). k ≤ 0 returns all paths sorted.
-// This comparator defines the canonical result order; the public
-// package's subscription layer (sortResults in subscribe.go) reproduces
-// it to reconstruct query results from deltas, so any tie-break change
-// here must be mirrored there.
+// This is the canonical result order, motion.HotPath.Rank; the public
+// package's subscription layer (sortResults in subscribe.go) sorts by the
+// same key to reconstruct query results from deltas.
 func (c *Coordinator) TopK(k int) []motion.HotPath {
 	out := make([]motion.HotPath, 0, len(c.paths))
 	c.hot.ForEach(func(id motion.PathID, h int) bool {
@@ -396,16 +394,7 @@ func (c *Coordinator) TopK(k int) []motion.HotPath {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hotness != out[j].Hotness {
-			return out[i].Hotness > out[j].Hotness
-		}
-		li, lj := out[i].Path.Length(), out[j].Path.Length()
-		if li != lj {
-			return li > lj
-		}
-		return out[i].Path.ID < out[j].Path.ID
-	})
+	motion.SortRanked(out, (*motion.HotPath).Rank)
 	if k > 0 && k < len(out) {
 		out = out[:k]
 	}

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -151,6 +152,71 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 		if hp.Hotness > worst.Hotness {
 			t.Fatalf("path %d (hotness %d) should be in top-k over %d (hotness %d)",
 				hp.Path.ID, hp.Hotness, worst.Path.ID, worst.Hotness)
+		}
+	}
+}
+
+// Snapshot.Region is a range scan over the region index; it must return
+// exactly what the linear filter over the canonical order returns, for
+// any rectangle: inside the bounds, straddling them, far outside them,
+// degenerate, inverted (empty), and with corners no int can hold.
+func TestSnapshotRegionMatchesLinearFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bounds := geom.Rect{Lo: geom.Pt(-500, 1000), Hi: geom.Pt(1500, 2000)}
+	paths := make([]motion.HotPath, 3000)
+	for i := range paths {
+		// A tenth of the end vertices lie outside the bounds (the index
+		// clamps them into boundary cells), a few exactly on them.
+		e := geom.Pt(-800+rng.Float64()*2600, 800+rng.Float64()*1400)
+		switch i % 97 {
+		case 0:
+			e = bounds.Lo
+		case 1:
+			e = bounds.Hi
+		}
+		s := geom.Pt(e.X-rng.Float64()*50, e.Y+rng.Float64()*50)
+		paths[i] = motion.HotPath{Path: motion.Path{ID: motion.PathIDFor(s, e), S: s, E: e}, Hotness: 1 + rng.Intn(5)}
+	}
+	motion.SortRanked(paths, (*motion.HotPath).Rank)
+
+	coord := func() float64 {
+		switch rng.Intn(12) {
+		case 0:
+			return math.Inf(1 - 2*rng.Intn(2))
+		case 1:
+			return (rng.Float64() - 0.5) * 1e300
+		}
+		return -1200 + rng.Float64()*3600
+	}
+	for _, grid := range [][2]int{{64, 64}, {1, 1}, {7, 3}, {0, 0}} {
+		snap := SnapshotOf(paths, bounds, grid[0], grid[1])
+		for trial := 0; trial < 400; trial++ {
+			r := geom.Rect{Lo: geom.Pt(coord(), coord()), Hi: geom.Pt(coord(), coord())}
+			switch trial % 4 {
+			case 0: // usually inverted in a dimension: empty
+			case 1:
+				r = geom.RectFromPoints(r.Lo, r.Hi)
+			case 2: // a small viewport
+				r.Hi = geom.Pt(r.Lo.X+rng.Float64()*120, r.Lo.Y+rng.Float64()*120)
+			case 3: // a single point, sometimes an indexed one
+				r.Lo = paths[rng.Intn(len(paths))].Path.E
+				r.Hi = r.Lo
+			}
+			var want []motion.HotPath
+			for _, hp := range paths {
+				if r.Contains(hp.Path.E) {
+					want = append(want, hp)
+				}
+			}
+			got := snap.Region(r)
+			if len(got) != len(want) {
+				t.Fatalf("grid %v: Region(%v) returned %d paths, the linear filter %d", grid, r, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("grid %v: Region(%v)[%d] = %v, want %v", grid, r, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

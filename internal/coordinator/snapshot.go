@@ -1,11 +1,10 @@
 package coordinator
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"hotpaths/internal/geom"
-	"hotpaths/internal/gridindex"
 	"hotpaths/internal/motion"
 )
 
@@ -31,9 +30,16 @@ type Snapshot struct {
 	bounds     geom.Rect
 	cols, rows int
 
-	once sync.Once
-	grid *gridindex.Grid
-	rank map[motion.PathID]int // path id -> index into Paths
+	// The region index, built on first use: Paths' ranks (indexes into
+	// Paths) grouped by the grid cell of their end vertex. Cell c holds
+	// cellRanks[cellStart[c]:cellStart[c+1]], ascending. A snapshot never
+	// changes, so it needs none of the O(1) insert and delete the live
+	// coordinator's per-cell hash tables (internal/gridindex) exist for:
+	// two flat arrays answer the same range scan.
+	once         sync.Once
+	cellW, cellH float64
+	cellStart    []int32
+	cellRanks    []int32
 }
 
 // Snapshot extracts an immutable copy of the current path store. The
@@ -58,30 +64,67 @@ func SnapshotOf(paths []motion.HotPath, bounds geom.Rect, cols, rows int) *Snaps
 	}
 }
 
-// buildIndex populates the snapshot's grid over the copied paths' end
-// vertices. The bounds and resolution were validated when the live
-// coordinator was constructed; if reconstruction fails anyway the grid
-// stays nil and Region falls back to a linear scan.
+// buildIndex counting-sorts the paths' ranks by end-vertex cell. The
+// bounds and resolution were validated when the live coordinator was
+// constructed; a synthetic snapshot without usable ones keeps no index
+// and Region falls back to a linear scan.
 func (s *Snapshot) buildIndex() {
-	g, err := gridindex.New(s.bounds, s.cols, s.rows)
-	if err != nil {
+	if s.cols < 1 || s.rows < 1 || s.bounds.Empty() || s.bounds.Width() == 0 || s.bounds.Height() == 0 {
 		return
 	}
-	s.rank = make(map[motion.PathID]int, len(s.Paths))
+	s.cellW = s.bounds.Width() / float64(s.cols)
+	s.cellH = s.bounds.Height() / float64(s.rows)
+	start := make([]int32, s.cols*s.rows+1)
+	cells := make([]int32, len(s.Paths))
 	for i, hp := range s.Paths {
-		s.rank[hp.Path.ID] = i
-		g.Insert(gridindex.Entry{ID: hp.Path.ID, End: hp.Path.E, Start: hp.Path.S})
+		c := s.row(hp.Path.E.Y)*s.cols + s.col(hp.Path.E.X)
+		cells[i] = int32(c)
+		start[c+1]++
 	}
-	s.grid = g
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	// Fill in rank order, so every cell's ranks come out ascending; the
+	// cursor of cell c ends where cell c+1 starts, and shifting the
+	// cursors down one slot restores the starts.
+	ranks := make([]int32, len(s.Paths))
+	for i, c := range cells {
+		ranks[start[c]] = int32(i)
+		start[c]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	s.cellStart, s.cellRanks = start, ranks
+}
+
+// col maps an x coordinate to its grid column, clamping coordinates
+// outside the bounds into the boundary columns as the live index does, so
+// no path is ever lost.
+func (s *Snapshot) col(x float64) int { return clampCell((x-s.bounds.Lo.X)/s.cellW, s.cols) }
+
+func (s *Snapshot) row(y float64) int { return clampCell((y-s.bounds.Lo.Y)/s.cellH, s.rows) }
+
+// clampCell truncates f to a cell number in [0, n). The comparisons run
+// on the float, where they are defined for any input: converting an
+// out-of-range float to int is not, and a far-away viewport corner must
+// still clamp to the boundary cell on its own side.
+func clampCell(f float64, n int) int {
+	switch {
+	case f >= float64(n):
+		return n - 1
+	case f >= 1:
+		return int(f)
+	}
+	return 0 // below the bounds, or NaN
 }
 
 // Region returns the snapshot's paths whose end vertex lies inside r
-// (inclusive), in canonical order. It is answered by a grid-index range
-// scan — only the cells overlapping r are visited — so small viewports
-// over large snapshots cost far less than a linear filter.
+// (inclusive), in canonical order. It is answered by a range scan over
+// the region index — only the cells overlapping r are visited — so small
+// viewports over large snapshots cost far less than a linear filter.
 func (s *Snapshot) Region(r geom.Rect) []motion.HotPath {
 	s.once.Do(s.buildIndex)
-	if s.grid == nil {
+	if s.cellStart == nil {
 		var out []motion.HotPath
 		for _, hp := range s.Paths {
 			if r.Contains(hp.Path.E) {
@@ -90,12 +133,22 @@ func (s *Snapshot) Region(r geom.Rect) []motion.HotPath {
 		}
 		return out
 	}
-	var idx []int
-	s.grid.Query(r, func(e gridindex.Entry) bool {
-		idx = append(idx, s.rank[e.ID])
-		return true
-	})
-	sort.Ints(idx)
+	if r.Empty() {
+		return []motion.HotPath{}
+	}
+	var idx []int32
+	c0, c1 := s.col(r.Lo.X), s.col(r.Hi.X)
+	for row, r1 := s.row(r.Lo.Y), s.row(r.Hi.Y); row <= r1; row++ {
+		lo, hi := s.cellStart[row*s.cols+c0], s.cellStart[row*s.cols+c1+1]
+		for _, i := range s.cellRanks[lo:hi] {
+			if r.Contains(s.Paths[i].Path.E) {
+				idx = append(idx, i)
+			}
+		}
+	}
+	// Ranks are positions in canonical order: sorted, they are the
+	// result's order.
+	slices.Sort(idx)
 	out := make([]motion.HotPath, len(idx))
 	for i, j := range idx {
 		out[i] = s.Paths[j]

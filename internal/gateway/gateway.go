@@ -9,6 +9,9 @@
 // POST /observe splits each batch by partition.Index(object, N) and
 // forwards every record to exactly one primary, exactly once (failed
 // sub-batches are reported, never retried — a retry could double-apply).
+// The split passes the client's bytes through: an observation is decoded
+// far enough to validate it and find its owner, and its JSON text is
+// appended, unparsed, to that partition's body (see shares).
 // POST /tick is an epoch barrier: the tick is forwarded to every primary
 // and succeeds only when all of them applied it, so the fleet shares one
 // epoch sequence. All writes MUST flow through the gateway — that is
@@ -290,13 +293,13 @@ func (g *Gateway) Handler() http.Handler { return httpapi.NewMux(routeMetrics, g
 // ---- partition sub-requests ----------------------------------------------
 
 // call runs one sub-request against a partition with the configured
-// deadline, recording its latency; it must answer 200, and its JSON body
-// is decoded into v (nil drains it instead, so the connection is reused).
+// deadline, recording its latency; it must answer 200, and its body is
+// handed to decode (nil drains it instead, so the connection is reused).
 // A non-200 is an *upstreamError carrying the status. It returns the
 // response headers. When the caller's context carries a sampled trace,
 // the leg gets its own child span — covering the body read — and the
 // trace context is propagated to the partition in the traceparent header.
-func (g *Gateway) call(ctx context.Context, p *part, method, path string, body []byte, v any) (http.Header, error) {
+func (g *Gateway) call(ctx context.Context, p *part, method, path string, body []byte, decode func(*http.Response) error) (http.Header, error) {
 	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
@@ -340,12 +343,17 @@ func (g *Gateway) call(ctx context.Context, p *part, method, path string, body [
 	if resp.StatusCode != http.StatusOK {
 		return nil, readError(resp)
 	}
-	if v == nil {
+	if decode == nil {
 		io.Copy(io.Discard, resp.Body) // the 200 already says it all
-	} else if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	} else if err := decode(resp); err != nil {
 		return nil, fmt.Errorf("decode %s: %w", path, err)
 	}
 	return resp.Header, nil
+}
+
+// into decodes a sub-response's JSON body into v.
+func into(v any) func(*http.Response) error {
+	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(v) }
 }
 
 // partError is a sub-request failure tagged with its partition.
@@ -388,8 +396,10 @@ func readError(resp *http.Response) error {
 // fetchPaths fetches one partition's full path set and the epoch/clock it
 // was answered at.
 func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.HotPath, epoch, clock int64, err error) {
-	var wire []hotpaths.PathJSON
-	hdr, err := g.call(ctx, p, http.MethodGet, "/paths", nil, &wire)
+	hdr, err := g.call(ctx, p, http.MethodGet, "/paths", nil, func(resp *http.Response) (err error) {
+		paths, err = httpapi.DecodePaths(resp.Body, resp.ContentLength)
+		return err
+	})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -398,7 +408,7 @@ func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.Hot
 		return nil, 0, 0, fmt.Errorf("missing %s header: is this a current hotpathsd?", hotpaths.EpochHeader)
 	}
 	clock, _ = strconv.ParseInt(hdr.Get(hotpaths.ClockHeader), 10, 64)
-	return httpapi.HotPaths(wire), epoch, clock, nil
+	return paths, epoch, clock, nil
 }
 
 // gather fetches every partition's paths at one agreed epoch. Partitions
@@ -655,28 +665,12 @@ func (g *Gateway) errPartitions(errs []partError, touched [][]byte) map[string]s
 // by owner, forward each share exactly once, then (with "tick") drive the
 // epoch barrier.
 func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.ObserveRequest
-	if !httpapi.DecodeBody(w, r, &req) {
+	split := shares{bodies: make([][]byte, len(g.parts))}
+	tick, accepted, ok := httpapi.DecodeObserve(w, r, &split, mObserveFallback)
+	if !ok {
 		return
 	}
-	n := len(g.parts)
-	shares := make([][]hotpaths.ObservationJSON, n)
-	for _, o := range req.Observations {
-		i := partition.Index(o.Object, n)
-		shares[i] = append(shares[i], o)
-	}
-	bodies := make([][]byte, n)
-	for i, share := range shares {
-		if len(share) == 0 {
-			continue
-		}
-		b, err := json.Marshal(httpapi.ObserveRequest{Observations: share})
-		if err != nil {
-			httpapi.Error(w, http.StatusInternalServerError, err)
-			return
-		}
-		bodies[i] = b
-	}
+	bodies := split.close()
 	// Invalidate only once the writes have landed (mirroring tickAll):
 	// bumping the generation first would let a concurrent read gather the
 	// pre-write state and cache it under the post-write generation, which
@@ -693,19 +687,58 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	resp := map[string]any{"accepted": len(req.Observations)}
-	if req.Tick > 0 {
-		if errs := g.tickAll(r.Context(), req.Tick); len(errs) != 0 {
+	resp := map[string]any{"accepted": accepted}
+	if tick > 0 {
+		if errs := g.tickAll(r.Context(), tick); len(errs) != 0 {
 			httpapi.WriteJSON(w, writeErrStatus(errs), map[string]any{
 				"error":      errors.Join(asErrs(errs)...).Error(),
-				"accepted":   len(req.Observations),
+				"accepted":   accepted,
 				"partitions": g.errPartitions(errs, nil),
 			})
 			return
 		}
-		resp["now"] = req.Tick
+		resp["now"] = tick
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
+}
+
+// shares is the gateway's httpapi.ObserveSink: one /observe body per
+// partition, built by appending each observation's JSON text — the
+// client's own bytes, unparsed beyond the object id that picks the
+// owner — to its owner's body, in arrival order. Only an observation
+// that encoding/json had to decode, which keeps no text, is re-encoded.
+// The bodies are not pooled: net/http may still be writing one out when
+// its partition's answer has already arrived.
+type shares struct {
+	bodies [][]byte // by partition; nil where no observation went
+}
+
+const sharesOpen, sharesClose = `{"observations":[`, `]}`
+
+func (s *shares) Reset() { clear(s.bodies) }
+
+func (s *shares) Add(o hotpaths.ObservationJSON, raw []byte) {
+	i := partition.Index(o.Object, len(s.bodies))
+	b := s.bodies[i]
+	if b == nil {
+		b = append(b, sharesOpen...)
+	} else {
+		b = append(b, ',')
+	}
+	if raw == nil {
+		raw, _ = json.Marshal(o) // finite numbers, decoded from JSON a moment ago: cannot fail
+	}
+	s.bodies[i] = append(b, raw...)
+}
+
+// close ends every started body and returns them.
+func (s *shares) close() [][]byte {
+	for i, b := range s.bodies {
+		if b != nil {
+			s.bodies[i] = append(b, sharesClose...)
+		}
+	}
+	return s.bodies
 }
 
 // handleTick serves POST /tick as the fleet-wide epoch barrier.
@@ -768,7 +801,7 @@ func (g *Gateway) probe(p *part) {
 	var st statsProbe
 	_, err := g.call(ctx, p, http.MethodGet, "/healthz", nil, nil)
 	if err == nil {
-		_, err = g.call(ctx, p, http.MethodGet, "/stats", nil, &st)
+		_, err = g.call(ctx, p, http.MethodGet, "/stats", nil, into(&st))
 	}
 	if err != nil {
 		p.setHealth(ctx, false, err.Error(), 0, 0)
@@ -906,7 +939,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func(p *part) {
 			defer wg.Done()
 			var c counters
-			_, err := g.call(r.Context(), p, http.MethodGet, "/stats", nil, &c)
+			_, err := g.call(r.Context(), p, http.MethodGet, "/stats", nil, into(&c))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"hotpaths"
 	"hotpaths/internal/partition"
+	"hotpaths/internal/tracing"
 )
 
 // fakePart is a scriptable stand-in for one partition daemon: it records
@@ -30,6 +34,7 @@ type fakePart struct {
 
 	mu      sync.Mutex
 	batches [][]hotpaths.ObservationJSON
+	bodies  [][]byte // the /observe bodies behind batches, as received
 	ticks   []int64
 	paths   []hotpaths.PathJSON
 	epoch   int64
@@ -53,7 +58,11 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 		var req struct {
 			Observations []hotpaths.ObservationJSON `json:"observations"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err == nil {
+			err = json.Unmarshal(body, &req)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -62,6 +71,7 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 		}
 		f.mu.Lock()
 		f.batches = append(f.batches, req.Observations)
+		f.bodies = append(f.bodies, body)
 		f.mu.Unlock()
 		fmt.Fprintf(w, `{"accepted": %d}`, len(req.Observations))
 	}))
@@ -223,6 +233,111 @@ func TestBatchSplitExactlyOnce(t *testing.T) {
 		if seen[id] != 1 {
 			t.Errorf("object %d delivered %d times, want exactly once", id, seen[id])
 		}
+	}
+}
+
+// TestObservePassThrough: the gateway forwards a canonical body's
+// observations as the bytes the client sent — number spelling, key order
+// and inner whitespace included — appended to their owner's body in
+// arrival order, and counts no fallback. A body outside the canonical
+// form (here: a capitalised key and an unknown field) takes the
+// encoding/json path, still splits by owner in order, and is counted.
+func TestObservePassThrough(t *testing.T) {
+	const n = 3
+	// The same observation spelled four ways; objects chosen so every
+	// partition gets some, in an interleaved order.
+	texts := func(id int) string {
+		switch id % 4 {
+		case 0:
+			return fmt.Sprintf(`{"object":%d,"x":1.50,"y":2e0,"t":5}`, id)
+		case 1:
+			return fmt.Sprintf(`{"t":5,"y":-0,"x":100E-2,"object":%d}`, id)
+		case 2:
+			return fmt.Sprintf(`{ "object" : %d , "x" : 0.1 , "y" : 2 , "t" : 5 , "sigma_x" : 0.5 }`, id)
+		}
+		return fmt.Sprintf(`{"object":%d}`, id)
+	}
+	var obs []string
+	want := make([][]string, n)
+	for id := 1; id <= 24; id++ {
+		obs = append(obs, texts(id))
+		p := partition.Index(id, n)
+		want[p] = append(want[p], texts(id))
+	}
+	scrape := func(h http.Handler) float64 {
+		rec := doReq(t, h, http.MethodGet, "/metrics", nil)
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "hotpathsgw_http_observe_fallback_total "); ok {
+				f, _ := strconv.ParseFloat(v, 64)
+				return f
+			}
+		}
+		t.Fatal("hotpathsgw_http_observe_fallback_total is not exposed")
+		return 0
+	}
+	// post sends body on a sampled trace and checks the gateway's answer
+	// and the wire.decode span the decode left on that trace.
+	post := func(h http.Handler, traceID, body string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/observe", strings.NewReader(body))
+		req.Header.Set(tracing.Header, "00-"+traceID+"-00f067aa0ba902b7-01")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"accepted":24`) {
+			t.Fatalf("observe: %d %s", rec.Code, rec.Body)
+		}
+		mux := http.NewServeMux()
+		tracing.Default.RegisterDebug(mux)
+		rec = httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces/"+traceID, nil))
+		_, after, found := strings.Cut(rec.Body.String(), `"name": "wire.decode",`)
+		if !found || !strings.Contains(after, `"records": 24`) || !strings.Contains(after, fmt.Sprintf(`"bytes": %d`, len(body))) {
+			t.Errorf("no wire.decode span with records 24 and bytes %d on the request's trace:\n%s", len(body), rec.Body)
+		}
+	}
+
+	fleet := newFakeFleet(t, n)
+	h := newTestGateway(t, fleet, -1).Handler()
+	before := scrape(h)
+	post(h, "4bf92f3577b34da6a3ce929d0e0e4801", "{\n \"observations\": [\n"+strings.Join(obs, " ,\n")+"\n]\n}")
+	if got := scrape(h) - before; got != 0 {
+		t.Errorf("a canonical body moved the fallback counter by %g", got)
+	}
+	for i, f := range fleet {
+		f.mu.Lock()
+		if len(f.bodies) != 1 {
+			t.Fatalf("partition %d received %d bodies, want 1", i, len(f.bodies))
+		}
+		if got, want := string(f.bodies[0]), `{"observations":[`+strings.Join(want[i], ",")+`]}`; got != want {
+			t.Errorf("partition %d received\n %s\nwant the client's own bytes\n %s", i, got, want)
+		}
+		f.bodies, f.batches = nil, nil
+		f.mu.Unlock()
+	}
+
+	// The fallback: same observations, one key capitalised and a field no
+	// decoder knows. encoding/json accepts both, so the gateway must too.
+	quirky := slices.Clone(obs)
+	quirky[0] = `{"Object":1,"t":5,"y":-0,"x":1,"speed":3}`
+	post(h, "4bf92f3577b34da6a3ce929d0e0e4802", `{"observations":[`+strings.Join(quirky, ",")+`]}`)
+	if got := scrape(h) - before; got != 1 {
+		t.Errorf("a non-canonical body moved the fallback counter by %g, want 1", got)
+	}
+	for i, f := range fleet {
+		f.mu.Lock()
+		if len(f.batches) != 1 || len(f.batches[0]) != len(want[i]) {
+			t.Fatalf("partition %d received %v, want one batch of %d", i, f.batches, len(want[i]))
+		}
+		for j, o := range f.batches[0] {
+			var sent hotpaths.ObservationJSON
+			if err := json.Unmarshal([]byte(want[i][j]), &sent); err != nil {
+				t.Fatal(err)
+			}
+			if o != sent {
+				t.Errorf("partition %d observation %d = %+v, want %+v", i, j, o, sent)
+			}
+		}
+		f.mu.Unlock()
 	}
 }
 

@@ -17,6 +17,8 @@ var (
 		metrics.LatencyBuckets, nil)
 	mPartial = metrics.Default.Counter("hotpathsgw_partial_responses_total",
 		"Scatter-gather responses missing at least one partition.", nil)
+	mObserveFallback = metrics.Default.Counter("hotpathsgw_http_observe_fallback_total",
+		"POST /observe bodies outside the canonical form, decoded by encoding/json.", nil)
 )
 
 // routeMetrics registers one gateway route's request instruments.

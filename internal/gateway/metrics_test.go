@@ -17,6 +17,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 # HELP hotpaths_slo_latency_objective_ratio configured latency SLO: target fraction of requests under the threshold
 # HELP hotpaths_slo_latency_threshold_seconds latency SLO threshold (snapped down to a histogram bucket bound)
 # HELP hotpathsgw_fanout_inflight Partition sub-requests currently in flight.
+# HELP hotpathsgw_http_observe_fallback_total POST /observe bodies outside the canonical form, decoded by encoding/json.
 # HELP hotpathsgw_http_request_seconds Gateway HTTP request duration by route.
 # HELP hotpathsgw_http_requests_total Gateway HTTP requests by route and status class.
 # HELP hotpathsgw_merge_seconds Time to merge the fleet's path sets into one view.
@@ -31,6 +32,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 # TYPE hotpaths_slo_latency_objective_ratio gauge
 # TYPE hotpaths_slo_latency_threshold_seconds gauge
 # TYPE hotpathsgw_fanout_inflight gauge
+# TYPE hotpathsgw_http_observe_fallback_total counter
 # TYPE hotpathsgw_http_request_seconds histogram
 # TYPE hotpathsgw_http_requests_total counter
 # TYPE hotpathsgw_merge_seconds histogram

@@ -5,6 +5,7 @@ package motion
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
@@ -101,4 +102,72 @@ func TopKScore(set []HotPath) float64 {
 		sum += hp.Score()
 	}
 	return sum / float64(len(set))
+}
+
+// RankKey is what the result orders compare: Major then Minor, each
+// descending, then ID ascending. The canonical hottest-first order is
+// (hotness, length, id); the score order is (score, hotness, id). Ending
+// in the id makes every order total, so a set of paths has exactly one
+// sorted form in every deployment.
+type RankKey struct {
+	Major, Minor float64
+	ID           uint64
+}
+
+// Rank is the canonical (hottest-first) key of hp: coordinator.TopK, and
+// through it every Snapshot, is in this order.
+func (hp HotPath) Rank() RankKey {
+	return RankKey{float64(hp.Hotness), hp.Path.Length(), uint64(hp.Path.ID)}
+}
+
+func (a RankKey) compare(b RankKey) int {
+	switch {
+	case a.Major != b.Major:
+		if a.Major > b.Major {
+			return -1
+		}
+		return 1
+	case a.Minor != b.Minor:
+		if a.Minor > b.Minor {
+			return -1
+		}
+		return 1
+	case a.ID != b.ID:
+		if a.ID < b.ID {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// SortRanked sorts s in place by key. It is the one implementation of
+// the result orders — the coordinator, the subscription layer and a
+// merging gateway all sort through it — and computes each key (a hypot
+// for the length) once per element instead of twice per comparison: the
+// sort runs over 32-byte (key, index) records, and s is then permuted
+// along its cycles.
+func SortRanked[T any](s []T, key func(*T) RankKey) {
+	type rec struct {
+		RankKey
+		from int32 // where the element of this rank sits in s; -1 once placed
+	}
+	recs := make([]rec, len(s))
+	for i := range s {
+		recs[i] = rec{key(&s[i]), int32(i)}
+	}
+	slices.SortFunc(recs, func(a, b rec) int { return a.compare(b.RankKey) })
+	for i := range recs {
+		if recs[i].from < 0 || int(recs[i].from) == i {
+			continue
+		}
+		first, to := s[i], i
+		for from := int(recs[to].from); from != i; from = int(recs[to].from) {
+			s[to] = s[from]
+			recs[to].from = -1
+			to = from
+		}
+		s[to] = first
+		recs[to].from = -1
+	}
 }

@@ -2,6 +2,9 @@ package motion
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"hotpaths/internal/geom"
@@ -71,6 +74,39 @@ func TestPathIDFor(t *testing.T) {
 				t.Fatalf("collision at (%d,%d)", x, y)
 			}
 			seen[id] = struct{}{}
+		}
+	}
+}
+
+// SortRanked must produce the one order the comparator-per-pair sort it
+// replaced produced — ties on hotness and on length included — whatever
+// permutation the input arrives in.
+func TestSortRankedMatchesComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 17, 1000} {
+		paths := make([]HotPath, n)
+		for i, id := range rng.Perm(n) {
+			// Few distinct hotness values and lengths, so most comparisons
+			// fall through to the next key; distinct ids make the order
+			// total.
+			s := geom.Pt(float64(rng.Intn(4)), 0)
+			e := geom.Pt(float64(rng.Intn(4)), float64(rng.Intn(3)))
+			paths[i] = HotPath{Path: Path{ID: PathID(id), S: s, E: e}, Hotness: rng.Intn(3)}
+		}
+		want := slices.Clone(paths)
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.Hotness != b.Hotness {
+				return a.Hotness > b.Hotness
+			}
+			if la, lb := a.Path.Length(), b.Path.Length(); la != lb {
+				return la > lb
+			}
+			return a.Path.ID < b.Path.ID
+		})
+		SortRanked(paths, (*HotPath).Rank)
+		if !slices.Equal(paths, want) {
+			t.Fatalf("n=%d: SortRanked and the comparator sort disagree", n)
 		}
 	}
 }

@@ -2,10 +2,10 @@ package hotpaths
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"hotpaths/internal/flightrec"
+	"hotpaths/internal/motion"
 )
 
 // ErrSourceClosed is returned by Subscribe on a Source that has been
@@ -130,37 +130,23 @@ func DiffResults(prev, cur []HotPath, order SortOrder) Delta {
 
 // sortResults orders a result set the way Snapshot.Query materialises it:
 // the canonical hottest-first order for ByHotness, the score order for
-// ByScore. Both comparators break every tie down to the path id, so the
-// order is total and reconstruction is deterministic.
+// ByScore. Both keys end in the path id, so the order is total and
+// reconstruction is deterministic.
 //
-// The ByHotness branch MUST stay identical to coordinator.TopK's
-// comparator (hotness desc, length desc, id asc) — Delta.Apply's
-// exactness guarantee rides on reproducing the canonical order the
-// snapshot layer inherits from it; TestSubscriptionMatchesSnapshots
-// pins the contract.
+// The ByHotness key MUST stay motion.HotPath.Rank (hotness desc, length
+// desc, id asc), the order coordinator.TopK hands the snapshot layer —
+// Delta.Apply's exactness guarantee rides on reproducing it;
+// TestSubscriptionMatchesSnapshots pins the contract.
 func sortResults(out []HotPath, order SortOrder) {
-	sort.Slice(out, func(i, j int) bool { return lessResult(order, out[i], out[j]) })
-}
-
-func lessResult(order SortOrder, a, b HotPath) bool {
 	if order == ByScore {
-		sa, sb := a.Score(), b.Score()
-		if sa != sb {
-			return sa > sb
-		}
-		if a.Hotness != b.Hotness {
-			return a.Hotness > b.Hotness
-		}
-		return a.ID < b.ID
+		motion.SortRanked(out, func(hp *HotPath) motion.RankKey {
+			return motion.RankKey{Major: hp.Score(), Minor: float64(hp.Hotness), ID: hp.ID}
+		})
+		return
 	}
-	if a.Hotness != b.Hotness {
-		return a.Hotness > b.Hotness
-	}
-	la, lb := a.Length(), b.Length()
-	if la != lb {
-		return la > lb
-	}
-	return a.ID < b.ID
+	motion.SortRanked(out, func(hp *HotPath) motion.RankKey {
+		return motion.RankKey{Major: float64(hp.Hotness), Minor: hp.Length(), ID: hp.ID}
+	})
 }
 
 // Subscription is a standing query registered with Subscribe. Deltas

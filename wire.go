@@ -1,7 +1,10 @@
 package hotpaths
 
 import (
+	"bytes"
 	"io"
+	"math"
+	"strconv"
 
 	"hotpaths/internal/geojson"
 	"hotpaths/internal/geom"
@@ -116,4 +119,330 @@ func WriteGeoJSON(w io.Writer, paths []HotPath) error {
 		}
 	}
 	return geojson.Write(w, geojson.FromHotPaths(mp))
+}
+
+// ---- the canonical bodies, without reflection -----------------------------
+//
+// ScanObserve and ScanPaths recognise the two bodies that carry the
+// system's volume — a POST /observe batch and a /paths result — in the
+// form every shipped encoder emits, and decode them in one pass with no
+// allocation. They are strict on purpose: keys are the exact lower-case
+// names without escapes (in any order, each at most once), values are
+// plain JSON numbers (integers without fraction or exponent), nothing is
+// null and nothing but whitespace follows the value. Whatever else
+// encoding/json would also accept — other key spellings, duplicate keys,
+// unknown fields, "t":1e3 — they do not judge: they report false, and
+// the caller hands the same bytes to encoding/json, which stays the
+// definition of the accepted language and the author of every error.
+
+// ScanObserve walks a canonical POST /observe body,
+//
+//	{"observations":[{"object":7,"x":1.5,"y":2,"t":9,"sigma_x":0.5,"sigma_y":0.5},…],"tick":9}
+//
+// calling each once per observation, in order, with the decoded value and
+// its JSON text (a slice of body). Every key is optional, as it is to
+// encoding/json. It returns the tick (0 when absent). When ok is false
+// the body is outside the strict subset — each may already have been
+// called for a prefix of it — and must be decoded by encoding/json.
+func ScanObserve(body []byte, each func(o ObservationJSON, raw []byte)) (tick int64, ok bool) {
+	s := wireScanner{b: body}
+	var seen fieldSet
+	ok = s.object(func(key []byte) bool {
+		switch string(key) {
+		case "observations":
+			return seen.first(0) && s.array(func() bool {
+				s.skip()
+				start := s.i
+				o, ok := s.observation()
+				if ok {
+					each(o, s.b[start:s.i])
+				}
+				return ok
+			})
+		case "tick":
+			var ok bool
+			tick, ok = s.int()
+			return ok && seen.first(1)
+		}
+		return false
+	})
+	return tick, ok && s.end()
+}
+
+func (s *wireScanner) observation() (o ObservationJSON, ok bool) {
+	var seen fieldSet
+	ok = s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "object":
+			o.Object, ok = s.goInt()
+			return ok && seen.first(0)
+		case "x":
+			o.X, ok = s.float()
+			return ok && seen.first(1)
+		case "y":
+			o.Y, ok = s.float()
+			return ok && seen.first(2)
+		case "t":
+			o.T, ok = s.int()
+			return ok && seen.first(3)
+		case "sigma_x":
+			o.SigmaX, ok = s.float()
+			return ok && seen.first(4)
+		case "sigma_y":
+			o.SigmaY, ok = s.float()
+			return ok && seen.first(5)
+		}
+		return false
+	})
+	return o, ok
+}
+
+// ScanPaths decodes a canonical /topk or /paths body — what PathsJSON
+// encodes to,
+//
+//	[{"id":1,"rank":1,"hotness":3,"length":5,"score":15,"start":{"x":0,"y":0},"end":{"x":3,"y":4}},…]
+//
+// — appending each element's HotPath (see PathJSON.HotPath: rank, length
+// and score are checked and dropped) to dst. When ok is false the body is
+// outside the strict subset and must be decoded by encoding/json.
+func ScanPaths(dst []HotPath, body []byte) (paths []HotPath, ok bool) {
+	s := wireScanner{b: body}
+	ok = s.array(func() bool {
+		var (
+			hp   HotPath
+			seen fieldSet
+		)
+		ok := s.object(func(key []byte) (ok bool) {
+			switch string(key) {
+			case "id":
+				hp.ID, ok = s.uint()
+				return ok && seen.first(0)
+			case "rank":
+				_, ok = s.goInt()
+				return ok && seen.first(1)
+			case "hotness":
+				hp.Hotness, ok = s.goInt()
+				return ok && seen.first(2)
+			case "length":
+				_, ok = s.float()
+				return ok && seen.first(3)
+			case "score":
+				_, ok = s.float()
+				return ok && seen.first(4)
+			case "start":
+				hp.Start, ok = s.point()
+				return ok && seen.first(5)
+			case "end":
+				hp.End, ok = s.point()
+				return ok && seen.first(6)
+			}
+			return false
+		})
+		if ok {
+			dst = append(dst, hp)
+		}
+		return ok
+	})
+	return dst, ok && s.end()
+}
+
+func (s *wireScanner) point() (p Point, ok bool) {
+	var seen fieldSet
+	ok = s.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "x":
+			p.X, ok = s.float()
+			return ok && seen.first(0)
+		case "y":
+			p.Y, ok = s.float()
+			return ok && seen.first(1)
+		}
+		return false
+	})
+	return p, ok
+}
+
+// fieldSet records which keys of one object have been seen, so a
+// duplicate — which encoding/json resolves by its own merge rules — is
+// refused.
+type fieldSet uint8
+
+func (f *fieldSet) first(bit uint) bool {
+	dup := *f&(1<<bit) != 0
+	*f |= 1 << bit
+	return !dup
+}
+
+// maxNumberLen bounds the number literals the scanner converts. A float64
+// prints in at most 24 bytes; strconv takes the literal as a string, and
+// the conversion of up to 32 bytes needs no allocation.
+const maxNumberLen = 32
+
+// wireScanner is a cursor over a JSON text. Its methods skip leading
+// whitespace and report false on input outside the strict subset, leaving
+// the cursor anywhere.
+type wireScanner struct {
+	b []byte
+	i int
+}
+
+func (s *wireScanner) skip() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\r', '\n':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c if it is the next token.
+func (s *wireScanner) eat(c byte) bool {
+	s.skip()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// end reports that nothing but whitespace is left.
+func (s *wireScanner) end() bool {
+	s.skip()
+	return s.i == len(s.b)
+}
+
+// object walks one JSON object: field is called with each key, the cursor
+// on the key's value, and consumes that value.
+func (s *wireScanner) object(field func(key []byte) bool) bool {
+	if !s.eat('{') {
+		return false
+	}
+	if s.eat('}') {
+		return true
+	}
+	for {
+		if !s.eat('"') {
+			return false
+		}
+		n := bytes.IndexByte(s.b[s.i:], '"')
+		if n < 0 {
+			return false
+		}
+		// An escaped quote ends the key early, at a backslash, and no
+		// field name has one.
+		key := s.b[s.i : s.i+n]
+		s.i += n + 1
+		if !s.eat(':') || !field(key) {
+			return false
+		}
+		if !s.eat(',') {
+			return s.eat('}')
+		}
+	}
+}
+
+// array walks one JSON array: elem consumes each element.
+func (s *wireScanner) array(elem func() bool) bool {
+	if !s.eat('[') {
+		return false
+	}
+	if s.eat(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if !s.eat(',') {
+			return s.eat(']')
+		}
+	}
+}
+
+// digits consumes a run of decimal digits and returns how many.
+func (s *wireScanner) digits() int {
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
+		s.i++
+	}
+	return s.i - start
+}
+
+// natural reads, at the cursor, JSON's int production without its sign:
+// digits with no leading zero, in range for uint64. A fraction or an
+// exponent behind it is left for the caller's next eat to trip over.
+func (s *wireScanner) natural() (v uint64, ok bool) {
+	start := s.i
+	if n := s.digits(); n == 0 || (n > 1 && s.b[start] == '0') {
+		return 0, false
+	}
+	for _, c := range s.b[start:s.i] {
+		d := uint64(c - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
+}
+
+func (s *wireScanner) uint() (uint64, bool) {
+	s.skip()
+	return s.natural()
+}
+
+func (s *wireScanner) int() (int64, bool) {
+	neg := s.eat('-')
+	v, ok := s.natural()
+	switch {
+	case !ok:
+		return 0, false
+	case neg && v <= 1<<63:
+		return -int64(v), true // 1<<63 converts to MinInt64, its own negation
+	case !neg && v <= math.MaxInt64:
+		return int64(v), true
+	}
+	return 0, false
+}
+
+// goInt reads an integer in range for the platform's int.
+func (s *wireScanner) goInt() (int, bool) {
+	v, ok := s.int()
+	return int(v), ok && int64(int(v)) == v
+}
+
+// float reads a JSON number as encoding/json does into a float64 field:
+// grammar first — strconv alone would also take hex, underscores and
+// "inf" — then strconv.ParseFloat, whose range error is a refusal.
+func (s *wireScanner) float() (float64, bool) {
+	s.skip()
+	start := s.i
+	if s.i < len(s.b) && s.b[s.i] == '-' {
+		s.i++
+	}
+	if n := s.digits(); n == 0 || (n > 1 && s.b[s.i-n] == '0') {
+		return 0, false
+	}
+	if s.i < len(s.b) && s.b[s.i] == '.' {
+		s.i++
+		if s.digits() == 0 {
+			return 0, false
+		}
+	}
+	if s.i < len(s.b) && s.b[s.i]|0x20 == 'e' {
+		s.i++
+		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
+			s.i++
+		}
+		if s.digits() == 0 {
+			return 0, false
+		}
+	}
+	if s.i-start > maxNumberLen {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+	return v, err == nil
 }

@@ -143,3 +143,85 @@ func TestObserveRefusesForeignObjects(t *testing.T) {
 		t.Errorf("observations = %v, want 0: a refused batch ingests nothing", st["observations"])
 	}
 }
+
+// TestEpochSelectSpan: with every request sampled (what -trace-sample 1
+// configures), the /observe whose tick crosses an epoch boundary records
+// one coordinator.select span under its engine.tick, carrying that epoch's
+// SinglePath case mix: the cases add up to the reports, and the reports
+// are the ones the tick span counts.
+func TestEpochSelectSpan(t *testing.T) {
+	withTracing(t)
+	h := newTestHandler(t)
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4726"
+	for tick := 1; tick <= 40; tick++ {
+		y := 0
+		if (tick/5)%2 == 0 {
+			y = 40
+		}
+		body := fmt.Sprintf(`{"observations":[{"object":1,"x":%d,"y":%d,"t":%d},{"object":2,"x":%d,"y":%d.5,"t":%d}],"tick":%d}`,
+			tick*6, y, tick, tick*6, y, tick, tick)
+		var header []string
+		if tick == 40 {
+			header = []string{tracing.Header, "00-" + traceID + "-00f067aa0ba902b7-01"}
+		}
+		if rec := postRaw(h, "/observe", body, header...); rec.Code != http.StatusOK {
+			t.Fatalf("observe t=%d: %d %s", tick, rec.Code, rec.Body)
+		}
+	}
+
+	mux := http.NewServeMux()
+	tracing.Default.RegisterDebug(mux)
+	got := httptest.NewRecorder()
+	mux.ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/debug/traces/"+traceID, nil))
+	var detail struct {
+		Spans []struct {
+			SpanID   string         `json:"span_id"`
+			ParentID string         `json:"parent_id"`
+			Name     string         `json:"name"`
+			Attrs    map[string]any `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(got.Body.Bytes(), &detail); err != nil {
+		t.Fatalf("trace %s: %v in %s", traceID, err, got.Body)
+	}
+	var tickID string
+	var tickReports any
+	for _, sp := range detail.Spans {
+		if sp.Name == "engine.tick" {
+			tickID, tickReports = sp.SpanID, sp.Attrs["reports"]
+		}
+	}
+	if tickID == "" {
+		t.Fatalf("no engine.tick span among %+v", detail.Spans)
+	}
+	selects := 0
+	for _, sp := range detail.Spans {
+		if sp.Name != "coordinator.select" {
+			continue
+		}
+		selects++
+		if sp.ParentID != tickID {
+			t.Errorf("coordinator.select parent = %q, want the engine.tick span %q", sp.ParentID, tickID)
+		}
+		n := func(key string) float64 {
+			v, ok := sp.Attrs[key].(float64)
+			if !ok {
+				t.Errorf("coordinator.select attr %q = %v, want a count", key, sp.Attrs[key])
+			}
+			return v
+		}
+		reports := n("reports")
+		if reports <= 0 || reports != tickReports {
+			t.Errorf("coordinator.select reports = %v, engine.tick reports = %v: want the same positive count", reports, tickReports)
+		}
+		if cases := n("case1") + n("case2") + n("case3"); cases != reports {
+			t.Errorf("case1+case2+case3 = %v, want reports %v (attrs %v)", cases, reports, sp.Attrs)
+		}
+		if created := n("paths_created"); created > reports {
+			t.Errorf("paths_created = %v exceeds reports %v", created, reports)
+		}
+	}
+	if selects != 1 {
+		t.Errorf("%d coordinator.select spans on the boundary write's trace, want 1", selects)
+	}
+}

@@ -80,6 +80,16 @@ type Coordinator struct {
 	hot   *hotness.Window
 	paths map[motion.PathID]motion.Path
 	stats Stats
+
+	// Per-epoch scratch, kept between epochs so that an epoch allocates
+	// little beyond its responses and the paths it creates: the Rall
+	// overlap structure, each report's candidate paths, how many reports
+	// share each candidate, and one Case-2/3 selection's candidate
+	// vertices.
+	rall     *overlap.Set
+	cps      [][]candidatePath
+	pathUses map[motion.PathID]int
+	verts    []candidateVertex
 }
 
 // New validates cfg and builds a coordinator.
@@ -101,11 +111,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
+	rall, err := overlap.NewSet(2 * cfg.Eps)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator: %w", err)
+	}
 	return &Coordinator{
-		cfg:   cfg,
-		grid:  grid,
-		hot:   hot,
-		paths: make(map[motion.PathID]motion.Path),
+		cfg:      cfg,
+		grid:     grid,
+		hot:      hot,
+		paths:    make(map[motion.PathID]motion.Path),
+		rall:     rall,
+		pathUses: make(map[motion.PathID]int),
 	}, nil
 }
 
@@ -149,18 +165,18 @@ type candidatePath struct {
 // reports and returns one response per report, in input order.
 func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
 	// Phase 0: candidate motion paths per object, and the Rall overlap
-	// structure over all reporting FSAs. Nothing on the coordinator is
-	// mutated until the whole batch has validated, so a rejected batch
-	// leaves the coordinator unchanged.
-	rall, err := overlap.NewSet(2 * c.cfg.Eps)
-	if err != nil {
-		return nil, err
+	// structure over all reporting FSAs. Only scratch is written until the
+	// whole batch has validated, so a rejected batch leaves the path
+	// store, the window and the counters unchanged.
+	c.rall.Reset()
+	if len(c.cps) < len(reports) {
+		c.cps = append(c.cps, make([][]candidatePath, len(reports)-len(c.cps))...)
 	}
-	cps := make([][]candidatePath, len(reports))
+	cps := c.cps[:len(reports)]
 	// pathUses counts how many objects see each path among their
 	// candidates, implementing Algorithm 2 lines 13–15 (cross-object
 	// hotness accentuation) without materialising set intersections.
-	pathUses := make(map[motion.PathID]int)
+	clear(c.pathUses)
 	for i, r := range reports {
 		if r.State.FSA.Empty() {
 			return nil, fmt.Errorf("coordinator: object %d reported empty FSA", r.ObjectID)
@@ -169,20 +185,20 @@ func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
 			return nil, fmt.Errorf("coordinator: object %d reported non-positive interval [%d,%d]",
 				r.ObjectID, r.State.Ts, r.State.Te)
 		}
-		cps[i] = c.candidatePaths(r.State.Start, r.State.FSA)
+		cps[i] = c.candidatePaths(cps[i][:0], r.State.Start, r.State.FSA)
 		for _, cp := range cps[i] {
-			pathUses[cp.id]++
+			c.pathUses[cp.id]++
 		}
-		rall.Add(r.State.FSA)
+		c.rall.Add(r.State.FSA)
 	}
 	for i := range cps {
 		for j := range cps[i] {
 			// Boost by the number of OTHER objects sharing this candidate.
-			cps[i][j].h += pathUses[cps[i][j].id] - 1
+			cps[i][j].h += c.pathUses[cps[i][j].id] - 1
 		}
 	}
 
-	// Selection phase.
+	// Selection phase. The responses are the caller's to keep.
 	c.stats.Epochs++
 	c.stats.Reports += len(reports)
 	out := make([]Response, len(reports))
@@ -191,23 +207,23 @@ func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
 			out[i] = c.selectPath(r, cps[i])
 			continue
 		}
-		out[i] = c.selectVertex(r, rall)
+		out[i] = c.selectVertex(r)
 	}
 	return out, nil
 }
 
-// candidatePaths returns the available motion paths starting at s and
-// ending inside fsa, with hotness pre-incremented by one (the reporting
-// object's own potential crossing), per Algorithm 2's GetCandidatePaths.
-func (c *Coordinator) candidatePaths(s geom.Point, fsa geom.Rect) []candidatePath {
-	var out []candidatePath
+// candidatePaths appends to dst the available motion paths starting at s
+// and ending inside fsa, with hotness pre-incremented by one (the
+// reporting object's own potential crossing), per Algorithm 2's
+// GetCandidatePaths.
+func (c *Coordinator) candidatePaths(dst []candidatePath, s geom.Point, fsa geom.Rect) []candidatePath {
 	c.grid.Query(fsa, func(e gridindex.Entry) bool {
 		if e.Start.Eq(s) {
-			out = append(out, candidatePath{id: e.ID, end: e.End, h: c.hot.Hotness(e.ID) + 1})
+			dst = append(dst, candidatePath{id: e.ID, end: e.End, h: c.hot.Hotness(e.ID) + 1})
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 // selectPath handles Case 1: choose the hottest candidate path and record
@@ -243,20 +259,28 @@ type candidateVertex struct {
 // selectVertex handles Cases 2 and 3: gather candidate vertices, adjust
 // their hotness by the overlap stabbing counts, add the deepest-overlap
 // vertex, pick the hottest, and insert the new path sⁱ→p.
-func (c *Coordinator) selectVertex(r Report, rall *overlap.Set) Response {
+func (c *Coordinator) selectVertex(r Report) Response {
 	fsa := r.State.FSA
 	// Available vertices: distinct end vertices of paths ending in the FSA,
-	// hotness = Σ hotness of converging paths (GetCandidateVertices).
-	sums := make(map[geom.Point]int)
+	// hotness = Σ hotness of converging paths (GetCandidateVertices). An
+	// FSA holds a handful, so a slice with linear dedup beats a map.
+	cands := c.verts[:0]
 	c.grid.Query(fsa, func(e gridindex.Entry) bool {
-		sums[e.End] += c.hot.Hotness(e.ID)
+		h := c.hot.Hotness(e.ID)
+		for k := range cands {
+			if cands[k].p == e.End {
+				cands[k].h += h
+				cands[k].p = plusZero(cands[k].p, e.End)
+				return true
+			}
+		}
+		cands = append(cands, candidateVertex{p: e.End, h: h})
 		return true
 	})
-	cands := make([]candidateVertex, 0, len(sums)+1)
-	for p, h := range sums {
+	for k := range cands {
 		// Adjust by the count of the smallest overlap region containing p
 		// (= the number of reporting FSAs stabbing p).
-		cands = append(cands, candidateVertex{p: p, h: h + rall.StabCount(p)})
+		cands[k].h += c.rall.StabCount(cands[k].p)
 	}
 	hadVertices := len(cands) > 0
 
@@ -273,14 +297,15 @@ func (c *Coordinator) selectVertex(r Report, rall *overlap.Set) Response {
 	// vertices across epochs too. Subsequent paths then chain through
 	// shared vertices, letting Case 1 accumulate hotness instead of
 	// spawning near-duplicate paths.
-	vm, hm := rall.DeepestWithin(fsa)
-	if cell, n := rall.Cell(vm); n > 0 {
+	vm, hm := c.rall.DeepestWithin(fsa)
+	if cell, n := c.rall.Cell(vm); n > 0 {
 		vm = snapInto(cell.Centroid(), cell, c.cfg.Eps)
 		if hm < n {
 			hm = n
 		}
 	}
 	cands = append(cands, candidateVertex{p: vm, h: hm, fresh: true})
+	c.verts = cands
 
 	// Choose the hottest; ties prefer existing vertices (they merge flows),
 	// then the farther vertex from sⁱ (longer paths score higher).
@@ -311,6 +336,21 @@ func (c *Coordinator) selectVertex(r Report, rall *overlap.Set) Response {
 		PathID:   id,
 		Case:     caseNumber(hadVertices, best.fresh),
 	}
+}
+
+// plusZero returns p, whose coordinates equal q's, with each zero
+// coordinate made +0 where q's is +0. End vertices (0,y) and (-0,y) are one
+// vertex (coordinates compare with ==, and the ε-grid snap produces -0),
+// so the vertex a Case-2 selection stores must not depend on which of its
+// paths the index yields first: it carries +0 if any of them does.
+func plusZero(p, q geom.Point) geom.Point {
+	if math.Signbit(p.X) && !math.Signbit(q.X) {
+		p.X = q.X
+	}
+	if math.Signbit(p.Y) && !math.Signbit(q.Y) {
+		p.Y = q.Y
+	}
+	return p
 }
 
 func caseNumber(hadVertices, fresh bool) int {

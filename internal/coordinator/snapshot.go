@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hotpaths/internal/geom"
+	"hotpaths/internal/gridindex"
 	"hotpaths/internal/motion"
 )
 
@@ -34,8 +35,8 @@ type Snapshot struct {
 	// Paths) grouped by the grid cell of their end vertex. Cell c holds
 	// cellRanks[cellStart[c]:cellStart[c+1]], ascending. A snapshot never
 	// changes, so it needs none of the O(1) insert and delete the live
-	// coordinator's per-cell hash tables (internal/gridindex) exist for:
-	// two flat arrays answer the same range scan.
+	// coordinator's per-cell slices and id table (internal/gridindex)
+	// exist for: two flat arrays answer the same range scan.
 	once         sync.Once
 	cellW, cellH float64
 	cellStart    []int32
@@ -100,23 +101,9 @@ func (s *Snapshot) buildIndex() {
 // col maps an x coordinate to its grid column, clamping coordinates
 // outside the bounds into the boundary columns as the live index does, so
 // no path is ever lost.
-func (s *Snapshot) col(x float64) int { return clampCell((x-s.bounds.Lo.X)/s.cellW, s.cols) }
+func (s *Snapshot) col(x float64) int { return gridindex.ClampCell((x-s.bounds.Lo.X)/s.cellW, s.cols) }
 
-func (s *Snapshot) row(y float64) int { return clampCell((y-s.bounds.Lo.Y)/s.cellH, s.rows) }
-
-// clampCell truncates f to a cell number in [0, n). The comparisons run
-// on the float, where they are defined for any input: converting an
-// out-of-range float to int is not, and a far-away viewport corner must
-// still clamp to the boundary cell on its own side.
-func clampCell(f float64, n int) int {
-	switch {
-	case f >= float64(n):
-		return n - 1
-	case f >= 1:
-		return int(f)
-	}
-	return 0 // below the bounds, or NaN
-}
+func (s *Snapshot) row(y float64) int { return gridindex.ClampCell((y-s.bounds.Lo.Y)/s.cellH, s.rows) }
 
 // Region returns the snapshot's paths whose end vertex lies inside r
 // (inclusive), in canonical order. It is answered by a range scan over

@@ -242,7 +242,8 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 // only be counted in a later epoch — callers wanting the System-identical
 // schedule must order Observe-before-Tick themselves. On the context's
 // trace it records an engine.tick span per epoch-boundary batch, with an
-// engine.epoch_barrier child timing the shard drain.
+// engine.epoch_barrier child timing the shard drain and a
+// coordinator.select child timing SinglePath and carrying its case mix.
 func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, err error) {
 	epoch, view, err := e.tick(ctx, now)
 	if view != nil {
@@ -329,7 +330,19 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (epoch bool, vie
 	for _, tr := range e.staged {
 		batch = append(batch, tr.rep)
 	}
+	// SinglePath gets its own child span, so a trace splits the epoch into
+	// barrier, selection and response delivery; its attributes are this
+	// batch's SinglePath case mix.
+	before := e.coord.Stats()
+	_, sel := tracing.StartSpan(ctx, "coordinator.select")
 	resps, perr := e.coord.ProcessEpoch(batch)
+	after := e.coord.Stats()
+	sel.SetAttr("reports", after.Reports-before.Reports)
+	sel.SetAttr("case1", after.Case1-before.Case1)
+	sel.SetAttr("case2", after.Case2W-before.Case2W)
+	sel.SetAttr("case3", after.Case3-before.Case3)
+	sel.SetAttr("paths_created", after.PathsCreated-before.PathsCreated)
+	sel.End()
 	span.SetAttr("reports", len(batch))
 	span.SetAttr("responses", len(resps))
 	nReports, nResponses = len(batch), len(resps)

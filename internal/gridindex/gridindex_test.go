@@ -1,6 +1,7 @@
 package gridindex
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -208,4 +209,118 @@ func equalIDs(a, b []motion.PathID) bool {
 		}
 	}
 	return true
+}
+
+// Differential: the slice-backed grid against a plain map from id to
+// entry, under random inserts (fresh ids, and re-inserts that replace an
+// entry in place or move it to another cell), removes (of live entries, of
+// live ids named with a wrong end vertex, of unknown ids) and queries.
+// Query results must agree as sets, every remove must report the same, and
+// Len must track the model.
+func TestGridMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	g := mustGrid(t, geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(100, 100)}, 8, 8)
+	model := map[motion.PathID]Entry{}
+	point := func() geom.Point {
+		if rng.Intn(10) == 0 { // outside the bounds, clamped into the rim
+			return geom.Pt(rng.Float64()*300-100, rng.Float64()*300-100)
+		}
+		return geom.Pt(float64(rng.Intn(41))*2.5, float64(rng.Intn(41))*2.5) // shared cell borders
+	}
+	live := func() (motion.PathID, Entry) {
+		for id, e := range model {
+			return id, e
+		}
+		return 0, Entry{}
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4 || len(model) == 0:
+			e := Entry{ID: motion.PathID(rng.Intn(400)), End: point(), Start: point()}
+			g.Insert(e)
+			model[e.ID] = e
+		case op < 7:
+			id, e := live()
+			end := e.End
+			if rng.Intn(3) == 0 {
+				end = point() // the model: removal succeeds iff the cell matches
+			}
+			want := g.cellAt(end) == g.cellAt(e.End)
+			if got := g.Remove(id, end); got != want {
+				t.Fatalf("step %d: Remove(%d, %v) of entry %v = %v, want %v", step, id, end, e, got, want)
+			}
+			if want {
+				delete(model, id)
+			}
+		case op < 8:
+			id := motion.PathID(1000 + rng.Intn(100))
+			if g.Remove(id, point()) {
+				t.Fatalf("step %d: Remove of unknown id %d succeeded", step, id)
+			}
+		default:
+			q := geom.RectFromPoints(point(), point())
+			var got, want []motion.PathID
+			for _, e := range g.QueryAll(q) {
+				if m, ok := model[e.ID]; !ok || m != e {
+					t.Fatalf("step %d: query returned %v, the model holds %v", step, e, m)
+				}
+				got = append(got, e.ID)
+			}
+			for id, e := range model {
+				if q.Contains(e.End) {
+					want = append(want, id)
+				}
+			}
+			sortIDs(got)
+			sortIDs(want)
+			if !equalIDs(got, want) {
+				t.Fatalf("step %d: Query(%v) = %v, want %v", step, q, got, want)
+			}
+		}
+		if g.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, model %d", step, g.Len(), len(model))
+		}
+	}
+	n := 0
+	g.ForEach(func(e Entry) bool {
+		if model[e.ID] != e {
+			t.Errorf("ForEach visited %v, the model holds %v", e, model[e.ID])
+		}
+		n++
+		return true
+	})
+	if n != len(model) {
+		t.Errorf("ForEach visited %d entries, model %d", n, len(model))
+	}
+}
+
+// Coordinates too far out for an int must still clamp to the rim cell on
+// their own side: converting 1e300/cellW to int is implementation-defined
+// (on amd64 it is MinInt64, which clamped to column 0), so such an entry
+// used to be stored in, and the query looked in, the wrong column.
+func TestFarCoordinatesClampToTheirSide(t *testing.T) {
+	g := mustGrid(t, geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(100, 100)}, 64, 64)
+	g.Insert(Entry{ID: 1, End: geom.Pt(99, 50)})
+	g.Insert(Entry{ID: 2, End: geom.Pt(1e300, 50)})
+	g.Insert(Entry{ID: 3, End: geom.Pt(-1e300, 50)})
+	got := g.QueryAll(geom.Rect{Lo: geom.Pt(90, 40), Hi: geom.Pt(1e300, 60)})
+	var ids []motion.PathID
+	for _, e := range got {
+		ids = append(ids, e.ID)
+	}
+	sortIDs(ids)
+	if !equalIDs(ids, []motion.PathID{1, 2}) {
+		t.Errorf("QueryAll({90,40}-{1e300,60}) = %v, want ids [1 2]", ids)
+	}
+	if got := g.QueryAll(geom.Rect{Lo: geom.Pt(-1e300, 0), Hi: geom.Pt(1, 100)}); len(got) != 1 || got[0].ID != 3 {
+		t.Errorf("QueryAll({-1e300,0}-{1,100}) = %v, want id 3", got)
+	}
+	for _, c := range []struct {
+		f    float64
+		want int
+	}{{-1e300, 0}, {-0.5, 0}, {0, 0}, {0.99, 0}, {1, 1}, {63.9, 63}, {64, 63}, {1e300, 63}, {math.Inf(1), 63}, {math.Inf(-1), 0}, {math.NaN(), 0}} {
+		if got := ClampCell(c.f, 64); got != c.want {
+			t.Errorf("ClampCell(%v, 64) = %d, want %d", c.f, got, c.want)
+		}
+	}
 }

@@ -10,7 +10,6 @@
 package hotness
 
 import (
-	"container/heap"
 	"fmt"
 
 	"hotpaths/internal/motion"
@@ -22,17 +21,49 @@ type event struct {
 	id     motion.PathID
 }
 
+// eventQueue is a binary min-heap on expiry. push and pop follow
+// container/heap's Push and Pop swap for swap — the same up and down
+// sifts, with the same comparisons — so a window's heap layout, which
+// Dump exports and checkpoints store, is what container/heap would have
+// built; they only skip its boxing of every event into an interface.
 type eventQueue []event
 
-func (q eventQueue) Len() int            { return len(q) }
-func (q eventQueue) Less(i, j int) bool  { return q[i].expiry < q[j].expiry }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old = old[:n-1]
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	// up
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].expiry < h[i].expiry) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	// down, over h[:n]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].expiry < h[j1].expiry {
+			j = j2 // right child
+		}
+		if !(h[j].expiry < h[i].expiry) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	old := h[:n]
 	// Re-slicing alone would pin the high-water backing array for the
 	// life of the window after a mass expiry; halve the capacity whenever
 	// occupancy falls below a quarter (amortised O(1) per pop, and the
@@ -73,7 +104,7 @@ func (h *Window) W() trajectory.Time { return h.w }
 // crossing counts toward hotness until te+W.
 func (h *Window) Cross(id motion.PathID, te trajectory.Time) {
 	h.counts[id]++
-	heap.Push(&h.queue, event{expiry: te + h.w, id: id})
+	h.queue.push(event{expiry: te + h.w, id: id})
 }
 
 // Hotness returns the current count for id (0 if unknown).
@@ -91,7 +122,7 @@ func (h *Window) Pending() int { return len(h.queue) }
 // from the grid index). onZero may be nil.
 func (h *Window) Advance(now trajectory.Time, onZero func(motion.PathID)) {
 	for len(h.queue) > 0 && h.queue[0].expiry <= now {
-		e := heap.Pop(&h.queue).(event)
+		e := h.queue.pop()
 		c := h.counts[e.id] - 1
 		if c > 0 {
 			h.counts[e.id] = c

@@ -1,6 +1,7 @@
 package hotness
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 
@@ -204,6 +205,57 @@ func TestEventQueueShrinkKeepsSurvivors(t *testing.T) {
 	for i := n - 64; i < n; i++ {
 		if h.Hotness(motion.PathID(i)) != 1 {
 			t.Fatalf("survivor %d lost its count", i)
+		}
+	}
+}
+
+// heapQueue is the event queue as it was on container/heap, the reference
+// for the typed heap's sift order.
+type heapQueue []event
+
+func (q heapQueue) Len() int           { return len(q) }
+func (q heapQueue) Less(i, j int) bool { return q[i].expiry < q[j].expiry }
+func (q heapQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *heapQueue) Push(x any)        { *q = append(*q, x.(event)) }
+func (q *heapQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
+// Differential: over random Cross/Advance sequences — bursts of equal
+// expiries included, which is where sift order shows — Dump returns the
+// layout container/heap builds from the same pushes and pops.
+func TestTypedHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 50; trial++ {
+		w := trajectory.Time(1 + rng.Intn(30))
+		h := mustWindow(t, w)
+		var ref heapQueue
+		now := trajectory.Time(0)
+		for step := 0; step < 2000; step++ {
+			if rng.Intn(3) > 0 {
+				id := motion.PathID(rng.Intn(50))
+				te := now + trajectory.Time(rng.Intn(4))
+				h.Cross(id, te)
+				heap.Push(&ref, event{expiry: te + w, id: id})
+				continue
+			}
+			now += trajectory.Time(rng.Intn(6))
+			for len(ref) > 0 && ref[0].expiry <= now {
+				heap.Pop(&ref)
+			}
+			h.Advance(now, nil)
+			dump := h.Dump()
+			if len(dump) != len(ref) {
+				t.Fatalf("trial %d step %d: Dump has %d events, reference %d", trial, step, len(dump), len(ref))
+			}
+			for i, e := range ref {
+				if dump[i] != (Crossing{Expiry: e.expiry, ID: e.id}) {
+					t.Fatalf("trial %d step %d: Dump()[%d] = %v, container/heap layout holds %v", trial, step, i, dump[i], e)
+				}
+			}
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"hotpaths/internal/experiment"
 	"hotpaths/internal/geojson"
 	"hotpaths/internal/geom"
-	"hotpaths/internal/motion"
 	"hotpaths/internal/simulation"
 	"hotpaths/internal/svg"
 	"hotpaths/internal/trajectory"
@@ -60,14 +59,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var paths []motion.HotPath
-	if *topk > 0 {
-		paths = res.AllPaths
-		if *topk < len(paths) {
-			paths = paths[:*topk]
-		}
-	} else {
-		paths = res.AllPaths
+	paths := res.AllPaths // hottest first
+	if *topk > 0 && *topk < len(paths) {
+		paths = paths[:*topk]
 	}
 
 	bounds := cfg.Net.Bounds()

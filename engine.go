@@ -267,5 +267,8 @@ func convertStats(es engine.Stats) Stats {
 		PathsExpired: es.Coordinator.PathsExpired,
 		Crossings:    es.Coordinator.Crossings,
 		IndexSize:    es.IndexSize,
+		Case1:        es.Coordinator.Case1,
+		Case2:        es.Coordinator.Case2W,
+		Case3:        es.Coordinator.Case3,
 	}
 }

@@ -149,10 +149,12 @@
 // degrades past -max-lag); see the README's "Replication & read
 // scaling" section for topology and failover notes.
 //
-// The full distributed simulation used by the paper's evaluation (road
-// network, moving-object workload, DP baseline, figure sweeps) lives in the
-// internal packages and is driven by the cmd/ tools and the benchmark
-// suite.
+// The paper's evaluation (road network, moving-object workload, DP
+// baseline, figure sweeps) runs on System: the internal simulation harness
+// feeds a generated workload through Observe and Tick and reads its
+// per-epoch figures from Stats and Snapshot, so the published curve is
+// produced by the same pipeline the deployments are held equal to. The
+// cmd/ tools and the benchmark suite drive it.
 package hotpaths
 
 import (
@@ -239,6 +241,11 @@ type Stats struct {
 	PathsExpired int
 	Crossings    int
 	IndexSize    int // currently stored motion paths
+	// Case1, Case2 and Case3 count SinglePath's selections, one per
+	// processed report: Case 1 crossed a stored path out of the report's
+	// start vertex, Case 2 a new path to an existing end vertex, Case 3 a
+	// new path to a freshly placed vertex.
+	Case1, Case2, Case3 int
 }
 
 // System is an in-process deployment of the paper's architecture: the
@@ -518,6 +525,7 @@ func (s *System) Stats() Stats {
 	out.PathsExpired = cs.PathsExpired
 	out.Crossings = cs.Crossings
 	out.IndexSize = s.coord.IndexSize()
+	out.Case1, out.Case2, out.Case3 = cs.Case1, cs.Case2W, cs.Case3
 	return out
 }
 

@@ -24,6 +24,11 @@ type PaperPoint struct {
 	UpMessages    int     `json:"up_messages"`
 	NaiveMessages int     `json:"naive_messages"`
 	Compression   float64 `json:"compression"` // naive / raytrace messages
+	// Case1..Case3 are the fractions of the processed reports SinglePath
+	// answered with each case; they sum to 1.
+	Case1 float64 `json:"case1"`
+	Case2 float64 `json:"case2"`
+	Case3 float64 `json:"case3"`
 }
 
 // PaperReport is the paper_accuracy artifact (BENCH_paper.json). Every
@@ -78,6 +83,9 @@ func RunPaper(verbose bool) (PaperReport, error) {
 		}
 		if r.UpMessages > 0 {
 			p.Compression = float64(r.Measurements) / float64(r.UpMessages)
+		}
+		if n := float64(r.Case1 + r.Case2 + r.Case3); n > 0 {
+			p.Case1, p.Case2, p.Case3 = float64(r.Case1)/n, float64(r.Case2)/n, float64(r.Case3)/n
 		}
 		rep.Points = append(rep.Points, p)
 		if verbose {

@@ -440,14 +440,3 @@ func (c *Coordinator) TopK(k int) []motion.HotPath {
 	}
 	return out
 }
-
-// Score returns the paper's quality metric: the average hotness×length over
-// the top-k hottest paths.
-func (c *Coordinator) Score(k int) float64 {
-	return motion.TopKScore(c.TopK(k))
-}
-
-// AllPaths returns every stored path with its hotness, unsorted.
-func (c *Coordinator) AllPaths() []motion.HotPath {
-	return c.TopK(0)
-}

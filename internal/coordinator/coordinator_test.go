@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hotpaths/internal/geom"
+	"hotpaths/internal/motion"
 	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
 )
@@ -256,14 +257,11 @@ func TestTopKAndScore(t *testing.T) {
 	if len(one) != 1 || one[0].Path.ID != rA[0].PathID {
 		t.Error("TopK(1) truncation wrong")
 	}
-	if got := c.Score(10); got <= 0 {
+	if got := motion.TopKScore(top); got <= 0 {
 		t.Errorf("score = %v", got)
 	}
-	if len(c.AllPaths()) != 2 {
-		t.Error("AllPaths size")
-	}
-	if c.Score(0) != c.Score(10) {
-		t.Error("Score(0) should use all paths")
+	if len(c.TopK(0)) != 2 {
+		t.Error("TopK(0) size")
 	}
 }
 

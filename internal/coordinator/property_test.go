@@ -94,7 +94,7 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 		// Invariant 2+3: index contents match hotness table.
 		live := 0
 		liveHot := 0
-		for _, hp := range c.AllPaths() {
+		for _, hp := range c.TopK(0) {
 			if hp.Hotness <= 0 {
 				t.Fatal("stored path with non-positive hotness")
 			}
@@ -102,7 +102,7 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 			liveHot += hp.Hotness
 		}
 		if live != c.IndexSize() {
-			t.Fatalf("AllPaths %d vs IndexSize %d", live, c.IndexSize())
+			t.Fatalf("TopK(0) has %d paths vs IndexSize %d", live, c.IndexSize())
 		}
 		if liveHot > totalCrossings {
 			t.Fatalf("live hotness %d exceeds crossings %d", liveHot, totalCrossings)
@@ -123,7 +123,7 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 	}
 }
 
-// TopK must agree with a brute-force sort of AllPaths.
+// TopK must agree with a brute-force sort of TopK(0).
 func TestTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	c := mustCoord(t, testConfig())
@@ -134,7 +134,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := c.AllPaths()
+	all := c.TopK(0)
 	top := c.TopK(10)
 	if len(top) != 10 {
 		t.Fatalf("topk = %d", len(top))

@@ -3,10 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"hotpaths"
 	"hotpaths/internal/cluster"
-	"hotpaths/internal/coordinator"
 	"hotpaths/internal/geom"
-	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
 )
 
@@ -46,12 +45,12 @@ func MovingClusterContrast(objects int, spacing trajectory.Time, eps float64) (*
 	)
 	routeLen := trajectory.Time(2*legSteps + park)
 	duration := spacing*trajectory.Time(objects) + routeLen + 20
-	w := duration // window covers every crossing
 
-	coord, err := coordinator.New(coordinator.Config{
-		Bounds: geom.Rect{Lo: geom.Pt(-100, -100), Hi: geom.Pt(1000, 1000)},
-		W:      w,
+	sys, err := hotpaths.New(hotpaths.Config{
 		Eps:    eps,
+		W:      int64(duration), // the window covers every crossing
+		Epoch:  10,
+		Bounds: hotpaths.Rect{Min: hotpaths.Pt(-100, -100), Max: hotpaths.Pt(1000, 1000)},
 	})
 	if err != nil {
 		return nil, err
@@ -81,8 +80,6 @@ func MovingClusterContrast(objects int, spacing trajectory.Time, eps float64) (*
 		}
 	}
 
-	filters := make([]*raytrace.Filter, objects)
-	var pending []coordinator.Report
 	for now := trajectory.Time(1); now <= duration; now++ {
 		snapshot := make(map[int]geom.Point)
 		for id := 0; id < objects; id++ {
@@ -91,17 +88,8 @@ func MovingClusterContrast(objects int, spacing trajectory.Time, eps float64) (*
 				continue
 			}
 			snapshot[id] = p
-			tp := trajectory.TP(p, now)
-			if filters[id] == nil {
-				filters[id] = raytrace.New(tp, eps)
-				continue
-			}
-			st, report, err := filters[id].Process(tp)
-			if err != nil {
+			if err := sys.Observe(id, p.X, p.Y, int64(now)); err != nil {
 				return nil, err
-			}
-			if report {
-				pending = append(pending, coordinator.Report{ObjectID: id, State: st})
 			}
 		}
 		if len(snapshot) > 0 {
@@ -109,34 +97,18 @@ func MovingClusterContrast(objects int, spacing trajectory.Time, eps float64) (*
 				return nil, err
 			}
 		}
-		coord.Advance(now)
-		if now%10 == 0 && len(pending) > 0 {
-			batch := pending
-			pending = nil
-			resps, err := coord.ProcessEpoch(batch)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range resps {
-				st, report, err := filters[r.ObjectID].Respond(r.End)
-				if err != nil {
-					return nil, err
-				}
-				if report {
-					pending = append(pending, coordinator.Report{ObjectID: r.ObjectID, State: st})
-				}
-			}
+		if err := sys.Tick(int64(now)); err != nil {
+			return nil, err
 		}
 	}
 
+	snap := sys.Snapshot()
 	res := &ContrastResult{
 		MovingClusters: len(det.Close()),
-		PathsStored:    coord.IndexSize(),
+		PathsStored:    snap.Len(),
 	}
-	for _, hp := range coord.AllPaths() {
-		if hp.Hotness > res.MaxHotness {
-			res.MaxHotness = hp.Hotness
-		}
+	if top := snap.Query(hotpaths.Query{}.K(1)); len(top) > 0 {
+		res.MaxHotness = top[0].Hotness
 	}
 	return res, nil
 }

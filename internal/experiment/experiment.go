@@ -37,6 +37,9 @@ type Row struct {
 	SPTime       time.Duration // SinglePath: avg per-epoch processing time
 	UpMessages   int           // filtered messages sent by RayTrace
 	Measurements int           // naive message count for comparison
+	// Case1, Case2 and Case3 count the reports SinglePath answered with
+	// each case over the run (hotpaths.Stats).
+	Case1, Case2, Case3 int
 }
 
 // Base returns the paper's default configuration (Table 2) over the
@@ -115,6 +118,9 @@ func rowFrom(param float64, res *simulation.Result) Row {
 		SPTime:       res.AvgProcTime,
 		UpMessages:   res.Comm.UpMessages,
 		Measurements: res.Comm.Measurements,
+		Case1:        res.Stats.Case1,
+		Case2:        res.Stats.Case2,
+		Case3:        res.Stats.Case3,
 	}
 }
 
@@ -124,8 +130,9 @@ func WriteRows(w io.Writer, paramName string, rows []Row) error {
 	tb.AddRow(paramName,
 		"sp-index", "dp-index", // (a)
 		"sp-score", "dp-score", // (b)
-		"sp-time-ms", // (c)
-		"msgs", "naive-msgs")
+		"sp-time-ms", // (c): the boundary Tick, SinglePath plus response delivery
+		"msgs", "naive-msgs",
+		"case1", "case2", "case3")
 	for _, r := range rows {
 		tb.AddRow(
 			fmt.Sprintf("%g", r.Param),
@@ -136,6 +143,9 @@ func WriteRows(w io.Writer, paramName string, rows []Row) error {
 			fmt.Sprintf("%.3f", float64(r.SPTime.Microseconds())/1000),
 			fmt.Sprintf("%d", r.UpMessages),
 			fmt.Sprintf("%d", r.Measurements),
+			fmt.Sprintf("%d", r.Case1),
+			fmt.Sprintf("%d", r.Case2),
+			fmt.Sprintf("%d", r.Case3),
 		)
 	}
 	_, err := tb.WriteTo(w)

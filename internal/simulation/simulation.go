@@ -1,9 +1,10 @@
-// Package simulation drives the complete distributed environment of the
-// paper (Section 3.2): N moving objects, each running a RayTrace filter,
-// stream noisy measurements; state messages travel to the coordinator and
-// are answered at epoch boundaries (every Λ timestamps); the coordinator
-// runs SinglePath, maintains the MotionPath index and the sliding hotness
-// window, and reports the top-k hottest motion paths.
+// Package simulation drives the paper's evaluation setting (Section 3.2)
+// through hotpaths.System: N moving objects stream noisy measurements over
+// a road network into one System, which runs the RayTrace filters, answers
+// the reports at epoch boundaries (every Λ timestamps) with SinglePath and
+// keeps the hotness window. The harness only generates the stream and
+// reads the per-epoch figures back from the System's counters and
+// snapshots, so the numbers it reports are the shipped pipeline's.
 //
 // The harness also runs the paper's DP benchmark (opening-window
 // Douglas-Peucker + hot-segment store) on the same measurement stream when
@@ -17,7 +18,7 @@ import (
 	"fmt"
 	"time"
 
-	"hotpaths/internal/coordinator"
+	"hotpaths"
 	"hotpaths/internal/dp"
 	"hotpaths/internal/geom"
 	"hotpaths/internal/motion"
@@ -96,15 +97,18 @@ func (c *Config) ApplyDefaults() {
 
 // EpochStats are the per-epoch metrics the paper's evaluation plots.
 type EpochStats struct {
-	Epoch       int
-	Now         trajectory.Time
-	Reports     int           // state messages processed this epoch
-	Responses   int           // responses sent
-	IndexSize   int           // motion paths stored after processing
-	TopKScore   float64       // avg hotness×length of the top-k set
-	ProcTime    time.Duration // SinglePath processing time
-	DPIndexSize int           // DP segments stored (if RunDP)
-	DPTopKScore float64       // DP top-k score (if RunDP)
+	Epoch     int
+	Now       trajectory.Time
+	Reports   int     // state messages processed this epoch
+	Responses int     // responses sent
+	IndexSize int     // motion paths stored after processing
+	TopKScore float64 // avg hotness×length of the top-k set
+	// ProcTime is the wall time of the boundary Tick: SinglePath plus
+	// delivering the responses to the filters.
+	ProcTime            time.Duration
+	Case1, Case2, Case3 int     // this epoch's reports per SinglePath case
+	DPIndexSize         int     // DP segments stored (if RunDP)
+	DPTopKScore         float64 // DP top-k score (if RunDP)
 }
 
 // Comm tallies communication volume.
@@ -119,14 +123,14 @@ type Comm struct {
 
 // Result aggregates a complete run.
 type Result struct {
-	Config     Config
-	PerEpoch   []EpochStats
-	Comm       Comm
-	TopK       []motion.HotPath // final top-k set
-	AllPaths   []motion.HotPath // all live paths at the end
-	DPTopK     []motion.HotPath
-	DPAll      []motion.HotPath
-	CoordStats coordinator.Stats
+	Config   Config
+	PerEpoch []EpochStats
+	Comm     Comm
+	TopK     []motion.HotPath // final top-k set
+	AllPaths []motion.HotPath // all live paths at the end
+	DPTopK   []motion.HotPath
+	DPAll    []motion.HotPath
+	Stats    hotpaths.Stats // the System's counters at the end
 
 	// Averages per epoch (the paper's reported quantities).
 	AvgIndexSize   float64
@@ -159,19 +163,20 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bounds := cfg.Net.Bounds().Expand(cfg.Eps * 2)
-	coord, err := coordinator.New(coordinator.Config{
-		Bounds: bounds,
-		Cols:   cfg.GridCols,
-		Rows:   cfg.GridRows,
-		W:      cfg.W,
-		Eps:    cfg.Eps,
+	b := cfg.Net.Bounds().Expand(cfg.Eps * 2)
+	sys, err := hotpaths.New(hotpaths.Config{
+		Eps:      cfg.Eps,
+		W:        int64(cfg.W),
+		Epoch:    int64(cfg.Epoch),
+		K:        cfg.K,
+		Bounds:   hotpaths.Rect{Min: hotpaths.Pt(b.Lo.X, b.Lo.Y), Max: hotpaths.Pt(b.Hi.X, b.Hi.Y)},
+		GridCols: cfg.GridCols,
+		GridRows: cfg.GridRows,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	filters := make([]*raytrace.Filter, cfg.N)
 	var dpWins []*dp.OpeningWindow
 	var dpStore *dp.HotSegments
 	if cfg.RunDP {
@@ -183,88 +188,59 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Config: cfg}
-	var pending []coordinator.Report
-
-	enqueue := func(obj int, st raytrace.State) {
-		pending = append(pending, coordinator.Report{ObjectID: obj, State: st})
-		res.Comm.UpMessages++
-		res.Comm.UpBytes += raytrace.StateBytes
-	}
-
+	// batched is Stats().Reports just before the previous boundary's Tick:
+	// everything raised since joins the next batch, including the reports
+	// that boundary's own responses raised.
+	batched := 0
 	for now := trajectory.Time(1); now <= cfg.Duration; now++ {
 		for _, m := range world.Tick(now) {
-			res.Comm.Measurements++
-			res.Comm.NaiveUpBytes += measurementBytes
-			// RayTrace pipeline.
-			if f := filters[m.ObjectID]; f == nil {
-				filters[m.ObjectID] = raytrace.New(m.TP, cfg.Eps)
-			} else {
-				st, report, err := f.Process(m.TP)
+			if err := sys.Observe(m.ObjectID, m.TP.P.X, m.TP.P.Y, int64(m.TP.T)); err != nil {
+				return nil, fmt.Errorf("t=%d: %w", now, err)
+			}
+			if !cfg.RunDP {
+				continue
+			}
+			if dpWins[m.ObjectID] == nil {
+				dpWins[m.ObjectID], err = dp.NewOpeningWindow(cfg.Eps, cfg.DPPolicy)
 				if err != nil {
-					return nil, fmt.Errorf("object %d at t=%d: %w", m.ObjectID, now, err)
-				}
-				if report {
-					enqueue(m.ObjectID, st)
+					return nil, err
 				}
 			}
-			// DP pipeline.
-			if cfg.RunDP {
-				if dpWins[m.ObjectID] == nil {
-					dpWins[m.ObjectID], err = dp.NewOpeningWindow(cfg.Eps, cfg.DPPolicy)
-					if err != nil {
-						return nil, err
-					}
-				}
-				ems, err := dpWins[m.ObjectID].Process(m.TP)
-				if err != nil {
-					return nil, fmt.Errorf("dp object %d at t=%d: %w", m.ObjectID, now, err)
-				}
-				for _, em := range ems {
-					dpStore.Offer(em.Seg, em.Te)
-				}
+			ems, err := dpWins[m.ObjectID].Process(m.TP)
+			if err != nil {
+				return nil, fmt.Errorf("dp object %d at t=%d: %w", m.ObjectID, now, err)
+			}
+			for _, em := range ems {
+				dpStore.Offer(em.Seg, em.Te)
 			}
 		}
-
-		// Slide the hotness windows every timestamp.
-		coord.Advance(now)
 		if cfg.RunDP {
 			dpStore.Advance(now)
 		}
 
-		// Epoch boundary: the coordinator processes the batch and responds.
-		if now%cfg.Epoch != 0 {
-			continue
-		}
-		batch := pending
-		pending = nil
+		before := sys.Stats()
 		start := time.Now()
-		resps, err := coord.ProcessEpoch(batch)
-		procTime := time.Since(start)
-		if err != nil {
-			return nil, err
+		if err := sys.Tick(int64(now)); err != nil {
+			return nil, fmt.Errorf("t=%d: %w", now, err)
 		}
-		for _, r := range resps {
-			res.Comm.DownMessages++
-			res.Comm.DownBytes += raytrace.ResponseBytes
-			st, report, err := filters[r.ObjectID].Respond(r.End)
-			if err != nil {
-				return nil, fmt.Errorf("respond to object %d: %w", r.ObjectID, err)
-			}
-			if report {
-				// The replayed buffer violated the fresh SSA: this report
-				// joins the next epoch's batch.
-				enqueue(r.ObjectID, st)
-			}
+		procTime := time.Since(start)
+		after := sys.Stats()
+		if after.Epochs == before.Epochs {
+			continue
 		}
 		es := EpochStats{
 			Epoch:     len(res.PerEpoch) + 1,
 			Now:       now,
-			Reports:   len(batch),
-			Responses: len(resps),
-			IndexSize: coord.IndexSize(),
-			TopKScore: coord.Score(cfg.K),
+			Reports:   before.Reports - batched,
+			Responses: after.Responses - before.Responses,
+			IndexSize: after.IndexSize,
+			TopKScore: sys.Snapshot().Score(),
 			ProcTime:  procTime,
+			Case1:     after.Case1 - before.Case1,
+			Case2:     after.Case2 - before.Case2,
+			Case3:     after.Case3 - before.Case3,
 		}
+		batched = before.Reports
 		if cfg.RunDP {
 			es.DPIndexSize = dpStore.IndexSize()
 			es.DPTopKScore = dpStore.Score(cfg.K)
@@ -272,15 +248,35 @@ func Run(cfg Config) (*Result, error) {
 		res.PerEpoch = append(res.PerEpoch, es)
 	}
 
-	res.TopK = coord.TopK(cfg.K)
-	res.AllPaths = coord.AllPaths()
-	res.CoordStats = coord.Stats()
+	snap := sys.Snapshot()
+	res.AllPaths = motionPaths(snap.HotPaths()) // hottest first
+	res.TopK = res.AllPaths[:min(cfg.K, len(res.AllPaths))]
+	res.Stats = snap.Stats()
+	res.Comm = Comm{
+		UpMessages:   res.Stats.Reports,
+		UpBytes:      int64(res.Stats.Reports) * raytrace.StateBytes,
+		DownMessages: res.Stats.Responses,
+		DownBytes:    int64(res.Stats.Responses) * raytrace.ResponseBytes,
+		Measurements: res.Stats.Observations,
+		NaiveUpBytes: int64(res.Stats.Observations) * measurementBytes,
+	}
 	if cfg.RunDP {
 		res.DPTopK = dpStore.TopK(cfg.K)
 		res.DPAll = dpStore.TopK(0)
 	}
 	res.computeAverages()
 	return res, nil
+}
+
+// motionPaths converts the System's hot paths to the internal form the
+// SVG and GeoJSON renderers take.
+func motionPaths(in []hotpaths.HotPath) []motion.HotPath {
+	out := make([]motion.HotPath, len(in))
+	for i, hp := range in {
+		p := motion.Path{ID: motion.PathID(hp.ID), S: geom.Pt(hp.Start.X, hp.Start.Y), E: geom.Pt(hp.End.X, hp.End.Y)}
+		out[i] = motion.HotPath{Path: p, Hotness: hp.Hotness}
+	}
+	return out
 }
 
 func (r *Result) computeAverages() {

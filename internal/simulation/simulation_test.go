@@ -187,8 +187,8 @@ func TestHotnessConservation(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no live hotness at end of run")
 	}
-	if total > res.CoordStats.Crossings {
-		t.Errorf("live hotness %d exceeds total crossings %d", total, res.CoordStats.Crossings)
+	if total > res.Stats.Crossings {
+		t.Errorf("live hotness %d exceeds total crossings %d", total, res.Stats.Crossings)
 	}
 }
 
@@ -206,5 +206,27 @@ func TestEpochCadence(t *testing.T) {
 		if e.Now != trajectory.Time((i+1)*10) {
 			t.Errorf("epoch %d at t=%d", i, e.Now)
 		}
+	}
+}
+
+func TestCaseMixCoversEveryReport(t *testing.T) {
+	// Every processed report takes exactly one branch of SinglePath.
+	res, err := Run(smallConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := 0
+	for _, e := range res.PerEpoch {
+		if got := e.Case1 + e.Case2 + e.Case3; got != e.Reports {
+			t.Errorf("epoch %d: cases sum to %d, %d reports", e.Epoch, got, e.Reports)
+		}
+		reports += e.Reports
+	}
+	st := res.Stats
+	if got := st.Case1 + st.Case2 + st.Case3; got != reports {
+		t.Errorf("Case1+Case2+Case3 = %d, Σ PerEpoch.Reports = %d", got, reports)
+	}
+	if st.Case1 == 0 || st.Case3 == 0 {
+		t.Errorf("case mix too tame to be meaningful: %+v", st)
 	}
 }

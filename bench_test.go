@@ -398,7 +398,7 @@ func BenchmarkEngineIngest(b *testing.B) {
 					if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 						b.Fatal(err)
 					}
-					if err := eng.Tick(batch[0].T); err != nil {
+					if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -439,7 +439,7 @@ func BenchmarkWALAppend(b *testing.B) {
 					if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 						b.Fatal(err)
 					}
-					if err := dur.Tick(batch[0].T); err != nil {
+					if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -483,7 +483,7 @@ func BenchmarkRecover(b *testing.B) {
 			if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 				b.Fatal(err)
 			}
-			if err := dur.Tick(batch[0].T); err != nil {
+			if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -543,7 +543,7 @@ func BenchmarkFollowerReplay(b *testing.B) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,7 +58,7 @@ func TestCheckpointKeepsSignOfZero(t *testing.T) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestRecoverNamesSkippedCheckpointVersion(t *testing.T) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func checkpointSeed(tb testing.TB, cfg Config, batches [][]Observation) []byte {
 		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			tb.Fatal(err)
 		}
-		if err := eng.Tick(batch[0].T); err != nil {
+		if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 			tb.Fatal(err)
 		}
 	}

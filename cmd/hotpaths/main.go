@@ -19,9 +19,10 @@
 //	hotpaths -trace trace.txt [-eps 10] [-w 100] [-epoch 10] [-k 10]
 //	         [-engine] [-json] [-watch] [-wal-record DIR]
 //
-// The replay drives the hotpaths.Source interface, so -engine swaps the
-// single-goroutine System for the concurrent sharded Engine without
-// touching the replay loop; results are bit-identical. With -wal-record
+// The replay drives the hotpaths.Reader and hotpaths.Writer interfaces,
+// one batch per timestamp, so -engine swaps the single-goroutine System
+// for the concurrent sharded Engine without touching the replay loop;
+// results are bit-identical. With -wal-record
 // the replay always runs through the Engine — a journaled deployment is
 // one — so -engine changes nothing there. -json prints the
 // final top-k in the canonical PathJSON wire form instead of a table.
@@ -350,8 +351,9 @@ func replayWAL(dir string, jsonOut bool) error {
 }
 
 // replayTrace feeds a recorded trace through the public API and prints the
-// resulting top-k. The loop is written against hotpaths.Source, so the
-// System and Engine deployments replay identically. A non-empty walRecord
+// resulting top-k. The loop is written against hotpaths.Reader and
+// hotpaths.Writer, so the System and Engine deployments replay
+// identically. A non-empty walRecord
 // journals the stream to that directory as it replays.
 func replayTrace(path string, eps float64, w, epoch int64, k int, useEngine, jsonOut, watch bool, walRecord string) (retErr error) {
 	f, err := os.Open(path)
@@ -381,7 +383,10 @@ func replayTrace(path string, eps float64, w, epoch int64, k int, useEngine, jso
 		K:      k,
 		Bounds: hotpaths.Rect{Min: hotpaths.Pt(lo.X-eps, lo.Y-eps), Max: hotpaths.Pt(hi.X+eps, hi.Y+eps)},
 	}
-	var src hotpaths.Source
+	var src interface {
+		hotpaths.Reader
+		hotpaths.Writer
+	}
 	switch {
 	case walRecord != "":
 		// Journal while replaying. The whole journal is kept (automatic
@@ -452,17 +457,20 @@ func replayTrace(path string, eps float64, w, epoch int64, k int, useEngine, jso
 
 	// Walk every timestamp so epochs fire on schedule even through silent
 	// stretches; records are time-ordered, so a single cursor suffices.
+	ctx := context.Background()
 	endT := int64(recs[len(recs)-1].TP.T)
+	var batch []hotpaths.Observation
 	i := 0
 	for t := int64(1); t <= endT; t++ {
-		for i < len(recs) && int64(recs[i].TP.T) == t {
+		batch = batch[:0]
+		for ; i < len(recs) && int64(recs[i].TP.T) == t; i++ {
 			r := recs[i]
-			if err := src.Observe(r.ObjectID, r.TP.P.X, r.TP.P.Y, t); err != nil {
-				return err
-			}
-			i++
+			batch = append(batch, hotpaths.Observation{ObjectID: r.ObjectID, X: r.TP.P.X, Y: r.TP.P.Y, T: t})
 		}
-		if err := src.Tick(t); err != nil {
+		if err := src.ObserveBatchCtx(ctx, batch); err != nil {
+			return err
+		}
+		if err := src.TickCtx(ctx, t); err != nil {
 			return err
 		}
 	}

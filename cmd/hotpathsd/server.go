@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -15,20 +14,16 @@ import (
 	"hotpaths/internal/partition"
 )
 
-// backend is the ingestion and query surface the server drives: the bare
-// concurrent Engine, or the Durable wrapper when -wal is set. Both are
-// safe for concurrent use. The write methods take the request context so
-// the engine/WAL layers can hang their spans off the request's trace.
+// backend is the read surface the server queries: the bare concurrent
+// Engine, the Durable wrapper when -wal is set, or the Follower with
+// -follow. All are safe for concurrent use.
 type backend interface {
-	ObserveBatchCtx(ctx context.Context, batch []hotpaths.Observation) error
-	TickCtx(ctx context.Context, now int64) error
-	Snapshot() hotpaths.Snapshot
-	Stats() hotpaths.Stats
-	Clock() int64
-	Subscribe(q hotpaths.Query) (*hotpaths.Subscription, error)
-	Config() hotpaths.Config
+	hotpaths.Reader
 	Shards() int
 }
+
+// errReadOnly is the error in a follower's 403 body.
+var errReadOnly = errors.New("hotpaths: follower is read-only; writes must go to the primary")
 
 // serverOpts are the deployment-mode extras around the core backend:
 // exactly one of dur/fol may be set (a daemon is a primary, a follower,
@@ -52,6 +47,7 @@ type serverOpts struct {
 // snapshot cache.
 type server struct {
 	src     backend
+	w       hotpaths.Writer   // src's write path; nil on a Follower, read-only by type
 	dur     *hotpaths.Durable // non-nil (and == src) when -wal is set
 	fol     *hotpaths.Follower
 	repl    http.Handler // the WAL feed, mounted when dur != nil
@@ -88,8 +84,10 @@ type cachedSnapshot struct {
 }
 
 func newServer(src backend, opts serverOpts) *server {
+	w, _ := src.(hotpaths.Writer)
 	s := &server{
 		src:     src,
+		w:       w,
 		dur:     opts.dur,
 		fol:     opts.fol,
 		maxLag:  opts.maxLag,
@@ -206,11 +204,11 @@ func (s *server) handler() http.Handler { return httpapi.NewMux(routeMetrics, s.
 // body names the primary so a misconfigured client can be redirected by
 // its operator.
 func (s *server) rejectReadOnly(w http.ResponseWriter) bool {
-	if s.fol == nil {
+	if s.w != nil {
 		return false
 	}
 	httpapi.WriteJSON(w, http.StatusForbidden, map[string]any{
-		"error":   hotpaths.ErrReadOnly.Error(),
+		"error":   errReadOnly.Error(),
 		"primary": s.fol.Primary(),
 	})
 	return true
@@ -237,14 +235,14 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if err := s.src.ObserveBatchCtx(r.Context(), batch); err != nil {
+	if err := s.w.ObserveBatchCtx(r.Context(), batch); err != nil {
 		httpapi.Error(w, s.writeErrStatus(), err)
 		return
 	}
 	s.invalidate()
 	resp := map[string]any{"accepted": len(batch)}
 	if tick > 0 {
-		err := s.src.TickCtx(r.Context(), tick)
+		err := s.w.TickCtx(r.Context(), tick)
 		s.invalidate()
 		if err != nil {
 			// The batch was already ingested; report that alongside the
@@ -301,7 +299,7 @@ func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.DecodeBody(w, r, &req) {
 		return
 	}
-	err := s.src.TickCtx(r.Context(), req.Now)
+	err := s.w.TickCtx(r.Context(), req.Now)
 	s.invalidate()
 	if err != nil {
 		httpapi.Error(w, s.writeErrStatus(), err)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"hotpaths/internal/engine"
 	"hotpaths/internal/flightrec"
 	"hotpaths/internal/tracing"
 	"hotpaths/internal/trajectory"
@@ -91,14 +92,14 @@ type WALStats struct {
 	Replayed            uint64 // WAL records replayed while opening
 }
 
-// Durable is an Engine behind a write-ahead log: every Observe and Tick is
+// Durable is an Engine behind a write-ahead log: every batch and tick is
 // journaled before it is applied, so the exact state can be reconstructed
 // after a crash by OpenDurable (which recovers automatically) or Recover.
 // Because the pipeline is observation-order-deterministic, replaying the
 // journal reproduces the pre-crash state bit for bit; periodic
 // checkpoints bound the replay to roughly one window.
 //
-// Durable implements Source. All write methods are serialised by an
+// Durable is a Reader and a Writer. Its writes are serialised by an
 // internal mutex — the journal fixes the total observation order that
 // recovery replays — and are safe to call from many goroutines. Snapshot,
 // Stats, Clock and Subscribe go straight to the Engine and never wait on
@@ -238,45 +239,6 @@ func Recover(dir string) (*Engine, error) {
 	return eng, err
 }
 
-// Observe journals and applies one exact location measurement. It is
-// validated first — a rejected measurement must never reach the journal,
-// where replay would re-apply it after every recovery.
-func (d *Durable) Observe(objectID int, x, y float64, t int64) error {
-	if err := checkCoords(x, y); err != nil {
-		return err
-	}
-	return d.observe(Observation{ObjectID: objectID, X: x, Y: y, T: t})
-}
-
-// ObserveNoisy journals and applies one Gaussian measurement. It requires
-// Config.Delta > 0, like the underlying Engine.
-func (d *Durable) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
-	if d.cfg.Delta <= 0 {
-		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
-	}
-	if err := checkCoords(x, y); err != nil {
-		return err
-	}
-	if err := checkSigmas(sigmaX, sigmaY); err != nil {
-		return err
-	}
-	return d.observe(Observation{ObjectID: objectID, X: x, Y: y, T: t, SigmaX: sigmaX, SigmaY: sigmaY})
-}
-
-// observe journals and applies one validated observation on the Engine's
-// allocation-free single-observation path.
-func (d *Durable) observe(o Observation) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrDurableClosed
-	}
-	if _, err := d.log.Append(recordOf(o)); err != nil {
-		return fmt.Errorf("hotpaths: journal observe: %w", err)
-	}
-	return d.eng.eng.Observe(o.internal())
-}
-
 // ObserveBatchCtx journals and applies a batch of observations under one
 // lock acquisition and one journal write — the fast path for network
 // ingestion. The batch is validated before anything is journaled, so a
@@ -316,21 +278,24 @@ func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) erro
 	return d.eng.eng.ObserveBatchCtx(ctx, conv)
 }
 
-// Tick journals and applies a clock advance. At epoch boundaries, once
+// TickCtx journals and applies a clock advance. At epoch boundaries, once
 // the clock has moved CheckpointEvery timestamps past the last
 // checkpoint, the state is checkpointed and old WAL segments truncated.
-func (d *Durable) Tick(now int64) error {
-	return d.TickCtx(context.Background(), now)
-}
-
-// TickCtx is Tick recording spans on the context's trace: the journal
-// append, the engine's epoch spans, and — when this tick crosses a
-// checkpoint boundary — the checkpoint with its fsync child.
+// A tick that does not advance the clock is refused before it is
+// journaled, with the Engine's error. On the context's trace it records
+// the journal append, the engine's epoch spans, and — when this tick
+// crosses a checkpoint boundary — the checkpoint with its fsync child.
 func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrDurableClosed
+	}
+	// d.mu serialises every tick into this Engine, so the clock cannot
+	// move between this check and the apply below. A rejected tick must
+	// never reach the journal: every recovery and follower would replay it.
+	if err := engine.CheckAdvance(trajectory.Time(now), trajectory.Time(d.eng.Clock())); err != nil {
+		return err
 	}
 	_, wspan := tracing.StartSpan(ctx, "wal.append")
 	wspan.SetAttr("records", 1)
@@ -511,5 +476,3 @@ func (d *Durable) Close() error {
 
 // ErrDurableClosed is returned by operations on a closed Durable.
 var ErrDurableClosed = errors.New("hotpaths: durable deployment closed")
-
-var _ Source = (*Durable)(nil)

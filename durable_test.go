@@ -30,28 +30,16 @@ func durableTestConfig() hotpaths.Config {
 	}
 }
 
-// observe feeds one observation through the single-call API, the noisy
-// variant when it carries sigmas.
-func observe(src hotpaths.Source, o hotpaths.Observation) error {
-	if o.SigmaX == 0 && o.SigmaY == 0 {
-		return src.Observe(o.ObjectID, o.X, o.Y, o.T)
-	}
-	return src.(interface {
-		ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error
-	}).ObserveNoisy(o.ObjectID, o.X, o.Y, o.SigmaX, o.SigmaY, o.T)
-}
-
-// feed drives src with the workload: per timestamp, the batch's
-// observations then one tick (errors are fatal — this workload is clean).
-func feed(t *testing.T, src hotpaths.Source, batches [][]hotpaths.Observation) {
+// feed drives w with the workload: per timestamp, one batch then one
+// tick (errors are fatal — this workload is clean).
+func feed(t *testing.T, w hotpaths.Writer, batches [][]hotpaths.Observation) {
 	t.Helper()
+	ctx := context.Background()
 	for _, batch := range batches {
-		for _, o := range batch {
-			if err := observe(src, o); err != nil {
-				t.Fatal(err)
-			}
+		if err := w.ObserveBatchCtx(ctx, batch); err != nil {
+			t.Fatal(err)
 		}
-		if err := src.Tick(batch[0].T); err != nil {
+		if err := w.TickCtx(ctx, batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,9 +310,9 @@ func replayPrefix(t *testing.T, cfg hotpaths.Config, recs []wal.Record, n uint64
 	for _, r := range recs[:n] {
 		switch r.Kind {
 		case wal.KindObserve:
-			if err := observe(sys, hotpaths.Observation{
+			if err := sys.ObserveBatchCtx(context.Background(), []hotpaths.Observation{{
 				ObjectID: int(r.ObjectID), X: r.X, Y: r.Y, T: r.T, SigmaX: r.SigmaX, SigmaY: r.SigmaY,
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 		case wal.KindTick:
@@ -540,7 +528,7 @@ func TestDurableConcurrentProducers(t *testing.T) {
 			}(part)
 		}
 		wg.Wait()
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -555,6 +543,48 @@ func TestDurableConcurrentProducers(t *testing.T) {
 
 	recoverClosed(t, dir, func(got hotpaths.Snapshot) {
 		assertSameState(t, "recovered vs live concurrent", want, got)
+	})
+}
+
+// A tick the Engine refuses must be refused before it is journaled: the
+// journal is replayed on every recovery and shipped to every follower, so
+// a rejected record there would be fsynced and replayed forever. The
+// error text is the Engine's, which is the daemon's /tick 400 body.
+func TestDurableRejectedTickNotJournaled(t *testing.T) {
+	cfg := durableTestConfig()
+	dir := t.TempDir()
+	batches := hotpaths.IngestWorkload(16, 5, 3)
+	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{Config: cfg, FsyncInterval: -1, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, dur, batches) // ticks 1..5
+	// Sync flushes the journal, so WAL().Bytes counts every record.
+	walAfterSync := func() hotpaths.WALStats {
+		if err := dur.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return dur.WAL()
+	}
+	before := walAfterSync()
+	err = dur.TickCtx(context.Background(), 3)
+	if want := "engine: Tick(3) after Tick(5); time must advance"; fmt.Sprint(err) != want {
+		t.Errorf("backwards tick: got %v, want %q", err, want)
+	}
+	if after := walAfterSync(); after.NextLSN != before.NextLSN || after.Bytes != before.Bytes {
+		t.Errorf("rejected tick reached the journal: NextLSN %d -> %d, bytes %d -> %d",
+			before.NextLSN, after.NextLSN, before.Bytes, after.Bytes)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := hotpaths.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, sys, batches)
+	recoverClosed(t, dir, func(got hotpaths.Snapshot) {
+		assertSameState(t, "recovered vs a System that never saw the tick", sys.Snapshot(), got)
 	})
 }
 

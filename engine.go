@@ -3,7 +3,6 @@ package hotpaths
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/engine"
@@ -11,8 +10,8 @@ import (
 	"hotpaths/internal/trajectory"
 )
 
-// Observation is one location measurement for batched ingestion into an
-// Engine. SigmaX/SigmaY are optional per-axis Gaussian standard
+// Observation is one location measurement, the unit a Writer ingests in
+// batches. SigmaX/SigmaY are optional per-axis Gaussian standard
 // deviations; leave them zero for exact measurements. Noisy observations
 // require Config.Delta > 0.
 type Observation struct {
@@ -50,17 +49,17 @@ type EngineConfig struct {
 
 // Engine is the concurrent, object-sharded deployment of the paper's
 // architecture. Observations hash by object id to shard goroutines running
-// the RayTrace filters; at epoch boundaries Tick drains the shards and
+// the RayTrace filters; at epoch boundaries TickCtx drains the shards and
 // feeds the merged report batch — restored to arrival order — to a single
 // SinglePath coordinator, so results are bit-identical to a System fed the
 // same observations in the same order.
 //
-// Concurrency contract: Observe/ObserveNoisy/ObserveBatchCtx may be called
-// from many goroutines concurrently, and queries (TopK, HotPaths, Score,
-// Stats) are safe at any time. Observations for one object must be
-// produced in timestamp order by one producer at a time. Tick must not
-// race itself, and producers that need an observation counted in a
-// specific epoch must order their Observe calls before that Tick.
+// Concurrency contract: ObserveBatchCtx may be called from many goroutines
+// concurrently, and the reads (Snapshot, Stats, Clock) are safe at any
+// time. Observations for one object must be produced in timestamp order
+// by one producer at a time. TickCtx must not race itself, and producers
+// that need an observation counted in a specific epoch must order their
+// batch before that TickCtx.
 type Engine struct {
 	cfg Config
 	eng *engine.Engine
@@ -115,37 +114,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 // Shards returns the engine's shard count.
 func (e *Engine) Shards() int { return e.eng.Shards() }
 
-// Observe enqueues one exact location measurement for objectID at
-// timestamp t. Coordinates must be finite. Processing is asynchronous:
-// per-observation errors (e.g. a non-increasing timestamp) surface from
-// the next epoch-boundary Tick.
-func (e *Engine) Observe(objectID int, x, y float64, t int64) error {
-	if err := checkCoords(x, y); err != nil {
-		return err
-	}
-	return e.eng.Observe(Observation{ObjectID: objectID, X: x, Y: y, T: t}.internal())
-}
-
-// ObserveNoisy enqueues a Gaussian measurement with per-axis standard
-// deviations. It requires Config.Delta > 0.
-func (e *Engine) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
-	if e.cfg.Delta <= 0 {
-		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
-	}
-	if err := checkCoords(x, y); err != nil {
-		return err
-	}
-	if err := checkSigmas(sigmaX, sigmaY); err != nil {
-		return err
-	}
-	return e.eng.Observe(Observation{ObjectID: objectID, X: x, Y: y, T: t, SigmaX: sigmaX, SigmaY: sigmaY}.internal())
-}
-
 // checkObservation validates one batched observation against the
 // deployment's noise mode, before it can reach shard-queue or WAL state;
 // the index locates the bad element for the client. The rules are the
-// shared badCoords/badSigmas predicates, so the batch and single-call
-// ingest paths can never drift apart.
+// shared badCoords/badSigmas predicates, so the batch and System's
+// single-call ingest paths can never drift apart.
 func checkObservation(i int, o Observation, delta float64) error {
 	if err := badCoords(o.X, o.Y); err != nil {
 		return fmt.Errorf("hotpaths: observation %d: %w", i, err)
@@ -165,7 +138,9 @@ func checkObservation(i int, o Observation, delta float64) error {
 // ObserveBatchCtx enqueues a batch of observations in one pass — the fast
 // path for network ingestion: the batch is split into at most one queue
 // message per shard. Order is preserved per object. The batch is
-// validated up front, so a rejected batch enqueues nothing. One engine
+// validated up front, so a rejected batch enqueues nothing. Processing is
+// asynchronous: a per-observation error (a non-increasing timestamp)
+// surfaces from the next epoch-boundary TickCtx. One engine
 // span per batch — never per record — lands on the context's trace; pass
 // context.Background() when there is none.
 func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
@@ -190,18 +165,13 @@ func (cfg Config) convertBatch(batch []Observation) ([]engine.Observation, error
 	return conv, nil
 }
 
-// Tick advances the engine clock to now: the hotness window slides, and at
-// epoch boundaries — whenever the clock reaches or crosses a multiple of
-// Config.Epoch — the shards are drained and the coordinator processes the
-// merged report batch. Call it once per timestamp, after that timestamp's
-// observations; sparse clocks that jump over a boundary still trigger the
-// epoch.
-func (e *Engine) Tick(now int64) error {
-	return e.TickCtx(context.Background(), now)
-}
-
-// TickCtx is Tick recording the epoch-boundary spans (engine.tick and its
-// epoch-barrier child) on the context's trace.
+// TickCtx advances the engine clock to now: the hotness window slides, and
+// at epoch boundaries — whenever the clock reaches or crosses a multiple
+// of Config.Epoch — the shards are drained and the coordinator processes
+// the merged report batch. Call it once per timestamp, after that
+// timestamp's observations; sparse clocks that jump over a boundary still
+// trigger the epoch. The epoch-boundary spans (engine.tick and its
+// children) land on the context's trace.
 func (e *Engine) TickCtx(ctx context.Context, now int64) error {
 	_, err := e.eng.TickCtx(ctx, trajectory.Time(now))
 	return err
@@ -209,7 +179,7 @@ func (e *Engine) TickCtx(ctx context.Context, now int64) error {
 
 // Close drains and stops the shard goroutines and closes every
 // subscription channel (no further epochs can fire). Queries remain valid
-// after Close; ingestion, Tick and Subscribe fail. It is idempotent and
+// after Close; ingestion, TickCtx and Subscribe fail. It is idempotent and
 // returns the first unsurfaced processing error, if any.
 func (e *Engine) Close() error {
 	err := e.eng.Close()
@@ -220,33 +190,9 @@ func (e *Engine) Close() error {
 // Config returns the engine's configuration with defaults applied.
 func (e *Engine) Config() Config { return e.cfg }
 
-// TopK returns the Config.K hottest motion paths, hottest first. It is a
-// live accessor — shorthand for Snapshot().TopK(); use Snapshot directly
-// when several reads must agree on one instant.
-func (e *Engine) TopK() []HotPath {
-	return e.Snapshot().TopK()
-}
-
-// HotPaths returns every live motion path, hottest first. Shorthand for
-// Snapshot().HotPaths().
-func (e *Engine) HotPaths() []HotPath {
-	return e.Snapshot().HotPaths()
-}
-
-// Score returns the paper's quality metric over the current top-k set: the
-// average hotness×length. Shorthand for Snapshot().Score().
-func (e *Engine) Score() float64 { return e.Snapshot().Score() }
-
-// WriteGeoJSON writes every live motion path as a GeoJSON
-// FeatureCollection, hottest first, with hotness/length/score properties.
-// Shorthand for Snapshot().WriteGeoJSON(w).
-func (e *Engine) WriteGeoJSON(w io.Writer) error {
-	return e.Snapshot().WriteGeoJSON(w)
-}
-
 // Stats returns the engine's counters. While ingestion is in flight the
 // Observations/Reports counters are eventually consistent; after an
-// epoch-boundary Tick they exactly match a System fed the same input.
+// epoch-boundary TickCtx they exactly match a System fed the same input.
 func (e *Engine) Stats() Stats {
 	return convertStats(e.eng.Stats())
 }

@@ -2,6 +2,8 @@ package hotpaths
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -46,7 +48,7 @@ func TestEngineMatchesSystem(t *testing.T) {
 		if err := sys.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Tick(now); err != nil {
+		if err := eng.TickCtx(context.Background(), now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,14 +60,15 @@ func TestEngineMatchesSystem(t *testing.T) {
 	if !reflect.DeepEqual(sysStats, engStats) {
 		t.Errorf("stats diverge:\n system %+v\n engine %+v", sysStats, engStats)
 	}
-	sysTop, engTop := sys.TopK(), eng.TopK()
+	snap := eng.Snapshot()
+	sysTop, engTop := sys.TopK(), snap.TopK()
 	if !reflect.DeepEqual(sysTop, engTop) {
 		t.Errorf("top-k diverges:\n system %+v\n engine %+v", sysTop, engTop)
 	}
-	if sys.Score() != eng.Score() {
-		t.Errorf("score diverges: system %v engine %v", sys.Score(), eng.Score())
+	if sys.Score() != snap.Score() {
+		t.Errorf("score diverges: system %v engine %v", sys.Score(), snap.Score())
 	}
-	if la, lb := len(sys.HotPaths()), len(eng.HotPaths()); la != lb {
+	if la, lb := len(sys.HotPaths()), len(snap.HotPaths()); la != lb {
 		t.Errorf("live path counts diverge: system %d engine %d", la, lb)
 	}
 
@@ -73,7 +76,7 @@ func TestEngineMatchesSystem(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sys.TopK(), eng.TopK()) {
+	if !reflect.DeepEqual(sys.TopK(), eng.Snapshot().TopK()) {
 		t.Error("top-k changed across Close")
 	}
 }
@@ -104,9 +107,9 @@ func TestEngineConcurrentIngest(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = eng.TopK()
+				_ = eng.Snapshot().TopK()
 				_ = eng.Stats()
-				_ = eng.Score()
+				_ = eng.Snapshot().Score()
 			}
 		}
 	}()
@@ -129,7 +132,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 			}(part)
 		}
 		wg.Wait()
-		if err := eng.Tick(batch[0].T); err != nil {
+		if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +146,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 	if st.Reports == 0 {
 		t.Error("concurrent workload raised no reports")
 	}
-	if len(eng.TopK()) == 0 {
+	if len(eng.Snapshot().TopK()) == 0 {
 		t.Error("no hot paths discovered")
 	}
 }
@@ -181,7 +184,7 @@ func TestSparseTicksCrossEpochBoundaries(t *testing.T) {
 		if err := sys.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Tick(now); err != nil {
+		if err := eng.TickCtx(context.Background(), now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +193,7 @@ func TestSparseTicksCrossEpochBoundaries(t *testing.T) {
 	if err := sys.Tick(121); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Tick(121); err != nil {
+	if err := eng.TickCtx(context.Background(), 121); err != nil {
 		t.Fatal(err)
 	}
 	sysStats, engStats := sys.Stats(), eng.Stats()
@@ -200,7 +203,7 @@ func TestSparseTicksCrossEpochBoundaries(t *testing.T) {
 	if !reflect.DeepEqual(sysStats, engStats) {
 		t.Errorf("stats diverge on sparse schedule:\n system %+v\n engine %+v", sysStats, engStats)
 	}
-	if !reflect.DeepEqual(sys.TopK(), eng.TopK()) {
+	if !reflect.DeepEqual(sys.TopK(), eng.Snapshot().TopK()) {
 		t.Error("top-k diverges on sparse schedule")
 	}
 }
@@ -231,20 +234,20 @@ func TestStaleJumpExpiresImmediately(t *testing.T) {
 		if err := sys.Observe(1, x, y, now); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Observe(1, x, y, now); err != nil {
+		if err := eng.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, X: x, Y: y, T: now}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := sys.Tick(500); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Tick(500); err != nil {
+	if err := eng.TickCtx(context.Background(), 500); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Stats().Crossings == 0 {
 		t.Fatal("the late epoch must still have processed the reports")
 	}
-	for name, top := range map[string][]HotPath{"system": sys.TopK(), "engine": eng.TopK()} {
+	for name, top := range map[string][]HotPath{"system": sys.TopK(), "engine": eng.Snapshot().TopK()} {
 		if len(top) != 0 {
 			t.Errorf("%s reports phantom hot paths after a >W clock jump: %+v", name, top)
 		}
@@ -272,27 +275,77 @@ func TestEngineValidation(t *testing.T) {
 	if eng.Shards() != 2 {
 		t.Errorf("Shards() = %d, want 2", eng.Shards())
 	}
-	if err := eng.ObserveNoisy(1, 0, 0, 1, 1, 1); err == nil {
-		t.Error("ObserveNoisy without Delta must error")
-	}
-	if err := eng.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, X: 0, Y: 0, T: 1, SigmaX: 1}}); err == nil {
-		t.Error("noisy batched observation without Delta must error")
-	}
+}
 
-	noisy := engineTestConfig()
-	noisy.Delta = 0.05
-	eng2, err := NewEngine(EngineConfig{Config: noisy, Shards: 2})
+// readWriter is a deployment that accepts writes: System, Engine or Durable.
+type readWriter interface {
+	Reader
+	Writer
+}
+
+// writers opens the three Writers under cfg, each closed at test end.
+func writers(t *testing.T, cfg Config) map[string]readWriter {
+	t.Helper()
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng2.Close()
-	if err := eng2.ObserveNoisy(1, 0, 0, 0, 1, 1); err == nil {
-		t.Error("non-positive sigma must error")
+	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := eng2.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, T: 1, SigmaX: 0.5, SigmaY: -1}}); err == nil {
-		t.Error("mixed-sign sigmas must error")
+	t.Cleanup(func() { eng.Close() })
+	dur, err := OpenDurable(t.TempDir(), DurableConfig{Config: cfg, FsyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := eng2.ObserveNoisy(1, 0, 0, 0.5, 0.5, 1); err != nil {
-		t.Errorf("valid noisy observation rejected: %v", err)
+	t.Cleanup(func() { dur.Close() })
+	return map[string]readWriter{"system": sys, "engine": eng, "durable": dur}
+}
+
+// Every Writer validates the whole batch before it ingests any of it: a
+// batch whose element 2 is bad ingests nothing — no filter, shard or
+// journal state — and fails with the same error on System, Engine and
+// Durable. The daemon's 400 body is this text.
+func TestWriterBatchValidation(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		delta float64
+		bad   Observation
+		want  string
+	}{
+		{"non-finite", 0, Observation{ObjectID: 3, X: math.NaN(), T: 1},
+			"hotpaths: observation 2: coordinates must be finite, got (NaN, 0)"},
+		{"noisy without Delta", 0, Observation{ObjectID: 3, T: 1, SigmaX: 0.5, SigmaY: 0.5},
+			"hotpaths: observation 2 carries noise but Config.Delta is 0"},
+		{"mixed-sign sigmas", 0.05, Observation{ObjectID: 3, T: 1, SigmaX: 0.5, SigmaY: -1},
+			"hotpaths: observation 2: standard deviations must be positive and finite, got (0.5, -1)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := engineTestConfig()
+			cfg.Delta = tc.delta
+			for name, w := range writers(t, cfg) {
+				batch := []Observation{{ObjectID: 1, T: 1}, {ObjectID: 2, X: 5, T: 1}, tc.bad}
+				if err := w.ObserveBatchCtx(ctx, batch); fmt.Sprint(err) != tc.want {
+					t.Errorf("%s: got %v, want %q", name, err, tc.want)
+				}
+				// An epoch-boundary tick drains the Engine's shards, so the
+				// counter below is exact on every deployment.
+				if err := w.TickCtx(ctx, cfg.Epoch); err != nil {
+					t.Fatal(err)
+				}
+				if n := w.Stats().Observations; n != 0 {
+					t.Errorf("%s: a rejected batch ingested %d observations", name, n)
+				}
+				if dur, ok := w.(*Durable); ok && dur.NextLSN() != 1 {
+					t.Errorf("durable: the rejected batch reached the journal: %d records, want only the tick", dur.NextLSN())
+				}
+				// The same batch without the bad element goes through.
+				if err := w.ObserveBatchCtx(ctx, batch[:2]); err != nil {
+					t.Errorf("%s: valid batch rejected: %v", name, err)
+				}
+			}
+		})
 	}
 }

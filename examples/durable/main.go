@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,19 +55,22 @@ func main() {
 		offset[i] = rng.Float64()*8 - 4
 	}
 	// Taxi i drives east along the boulevard and loops back.
-	feed := func(src hotpaths.Source, from, to int64) {
+	feed := func(w hotpaths.Writer, from, to int64) {
+		ctx := context.Background()
 		for now := from; now <= to; now++ {
-			for i := 0; i < taxis; i++ {
+			batch := make([]hotpaths.Observation, taxis)
+			for i := range batch {
 				s := (now + int64(i)*9) % 200
 				x := float64(s) * 9
 				if s > 100 {
 					x = float64(200-s) * 9
 				}
-				if err := src.Observe(i, x, offset[i], now); err != nil {
-					log.Fatal(err)
-				}
+				batch[i] = hotpaths.Observation{ObjectID: i, X: x, Y: offset[i], T: now}
 			}
-			if err := src.Tick(now); err != nil {
+			if err := w.ObserveBatchCtx(ctx, batch); err != nil {
+				log.Fatal(err)
+			}
+			if err := w.TickCtx(ctx, now); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -90,7 +90,7 @@ func main() {
 			}(p)
 		}
 		wg.Wait()
-		if err := eng.Tick(now); err != nil {
+		if err := eng.TickCtx(context.Background(), now); err != nil {
 			log.Fatal(err)
 		}
 	}

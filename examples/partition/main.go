@@ -84,7 +84,7 @@ func partitionNode(id int, eng *hotpaths.Engine) http.Handler {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := eng.Tick(req.Now); err != nil {
+		if err := eng.TickCtx(r.Context(), req.Now); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -186,7 +186,7 @@ func main() {
 		if err := ref.ObserveBatchCtx(context.Background(), refBatch); err != nil {
 			log.Fatal(err)
 		}
-		if err := ref.Tick(now); err != nil {
+		if err := ref.TickCtx(context.Background(), now); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -84,7 +84,7 @@ func main() {
 			if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 				log.Fatal(err)
 			}
-			if err := dur.Tick(now); err != nil {
+			if err := dur.TickCtx(context.Background(), now); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -108,10 +108,10 @@ func main() {
 	fmt.Printf("follower attached mid-stream: bootstrapped at lsn %d (%d checkpoint restore)\n",
 		rs.AppliedLSN, rs.Bootstraps)
 
-	// Writes belong on the primary; the follower says so.
-	if err := fol.Observe(0, 1, 2, 3); err != nil {
-		fmt.Printf("follower rejects writes: %v\n", err)
-	}
+	// Writes belong on the primary: a Follower is a Reader and not a
+	// Writer, so a write to it does not compile.
+	_, writable := any(fol).(hotpaths.Writer)
+	fmt.Printf("follower is a Writer: %v\n", writable)
 
 	// Second half of the workload, with the follower tailing live.
 	feed(horizon/2+1, horizon)

@@ -90,7 +90,7 @@ func main() {
 		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			log.Fatal(err)
 		}
-		if err := eng.Tick(now); err != nil {
+		if err := eng.TickCtx(context.Background(), now); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -31,8 +31,8 @@
 // # Querying: Snapshot and Query
 //
 // The read side of the API is built on immutable snapshots. Snapshot()
-// (on System and Engine alike, via the shared Source interface) captures
-// the live paths, hotness, clock and counters at one consistent instant;
+// (on every deployment, via the shared Reader interface) captures the
+// live paths, hotness, clock and counters at one consistent instant;
 // the returned Snapshot is safe to share across goroutines and to query
 // repeatedly while ingestion continues. A Query composes the selection:
 //
@@ -43,7 +43,7 @@
 //		SortBy(hotpaths.ByScore).
 //		K(20))
 //
-// TopK, HotPaths, Score and WriteGeoJSON are thin wrappers over
+// System's TopK, HotPaths, Score and WriteGeoJSON are thin wrappers over
 // Snapshot(): convenient for one-off reads, but two successive calls may
 // straddle an epoch boundary and disagree; take one Snapshot when
 // multiple reads must be mutually consistent.
@@ -79,10 +79,14 @@
 //
 // # Concurrency: System vs Engine
 //
-// The package offers two deployments of the same architecture:
+// The package offers two deployments of the same architecture. Both are a
+// Reader and a Writer: ObserveBatchCtx feeds one timestamp's
+// measurements, all-or-nothing on validation, and TickCtx advances the
+// clock.
 //
-//   - System is single-goroutine: Observe, Tick and the queries must all be
-//     called from one goroutine. It is the right choice for simulation,
+//   - System is single-goroutine: its writes and reads must all be
+//     called from one goroutine. Observe, ObserveNoisy and Tick are its
+//     single-call conveniences. It is the right choice for simulation,
 //     trace replay, step-debugging, and any workload driven by a single
 //     loop — it has zero synchronisation overhead and its behaviour is
 //     trivially deterministic.
@@ -90,8 +94,8 @@
 //     of the paper's distributed design: objects hash to shards, each shard
 //     goroutine owns a bank of RayTrace filters fed through a buffered
 //     queue, and reports funnel into a single coordinator at epoch
-//     boundaries. Observe/ObserveBatchCtx are safe to call from many
-//     goroutines at once (observations for the same object must still be
+//     boundaries. ObserveBatchCtx is safe to call from many goroutines
+//     at once (observations for the same object must still be
 //     time-ordered by their producer), so Engine is the right choice when
 //     many producers push observations concurrently — e.g. the
 //     cmd/hotpathsd network daemon — or when ingest throughput matters.
@@ -108,7 +112,7 @@
 //
 // Both deployments are in-memory; OpenDurable puts an Engine behind a
 // write-ahead log so the discovered state survives crashes and restarts.
-// Every Observe and Tick is journaled (length-prefixed, CRC-checksummed,
+// Every batch and tick is journaled (length-prefixed, CRC-checksummed,
 // group-committed to disk every DurableConfig.FsyncInterval) before it is
 // applied; full-state checkpoints at epoch boundaries bound recovery to
 // about one window of replay. Replaying the journal is just re-running
@@ -120,7 +124,7 @@
 // arbitrary byte offsets. The cmd/hotpathsd daemon exposes this as
 // -wal/-fsync flags plus a POST /admin/checkpoint endpoint.
 //
-// # Replication: OpenFollower and the read-only Source
+// # Replication: OpenFollower, a Reader only
 //
 // Determinism makes the journal a replication log too. A process built
 // on OpenDurable becomes a replication primary by mounting
@@ -132,14 +136,10 @@
 // Snapshot().Query(q) is byte-identical to the primary's, so /topk-style
 // read traffic scales horizontally across replicas.
 //
-// A Follower implements Source, but only the read half of it. The
-// contract every Source consumer should know:
-//
-//   - Observe, ObserveNoisy, ObserveBatchCtx, Tick, TickCtx — always
-//     return ErrReadOnly (check with errors.Is); writes belong on the
-//     primary.
-//   - Snapshot, Subscribe, Stats, Config, Shards — work normally,
-//     answered locally with no primary round-trip.
+// A Follower is a Reader and not a Writer: it has no write method, so
+// code that needs to write takes a Writer and a follower cannot be passed
+// to it. Writes belong on the primary. Its reads are answered locally,
+// with no primary round-trip.
 //
 // Replication is asynchronous — reads lag the primary by roughly the
 // group-commit flush interval plus one poll — and Follower.Replication
@@ -158,6 +158,7 @@
 package hotpaths
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -233,7 +234,7 @@ type Config struct {
 
 // Stats aggregates a System's lifetime counters.
 type Stats struct {
-	Observations int // measurements fed via Observe/ObserveNoisy
+	Observations int // measurements ingested
 	Reports      int // state messages the filters raised
 	Responses    int // endpoints handed back at epoch boundaries
 	Epochs       int // epoch boundaries processed (the subscription/replication epoch sequence)
@@ -358,6 +359,28 @@ func (s *System) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int6
 	return s.observe(objectID, trajectory.TP(geom.Pt(x, y), trajectory.Time(t)), sigmaX, sigmaY)
 }
 
+// ObserveBatchCtx feeds a batch of measurements in order, exact or noisy
+// per element. The whole batch is validated with the Engine's rules
+// before any of it is fed, so a batch with a bad element ingests nothing.
+// A filter error (a non-increasing timestamp) skips that one
+// measurement, as the Engine's shards do; the rest of the batch is still
+// fed and the errors are returned together. ctx is unused: a System
+// records no spans.
+func (s *System) ObserveBatchCtx(_ context.Context, batch []Observation) error {
+	for i, o := range batch {
+		if err := checkObservation(i, o, s.cfg.Delta); err != nil {
+			return err
+		}
+	}
+	var errs []error
+	for _, o := range batch {
+		if err := s.observe(o.ObjectID, trajectory.TP(geom.Pt(o.X, o.Y), trajectory.Time(o.T)), o.SigmaX, o.SigmaY); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // finite rejects the values every geometric comparison downstream handles
 // wrongly: NaN compares false against everything, so a NaN coordinate
 // would silently wedge a filter's safe-area state instead of erroring.
@@ -472,7 +495,7 @@ func (s *System) Tick(now int64) error {
 		if err != nil {
 			// Respond validates before mutating, so the filter stays
 			// waiting; keep delivering the remaining responses rather than
-			// leaving other filters un-reseeded (mirrors Engine.Tick).
+			// leaving other filters un-reseeded (as the Engine does).
 			errs = append(errs, fmt.Errorf("hotpaths: respond to object %d: %w", r.ObjectID, err))
 			continue
 		}
@@ -488,6 +511,12 @@ func (s *System) Tick(now int64) error {
 	}
 	return errors.Join(errs...)
 }
+
+// TickCtx is Tick; ctx is unused, because a System records no spans.
+func (s *System) TickCtx(_ context.Context, now int64) error { return s.Tick(now) }
+
+// Clock returns the timestamp of the last Tick.
+func (s *System) Clock() int64 { return s.lastNow }
 
 // Config returns the system's configuration with defaults applied.
 func (s *System) Config() Config { return s.cfg }

@@ -111,7 +111,7 @@ func cases() []benchCase {
 					if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 						return err
 					}
-					if err := eng.Tick(batch[0].T); err != nil {
+					if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 						return err
 					}
 				}
@@ -138,7 +138,7 @@ func cases() []benchCase {
 					if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 						return err
 					}
-					if err := dur.Tick(batch[0].T); err != nil {
+					if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 						return err
 					}
 				}
@@ -177,7 +177,7 @@ func cases() []benchCase {
 				if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 					return err
 				}
-				if err := dur.Tick(batch[0].T); err != nil {
+				if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 					return err
 				}
 			}
@@ -271,7 +271,7 @@ func recoverCase(batches [][]hotpaths.Observation, ckptEvery int64) func(b *test
 			if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 				return err
 			}
-			if err := dur.Tick(batch[0].T); err != nil {
+			if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 				return err
 			}
 		}

@@ -176,21 +176,6 @@ func (e *Engine) shardIndex(objectID int) int {
 	return partition.Index(objectID, len(e.shards))
 }
 
-// Observe enqueues a single observation without the batching overhead of
-// ObserveBatchCtx (no per-shard grouping allocations). See ObserveBatchCtx
-// for the ordering contract.
-func (e *Engine) Observe(o Observation) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	one := obs{Observation: o, seq: e.seq.Add(1) - 1}
-	e.shards[e.shardIndex(o.ObjectID)].ch <- msg{one: one, hasOne: true}
-	mObservations.Inc()
-	return nil
-}
-
 // ObserveBatchCtx enqueues a batch of observations, preserving their order
 // per object. It is safe to call from many goroutines, but observations
 // for the same object must be produced in timestamp order by a single
@@ -255,6 +240,16 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 	return epoch, err
 }
 
+// CheckAdvance is the clock rule TickCtx enforces: a tick to now may only
+// follow one to last if time strictly advances. It is exported so a
+// journal can refuse a tick before writing it, with the same error text.
+func CheckAdvance(now, last trajectory.Time) error {
+	if now <= last {
+		return fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, last)
+	}
+	return nil
+}
+
 // epochView is the OnEpoch argument set, captured atomically with the
 // epoch that produced it.
 type epochView struct {
@@ -271,8 +266,8 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (epoch bool, vie
 	if e.closed {
 		return false, nil, ErrClosed
 	}
-	if now <= e.lastNow {
-		return false, nil, fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, e.lastNow)
+	if err := CheckAdvance(now, e.lastNow); err != nil {
+		return false, nil, err
 	}
 	prev := e.lastNow
 	e.lastNow = now

@@ -157,7 +157,7 @@ func TestTickMonotonic(t *testing.T) {
 
 func TestCloseSemantics(t *testing.T) {
 	e := testEngine(t, 4)
-	if err := e.Observe(Observation{ObjectID: 1, P: geom.Pt(0, 0), T: 1}); err != nil {
+	if err := e.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, P: geom.Pt(0, 0), T: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -166,8 +166,8 @@ func TestCloseSemantics(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Errorf("double Close must be a no-op, got %v", err)
 	}
-	if err := e.Observe(Observation{ObjectID: 1, P: geom.Pt(1, 1), T: 2}); err != ErrClosed {
-		t.Errorf("Observe after Close = %v, want ErrClosed", err)
+	if err := e.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, P: geom.Pt(1, 1), T: 2}}); err != ErrClosed {
+		t.Errorf("ObserveBatchCtx after Close = %v, want ErrClosed", err)
 	}
 	if err := tick(e, 10); err != ErrClosed {
 		t.Errorf("Tick after Close = %v, want ErrClosed", err)

@@ -39,15 +39,12 @@ type taggedReport struct {
 	rep coordinator.Report
 }
 
-// msg is one unit of work on a shard's queue: a batch of observations, a
-// single inline observation (hasOne, the allocation-free Observe path), or
+// msg is one unit of work on a shard's queue: a batch of observations, or
 // a flush token (non-nil flush) the shard closes once everything queued
 // before it has been processed.
 type msg struct {
-	obs    []obs
-	one    obs
-	hasOne bool
-	flush  chan struct{}
+	obs   []obs
+	flush chan struct{}
 }
 
 // shard owns the RayTrace filters for the objects that hash to it. All
@@ -87,15 +84,12 @@ func newShard(buffer int, tol func(sigmaX, sigmaY float64) raytrace.ToleranceFun
 func (s *shard) run() {
 	defer close(s.done)
 	for m := range s.ch {
-		switch {
-		case m.flush != nil:
+		if m.flush != nil {
 			close(m.flush)
-		case m.hasOne:
-			s.process(m.one)
-		default:
-			for _, o := range m.obs {
-				s.process(o)
-			}
+			continue
+		}
+		for _, o := range m.obs {
+			s.process(o)
 		}
 	}
 }

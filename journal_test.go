@@ -30,7 +30,7 @@ func TestApplierFlushBoundariesDoNotMatter(t *testing.T) {
 		if err := live.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := live.Tick(batch[0].T); err != nil {
+		if err := live.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,12 +16,6 @@ import (
 	"hotpaths/internal/wal"
 )
 
-// ErrReadOnly is returned by every write method of a Follower: replicated
-// state flows one way, from the primary's write-ahead log, and a local
-// write would fork the follower's state away from the stream it replays.
-// Writes must go to the primary.
-var ErrReadOnly = errors.New("hotpaths: follower is read-only; writes must go to the primary")
-
 // ErrFollowerClosed is returned by operations on a closed Follower.
 var ErrFollowerClosed = errors.New("hotpaths: follower closed")
 
@@ -106,10 +100,11 @@ type ReplicationStats struct {
 // the follower's Snapshot().Query(q) is byte-identical to the primary's
 // at every shared epoch boundary.
 //
-// Follower implements Source, but it is the read-only half: Observe,
-// ObserveNoisy, ObserveBatchCtx and Tick always return ErrReadOnly, while
-// Snapshot, Subscribe and Stats serve local state with no primary
-// round-trip. Reads are eventually consistent with the primary —
+// A Follower is a Reader and not a Writer: replicated state flows one
+// way, from the primary's write-ahead log, and a local write would fork
+// the follower's state away from the stream it replays, so writes go to
+// the primary. Snapshot, Subscribe and Stats serve local state with no
+// primary round-trip. Reads are eventually consistent with the primary —
 // replication lag is bounded by the primary's group-commit flush cadence
 // plus one poll interval, and Replication() reports the current lag.
 //
@@ -385,26 +380,6 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 	return hadConnection, err
 }
 
-// Observe always returns ErrReadOnly: followers reject writes.
-func (f *Follower) Observe(objectID int, x, y float64, t int64) error { return ErrReadOnly }
-
-// ObserveNoisy always returns ErrReadOnly: followers reject writes.
-func (f *Follower) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
-	return ErrReadOnly
-}
-
-// ObserveBatchCtx always returns ErrReadOnly: followers reject writes.
-func (f *Follower) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
-	return ErrReadOnly
-}
-
-// Tick always returns ErrReadOnly: the follower's clock advances by
-// applying the primary's journaled ticks.
-func (f *Follower) Tick(now int64) error { return ErrReadOnly }
-
-// TickCtx always returns ErrReadOnly, like Tick.
-func (f *Follower) TickCtx(ctx context.Context, now int64) error { return ErrReadOnly }
-
 // Snapshot captures an immutable view of the replicated hot paths,
 // counters and clock. It is served locally (no primary round-trip) and is
 // safe concurrently with the applier.
@@ -537,5 +512,3 @@ func (f *Follower) Close() error {
 	mFollowerConnected.Set(0)
 	return f.eng.Close()
 }
-
-var _ Source = (*Follower)(nil)

@@ -130,7 +130,7 @@ func followerMatchesPrimary(t *testing.T, cfg Config, batches [][]Observation) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 		for _, o := range batch {
@@ -289,7 +289,7 @@ func TestFollowerHealsDivergenceWithoutCheckpoint(t *testing.T) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +371,7 @@ func TestFollowerHealsDivergenceWithoutCheckpoint(t *testing.T) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,8 +437,9 @@ func TestFollowerStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestFollowerRejectsWrites pins the read-only Source contract: every
-// write method fails with ErrReadOnly, and reads keep working.
+// TestFollowerRejectsWrites pins the read-only contract: a Follower is a
+// Reader and not a Writer, so no write can reach it, and it serves the
+// primary's configuration.
 func TestFollowerRejectsWrites(t *testing.T) {
 	cfg := engineTestConfig()
 	dir := t.TempDir()
@@ -454,21 +455,8 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	}
 	defer f.Close()
 
-	if err := f.Observe(1, 2, 3, 4); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("Observe: got %v, want ErrReadOnly", err)
-	}
-	if err := f.ObserveNoisy(1, 2, 3, 1, 1, 4); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("ObserveNoisy: got %v, want ErrReadOnly", err)
-	}
-	if err := f.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, T: 1}}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("ObserveBatchCtx: got %v, want ErrReadOnly", err)
-	}
-	if err := f.Tick(9); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("Tick: got %v, want ErrReadOnly", err)
-	}
-	// The rejected writes changed nothing.
-	if n := f.Snapshot().Stats().Observations; n != 0 {
-		t.Errorf("rejected writes leaked: %d observations", n)
+	if _, ok := any(f).(Writer); ok {
+		t.Error("a Follower must not be a Writer")
 	}
 	if f.Config() != dur.Config() {
 		t.Errorf("follower config %+v != primary %+v", f.Config(), dur.Config())
@@ -505,7 +493,7 @@ func TestFollowerSubscriptions(t *testing.T) {
 		if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := dur.Tick(batch[0].T); err != nil {
+		if err := dur.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}

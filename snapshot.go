@@ -1,6 +1,7 @@
 package hotpaths
 
 import (
+	"context"
 	"io"
 	"sort"
 
@@ -9,38 +10,54 @@ import (
 	"hotpaths/internal/motion"
 )
 
-// Source is the common surface of the package's deployments: the
+// Reader is the read surface every deployment shares: the
 // single-goroutine System, the concurrent sharded Engine, and the two
 // shells around an Engine — the journaled Durable and the replicated
-// Follower. Callers that ingest a stream and read results back — replay
-// tools, network frontends, tests — can be written once against Source
-// and handed any of them. Batched and trace-aware writes are not part of
-// it: ObserveBatchCtx and TickCtx exist on the Engine-backed three only.
-//
-// The concurrency contract stays per-implementation: System must be driven
-// from one goroutine; Engine accepts concurrent Observes. Snapshot is the
-// read side — an immutable view the caller can query freely. A Follower
-// implements only the read half: its write methods (Observe, Tick and the
-// Observe variants) always return ErrReadOnly, because its state is
-// replicated from a primary's journal — test with errors.Is rather than
-// assuming every Source accepts writes.
-type Source interface {
-	// Observe feeds one location measurement for objectID at timestamp t.
-	Observe(objectID int, x, y float64, t int64) error
-	// Tick advances the clock; epochs fire when it crosses a multiple of
-	// Config.Epoch.
-	Tick(now int64) error
+// Follower. Query tools, network frontends and tests are written once
+// against it. Snapshot is the read side proper — an immutable view the
+// caller can query freely; Stats and Clock are cheap counters that copy
+// no paths.
+type Reader interface {
 	// Snapshot captures an immutable view of the current hot paths,
 	// counters and clock.
 	Snapshot() Snapshot
 	// Subscribe registers a standing query, re-evaluated at every epoch
 	// boundary; the subscription receives one Delta per epoch.
 	Subscribe(q Query) (*Subscription, error)
+	// Stats returns the lifetime counters.
+	Stats() Stats
+	// Clock returns the timestamp of the last Tick.
+	Clock() int64
+	// Config returns the configuration with defaults applied.
+	Config() Config
+}
+
+// Writer is the write path of the paper's architecture: measurements in,
+// the clock forward. System, Engine and Durable implement it. A Follower
+// does not: its state is replicated from a primary's journal, so it is
+// read-only by its type.
+//
+// The concurrency contract stays per-implementation: System must be driven
+// from one goroutine; Engine and Durable accept concurrent batches. The
+// context carries the caller's trace, on which the Engine-backed
+// deployments record their spans.
+type Writer interface {
+	// ObserveBatchCtx feeds a batch of location measurements. The batch is
+	// validated up front, so a rejected batch ingests nothing.
+	ObserveBatchCtx(ctx context.Context, batch []Observation) error
+	// TickCtx advances the clock to now; epochs fire when it reaches or
+	// crosses a multiple of Config.Epoch.
+	TickCtx(ctx context.Context, now int64) error
 }
 
 var (
-	_ Source = (*System)(nil)
-	_ Source = (*Engine)(nil)
+	_ Reader = (*System)(nil)
+	_ Reader = (*Engine)(nil)
+	_ Reader = (*Durable)(nil)
+	_ Reader = (*Follower)(nil)
+	_ Writer = (*System)(nil)
+	_ Writer = (*Engine)(nil)
+	_ Writer = (*Durable)(nil)
 )
 
 // SortOrder selects how a Query orders its results.
@@ -102,11 +119,11 @@ func (q Query) SortBy(o SortOrder) Query {
 	return q
 }
 
-// Snapshot is an immutable view of a System's or Engine's discovered hot
+// Snapshot is an immutable view of a deployment's discovered hot
 // paths at one instant: the paths with their hotness, the clock, and the
 // lifetime counters, all captured at a single consistent point. It is safe
 // to share across goroutines and to query repeatedly while ingestion
-// continues on the live Source; two reads from the same Snapshot always
+// continues on the live deployment; two reads from the same Snapshot always
 // agree, which two successive live accessor calls (which may straddle an
 // epoch) do not guarantee.
 //

@@ -37,7 +37,7 @@ func feedBoth(t *testing.T, cfg Config, nObjects int, horizon, seed int64) (*Sys
 		if err := sys.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Tick(now); err != nil {
+		if err := eng.TickCtx(context.Background(), now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,49 +149,38 @@ func TestRegionMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// The legacy accessors must be exactly the documented thin wrappers, with
+// System's accessors must be exactly the documented thin wrappers, with
 // the seed semantics: TopK is the K hottest in hotness-descending order,
 // HotPaths is every live path, Score averages hotness×length over TopK.
 func TestWrapperSeedSemantics(t *testing.T) {
-	sys, eng := feedBoth(t, engineTestConfig(), 48, 120, 21)
-	for name, src := range map[string]Source{"system": Source(sys), "engine": Source(eng)} {
-		snap := src.Snapshot()
-		var top []HotPath
-		var all []HotPath
-		var score float64
-		var k int
-		switch s := src.(type) {
-		case *System:
-			top, all, score, k = s.TopK(), s.HotPaths(), s.Score(), s.cfg.K
-		case *Engine:
-			top, all, score, k = s.TopK(), s.HotPaths(), s.Score(), s.cfg.K
-		}
-		if !reflect.DeepEqual(top, snap.TopK()) {
-			t.Errorf("%s: TopK() != Snapshot().TopK()", name)
-		}
-		if !reflect.DeepEqual(all, snap.HotPaths()) {
-			t.Errorf("%s: HotPaths() != Snapshot().HotPaths()", name)
-		}
-		if score != snap.Score() {
-			t.Errorf("%s: Score() %v != Snapshot().Score() %v", name, score, snap.Score())
-		}
-		if len(top) > k {
-			t.Errorf("%s: TopK returned %d > K=%d paths", name, len(top), k)
-		}
-		if !sort.SliceIsSorted(top, func(i, j int) bool { return top[i].Hotness > top[j].Hotness }) &&
-			!sort.SliceIsSorted(top, func(i, j int) bool { return top[i].Hotness >= top[j].Hotness }) {
-			t.Errorf("%s: TopK not hotness-descending: %+v", name, top)
-		}
-		if len(all) < len(top) {
-			t.Errorf("%s: HotPaths (%d) smaller than TopK (%d)", name, len(all), len(top))
-		}
-		var sum float64
-		for _, hp := range top {
-			sum += hp.Score()
-		}
-		if want := sum / float64(len(top)); score != want {
-			t.Errorf("%s: Score %v, want avg top-k %v", name, score, want)
-		}
+	sys, _ := feedBoth(t, engineTestConfig(), 48, 120, 21)
+	snap := sys.Snapshot()
+	top, all, score, k := sys.TopK(), sys.HotPaths(), sys.Score(), sys.cfg.K
+	if !reflect.DeepEqual(top, snap.TopK()) {
+		t.Error("TopK() != Snapshot().TopK()")
+	}
+	if !reflect.DeepEqual(all, snap.HotPaths()) {
+		t.Error("HotPaths() != Snapshot().HotPaths()")
+	}
+	if score != snap.Score() {
+		t.Errorf("Score() %v != Snapshot().Score() %v", score, snap.Score())
+	}
+	if len(top) > k {
+		t.Errorf("TopK returned %d > K=%d paths", len(top), k)
+	}
+	if !sort.SliceIsSorted(top, func(i, j int) bool { return top[i].Hotness > top[j].Hotness }) &&
+		!sort.SliceIsSorted(top, func(i, j int) bool { return top[i].Hotness >= top[j].Hotness }) {
+		t.Errorf("TopK not hotness-descending: %+v", top)
+	}
+	if len(all) < len(top) {
+		t.Errorf("HotPaths (%d) smaller than TopK (%d)", len(all), len(top))
+	}
+	var sum float64
+	for _, hp := range top {
+		sum += hp.Score()
+	}
+	if want := sum / float64(len(top)); score != want {
+		t.Errorf("Score %v, want avg top-k %v", score, want)
 	}
 }
 
@@ -211,7 +200,7 @@ func TestSnapshotImmuneToLaterIngestion(t *testing.T) {
 		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Tick(batch[0].T); err != nil {
+		if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +227,7 @@ func TestSnapshotImmuneToLaterIngestion(t *testing.T) {
 		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Tick(batch[0].T); err != nil {
+		if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}

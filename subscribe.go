@@ -8,7 +8,7 @@ import (
 	"hotpaths/internal/motion"
 )
 
-// ErrSourceClosed is returned by Subscribe on a Source that has been
+// ErrSourceClosed is returned by Subscribe on a deployment that has been
 // closed: no further epochs will ever be published, so a standing query
 // against it could never fire.
 var ErrSourceClosed = errors.New("hotpaths: source closed; no further epochs will be published")

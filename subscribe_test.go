@@ -90,7 +90,7 @@ func subscriptionQueries() []Query {
 // received delta, applied to the previous result, reproduces
 // Snapshot().Query(q) exactly. It returns the full delta streams so the
 // caller can compare deployments.
-func runSubscribed(t *testing.T, src Source, queries []Query, batches [][]Observation) [][]Delta {
+func runSubscribed(t *testing.T, src readWriter, queries []Query, batches [][]Observation) [][]Delta {
 	t.Helper()
 	subs := make([]*Subscription, len(queries))
 	results := make([][]HotPath, len(queries))
@@ -113,10 +113,10 @@ func runSubscribed(t *testing.T, src Source, queries []Query, batches [][]Observ
 	}
 	lastEpoch := src.Snapshot().Epoch()
 	for _, batch := range batches {
-		if err := observeAll(src, batch); err != nil {
+		if err := src.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.Tick(batch[0].T); err != nil {
+		if err := src.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 		snap := src.Snapshot()
@@ -139,23 +139,6 @@ func runSubscribed(t *testing.T, src Source, queries []Query, batches [][]Observ
 		}
 	}
 	return streams
-}
-
-// observeAll feeds one timestamp's batch through the fastest path the
-// deployment offers, mirroring how each is driven in production.
-func observeAll(src Source, batch []Observation) error {
-	type batcher interface {
-		ObserveBatchCtx(ctx context.Context, batch []Observation) error
-	}
-	if b, ok := src.(batcher); ok {
-		return b.ObserveBatchCtx(context.Background(), batch)
-	}
-	for _, o := range batch {
-		if err := src.Observe(o.ObjectID, o.X, o.Y, o.T); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Golden contract of the tentpole: every epoch's delta, applied to the
@@ -332,7 +315,7 @@ func TestSubscribeConcurrentWithIngestion(t *testing.T) {
 		if err := eng.ObserveBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Tick(batch[0].T); err != nil {
+		if err := eng.TickCtx(context.Background(), batch[0].T); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,7 +366,7 @@ func TestConcurrentTickersWithSubscriberStayOrdered(t *testing.T) {
 			defer wg.Done()
 			for _, batch := range batches {
 				_ = eng.ObserveBatchCtx(context.Background(), batch)
-				_ = eng.Tick(batch[0].T) // the loser errors; that's the contract
+				_ = eng.TickCtx(context.Background(), batch[0].T) // the loser errors; that's the contract
 			}
 		}()
 	}
@@ -433,7 +416,8 @@ func TestResetDeltaOverridesAnyPriorState(t *testing.T) {
 }
 
 // Non-finite measurements must be rejected at every ingestion surface
-// before they can poison filter, shard or journal state.
+// before they can poison filter state: System's single-call conveniences
+// here, every Writer's batch path in TestWriterBatchValidation.
 func TestObserveRejectsNonFinite(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Delta = 0.05
@@ -441,55 +425,20 @@ func TestObserveRejectsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	dur, err := OpenDurable(t.TempDir(), DurableConfig{Config: cfg, FsyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dur.Close() })
-
 	nan, inf := math.NaN(), math.Inf(1)
-	for _, src := range []Source{sys, eng, dur} {
-		for _, bad := range [][2]float64{{nan, 1}, {1, nan}, {inf, 1}, {1, -inf}} {
-			if err := src.Observe(1, bad[0], bad[1], 1); err == nil {
-				t.Errorf("%T.Observe(%v, %v) accepted a non-finite coordinate", src, bad[0], bad[1])
-			}
+	for _, bad := range [][2]float64{{nan, 1}, {1, nan}, {inf, 1}, {1, -inf}} {
+		if err := sys.Observe(1, bad[0], bad[1], 1); err == nil {
+			t.Errorf("Observe(%v, %v) accepted a non-finite coordinate", bad[0], bad[1])
 		}
 	}
-	type noisy interface {
-		ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error
+	if err := sys.ObserveNoisy(1, nan, 0, 1, 1, 1); err == nil {
+		t.Error("ObserveNoisy accepted a NaN coordinate")
 	}
-	for _, src := range []Source{sys, eng, dur} {
-		n := src.(noisy)
-		if err := n.ObserveNoisy(1, nan, 0, 1, 1, 1); err == nil {
-			t.Errorf("%T.ObserveNoisy accepted a NaN coordinate", src)
-		}
-		if err := n.ObserveNoisy(1, 0, 0, inf, 1, 1); err == nil {
-			t.Errorf("%T.ObserveNoisy accepted an infinite sigma", src)
-		}
-		if err := n.ObserveNoisy(1, 0, 0, nan, 1, 1); err == nil {
-			t.Errorf("%T.ObserveNoisy accepted a NaN sigma", src)
-		}
+	if err := sys.ObserveNoisy(1, 0, 0, inf, 1, 1); err == nil {
+		t.Error("ObserveNoisy accepted an infinite sigma")
 	}
-	for _, src := range []interface {
-		ObserveBatchCtx(ctx context.Context, batch []Observation) error
-	}{eng, dur} {
-		err := src.ObserveBatchCtx(context.Background(), []Observation{
-			{ObjectID: 1, X: 0, Y: 0, T: 1},
-			{ObjectID: 2, X: nan, Y: 0, T: 1},
-		})
-		if err == nil {
-			t.Errorf("%T.ObserveBatchCtx accepted a NaN coordinate", src)
-		}
-	}
-	// The WAL must not have journaled any rejected record: recovery would
-	// replay it into a fresh deployment.
-	if n := dur.WAL().Records; n != 0 {
-		t.Fatalf("rejected observations reached the journal: %d records", n)
+	if err := sys.ObserveNoisy(1, 0, 0, nan, 1, 1); err == nil {
+		t.Error("ObserveNoisy accepted a NaN sigma")
 	}
 	// Valid observations still flow after the rejections.
 	if err := sys.Observe(1, 10, 10, 1); err != nil {

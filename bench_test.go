@@ -699,6 +699,57 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotCold measures a cold read, which BenchmarkSnapshotQuery
+// never sees: each iteration takes a fresh Snapshot of a System holding
+// ≥10k live paths and runs one query on it — the top-k, a 1 km viewport,
+// or every path in order. Only the last needs the whole store sorted.
+func BenchmarkSnapshotCold(b *testing.B) {
+	sys := coldSystem(b)
+	for _, c := range []struct {
+		name string
+		q    hotpaths.Query
+	}{
+		{"topk", hotpaths.Query{}.K(10)},
+		{"region", hotpaths.Query{}.Region(hotpaths.Rect{Min: hotpaths.Pt(0, 1000), Max: hotpaths.Pt(1000, 2000)})},
+		{"all", hotpaths.Query{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(sys.Snapshot().Query(c.q)) == 0 {
+					b.Fatal("empty answer")
+				}
+			}
+		})
+	}
+}
+
+// coldSystem replays 1,500 walkers over 100 timestamps under a window no
+// path outlives, so the System ends with ≥10k live paths, the size of a
+// busy daemon's index. internal/bench's snapshot_cold_topk mirrors it.
+func coldSystem(b *testing.B) *hotpaths.System {
+	cfg := ingestConfig()
+	cfg.W = 1000
+	sys, err := hotpaths.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range ingestBatches(1500, 100) {
+		for _, o := range batch {
+			if err := sys.Observe(o.ObjectID, o.X, o.Y, o.T); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sys.Tick(batch[0].T); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := sys.Snapshot().Len(); n < 10_000 {
+		b.Fatalf("cold system holds %d live paths, want ≥10k", n)
+	}
+	return sys
+}
+
 func reportMatchRate(b *testing.B, found int) {
 	b.Helper()
 	b.ReportMetric(float64(found)/float64(b.N), "matches/op")

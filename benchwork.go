@@ -41,8 +41,9 @@ func IngestWorkload(nObjects int, horizon, seed int64) [][]Observation {
 
 // NewBenchSnapshot assembles a Snapshot directly from synthetic paths, so
 // the query benchmarks can exercise 10k–100k-path snapshots without
-// replaying a workload of that size. Paths are put into canonical
-// hottest-first order; cols/rows are the grid resolution behind Region.
+// replaying a workload of that size. Paths may come in any order, as a
+// coordinator's snapshot copy does; cols/rows are the grid resolution
+// behind Region.
 func NewBenchSnapshot(paths []HotPath, bounds Rect, cols, rows, k int) Snapshot {
 	mp := make([]motion.HotPath, len(paths))
 	for i, hp := range paths {
@@ -55,7 +56,6 @@ func NewBenchSnapshot(paths []HotPath, bounds Rect, cols, rows, k int) Snapshot 
 			Hotness: hp.Hotness,
 		}
 	}
-	motion.SortRanked(mp, (*motion.HotPath).Rank)
 	gb := geom.Rect{Lo: geom.Pt(bounds.Min.X, bounds.Min.Y), Hi: geom.Pt(bounds.Max.X, bounds.Max.Y)}
 	return Snapshot{snap: coordinator.SnapshotOf(mp, gb, cols, rows), k: k}
 }

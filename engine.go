@@ -81,10 +81,11 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{cfg: c}
 	// The epoch hook's snapshot is captured under the engine write lock —
-	// always a consistent post-epoch view — while the fan-out work
-	// (per-subscription query + diff + delivery) runs after the lock is
-	// released and never stalls producers. The capture itself is skipped
-	// while nobody subscribes (EpochWanted). Callers that tick from
+	// always a consistent post-epoch view, and an unsorted copy: no
+	// ordering work happens under the lock — while the fan-out work
+	// (per-subscription ordering, query, diff and delivery) runs after the
+	// lock is released and never stalls producers. The capture itself is
+	// skipped while nobody subscribes (EpochWanted). Callers that tick from
 	// several goroutines at once can reorder hook deliveries; the hub
 	// drops the stale ones by epoch number, so subscribers still see a
 	// strictly ordered stream.

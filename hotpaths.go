@@ -558,15 +558,20 @@ func (s *System) Stats() Stats {
 	return out
 }
 
+// convert copies paths into a fresh, never nil, public slice.
 func convert(in []motion.HotPath) []HotPath {
 	out := make([]HotPath, len(in))
 	for i, hp := range in {
-		out[i] = HotPath{
-			ID:      uint64(hp.Path.ID),
-			Start:   Point{hp.Path.S.X, hp.Path.S.Y},
-			End:     Point{hp.Path.E.X, hp.Path.E.Y},
-			Hotness: hp.Hotness,
-		}
+		out[i] = publicPath(hp)
 	}
 	return out
+}
+
+func publicPath(hp motion.HotPath) HotPath {
+	return HotPath{
+		ID:      uint64(hp.Path.ID),
+		Start:   Point{hp.Path.S.X, hp.Path.S.Y},
+		End:     Point{hp.Path.E.X, hp.Path.E.Y},
+		Hotness: hp.Hotness,
+	}
 }

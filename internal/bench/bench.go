@@ -238,6 +238,23 @@ func cases() []benchCase {
 			return nil
 		}},
 
+		{"snapshot_cold_topk", 0, func(b *testing.B) error {
+			// snapshot_query_topk and _region query one snapshot over and
+			// over, so its top-k memo and region index stay warm; a
+			// daemon's read after a write takes a fresh one first.
+			sys, err := coldSystem()
+			if err != nil {
+				return err
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := sys.Snapshot().Query(hotpaths.Query{}.K(10)); len(got) != 10 {
+					return fmt.Errorf("cold topk returned %d paths, want 10", len(got))
+				}
+			}
+			return nil
+		}},
+
 		{"snapshot_query_region", 0, func(b *testing.B) error {
 			snap := benchSnapshot(10_000)
 			viewports := benchViewports()
@@ -294,6 +311,32 @@ func recoverCase(batches [][]hotpaths.Observation, ckptEvery int64) func(b *test
 		}
 		return nil
 	}
+}
+
+// coldSystem mirrors bench_test.go's BenchmarkSnapshotCold: 1,500
+// walkers over 100 timestamps under a window no path outlives, so the
+// System ends with ≥10k live paths.
+func coldSystem() (*hotpaths.System, error) {
+	cfg := config()
+	cfg.W = 1000
+	sys, err := hotpaths.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, batch := range hotpaths.IngestWorkload(1500, 100, seed) {
+		for _, o := range batch {
+			if err := sys.Observe(o.ObjectID, o.X, o.Y, o.T); err != nil {
+				return nil, err
+			}
+		}
+		if err := sys.Tick(batch[0].T); err != nil {
+			return nil, err
+		}
+	}
+	if n := sys.Snapshot().Len(); n < 10_000 {
+		return nil, fmt.Errorf("cold system holds %d live paths, want ≥10k", n)
+	}
+	return sys, nil
 }
 
 // benchSnapshot mirrors bench_test.go's generator: n short paths over a

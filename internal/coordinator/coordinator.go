@@ -420,23 +420,3 @@ func (c *Coordinator) insertPath(s, e geom.Point) motion.PathID {
 	c.stats.PathsCreated++
 	return id
 }
-
-// TopK returns the k hottest stored paths, sorted by hotness descending
-// (ties: longer first, then smaller id). k ≤ 0 returns all paths sorted.
-// This is the canonical result order, motion.HotPath.Rank; the public
-// package's subscription layer (sortResults in subscribe.go) sorts by the
-// same key to reconstruct query results from deltas.
-func (c *Coordinator) TopK(k int) []motion.HotPath {
-	out := make([]motion.HotPath, 0, len(c.paths))
-	c.hot.ForEach(func(id motion.PathID, h int) bool {
-		if p, ok := c.paths[id]; ok {
-			out = append(out, motion.HotPath{Path: p, Hotness: h})
-		}
-		return true
-	})
-	motion.SortRanked(out, (*motion.HotPath).Rank)
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
-}

@@ -243,9 +243,9 @@ func TestTopKAndScore(t *testing.T) {
 	fsaB := geom.RectAround(geom.Pt(0, 50), 5)
 	rB, _ := c.ProcessEpoch([]Report{report(3, geom.Pt(10, 300), fsaB, 0, 10)})
 
-	top := c.TopK(10)
+	top := c.Snapshot().Hottest(10, 0)
 	if len(top) != 2 {
-		t.Fatalf("TopK returned %d", len(top))
+		t.Fatalf("Hottest returned %d", len(top))
 	}
 	if top[0].Path.ID != rA[0].PathID || top[0].Hotness != 2 {
 		t.Errorf("top[0] = %+v", top[0])
@@ -253,15 +253,18 @@ func TestTopKAndScore(t *testing.T) {
 	if top[1].Path.ID != rB[0].PathID || top[1].Hotness != 1 {
 		t.Errorf("top[1] = %+v", top[1])
 	}
-	one := c.TopK(1)
+	one := c.Snapshot().Hottest(1, 0)
 	if len(one) != 1 || one[0].Path.ID != rA[0].PathID {
-		t.Error("TopK(1) truncation wrong")
+		t.Error("Hottest(1) truncation wrong")
 	}
 	if got := motion.TopKScore(top); got <= 0 {
 		t.Errorf("score = %v", got)
 	}
-	if len(c.TopK(0)) != 2 {
-		t.Error("TopK(0) size")
+	if len(c.Snapshot().Hottest(0, 0)) != 2 {
+		t.Error("Hottest(0) size")
+	}
+	if got := c.Snapshot().Hottest(0, 2); len(got) != 1 || got[0].Path.ID != rA[0].PathID {
+		t.Errorf("Hottest(0, 2) = %+v, want path A alone", got)
 	}
 }
 

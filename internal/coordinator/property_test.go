@@ -3,6 +3,7 @@ package coordinator
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hotpaths/internal/geom"
@@ -94,7 +95,7 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 		// Invariant 2+3: index contents match hotness table.
 		live := 0
 		liveHot := 0
-		for _, hp := range c.TopK(0) {
+		for _, hp := range c.Snapshot().Unordered() {
 			if hp.Hotness <= 0 {
 				t.Fatal("stored path with non-positive hotness")
 			}
@@ -102,7 +103,7 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 			liveHot += hp.Hotness
 		}
 		if live != c.IndexSize() {
-			t.Fatalf("TopK(0) has %d paths vs IndexSize %d", live, c.IndexSize())
+			t.Fatalf("snapshot has %d paths vs IndexSize %d", live, c.IndexSize())
 		}
 		if liveHot > totalCrossings {
 			t.Fatalf("live hotness %d exceeds crossings %d", liveHot, totalCrossings)
@@ -123,7 +124,7 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 	}
 }
 
-// TopK must agree with a brute-force sort of TopK(0).
+// A snapshot's top-k must agree with a brute-force scan of all its paths.
 func TestTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	c := mustCoord(t, testConfig())
@@ -134,8 +135,9 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all := c.TopK(0)
-	top := c.TopK(10)
+	snap := c.Snapshot()
+	all := snap.Unordered()
+	top := snap.Hottest(10, 0)
 	if len(top) != 10 {
 		t.Fatalf("topk = %d", len(top))
 	}
@@ -188,35 +190,91 @@ func TestSnapshotRegionMatchesLinearFilter(t *testing.T) {
 		}
 		return -1200 + rng.Float64()*3600
 	}
+	// The same paths shuffled: a coordinator snapshot's copy is in no
+	// particular order, so its Region orders the matches itself.
+	shuffled := slices.Clone(paths)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	for _, grid := range [][2]int{{64, 64}, {1, 1}, {7, 3}, {0, 0}} {
-		snap := SnapshotOf(paths, bounds, grid[0], grid[1])
-		for trial := 0; trial < 400; trial++ {
-			r := geom.Rect{Lo: geom.Pt(coord(), coord()), Hi: geom.Pt(coord(), coord())}
-			switch trial % 4 {
-			case 0: // usually inverted in a dimension: empty
-			case 1:
-				r = geom.RectFromPoints(r.Lo, r.Hi)
-			case 2: // a small viewport
-				r.Hi = geom.Pt(r.Lo.X+rng.Float64()*120, r.Lo.Y+rng.Float64()*120)
-			case 3: // a single point, sometimes an indexed one
-				r.Lo = paths[rng.Intn(len(paths))].Path.E
-				r.Hi = r.Lo
+		for _, ordered := range []bool{true, false} {
+			snap := SnapshotOf(paths, bounds, grid[0], grid[1])
+			if !ordered {
+				snap = SnapshotOf(shuffled, bounds, grid[0], grid[1])
 			}
-			var want []motion.HotPath
-			for _, hp := range paths {
-				if r.Contains(hp.Path.E) {
-					want = append(want, hp)
+			for trial := 0; trial < 400; trial++ {
+				r := geom.Rect{Lo: geom.Pt(coord(), coord()), Hi: geom.Pt(coord(), coord())}
+				switch trial % 4 {
+				case 0: // usually inverted in a dimension: empty
+				case 1:
+					r = geom.RectFromPoints(r.Lo, r.Hi)
+				case 2: // a small viewport
+					r.Hi = geom.Pt(r.Lo.X+rng.Float64()*120, r.Lo.Y+rng.Float64()*120)
+				case 3: // a single point, sometimes an indexed one
+					r.Lo = paths[rng.Intn(len(paths))].Path.E
+					r.Hi = r.Lo
 				}
-			}
-			got := snap.Region(r)
-			if len(got) != len(want) {
-				t.Fatalf("grid %v: Region(%v) returned %d paths, the linear filter %d", grid, r, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("grid %v: Region(%v)[%d] = %v, want %v", grid, r, i, got[i], want[i])
+				var want []motion.HotPath
+				for _, hp := range paths {
+					if r.Contains(hp.Path.E) {
+						want = append(want, hp)
+					}
+				}
+				got := snap.Region(r)
+				if len(got) != len(want) {
+					t.Fatalf("grid %v ordered %v: Region(%v) returned %d paths, the linear filter %d", grid, ordered, r, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("grid %v ordered %v: Region(%v)[%d] = %v, want %v", grid, ordered, r, i, got[i], want[i])
+					}
 				}
 			}
 		}
+	}
+}
+
+// A snapshot runs at most one full sort. A top-k selects without sorting
+// everything; the first query that needs at least half the order sorts it
+// all and keeps it, and no later query of any shape sorts again.
+func TestSnapshotSortsAtMostOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	bounds := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(1000, 1000)}
+	paths := make([]motion.HotPath, 500)
+	for i := range paths {
+		s := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		e := geom.Pt(s.X+rng.Float64()*40, s.Y)
+		paths[i] = motion.HotPath{Path: motion.Path{ID: motion.PathIDFor(s, e), S: s, E: e}, Hotness: 1 + rng.Intn(6)}
+	}
+	want := slices.Clone(paths)
+	motion.SortRanked(want, (*motion.HotPath).Rank)
+	snap := SnapshotOf(slices.Clone(paths), bounds, 8, 8)
+
+	if got := snap.Hottest(3, 0); !slices.Equal(got, want[:3]) {
+		t.Fatalf("Hottest(3) = %v, want %v", got, want[:3])
+	}
+	rankedAll := func() bool { return len(*snap.ranked.Load()) == len(paths) }
+	if rankedAll() {
+		t.Fatal("a top-3 sorted every path")
+	}
+	if got := snap.Hottest(250, 0); !slices.Equal(got, want[:250]) {
+		t.Fatal("Hottest(250) is not the canonical order's prefix")
+	}
+	full := snap.ranked.Load()
+	if !rankedAll() {
+		t.Fatal("a top-250 of 500 sorted every path but did not keep the order")
+	}
+	if got := snap.Hottest(0, 1); !slices.Equal(got, want) {
+		t.Fatal("Hottest(0, 1) is not the canonical order")
+	}
+	for _, k := range []int{0, 1, 10, 249, 250, 499, 500, 501} {
+		for _, min := range []int{0, 3, 7} {
+			snap.Hottest(k, min)
+		}
+		snap.Region(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(float64(2*k), 1000)})
+	}
+	if snap.ranked.Load() != full {
+		t.Fatal("a later query replaced the full order: a second sort")
+	}
+	if !slices.Equal(snap.Unordered(), paths) {
+		t.Fatal("ordering on demand modified the snapshot's copy")
 	}
 }

@@ -460,10 +460,11 @@ func (e *Engine) statsLocked() Stats {
 
 // Snapshot extracts an immutable copy of the coordinator's path store
 // together with the engine clock and counters, all read at one consistent
-// point under the engine lock. The snapshot is safe to share across
-// goroutines while ingestion continues; it reflects the last processed
-// epoch (reports still queued in the shards are not included until their
-// epoch-boundary Tick).
+// point under the engine lock. The read lock covers only the unsorted
+// copy; the snapshot orders its paths later, on demand, outside any engine
+// lock. The snapshot is safe to share across goroutines while ingestion
+// continues; it reflects the last processed epoch (reports still queued in
+// the shards are not included until their epoch-boundary Tick).
 func (e *Engine) Snapshot() (*coordinator.Snapshot, trajectory.Time, Stats) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

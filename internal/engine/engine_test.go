@@ -176,7 +176,7 @@ func TestCloseSemantics(t *testing.T) {
 	if got := e.Stats().Observations; got != 1 {
 		t.Errorf("Stats after Close: Observations = %d, want 1", got)
 	}
-	if snap, now, _ := e.Snapshot(); len(snap.Paths) != 0 || now != 0 {
-		t.Errorf("Snapshot after Close: %d paths at clock %d, want an empty view at 0", len(snap.Paths), now)
+	if snap, now, _ := e.Snapshot(); snap.Len() != 0 || now != 0 {
+		t.Errorf("Snapshot after Close: %d paths at clock %d, want an empty view at 0", snap.Len(), now)
 	}
 }

@@ -20,17 +20,17 @@
 // # Read merging
 //
 // GET /topk, /paths and /paths.geojson are answered from one merged view:
-// the gateway fetches every partition's full /paths at an agreed epoch
-// (the X-Hotpaths-Epoch response header, re-fetching laggards until all
-// partitions answer at the same epoch), sums hotness by path id — ids are
-// content-addressed, so a corridor discovered by several partitions
-// merges by id alone — and sorts the union in the canonical order. The
-// merged view is cached until the next write, mirroring hotpathsd's own
-// snapshot cache, so steady-state reads cost one local query, not a
-// fan-out. Query parameters (k/limit, min_hotness, bbox, sort) are
-// applied to the merged view with Snapshot.Query's exact semantics, so a
-// fleet behind a gateway answers byte-identically to one hotpathsd fed
-// the same workload.
+// the gateway fetches every partition's full /paths at an agreed instant
+// (the X-Hotpaths-Epoch and X-Hotpaths-Clock response headers, re-fetching
+// laggards until all partitions answer at the same epoch and clock), sums
+// hotness by path id — ids are content-addressed, so a corridor
+// discovered by several partitions merges by id alone — and sorts the
+// union in the canonical order. The merged view is cached until the next
+// write, mirroring hotpathsd's own snapshot cache, so steady-state reads
+// cost one local query, not a fan-out. Query parameters (k/limit,
+// min_hotness, bbox, sort) are applied to the merged view with
+// Snapshot.Query's exact semantics, so a fleet behind a gateway answers
+// byte-identically to one hotpathsd fed the same workload.
 //
 // When a partition cannot be reached the gateway answers 206 with the
 // partitions it could merge and names the missing ones in the
@@ -78,8 +78,8 @@ type Config struct {
 	// RequestTimeout bounds each per-partition sub-request (default 10s).
 	RequestTimeout time.Duration
 
-	// AlignRetries and AlignWait govern epoch agreement on reads: a
-	// partition that answers at an older epoch than its peers is
+	// AlignRetries and AlignWait govern agreement on reads: a partition
+	// that answers at an older epoch or clock than its peers is
 	// re-fetched up to AlignRetries times, AlignWait apart (defaults 50
 	// and 5ms), before the read fails. Alignment only races in-flight
 	// ticks, so one round is the common case.
@@ -411,15 +411,24 @@ func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.Hot
 	return paths, epoch, clock, nil
 }
 
-// gather fetches every partition's paths at one agreed epoch. Partitions
-// that keep failing are reported in missing (with their last error) and
-// excluded from the merge; a partition that answers at an older epoch
-// than the newest is re-fetched until the fleet agrees.
+// instant is where a partition's answer sits in time. Hotness slides
+// with every tick, not only at epoch barriers, so two answers at one
+// epoch but different clocks are different instants.
+type instant struct{ epoch, clock int64 }
+
+func (a instant) before(b instant) bool {
+	return a.epoch < b.epoch || a.epoch == b.epoch && a.clock < b.clock
+}
+
+// gather fetches every partition's paths at one agreed instant (epoch and
+// clock). Partitions that keep failing are reported in missing (with
+// their last error) and excluded from the merge; a partition that answers
+// at an older instant than the newest is re-fetched until the fleet
+// agrees.
 func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []partError) {
 	type result struct {
 		paths []hotpaths.HotPath
-		epoch int64
-		clock int64
+		at    instant
 		err   error
 	}
 	results := make([]result, len(g.parts))
@@ -430,7 +439,7 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 			go func(i int) {
 				defer wg.Done()
 				paths, epoch, clock, err := g.fetchPaths(ctx, g.parts[i])
-				results[i] = result{paths: paths, epoch: epoch, clock: clock, err: err}
+				results[i] = result{paths: paths, at: instant{epoch, clock}, err: err}
 			}(i)
 		}
 		wg.Wait()
@@ -440,20 +449,25 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 		all[i] = i
 	}
 	fetch(all)
-
-	// Epoch agreement: every successful partition must answer at the
-	// newest epoch seen. Laggards are re-fetched — their tick barrier is
-	// mid-flight — rather than merged inconsistently.
-	for retry := 0; retry < g.cfg.AlignRetries; retry++ {
-		target := int64(-1)
+	newest := func() instant {
+		target := instant{}
 		for i := range results {
-			if results[i].err == nil && results[i].epoch > target {
-				target = results[i].epoch
+			if results[i].err == nil && target.before(results[i].at) {
+				target = results[i].at
 			}
 		}
+		return target
+	}
+
+	// Agreement: every successful partition must answer at the newest
+	// instant seen. Laggards are re-fetched — a tick is mid-flight on them
+	// (tickAll posts to the partitions concurrently) — rather than merged
+	// inconsistently.
+	for retry := 0; retry < g.cfg.AlignRetries; retry++ {
+		target := newest()
 		var stale []int
 		for i := range results {
-			if results[i].err == nil && results[i].epoch < target {
+			if results[i].err == nil && results[i].at.before(target) {
 				stale = append(stale, i)
 			}
 		}
@@ -461,7 +475,7 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 			break
 		}
 		tracing.FromContext(ctx).Annotate(
-			"alignment retry %d: %d partitions behind epoch %d", retry+1, len(stale), target)
+			"alignment retry %d: %d partitions behind epoch %d clock %d", retry+1, len(stale), target.epoch, target.clock)
 		select {
 		case <-ctx.Done():
 			stale = nil
@@ -474,36 +488,32 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 	}
 
 	t0 := time.Now()
-	// Pick the target epoch first — the newest any partition answered at —
-	// then merge only the partitions that reached it. A partition still
-	// stuck at an older epoch after the retries above is failed like an
-	// unreachable one (reported in missing, its paths excluded): merging
-	// it would interleave two points in time.
-	var epoch, clock int64
-	for i := range results {
-		if results[i].err == nil && results[i].epoch > epoch {
-			epoch = results[i].epoch
-		}
-	}
+	// Pick the target instant first — the newest any partition answered
+	// at — then merge only the partitions that reached it. A partition
+	// still behind after the retries above is failed like an unreachable
+	// one (reported in missing, its paths excluded): merging it would
+	// interleave two points in time.
+	target := newest()
 	var states [][]hotpaths.HotPath
-	for i := range results {
+	for i, r := range results {
+		var err error
 		switch {
-		case results[i].err != nil:
-			missing = append(missing, partError{id: g.parts[i].id, err: results[i].err})
-		case results[i].epoch != epoch:
-			missing = append(missing, partError{
-				id:  g.parts[i].id,
-				err: fmt.Errorf("stuck at epoch %d while the fleet reached %d", results[i].epoch, epoch),
-			})
+		case r.err != nil:
+			err = r.err
+		case r.at.epoch != target.epoch:
+			err = fmt.Errorf("stuck at epoch %d while the fleet reached %d", r.at.epoch, target.epoch)
+		case r.at.clock != target.clock:
+			err = fmt.Errorf("stuck at clock %d while the fleet reached %d", r.at.clock, target.clock)
 		default:
-			clock = max(clock, results[i].clock)
-			states = append(states, results[i].paths)
+			states = append(states, r.paths)
+			continue
 		}
+		missing = append(missing, partError{id: g.parts[i].id, err: err})
 	}
 	out := mergeStates(states)
 	mMergeSeconds.ObserveSince(t0)
 	sort.Slice(missing, func(i, j int) bool { return missing[i].id < missing[j].id })
-	return &mergedView{epoch: epoch, clock: clock, paths: out}, missing
+	return &mergedView{epoch: target.epoch, clock: target.clock, paths: out}, missing
 }
 
 // merged returns the fleet's merged view, cached per write generation.

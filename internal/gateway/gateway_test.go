@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,6 +39,7 @@ type fakePart struct {
 	ticks   []int64
 	paths   []hotpaths.PathJSON
 	epoch   int64
+	clock   int64
 	srv     *httptest.Server
 }
 
@@ -90,13 +92,13 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 	}))
 	mux.HandleFunc("GET /paths", guard(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
-		paths, epoch := f.paths, f.epoch
+		paths, epoch, clock := f.paths, f.epoch, f.clock
 		f.mu.Unlock()
 		if paths == nil {
 			paths = []hotpaths.PathJSON{}
 		}
 		w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(epoch, 10))
-		w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(epoch*10, 10))
+		w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(clock, 10))
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(paths)
 	}))
@@ -105,13 +107,13 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 	}))
 	mux.HandleFunc("GET /stats", guard(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
-		epoch := f.epoch
+		epoch, clock := f.epoch, f.clock
 		f.mu.Unlock()
 		json.NewEncoder(w).Encode(map[string]any{
 			"partition_id":    f.id,
 			"partition_count": f.count,
 			"epoch":           epoch,
-			"clock":           epoch * 10,
+			"clock":           clock,
 			"observations":    1,
 			"index_size":      len(f.paths),
 		})
@@ -637,6 +639,43 @@ func TestStaleEpochExcluded(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("merged body = %+v, want the stale partition's paths excluded", got)
+	}
+}
+
+// TestStaleClockExcluded: hotness slides with every tick, so a partition
+// at the fleet's epoch but an older clock sits at a different instant.
+// When it never catches up, its paths are excluded and it is named in
+// X-Hotpaths-Partial, as a stale epoch is — not merged under the newer
+// clock.
+func TestStaleClockExcluded(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	fleet[0].paths = []hotpaths.PathJSON{hp(1, 4)}
+	fleet[0].epoch, fleet[0].clock = 5, 57
+	fleet[1].paths = []hotpaths.PathJSON{hp(2, 9)}
+	fleet[1].epoch, fleet[1].clock = 5, 56 // one tick behind, for good
+	g := newTestGateway(t, fleet, -1)
+
+	rec := doReq(t, g.Handler(), http.MethodGet, "/paths", nil)
+	if rec.Code != http.StatusPartialContent {
+		t.Fatalf("paths with a partition at an older clock: %d, want 206", rec.Code)
+	}
+	if got := rec.Header().Get(hotpaths.PartialHeader); got != "1" {
+		t.Fatalf("%s = %q, want \"1\"", hotpaths.PartialHeader, got)
+	}
+	if got := rec.Header().Get(hotpaths.ClockHeader); got != "57" {
+		t.Fatalf("%s = %q, want the fleet's clock \"57\"", hotpaths.ClockHeader, got)
+	}
+	var got []hotpaths.PathJSON
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].ID != 1 {
+		t.Fatalf("merged body = %+v, want the lagging partition's paths excluded", got)
+	}
+	_, missing := g.gather(context.Background())
+	//hotpathsvet:ignore errstring the test pins the operator-facing text that names the lagging clock
+	if len(missing) != 1 || missing[0].err.Error() != "stuck at clock 56 while the fleet reached 57" {
+		t.Fatalf("missing = %+v, want partition 1 stuck at clock 56", missing)
 	}
 }
 

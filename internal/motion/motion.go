@@ -114,8 +114,8 @@ type RankKey struct {
 	ID           uint64
 }
 
-// Rank is the canonical (hottest-first) key of hp: coordinator.TopK, and
-// through it every Snapshot, is in this order.
+// Rank is the canonical (hottest-first) key of hp: every snapshot answer
+// ordered by hotness is in this order.
 func (hp HotPath) Rank() RankKey {
 	return RankKey{float64(hp.Hotness), hp.Path.Length(), uint64(hp.Path.ID)}
 }
@@ -170,4 +170,72 @@ func SortRanked[T any](s []T, key func(*T) RankKey) {
 		s[to] = first
 		recs[to].from = -1
 	}
+}
+
+// TopRanked returns the first k elements of s's SortRanked order, in that
+// order, as a new slice; s is not modified. For k below half of s it keeps
+// the k best keys seen so far in a bounded heap whose root is the worst of
+// them, so a candidate that cannot enter costs one key and one comparison:
+// O(n + k log k) when few candidates displace the root, O(n log k) at
+// worst. A larger k sorts every key once, as SortRanked does. Both result
+// orders are total, so the answer is the k-prefix of SortRanked exactly.
+func TopRanked[T any](s []T, k int, key func(*T) RankKey) []T {
+	k = min(max(k, 0), len(s))
+	type rec struct {
+		RankKey
+		from int
+	}
+	if 2*k >= len(s) {
+		recs := make([]rec, len(s))
+		for i := range s {
+			recs[i] = rec{key(&s[i]), i}
+		}
+		slices.SortFunc(recs, func(a, b rec) int { return a.compare(b.RankKey) })
+		out := make([]T, k)
+		for i := range out {
+			out[i] = s[recs[i].from]
+		}
+		return out
+	}
+	// h[0] ranks last; a parent never ranks before its children.
+	h := make([]rec, 0, k)
+	for i := range s {
+		r := rec{key(&s[i]), i}
+		if len(h) < k {
+			h = append(h, r)
+			for j := len(h) - 1; j > 0; {
+				p := (j - 1) / 2
+				if h[p].compare(h[j].RankKey) >= 0 {
+					break
+				}
+				h[p], h[j] = h[j], h[p]
+				j = p
+			}
+			continue
+		}
+		if k == 0 || r.compare(h[0].RankKey) >= 0 {
+			continue
+		}
+		h[0] = r
+		for j := 0; ; {
+			c := 2*j + 1
+			if c >= k {
+				break
+			}
+			if c+1 < k && h[c+1].compare(h[c].RankKey) > 0 {
+				c++
+			}
+			if h[j].compare(h[c].RankKey) >= 0 {
+				break
+			}
+			h[j], h[c] = h[c], h[j]
+			j = c
+		}
+	}
+	slices.SortFunc(h, func(a, b rec) int { return a.compare(b.RankKey) })
+	out := make([]T, len(h))
+	for i, r := range h {
+		out[i] = s[r.from]
+	}
+	return out
 }

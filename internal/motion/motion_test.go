@@ -104,6 +104,16 @@ func TestSortRankedMatchesComparatorSort(t *testing.T) {
 			}
 			return a.Path.ID < b.Path.ID
 		})
+		input := slices.Clone(paths)
+		for _, k := range []int{-1, 0, 1, 2, 5, n / 2, n - 1, n, n + 1} {
+			got := TopRanked(paths, k, (*HotPath).Rank)
+			if want := want[:min(max(k, 0), n)]; !slices.Equal(got, want) {
+				t.Fatalf("n=%d: TopRanked(%d) is not the sorted order's prefix", n, k)
+			}
+		}
+		if !slices.Equal(paths, input) {
+			t.Fatalf("n=%d: TopRanked modified its input", n)
+		}
 		SortRanked(paths, (*HotPath).Rank)
 		if !slices.Equal(paths, want) {
 			t.Fatalf("n=%d: SortRanked and the comparator sort disagree", n)

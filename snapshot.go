@@ -127,8 +127,12 @@ func (q Query) SortBy(o SortOrder) Query {
 // agree, which two successive live accessor calls (which may straddle an
 // epoch) do not guarantee.
 //
-// Taking a snapshot is O(paths); the grid index behind Region queries is
-// built lazily on first use.
+// Taking a snapshot is an O(paths) copy that sorts nothing. Ordering
+// happens on demand and is memoized in the snapshot: a top-k costs a
+// bounded selection, O(paths + k log k); only a query for every path in
+// order (HotPaths, WriteGeoJSON, an uncapped ByHotness Query) sorts them
+// all, once per snapshot; a Region query orders only its matches, from a
+// grid index built lazily on first use.
 type Snapshot struct {
 	snap  *coordinator.Snapshot
 	clock int64
@@ -178,7 +182,7 @@ func (s Snapshot) Len() int {
 	if s.snap == nil {
 		return 0
 	}
-	return len(s.snap.Paths)
+	return s.snap.Len()
 }
 
 // Order returns the query's sort order.
@@ -219,34 +223,49 @@ func (q Query) prefix(n int, hotness func(i int) int) int {
 	return n
 }
 
-// shape finishes a materialised selection: re-sort and cut to K for the
-// orders prefix could not cut.
+// shape finishes a materialised selection for the orders prefix could not
+// cut: the K best by a bounded selection, or every match sorted.
 func (q Query) shape(out []HotPath) []HotPath {
-	if q.order == ByHotness {
+	switch {
+	case q.order == ByHotness:
 		return out
+	case q.k > 0 && q.k < len(out):
+		return motion.TopRanked(out, q.k, resultKey(q.order))
 	}
 	sortResults(out, q.order)
-	if q.k > 0 && q.k < len(out) {
-		out = out[:q.k]
-	}
 	return out
 }
 
 // Query runs a selection over the snapshot and returns the matching paths
 // in the query's order. The result is a fresh slice owned by the caller.
+//
+// The snapshot orders only what the query needs: a ByHotness answer is a
+// prefix of the canonical order, which the snapshot selects (K) or sorts
+// (no K) once and memoizes for every later query; a Region query orders
+// only its matches; a ByScore query selects or sorts the MinHotness
+// matches by score.
 func (s Snapshot) Query(q Query) []HotPath {
-	if s.snap == nil {
+	switch {
+	case s.snap == nil:
 		return nil
-	}
-	sel := s.snap.Paths
-	if q.hasRegion {
-		sel = s.snap.Region(geom.Rect{
+	case q.hasRegion:
+		sel := s.snap.Region(geom.Rect{
 			Lo: geom.Pt(q.region.Min.X, q.region.Min.Y),
 			Hi: geom.Pt(q.region.Max.X, q.region.Max.Y),
 		})
+		sel = sel[:q.prefix(len(sel), func(i int) int { return sel[i].Hotness })]
+		return q.shape(convert(sel))
+	case q.order == ByHotness:
+		return convert(s.snap.Hottest(q.k, q.minHotness))
 	}
-	sel = sel[:q.prefix(len(sel), func(i int) int { return sel[i].Hotness })]
-	return q.shape(convert(sel))
+	all := s.snap.Unordered()
+	sel := make([]HotPath, 0, len(all))
+	for _, hp := range all {
+		if q.minHotness <= 0 || hp.Hotness >= q.minHotness {
+			sel = append(sel, publicPath(hp))
+		}
+	}
+	return q.shape(sel)
 }
 
 // TopK returns the Config.K hottest paths, hottest first.
@@ -261,11 +280,7 @@ func (s Snapshot) Score() float64 {
 	if s.snap == nil {
 		return 0
 	}
-	top := s.snap.Paths
-	if s.k > 0 && s.k < len(top) {
-		top = top[:s.k]
-	}
-	return motion.TopKScore(top)
+	return motion.TopKScore(s.snap.Hottest(s.k, 0))
 }
 
 // WriteGeoJSON writes the snapshot's paths as a GeoJSON FeatureCollection,

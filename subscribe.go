@@ -110,7 +110,7 @@ func (d Delta) Apply(prev []HotPath) []HotPath {
 
 // SortResults orders a result set in place the way Snapshot.Query
 // materialises it: the canonical hottest-first order for ByHotness
-// (hotness desc, length desc, id asc — coordinator.TopK's comparator),
+// (hotness desc, length desc, id asc — motion.HotPath.Rank),
 // the score order for ByScore. Both orders are total, so any multiset of
 // paths has exactly one sorted form — which is what lets a scatter-gather
 // reader merge per-partition results and reproduce, byte for byte, the
@@ -134,19 +134,21 @@ func DiffResults(prev, cur []HotPath, order SortOrder) Delta {
 // reconstruction is deterministic.
 //
 // The ByHotness key MUST stay motion.HotPath.Rank (hotness desc, length
-// desc, id asc), the order coordinator.TopK hands the snapshot layer —
-// Delta.Apply's exactness guarantee rides on reproducing it;
+// desc, id asc), the order in which the coordinator snapshot ranks its
+// paths — Delta.Apply's exactness guarantee rides on reproducing it;
 // TestSubscriptionMatchesSnapshots pins the contract.
-func sortResults(out []HotPath, order SortOrder) {
+func sortResults(out []HotPath, order SortOrder) { motion.SortRanked(out, resultKey(order)) }
+
+// resultKey is the sort key of a result order.
+func resultKey(order SortOrder) func(*HotPath) motion.RankKey {
 	if order == ByScore {
-		motion.SortRanked(out, func(hp *HotPath) motion.RankKey {
+		return func(hp *HotPath) motion.RankKey {
 			return motion.RankKey{Major: hp.Score(), Minor: float64(hp.Hotness), ID: hp.ID}
-		})
-		return
+		}
 	}
-	motion.SortRanked(out, func(hp *HotPath) motion.RankKey {
+	return func(hp *HotPath) motion.RankKey {
 		return motion.RankKey{Major: float64(hp.Hotness), Minor: hp.Length(), ID: hp.ID}
-	})
+	}
 }
 
 // Subscription is a standing query registered with Subscribe. Deltas
@@ -273,9 +275,12 @@ func (h *hub) reseedLocked(sub *Subscription, snap Snapshot, cur []HotPath) {
 }
 
 // publish re-evaluates every standing query against the epoch's snapshot
-// and emits one delta each. Cost is O(result) per subscription — Region
-// queries run over the snapshot's grid index and K/MinHotness are prefix
-// cuts, so large path stores with narrow standing queries stay cheap.
+// and emits one delta each. The snapshot is shared, and so is what it
+// ordered: the first ByHotness query selects (K) or sorts (no K) the
+// canonical prefix it needs and later subscriptions reuse it; Region
+// queries scan the snapshot's grid index and order only their matches.
+// So narrow standing queries over large path stores stay cheap, and the
+// whole store is sorted at most once per epoch however many subscribe.
 func (h *hub) publish(snap Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -237,7 +237,7 @@ func BenchmarkHotnessWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Cross(motion.PathID(i%1000), trajectory.Time(i))
 		if i%10 == 0 {
-			h.Advance(trajectory.Time(i), nil)
+			h.Advance(trajectory.Time(i), func(motion.PathID) {})
 		}
 	}
 }
@@ -327,6 +327,40 @@ func BenchmarkCoordinatorEpoch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCoordinatorSnapshot measures the copy a cold read takes under
+// the engine's read lock, over a store with mixed_rw's churn history:
+// ~60k paths created, 90% of them expired, ~6k live.
+func BenchmarkCoordinatorSnapshot(b *testing.B) {
+	bounds := geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10000, 10000)}
+	c, err := coordinator.New(coordinator.Config{Bounds: bounds, W: 60, Eps: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	reports := make([]coordinator.Report, 1000)
+	for now := trajectory.Time(0); c.Stats().PathsCreated < 60000; {
+		for j := range reports {
+			s := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
+			reports[j] = coordinator.Report{ObjectID: j, State: raytrace.State{
+				Start: s, Ts: now, FSA: geom.RectAround(s.Add(geom.Pt(80, 20)), 10), Te: now + 10,
+			}}
+		}
+		if _, err := c.ProcessEpoch(reports); err != nil {
+			b.Fatal(err)
+		}
+		now += 10
+		c.Advance(now)
+	}
+	n := c.IndexSize()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSnap = c.Snapshot()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/path")
+}
+
+var benchSnap *coordinator.Snapshot
 
 // --- Ingest throughput: single-threaded System vs sharded Engine ---
 

@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"hotpaths/internal/engine"
 	"hotpaths/internal/wal"
 )
 
@@ -150,6 +151,23 @@ func TestRecoverNamesSkippedCheckpointVersion(t *testing.T) {
 	}
 }
 
+// restoredIndexMatchesSnapshot restores st into a fresh engine and, if the
+// engine accepts it, checks that every stored path is in the snapshot.
+func restoredIndexMatchesSnapshot(t *testing.T, cfg Config, st engine.State) {
+	t.Helper()
+	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if eng.eng.RestoreState(st) != nil {
+		return
+	}
+	if snap, _, es := eng.eng.Snapshot(); es.IndexSize != snap.Len() {
+		t.Fatalf("restored IndexSize %d, snapshot holds %d paths", es.IndexSize, snap.Len())
+	}
+}
+
 // checkpointSeed runs a workload through an Engine under cfg and returns
 // the checkpoint a Durable would write for the resulting state.
 func checkpointSeed(tb testing.TB, cfg Config, batches [][]Observation) []byte {
@@ -181,10 +199,11 @@ func checkpointSeed(tb testing.TB, cfg Config, batches [][]Observation) []byte {
 // FuzzCheckpointDecode: a follower decodes a blob fetched over HTTP from
 // /wal/checkpoint, so the decoder faces a socket. It must never panic,
 // and whatever it accepts must survive its own encoder: encode(decode(b))
-// decodes, and re-encodes to the same bytes. The CRC would stop almost
-// every mutation at the door, so each input is also tried with the
-// checksum re-stamped over its mutated body — that is the gob decoder on
-// hostile bytes.
+// decodes, and re-encodes to the same bytes. A state the engine accepts
+// must restore to a store whose IndexSize is its snapshot's size, so
+// /stats and /paths agree. The CRC would stop almost every mutation at
+// the door, so each input is also tried with the checksum re-stamped over
+// its mutated body — that is the gob decoder on hostile bytes.
 func FuzzCheckpointDecode(f *testing.F) {
 	cfg := engineTestConfig()
 	cfg.Delta = 0.05
@@ -222,6 +241,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if third, err := encodeCheckpoint(cfg, st2); err != nil || !bytes.Equal(again, third) {
 				t.Fatalf("encode(decode(b)) is not a fixed point (err %v)", err)
 			}
+			restoredIndexMatchesSnapshot(t, cfg, st)
 		}
 	})
 }

@@ -360,3 +360,33 @@ func TestStreamsDoNotBurnLatencySLO(t *testing.T) {
 		}
 	}
 }
+
+// /stats splits the processed reports by SinglePath case, on a daemon and
+// summed over a fleet by the gateway: at every epoch boundary the three
+// cases add up to the responses, one per processed report. (`reports`
+// also counts the raised reports the next epoch will process.)
+func TestStatsCaseMix(t *testing.T) {
+	gw, ref := goldenFleet(t)
+	lanes := make([][]int, goldenPartitions)
+	for l := range lanes {
+		lanes[l] = partitionObjects(l, goldenPartitions, 2)
+	}
+	for now := int64(1); now <= 40; now++ {
+		req := httpapi.ObserveRequest{Observations: goldenBatch(lanes, now), Tick: now}
+		for _, base := range []string{gw.URL, ref.URL} {
+			if rec := postJSON(t, base+"/observe", req); rec != http.StatusOK {
+				t.Fatalf("observe t=%d against %s: status %d", now, base, rec)
+			}
+			if now%10 != 0 {
+				continue
+			}
+			var st struct{ Responses, Case1, Case2, Case3 int }
+			if err := json.Unmarshal([]byte(getBody(t, base+"/stats")), &st); err != nil {
+				t.Fatal(err)
+			}
+			if sum := st.Case1 + st.Case2 + st.Case3; sum != st.Responses || sum == 0 {
+				t.Errorf("t=%d %s: case1+case2+case3 = %d+%d+%d, responses %d", now, base, st.Case1, st.Case2, st.Case3, st.Responses)
+			}
+		}
+	}
+}

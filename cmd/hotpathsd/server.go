@@ -384,6 +384,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"paths_created":  st.PathsCreated,
 		"paths_expired":  st.PathsExpired,
 		"crossings":      st.Crossings,
+		"case1":          st.Case1,
+		"case2":          st.Case2,
+		"case3":          st.Case3,
 		"index_size":     st.IndexSize,
 		"epoch":          st.Epochs,
 		"clock":          s.src.Clock(),

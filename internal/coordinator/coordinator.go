@@ -1,6 +1,14 @@
 // Package coordinator implements the server side of the framework: the
-// MotionPath store (grid index + hotness window) and the SinglePath
-// discovery strategy of the paper (Section 5, Algorithm 2).
+// MotionPath store and the SinglePath discovery strategy of the paper
+// (Section 5, Algorithm 2).
+//
+// The store is the paper's three structures (Section 5.1–5.2): a grid over
+// end vertices (internal/gridindex), a table keyed by path id and an
+// expiry event queue (internal/hotness). The table is dense: one slice
+// holds every live path with its hotness, and an id → slot map stands in
+// for the paper's hash table. A path that expires leaves by swap-remove,
+// the last slot moving into its place, as a grid cell drops its entries.
+// A snapshot is therefore one copy of that slice.
 //
 // Per epoch, the coordinator receives the batch of RayTrace state messages
 // from reporting objects and, for each object i with start vertex sⁱ and
@@ -75,10 +83,14 @@ type Stats struct {
 
 // Coordinator holds the MotionPath index and runs SinglePath.
 type Coordinator struct {
-	cfg   Config
-	grid  *gridindex.Grid
-	hot   *hotness.Window
-	paths map[motion.PathID]motion.Path
+	cfg  Config
+	grid *gridindex.Grid
+	hot  *hotness.Window
+	// table holds every live path with its hotness, in no particular
+	// order; slot maps each one's id to its index there. A slot stays put
+	// from one Advance to the next: ProcessEpoch only appends.
+	table []motion.HotPath
+	slot  map[motion.PathID]int32
 	stats Stats
 
 	// Per-epoch scratch, kept between epochs so that an epoch allocates
@@ -119,46 +131,63 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:      cfg,
 		grid:     grid,
 		hot:      hot,
-		paths:    make(map[motion.PathID]motion.Path),
+		slot:     make(map[motion.PathID]int32),
 		rall:     rall,
 		pathUses: make(map[motion.PathID]int),
 	}, nil
 }
 
 // IndexSize returns the number of stored motion paths (hotness > 0).
-func (c *Coordinator) IndexSize() int { return len(c.paths) }
+func (c *Coordinator) IndexSize() int { return len(c.table) }
 
 // Stats returns a copy of the coordinator's counters.
 func (c *Coordinator) Stats() Stats { return c.stats }
 
-// Path returns the stored geometry for id.
-func (c *Coordinator) Path(id motion.PathID) (motion.Path, bool) {
-	p, ok := c.paths[id]
-	return p, ok
+// Hotness returns the current hotness of id (0 if it is not stored).
+func (c *Coordinator) Hotness(id motion.PathID) int {
+	if i, ok := c.slot[id]; ok {
+		return c.table[i].Hotness
+	}
+	return 0
 }
 
-// Hotness returns the current hotness of id.
-func (c *Coordinator) Hotness(id motion.PathID) int { return c.hot.Hotness(id) }
-
 // Advance slides the hotness window to now, evicting expired crossings and
-// deleting paths whose hotness reaches zero (from both the hash table and
-// the grid index, as in the paper).
+// deleting paths whose hotness reaches zero (from both the table and the
+// grid index, as in the paper).
 func (c *Coordinator) Advance(now trajectory.Time) {
 	c.hot.Advance(now, func(id motion.PathID) {
-		if p, ok := c.paths[id]; ok {
-			c.grid.Remove(id, p.E)
-			delete(c.paths, id)
-			c.stats.PathsExpired++
+		i := c.slot[id]
+		hp := &c.table[i]
+		hp.Hotness--
+		if hp.Hotness > 0 {
+			return
 		}
+		c.grid.Remove(id, hp.Path.E)
+		last := int32(len(c.table) - 1)
+		if i != last {
+			c.table[i] = c.table[last]
+			c.slot[c.table[i].Path.ID] = i
+		}
+		c.table = c.table[:last]
+		delete(c.slot, id)
+		c.stats.PathsExpired++
 	})
+}
+
+// cross records a crossing of the path in slot i with exit timestamp te.
+func (c *Coordinator) cross(i int32, te trajectory.Time) {
+	c.table[i].Hotness++
+	c.hot.Cross(c.table[i].Path.ID, te)
+	c.stats.Crossings++
 }
 
 // candidatePath is an available motion path with its tentatively boosted
 // hotness (Algorithm 2's AP/CP sets).
 type candidatePath struct {
-	id  motion.PathID
-	end geom.Point
-	h   int
+	id   motion.PathID
+	slot int32
+	end  geom.Point
+	h    int
 }
 
 // ProcessEpoch runs the SinglePath strategy over one epoch's batch of
@@ -219,7 +248,8 @@ func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
 func (c *Coordinator) candidatePaths(dst []candidatePath, s geom.Point, fsa geom.Rect) []candidatePath {
 	c.grid.Query(fsa, func(e gridindex.Entry) bool {
 		if e.Start.Eq(s) {
-			dst = append(dst, candidatePath{id: e.ID, end: e.End, h: c.hot.Hotness(e.ID) + 1})
+			i := c.slot[e.ID]
+			dst = append(dst, candidatePath{id: e.ID, slot: i, end: e.End, h: c.table[i].Hotness + 1})
 		}
 		return true
 	})
@@ -238,8 +268,7 @@ func (c *Coordinator) selectPath(r Report, cands []candidatePath) Response {
 			best, bestLen = cp, l
 		}
 	}
-	c.hot.Cross(best.id, r.State.Te)
-	c.stats.Crossings++
+	c.cross(best.slot, r.State.Te)
 	c.stats.Case1++
 	return Response{
 		ObjectID: r.ObjectID,
@@ -266,7 +295,7 @@ func (c *Coordinator) selectVertex(r Report) Response {
 	// FSA holds a handful, so a slice with linear dedup beats a map.
 	cands := c.verts[:0]
 	c.grid.Query(fsa, func(e gridindex.Entry) bool {
-		h := c.hot.Hotness(e.ID)
+		h := c.table[c.slot[e.ID]].Hotness
 		for k := range cands {
 			if cands[k].p == e.End {
 				cands[k].h += h
@@ -319,12 +348,11 @@ func (c *Coordinator) selectVertex(r Report) Response {
 	// Reuse an identical path inserted earlier in this very epoch: phase-0
 	// candidate sets cannot see intra-batch inserts, and storing duplicate
 	// s→p paths would split their hotness.
-	id, exists := c.findPath(r.State.Start, best.p)
+	i, exists := c.findPath(r.State.Start, best.p)
 	if !exists {
-		id = c.insertPath(r.State.Start, best.p)
+		i = c.insertPath(r.State.Start, best.p)
 	}
-	c.hot.Cross(id, r.State.Te)
-	c.stats.Crossings++
+	c.cross(i, r.State.Te)
 	if hadVertices && !best.fresh {
 		c.stats.Case2W++
 	} else {
@@ -333,7 +361,7 @@ func (c *Coordinator) selectVertex(r Report) Response {
 	return Response{
 		ObjectID: r.ObjectID,
 		End:      trajectory.TP(best.p, r.State.Te),
-		PathID:   id,
+		PathID:   c.table[i].Path.ID,
 		Case:     caseNumber(hadVertices, best.fresh),
 	}
 }
@@ -395,8 +423,9 @@ func snapInto(p geom.Point, r geom.Rect, eps float64) geom.Point {
 	return p
 }
 
-// findPath looks up an existing path with exactly the given endpoints.
-func (c *Coordinator) findPath(s, e geom.Point) (motion.PathID, bool) {
+// findPath looks up an existing path with exactly the given endpoints and
+// returns its slot.
+func (c *Coordinator) findPath(s, e geom.Point) (int32, bool) {
 	var id motion.PathID
 	found := false
 	c.grid.Query(geom.Rect{Lo: e, Hi: e}, func(entry gridindex.Entry) bool {
@@ -406,17 +435,31 @@ func (c *Coordinator) findPath(s, e geom.Point) (motion.PathID, bool) {
 		}
 		return true
 	})
-	return id, found
+	if !found {
+		return 0, false
+	}
+	return c.slot[id], true
 }
 
-// insertPath stores a new motion path under its content-addressed id and
-// indexes its end vertex. The id depends only on the geometry, so a path
-// that expires and is re-discovered — or is discovered independently by
-// another partition of a split deployment — comes back under the same id.
-func (c *Coordinator) insertPath(s, e geom.Point) motion.PathID {
+// insertPath stores a new motion path under its content-addressed id,
+// indexes its end vertex and returns its slot. The id depends only on the
+// geometry, so a path that expires and is re-discovered — or is discovered
+// independently by another partition of a split deployment — comes back
+// under the same id. An id already stored, which only a hash collision
+// could produce, keeps its slot and hotness and takes the new geometry, as
+// the grid replaces its entry.
+func (c *Coordinator) insertPath(s, e geom.Point) int32 {
 	id := motion.PathIDFor(s, e)
-	c.paths[id] = motion.Path{ID: id, S: s, E: e}
+	p := motion.Path{ID: id, S: s, E: e}
+	i, ok := c.slot[id]
+	if ok {
+		c.table[i].Path = p
+	} else {
+		i = int32(len(c.table))
+		c.slot[id] = i
+		c.table = append(c.table, motion.HotPath{Path: p})
+	}
 	c.grid.Insert(gridindex.Entry{ID: id, End: e, Start: s})
 	c.stats.PathsCreated++
-	return id
+	return i
 }

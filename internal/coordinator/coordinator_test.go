@@ -94,9 +94,9 @@ func TestCase3CreatesPath(t *testing.T) {
 	if c.Hotness(r.PathID) != 1 {
 		t.Errorf("hotness = %d", c.Hotness(r.PathID))
 	}
-	p, ok := c.Path(r.PathID)
-	if !ok || !p.S.Eq(geom.Pt(50, 50)) || !p.E.Eq(r.End.P) {
-		t.Errorf("stored path = %v", p)
+	stored := c.Snapshot().Unordered()
+	if len(stored) != 1 || stored[0].Path.ID != r.PathID || !stored[0].Path.S.Eq(geom.Pt(50, 50)) || !stored[0].Path.E.Eq(r.End.P) {
+		t.Errorf("stored paths = %v", stored)
 	}
 }
 

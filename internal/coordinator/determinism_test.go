@@ -44,11 +44,12 @@ func restoredWithOrder(t *testing.T, cfg Config, st State, order []int) *Coordin
 }
 
 // Permutation: SinglePath must not depend on the order a grid cell holds
-// its entries in. Coordinators restored from one state with every cell's
-// entries shuffled — and the coordinator that was never restored — must
-// answer a run of random epochs with the same responses and end in the
-// same state, byte for byte. Starts and FSAs straddle the axes, where the
-// ε-grid snap produces -0 vertices.
+// its entries in, nor on the slot order of the path table. Coordinators
+// restored from one state with every cell's entries shuffled, with the
+// table shuffled on its own, or both — and the coordinator that was never
+// restored — must answer a run of random epochs with the same responses
+// and end in the same state, byte for byte. Starts and FSAs straddle the
+// axes, where the ε-grid snap produces -0 vertices.
 func TestProcessEpochIndependentOfCellOrder(t *testing.T) {
 	cfg := Config{Bounds: geom.Rect{Lo: geom.Pt(-200, -200), Hi: geom.Pt(200, 200)}, Cols: 8, Rows: 8, W: 60, Eps: 10}
 	rng := rand.New(rand.NewSource(26))
@@ -103,8 +104,19 @@ func TestProcessEpochIndependentOfCellOrder(t *testing.T) {
 	}
 	cs := []*Coordinator{live}
 	for k := 0; k < 4; k++ {
-		cs = append(cs, restoredWithOrder(t, cfg, st, rng.Perm(len(st.Paths))))
+		c := restoredWithOrder(t, cfg, st, rng.Perm(len(st.Paths)))
+		if k%2 == 0 {
+			shuffleTable(c, rng.Perm(len(st.Paths)))
+		}
+		cs = append(cs, c)
 	}
+	identity := make([]int, len(st.Paths))
+	for i := range identity {
+		identity[i] = i
+	}
+	c := restoredWithOrder(t, cfg, st, identity)
+	shuffleTable(c, rng.Perm(len(st.Paths)))
+	cs = append(cs, c)
 	for epoch := 0; epoch < 30; epoch++ {
 		step(cs, batch())
 	}

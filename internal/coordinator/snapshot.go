@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,8 @@ import (
 
 // Snapshot is an immutable copy of the coordinator's path store at one
 // instant: every live path with its hotness, in no particular order.
-// Taking one is O(paths) and sorts nothing. The snapshot orders itself on
+// Taking one copies the store's dense table — one allocation and one
+// memmove — and sorts nothing. The snapshot orders itself on
 // demand and memoizes what it ordered: a top-k is a bounded selection,
 // O(paths + k log k), and its canonical prefix (hottest first, ties broken
 // by length then id — motion.HotPath.Rank) is kept for later queries; only
@@ -55,19 +57,12 @@ type Snapshot struct {
 	cellIdx      []int32
 }
 
-// Snapshot extracts an immutable copy of the current path store: a
-// gather of the live (path, hotness) pairs, with no ordering work. The
+// Snapshot extracts an immutable copy of the current path store: a copy of
+// its table of live (path, hotness) pairs, with no ordering work. The
 // caller must hold whatever lock protects the coordinator; the returned
 // value needs no further synchronisation.
 func (c *Coordinator) Snapshot() *Snapshot {
-	paths := make([]motion.HotPath, 0, len(c.paths))
-	c.hot.ForEach(func(id motion.PathID, h int) bool {
-		if p, ok := c.paths[id]; ok {
-			paths = append(paths, motion.HotPath{Path: p, Hotness: h})
-		}
-		return true
-	})
-	s := SnapshotOf(paths, c.cfg.Bounds, c.cfg.Cols, c.cfg.Rows)
+	s := SnapshotOf(slices.Clone(c.table), c.cfg.Bounds, c.cfg.Cols, c.cfg.Rows)
 	s.Epoch = c.stats.Epochs
 	return s
 }

@@ -21,6 +21,7 @@ type HotSegments struct {
 	eps      float64
 	cellSize float64
 	hot      *hotness.Window
+	counts   map[motion.PathID]int // hotness of each live segment
 	segs     map[motion.PathID]geom.Segment
 	buckets  map[[2]int][]motion.PathID // midpoint cell -> ids
 	nextID   motion.PathID
@@ -40,6 +41,7 @@ func NewHotSegments(eps float64, w trajectory.Time) (*HotSegments, error) {
 		eps:      eps,
 		cellSize: 4 * eps,
 		hot:      hot,
+		counts:   make(map[motion.PathID]int),
 		segs:     make(map[motion.PathID]geom.Segment),
 		buckets:  make(map[[2]int][]motion.PathID),
 	}, nil
@@ -81,7 +83,7 @@ func (h *HotSegments) Offer(seg geom.Segment, te trajectory.Time) (motion.PathID
 		}
 	}
 	if found {
-		h.hot.Cross(bestID, te)
+		h.cross(bestID, te)
 		return bestID, true
 	}
 	id := h.nextID
@@ -89,17 +91,24 @@ func (h *HotSegments) Offer(seg geom.Segment, te trajectory.Time) (motion.PathID
 	h.segs[id] = seg
 	cell := h.midCell(seg)
 	h.buckets[cell] = append(h.buckets[cell], id)
-	h.hot.Cross(id, te)
+	h.cross(id, te)
 	return id, false
+}
+
+func (h *HotSegments) cross(id motion.PathID, te trajectory.Time) {
+	h.counts[id]++
+	h.hot.Cross(id, te)
 }
 
 // Advance slides the window, evicting segments whose hotness reaches zero.
 func (h *HotSegments) Advance(now trajectory.Time) {
 	h.hot.Advance(now, func(id motion.PathID) {
-		seg, ok := h.segs[id]
-		if !ok {
+		if c := h.counts[id] - 1; c > 0 {
+			h.counts[id] = c
 			return
 		}
+		delete(h.counts, id)
+		seg := h.segs[id]
 		cell := h.midCell(seg)
 		ids := h.buckets[cell]
 		for i, x := range ids {
@@ -123,21 +132,18 @@ func (h *HotSegments) IndexSize() int { return len(h.segs) }
 func (h *HotSegments) Queries() int { return h.queries }
 
 // Hotness returns the current hotness of a stored segment.
-func (h *HotSegments) Hotness(id motion.PathID) int { return h.hot.Hotness(id) }
+func (h *HotSegments) Hotness(id motion.PathID) int { return h.counts[id] }
 
 // TopK returns the k hottest segments as HotPaths (sorted by hotness, then
 // length, then id). k ≤ 0 returns all.
 func (h *HotSegments) TopK(k int) []motion.HotPath {
 	out := make([]motion.HotPath, 0, len(h.segs))
-	h.hot.ForEach(func(id motion.PathID, c int) bool {
-		if s, ok := h.segs[id]; ok {
-			out = append(out, motion.HotPath{
-				Path:    motion.Path{ID: id, S: s.A, E: s.B},
-				Hotness: c,
-			})
-		}
-		return true
-	})
+	for id, s := range h.segs {
+		out = append(out, motion.HotPath{
+			Path:    motion.Path{ID: id, S: s.A, E: s.B},
+			Hotness: h.counts[id],
+		})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hotness != out[j].Hotness {
 			return out[i].Hotness > out[j].Hotness

@@ -934,6 +934,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		PathsCreated int   `json:"paths_created"`
 		PathsExpired int   `json:"paths_expired"`
 		Crossings    int   `json:"crossings"`
+		Case1        int   `json:"case1"`
+		Case2        int   `json:"case2"`
+		Case3        int   `json:"case3"`
 		IndexSize    int   `json:"index_size"`
 		Epoch        int   `json:"epoch"`
 		Clock        int64 `json:"clock"`
@@ -962,6 +965,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			sum.PathsCreated += c.PathsCreated
 			sum.PathsExpired += c.PathsExpired
 			sum.Crossings += c.Crossings
+			sum.Case1 += c.Case1
+			sum.Case2 += c.Case2
+			sum.Case3 += c.Case3
 			sum.IndexSize += c.IndexSize
 			if c.Epoch > sum.Epoch {
 				sum.Epoch = c.Epoch
@@ -993,6 +999,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		"paths_created": sum.PathsCreated,
 		"paths_expired": sum.PathsExpired,
 		"crossings":     sum.Crossings,
+		"case1":         sum.Case1,
+		"case2":         sum.Case2,
+		"case3":         sum.Case3,
 		"index_size":    sum.IndexSize,
 		"epoch":         sum.Epoch,
 		"clock":         sum.Clock,

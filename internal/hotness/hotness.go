@@ -1,12 +1,17 @@
-// Package hotness maintains motion-path hotness over a sliding time window
-// (paper Section 5.2).
+// Package hotness is the expiry half of motion-path hotness over a sliding
+// time window (paper Section 5.2).
 //
 // Hotness of a path is the number of crossings whose exit timestamp te lies
-// within the last W time units. The implementation follows the paper: a
-// hash table keyed by path id holds the current counts, and an event queue
-// (a binary min-heap ordered by expiry time te+W) decrements counts as
-// crossings slide out of the window. Counter updates are expected O(1);
-// heap operations are O(log n).
+// within the last W time units. The paper keeps the counts in a hash table
+// keyed by path id and decrements them from an event queue, a binary
+// min-heap ordered by expiry time te+W. A Window is only that queue: the
+// counts live with their owner, next to the rest of what it stores per
+// path, so there is no second id-keyed table to keep in step (the
+// coordinator's dense path table holds each count beside its path, found
+// through an id → slot map in place of the paper's hash table). Advance
+// reports every crossing that slides out of the window, once per crossing;
+// the owner decrements its count and drops the path at zero. Heap
+// operations are O(log n).
 package hotness
 
 import (
@@ -82,11 +87,11 @@ func (q *eventQueue) pop() event {
 // shrinking; reallocating tiny arrays would cost more than it frees.
 const minQueueCap = 64
 
-// Window tracks per-path crossing counts over a sliding window of length W.
+// Window schedules the expiry of crossings over a sliding window of length
+// W.
 type Window struct {
-	w      trajectory.Time
-	counts map[motion.PathID]int
-	queue  eventQueue
+	w     trajectory.Time
+	queue eventQueue
 }
 
 // New returns an empty window of length w (must be positive).
@@ -94,44 +99,27 @@ func New(w trajectory.Time) (*Window, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("hotness: window length must be positive, got %d", w)
 	}
-	return &Window{w: w, counts: make(map[motion.PathID]int)}, nil
+	return &Window{w: w}, nil
 }
 
 // W returns the window length.
 func (h *Window) W() trajectory.Time { return h.w }
 
-// Cross records that an object crossed path id with exit timestamp te. The
-// crossing counts toward hotness until te+W.
+// Cross schedules the expiry of a crossing of path id with exit timestamp
+// te: it counts toward the path's hotness until te+W. The caller counts it.
 func (h *Window) Cross(id motion.PathID, te trajectory.Time) {
-	h.counts[id]++
 	h.queue.push(event{expiry: te + h.w, id: id})
 }
-
-// Hotness returns the current count for id (0 if unknown).
-func (h *Window) Hotness(id motion.PathID) int { return h.counts[id] }
-
-// Len returns the number of paths with non-zero hotness.
-func (h *Window) Len() int { return len(h.counts) }
 
 // Pending returns the number of scheduled expiry events.
 func (h *Window) Pending() int { return len(h.queue) }
 
-// Advance processes all crossings that expire at or before now (i.e. with
-// te+W ≤ now). When a path's count drops to zero it is removed from the
-// table and onZero is invoked (the coordinator uses this to evict the path
-// from the grid index). onZero may be nil.
-func (h *Window) Advance(now trajectory.Time, onZero func(motion.PathID)) {
+// Advance removes every crossing that expires at or before now (te+W ≤
+// now), in expiry order, and calls expire with each one's path id: once per
+// crossing, so a path crossed n times in the window is reported n times.
+func (h *Window) Advance(now trajectory.Time, expire func(motion.PathID)) {
 	for len(h.queue) > 0 && h.queue[0].expiry <= now {
-		e := h.queue.pop()
-		c := h.counts[e.id] - 1
-		if c > 0 {
-			h.counts[e.id] = c
-			continue
-		}
-		delete(h.counts, e.id)
-		if onZero != nil {
-			onZero(e.id)
-		}
+		expire(h.queue.pop().id)
 	}
 }
 
@@ -141,9 +129,9 @@ type Crossing struct {
 	ID     motion.PathID
 }
 
-// Dump captures the window's pending expiry events in heap layout. The
-// counts table is fully derived from the events (every live crossing has
-// exactly one pending event), so the dump is the complete window state.
+// Dump captures the window's pending expiry events in heap layout, the
+// complete window state. Every live crossing has exactly one pending event,
+// so an owner's counts are derived from the dump too.
 func (h *Window) Dump() []Crossing {
 	out := make([]Crossing, len(h.queue))
 	for i, e := range h.queue {
@@ -164,17 +152,6 @@ func Restore(w trajectory.Time, events []Crossing) (*Window, error) {
 	h.queue = make(eventQueue, len(events))
 	for i, e := range events {
 		h.queue[i] = event{expiry: e.Expiry, id: e.ID}
-		h.counts[e.ID]++
 	}
 	return h, nil
-}
-
-// ForEach visits every (id, hotness) pair with non-zero hotness. Iteration
-// stops early if fn returns false. Order is unspecified.
-func (h *Window) ForEach(fn func(id motion.PathID, hotness int) bool) {
-	for id, c := range h.counts {
-		if !fn(id, c) {
-			return
-		}
-	}
 }

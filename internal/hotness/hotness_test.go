@@ -18,6 +18,41 @@ func mustWindow(t *testing.T, w trajectory.Time) *Window {
 	return h
 }
 
+// counted is a window with an owner's counts beside it, kept the way the
+// coordinator keeps them: up on Cross, down on each crossing Advance
+// reports, and gone at zero.
+type counted struct {
+	*Window
+	counts map[motion.PathID]int
+}
+
+func mustCounted(t *testing.T, w trajectory.Time) counted {
+	return counted{mustWindow(t, w), map[motion.PathID]int{}}
+}
+
+func (c counted) Cross(id motion.PathID, te trajectory.Time) {
+	c.counts[id]++
+	c.Window.Cross(id, te)
+}
+
+// Advance slides the window and calls onZero for each path whose count
+// reaches zero.
+func (c counted) Advance(now trajectory.Time, onZero func(motion.PathID)) {
+	c.Window.Advance(now, func(id motion.PathID) {
+		if c.counts[id]--; c.counts[id] > 0 {
+			return
+		}
+		delete(c.counts, id)
+		if onZero != nil {
+			onZero(id)
+		}
+	})
+}
+
+func (c counted) Hotness(id motion.PathID) int { return c.counts[id] }
+
+func (c counted) Len() int { return len(c.counts) }
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Error("W=0 must error")
@@ -28,7 +63,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestCrossAndHotness(t *testing.T) {
-	h := mustWindow(t, 100)
+	h := mustCounted(t, 100)
 	if h.W() != 100 {
 		t.Error("W accessor")
 	}
@@ -44,14 +79,15 @@ func TestCrossAndHotness(t *testing.T) {
 }
 
 func TestAdvanceExpiry(t *testing.T) {
-	h := mustWindow(t, 100)
+	h := mustCounted(t, 100)
 	h.Cross(1, 10) // expires at 110
 	h.Cross(1, 50) // expires at 150
 	var zeroed []motion.PathID
 	onZero := func(id motion.PathID) { zeroed = append(zeroed, id) }
 
-	h.Advance(109, onZero)
-	if h.Hotness(1) != 2 {
+	var reported int
+	h.Window.Advance(109, func(motion.PathID) { reported++ })
+	if reported != 0 || h.Hotness(1) != 2 {
 		t.Error("nothing should expire before 110")
 	}
 	h.Advance(110, onZero)
@@ -68,16 +104,20 @@ func TestAdvanceExpiry(t *testing.T) {
 	if len(zeroed) != 1 || zeroed[0] != 1 {
 		t.Errorf("onZero = %v", zeroed)
 	}
-	// Nil callback is allowed.
-	h.Cross(2, 200)
-	h.Advance(400, nil)
-	if h.Len() != 0 {
-		t.Error("nil-callback advance should still expire")
+	// Every crossing is reported, once: a path crossed twice in one instant
+	// comes back twice.
+	var got []motion.PathID
+	h.Window.Cross(2, 200)
+	h.Window.Cross(2, 200)
+	h.Window.Cross(3, 250)
+	h.Window.Advance(400, func(id motion.PathID) { got = append(got, id) })
+	if len(got) != 3 || got[0] != 2 || got[1] != 2 || got[2] != 3 || h.Pending() != 0 {
+		t.Errorf("expired %v, %d pending; want [2 2 3], 0 pending", got, h.Pending())
 	}
 }
 
 func TestAdvanceOrderIndependentOfInsertion(t *testing.T) {
-	h := mustWindow(t, 10)
+	h := mustCounted(t, 10)
 	// Insert out of te order; the heap must expire in te order anyway.
 	h.Cross(1, 50)
 	h.Cross(2, 5)
@@ -92,29 +132,12 @@ func TestAdvanceOrderIndependentOfInsertion(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	h := mustWindow(t, 10)
-	h.Cross(1, 1)
-	h.Cross(2, 1)
-	h.Cross(2, 2)
-	sum := 0
-	h.ForEach(func(id motion.PathID, c int) bool { sum += c; return true })
-	if sum != 3 {
-		t.Errorf("total crossings = %d", sum)
-	}
-	n := 0
-	h.ForEach(func(motion.PathID, int) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
-	}
-}
-
 // Property: after any interleaving of crossings and advances, the counts
 // equal a brute-force recount of the un-expired crossings.
 func TestWindowMatchesBruteForce(t *testing.T) {
 	const W = 50
 	rng := rand.New(rand.NewSource(5))
-	h := mustWindow(t, W)
+	h := mustCounted(t, W)
 	type crossing struct {
 		id motion.PathID
 		te trajectory.Time
@@ -155,7 +178,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 // used to re-slice only, pinning the high-water allocation for the life
 // of the window.
 func TestEventQueueShrinksAfterMassExpiry(t *testing.T) {
-	h := mustWindow(t, 10)
+	h := mustCounted(t, 10)
 	const n = 1 << 14
 	for i := 0; i < n; i++ {
 		h.Cross(motion.PathID(i), trajectory.Time(i%100+1))
@@ -188,7 +211,7 @@ func TestEventQueueShrinksAfterMassExpiry(t *testing.T) {
 
 // A partial expiry must shrink too, without touching surviving events.
 func TestEventQueueShrinkKeepsSurvivors(t *testing.T) {
-	h := mustWindow(t, 5)
+	h := mustCounted(t, 5)
 	const n = 4096
 	for i := 0; i < n; i++ {
 		h.Cross(motion.PathID(i), trajectory.Time(i+1))
@@ -246,7 +269,7 @@ func TestTypedHeapMatchesContainerHeap(t *testing.T) {
 			for len(ref) > 0 && ref[0].expiry <= now {
 				heap.Pop(&ref)
 			}
-			h.Advance(now, nil)
+			h.Advance(now, func(motion.PathID) {})
 			dump := h.Dump()
 			if len(dump) != len(ref) {
 				t.Fatalf("trial %d step %d: Dump has %d events, reference %d", trial, step, len(dump), len(ref))

@@ -630,7 +630,7 @@ func benchSnapshot(n int) hotpaths.Snapshot {
 			Hotness: 1 + rng.Intn(64)/(1+rng.Intn(8)),
 		}
 	}
-	return hotpaths.NewBenchSnapshot(paths, bounds, 64, 64, 10)
+	return hotpaths.SnapshotOf(paths, bounds, 64, 64, 10)
 }
 
 // BenchmarkObserveDecode measures the wire's share of a write: one

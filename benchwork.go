@@ -1,12 +1,6 @@
 package hotpaths
 
-import (
-	"math/rand"
-
-	"hotpaths/internal/coordinator"
-	"hotpaths/internal/geom"
-	"hotpaths/internal/motion"
-)
+import "math/rand"
 
 // IngestWorkload builds a deterministic multi-object workload: seeded
 // random walks with occasional sharp turns, so filters report and the
@@ -37,25 +31,4 @@ func IngestWorkload(nObjects int, horizon, seed int64) [][]Observation {
 		out = append(out, batch)
 	}
 	return out
-}
-
-// NewBenchSnapshot assembles a Snapshot directly from synthetic paths, so
-// the query benchmarks can exercise 10k–100k-path snapshots without
-// replaying a workload of that size. Paths may come in any order, as a
-// coordinator's snapshot copy does; cols/rows are the grid resolution
-// behind Region.
-func NewBenchSnapshot(paths []HotPath, bounds Rect, cols, rows, k int) Snapshot {
-	mp := make([]motion.HotPath, len(paths))
-	for i, hp := range paths {
-		mp[i] = motion.HotPath{
-			Path: motion.Path{
-				ID: motion.PathID(hp.ID),
-				S:  geom.Pt(hp.Start.X, hp.Start.Y),
-				E:  geom.Pt(hp.End.X, hp.End.Y),
-			},
-			Hotness: hp.Hotness,
-		}
-	}
-	gb := geom.Rect{Lo: geom.Pt(bounds.Min.X, bounds.Min.Y), Hi: geom.Pt(bounds.Max.X, bounds.Max.Y)}
-	return Snapshot{snap: coordinator.SnapshotOf(mp, gb, cols, rows), k: k}
 }

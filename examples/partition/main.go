@@ -28,11 +28,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"time"
 
 	"hotpaths"
 	"hotpaths/internal/gateway"
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/partition"
 )
 
@@ -91,11 +91,9 @@ func partitionNode(id int, eng *hotpaths.Engine) http.Handler {
 		fmt.Fprintf(w, `{"now": %d}`, req.Now)
 	})
 	mux.HandleFunc("GET /paths", func(w http.ResponseWriter, r *http.Request) {
+		// hotpathsd's own writer: the gateway asks for the binary body.
 		snap := eng.Snapshot()
-		w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(snap.Epoch(), 10))
-		w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(snap.Clock(), 10))
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(hotpaths.PathsJSON(snap.Query(hotpaths.Query{})))
+		httpapi.WritePaths(w, r, http.StatusOK, snap.Epoch(), snap.Clock(), snap.Query(hotpaths.Query{}), false)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)

@@ -5,7 +5,7 @@
 // through System and Engine, durable ingest through the WAL, both crash
 // recovery paths, follower replay over a loopback replication stream,
 // and the snapshot query tier — driving the exact same workload
-// generator (hotpaths.IngestWorkload / hotpaths.NewBenchSnapshot), so a
+// generator (hotpaths.IngestWorkload / hotpaths.SnapshotOf), so a
 // point emitted by `hotpaths bench` is comparable to `go test -bench`
 // output and, more importantly, to the previous checked-in point.
 // Compare gates CI on that comparison.
@@ -354,7 +354,7 @@ func benchSnapshot(n int) hotpaths.Snapshot {
 			Hotness: 1 + rng.Intn(64)/(1+rng.Intn(8)),
 		}
 	}
-	return hotpaths.NewBenchSnapshot(paths, bounds, 64, 64, 10)
+	return hotpaths.SnapshotOf(paths, bounds, 64, 64, 10)
 }
 
 func benchViewports() []hotpaths.Rect {

@@ -12,6 +12,7 @@ import (
 
 	"hotpaths"
 	"hotpaths/internal/gateway"
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/partition"
 )
 
@@ -43,19 +44,12 @@ func benchPrimaryHandler(snap hotpaths.Snapshot) http.Handler {
 }
 
 // benchPartitionHandler is the slice of the hotpathsd surface the gateway
-// consumes: /paths with the epoch header, /tick, and the probe endpoints.
-func benchPartitionHandler(id int, paths []hotpaths.PathJSON) http.Handler {
-	body, err := json.Marshal(paths)
-	if err != nil {
-		panic(err)
-	}
+// consumes: /paths through hotpathsd's own writer (so it negotiates the
+// binary body as a daemon does), /tick, and the probe endpoints.
+func benchPartitionHandler(id int, paths []hotpaths.HotPath) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /paths", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(hotpaths.EpochHeader, "1")
-		w.Header().Set(hotpaths.ClockHeader, "10")
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		w.Write([]byte("\n"))
+		httpapi.WritePaths(w, r, http.StatusOK, 1, 10, paths, false)
 	})
 	mux.HandleFunc("POST /tick", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -75,8 +69,8 @@ func benchPartitionHandler(id int, paths []hotpaths.PathJSON) http.Handler {
 // partition servers and fronts them with a gateway. close tears the
 // whole assembly down.
 func benchFleet() (gw *httptest.Server, close func(), err error) {
-	all := hotpaths.PathsJSON(benchSnapshot(10_000).Query(hotpaths.Query{}))
-	shares := make([][]hotpaths.PathJSON, benchGatewayPartitions)
+	all := benchSnapshot(10_000).Query(hotpaths.Query{})
+	shares := make([][]hotpaths.HotPath, benchGatewayPartitions)
 	for _, p := range all {
 		i := partition.Index(int(p.ID), benchGatewayPartitions)
 		shares[i] = append(shares[i], p)

@@ -22,14 +22,17 @@
 // GET /topk, /paths and /paths.geojson are answered from one merged view:
 // the gateway fetches every partition's full /paths at an agreed instant
 // (the X-Hotpaths-Epoch and X-Hotpaths-Clock response headers, re-fetching
-// laggards until all partitions answer at the same epoch and clock), sums
-// hotness by path id — ids are content-addressed, so a corridor
-// discovered by several partitions merges by id alone — and sorts the
-// union in the canonical order. The merged view is cached until the next
+// laggards until all partitions answer at the same epoch and clock) as
+// the fixed-width binary body (httpapi.PathsType — a partition answering
+// JSON is an error, not a fallback), and sums hotness by path id — ids
+// are content-addressed, so a corridor discovered by several partitions
+// merges by id alone. The union is a hotpaths.Snapshot, unordered, that
+// orders itself on demand: a /topk costs a bounded selection, a full
+// /paths one memoized sort. The merged view is cached until the next
 // write, mirroring hotpathsd's own snapshot cache, so steady-state reads
 // cost one local query, not a fan-out. Query parameters (k/limit,
-// min_hotness, bbox, sort) are applied to the merged view with
-// Snapshot.Query's exact semantics, so a fleet behind a gateway answers
+// min_hotness, bbox, sort) are applied by the same Snapshot.Query a
+// daemon answers with, so a fleet behind a gateway answers
 // byte-identically to one hotpathsd fed the same workload.
 //
 // When a partition cannot be reached the gateway answers 206 with the
@@ -212,12 +215,12 @@ type Gateway struct {
 }
 
 // mergedView is the fleet's merged read state at one epoch: every
-// partition's paths with hotness summed by id, in canonical order.
+// partition's paths with hotness summed by id.
 type mergedView struct {
 	gen   uint64
 	epoch int64
 	clock int64
-	paths []hotpaths.HotPath
+	snap  hotpaths.Snapshot
 }
 
 // New validates the table, probes the fleet once, and returns a running
@@ -295,11 +298,13 @@ func (g *Gateway) Handler() http.Handler { return httpapi.NewMux(routeMetrics, g
 // call runs one sub-request against a partition with the configured
 // deadline, recording its latency; it must answer 200, and its body is
 // handed to decode (nil drains it instead, so the connection is reused).
-// A non-200 is an *upstreamError carrying the status. It returns the
-// response headers. When the caller's context carries a sampled trace,
-// the leg gets its own child span — covering the body read — and the
-// trace context is propagated to the partition in the traceparent header.
-func (g *Gateway) call(ctx context.Context, p *part, method, path string, body []byte, decode func(*http.Response) error) (http.Header, error) {
+// accept, when set, is the request's Accept header. A non-200 is an
+// *upstreamError carrying the status. It returns the response headers.
+// When the caller's context carries a sampled trace, the leg gets its own
+// child span — covering the body read; its bytes attribute is the body's
+// Content-Length (-1 when chunked) — and the trace context is propagated
+// to the partition in the traceparent header.
+func (g *Gateway) call(ctx context.Context, p *part, method, path, accept string, body []byte, decode func(*http.Response) error) (http.Header, error) {
 	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
@@ -318,6 +323,9 @@ func (g *Gateway) call(ctx context.Context, p *part, method, path string, body [
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	tracing.Inject(ctx, req.Header)
 	mInflight.Add(1)
@@ -340,6 +348,7 @@ func (g *Gateway) call(ctx context.Context, p *part, method, path string, body [
 	}
 	defer resp.Body.Close()
 	span.SetAttr("http.status", resp.StatusCode)
+	span.SetAttr("bytes", resp.ContentLength)
 	if resp.StatusCode != http.StatusOK {
 		return nil, readError(resp)
 	}
@@ -393,22 +402,34 @@ func readError(resp *http.Response) error {
 
 // ---- merged reads --------------------------------------------------------
 
-// fetchPaths fetches one partition's full path set and the epoch/clock it
-// was answered at.
+// fetchPaths fetches one partition's full path set, as the binary body,
+// and the epoch/clock it was answered at.
 func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.HotPath, epoch, clock int64, err error) {
-	hdr, err := g.call(ctx, p, http.MethodGet, "/paths", nil, func(resp *http.Response) (err error) {
-		paths, err = httpapi.DecodePaths(resp.Body, resp.ContentLength)
+	hdr, err := g.call(ctx, p, http.MethodGet, "/paths", httpapi.PathsType, nil, func(resp *http.Response) (err error) {
+		if ct := resp.Header.Get("Content-Type"); ct != httpapi.PathsType {
+			return fmt.Errorf("answered %q, not %s: is this a current hotpathsd?", ct, httpapi.PathsType)
+		}
+		paths, err = httpapi.ReadPaths(resp.Body, resp.ContentLength)
 		return err
 	})
-	if err != nil {
-		return nil, 0, 0, err
+	if err == nil {
+		epoch, err = instantHeader(hdr, hotpaths.EpochHeader)
 	}
-	epoch, err = strconv.ParseInt(hdr.Get(hotpaths.EpochHeader), 10, 64)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("missing %s header: is this a current hotpathsd?", hotpaths.EpochHeader)
+	if err == nil {
+		clock, err = instantHeader(hdr, hotpaths.ClockHeader)
 	}
-	clock, _ = strconv.ParseInt(hdr.Get(hotpaths.ClockHeader), 10, 64)
-	return paths, epoch, clock, nil
+	return paths, epoch, clock, err
+}
+
+// instantHeader reads the epoch or the clock header of a partition's
+// answer. A missing one is an error, never a zero: a clock read as 0
+// makes a laggard the alignment retries would wait on in vain.
+func instantHeader(hdr http.Header, name string) (int64, error) {
+	v, err := strconv.ParseInt(hdr.Get(name), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("missing %s header: is this a current hotpathsd?", name)
+	}
+	return v, nil
 }
 
 // instant is where a partition's answer sits in time. Hotness slides
@@ -494,7 +515,10 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 	// one (reported in missing, its paths excluded): merging it would
 	// interleave two points in time.
 	target := newest()
-	var states [][]hotpaths.HotPath
+	var (
+		states  [][]hotpaths.HotPath
+		pathsIn int
+	)
 	for i, r := range results {
 		var err error
 		switch {
@@ -506,14 +530,20 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 			err = fmt.Errorf("stuck at clock %d while the fleet reached %d", r.at.clock, target.clock)
 		default:
 			states = append(states, r.paths)
+			pathsIn += len(r.paths)
 			continue
 		}
 		missing = append(missing, partError{id: g.parts[i].id, err: err})
 	}
-	out := mergeStates(states)
+	_, span := tracing.StartSpan(ctx, "gateway.merge")
+	snap := mergeStates(states, g.cfg.K)
+	span.SetAttr("partitions", len(states))
+	span.SetAttr("paths_in", pathsIn)
+	span.SetAttr("paths_out", snap.Len())
+	span.End()
 	mMergeSeconds.ObserveSince(t0)
 	sort.Slice(missing, func(i, j int) bool { return missing[i].id < missing[j].id })
-	return &mergedView{epoch: target.epoch, clock: target.clock, paths: out}, missing
+	return &mergedView{epoch: target.epoch, clock: target.clock, snap: snap}, missing
 }
 
 // merged returns the fleet's merged view, cached per write generation.
@@ -580,7 +610,7 @@ func (g *Gateway) answerQuery(defaultK int, geo bool) http.HandlerFunc {
 			return
 		}
 		status := writePartial(r.Context(), w, missing)
-		httpapi.WritePaths(w, r, status, mv.epoch, mv.clock, q.Select(mv.paths), geo)
+		httpapi.WritePaths(w, r, status, mv.epoch, mv.clock, mv.snap.Query(q), geo)
 	}
 }
 
@@ -610,7 +640,7 @@ func (g *Gateway) postAll(ctx context.Context, path string, bodies [][]byte) []p
 		wg.Add(1)
 		go func(p *part, body []byte) {
 			defer wg.Done()
-			if _, err := g.call(ctx, p, http.MethodPost, path, body, nil); err != nil {
+			if _, err := g.call(ctx, p, http.MethodPost, path, "", body, nil); err != nil {
 				mu.Lock()
 				errs = append(errs, partError{id: p.id, err: err})
 				mu.Unlock()
@@ -809,9 +839,9 @@ type statsProbe struct {
 func (g *Gateway) probe(p *part) {
 	ctx := context.Background()
 	var st statsProbe
-	_, err := g.call(ctx, p, http.MethodGet, "/healthz", nil, nil)
+	_, err := g.call(ctx, p, http.MethodGet, "/healthz", "", nil, nil)
 	if err == nil {
-		_, err = g.call(ctx, p, http.MethodGet, "/stats", nil, into(&st))
+		_, err = g.call(ctx, p, http.MethodGet, "/stats", "", nil, into(&st))
 	}
 	if err != nil {
 		p.setHealth(ctx, false, err.Error(), 0, 0)
@@ -952,7 +982,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		go func(p *part) {
 			defer wg.Done()
 			var c counters
-			_, err := g.call(r.Context(), p, http.MethodGet, "/stats", nil, into(&c))
+			_, err := g.call(r.Context(), p, http.MethodGet, "/stats", "", nil, into(&c))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

@@ -18,14 +18,17 @@ import (
 	"time"
 
 	"hotpaths"
+	"hotpaths/internal/httpapi"
 	"hotpaths/internal/partition"
 	"hotpaths/internal/tracing"
 )
 
 // fakePart is a scriptable stand-in for one partition daemon: it records
-// the writes it receives and serves a fixed path set, so the tests can
-// check routing (what reached whom, how many times) and failure handling
-// (what the gateway answers when a partition is down).
+// the writes it receives and serves a fixed path set — through
+// httpapi.WritePaths, so it negotiates the body exactly as hotpathsd
+// does — so the tests can check routing (what reached whom, how many
+// times) and failure handling (what the gateway answers when a partition
+// is down or speaks an older contract).
 type fakePart struct {
 	id, count int
 
@@ -33,14 +36,29 @@ type fakePart struct {
 
 	observeHook func() // runs inside /observe, before the share is recorded
 
-	mu      sync.Mutex
-	batches [][]hotpaths.ObservationJSON
-	bodies  [][]byte // the /observe bodies behind batches, as received
-	ticks   []int64
-	paths   []hotpaths.PathJSON
-	epoch   int64
-	clock   int64
-	srv     *httptest.Server
+	mu        sync.Mutex
+	batches   [][]hotpaths.ObservationJSON
+	bodies    [][]byte // the /observe bodies behind batches, as received
+	ticks     []int64
+	paths     []hotpaths.PathJSON
+	epoch     int64
+	clock     int64
+	pathReads int  // GET /paths requests served
+	noClock   bool // answer /paths without the clock header
+	jsonOnly  bool // answer /paths in JSON whatever the Accept
+	srv       *httptest.Server
+}
+
+// dropHeader deletes one response header just before the status line
+// goes out, after the handler has set it.
+type dropHeader struct {
+	http.ResponseWriter
+	name string
+}
+
+func (d dropHeader) WriteHeader(code int) {
+	d.Header().Del(d.name)
+	d.ResponseWriter.WriteHeader(code)
 }
 
 func newFakePart(t *testing.T, id, count int) *fakePart {
@@ -93,14 +111,15 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 	mux.HandleFunc("GET /paths", guard(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		paths, epoch, clock := f.paths, f.epoch, f.clock
-		f.mu.Unlock()
-		if paths == nil {
-			paths = []hotpaths.PathJSON{}
+		f.pathReads++
+		if f.noClock {
+			w = dropHeader{w, hotpaths.ClockHeader}
 		}
-		w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(epoch, 10))
-		w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(clock, 10))
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(paths)
+		if f.jsonOnly {
+			r.Header.Del("Accept")
+		}
+		f.mu.Unlock()
+		httpapi.WritePaths(w, r, http.StatusOK, epoch, clock, httpapi.HotPaths(paths), false)
 	}))
 	mux.HandleFunc("GET /healthz", guard(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -720,6 +739,227 @@ func TestStatsAllPartitionsDown(t *testing.T) {
 	}
 	if body.Error == "" {
 		t.Fatal("502 stats body carries no error")
+	}
+}
+
+// TestMissingClockHeader: a partition answering without the clock header
+// fails its leg with an error naming the header, as a missing epoch does.
+// It used to be read as clock 0: a laggard the alignment retries
+// re-fetched for their whole budget (50 × 5ms) before excluding it — and
+// a fleet that all omitted it had its reads stamped clock 0.
+func TestMissingClockHeader(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	urls := make([]string, len(fleet))
+	for i, f := range fleet {
+		f.paths = []hotpaths.PathJSON{hp(uint64(i+1), 3)}
+		f.epoch, f.clock = 5, 57
+		urls[i] = f.srv.URL
+	}
+	fleet[1].noClock = true
+	// The default alignment budget, the one the clock-0 laggard used up.
+	g, err := New(Config{Table: partition.NewTable(urls...), ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	h := g.Handler()
+
+	start := time.Now()
+	rec := doReq(t, h, http.MethodGet, "/topk", nil)
+	elapsed := time.Since(start)
+	if rec.Code != http.StatusPartialContent || rec.Header().Get(hotpaths.PartialHeader) != "1" {
+		t.Fatalf("topk with partition 1 omitting the clock: %d %s=%q, want 206 naming 1",
+			rec.Code, hotpaths.PartialHeader, rec.Header().Get(hotpaths.PartialHeader))
+	}
+	if got := rec.Header().Get(hotpaths.ClockHeader); got != "57" {
+		t.Errorf("%s = %q, want partition 0's \"57\"", hotpaths.ClockHeader, got)
+	}
+	fleet[1].mu.Lock()
+	reads := fleet[1].pathReads
+	fleet[1].mu.Unlock()
+	if reads != 1 {
+		t.Errorf("partition 1 was fetched %d times, want once: a missing header is nothing to wait for", reads)
+	}
+	if budget := 50 * 5 * time.Millisecond; elapsed >= budget {
+		t.Errorf("read took %v, the whole alignment budget (%v)", elapsed, budget)
+	}
+	_, missing := g.gather(context.Background())
+	//hotpathsvet:ignore errstring the test pins that the operator-facing text names the header
+	if len(missing) != 1 || !strings.Contains(missing[0].err.Error(), "missing "+hotpaths.ClockHeader+" header") {
+		t.Fatalf("missing = %+v, want partition 1 missing its %s header", missing, hotpaths.ClockHeader)
+	}
+
+	// With every partition omitting it there is no clock to stamp.
+	fleet[0].mu.Lock()
+	fleet[0].noClock = true
+	fleet[0].mu.Unlock()
+	if rec := doReq(t, h, http.MethodGet, "/topk", nil); rec.Code != http.StatusBadGateway {
+		t.Fatalf("topk with no partition sending the clock: %d, want 502", rec.Code)
+	}
+}
+
+// TestJSONPartitionRejected: the gateway reads partitions' binary path
+// bodies only. A partition answering /paths in JSON — a hotpathsd from
+// before the binary body — fails its leg with an error saying so, and is
+// named in X-Hotpaths-Partial.
+func TestJSONPartitionRejected(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	fleet[0].paths = []hotpaths.PathJSON{hp(1, 4)}
+	fleet[1].paths = []hotpaths.PathJSON{hp(2, 9)}
+	fleet[1].jsonOnly = true
+	g := newTestGateway(t, fleet, -1)
+
+	rec := doReq(t, g.Handler(), http.MethodGet, "/paths", nil)
+	if rec.Code != http.StatusPartialContent || rec.Header().Get(hotpaths.PartialHeader) != "1" {
+		t.Fatalf("paths with a JSON partition: %d %s=%q, want 206 naming 1",
+			rec.Code, hotpaths.PartialHeader, rec.Header().Get(hotpaths.PartialHeader))
+	}
+	_, missing := g.gather(context.Background())
+	//hotpathsvet:ignore errstring the test pins the operator-facing hint at an outdated partition
+	if len(missing) != 1 || !strings.Contains(missing[0].err.Error(), "is this a current hotpathsd?") {
+		t.Fatalf("missing = %+v, want partition 1 refused as outdated", missing)
+	}
+}
+
+// mergeFleet is two partitions sharing one corridor (id 7) and ties in
+// both orders: ids 7 and 4 tie on hotness (the longer ranks first), ids
+// 2 and 5 and ids 7 and 3 tie on score (the hotter ranks first).
+func mergeFleet(t *testing.T) []*fakePart {
+	path := func(id uint64, hotness int, length float64) hotpaths.PathJSON {
+		y := float64(id)
+		if id == 1 || id == 3 {
+			y = float64(id - 1) // ends on the edges of the bbox below
+		}
+		return hotpaths.PathJSON{
+			ID: id, Hotness: hotness,
+			Start: hotpaths.PointJSON{X: 0, Y: y},
+			End:   hotpaths.PointJSON{X: length, Y: y},
+		}
+	}
+	fleet := newFakeFleet(t, 2)
+	fleet[0].paths = []hotpaths.PathJSON{path(1, 4, 10), path(2, 2, 100), path(3, 3, 50), path(7, 2, 30)}
+	fleet[1].paths = []hotpaths.PathJSON{path(7, 3, 30), path(4, 5, 5), path(5, 1, 200)}
+	return fleet
+}
+
+// TestMergedQueriesMatchReference: the merged view answers every query
+// shape exactly as the full sort-then-filter reference over the summed
+// union does — the order Query.Select used to impose up front.
+func TestMergedQueriesMatchReference(t *testing.T) {
+	fleet := mergeFleet(t)
+	byID := map[uint64]hotpaths.HotPath{}
+	for _, f := range fleet {
+		for _, hp := range httpapi.HotPaths(f.paths) {
+			if prev, ok := byID[hp.ID]; ok {
+				hp.Hotness += prev.Hotness
+			}
+			byID[hp.ID] = hp
+		}
+	}
+	var union []hotpaths.HotPath
+	for _, hp := range byID {
+		union = append(union, hp)
+	}
+	hotpaths.SortResults(union, hotpaths.ByHotness)
+
+	within := func(minX, minY, maxX, maxY float64) func(hotpaths.HotPath) bool {
+		return func(hp hotpaths.HotPath) bool {
+			return hp.End.X >= minX && hp.End.X <= maxX && hp.End.Y >= minY && hp.End.Y <= maxY
+		}
+	}
+	hotter := func(n int) func(hotpaths.HotPath) bool {
+		return func(hp hotpaths.HotPath) bool { return hp.Hotness >= n }
+	}
+	for _, tc := range []struct {
+		url   string
+		keep  func(hotpaths.HotPath) bool
+		order hotpaths.SortOrder
+		k     int
+		geo   bool
+	}{
+		{url: "/topk", k: 10},
+		{url: "/topk?k=2", k: 2},
+		{url: "/paths?bbox=10,0,50,2", keep: within(10, 0, 50, 2)},
+		{url: "/paths?min_hotness=3", keep: hotter(3)},
+		{url: "/paths?sort=score", order: hotpaths.ByScore},
+		{url: "/topk?sort=score&k=3", order: hotpaths.ByScore, k: 3},
+		{url: "/paths?bbox=0,0,200,5&min_hotness=2&sort=score", keep: func(hp hotpaths.HotPath) bool {
+			return within(0, 0, 200, 5)(hp) && hotter(2)(hp)
+		}, order: hotpaths.ByScore},
+		{url: "/paths.geojson?limit=3&sort=score", order: hotpaths.ByScore, k: 3, geo: true},
+	} {
+		var want []hotpaths.HotPath
+		for _, hp := range union {
+			if tc.keep == nil || tc.keep(hp) {
+				want = append(want, hp)
+			}
+		}
+		hotpaths.SortResults(want, tc.order)
+		if tc.k > 0 && tc.k < len(want) {
+			want = want[:tc.k]
+		}
+		var body bytes.Buffer
+		if tc.geo {
+			hotpaths.WriteGeoJSON(&body, want)
+		} else {
+			json.NewEncoder(&body).Encode(hotpaths.PathsJSON(want))
+		}
+		// A fresh gateway per query, so each answers from a cold view.
+		rec := doReq(t, newTestGateway(t, fleet, -1).Handler(), http.MethodGet, tc.url, nil)
+		if rec.Code != http.StatusOK || rec.Body.String() != body.String() {
+			t.Errorf("%s: %d\n got  %s\n want %s", tc.url, rec.Code, rec.Body, body.Bytes())
+		}
+	}
+}
+
+// TestColdReadTrace: a cold read's trace shows each partition leg with
+// the size of the body it carried — 48 bytes a path — and one
+// gateway.merge span counting partitions and paths in and out.
+func TestColdReadTrace(t *testing.T) {
+	fleet := mergeFleet(t)
+	h := newTestGateway(t, fleet, -1).Handler()
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4803"
+	req := httptest.NewRequest(http.MethodGet, "/topk", nil)
+	req.Header.Set(tracing.Header, "00-"+traceID+"-00f067aa0ba902b7-01")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("topk: %d %s", rec.Code, rec.Body)
+	}
+
+	mux := http.NewServeMux()
+	tracing.Default.RegisterDebug(mux)
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces/"+traceID, nil))
+	var tr struct {
+		Spans []struct {
+			Name  string         `json:"name"`
+			Attrs map[string]any `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
+		t.Fatalf("trace %s: %v\n%s", traceID, err, rec.Body)
+	}
+	legBytes := map[float64]float64{} // partition -> bytes of its /paths leg
+	merges := 0
+	for _, s := range tr.Spans {
+		switch {
+		case s.Name == "partition.leg" && s.Attrs["http.path"] == "/paths":
+			legBytes[s.Attrs["partition"].(float64)] = s.Attrs["bytes"].(float64)
+		case s.Name == "gateway.merge":
+			merges++
+			if s.Attrs["partitions"] != 2.0 || s.Attrs["paths_in"] != 7.0 || s.Attrs["paths_out"] != 6.0 {
+				t.Errorf("gateway.merge attrs = %v, want partitions 2, paths_in 7, paths_out 6", s.Attrs)
+			}
+		}
+	}
+	if merges != 1 {
+		t.Errorf("%d gateway.merge spans, want 1", merges)
+	}
+	for i, f := range fleet {
+		if want := float64(len(f.paths) * httpapi.PathSize); legBytes[float64(i)] != want {
+			t.Errorf("partition %d /paths leg: bytes %v, want %v", i, legBytes[float64(i)], want)
+		}
 	}
 }
 

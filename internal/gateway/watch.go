@@ -82,26 +82,29 @@ func (g *Gateway) watchPartition(ctx context.Context, idx int, resp *http.Respon
 	}
 }
 
-// mergeStates merges per-partition results into one canonical-order
-// result. The same corridor discovered by more than one partition has the
-// same content-addressed id everywhere, so the merge is a hotness sum by
-// id.
-func mergeStates(states [][]hotpaths.HotPath) []hotpaths.HotPath {
-	byID := make(map[uint64]hotpaths.HotPath)
+// mergeStates merges per-partition results into one snapshot, with k as
+// its TopK cap. The same corridor discovered by more than one partition
+// has the same content-addressed id everywhere, so the merge is a hotness
+// sum by id; nothing is ordered until a query asks (hotpaths.SnapshotOf,
+// with no grid: a region query is a linear filter).
+func mergeStates(states [][]hotpaths.HotPath, k int) hotpaths.Snapshot {
+	n := 0
+	for _, st := range states {
+		n += len(st)
+	}
+	slot := make(map[uint64]int, n)
+	out := make([]hotpaths.HotPath, 0, n)
 	for _, st := range states {
 		for _, hp := range st {
-			if prev, ok := byID[hp.ID]; ok {
-				hp.Hotness += prev.Hotness
+			if i, ok := slot[hp.ID]; ok {
+				out[i].Hotness += hp.Hotness
+				continue
 			}
-			byID[hp.ID] = hp
+			slot[hp.ID] = len(out)
+			out = append(out, hp)
 		}
 	}
-	out := make([]hotpaths.HotPath, 0, len(byID))
-	for _, hp := range byID {
-		out = append(out, hp)
-	}
-	hotpaths.SortResults(out, hotpaths.ByHotness)
-	return out
+	return hotpaths.SnapshotOf(out, hotpaths.Rect{}, 0, 0, k)
 }
 
 // handleWatch serves GET /watch: the merged SSE delta stream, with
@@ -158,7 +161,7 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 		started    bool
 	)
 	emit := func(e partUpdate, states [][]hotpaths.HotPath, clock int64) error {
-		cur := q.Select(mergeStates(states))
+		cur := mergeStates(states, g.cfg.K).Query(q)
 		var d hotpaths.Delta
 		if !started || e.epoch != lastEpoch+1 {
 			// First event, or a partition re-baselined across missed

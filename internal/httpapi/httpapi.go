@@ -13,24 +13,28 @@
 // scatter-gather have no daemon counterpart) and call in for the parts
 // that must not differ.
 //
-// Two bodies carry the system's volume, and for those encoding/json is
-// the fallback, not the decoder: a POST /observe batch (DecodeObserve —
-// the one place either binary reads one) and a partition's /paths answer
-// on its way into a gateway merge (DecodePaths). Each is read whole into
-// a pooled buffer and scanned in its canonical form by the strict,
-// allocation-free scanners in the library's wire.go; a body the scanner
+// Two bodies carry the system's volume. A POST /observe batch
+// (DecodeObserve — the one place either binary reads one) is read whole
+// into a pooled buffer and scanned in its canonical form by the strict,
+// allocation-free scanner in the library's wire.go; a body the scanner
 // does not recognise is decoded from the same bytes by encoding/json,
 // which thereby stays the definition of what is accepted and the author
-// of every error text. DecodeBody remains for POST /tick's few bytes.
+// of every error text. A partition's /paths answer on its way into a
+// gateway merge is no JSON at all: the gateway asks for the fixed-width
+// PathsType body (WritePaths, ReadPaths), which carries every coordinate
+// as its IEEE-754 bits, so neither side formats or parses a number.
+// DecodeBody remains for POST /tick's few bytes.
 package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -95,10 +99,11 @@ type ObserveSink interface {
 	Add(o hotpaths.ObservationJSON, raw []byte)
 }
 
-// bodies holds the buffers DecodeObserve and DecodePaths read into. A
-// buffer is held by one request for the length of its decode, so what is
-// retained is one body per request in flight; the pool drops idle
-// buffers — an outsized body's among them — at the next GC.
+// bodies holds the buffers DecodeObserve and ReadPaths read into and
+// binary path bodies are written from. A buffer is held by one request
+// for the length of its decode or write, so what is retained is one body
+// per request in flight; the pool drops idle buffers — an outsized
+// body's among them — at the next GC.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody reads all of src into a pooled buffer, sized up front when the
@@ -161,29 +166,70 @@ func DecodeObserve(w http.ResponseWriter, r *http.Request, sink ObserveSink, fal
 	return tick, records, true
 }
 
-// DecodePaths reads a partition's /topk or /paths answer into the
-// library type (nil when there are none): the canonical body WritePaths
-// emits by hotpaths.ScanPaths, anything else — by the rule DecodeObserve
-// follows — by encoding/json into []PathJSON.
-func DecodePaths(src io.Reader, length int64) ([]hotpaths.HotPath, error) {
+// PathsType is the media type of the binary path body: what /topk and
+// /paths answer instead of JSON when a request's Accept is exactly this
+// type, as a gateway's is when it gathers its partitions. The body is
+// PathSize bytes per path, in the order the JSON answer lists them, with
+// no header or framing; epoch and clock stay in EpochHeader and
+// ClockHeader. Each path is, little-endian: id uint64, hotness int64,
+// then start.x, start.y, end.x, end.y as IEEE-754 bits — so every
+// coordinate arrives bit for bit, -0 included, and nothing is formatted
+// or parsed as decimal text.
+const PathsType = "application/x-hotpaths-paths"
+
+// PathSize is the size of one path in a PathsType body.
+const PathSize = 48
+
+// AppendPaths appends paths to dst as a PathsType body.
+func AppendPaths(dst []byte, paths []hotpaths.HotPath) []byte {
+	le := binary.LittleEndian
+	for _, hp := range paths {
+		dst = le.AppendUint64(dst, hp.ID)
+		dst = le.AppendUint64(dst, uint64(hp.Hotness))
+		for _, v := range [4]float64{hp.Start.X, hp.Start.Y, hp.End.X, hp.End.Y} {
+			dst = le.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// ReadPaths reads a PathsType body whole — length is its Content-Length,
+// or -1 — and decodes it. It rejects a body that is not a whole number of
+// paths, a hotness out of range for int, and a coordinate that is NaN or
+// infinite — no snapshot holds one.
+func ReadPaths(src io.Reader, length int64) ([]hotpaths.HotPath, error) {
 	buf, err := readBody(src, length)
 	defer bodies.Put(buf)
 	if err != nil {
 		return nil, err
 	}
-	// Sized a little generously — our own encoding runs ~190 bytes a
-	// path — because slack is cheaper than a regrowth copy.
-	if paths, ok := hotpaths.ScanPaths(make([]hotpaths.HotPath, 0, buf.Len()/160), buf.Bytes()); ok {
-		if len(paths) == 0 {
-			return nil, nil
+	body := buf.Bytes()
+	if len(body)%PathSize != 0 {
+		return nil, fmt.Errorf("paths body of %d bytes is not a whole number of %d-byte paths", len(body), PathSize)
+	}
+	le := binary.LittleEndian
+	dst := make([]hotpaths.HotPath, 0, len(body)/PathSize)
+	for i := 0; i < len(body); i += PathSize {
+		b := body[i : i+PathSize]
+		var c [4]float64
+		for j := range c {
+			c[j] = math.Float64frombits(le.Uint64(b[16+8*j:]))
+			if math.IsNaN(c[j]) || math.IsInf(c[j], 0) {
+				return nil, fmt.Errorf("path %d: coordinate %v is not finite", i/PathSize, c[j])
+			}
 		}
-		return paths, nil
+		hotness := int64(le.Uint64(b[8:]))
+		if int64(int(hotness)) != hotness {
+			return nil, fmt.Errorf("path %d: hotness %d out of range", i/PathSize, hotness)
+		}
+		dst = append(dst, hotpaths.HotPath{
+			ID:      le.Uint64(b),
+			Start:   hotpaths.Pt(c[0], c[1]),
+			End:     hotpaths.Pt(c[2], c[3]),
+			Hotness: int(hotness),
+		})
 	}
-	var wire []hotpaths.PathJSON
-	if err := json.NewDecoder(buf).Decode(&wire); err != nil {
-		return nil, err
-	}
-	return HotPaths(wire), nil
+	return dst, nil
 }
 
 // WriteJSON writes v as the JSON response body under status.
@@ -204,26 +250,36 @@ func Error(w http.ResponseWriter, status int, err error) {
 // WritePaths answers a /topk, /paths or (geo) /paths.geojson read under
 // status, stamped with the epoch and clock it was answered at so a
 // scatter-gather reader can verify that every partition answered at the
-// same epoch before merging. The GeoJSON FeatureCollection is buffered
-// before the first byte is written — it is bounded by the live index
-// size — so an encoding failure still returns a proper 500 instead of a
-// truncated body after headers are gone.
+// same epoch before merging. A request whose Accept is exactly PathsType
+// gets the binary body instead of JSON (GeoJSON ignores Accept). The
+// GeoJSON FeatureCollection is buffered before the first byte is written
+// — it is bounded by the live index size — so an encoding failure still
+// returns a proper 500 instead of a truncated body after headers are gone.
 func WritePaths(w http.ResponseWriter, r *http.Request, status int, epoch, clock int64, paths []hotpaths.HotPath, geo bool) {
 	w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(epoch, 10))
 	w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(clock, 10))
-	if !geo {
+	if !geo && r.Header.Get("Accept") != PathsType {
 		WriteJSON(w, status, hotpaths.PathsJSON(paths))
 		return
 	}
-	var buf bytes.Buffer
-	if err := hotpaths.WriteGeoJSON(&buf, paths); err != nil {
-		Error(w, http.StatusInternalServerError, fmt.Errorf("encode geojson: %w", err))
-		return
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if geo {
+		if err := hotpaths.WriteGeoJSON(buf, paths); err != nil {
+			Error(w, http.StatusInternalServerError, fmt.Errorf("encode geojson: %w", err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/geo+json")
+	} else {
+		buf.Grow(len(paths) * PathSize)
+		buf.Write(AppendPaths(buf.AvailableBuffer(), paths))
+		w.Header().Set("Content-Type", PathsType)
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	}
-	w.Header().Set("Content-Type", "application/geo+json")
 	w.WriteHeader(status)
 	if _, err := buf.WriteTo(w); err != nil {
 		// The client went away mid-response; nothing left to salvage.
-		slog.Warn("write geojson failed", append([]any{"error", err}, tracing.LogAttrs(r.Context())...)...)
+		slog.Warn("write paths failed", append([]any{"error", err}, tracing.LogAttrs(r.Context())...)...)
 	}
 }

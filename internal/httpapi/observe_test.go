@@ -3,7 +3,6 @@ package httpapi_test
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -233,100 +232,5 @@ func TestObserveBodyOverTheCap(t *testing.T) {
 		if ok != (tc.code == http.StatusOK) || (!ok && rec.Code != tc.code) || (ok && records != 1) {
 			t.Errorf("%s: ok %v, %d records, status %d; want status %d", tc.name, ok, records, rec.Code, tc.code)
 		}
-	}
-}
-
-func checkPathsAgree(t *testing.T, body []byte) {
-	t.Helper()
-	var wire []hotpaths.PathJSON
-	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&wire)
-	want := httpapi.HotPaths(wire)
-
-	got, err := httpapi.DecodePaths(bytes.NewReader(body), int64(len(body)))
-	// The gateway reports the error's text; the text is what must not drift.
-	if got, want := fmt.Sprint(err), fmt.Sprint(wantErr); got != want {
-		t.Fatalf("error = %s, encoding/json says %s\nbody: %q", got, want, body)
-	}
-	if err != nil {
-		return
-	}
-	if len(got) != len(want) || (got == nil) != (want == nil) {
-		t.Fatalf("%d paths (nil %v), want %d (nil %v)\nbody: %q", len(got), got == nil, len(want), want == nil, body)
-	}
-	bits := math.Float64bits
-	for i, g := range got {
-		w := want[i]
-		if g.ID != w.ID || g.Hotness != w.Hotness ||
-			bits(g.Start.X) != bits(w.Start.X) || bits(g.Start.Y) != bits(w.Start.Y) ||
-			bits(g.End.X) != bits(w.End.X) || bits(g.End.Y) != bits(w.End.Y) {
-			t.Fatalf("path %d = %+v, want %+v\nbody: %q", i, g, w, body)
-		}
-	}
-}
-
-var pathsQuirks = []string{
-	`[]`,
-	"[]\n",
-	`[{"id":18446744073709551615,"rank":1,"hotness":3,"length":5,"score":15,"start":{"x":-0,"y":0},"end":{"x":3,"y":4}}]`,
-	` [ { "end" : { "y" : 4 , "x" : 3 } , "id" : 7 } , { } ] `,
-	`[{"id":18446744073709551616}]`,
-	`[{"id":-1}]`,
-	`[{"id":1,"length":1e400}]`,
-	`[{"id":1,"rank":1.5}]`,
-	`[{"id":1,"ID":2}]`,
-	`[{"id":1,"id":2}]`,
-	`[{"id":1,"start":null}]`,
-	`[{"id":1,"start":{"x":1,"x":2}}]`,
-	`[{"id":1,"start":{"x":1,"z":2}}]`,
-	`[null]`,
-	`null`,
-	`[{"id":1}] trailing`,
-	`[{"id":1},]`,
-	`[{"id":01}]`,
-	`{"error":"no"}`,
-	``,
-}
-
-// FuzzPathsDecode: a partition's /paths answer decodes the same through
-// ScanPaths-plus-fallback as through encoding/json alone.
-func FuzzPathsDecode(f *testing.F) {
-	for _, q := range pathsQuirks {
-		f.Add([]byte(q))
-	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(hotpaths.PathsJSON(samplePaths())); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, body []byte) { checkPathsAgree(t, body) })
-}
-
-func samplePaths() []hotpaths.HotPath {
-	paths := make([]hotpaths.HotPath, 50)
-	for i := range paths {
-		f := float64(i)
-		paths[i] = hotpaths.HotPath{
-			ID:      0x9e3779b97f4a7c15 * uint64(i+1),
-			Start:   hotpaths.Pt(470000+f*1.25, 4200000-f/3),
-			End:     hotpaths.Pt(470010.5+f*1.25, 4200000+f/7),
-			Hotness: 1 + i%5,
-		}
-	}
-	return paths
-}
-
-func TestPathsDecode(t *testing.T) {
-	for _, q := range pathsQuirks {
-		checkPathsAgree(t, []byte(q))
-	}
-	// Our own encoder's output stays on the scanner: same paths back, and
-	// an exact-capacity guess is not required for that.
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(hotpaths.PathsJSON(samplePaths())); err != nil {
-		t.Fatal(err)
-	}
-	checkPathsAgree(t, buf.Bytes())
-	if _, ok := hotpaths.ScanPaths(nil, buf.Bytes()); !ok {
-		t.Error("ScanPaths refuses what PathsJSON encodes to")
 	}
 }

@@ -94,7 +94,8 @@ type Query struct {
 
 // Region restricts the query to paths whose end vertex lies inside r
 // (inclusive). It is answered by a range scan over the snapshot's grid
-// index, not a linear filter.
+// index, not a linear filter — unless the snapshot has none (see
+// SnapshotOf).
 func (q Query) Region(r Rect) Query {
 	q.region, q.hasRegion = r, true
 	return q
@@ -185,29 +186,31 @@ func (s Snapshot) Len() int {
 	return s.snap.Len()
 }
 
-// Order returns the query's sort order.
-func (q Query) Order() SortOrder { return q.order }
-
-// Select runs the query over paths, which must be in canonical (ByHotness)
-// order and is not modified, and returns what Snapshot.Query would return
-// for a snapshot holding exactly those paths. It is exported for readers
-// that hold a merged path set instead of a Snapshot (the gateway's
-// scatter-gather view); the region step is a linear filter here, the
-// rest is shared with Snapshot.Query.
-func (q Query) Select(paths []HotPath) []HotPath {
-	sel := paths
-	if q.hasRegion {
-		sel = make([]HotPath, 0, len(paths))
-		for _, hp := range paths {
-			if hp.End.X >= q.region.Min.X && hp.End.X <= q.region.Max.X &&
-				hp.End.Y >= q.region.Min.Y && hp.End.Y <= q.region.Max.Y {
-				sel = append(sel, hp)
-			}
+// SnapshotOf assembles a Snapshot from a path set with distinct ids, in
+// any order, as a coordinator's copy comes: k is its TopK cap and
+// cols×rows cells over bounds are the grid behind Region — zero bounds
+// keep no grid, and Region is a linear filter. Its clock and epoch are
+// zero. A gateway holds its merged fleet view this way, so the view
+// orders itself on demand like any snapshot; benchmarks assemble
+// synthetic snapshots of any size with it.
+func SnapshotOf(paths []HotPath, bounds Rect, cols, rows, k int) Snapshot {
+	mp := make([]motion.HotPath, len(paths))
+	for i, hp := range paths {
+		mp[i] = motion.HotPath{
+			Path: motion.Path{
+				ID: motion.PathID(hp.ID),
+				S:  geom.Pt(hp.Start.X, hp.Start.Y),
+				E:  geom.Pt(hp.End.X, hp.End.Y),
+			},
+			Hotness: hp.Hotness,
 		}
 	}
-	sel = sel[:q.prefix(len(sel), func(i int) int { return sel[i].Hotness })]
-	return q.shape(append(make([]HotPath, 0, len(sel)), sel...))
+	gb := geom.Rect{Lo: geom.Pt(bounds.Min.X, bounds.Min.Y), Hi: geom.Pt(bounds.Max.X, bounds.Max.Y)}
+	return Snapshot{snap: coordinator.SnapshotOf(mp, gb, cols, rows), k: k}
 }
+
+// Order returns the query's sort order.
+func (q Query) Order() SortOrder { return q.order }
 
 // prefix returns how many leading paths of an n-long selection in
 // canonical order survive MinHotness and — under ByHotness, where the k

@@ -57,12 +57,49 @@ func sameResult(a, b []HotPath) bool {
 	return true
 }
 
-// checkQuery runs q on s and compares it with the reference.
-func checkQuery(t testing.TB, s Snapshot, q Query) {
+// checkQuery runs q on s and compares it with the reference answer over
+// ref, a snapshot holding the same paths (often s itself).
+func checkQuery(t testing.TB, s, ref Snapshot, q Query) {
 	t.Helper()
-	if got, want := s.Query(q), referenceQuery(s, q); !sameResult(got, want) {
+	if got, want := s.Query(q), referenceQuery(ref, q); !sameResult(got, want) {
 		t.Fatalf("%+v:\n got  %v\n want %v", q, got, want)
 	}
+}
+
+// splitAcross deals paths over two partitions the way a fleet holds a
+// corridor both discovered: every other path whose hotness allows is held
+// by both, its hotness split between them; the rest by one.
+func splitAcross(paths []motion.HotPath) [2][]HotPath {
+	var parts [2][]HotPath
+	for i, mp := range paths {
+		hp := publicPath(mp)
+		if hp.Hotness >= 2 && i%2 == 0 {
+			one := hp
+			one.Hotness = 1
+			parts[0] = append(parts[0], one)
+			hp.Hotness--
+		}
+		parts[i%2] = append(parts[i%2], hp)
+	}
+	return parts
+}
+
+// summed sums the partitions' paths by id into a snapshot with no grid —
+// the gateway's merged view.
+func summed(parts [2][]HotPath, k int) Snapshot {
+	slot := map[uint64]int{}
+	var out []HotPath
+	for _, part := range parts {
+		for _, hp := range part {
+			if i, ok := slot[hp.ID]; ok {
+				out[i].Hotness += hp.Hotness
+				continue
+			}
+			slot[hp.ID] = len(out)
+			out = append(out, hp)
+		}
+	}
+	return SnapshotOf(out, Rect{}, 0, 0, k)
 }
 
 // checkShorthands holds TopK, Score, HotPaths and the GeoJSON bytes to the
@@ -163,6 +200,7 @@ func TestSnapshotQueryMatchesSortedReference(t *testing.T) {
 		name   string
 		fresh  func() Snapshot
 		inside Rect
+		ref    func() Snapshot // the same paths another way; nil: fresh
 	}
 	var states []state
 	for _, seed := range []int64{1, 7} {
@@ -181,15 +219,23 @@ func TestSnapshotQueryMatchesSortedReference(t *testing.T) {
 			}
 		}
 		states = append(states, state{fmt.Sprintf("ingest seed %d", seed), sys.Snapshot,
-			Rect{Min: Pt(-300, -300), Max: Pt(400, 400)}})
+			Rect{Min: Pt(-300, -300), Max: Pt(400, 400)}, nil})
 	}
 	ties := tieState()
-	states = append(states, state{"ties and -0", func() Snapshot { return unorderedSnapshot(ties, 50, 7) },
-		Rect{Min: Pt(-25, -25), Max: Pt(0, 0)}})
+	tieSnapshot := func() Snapshot { return unorderedSnapshot(ties, 50, 7) }
+	states = append(states, state{"ties and -0", tieSnapshot, Rect{Min: Pt(-25, -25), Max: Pt(0, 0)}, nil})
+	// The gateway's shape: no grid, ids summed across partitions. The sums
+	// restore the tie state's hotness, so its reference is the tie state's.
+	states = append(states, state{"no grid, summed across partitions",
+		func() Snapshot { return summed(splitAcross(ties), 7) }, Rect{Min: Pt(-25, -25), Max: Pt(0, 0)}, tieSnapshot})
 
 	for _, st := range states {
 		t.Run(st.name, func(t *testing.T) {
 			shared := st.fresh()
+			ref := shared
+			if st.ref != nil {
+				ref = st.ref()
+			}
 			n, maxHot := shared.Len(), 0
 			if n < 20 {
 				t.Fatalf("only %d paths", n)
@@ -201,8 +247,8 @@ func TestSnapshotQueryMatchesSortedReference(t *testing.T) {
 			// Each query first on a fresh snapshot, then all of them in
 			// turn on one snapshot, whose memo grows as they run.
 			for _, q := range qs {
-				checkQuery(t, st.fresh(), q)
-				checkQuery(t, shared, q)
+				checkQuery(t, st.fresh(), ref, q)
+				checkQuery(t, shared, ref, q)
 			}
 			checkShorthands(t, st.fresh())
 			checkShorthands(t, shared)
@@ -246,7 +292,8 @@ func TestSnapshotQueryMatchesSortedReference(t *testing.T) {
 // FuzzSnapshotQuery decodes bytes into a path set on a small lattice
 // (ties in hotness and length, -0 coordinates, end vertices outside the
 // grid bounds) and a run of queries, answers them in turn on one snapshot
-// and holds each to the fully sorted reference.
+// — and on the gridless snapshot of the same paths summed across two
+// partitions — and holds each to the fully sorted reference.
 func FuzzSnapshotQuery(f *testing.F) {
 	f.Add([]byte{12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0, 0, 0, 0, 3, 1, 1, 9})
 	f.Add([]byte{30, 255, 128, 0, 7, 2, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 4, 2, 3, 0, 2, 8, 0, 6, 1})
@@ -282,6 +329,9 @@ func FuzzSnapshotQuery(f *testing.F) {
 			paths = append(paths, motion.HotPath{Path: motion.Path{ID: id, S: s, E: e}, Hotness: 1 + next()%5})
 		}
 		snap := unorderedSnapshot(paths, 8, 3)
+		// The same paths as a gateway holds them: dealt over two
+		// partitions, summed back by id, with no grid.
+		merged := summed(splitAcross(paths), 3)
 		n := len(paths)
 		for len(data) >= 4 {
 			q := Query{}.K(next()%(n+3) - 1).MinHotness(next() % 7)
@@ -300,8 +350,10 @@ func FuzzSnapshotQuery(f *testing.F) {
 			case 4:
 				q = q.Region(Rect{Min: lo, Max: lo})
 			}
-			checkQuery(t, snap, q)
+			checkQuery(t, snap, snap, q)
+			checkQuery(t, merged, snap, q)
 		}
 		checkShorthands(t, snap)
+		checkShorthands(t, merged)
 	})
 }

@@ -121,19 +121,19 @@ func WriteGeoJSON(w io.Writer, paths []HotPath) error {
 	return geojson.Write(w, geojson.FromHotPaths(mp))
 }
 
-// ---- the canonical bodies, without reflection -----------------------------
+// ---- the canonical body, without reflection -------------------------------
 //
-// ScanObserve and ScanPaths recognise the two bodies that carry the
-// system's volume — a POST /observe batch and a /paths result — in the
-// form every shipped encoder emits, and decode them in one pass with no
-// allocation. They are strict on purpose: keys are the exact lower-case
-// names without escapes (in any order, each at most once), values are
-// plain JSON numbers (integers without fraction or exponent), nothing is
-// null and nothing but whitespace follows the value. Whatever else
-// encoding/json would also accept — other key spellings, duplicate keys,
-// unknown fields, "t":1e3 — they do not judge: they report false, and
-// the caller hands the same bytes to encoding/json, which stays the
-// definition of the accepted language and the author of every error.
+// ScanObserve recognises the JSON body that carries the system's volume —
+// a POST /observe batch — in the form every shipped encoder emits, and
+// decodes it in one pass with no allocation. It is strict on purpose:
+// keys are the exact lower-case names without escapes (in any order, each
+// at most once), values are plain JSON numbers (integers without fraction
+// or exponent), nothing is null and nothing but whitespace follows the
+// value. Whatever else encoding/json would also accept — other key
+// spellings, duplicate keys, unknown fields, "t":1e3 — it does not judge:
+// it reports false, and the caller hands the same bytes to encoding/json,
+// which stays the definition of the accepted language and the author of
+// every error.
 
 // ScanObserve walks a canonical POST /observe body,
 //
@@ -195,71 +195,6 @@ func (s *wireScanner) observation() (o ObservationJSON, ok bool) {
 		return false
 	})
 	return o, ok
-}
-
-// ScanPaths decodes a canonical /topk or /paths body — what PathsJSON
-// encodes to,
-//
-//	[{"id":1,"rank":1,"hotness":3,"length":5,"score":15,"start":{"x":0,"y":0},"end":{"x":3,"y":4}},…]
-//
-// — appending each element's HotPath (see PathJSON.HotPath: rank, length
-// and score are checked and dropped) to dst. When ok is false the body is
-// outside the strict subset and must be decoded by encoding/json.
-func ScanPaths(dst []HotPath, body []byte) (paths []HotPath, ok bool) {
-	s := wireScanner{b: body}
-	ok = s.array(func() bool {
-		var (
-			hp   HotPath
-			seen fieldSet
-		)
-		ok := s.object(func(key []byte) (ok bool) {
-			switch string(key) {
-			case "id":
-				hp.ID, ok = s.uint()
-				return ok && seen.first(0)
-			case "rank":
-				_, ok = s.goInt()
-				return ok && seen.first(1)
-			case "hotness":
-				hp.Hotness, ok = s.goInt()
-				return ok && seen.first(2)
-			case "length":
-				_, ok = s.float()
-				return ok && seen.first(3)
-			case "score":
-				_, ok = s.float()
-				return ok && seen.first(4)
-			case "start":
-				hp.Start, ok = s.point()
-				return ok && seen.first(5)
-			case "end":
-				hp.End, ok = s.point()
-				return ok && seen.first(6)
-			}
-			return false
-		})
-		if ok {
-			dst = append(dst, hp)
-		}
-		return ok
-	})
-	return dst, ok && s.end()
-}
-
-func (s *wireScanner) point() (p Point, ok bool) {
-	var seen fieldSet
-	ok = s.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "x":
-			p.X, ok = s.float()
-			return ok && seen.first(0)
-		case "y":
-			p.Y, ok = s.float()
-			return ok && seen.first(1)
-		}
-		return false
-	})
-	return p, ok
 }
 
 // fieldSet records which keys of one object have been seen, so a
@@ -386,11 +321,6 @@ func (s *wireScanner) natural() (v uint64, ok bool) {
 		v = v*10 + d
 	}
 	return v, true
-}
-
-func (s *wireScanner) uint() (uint64, bool) {
-	s.skip()
-	return s.natural()
 }
 
 func (s *wireScanner) int() (int64, bool) {

@@ -1,7 +1,6 @@
 package hotpaths_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -57,29 +56,5 @@ func TestScanObserveAllocatesNothing(t *testing.T) {
 		if o != want {
 			t.Fatalf("observation %d = %+v, want %+v", i, o, want)
 		}
-	}
-}
-
-// ScanPaths reads back exactly what the read endpoints write.
-func TestScanPathsRoundTrip(t *testing.T) {
-	paths := []hotpaths.HotPath{
-		{ID: 1<<64 - 1, Start: hotpaths.Pt(-0.0, 1e-7), End: hotpaths.Pt(470123.4567890123, 4200000.25), Hotness: 7},
-		{ID: 2, Start: hotpaths.Pt(3, 4), End: hotpaths.Pt(0, 0), Hotness: 1},
-	}
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(hotpaths.PathsJSON(paths)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := hotpaths.ScanPaths(nil, body.Bytes())
-	if !ok || len(got) != len(paths) {
-		t.Fatalf("ScanPaths(%s) = %v, %v", body.Bytes(), got, ok)
-	}
-	for i := range got {
-		if got[i] != paths[i] {
-			t.Errorf("path %d = %+v, want %+v", i, got[i], paths[i])
-		}
-	}
-	if got, ok := hotpaths.ScanPaths(nil, []byte("[]\n")); !ok || got != nil {
-		t.Errorf("ScanPaths([]) = %v, %v; want nil, true", got, ok)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -145,6 +146,62 @@ func TestFollowerServesIdenticalReads(t *testing.T) {
 			t.Fatalf("follower never reconnected: %+v", rs)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// A follower's reads follow the replicated clock: a /topk taken mid-stream
+// must not pin its view, so after more ticks are applied the next read
+// equals the primary's bytes and carries the new clock.
+func TestFollowerReadFollowsAppliedTicks(t *testing.T) {
+	primary, dur, follower, fol := newReplicaPair(t, 0)
+	feed := func(from, to int64) {
+		t.Helper()
+		for tick := from; tick <= to; tick++ {
+			var obs []hotpaths.ObservationJSON
+			for lane := 0; lane < 3; lane++ {
+				// Zig-zag lanes, so paths form and the answer moves.
+				obs = append(obs, hotpaths.ObservationJSON{
+					Object: lane, X: float64(tick) * 10, Y: float64(lane*50 + int(tick/5%2)*40), T: tick,
+				})
+			}
+			rec := do(t, primary, http.MethodPost, "/observe", httpapi.ObserveRequest{Observations: obs, Tick: tick})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("primary observe at t=%d: %d %s", tick, rec.Code, rec.Body)
+			}
+		}
+		want := dur.NextLSN()
+		deadline := time.Now().Add(15 * time.Second)
+		for fol.Replication().AppliedLSN < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower stuck: %+v (want lsn %d)", fol.Replication(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	read := func(h http.Handler) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := do(t, h, http.MethodGet, "/topk", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/topk: %d %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+
+	feed(1, 30)
+	mid := read(follower)
+	if got := mid.Header().Get(hotpaths.ClockHeader); got != "30" {
+		t.Fatalf("mid-stream follower clock header = %q, want 30", got)
+	}
+	feed(31, 45)
+	p, f := read(primary), read(follower)
+	if got := f.Header().Get(hotpaths.ClockHeader); got != "45" {
+		t.Errorf("follower clock header after more ticks = %q, want 45", got)
+	}
+	if !bytes.Equal(p.Body.Bytes(), f.Body.Bytes()) {
+		t.Errorf("follower /topk after more ticks diverged:\nprimary:  %s\nfollower: %s", p.Body, f.Body)
+	}
+	if bytes.Equal(mid.Body.Bytes(), f.Body.Bytes()) {
+		t.Error("the follower served its mid-stream /topk again; the feed moved the answer")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hotpaths"
@@ -43,8 +42,8 @@ type serverOpts struct {
 }
 
 // server wires the backend to the HTTP surface. Ingestion state lives in
-// the backend; the server only adds its start time and a read-side
-// snapshot cache.
+// the backend, and so does the read view: between two ticks every read
+// shares the backend's one snapshot. The server only adds its start time.
 type server struct {
 	src     backend
 	w       hotpaths.Writer   // src's write path; nil on a Follower, read-only by type
@@ -55,14 +54,6 @@ type server struct {
 	partID  int
 	partN   int // 0 when unpartitioned
 	started time.Time
-
-	// gen counts writes (observe/tick). Readers reuse one cached snapshot
-	// — and the region grid built inside it — until a write bumps gen, so
-	// a burst of concurrent queries costs one O(paths) copy, not one per
-	// request.
-	gen    atomic.Uint64
-	mu     sync.Mutex
-	cached *cachedSnapshot
 
 	// closing is closed when the HTTP server begins shutting down, so
 	// /watch streams end instead of pinning Shutdown until its timeout
@@ -76,11 +67,6 @@ type server struct {
 
 	// health turns /healthz verdict flips into flight-recorder events.
 	health httpapi.Health
-}
-
-type cachedSnapshot struct {
-	snap hotpaths.Snapshot
-	gen  uint64
 }
 
 func newServer(src backend, opts serverOpts) *server {
@@ -118,43 +104,6 @@ func (s *server) stopWatches() {
 		s.slo.Stop()
 	})
 }
-
-// readGen is the cache key for the snapshot cache: the local write count
-// normally, the follower's apply generation in -follow mode (writes
-// arrive from the replication stream there, not through this server, so
-// the local counter would never move and the cache would pin a stale
-// view forever).
-func (s *server) readGen() uint64 {
-	if s.fol != nil {
-		return s.fol.Generation()
-	}
-	return s.gen.Load()
-}
-
-// snapshot returns the cached engine snapshot, taking a fresh one when a
-// write has happened since it was cached. A snapshot taken concurrently
-// with a write is served to its own request but not cached: the
-// generation check guarantees the cache never pins a view older than the
-// last completed write.
-func (s *server) snapshot() hotpaths.Snapshot {
-	g := s.readGen()
-	s.mu.Lock()
-	c := s.cached
-	s.mu.Unlock()
-	if c != nil && c.gen == g {
-		return c.snap
-	}
-	snap := s.src.Snapshot()
-	s.mu.Lock()
-	if s.readGen() == g {
-		s.cached = &cachedSnapshot{snap: snap, gen: g}
-	}
-	s.mu.Unlock()
-	return snap
-}
-
-// invalidate marks the cached snapshot stale after a write.
-func (s *server) invalidate() { s.gen.Add(1) }
 
 // routeMetrics registers one route's request instruments.
 func routeMetrics(route string) httpapi.RouteMetrics {
@@ -239,12 +188,9 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, s.writeErrStatus(), err)
 		return
 	}
-	s.invalidate()
 	resp := map[string]any{"accepted": len(batch)}
 	if tick > 0 {
-		err := s.w.TickCtx(r.Context(), tick)
-		s.invalidate()
-		if err != nil {
+		if err := s.w.TickCtx(r.Context(), tick); err != nil {
 			// The batch was already ingested; report that alongside the
 			// tick failure so clients don't re-send the observations.
 			httpapi.WriteJSON(w, s.writeErrStatus(), map[string]any{
@@ -299,16 +245,14 @@ func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 	if !httpapi.DecodeBody(w, r, &req) {
 		return
 	}
-	err := s.w.TickCtx(r.Context(), req.Now)
-	s.invalidate()
-	if err != nil {
+	if err := s.w.TickCtx(r.Context(), req.Now); err != nil {
 		httpapi.Error(w, s.writeErrStatus(), err)
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"now": req.Now})
 }
 
-// answerQuery serves a read endpoint from the cached snapshot: the
+// answerQuery serves a read endpoint from the backend's snapshot: the
 // k/min_hotness/bbox/sort selection — capped at the engine's Config.K
 // when topK and no k is given — as JSON or, with geo, as a GeoJSON
 // FeatureCollection.
@@ -323,7 +267,7 @@ func (s *server) answerQuery(topK, geo bool) http.HandlerFunc {
 			httpapi.Error(w, http.StatusBadRequest, err)
 			return
 		}
-		snap := s.snapshot()
+		snap := s.src.Snapshot()
 		httpapi.WritePaths(w, r, http.StatusOK, snap.Epoch(), snap.Clock(), snap.Query(q), geo)
 	}
 }

@@ -318,19 +318,44 @@ func TestTopKQueryParams(t *testing.T) {
 	}
 }
 
-// The read side caches one snapshot between writes: repeated reads agree,
-// and a write (observe+tick) refreshes the view.
+// The read view is per tick: the window slides on every tick, and an
+// observation reaches the coordinator only at the next epoch boundary, so
+// the clock moving is the one thing that can change an answer. Repeated
+// reads agree, an /observe without a tick leaves /paths byte-identical,
+// and any tick — even by one timestamp — refreshes the view.
 func TestSnapshotCacheInvalidation(t *testing.T) {
 	h := newTestHandler(t)
 	feedZigZag(t, h)
 
-	first := decode[[]hotpaths.PathJSON](t, do(t, h, http.MethodGet, "/paths", nil))
-	again := decode[[]hotpaths.PathJSON](t, do(t, h, http.MethodGet, "/paths", nil))
-	if len(first) == 0 {
-		t.Fatal("no paths after zig-zag")
+	first := do(t, h, http.MethodGet, "/paths", nil)
+	again := do(t, h, http.MethodGet, "/paths", nil)
+	if len(decode[[]hotpaths.PathJSON](t, first)) == 0 {
+		t.Fatal("no paths after the zig-zag")
 	}
-	if !reflect.DeepEqual(first, again) {
+	if !bytes.Equal(first.Body.Bytes(), again.Body.Bytes()) {
 		t.Error("two reads with no write in between disagree")
+	}
+
+	observe := httpapi.ObserveRequest{Observations: []hotpaths.ObservationJSON{
+		{Object: 1, X: 246, Y: 40, T: 41},
+		{Object: 2, X: 246, Y: 40.5, T: 41},
+	}}
+	if rec := do(t, h, http.MethodPost, "/observe", observe); rec.Code != http.StatusOK {
+		t.Fatalf("observe: %d %s", rec.Code, rec.Body)
+	}
+	observed := do(t, h, http.MethodGet, "/paths", nil)
+	if !bytes.Equal(first.Body.Bytes(), observed.Body.Bytes()) {
+		t.Errorf("an /observe without a tick changed /paths:\nbefore: %s\nafter:  %s", first.Body, observed.Body)
+	}
+	if got := observed.Header().Get(hotpaths.ClockHeader); got != "40" {
+		t.Errorf("clock header after an /observe without a tick = %q, want 40", got)
+	}
+
+	if rec := do(t, h, http.MethodPost, "/tick", httpapi.TickRequest{Now: 41}); rec.Code != http.StatusOK {
+		t.Fatalf("tick: %d", rec.Code)
+	}
+	if got := do(t, h, http.MethodGet, "/paths", nil).Header().Get(hotpaths.ClockHeader); got != "41" {
+		t.Errorf("clock header after a one-timestamp tick = %q, want 41", got)
 	}
 
 	// Silence past the window (W=100): every crossing expires, so the

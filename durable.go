@@ -102,8 +102,8 @@ type WALStats struct {
 // Durable is a Reader and a Writer. Its writes are serialised by an
 // internal mutex — the journal fixes the total observation order that
 // recovery replays — and are safe to call from many goroutines. Snapshot,
-// Stats, Clock and Subscribe go straight to the Engine and never wait on
-// a writer.
+// Stats, Clock and Subscribe go straight to the Engine and never take the
+// journal mutex.
 //
 // Durability is group-committed: an acknowledged write is on disk no
 // later than FsyncInterval after it returned. Call Sync for a hard
@@ -306,7 +306,7 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 	}
 	// The Engine says whether this tick fired an epoch; the epoch rule is
 	// not re-derived here.
-	epoch, err := d.eng.eng.TickCtx(ctx, trajectory.Time(now))
+	epoch, err := d.eng.tick(ctx, now)
 	if epoch && d.cfg.CheckpointEvery >= 0 && now-d.lastCkptClock >= d.cfg.CheckpointEvery {
 		if cerr := d.checkpointLocked(ctx); cerr != nil {
 			err = errors.Join(err, cerr)
@@ -316,7 +316,9 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 }
 
 // Snapshot captures an immutable view of the current hot paths, counters
-// and clock. It does not block writers.
+// and clock, as Engine.Snapshot does: one path copy per tick, shared by
+// every caller until the next. The copy holds the engine read lock, so a
+// TickCtx that arrives meanwhile waits for it.
 func (d *Durable) Snapshot() Snapshot { return d.eng.Snapshot() }
 
 // Subscribe registers a standing query with the backing Engine: deltas

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hotpaths/internal/coordinator"
 	"hotpaths/internal/engine"
 	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
@@ -63,8 +62,8 @@ type EngineConfig struct {
 type Engine struct {
 	cfg Config
 	eng *engine.Engine
-	// subs fans epoch snapshots out to standing queries; published from
-	// the internal engine's OnEpoch hook, after the epoch barrier.
+	// subs fans epoch snapshots out to standing queries; published by
+	// tick, after the epoch barrier.
 	subs hub
 }
 
@@ -79,37 +78,17 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: c}
-	// The epoch hook's snapshot is captured under the engine write lock —
-	// always a consistent post-epoch view, and an unsorted copy: no
-	// ordering work happens under the lock — while the fan-out work
-	// (per-subscription ordering, query, diff and delivery) runs after the
-	// lock is released and never stalls producers. The capture itself is
-	// skipped while nobody subscribes (EpochWanted). Callers that tick from
-	// several goroutines at once can reorder hook deliveries; the hub
-	// drops the stale ones by epoch number, so subscribers still see a
-	// strictly ordered stream.
 	eng, err := engine.New(engine.Config{
 		Coord:     coord,
 		Epoch:     trajectory.Time(c.Epoch),
 		Tolerance: c.toleranceFunc,
 		Shards:    cfg.Shards,
 		Buffer:    cfg.Buffer,
-		OnEpoch: func(snap *coordinator.Snapshot, now trajectory.Time, st engine.Stats) {
-			e.subs.publish(Snapshot{
-				snap:  snap,
-				clock: int64(now),
-				stats: convertStats(st),
-				k:     c.K,
-			})
-		},
-		EpochWanted: func() bool { return e.subs.any() },
 	})
 	if err != nil {
 		return nil, err
 	}
-	e.eng = eng
-	return e, nil
+	return &Engine{cfg: c, eng: eng}, nil
 }
 
 // Shards returns the engine's shard count.
@@ -174,8 +153,22 @@ func (cfg Config) convertBatch(batch []Observation) ([]engine.Observation, error
 // trigger the epoch. The epoch-boundary spans (engine.tick and its
 // children) land on the context's trace.
 func (e *Engine) TickCtx(ctx context.Context, now int64) error {
-	_, err := e.eng.TickCtx(ctx, trajectory.Time(now))
+	_, err := e.tick(ctx, now)
 	return err
+}
+
+// tick is TickCtx reporting whether the tick fired an epoch; Durable
+// calls it too. At an epoch it publishes the engine's read view to the
+// standing queries — the copy every reader of this tick shares — after
+// the internal engine has released its lock, and only while someone
+// subscribes. A failed epoch republishes the last epoch number, which
+// the hub drops.
+func (e *Engine) tick(ctx context.Context, now int64) (epoch bool, err error) {
+	epoch, err = e.eng.TickCtx(ctx, trajectory.Time(now))
+	if epoch && e.subs.any() {
+		e.subs.publish(e.Snapshot())
+	}
+	return epoch, err
 }
 
 // Close drains and stops the shard goroutines and closes every

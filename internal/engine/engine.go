@@ -34,6 +34,13 @@
 // (Snapshot/Stats/Clock) take the read lock: the coordinator is only
 // mutated under the write lock, so they are safe concurrently with
 // ingestion.
+//
+// The coordinator changes only in Tick (the window slides, an epoch batch
+// lands) and RestoreState, and both clear the engine's kept read view
+// under the write lock. Snapshot refills it under the read lock, so every
+// reader between two ticks shares one copy and whatever that copy has
+// ordered on demand. Taking the copy holds the read lock, so a Tick that
+// arrives meanwhile waits for it.
 package engine
 
 import (
@@ -86,24 +93,6 @@ type Config struct {
 
 	// Buffer is the per-shard queue capacity in messages (default 256).
 	Buffer int
-
-	// OnEpoch, when set, is invoked once per epoch-boundary Tick — after
-	// the merged batch has been processed, responses delivered and the
-	// window advanced. Its arguments are captured under the write lock
-	// (so they are always a consistent post-epoch view), but the call
-	// itself runs after the lock is released, so the callback's fan-out
-	// cost never stalls ingestion. Callers that violate the Tick
-	// contract by ticking concurrently (the daemon's HTTP surface can)
-	// may therefore deliver callbacks out of epoch order — never torn
-	// state — so the callback must tolerate a stale view arriving after
-	// a newer one (the hotpaths hub drops them by epoch number).
-	OnEpoch func(snap *coordinator.Snapshot, now trajectory.Time, st Stats)
-
-	// EpochWanted, when set alongside OnEpoch, is consulted under the
-	// lock before the snapshot is captured: returning false skips both
-	// the O(paths) capture and the callback for that epoch. It lets the
-	// owner pay nothing while nobody subscribes.
-	EpochWanted func() bool
 }
 
 // Stats aggregates the engine's counters. While ingestion is in flight the
@@ -136,6 +125,11 @@ type Engine struct {
 	baseObserved int64
 	baseReported int64
 	closed       bool
+
+	// view is the coordinator copy Snapshot last handed out, shared by
+	// every reader until the coordinator can next change. Writers clear
+	// it under the write lock; readers fill it under the read lock.
+	view atomic.Pointer[coordinator.Snapshot]
 }
 
 // New validates cfg and starts the shard goroutines.
@@ -214,6 +208,16 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	return nil
 }
 
+// CheckAdvance is the clock rule TickCtx enforces: a tick to now may only
+// follow one to last if time strictly advances. It is exported so a
+// journal can refuse a tick before writing it, with the same error text.
+func CheckAdvance(now, last trajectory.Time) error {
+	if now <= last {
+		return fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, last)
+	}
+	return nil
+}
+
 // TickCtx advances the engine clock to now. The hotness window slides every
 // tick; at epoch boundaries — whenever the clock reaches or crosses a
 // multiple of Config.Epoch, so sparse client-driven clocks cannot skip an
@@ -230,50 +234,22 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 // engine.epoch_barrier child timing the shard drain and a
 // coordinator.select child timing SinglePath and carrying its case mix.
 func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, err error) {
-	epoch, view, err := e.tick(ctx, now)
-	if view != nil {
-		// Captured under the write lock, delivered outside it: the
-		// callback's fan-out work never stalls ingestion. See
-		// Config.OnEpoch for the ordering caveat.
-		e.cfg.OnEpoch(view.snap, view.now, view.st)
-	}
-	return epoch, err
-}
-
-// CheckAdvance is the clock rule TickCtx enforces: a tick to now may only
-// follow one to last if time strictly advances. It is exported so a
-// journal can refuse a tick before writing it, with the same error text.
-func CheckAdvance(now, last trajectory.Time) error {
-	if now <= last {
-		return fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, last)
-	}
-	return nil
-}
-
-// epochView is the OnEpoch argument set, captured atomically with the
-// epoch that produced it.
-type epochView struct {
-	snap *coordinator.Snapshot
-	now  trajectory.Time
-	st   Stats
-}
-
-// tick is TickCtx under the write lock; a non-nil view means an epoch
-// batch was processed and OnEpoch should run with it.
-func (e *Engine) tick(ctx context.Context, now trajectory.Time) (epoch bool, view *epochView, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return false, nil, ErrClosed
+		return false, ErrClosed
 	}
 	if err := CheckAdvance(now, e.lastNow); err != nil {
-		return false, nil, err
+		return false, err
 	}
+	// Every tick slides the window, so the kept read view is stale from
+	// here on whatever the rest of the tick does.
+	e.view.Store(nil)
 	prev := e.lastNow
 	e.lastNow = now
 	e.coord.Advance(now)
 	if now/e.cfg.Epoch == prev/e.cfg.Epoch {
-		return false, nil, nil
+		return false, nil
 	}
 	tEpoch := time.Now()
 	ctx, span := tracing.StartSpan(ctx, "engine.tick")
@@ -349,7 +325,7 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (epoch bool, vie
 		// future epoch (mirrors System.Tick). RayTrace filters cannot
 		// produce such reports.
 		errs = append(errs, perr)
-		return true, nil, errors.Join(errs...)
+		return true, errors.Join(errs...)
 	}
 	// A sparse clock that jumped more than W past the reports' exit
 	// timestamps makes the just-recorded crossings already stale; expire
@@ -370,11 +346,7 @@ func (e *Engine) tick(ctx context.Context, now trajectory.Time) (epoch bool, vie
 			e.followed++
 		}
 	}
-	if e.cfg.OnEpoch != nil && (e.cfg.EpochWanted == nil || e.cfg.EpochWanted()) {
-		//hotpathsvet:ignore locksnapshot epoch views are EpochWanted-gated and the snapshot must be consistent with this tick's staged reports, which only the lock guarantees
-		view = &epochView{snap: e.coord.Snapshot(), now: e.lastNow, st: e.statsLocked()}
-	}
-	return true, view, errors.Join(errs...)
+	return true, errors.Join(errs...)
 }
 
 // drainLocked flushes every shard queue and waits until all shards are
@@ -458,15 +430,27 @@ func (e *Engine) statsLocked() Stats {
 	return st
 }
 
-// Snapshot extracts an immutable copy of the coordinator's path store
+// Snapshot returns an immutable copy of the coordinator's path store
 // together with the engine clock and counters, all read at one consistent
-// point under the engine lock. The read lock covers only the unsorted
-// copy; the snapshot orders its paths later, on demand, outside any engine
-// lock. The snapshot is safe to share across goroutines while ingestion
-// continues; it reflects the last processed epoch (reports still queued in
-// the shards are not included until their epoch-boundary Tick).
+// point under the engine read lock. The coordinator changes only inside
+// Tick (the window slides, an epoch batch lands) and RestoreState, so the
+// copy is taken once per tick: the first call after one makes it and
+// every later call until the next returns the same pointer, with what it
+// has ordered since. Observations between ticks do not invalidate it —
+// they only reach the coordinator at an epoch boundary. The clock and
+// counters are read fresh on every call. The snapshot is safe to share
+// across goroutines while ingestion continues.
 func (e *Engine) Snapshot() (*coordinator.Snapshot, trajectory.Time, Stats) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.coord.Snapshot(), e.lastNow, e.statsLocked()
+	snap := e.view.Load()
+	if snap == nil {
+		// Concurrent readers may each copy; the first to publish wins and
+		// the rest adopt its copy, so everyone shares one memo.
+		snap = e.coord.Snapshot()
+		if !e.view.CompareAndSwap(nil, snap) {
+			snap = e.view.Load()
+		}
+	}
+	return snap, e.lastNow, e.statsLocked()
 }

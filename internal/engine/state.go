@@ -84,6 +84,9 @@ func (e *Engine) DumpState() (State, error) {
 func (e *Engine) RestoreState(st State) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	// Dropped first: a restore that fails part-way has still changed
+	// the coordinator.
+	e.view.Store(nil)
 	if e.closed {
 		return ErrClosed
 	}

@@ -29,11 +29,12 @@
 // merges by id alone. The union is a hotpaths.Snapshot, unordered, that
 // orders itself on demand: a /topk costs a bounded selection, a full
 // /paths one memoized sort. The merged view is cached until the next
-// write, mirroring hotpathsd's own snapshot cache, so steady-state reads
-// cost one local query, not a fan-out. Query parameters (k/limit,
-// min_hotness, bbox, sort) are applied by the same Snapshot.Query a
-// daemon answers with, so a fleet behind a gateway answers
-// byte-identically to one hotpathsd fed the same workload.
+// write routed through the gateway, so steady-state reads cost one local
+// query, not a fan-out. (A daemon keeps its view per tick instead; the
+// gateway cannot see a partition's clock move without asking it.) Query
+// parameters (k/limit, min_hotness, bbox, sort) are applied by the same
+// Snapshot.Query a daemon answers with, so a fleet behind a gateway
+// answers byte-identically to one hotpathsd fed the same workload.
 //
 // When a partition cannot be reached the gateway answers 206 with the
 // partitions it could merge and names the missing ones in the
@@ -198,7 +199,7 @@ type Gateway struct {
 	start  time.Time
 
 	// gen counts writes routed through the gateway; the merged read view
-	// is cached per generation, exactly like hotpathsd's snapshot cache.
+	// is cached per generation.
 	gen    atomic.Uint64
 	mu     sync.Mutex
 	cached *mergedView

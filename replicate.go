@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hotpaths/internal/engine"
@@ -123,7 +122,6 @@ type Follower struct {
 
 	cancel context.CancelFunc
 	done   chan struct{}
-	gen    atomic.Uint64 // bumped on every applied batch/tick/bootstrap
 
 	mu           sync.Mutex
 	streamCancel context.CancelFunc // cancels the live stream (Reconnect)
@@ -216,7 +214,6 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.applied = lsn
 	f.bootstraps++
 	f.mu.Unlock()
-	f.gen.Add(1)
 	mFollowerBootstrap.ObserveSince(t0)
 	return nil
 }
@@ -339,7 +336,6 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 		f.applied = next
 		f.mu.Unlock()
 		mFollowerApplied.Add(n)
-		f.gen.Add(1)
 	}
 	err = f.client.Stream(sctx, from,
 		func(lsn uint64, rec wal.Record) error {
@@ -382,7 +378,9 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 
 // Snapshot captures an immutable view of the replicated hot paths,
 // counters and clock. It is served locally (no primary round-trip) and is
-// safe concurrently with the applier.
+// safe concurrently with the applier. Like Engine.Snapshot it shares one
+// path copy between two applied ticks; an applied tick drops it, so the
+// next read sees the replicated clock.
 func (f *Follower) Snapshot() Snapshot { return f.eng.Snapshot() }
 
 // Subscribe registers a standing query against the replicated state;
@@ -406,12 +404,6 @@ func (f *Follower) Shards() int { return f.eng.Shards() }
 
 // Primary returns the primary's base URL.
 func (f *Follower) Primary() string { return f.primary }
-
-// Generation returns a counter that increases whenever replicated state
-// is applied locally (a batch, a tick, or a checkpoint bootstrap).
-// Read-through caches key on it the way hotpathsd keys its snapshot
-// cache on the write count.
-func (f *Follower) Generation() uint64 { return f.gen.Load() }
 
 // Reconnect drops the live replication stream, if any; the applier
 // reconnects with resume-from-LSN after its usual backoff. Useful for

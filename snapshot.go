@@ -148,9 +148,11 @@ func (s *System) Snapshot() Snapshot {
 }
 
 // Snapshot captures an immutable view of the engine's hot paths, counters
-// and clock, all read at one consistent point under the engine lock. It is
-// safe to call concurrently with ingestion; the view reflects the last
-// processed epoch.
+// and clock, all read at one consistent point under the engine read lock.
+// It is safe to call concurrently with ingestion; the view reflects the
+// last processed epoch. The path copy is made once per tick: every call
+// until the next tick shares it, and what it has ordered, while the clock
+// and counters are read fresh.
 func (e *Engine) Snapshot() Snapshot {
 	snap, now, st := e.eng.Snapshot()
 	return Snapshot{

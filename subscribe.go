@@ -191,11 +191,12 @@ func (s *Subscription) Close() {
 }
 
 // hub fans epoch snapshots out to the standing subscriptions of one
-// deployment. Publication happens on the ingestion path (inside Tick, at
-// the epoch boundary), so every send is non-blocking: a full buffer
-// condenses deltas instead of stalling the epoch. hub.mu is a leaf lock —
-// nothing is acquired while holding it — so publish may safely run under
-// the Engine's write lock.
+// deployment. Publication happens on the ingestion path (at the end of an
+// epoch-boundary Tick), so every send is non-blocking: a full buffer
+// condenses deltas instead of stalling the epoch. hub.mu is a leaf lock:
+// nothing but a snapshot's own ordering memo is acquired while holding
+// it. An Engine publishes after its internal lock is released, so the
+// fan-out never stalls producers.
 type hub struct {
 	mu     sync.Mutex
 	subs   map[uint64]*Subscription
@@ -204,7 +205,8 @@ type hub struct {
 }
 
 // any reports whether at least one subscription is live; Tick uses it to
-// skip the snapshot copy entirely when nobody is watching.
+// skip publication, and the snapshot it would need, when nobody is
+// watching.
 func (h *hub) any() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -217,12 +219,11 @@ func (h *hub) any() bool {
 // every epoch boundary after registration diffs against the previous
 // result.
 //
-// Seeding cannot be atomic with registration — taking a snapshot under
-// hub.mu would invert the lock order against an epoch publishing under
-// the source's own lock — so an epoch may slip between the seed snapshot
-// and registration, leaving the baseline one epoch stale with no delta
-// ever due (the next epoch heals it, but a sparse clock may never fire
-// one). The second snapshot catches that: registration precedes it, so
+// Seeding is not atomic with registration — the snapshot is taken
+// outside hub.mu, which stays a leaf lock — so an epoch may slip between
+// the seed snapshot and registration, leaving the baseline one epoch
+// stale with no delta ever due (the next epoch heals it, but a sparse
+// clock may never fire one). The second snapshot catches that: registration precedes it, so
 // any epoch it shows beyond the subscription's lastEpoch was missed, and
 // reseedLocked re-baselines with a fresh reset.
 func (h *hub) subscribe(q Query, snapshot func() Snapshot) (*Subscription, error) {
@@ -286,10 +287,11 @@ func (h *hub) publish(snap Snapshot) {
 	defer h.mu.Unlock()
 	for _, sub := range h.subs {
 		if sub.lastEpoch >= snap.Epoch() {
-			// A newer epoch already published — possible when the owner
-			// violates the Tick contract and ticks concurrently, which
-			// reorders epoch callbacks. Dropping the stale view keeps
-			// every subscription's stream strictly epoch-ordered.
+			// This epoch was already published: a failed epoch batch
+			// republishes the last epoch number, and an owner that
+			// violates the Tick contract by ticking concurrently can
+			// reorder publications. Dropping the stale view keeps every
+			// subscription's stream strictly epoch-ordered.
 			continue
 		}
 		cur := snap.Query(sub.q)

@@ -10,9 +10,7 @@
 package hotpaths_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -631,52 +629,6 @@ func benchSnapshot(n int) hotpaths.Snapshot {
 		}
 	}
 	return hotpaths.SnapshotOf(paths, bounds, 64, 64, 10)
-}
-
-// BenchmarkObserveDecode measures the wire's share of a write: one
-// 2,000-observation POST /observe body into engine observations, by the
-// scanner the binaries serve from and by encoding/json, which it took
-// over from and still falls back to. allocs/op of the scan case is a
-// deterministic counter: it must read 0.
-func BenchmarkObserveDecode(b *testing.B) {
-	batch := hotpaths.IngestWorkload(2000, 1, 5)[0]
-	body := observeBody(b, batch, 1)
-	perObs := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/obs")
-	}
-	b.Run("scan", func(b *testing.B) {
-		out := make([]hotpaths.Observation, 0, len(batch))
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out = out[:0]
-			if _, ok := hotpaths.ScanObserve(body, func(o hotpaths.ObservationJSON, _ []byte) {
-				out = append(out, o.Observation())
-			}); !ok || len(out) != len(batch) {
-				b.Fatalf("scan refused the body after %d observations", len(out))
-			}
-		}
-		perObs(b)
-	})
-	b.Run("encoding-json", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			var req struct {
-				Observations []hotpaths.ObservationJSON `json:"observations"`
-				Tick         int64                      `json:"tick"`
-			}
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-				b.Fatal(err)
-			}
-			out := make([]hotpaths.Observation, len(req.Observations))
-			for j, o := range req.Observations {
-				out[j] = o.Observation()
-			}
-		}
-		perObs(b)
-	})
 }
 
 // BenchmarkSnapshotQuery measures the read side of the API: top-k and

@@ -16,8 +16,8 @@
 // Two bodies carry the system's volume. A POST /observe batch
 // (DecodeObserve — the one place either binary reads one) is read whole
 // into a pooled buffer and scanned in its canonical form by the strict,
-// allocation-free scanner in the library's wire.go; a body the scanner
-// does not recognise is decoded from the same bytes by encoding/json,
+// allocation-free scanner in scan.go; a body the scanner does not
+// recognise is decoded from the same bytes by encoding/json,
 // which thereby stays the definition of what is accepted and the author
 // of every error text. A partition's /paths answer on its way into a
 // gateway merge is no JSON at all: the gateway asks for the fixed-width
@@ -127,12 +127,15 @@ func readBody(src io.Reader, length int64) (*bytes.Buffer, error) {
 // read before it is looked at — and 400 for a malformed one.
 //
 // The canonical body (see the README's "HTTP API") is decoded by
-// hotpaths.ScanObserve, with no reflection and no allocation. Anything
-// the scanner does not recognise is decoded from the same bytes by
-// encoding/json into an ObserveRequest, exactly as before the scanner
-// existed: encoding/json defines what is accepted and words every 400.
-// fallbacks counts those bodies. The decode is a wire.decode span on the
-// request's trace.
+// scanObserve in one pass, with no reflection and no allocation: each
+// number is checked against JSON's grammar and converted in the same walk
+// over its digits, and every float comes out bit for bit as
+// strconv.ParseFloat reads it — literals the scanner cannot convert
+// exactly are handed to strconv. Anything the scanner does not recognise
+// is decoded from the same bytes by encoding/json into an ObserveRequest,
+// exactly as before the scanner existed: encoding/json defines what is
+// accepted and words every 400. fallbacks counts those bodies. The decode
+// is a wire.decode span on the request's trace.
 func DecodeObserve(w http.ResponseWriter, r *http.Request, sink ObserveSink, fallbacks *metrics.Counter) (tick int64, records int, ok bool) {
 	buf, err := readBody(http.MaxBytesReader(w, r.Body, MaxRequestBytes), r.ContentLength)
 	defer bodies.Put(buf)
@@ -144,7 +147,7 @@ func DecodeObserve(w http.ResponseWriter, r *http.Request, sink ObserveSink, fal
 	defer span.End()
 	span.SetAttr("bytes", buf.Len())
 	sink.Reset()
-	tick, ok = hotpaths.ScanObserve(buf.Bytes(), func(o hotpaths.ObservationJSON, raw []byte) {
+	tick, ok = scanObserve(buf.Bytes(), func(o hotpaths.ObservationJSON, raw []byte) {
 		sink.Add(o, raw)
 		records++
 	})

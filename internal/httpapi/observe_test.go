@@ -140,6 +140,10 @@ var observeQuirks = []struct {
 	{"exponents", `{"observations":[{"object":1,"x":1E3,"y":2.5e-3,"t":3,"sigma_x":1e+2}]}`, false, true},
 	{"int64 limits", `{"observations":[{"object":1,"t":-9223372036854775808}],"tick":9223372036854775807}`, false, true},
 	{"underflow is zero", `{"observations":[{"object":1,"x":1e-400}]}`, false, true},
+	{"20 significant digits", `{"observations":[{"object":1,"x":470123.12345678901234,"y":4200000.0000000000001}]}`, false, true},
+	{"subnormal", `{"observations":[{"object":1,"x":4.9e-324,"y":2.2250738585072011e-308}]}`, false, true},
+	{"largest finite", `{"observations":[{"object":1,"x":1.7976931348623157e308,"y":-1.7976931348623157E+308}]}`, false, true},
+	{"-0.0", `{"observations":[{"object":1,"x":-0.0,"sigma_y":-0.000}]}`, false, true},
 
 	{"capitalised key", `{"observations":[{"Object":1,"X":1.5,"y":2,"t":3}]}`, true, true},
 	{"capitalised top-level key", `{"Observations":[{"object":1}],"TICK":3}`, true, true},
@@ -162,6 +166,7 @@ var observeQuirks = []struct {
 	{"t with fraction", `{"observations":[{"object":1,"t":1.0}]}`, true, false},
 	{"tick with fraction", `{"tick":1.5}`, true, false},
 	{"float overflow", `{"observations":[{"object":1,"x":1e400}]}`, true, false},
+	{"just past the largest finite", `{"observations":[{"object":1,"x":1.7976931348623159e308}]}`, true, false},
 	{"int overflow", `{"observations":[{"object":1,"t":9223372036854775808}]}`, true, false},
 	{"leading zero", `{"observations":[{"object":1,"x":01}]}`, true, false},
 	{"minus alone", `{"observations":[{"object":1,"x":-}]}`, true, false},

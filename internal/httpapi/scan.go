@@ -1,0 +1,480 @@
+package httpapi
+
+import (
+	"encoding/binary"
+	"math"
+	"math/big"
+	"math/bits"
+	"strconv"
+
+	"hotpaths"
+)
+
+// ---- the canonical /observe body, without reflection ----------------------
+//
+// scanObserve recognises the JSON body that carries the system's volume —
+// a POST /observe batch — in the form every shipped encoder emits, and
+// decodes it in one pass with no allocation. It is strict on purpose:
+// keys are the exact lower-case names without escapes (in any order, each
+// at most once), values are plain JSON numbers (integers without fraction
+// or exponent), nothing is null and nothing but whitespace follows the
+// value. Whatever else encoding/json would also accept — other key
+// spellings, duplicate keys, unknown fields, "t":1e3 — it does not judge:
+// it reports false, and DecodeObserve hands the same bytes to
+// encoding/json, which stays the definition of the accepted language and
+// the author of every error.
+
+// scanObserve walks a canonical POST /observe body,
+//
+//	{"observations":[{"object":7,"x":1.5,"y":2,"t":9,"sigma_x":0.5,"sigma_y":0.5},…],"tick":9}
+//
+// calling each once per observation, in order, with the decoded value and
+// its JSON text (a slice of body). Every key is optional, as it is to
+// encoding/json. It returns the tick (0 when absent). When ok is false
+// the body is outside the strict subset — each may already have been
+// called for a prefix of it — and must be decoded by encoding/json.
+func scanObserve(body []byte, each func(o hotpaths.ObservationJSON, raw []byte)) (tick int64, ok bool) {
+	s := scanner{b: body}
+	var seen fieldSet
+	more, ok := s.open('{', '}')
+	for ; more; more, ok = s.next('}') {
+		key, ok := s.key()
+		if !ok {
+			return 0, false
+		}
+		switch string(key) {
+		case "observations":
+			if !seen.first(0) || !s.observations(each) {
+				return 0, false
+			}
+		case "tick":
+			if tick, ok = s.int(); !ok || !seen.first(1) {
+				return 0, false
+			}
+		default:
+			return 0, false
+		}
+	}
+	return tick, ok && s.end()
+}
+
+// observations walks the list of observations, calling each with every
+// element and its text.
+func (s *scanner) observations(each func(o hotpaths.ObservationJSON, raw []byte)) bool {
+	more, ok := s.open('[', ']')
+	for ; more; more, ok = s.next(']') {
+		s.skip()
+		start := s.i
+		o, ok := s.observation()
+		if !ok {
+			return false
+		}
+		each(o, s.b[start:s.i])
+	}
+	return ok
+}
+
+func (s *scanner) observation() (o hotpaths.ObservationJSON, ok bool) {
+	var seen fieldSet
+	more, ok := s.open('{', '}')
+	for ; more; more, ok = s.next('}') {
+		key, ok := s.key()
+		if !ok {
+			return o, false
+		}
+		var field uint
+		switch string(key) {
+		case "object":
+			o.Object, ok = s.goInt()
+		case "x":
+			o.X, ok = s.float()
+			field = 1
+		case "y":
+			o.Y, ok = s.float()
+			field = 2
+		case "t":
+			o.T, ok = s.int()
+			field = 3
+		case "sigma_x":
+			o.SigmaX, ok = s.float()
+			field = 4
+		case "sigma_y":
+			o.SigmaY, ok = s.float()
+			field = 5
+		default:
+			return o, false
+		}
+		if !ok || !seen.first(field) {
+			return o, false
+		}
+	}
+	return o, ok
+}
+
+// fieldSet records which keys of one object have been seen, so a
+// duplicate — which encoding/json resolves by its own merge rules — is
+// refused.
+type fieldSet uint8
+
+func (f *fieldSet) first(bit uint) bool {
+	dup := *f&(1<<bit) != 0
+	*f |= 1 << bit
+	return !dup
+}
+
+// scanner is a cursor over a JSON text. Its methods skip leading
+// whitespace and report false on input outside the strict subset, leaving
+// the cursor anywhere.
+type scanner struct {
+	b []byte
+	i int
+}
+
+func (s *scanner) skip() {
+	if s.i < len(s.b) && s.b[s.i] > ' ' { // the canonical body has no whitespace
+		return
+	}
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\r', '\n':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// eat consumes c if it is the next token.
+func (s *scanner) eat(c byte) bool {
+	s.skip()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// end reports that nothing but whitespace is left.
+func (s *scanner) end() bool {
+	s.skip()
+	return s.i == len(s.b)
+}
+
+// open consumes the opening bracket of an object or array, and next the
+// separator after each of its members. Both report more when a member
+// follows, and ok when the container is well formed so far: a walk is
+//
+//	more, ok := s.open('{', '}')
+//	for ; more; more, ok = s.next('}') { …consume one member… }
+//
+// after which ok says whether the container closed.
+func (s *scanner) open(opening, closing byte) (more, ok bool) {
+	if !s.eat(opening) {
+		return false, false
+	}
+	return !s.eat(closing), true
+}
+
+func (s *scanner) next(closing byte) (more, ok bool) {
+	if s.eat(',') {
+		return true, true
+	}
+	return false, s.eat(closing)
+}
+
+// key consumes an object key and the colon after it. An escaped quote
+// ends the key early, at a backslash, and no field name has one.
+func (s *scanner) key() ([]byte, bool) {
+	if !s.eat('"') {
+		return nil, false
+	}
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i] != '"' { // keys are short: no IndexByte call
+		s.i++
+	}
+	if s.i == len(s.b) {
+		return nil, false
+	}
+	key := s.b[start:s.i]
+	s.i++
+	return key, s.eat(':')
+}
+
+// digits consumes a run of decimal digits and returns how many.
+func (s *scanner) digits() int {
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
+		s.i++
+	}
+	return s.i - start
+}
+
+// natural reads, at the cursor, JSON's int production without its sign:
+// digits with no leading zero, in range for uint64. A fraction or an
+// exponent behind it is left for the caller's next eat to trip over.
+func (s *scanner) natural() (v uint64, ok bool) {
+	start := s.i
+	if n := s.digits(); n == 0 || (n > 1 && s.b[start] == '0') {
+		return 0, false
+	}
+	for _, c := range s.b[start:s.i] {
+		d := uint64(c - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
+}
+
+func (s *scanner) int() (int64, bool) {
+	neg := s.eat('-')
+	v, ok := s.natural()
+	switch {
+	case !ok:
+		return 0, false
+	case neg && v <= 1<<63:
+		return -int64(v), true // 1<<63 converts to MinInt64, its own negation
+	case !neg && v <= math.MaxInt64:
+		return int64(v), true
+	}
+	return 0, false
+}
+
+// goInt reads an integer in range for the platform's int.
+func (s *scanner) goInt() (int, bool) {
+	v, ok := s.int()
+	return int(v), ok && int64(int(v)) == v
+}
+
+// maxNumberLen bounds the number literals the scanner converts. A float64
+// prints in at most 24 bytes; strconv takes the literal as a string, and
+// the conversion of up to 32 bytes needs no allocation.
+const maxNumberLen = 32
+
+// maxMantDigits is how many significant digits a uint64 mantissa holds
+// whatever they are: 10^19 < 2^64.
+const maxMantDigits = 19
+
+// float reads a JSON number as encoding/json does into a float64 field,
+// in one pass. The grammar walk — strconv alone would also take hex,
+// underscores and "inf" — gathers the significant digits into a mantissa
+// and a decimal exponent, and the value is made from those exactly:
+// Clinger's fast path when both mantissa and power of ten are exact
+// float64s, Eisel–Lemire otherwise. What neither can convert exactly —
+// more than 19 significant digits, a rounding Eisel–Lemire cannot decide,
+// a subnormal, an underflow, an overflow — goes to strconv.ParseFloat on
+// the same bytes, whose range error is a refusal. So strconv stays the
+// definition of every value.
+func (s *scanner) float() (float64, bool) {
+	s.skip()
+	b, i := s.b, s.i
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	// man collects every digit, integer and fraction alike, nd counts
+	// them, and exp10 is the power of ten that scales man to the value.
+	var man uint64
+	digits := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	nd := i - digits
+	if nd == 0 || (nd > 1 && b[digits] == '0') {
+		return 0, false
+	}
+	exp10 := 0
+	if i < len(b) && b[i] == '.' {
+		i++
+		first := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
+		if i == first {
+			return 0, false
+		}
+		exp10 = first - i
+		nd -= exp10
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		first := i
+		e := 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // past ±10^4 every value is 0 or out of range
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == first {
+			return 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	s.i = i
+	if i-start > maxNumberLen {
+		return 0, false
+	}
+	if nd > maxMantDigits {
+		// Leading zeros add nothing to man. Past maxMantDigits
+		// significant digits man has wrapped — to 0, even — and strconv
+		// reads the literal instead.
+		for _, c := range b[digits:i] {
+			if c == '0' {
+				nd--
+			} else if c != '.' {
+				break
+			}
+		}
+	}
+	if nd <= maxMantDigits {
+		if f, ok := exactFloat(man, exp10, neg); ok {
+			return f, true
+		}
+	}
+	v, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return v, err == nil
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// exactFloat returns the float64 nearest to ±man × 10^exp10, or false
+// when it cannot tell it for certain. With man and the power both exact
+// float64s (Clinger's fast path), one correctly rounded multiplication or
+// division gives it; otherwise Eisel–Lemire does.
+func exactFloat(man uint64, exp10 int, neg bool) (float64, bool) {
+	if man < 1<<53 && -len(pow10) < exp10 && exp10 < len(pow10) {
+		f := float64(man)
+		if neg {
+			f = -f // keeps the sign of -0
+		}
+		if exp10 < 0 {
+			return f / pow10[-exp10], true
+		}
+		return f * pow10[exp10], true
+	}
+	return eiselLemire(man, exp10, neg)
+}
+
+// eiselLemire is the Eisel–Lemire conversion (D. Lemire, "Number Parsing
+// at a Gigabyte per Second", Software: Practice and Experience, 2021),
+// ported from the Go standard library's strconv/eisel_lemire.go —
+// Copyright 2020 The Go Authors, used under its BSD-style licence — with
+// its float32 half left out. Its terse comments refer to the sections of
+// https://nigeltao.github.io/blog/2020/eisel-lemire.html. ok is false
+// where the algorithm cannot decide the rounding, and on a subnormal or
+// infinite result.
+func eiselLemire(man uint64, exp10 int, neg bool) (f float64, ok bool) {
+	// Exp10 Range.
+	if man == 0 {
+		if neg {
+			f = math.Float64frombits(0x8000000000000000) // Negative zero.
+		}
+		return f, true
+	}
+	if exp10 < minExp10 || maxExp10 < exp10 {
+		return 0, false
+	}
+
+	// Normalization.
+	clz := bits.LeadingZeros64(man)
+	man <<= uint(clz)
+	const float64ExponentBias = 1023
+	retExp2 := uint64(217706*exp10>>16+64+float64ExponentBias) - uint64(clz)
+
+	// Multiplication.
+	xHi, xLo := bits.Mul64(man, powersOfTen[exp10-minExp10][1])
+
+	// Wider Approximation.
+	if xHi&0x1FF == 0x1FF && xLo+man < man {
+		yHi, yLo := bits.Mul64(man, powersOfTen[exp10-minExp10][0])
+		mergedHi, mergedLo := xHi, xLo+yHi
+		if mergedLo < xLo {
+			mergedHi++
+		}
+		if mergedHi&0x1FF == 0x1FF && mergedLo+1 == 0 && yLo+man < man {
+			return 0, false
+		}
+		xHi, xLo = mergedHi, mergedLo
+	}
+
+	// Shifting to 54 Bits.
+	msb := xHi >> 63
+	retMantissa := xHi >> (msb + 9)
+	retExp2 -= 1 ^ msb
+
+	// Half-way Ambiguity.
+	if xLo == 0 && xHi&0x1FF == 0 && retMantissa&3 == 1 {
+		return 0, false
+	}
+
+	// From 54 to 53 Bits.
+	retMantissa += retMantissa & 1
+	retMantissa >>= 1
+	if retMantissa>>53 > 0 {
+		retMantissa >>= 1
+		retExp2 += 1
+	}
+	// retExp2 is a uint64. Zero or underflow means that we're in subnormal
+	// float64 space. 0x7FF or above means that we're in Inf/NaN float64 space.
+	if retExp2-1 >= 0x7FF-1 {
+		return 0, false
+	}
+	retBits := retExp2<<52 | retMantissa&0x000FFFFFFFFFFFFF
+	if neg {
+		retBits |= 0x8000000000000000
+	}
+	return math.Float64frombits(retBits), true
+}
+
+// minExp10 and maxExp10 are the powers of ten of powersOfTen's first and
+// last rows.
+const (
+	minExp10 = -348
+	maxExp10 = 347
+)
+
+// powersOfTen holds, for each 10^e from minExp10 to maxExp10, the top 128
+// bits of its binary mantissa, rounded down, as {low, high} 64-bit words;
+// the binary exponent follows from e. It is strconv's
+// detailedPowersOfTen, computed once here rather than listed: for e ≥ 0
+// the leading bits of 10^e, for e < 0 ⌊2^(127+L) / 10^-e⌋, L being the
+// bit length of 10^-e.
+var powersOfTen = func() (t [maxExp10 - minExp10 + 1][2]uint64) {
+	row := func(e int, m *big.Int) {
+		var buf [16]byte
+		m.FillBytes(buf[:])
+		t[e-minExp10] = [2]uint64{binary.BigEndian.Uint64(buf[8:]), binary.BigEndian.Uint64(buf[:8])}
+	}
+	ten := big.NewInt(10)
+	p, m := big.NewInt(1), new(big.Int) // p = 10^|e|
+	for e := 0; e <= maxExp10; e++ {
+		if n := p.BitLen(); n > 128 {
+			m.Rsh(p, uint(n-128))
+		} else {
+			m.Lsh(p, uint(128-n))
+		}
+		row(e, m)
+		p.Mul(p, ten)
+	}
+	p.SetInt64(10)
+	for e := -1; e >= minExp10; e-- {
+		m.Lsh(m.SetInt64(1), uint(127+p.BitLen()))
+		row(e, m.Quo(m, p))
+		p.Mul(p, ten)
+	}
+	return t
+}()

@@ -3,11 +3,14 @@ package hotpaths
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"testing"
 
 	"hotpaths/internal/engine"
@@ -172,7 +175,13 @@ func restoredIndexMatchesSnapshot(t *testing.T, cfg Config, st engine.State) {
 // the checkpoint a Durable would write for the resulting state.
 func checkpointSeed(tb testing.TB, cfg Config, batches [][]Observation) []byte {
 	tb.Helper()
-	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 2})
+	return checkpointAt(tb, cfg, 2, batches)
+}
+
+// checkpointAt is checkpointSeed on an Engine of the given width.
+func checkpointAt(tb testing.TB, cfg Config, shards int, batches [][]Observation) []byte {
+	tb.Helper()
+	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: shards})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -194,6 +203,42 @@ func checkpointSeed(tb testing.TB, cfg Config, batches [][]Observation) []byte {
 		tb.Fatal(err)
 	}
 	return b
+}
+
+// The checkpoint is a wire format: a follower decodes a primary's, and a
+// restart decodes the previous build's. Its bytes are pinned for an
+// exact and a mid-epoch noisy state (pending reports, waiting filters,
+// sigma entries) at several engine widths, so a refactor of the state
+// behind it cannot move a byte unnoticed. An intended format change
+// bumps checkpointVersion and re-pins these sums. They were recorded on
+// amd64; an architecture that fuses multiply-adds may place a vertex a
+// bit differently, as the paper-curve golden also allows.
+func TestCheckpointBytesStable(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("checkpoint sums recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	noisy := engineTestConfig()
+	noisy.Delta = 0.05
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		batches func() [][]Observation
+		size    int
+		sum     string
+	}{
+		{"exact", engineTestConfig(), func() [][]Observation { return IngestWorkload(48, 120, 42) },
+			34778, "5c392e9e7731057fd4f757fe8db209fe8800809c0e57b2d198c99d53b6557bce"},
+		{"noisy-mid-epoch", noisy, func() [][]Observation { return makeNoisy(flowWorkload(16, 80, 9)[:45]) },
+			3482, "653e2c43ee377ff5d2a696c82f3a974d63c9b3abfb5bd31abb806413a6fba151"},
+	} {
+		for _, shards := range []int{1, 2, 4} {
+			b := checkpointAt(t, tc.cfg, shards, tc.batches())
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); len(b) != tc.size || got != tc.sum {
+				t.Errorf("%s, %d shards: checkpoint is %d bytes with sha256 %s, want %d bytes with %s", tc.name, shards, len(b), got, tc.size, tc.sum)
+			}
+		}
+	}
 }
 
 // FuzzCheckpointDecode: a follower decodes a blob fetched over HTTP from

@@ -155,7 +155,9 @@ func TestRecoverNamesSkippedCheckpointVersion(t *testing.T) {
 }
 
 // restoredIndexMatchesSnapshot restores st into a fresh engine and, if the
-// engine accepts it, checks that every stored path is in the snapshot.
+// engine accepts it, checks that every stored path is in the snapshot,
+// then ticks across the next epoch boundary, so the pending reports reach
+// the coordinator and its responses reach the restored filters.
 func restoredIndexMatchesSnapshot(t *testing.T, cfg Config, st engine.State) {
 	t.Helper()
 	eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 1})
@@ -169,6 +171,9 @@ func restoredIndexMatchesSnapshot(t *testing.T, cfg Config, st engine.State) {
 	if snap, _, es := eng.eng.Snapshot(); es.IndexSize != snap.Len() {
 		t.Fatalf("restored IndexSize %d, snapshot holds %d paths", es.IndexSize, snap.Len())
 	}
+	// Errors are allowed (a hostile state may hold a report the
+	// coordinator refuses); a panic is not.
+	_ = eng.TickCtx(context.Background(), int64(st.Clock)/cfg.Epoch*cfg.Epoch+cfg.Epoch)
 }
 
 // checkpointSeed runs a workload through an Engine under cfg and returns
@@ -199,6 +204,28 @@ func checkpointAt(tb testing.TB, cfg Config, shards int, batches [][]Observation
 		tb.Fatal(err)
 	}
 	b, err := encodeCheckpoint(eng.cfg, st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// orphanPendingSeed is a mid-epoch checkpoint with one more pending
+// report, for an object that has no filter: a state the engine must
+// refuse, since the next epoch would answer it to nobody.
+func orphanPendingSeed(tb testing.TB, cfg Config) []byte {
+	tb.Helper()
+	st, err := decodeCheckpoint(checkpointSeed(tb, cfg, flowWorkload(16, 80, 9)[:45]), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(st.Pending) == 0 {
+		tb.Fatal("the mid-epoch state holds no pending report")
+	}
+	orphan := st.Pending[0]
+	orphan.ObjectID = 999
+	st.Pending = append(st.Pending, orphan)
+	b, err := encodeCheckpoint(cfg, st)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -261,6 +288,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(checkpointSeed(f, cfg, flowWorkload(16, 80, 9)[:45]))
 	f.Add(checkpointSeed(f, cfg, makeNoisy(flowWorkload(16, 80, 9)[:45])))
 	f.Add(checkpointSeed(f, cfg, negZeroWorkload()))
+	f.Add(orphanPendingSeed(f, cfg))
 
 	hdr := len(checkpointMagic) + 8
 	f.Fuzz(func(t *testing.T, b []byte) {

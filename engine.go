@@ -37,7 +37,7 @@ type EngineConfig struct {
 	Config
 
 	// Shards is the number of filter shards, each a goroutine owning the
-	// RayTrace filters of the objects that hash to it (default: GOMAXPROCS).
+	// filter bank of the objects that hash to it (default: GOMAXPROCS).
 	Shards int
 
 	// Buffer is the per-shard ingestion queue capacity in messages
@@ -47,11 +47,11 @@ type EngineConfig struct {
 }
 
 // Engine is the concurrent, object-sharded deployment of the paper's
-// architecture. Observations hash by object id to shard goroutines running
-// the RayTrace filters; at epoch boundaries TickCtx drains the shards and
-// feeds the merged report batch — restored to arrival order — to a single
-// SinglePath coordinator, so results are bit-identical to a System fed the
-// same observations in the same order.
+// architecture. Observations hash by object id to shard goroutines, each
+// owning the filter bank of its objects; at epoch boundaries TickCtx
+// drains the shards and feeds the merged report batch — restored to
+// arrival order — to a single SinglePath coordinator, so results are
+// bit-identical to a System fed the same observations in the same order.
 //
 // Concurrency contract: ObserveBatchCtx may be called from many goroutines
 // concurrently, and the reads (Snapshot, Stats, Clock) are safe at any

@@ -92,8 +92,8 @@
 //     trivially deterministic.
 //   - Engine (see NewEngine) is the concurrent, object-sharded realisation
 //     of the paper's distributed design: objects hash to shards, each shard
-//     goroutine owns a bank of RayTrace filters fed through a buffered
-//     queue, and reports funnel into a single coordinator at epoch
+//     goroutine owns the filter bank of its objects, fed through a
+//     buffered queue, and reports funnel into a single coordinator at epoch
 //     boundaries. ObserveBatchCtx is safe to call from many goroutines
 //     at once (observations for the same object must still be
 //     time-ordered by their producer), so Engine is the right choice when
@@ -104,9 +104,12 @@
 // same observations in the same order, because the Engine merges shard
 // reports back into the single-threaded arrival order before the
 // coordinator processes an epoch. That equality is what the System is
-// kept for: it is the independent serial reference the golden tests and
-// the benchmark oracle hold every other deployment against, and it knows
-// nothing of journals, checkpoints or replication.
+// kept for: it is the serial reference the golden tests and the benchmark
+// oracle hold every other deployment against, and it knows nothing of
+// journals, checkpoints or replication. Both keep their RayTrace filters
+// in the same filter bank (one in a System, one per Engine shard), so
+// what the System checks independently is the arrival order and the
+// epoch protocol.
 //
 // # Durability: OpenDurable and Recover
 //
@@ -249,13 +252,14 @@ type Stats struct {
 	Case1, Case2, Case3 int
 }
 
-// System is an in-process deployment of the paper's architecture: the
-// per-object RayTrace filters plus the SinglePath coordinator. It is not
-// safe for concurrent use; drive it from a single goroutine.
+// System is an in-process deployment of the paper's architecture: one
+// filter bank holding a RayTrace filter per object, plus the SinglePath
+// coordinator. It is not safe for concurrent use; drive it from a single
+// goroutine.
 type System struct {
 	cfg     Config
 	coord   *coordinator.Coordinator
-	filters map[int]*raytrace.Filter
+	bank    raytrace.Bank
 	pending []coordinator.Report
 	stats   Stats
 	lastNow int64
@@ -327,9 +331,9 @@ func New(cfg Config) (*System, error) {
 		return nil, err
 	}
 	return &System{
-		cfg:     cfg,
-		coord:   coord,
-		filters: make(map[int]*raytrace.Filter),
+		cfg:   cfg,
+		coord: coord,
+		bank:  raytrace.NewBank(cfg.toleranceFunc),
 	}, nil
 }
 
@@ -425,14 +429,9 @@ func checkSigmas(sigmaX, sigmaY float64) error {
 
 func (s *System) observe(objectID int, tp trajectory.TimePoint, sigmaX, sigmaY float64) error {
 	s.stats.Observations++
-	f, ok := s.filters[objectID]
-	if !ok {
-		s.filters[objectID] = raytrace.NewWithTolerance(tp, s.cfg.toleranceFunc(sigmaX, sigmaY))
-		return nil
-	}
-	st, report, err := f.Process(tp)
+	st, report, err := s.bank.Observe(objectID, tp, sigmaX, sigmaY)
 	if err != nil {
-		return fmt.Errorf("hotpaths: object %d: %w", objectID, err)
+		return fmt.Errorf("hotpaths: %w", err)
 	}
 	if report {
 		s.enqueue(objectID, st)
@@ -491,12 +490,12 @@ func (s *System) Tick(now int64) error {
 	var errs []error
 	for _, r := range resps {
 		s.stats.Responses++
-		st, report, err := s.filters[r.ObjectID].Respond(r.End)
+		st, report, err := s.bank.Respond(r.ObjectID, r.End)
 		if err != nil {
 			// Respond validates before mutating, so the filter stays
 			// waiting; keep delivering the remaining responses rather than
 			// leaving other filters un-reseeded (as the Engine does).
-			errs = append(errs, fmt.Errorf("hotpaths: respond to object %d: %w", r.ObjectID, err))
+			errs = append(errs, fmt.Errorf("hotpaths: %w", err))
 			continue
 		}
 		if report {

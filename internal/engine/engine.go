@@ -4,11 +4,11 @@
 // # Architecture
 //
 // Observations hash by object id to one of N shards. Each shard is a
-// goroutine owning the RayTrace filters of its objects, fed through a
-// buffered queue, so per-object timestamp order is preserved (observations
-// for one object always land on one shard, and queues are FIFO per
-// sender). Filters run concurrently across shards; the coordinator tier
-// stays single-threaded.
+// goroutine around a raytrace.Bank, the type a hotpaths.System keeps its
+// filters in too, fed through a buffered queue, so per-object timestamp
+// order is preserved (observations for one object always land on one
+// shard, and queues are FIFO per sender). Filters run concurrently across
+// shards; the coordinator tier stays single-threaded.
 //
 // Every observation is stamped with a global sequence number when it
 // enters the engine. When a filter emits a state report, the report
@@ -29,7 +29,7 @@
 // only the sequence counter and the shard queues), while Tick and Close
 // take the write lock. While Tick holds the write lock no producer can
 // enqueue, so after the flush barrier the shard goroutines are guaranteed
-// idle and Tick may touch their filter banks directly — delivering epoch
+// idle and Tick may touch their banks directly — delivering epoch
 // responses without any per-message channel round trips. Queries
 // (Snapshot/Stats/Clock) take the read lock: the coordinator is only
 // mutated under the write lock, so they are safe concurrently with
@@ -280,27 +280,18 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 			flightrec.KV("responses", nResponses))
 	}()
 
-	// Collect this epoch's shard reports and restore arrival order.
 	// Shard errors (e.g. one object's non-increasing timestamps) are
 	// informational — the bad observation was skipped, exactly as a
 	// System caller that ignores an Observe error would skip it — so the
 	// epoch still processes everyone else's reports.
 	var errs []error
 	for _, s := range e.shards {
-		e.staged = append(e.staged, s.reports...)
-		s.reports = nil
 		if s.err != nil {
 			errs = append(errs, fmt.Errorf("engine: %w", s.err))
 			s.err = nil
 		}
 	}
-	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
-
-	batch := make([]coordinator.Report, 0, len(e.followUps)+len(e.staged))
-	batch = append(batch, e.followUps...)
-	for _, tr := range e.staged {
-		batch = append(batch, tr.rep)
-	}
+	batch := e.batchLocked()
 	// SinglePath gets its own child span, so a trace splits the epoch into
 	// barrier, selection and response delivery; its attributes are this
 	// batch's SinglePath case mix.
@@ -333,12 +324,12 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 	e.coord.Advance(now)
 	for _, r := range resps {
 		e.responses++
-		st, report, err := e.shards[e.shardIndex(r.ObjectID)].filters[r.ObjectID].Respond(r.End)
+		st, report, err := e.shards[e.shardIndex(r.ObjectID)].bank.Respond(r.ObjectID, r.End)
 		if err != nil {
 			// Respond validates before mutating, so the filter stays
 			// waiting; keep delivering the remaining responses rather
 			// than leaving other filters un-reseeded.
-			errs = append(errs, fmt.Errorf("engine: respond to object %d: %w", r.ObjectID, err))
+			errs = append(errs, fmt.Errorf("engine: %w", err))
 			continue
 		}
 		if report {
@@ -347,6 +338,24 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 		}
 	}
 	return true, errors.Join(errs...)
+}
+
+// batchLocked moves the reports the shards have raised into staged,
+// restores their arrival order, and returns the next epoch's batch: the
+// previous epoch's follow-ups, then the staged reports. Caller holds the
+// write lock and has drained the shards.
+func (e *Engine) batchLocked() []coordinator.Report {
+	for _, s := range e.shards {
+		e.staged = append(e.staged, s.reports...)
+		s.reports = nil
+	}
+	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
+	batch := make([]coordinator.Report, 0, len(e.followUps)+len(e.staged))
+	batch = append(batch, e.followUps...)
+	for _, tr := range e.staged {
+		batch = append(batch, tr.rep)
+	}
+	return batch
 }
 
 // drainLocked flushes every shard queue and waits until all shards are

@@ -123,8 +123,8 @@ func TestProcessingErrorSurfaces(t *testing.T) {
 		t.Fatal("Tick must surface the shard processing error")
 	}
 	// Typed classification (errstring contract): the object is carried
-	// on *ObjectError, not fished out of the rendered message.
-	var objErr *ObjectError
+	// on *raytrace.ObjectError, not fished out of the rendered message.
+	var objErr *raytrace.ObjectError
 	if !errors.As(err, &objErr) || objErr.ObjectID != 7 {
 		t.Errorf("error %q does not carry *ObjectError for object 7", err)
 	}

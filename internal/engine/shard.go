@@ -1,27 +1,12 @@
 package engine
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
 )
-
-// An ObjectError is a per-observation processing failure attributed to
-// one object, surfaced from the epoch-boundary Tick that follows it.
-// Tick wraps it ("engine: ..."), so callers classify with
-// errors.As(&ObjectError{}) — never by matching the rendered text
-// (the errstring contract).
-type ObjectError struct {
-	ObjectID int
-	Err      error
-}
-
-func (e *ObjectError) Error() string { return fmt.Sprintf("object %d: %v", e.ObjectID, e.Err) }
-
-func (e *ObjectError) Unwrap() error { return e.Err }
 
 // obs is an Observation tagged with its global ingestion sequence number,
 // assigned when the observation entered the engine. Sequence numbers
@@ -47,20 +32,17 @@ type msg struct {
 	flush chan struct{}
 }
 
-// shard owns the RayTrace filters for the objects that hash to it. All
-// fields below the channel are owned by the shard goroutine while it runs;
-// the engine touches them only between a flush barrier and the next send,
-// which the channel synchronisation orders correctly.
+// shard is a goroutine around a filter bank: it feeds the bank the
+// observations of the objects that hash to it and keeps the reports they
+// raise, tagged for the merge. All fields below the channel are owned by
+// the shard goroutine while it runs; the engine touches them only between
+// a flush barrier and the next send, which the channel synchronisation
+// orders correctly.
 type shard struct {
 	ch   chan msg
 	done chan struct{}
-	tol  func(sigmaX, sigmaY float64) raytrace.ToleranceFunc
 
-	filters map[int]*raytrace.Filter
-	// sigmas remembers each object's first-observation noise levels — the
-	// parameters its tolerance model was built with — so checkpoints can
-	// rebuild the filter's ToleranceFunc on restore.
-	sigmas  map[int][2]float64
+	bank    raytrace.Bank
 	reports []taggedReport
 	err     error // first processing error since the last barrier
 
@@ -71,11 +53,9 @@ type shard struct {
 
 func newShard(buffer int, tol func(sigmaX, sigmaY float64) raytrace.ToleranceFunc) *shard {
 	return &shard{
-		ch:      make(chan msg, buffer),
-		done:    make(chan struct{}),
-		tol:     tol,
-		filters: make(map[int]*raytrace.Filter),
-		sigmas:  make(map[int][2]float64),
+		ch:   make(chan msg, buffer),
+		done: make(chan struct{}),
+		bank: raytrace.NewBank(tol),
 	}
 }
 
@@ -94,24 +74,14 @@ func (s *shard) run() {
 	}
 }
 
-// process mirrors System.observe: the first observation of an object seeds
-// its filter, later ones step the SSA, and violations queue a report for
-// the next epoch.
+// process feeds one observation to the bank and queues a raised report
+// for the next epoch, tagged with the observation's sequence number.
 func (s *shard) process(o obs) {
 	s.observed.Add(1)
-	tp := trajectory.TP(o.P, o.T)
-	f, ok := s.filters[o.ObjectID]
-	if !ok {
-		s.filters[o.ObjectID] = raytrace.NewWithTolerance(tp, s.tol(o.SigmaX, o.SigmaY))
-		if o.SigmaX != 0 || o.SigmaY != 0 {
-			s.sigmas[o.ObjectID] = [2]float64{o.SigmaX, o.SigmaY}
-		}
-		return
-	}
-	st, report, err := f.Process(tp)
+	st, report, err := s.bank.Observe(o.ObjectID, trajectory.TP(o.P, o.T), o.SigmaX, o.SigmaY)
 	if err != nil {
 		if s.err == nil {
-			s.err = &ObjectError{ObjectID: o.ObjectID, Err: err}
+			s.err = err
 		}
 		return
 	}

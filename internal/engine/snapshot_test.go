@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,6 +125,67 @@ func TestSnapshotSharedUntilTick(t *testing.T) {
 		t.Fatal("restoring a duplicated filter must fail")
 	}
 	fresh("a failed RestoreState")
+}
+
+// Each pending report is answered at the next epoch by its object's
+// filter, so a state whose pending report names no filter, one that is
+// not waiting, or one waiting on another report must be refused:
+// restored, its next epoch would hand a response to nobody, or one the
+// filter cannot take. A follower decodes such a state off the wire.
+func TestRestoreRefusesOrphanPending(t *testing.T) {
+	src := testEngine(t, 2)
+	feedZigZag(t, src, 1, 40, 3)
+	ckpt, err := src.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt.Pending) == 0 {
+		t.Fatal("the zig-zag left no pending report at clock 40")
+	}
+	// Object 3 is seen first at 41 and not again, so its filter is seeded
+	// and idle.
+	if err := src.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 3, P: geom.Pt(0, 0), T: 41}}); err != nil {
+		t.Fatal(err)
+	}
+	withIdle, err := src.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	orphan := ckpt.Pending[0]
+	orphan.ObjectID = 999
+	idle := ckpt.Pending[0]
+	idle.ObjectID = 3
+	moved := slices.Clone(ckpt.Pending)
+	moved[0].State.FSA.Lo.X--
+	for _, tc := range []struct {
+		name    string
+		st      State
+		pending []coordinator.Report
+	}{
+		{"no filter", ckpt, append(slices.Clone(ckpt.Pending), orphan)},
+		{"idle filter", withIdle, append(slices.Clone(withIdle.Pending), idle)},
+		{"another report", ckpt, moved},
+	} {
+		bad := tc.st
+		bad.Pending = tc.pending
+		e := testEngine(t, 2)
+		if err := e.RestoreState(bad); err == nil {
+			t.Errorf("%s: a pending report its filter does not await was restored", tc.name)
+			_ = tick(e, 50) // the epoch that answers it
+		}
+	}
+
+	// The dumped states themselves restore and run on.
+	for _, st := range []State{ckpt, withIdle} {
+		e := testEngine(t, 2)
+		if err := e.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := tick(e, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // pathDigest is an order-free digest of a snapshot's paths and hotness.

@@ -9,13 +9,10 @@ import (
 	"hotpaths/internal/trajectory"
 )
 
-// FilterEntry is one object's filter-bank state: the RayTrace filter dump
-// plus the noise levels its tolerance model was built with.
-type FilterEntry struct {
-	ObjectID       int
-	SigmaX, SigmaY float64
-	Filter         raytrace.FilterState
-}
+// FilterEntry is a bank entry under its checkpoint name. Gob names an
+// unnamed field type by its Go spelling, so State.Filters must stay
+// "[]engine.FilterEntry" for checkpoints to keep their bytes.
+type FilterEntry raytrace.FilterEntry
 
 // State is the engine's complete mutable state, exported for
 // checkpointing. It is shard-count-agnostic: the same State restores into
@@ -45,33 +42,18 @@ func (e *Engine) DumpState() (State, error) {
 		return State{}, ErrClosed
 	}
 	e.drainLocked()
-	for _, s := range e.shards {
-		e.staged = append(e.staged, s.reports...)
-		s.reports = nil
-	}
-	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
-
 	counters := e.statsLocked()
 	st := State{
 		Clock:        e.lastNow,
 		Responses:    e.responses,
 		Reports:      int64(counters.Reports),
 		Observations: int64(counters.Observations),
+		Pending:      e.batchLocked(),
 		Coord:        e.coord.DumpState(),
 	}
-	st.Pending = append(st.Pending, e.followUps...)
-	for _, tr := range e.staged {
-		st.Pending = append(st.Pending, tr.rep)
-	}
 	for _, s := range e.shards {
-		for id, f := range s.filters {
-			sig := s.sigmas[id]
-			st.Filters = append(st.Filters, FilterEntry{
-				ObjectID: id,
-				SigmaX:   sig[0],
-				SigmaY:   sig[1],
-				Filter:   f.Dump(),
-			})
+		for fe := range s.bank.Dump() {
+			st.Filters = append(st.Filters, FilterEntry(fe))
 		}
 	}
 	sort.Slice(st.Filters, func(i, j int) bool { return st.Filters[i].ObjectID < st.Filters[j].ObjectID })
@@ -95,31 +77,29 @@ func (e *Engine) RestoreState(st State) error {
 		return err
 	}
 	for _, s := range e.shards {
-		s.filters = make(map[int]*raytrace.Filter)
-		s.sigmas = make(map[int][2]float64)
+		s.bank = raytrace.NewBank(e.cfg.Tolerance)
 		s.reports = nil
 		s.err = nil
 		s.observed.Store(0)
 		s.reported.Store(0)
 	}
 	for _, fe := range st.Filters {
-		s := e.shards[e.shardIndex(fe.ObjectID)]
-		if _, dup := s.filters[fe.ObjectID]; dup {
-			return fmt.Errorf("engine: restored filter for object %d is duplicated", fe.ObjectID)
-		}
-		s.filters[fe.ObjectID] = raytrace.Restore(fe.Filter, e.cfg.Tolerance(fe.SigmaX, fe.SigmaY))
-		if fe.SigmaX != 0 || fe.SigmaY != 0 {
-			s.sigmas[fe.ObjectID] = [2]float64{fe.SigmaX, fe.SigmaY}
+		if err := e.shards[e.shardIndex(fe.ObjectID)].bank.Restore(raytrace.FilterEntry(fe)); err != nil {
+			return fmt.Errorf("engine: %w", err)
 		}
 	}
-	// Reinstate the pending batch with fresh ascending sequence numbers:
-	// reports raised after the restore get higher ones, so the next
-	// epoch's merge reproduces the dumped batch order exactly.
-	e.staged = nil
-	e.followUps = nil
+	// A pending report is answered at the next epoch by its object's
+	// filter, which must be there and waiting for exactly that answer.
 	for _, p := range st.Pending {
-		e.staged = append(e.staged, taggedReport{seq: e.seq.Add(1) - 1, rep: p})
+		if !e.shards[e.shardIndex(p.ObjectID)].bank.Awaits(p.ObjectID, p.State) {
+			return fmt.Errorf("engine: pending report for object %d is not what its filter awaits", p.ObjectID)
+		}
 	}
+	// The pending batch goes ahead of every report raised after the
+	// restore, as the previous epoch's follow-ups do, so the next epoch
+	// processes it in the dumped order.
+	e.staged = nil
+	e.followUps = append([]coordinator.Report(nil), st.Pending...)
 	e.lastNow = st.Clock
 	e.responses = st.Responses
 	e.followed = 0

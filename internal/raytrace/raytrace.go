@@ -16,6 +16,10 @@
 // guarantees the produced motion paths chain into a covering motion path
 // set.
 //
+// Outside this package's tests, filters live only in a Bank, one per
+// object id: a hotpaths.System owns one bank and each Engine shard owns
+// one, so the client half is written once.
+//
 // Why checking only measurement timestamps suffices: between consecutive
 // measurements both the (interpolated) object trajectory and the candidate
 // motion path are linear in t, so each coordinate difference is linear and
@@ -78,19 +82,9 @@ type Stats struct {
 // Filter is the per-object RayTrace instance. It is not safe for concurrent
 // use; each moving object owns exactly one filter.
 type Filter struct {
-	tol ToleranceFunc
-
-	// SSA state.
-	start   geom.Point
-	ts      trajectory.Time
-	fsa     geom.Rect
-	te      trajectory.Time
-	waiting bool
-	lastT   trajectory.Time
-	primed  bool // true once the initial timepoint is set
-
-	buf   []trajectory.TimePoint
-	stats Stats
+	tol    ToleranceFunc
+	primed bool        // true once the initial timepoint is set
+	s      FilterState // the SSA, the waiting buffer and the counters
 }
 
 // New returns a filter with the given initial timepoint and the fixed-ε
@@ -108,27 +102,18 @@ func NewWithTolerance(initial trajectory.TimePoint, tol ToleranceFunc) *Filter {
 
 // reset re-seeds the SSA at the given timepoint.
 func (f *Filter) reset(tp trajectory.TimePoint) {
-	f.start = tp.P
-	f.ts = tp.T
-	f.te = tp.T
-	f.fsa = geom.Rect{Lo: tp.P, Hi: tp.P}
-	f.lastT = tp.T
+	f.s.Start = tp.P
+	f.s.Ts = tp.T
+	f.s.Te = tp.T
+	f.s.FSA = geom.Rect{Lo: tp.P, Hi: tp.P}
+	f.s.LastT = tp.T
 	f.primed = true
 }
 
 // State returns the filter's current SSA as a state message.
 func (f *Filter) State() State {
-	return State{Start: f.start, Ts: f.ts, FSA: f.fsa, Te: f.te}
+	return State{Start: f.s.Start, Ts: f.s.Ts, FSA: f.s.FSA, Te: f.s.Te}
 }
-
-// Waiting reports whether the filter awaits a coordinator response.
-func (f *Filter) Waiting() bool { return f.waiting }
-
-// Stats returns a copy of the filter's counters.
-func (f *Filter) Stats() Stats { return f.stats }
-
-// BufferLen returns the number of timepoints parked in the waiting buffer.
-func (f *Filter) BufferLen() int { return len(f.buf) }
 
 // Process consumes one measurement. When the SSA can no longer accommodate
 // it, the filter's state is returned with report=true and the filter enters
@@ -138,16 +123,14 @@ func (f *Filter) Process(tp trajectory.TimePoint) (st State, report bool, err er
 	if !f.primed {
 		return State{}, false, fmt.Errorf("raytrace: filter used before initialization")
 	}
-	if tp.T <= f.lastT {
-		return State{}, false, fmt.Errorf("raytrace: non-increasing timestamp %d (last %d)", tp.T, f.lastT)
+	if tp.T <= f.s.LastT {
+		return State{}, false, fmt.Errorf("raytrace: non-increasing timestamp %d (last %d)", tp.T, f.s.LastT)
 	}
-	f.lastT = tp.T
-	if f.waiting {
-		f.buf = append(f.buf, tp)
-		f.stats.Buffered++
-		if len(f.buf) > f.stats.MaxBuffer {
-			f.stats.MaxBuffer = len(f.buf)
-		}
+	f.s.LastT = tp.T
+	if f.s.Waiting {
+		f.s.Buf = append(f.s.Buf, tp)
+		f.s.Stats.Buffered++
+		f.s.Stats.MaxBuffer = max(f.s.Stats.MaxBuffer, len(f.s.Buf))
 		return State{}, false, nil
 	}
 	return f.step(tp)
@@ -156,36 +139,34 @@ func (f *Filter) Process(tp trajectory.TimePoint) (st State, report bool, err er
 // step advances the SSA with one timepoint (the body of Algorithm 1's inner
 // loop).
 func (f *Filter) step(tp trajectory.TimePoint) (State, bool, error) {
-	f.stats.Processed++
+	f.s.Stats.Processed++
 	q := f.tol(tp)
 	if q.Empty() {
 		return State{}, false, fmt.Errorf("raytrace: empty tolerance rect for %v", tp)
 	}
-	if f.te == f.ts {
+	if f.s.Te == f.s.Ts {
 		// First timepoint after the apex: the FSA is the tolerance rect.
-		f.te = tp.T
-		f.fsa = q
+		f.s.Te = tp.T
+		f.s.FSA = q
 		return State{}, false, nil
 	}
 	// Project the SSA pyramid onto tp.T (extrapolation for tp.T > te).
-	lambda := float64(tp.T-f.ts) / float64(f.te-f.ts)
-	proj := f.fsa.Lerp(f.start, lambda)
+	lambda := float64(tp.T-f.s.Ts) / float64(f.s.Te-f.s.Ts)
+	proj := f.s.FSA.Lerp(f.s.Start, lambda)
 	inter := proj.Intersect(q)
 	if !inter.Empty() {
-		f.te = tp.T
-		f.fsa = inter
+		f.s.Te = tp.T
+		f.s.FSA = inter
 		return State{}, false, nil
 	}
 	// Violation: report state, park the point at the FRONT of the buffer
 	// (it may have been popped off during a replay and must keep its place
 	// before any younger buffered points), and wait for the coordinator.
-	f.waiting = true
-	f.buf = append([]trajectory.TimePoint{tp}, f.buf...)
-	f.stats.Buffered++
-	if len(f.buf) > f.stats.MaxBuffer {
-		f.stats.MaxBuffer = len(f.buf)
-	}
-	f.stats.StatesSent++
+	f.s.Waiting = true
+	f.s.Buf = append([]trajectory.TimePoint{tp}, f.s.Buf...)
+	f.s.Stats.Buffered++
+	f.s.Stats.MaxBuffer = max(f.s.Stats.MaxBuffer, len(f.s.Buf))
+	f.s.Stats.StatesSent++
 	return f.State(), true, nil
 }
 
@@ -198,24 +179,24 @@ func (f *Filter) step(tp trajectory.TimePoint) (State, bool, error) {
 // The response endpoint must lie inside the FSA that was reported and carry
 // the reported te; this is what guarantees a covering motion path set.
 func (f *Filter) Respond(e trajectory.TimePoint) (st State, report bool, err error) {
-	if !f.waiting {
+	if !f.s.Waiting {
 		return State{}, false, fmt.Errorf("raytrace: Respond while not waiting")
 	}
-	if e.T != f.te {
-		return State{}, false, fmt.Errorf("raytrace: response timestamp %d does not match reported te %d", e.T, f.te)
+	if e.T != f.s.Te {
+		return State{}, false, fmt.Errorf("raytrace: response timestamp %d does not match reported te %d", e.T, f.s.Te)
 	}
-	if !f.fsa.Contains(e.P) {
-		return State{}, false, fmt.Errorf("raytrace: response endpoint %v outside FSA %v", e.P, f.fsa)
+	if !f.s.FSA.Contains(e.P) {
+		return State{}, false, fmt.Errorf("raytrace: response endpoint %v outside FSA %v", e.P, f.s.FSA)
 	}
-	f.stats.Responses++
-	f.waiting = false
+	f.s.Stats.Responses++
+	f.s.Waiting = false
 	f.reset(e)
-	f.lastT = e.T
+	f.s.LastT = e.T
 	// Replay the buffer.
-	for len(f.buf) > 0 {
-		tp := f.buf[0]
-		f.buf = f.buf[1:]
-		f.lastT = tp.T
+	for len(f.s.Buf) > 0 {
+		tp := f.s.Buf[0]
+		f.s.Buf = f.s.Buf[1:]
+		f.s.LastT = tp.T
 		st, report, err = f.step(tp)
 		if err != nil {
 			return State{}, false, err
@@ -224,7 +205,7 @@ func (f *Filter) Respond(e trajectory.TimePoint) (st State, report bool, err err
 			return st, true, nil
 		}
 	}
-	f.buf = nil
+	f.s.Buf = nil
 	return State{}, false, nil
 }
 
@@ -244,44 +225,23 @@ type FilterState struct {
 
 // Dump captures the filter's state for checkpointing.
 func (f *Filter) Dump() FilterState {
-	buf := make([]trajectory.TimePoint, len(f.buf))
-	copy(buf, f.buf)
-	return FilterState{
-		Start:   f.start,
-		Ts:      f.ts,
-		FSA:     f.fsa,
-		Te:      f.te,
-		Waiting: f.waiting,
-		LastT:   f.lastT,
-		Buf:     buf,
-		Stats:   f.stats,
-	}
+	st := f.s
+	st.Buf = append([]trajectory.TimePoint(nil), f.s.Buf...)
+	return st
 }
 
-// Restore rebuilds a filter from a dumped state and its tolerance model.
+// restore rebuilds a filter from a dumped state and its tolerance model.
 // Only primed filters are ever dumped, so the restored filter is primed.
-func Restore(st FilterState, tol ToleranceFunc) *Filter {
-	buf := make([]trajectory.TimePoint, len(st.Buf))
-	copy(buf, st.Buf)
-	return &Filter{
-		tol:     tol,
-		start:   st.Start,
-		ts:      st.Ts,
-		fsa:     st.FSA,
-		te:      st.Te,
-		waiting: st.Waiting,
-		lastT:   st.LastT,
-		primed:  true,
-		buf:     buf,
-		stats:   st.Stats,
-	}
+func restore(st FilterState, tol ToleranceFunc) Filter {
+	st.Buf = append([]trajectory.TimePoint(nil), st.Buf...)
+	return Filter{tol: tol, primed: true, s: st}
 }
 
 // Flush force-emits the current SSA as a final state (e.g. at simulation
 // end) provided at least one timepoint extended it. It does not enter
 // waiting mode.
 func (f *Filter) Flush() (State, bool) {
-	if !f.primed || f.te == f.ts {
+	if !f.primed || f.s.Te == f.s.Ts {
 		return State{}, false
 	}
 	return f.State(), true

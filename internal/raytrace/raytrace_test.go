@@ -56,11 +56,11 @@ func TestViolationReports(t *testing.T) {
 	if st.Te != 1 || st.Ts != 0 {
 		t.Errorf("reported interval [%d,%d]", st.Ts, st.Te)
 	}
-	if !f.Waiting() {
+	if !f.s.Waiting {
 		t.Error("filter should be waiting")
 	}
-	if f.BufferLen() != 1 {
-		t.Errorf("violating point must be buffered, len=%d", f.BufferLen())
+	if len(f.s.Buf) != 1 {
+		t.Errorf("violating point must be buffered, len=%d", len(f.s.Buf))
 	}
 }
 
@@ -77,10 +77,10 @@ func TestBufferingWhileWaiting(t *testing.T) {
 			t.Fatalf("waiting filter must only buffer (r=%v err=%v)", r, err)
 		}
 	}
-	if f.BufferLen() != 4 {
-		t.Errorf("buffer len = %d want 4", f.BufferLen())
+	if len(f.s.Buf) != 4 {
+		t.Errorf("buffer len = %d want 4", len(f.s.Buf))
 	}
-	stats := f.Stats()
+	stats := f.s.Stats
 	if stats.MaxBuffer != 4 || stats.Buffered != 4 || stats.StatesSent != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -102,7 +102,7 @@ func TestRespondReplaysBuffer(t *testing.T) {
 	if report2 {
 		t.Fatalf("single buffered point should seed the new SSA without violating: %v", st2)
 	}
-	if f.Waiting() {
+	if f.s.Waiting {
 		t.Error("filter should have left waiting mode")
 	}
 	ns := f.State()
@@ -154,7 +154,7 @@ func TestRespondCanImmediatelyReport(t *testing.T) {
 	if !report2 {
 		t.Fatal("zig-zag buffer must violate the fresh SSA")
 	}
-	if !f.Waiting() {
+	if !f.s.Waiting {
 		t.Error("filter must be waiting again")
 	}
 	if st2.Ts != st.Te {
@@ -185,7 +185,7 @@ func TestReplayViolationPreservesBufferOrder(t *testing.T) {
 			}
 		}
 	}
-	if f.Waiting() {
+	if f.s.Waiting {
 		t.Fatal("zig-zag should drain within a few rounds")
 	}
 }
@@ -358,7 +358,7 @@ func TestStraightLineNeverReports(t *testing.T) {
 			t.Fatalf("straight line reported at i=%d: %v", i, st)
 		}
 	}
-	if f.Stats().StatesSent != 0 {
+	if f.s.Stats.StatesSent != 0 {
 		t.Error("no states should have been sent")
 	}
 }
@@ -379,8 +379,8 @@ func TestConstantSpaceWhenNotWaiting(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if f.BufferLen() > 1 {
-			t.Fatalf("buffer grew to %d while being serviced every step", f.BufferLen())
+		if len(f.s.Buf) > 1 {
+			t.Fatalf("buffer grew to %d while being serviced every step", len(f.s.Buf))
 		}
 	}
 }

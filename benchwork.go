@@ -5,10 +5,9 @@ import "math/rand"
 // IngestWorkload builds a deterministic multi-object workload: seeded
 // random walks with occasional sharp turns, so filters report and the
 // coordinator exercises all three SinglePath cases. One batch per
-// timestamp from 1 to horizon. The correctness tests, the go-test
-// benchmarks and the `hotpaths bench` harness all drive this generator,
-// so every measurement along the bench trajectory exercises the same
-// workload.
+// timestamp from 1 to horizon. The correctness tests and the go-test
+// benchmarks, whose allocation counts TestAllocBudgets pins, both drive
+// this generator, so a benchmark measures the workload the tests check.
 func IngestWorkload(nObjects int, horizon, seed int64) [][]Observation {
 	rng := rand.New(rand.NewSource(seed))
 	type state struct{ x, y, dx, dy float64 }

@@ -48,18 +48,6 @@
 //	hotpaths -wal-tail DIR
 //	hotpaths -wal-tail http://primary:8080 [-from 1000]
 //
-// `hotpaths bench` runs the core benchmark suite (internal/bench) —
-// ingest, WAL append, recovery, follower replay, snapshot queries — and
-// writes one bench-trajectory point as JSON, optionally gating on a
-// checked-in baseline:
-//
-//	hotpaths bench [-out BENCH_core.json] [-baseline BENCH_core.json]
-//	               [-max-regress 0.25] [-run name,...] [-list] [-q]
-//	               [-paper BENCH_paper.json]
-//
-// -paper additionally regenerates the paper's accuracy-vs-communication
-// curve (deterministic under the fixed seed) as a separate artifact.
-//
 // `hotpaths fleet` is the fleet ops view: it polls every named node's
 // /stats, /healthz, /metrics and /debug/events and renders a live
 // refreshing dashboard — per-node health with its degraded reason, SLO
@@ -100,11 +88,8 @@ import (
 )
 
 func main() {
-	// The bench and fleet subcommands have their own FlagSets; dispatch
-	// before the simulation flags are parsed.
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		os.Exit(runBench(os.Args[2:]))
-	}
+	// The fleet subcommand has its own FlagSet; dispatch before the
+	// simulation flags are parsed.
 	if len(os.Args) > 1 && os.Args[1] == "fleet" {
 		os.Exit(runFleet(os.Args[2:]))
 	}

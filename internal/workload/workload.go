@@ -19,8 +19,8 @@
 //     fraction is α. Movement between stops has constant velocity, so
 //     trajectory approximation errors concentrate at intersections — the
 //     same locations for every object — exactly as in real road traffic.
-//     DESIGN.md discusses why this substitution is needed to reproduce the
-//     paper's evaluation shapes.
+//     BenchmarkAblationMovementModel sets it against IID on the same
+//     network.
 package workload
 
 import (

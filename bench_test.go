@@ -385,13 +385,17 @@ type allocBudget struct {
 }
 
 var allocBudgets = []allocBudget{
-	{"SystemIngest", 12425, systemIngest},
-	{"EngineIngest/shards=1", 13344, engineIngest(1)},
-	{"EngineIngest/shards=4", 14870, engineIngest(4)},
-	{"WALAppend/shards=1", 65078, walAppend(1)},
-	{"Recover/replay", 13471, recoverJournal(-1)},
+	{"SystemIngest", 4755, systemIngest},
+	{"EngineIngest/shards=1", 4907, engineIngest(1)},
+	{"EngineIngest/shards=4", 5256, engineIngest(4)},
+	{"WALAppend/shards=1", 25744, walAppend(1)},
+	{"Recover/replay", 5034, recoverJournal(-1)},
 	{"Recover/checkpoint", 3094, recoverJournal(0)},
-	{"FollowerReplay", 14024, followerReplay},
+	{"FollowerReplay", 5590, followerReplay},
+	// One steady-state write: no count here may grow with the batch
+	// (TestWarmWritesAllocateNothingPerObservation).
+	{"EngineObserveBatch/warm", 0, observeWarm(false, warmBatch)},
+	{"DurableObserveBatch/warm", 0, observeWarm(true, warmBatch)},
 	// The second epoch of a fresh coordinator. The benchmark reports a
 	// mean over b.N epochs, which falls as the stores warm up (74 at 300).
 	{"CoordinatorEpoch/batch=1000", 1020, coordinatorEpoch(1000)},
@@ -406,7 +410,7 @@ var allocBudgets = []allocBudget{
 // deterministic to a few allocations: testing.AllocsPerRun runs at
 // GOMAXPROCS 1, so Recover and OpenFollower, which size their engine by
 // it, run one shard on every machine, and -race moves no row by more
-// than 0.3%. A change that moves a count, either way, re-pins its row
+// than 0.7%. A change that moves a count, either way, re-pins its row
 // and says why.
 func TestAllocBudgets(t *testing.T) {
 	for _, c := range allocBudgets {
@@ -682,6 +686,92 @@ func followerReplay(tb testing.TB) func() {
 				tb.Fatal(err)
 			}
 		})
+	}
+}
+
+// --- Steady-state writes: one batch of known objects into a warm deployment ---
+
+// warmBatch is the batch size of the pinned */warm rows.
+const warmBatch = 2000
+
+// BenchmarkEngineObserveBatch and BenchmarkDurableObserveBatch time one
+// write once the deployment is warm: a batch of objects it has seen
+// before, then the tick closing that timestamp (an epoch every tenth).
+// Their objects drift along straight lines, so no filter reports and
+// the write path is all there is to time.
+func BenchmarkEngineObserveBatch(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
+		runBody(b, observeWarm(false, warmBatch))
+		reportObsRate(b, warmBatch)
+	})
+}
+
+func BenchmarkDurableObserveBatch(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
+		runBody(b, observeWarm(true, warmBatch))
+		reportObsRate(b, warmBatch)
+	})
+}
+
+// TestWarmWritesAllocateNothingPerObservation holds the */warm rows to
+// their point: a 500- and a 2,000-observation write allocate alike.
+func TestWarmWritesAllocateNothingPerObservation(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		small := testing.AllocsPerRun(1, observeWarm(durable, 500)(t))
+		large := testing.AllocsPerRun(1, observeWarm(durable, 2000)(t))
+		if small != large {
+			t.Errorf("durable=%v: %v allocs/op at 500 observations, %v at 2,000", durable, small, large)
+		}
+	}
+}
+
+// observeWarm builds a 4-shard Engine, or a Durable without timed
+// fsyncs, fed n drifting objects for three epochs, and returns the next
+// timestamp's write: the batch, overwritten in place as a pooled request
+// buffer is, and its tick. The operation after the build's is not at an
+// epoch boundary, so TestAllocBudgets counts a write and a plain tick.
+func observeWarm(durable bool, n int) func(testing.TB) func() {
+	return func(tb testing.TB) func() {
+		var w interface {
+			hotpaths.Reader
+			hotpaths.Writer
+			Close() error
+		}
+		var err error
+		if durable {
+			w, err = hotpaths.OpenDurable(tb.TempDir(), hotpaths.DurableConfig{
+				Config: ingestConfig(), Shards: 4, FsyncInterval: -1,
+			})
+		} else {
+			w, err = hotpaths.NewEngine(hotpaths.EngineConfig{Config: ingestConfig(), Shards: 4})
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { w.Close() })
+		batch := make([]hotpaths.Observation, n)
+		now := int64(0)
+		write := func() {
+			now++
+			for i := range batch {
+				// Rows of 50 objects 40 m apart, inside the config's
+				// bounds, drifting 1 cm east per timestamp.
+				batch[i] = hotpaths.Observation{ObjectID: i, X: float64(i%50)*40 - 1000 + 0.01*float64(now), Y: float64(i/50) * 40, T: now}
+			}
+			if err := w.ObserveBatchCtx(context.Background(), batch); err != nil {
+				tb.Fatal(err)
+			}
+			if err := w.TickCtx(context.Background(), now); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for now < 30 {
+			write()
+		}
+		if st := w.Stats(); st.Reports != 0 {
+			tb.Fatalf("%d reports while warming up: the row would time the filter tier", st.Reports)
+		}
+		return write
 	}
 }
 

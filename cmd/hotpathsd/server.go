@@ -205,9 +205,12 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeBatch is the daemon's httpapi.ObserveSink: one request's
-// observations in the form the backend ingests. The backend copies what
-// it keeps (into shard queues and WAL records) before ObserveBatchCtx
-// returns, so a batch goes back to the pool with its request.
+// observations in the form the backend ingests. Before ObserveBatchCtx
+// returns, the backend has copied each observation once, into a shard
+// group the engine recycles at its next flush barrier, and a Durable has
+// encoded its WAL frames from the batch in place; neither keeps a
+// reference. So a batch goes back to the pool with its request
+// (TestWritersCopyBeforeReturning holds the backends to this).
 type observeBatch struct {
 	obs []hotpaths.Observation
 }

@@ -253,13 +253,8 @@ func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) erro
 	if len(batch) == 0 {
 		return nil
 	}
-	conv, err := d.cfg.convertBatch(batch)
-	if err != nil {
+	if err := d.cfg.checkBatch(batch); err != nil {
 		return err
-	}
-	recs := make([]wal.Record, len(batch))
-	for i, o := range batch {
-		recs[i] = recordOf(o)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -267,15 +262,17 @@ func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) erro
 		return ErrDurableClosed
 	}
 	_, wspan := tracing.StartSpan(ctx, "wal.append")
-	wspan.SetAttr("records", len(recs))
-	_, err = d.log.AppendBatch(recs)
+	if wspan != nil { // boxing the length would allocate even for a nil span
+		wspan.SetAttr("records", len(batch))
+	}
+	_, err := d.log.AppendBatch(len(batch), func(i int) wal.Record { return recordOf(batch[i]) })
 	wspan.End()
 	if err != nil {
 		return fmt.Errorf("hotpaths: journal batch: %w", err)
 	}
-	// conv is the batch just validated and journaled; the Engine's own
-	// validate-and-convert pass would only repeat that work.
-	return d.eng.eng.ObserveBatchCtx(ctx, conv)
+	// The batch was validated above; the Engine's own validation pass
+	// would only repeat that work.
+	return d.eng.enqueue(ctx, batch)
 }
 
 // TickCtx journals and applies a clock advance. At epoch boundaries, once

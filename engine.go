@@ -124,25 +124,30 @@ func checkObservation(i int, o Observation, delta float64) error {
 // span per batch — never per record — lands on the context's trace; pass
 // context.Background() when there is none.
 func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
-	conv, err := e.cfg.convertBatch(batch)
-	if err != nil {
+	if err := e.cfg.checkBatch(batch); err != nil {
 		return err
 	}
-	return e.eng.ObserveBatchCtx(ctx, conv)
+	return e.enqueue(ctx, batch)
 }
 
-// convertBatch validates a batch against the deployment's noise mode and
-// converts it to the internal engine's form in the same pass; Durable
-// calls it before journaling and hands the result straight to the shards.
-func (cfg Config) convertBatch(batch []Observation) ([]engine.Observation, error) {
-	conv := make([]engine.Observation, len(batch))
+// enqueue hands a validated batch to the shards, converting each
+// observation to the internal engine's form as it is grouped. The engine
+// copies each one into a recycled shard queue before returning, so the
+// caller may reuse the batch at once (hotpathsd pools its request
+// batches on that). Durable calls it after journaling.
+func (e *Engine) enqueue(ctx context.Context, batch []Observation) error {
+	return e.eng.ObserveBatchCtx(ctx, len(batch), func(i int) engine.Observation { return batch[i].internal() })
+}
+
+// checkBatch validates a batch against the deployment's noise mode in
+// place; Durable calls it before journaling.
+func (cfg Config) checkBatch(batch []Observation) error {
 	for i, o := range batch {
 		if err := checkObservation(i, o, cfg.Delta); err != nil {
-			return nil, err
+			return err
 		}
-		conv[i] = o.internal()
 	}
-	return conv, nil
+	return nil
 }
 
 // TickCtx advances the engine clock to now: the hotness window slides, and

@@ -1,6 +1,7 @@
 package hotpaths
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -347,5 +348,107 @@ func TestWriterBatchValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Engine and Durable copy what they keep before ObserveBatchCtx returns:
+// hotpathsd hands them a pooled request buffer and overwrites it with
+// the next request at once. Here every batch goes through one buffer
+// that is scribbled over the moment each write returns, across many
+// epochs with a shard drain every seventh timestamp, an Engine moved by
+// DumpState and RestoreState into a fresh one (and the old one closed)
+// and a Durable closed and reopened mid-stream. Every epoch's /paths
+// bytes and counters must still be a System's fed the pristine batches.
+func TestWritersCopyBeforeReturning(t *testing.T) {
+	ctx := context.Background()
+	cfg := engineTestConfig()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newEngine := func() *Engine {
+		eng, err := NewEngine(EngineConfig{Config: cfg, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		return eng
+	}
+	dir := t.TempDir()
+	openDurable := func() *Durable {
+		dur, err := OpenDurable(dir, DurableConfig{Config: cfg, Shards: 4, FsyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dur.Close() })
+		return dur
+	}
+	eng, dur := newEngine(), openDurable()
+	var buf []Observation
+	write := func(w Writer, batch []Observation) {
+		buf = append(buf[:0], batch...)
+		if err := w.ObserveBatchCtx(ctx, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = Observation{ObjectID: -1 - i, X: math.NaN(), Y: math.Inf(1), T: -1, SigmaX: -1}
+		}
+	}
+
+	const horizon = 300
+	for _, batch := range IngestWorkload(48, horizon, 42) {
+		now := batch[0].T
+		if err := sys.ObserveBatchCtx(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		write(eng, batch)
+		write(dur, batch)
+		switch {
+		case now%7 == 0:
+			if err := eng.eng.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := dur.eng.eng.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		case now == 95:
+			st, err := eng.eng.DumpState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := newEngine()
+			if err := fresh.eng.RestoreState(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			eng = fresh
+		case now == 155:
+			if err := dur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dur = openDurable()
+		}
+		for _, w := range []Writer{sys, eng, dur} {
+			if err := w.TickCtx(ctx, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if now%cfg.Epoch != 0 {
+			continue
+		}
+		want, wantStats := pathsBytes(t, sys.Snapshot()), sys.Stats()
+		for name, r := range map[string]Reader{"engine": eng, "durable": dur} {
+			if got := pathsBytes(t, r.Snapshot()); !bytes.Equal(got, want) {
+				t.Fatalf("t=%d: %s /paths differ from the System's:\n got  %s\n want %s", now, name, got, want)
+			}
+			if got := r.Stats(); !reflect.DeepEqual(got, wantStats) {
+				t.Fatalf("t=%d: %s stats differ:\n got  %+v\n want %+v", now, name, got, wantStats)
+			}
+		}
+	}
+	if st := sys.Stats(); st.Reports == 0 || st.Crossings == 0 {
+		t.Fatalf("workload too tame to be meaningful: %+v", st)
 	}
 }

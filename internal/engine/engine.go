@@ -26,14 +26,30 @@
 //
 // A single RWMutex protects the coordinator tier and the engine clock:
 // ingestion takes the read lock (many producers run concurrently, touching
-// only the sequence counter and the shard queues), while Tick and Close
-// take the write lock. While Tick holds the write lock no producer can
-// enqueue, so after the flush barrier the shard goroutines are guaranteed
-// idle and Tick may touch their banks directly — delivering epoch
-// responses without any per-message channel round trips. Queries
-// (Snapshot/Stats/Clock) take the read lock: the coordinator is only
-// mutated under the write lock, so they are safe concurrently with
+// only the sequence counter, the group free list and the shard queues),
+// while Tick and Close take the write lock. While Tick holds the write
+// lock no producer can enqueue, so after the flush barrier the shard
+// goroutines are guaranteed idle and Tick may touch their banks directly —
+// delivering epoch responses without any per-message channel round trips.
+// Queries (Snapshot/Stats/Clock) take the read lock: the coordinator is
+// only mutated under the write lock, so they are safe concurrently with
 // ingestion.
+//
+// Each observation is copied once, into a group: ObserveBatchCtx splits a
+// batch into one slice per shard, a group set, and sends each non-empty
+// group down its shard's queue. A set is in exactly one of three hands.
+// A producer pops it from the engine's free list (under a small mutex of
+// its own) and fills it; once sent, it belongs to the shards until the
+// next flush barrier, and the engine lists it as sent; every barrier —
+// an epoch Tick, Drain, DumpState, RestoreState, Close — finds every
+// shard idle, so it empties the sent sets and moves them back to the
+// free list. The recycle is deterministic: which set a producer reuses
+// depends on the call sequence alone, never on how fast a shard ran.
+// The sent sets are capped in total (keepObs), so a clock that never
+// reaches an epoch cannot make the engine hold every observation it was
+// sent; a set past the cap is left to the garbage collector. The epoch
+// batch, the staged reports and every shard's report buffer are kept
+// across epochs the same way, under the write lock.
 //
 // The coordinator changes only in Tick (the window slides, an epoch batch
 // lands) and RestoreState, and both clear the engine's kept read view
@@ -44,11 +60,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,6 +135,7 @@ type Engine struct {
 	lastNow   trajectory.Time
 	staged    []taggedReport       // shard reports collected but not yet processed
 	followUps []coordinator.Report // reports raised by the previous epoch's responses
+	batch     []coordinator.Report // the epoch batch batchLocked last built
 	responses int
 	followed  int // follow-up reports, counted into Stats.Reports
 	// Counter baselines carried over from a restored checkpoint (the
@@ -130,7 +148,22 @@ type Engine struct {
 	// every reader until the coordinator can next change. Writers clear
 	// it under the write lock; readers fill it under the read lock.
 	view atomic.Pointer[coordinator.Snapshot]
+
+	// The group sets of the package comment. sentObs is how many
+	// observations the sets in sent can hold.
+	groupsMu sync.Mutex
+	free     []groupSet
+	sent     []groupSet
+	sentObs  int
 }
+
+// groupSet is one batch split by shard: element i is shard i's group.
+type groupSet [][]obs
+
+// keepObs caps the observations the sent group sets may hold between two
+// flush barriers, at 3.5 MiB of groups: close to three epochs of a
+// 20,000-object stream that sends some 2,400 observations per timestamp.
+const keepObs = 1 << 16
 
 // New validates cfg and starts the shard goroutines.
 func New(cfg Config) (*Engine, error) {
@@ -170,20 +203,25 @@ func (e *Engine) shardIndex(objectID int) int {
 	return partition.Index(objectID, len(e.shards))
 }
 
-// ObserveBatchCtx enqueues a batch of observations, preserving their order
-// per object. It is safe to call from many goroutines, but observations
-// for the same object must be produced in timestamp order by a single
-// producer (or otherwise externally ordered). Processing is asynchronous:
-// per-observation errors (e.g. a non-increasing timestamp) surface from
-// the next epoch-boundary Tick. It records one span per batch on the
-// context's trace, never per record; on an unrecorded context the only
-// cost is the context check.
-func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
-	if len(batch) == 0 {
+// ObserveBatchCtx enqueues a batch of n observations, the i-th read by
+// at(i), preserving their order per object. at is called once per
+// observation under the engine's read lock and must not call back into
+// the engine; what it returns is copied into a recycled shard group, so
+// the caller may reuse whatever at reads as soon as this returns. It is
+// safe to call from many goroutines, but observations for the same object
+// must be produced in timestamp order by a single producer (or otherwise
+// externally ordered). Processing is asynchronous: per-observation errors
+// (e.g. a non-increasing timestamp) surface from the next epoch-boundary
+// Tick. It records one span per batch on the context's trace, never per
+// record; on an unrecorded context the only cost is the context check.
+func (e *Engine) ObserveBatchCtx(ctx context.Context, n int, at func(i int) Observation) error {
+	if n == 0 {
 		return nil
 	}
 	_, span := tracing.StartSpan(ctx, "engine.observe_batch")
-	span.SetAttr("records", len(batch))
+	if span != nil { // boxing n would allocate even for a nil span
+		span.SetAttr("records", n)
+	}
 	defer span.End()
 	t0 := time.Now()
 	e.mu.RLock()
@@ -191,21 +229,70 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 	if e.closed {
 		return ErrClosed
 	}
-	n := uint64(len(batch))
-	base := e.seq.Add(n) - n
-	groups := make([][]obs, len(e.shards))
-	for i, o := range batch {
+	base := e.seq.Add(uint64(n)) - uint64(n)
+	gs := e.takeGroups()
+	for i := range n {
+		o := at(i)
 		si := e.shardIndex(o.ObjectID)
-		groups[si] = append(groups[si], obs{Observation: o, seq: base + uint64(i)})
+		gs[si] = append(gs[si], obs{Observation: o, seq: base + uint64(i)})
 	}
-	for si, g := range groups {
+	for si, g := range gs {
 		if len(g) > 0 {
 			e.shards[si].ch <- msg{obs: g}
 		}
 	}
-	mObservations.Add(uint64(len(batch)))
+	e.keepGroups(gs)
+	mObservations.Add(uint64(n))
 	mObserveBatch.ObserveSince(t0)
 	return nil
+}
+
+// takeGroups pops an empty group set off the free list, or makes one.
+func (e *Engine) takeGroups() groupSet {
+	e.groupsMu.Lock()
+	defer e.groupsMu.Unlock()
+	k := len(e.free)
+	if k == 0 {
+		return make(groupSet, len(e.shards))
+	}
+	gs := e.free[k-1]
+	e.free[k-1] = nil
+	e.free = e.free[:k-1]
+	return gs
+}
+
+// keepGroups lists a set whose groups were just sent, for the next flush
+// barrier to recycle, unless the sent sets would then hold more than
+// keepObs observations.
+func (e *Engine) keepGroups(gs groupSet) {
+	size := 0
+	for _, g := range gs {
+		size += cap(g)
+	}
+	e.groupsMu.Lock()
+	defer e.groupsMu.Unlock()
+	if e.sentObs+size > keepObs {
+		return
+	}
+	e.sent = append(e.sent, gs)
+	e.sentObs += size
+}
+
+// recycleLocked empties every sent group set and moves it to the free
+// list. Caller holds the write lock and has drained the shards, so no
+// shard still reads a sent group.
+func (e *Engine) recycleLocked() {
+	e.groupsMu.Lock()
+	defer e.groupsMu.Unlock()
+	for _, gs := range e.sent {
+		for si := range gs {
+			gs[si] = gs[si][:0]
+		}
+	}
+	e.free = append(e.free, e.sent...)
+	clear(e.sent)
+	e.sent = e.sent[:0]
+	e.sentObs = 0
 }
 
 // CheckAdvance is the clock rule TickCtx enforces: a tick to now may only
@@ -309,7 +396,7 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 	span.SetAttr("responses", len(resps))
 	nReports, nResponses = len(batch), len(resps)
 	e.staged = e.staged[:0]
-	e.followUps = nil
+	e.followUps = e.followUps[:0]
 	if perr != nil {
 		// Validation is deterministic per report, so a rejected batch can
 		// never succeed later; it is dropped rather than wedging every
@@ -342,24 +429,26 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 
 // batchLocked moves the reports the shards have raised into staged,
 // restores their arrival order, and returns the next epoch's batch: the
-// previous epoch's follow-ups, then the staged reports. Caller holds the
-// write lock and has drained the shards.
+// previous epoch's follow-ups, then the staged reports. The batch is the
+// engine's, rebuilt in place by the next call (the coordinator keeps no
+// reference to it). Caller holds the write lock and has drained the
+// shards.
 func (e *Engine) batchLocked() []coordinator.Report {
 	for _, s := range e.shards {
 		e.staged = append(e.staged, s.reports...)
-		s.reports = nil
+		s.reports = s.reports[:0]
 	}
-	sort.Slice(e.staged, func(i, j int) bool { return e.staged[i].seq < e.staged[j].seq })
-	batch := make([]coordinator.Report, 0, len(e.followUps)+len(e.staged))
-	batch = append(batch, e.followUps...)
+	slices.SortFunc(e.staged, func(a, b taggedReport) int { return cmp.Compare(a.seq, b.seq) })
+	e.batch = append(e.batch[:0], e.followUps...)
 	for _, tr := range e.staged {
-		batch = append(batch, tr.rep)
+		e.batch = append(e.batch, tr.rep)
 	}
-	return batch
+	return e.batch
 }
 
-// drainLocked flushes every shard queue and waits until all shards are
-// idle. Caller holds the write lock, so no new work can be enqueued.
+// drainLocked flushes every shard queue, waits until all shards are idle
+// and recycles the group sets they were sent. Caller holds the write
+// lock, so no new work can be enqueued.
 func (e *Engine) drainLocked() {
 	acks := make([]chan struct{}, len(e.shards))
 	for i, s := range e.shards {
@@ -370,6 +459,7 @@ func (e *Engine) drainLocked() {
 	for _, ack := range acks {
 		<-ack
 	}
+	e.recycleLocked()
 }
 
 // Drain blocks until every observation enqueued before the call has been
@@ -406,6 +496,7 @@ func (e *Engine) Close() error {
 		close(s.ch)
 		<-s.done
 	}
+	e.free = nil // nothing will be sent again
 	return firstErr
 }
 

@@ -27,6 +27,11 @@ func testCoordinator(t *testing.T) *coordinator.Coordinator {
 func fixedTol(_, _ float64) raytrace.ToleranceFunc { return raytrace.FixedTolerance(5) }
 
 // tick is the test shorthand for an untraced TickCtx.
+// observe enqueues a batch the caller keeps as one slice.
+func observe(e *Engine, batch []Observation) error {
+	return e.ObserveBatchCtx(context.Background(), len(batch), func(i int) Observation { return batch[i] })
+}
+
 func tick(e *Engine, now trajectory.Time) error {
 	_, err := e.TickCtx(context.Background(), now)
 	return err
@@ -92,7 +97,7 @@ func TestBarrierDrains(t *testing.T) {
 	for i := range batch {
 		batch[i] = Observation{ObjectID: i, P: geom.Pt(float64(i), 0), T: 1}
 	}
-	if err := e.ObserveBatchCtx(context.Background(), batch); err != nil {
+	if err := observe(e, batch); err != nil {
 		t.Fatal(err)
 	}
 	for now := trajectory.Time(1); now <= 10; now++ {
@@ -115,7 +120,7 @@ func TestProcessingErrorSurfaces(t *testing.T) {
 		{ObjectID: 7, P: geom.Pt(1, 1), T: 6},
 		{ObjectID: 7, P: geom.Pt(2, 2), T: 6}, // repeated timestamp
 	}
-	if err := e.ObserveBatchCtx(context.Background(), feed); err != nil {
+	if err := observe(e, feed); err != nil {
 		t.Fatal(err)
 	}
 	err := tick(e, 10)
@@ -157,7 +162,7 @@ func TestTickMonotonic(t *testing.T) {
 
 func TestCloseSemantics(t *testing.T) {
 	e := testEngine(t, 4)
-	if err := e.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, P: geom.Pt(0, 0), T: 1}}); err != nil {
+	if err := observe(e, []Observation{{ObjectID: 1, P: geom.Pt(0, 0), T: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -166,8 +171,8 @@ func TestCloseSemantics(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Errorf("double Close must be a no-op, got %v", err)
 	}
-	if err := e.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 1, P: geom.Pt(1, 1), T: 2}}); err != ErrClosed {
-		t.Errorf("ObserveBatchCtx after Close = %v, want ErrClosed", err)
+	if err := observe(e, []Observation{{ObjectID: 1, P: geom.Pt(1, 1), T: 2}}); err != ErrClosed {
+		t.Errorf("observe after Close = %v, want ErrClosed", err)
 	}
 	if err := tick(e, 10); err != ErrClosed {
 		t.Errorf("Tick after Close = %v, want ErrClosed", err)

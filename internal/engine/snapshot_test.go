@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"runtime"
 	"slices"
 	"sync"
@@ -32,7 +31,7 @@ func zigZag(t trajectory.Time, n int) []Observation {
 func feedZigZag(t *testing.T, e *Engine, from, to trajectory.Time, n int) {
 	t.Helper()
 	for now := from; now <= to; now++ {
-		if err := e.ObserveBatchCtx(context.Background(), zigZag(now, n)); err != nil {
+		if err := observe(e, zigZag(now, n)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tick(e, now); err != nil {
@@ -57,7 +56,7 @@ func TestSnapshotSharedUntilTick(t *testing.T) {
 		t.Fatalf("two reads with no tick between: %p at %d, %p at %d; want one shared copy", s1, now1, s2, now2)
 	}
 
-	if err := e.ObserveBatchCtx(context.Background(), zigZag(41, 3)); err != nil {
+	if err := observe(e, zigZag(41, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Drain(); err != nil {
@@ -144,7 +143,7 @@ func TestRestoreRefusesOrphanPending(t *testing.T) {
 	}
 	// Object 3 is seen first at 41 and not again, so its filter is seeded
 	// and idle.
-	if err := src.ObserveBatchCtx(context.Background(), []Observation{{ObjectID: 3, P: geom.Pt(0, 0), T: 41}}); err != nil {
+	if err := observe(src, []Observation{{ObjectID: 3, P: geom.Pt(0, 0), T: 41}}); err != nil {
 		t.Fatal(err)
 	}
 	withIdle, err := src.DumpState()
@@ -236,7 +235,7 @@ func TestSnapshotSharedUntilTickRace(t *testing.T) {
 	stop := func() { done.Store(true); wg.Wait() }
 	defer stop() // also on a writer failure, so no reader outlives the test
 	for now := trajectory.Time(1); now <= last; now++ {
-		if err := e.ObserveBatchCtx(context.Background(), zigZag(now, 3)); err != nil {
+		if err := observe(e, zigZag(now, 3)); err != nil {
 			t.Fatal(err)
 		}
 		if err := tick(e, now); err != nil {

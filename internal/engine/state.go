@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hotpaths/internal/coordinator"
@@ -48,7 +49,7 @@ func (e *Engine) DumpState() (State, error) {
 		Responses:    e.responses,
 		Reports:      int64(counters.Reports),
 		Observations: int64(counters.Observations),
-		Pending:      e.batchLocked(),
+		Pending:      slices.Clone(e.batchLocked()),
 		Coord:        e.coord.DumpState(),
 	}
 	for _, s := range e.shards {
@@ -98,8 +99,8 @@ func (e *Engine) RestoreState(st State) error {
 	// The pending batch goes ahead of every report raised after the
 	// restore, as the previous epoch's follow-ups do, so the next epoch
 	// processes it in the dumped order.
-	e.staged = nil
-	e.followUps = append([]coordinator.Report(nil), st.Pending...)
+	e.staged = e.staged[:0]
+	e.followUps = append(e.followUps[:0], st.Pending...)
 	e.lastNow = st.Clock
 	e.responses = st.Responses
 	e.followed = 0

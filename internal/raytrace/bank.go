@@ -37,6 +37,7 @@ type Bank struct {
 	tol     func(sigmaX, sigmaY float64) ToleranceFunc
 	exact   ToleranceFunc // tol(0, 0)
 	entries map[int]*bankEntry
+	bufs    *bufPool // the waiting buffers its filters pass on
 }
 
 // bankEntry is a filter with the noise levels of the measurement that
@@ -52,7 +53,7 @@ type bankEntry struct {
 // measurement. tol must depend on nothing else: every exact object
 // shares the one model tol(0, 0).
 func NewBank(tol func(sigmaX, sigmaY float64) ToleranceFunc) Bank {
-	return Bank{tol: tol, exact: tol(0, 0), entries: make(map[int]*bankEntry)}
+	return Bank{tol: tol, exact: tol(0, 0), entries: make(map[int]*bankEntry), bufs: new(bufPool)}
 }
 
 // tolerance is the model for a filter seeded with the given noise levels.
@@ -70,7 +71,7 @@ func (b *Bank) tolerance(sigmaX, sigmaY float64) ToleranceFunc {
 func (b *Bank) Observe(id int, tp trajectory.TimePoint, sigmaX, sigmaY float64) (st State, report bool, err error) {
 	e, ok := b.entries[id]
 	if !ok {
-		e = &bankEntry{f: Filter{tol: b.tolerance(sigmaX, sigmaY)}, sigmaX: sigmaX, sigmaY: sigmaY}
+		e = &bankEntry{f: Filter{tol: b.tolerance(sigmaX, sigmaY), bufs: b.bufs}, sigmaX: sigmaX, sigmaY: sigmaY}
 		e.f.reset(tp)
 		b.entries[id] = e
 		return State{}, false, nil
@@ -130,6 +131,6 @@ func (b *Bank) Restore(fe FilterEntry) error {
 	if _, dup := b.entries[fe.ObjectID]; dup {
 		return fmt.Errorf("restored filter for object %d is duplicated", fe.ObjectID)
 	}
-	b.entries[fe.ObjectID] = &bankEntry{f: restore(fe.Filter, b.tolerance(fe.SigmaX, fe.SigmaY)), sigmaX: fe.SigmaX, sigmaY: fe.SigmaY}
+	b.entries[fe.ObjectID] = &bankEntry{f: restore(fe.Filter, b.tolerance(fe.SigmaX, fe.SigmaY), b.bufs), sigmaX: fe.SigmaX, sigmaY: fe.SigmaY}
 	return nil
 }

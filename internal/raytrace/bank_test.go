@@ -179,3 +179,46 @@ func TestBankRestoreRefusesDuplicate(t *testing.T) {
 		t.Error("restoring the same entry twice was accepted")
 	}
 }
+
+// A bank's filters pass their waiting buffers on: once as many filters
+// have waited at once, and buffered as much, as they will again, a wait
+// — the report's parked point, the points buffered behind it and the
+// replay that answers it — allocates nothing.
+func TestBankWaitsReuseBuffers(t *testing.T) {
+	b := NewBank(noiseTol)
+	var now trajectory.Time
+	var pending [3]State
+	var waiting [3]bool
+	// Each step measures three zig-zagging objects and answers a report
+	// two steps after it was raised, as an epoch would.
+	step := func() {
+		now++
+		for id := range pending {
+			x := float64(id*1000) + 60*float64((now+trajectory.Time(id))%3)
+			st, report, err := b.Observe(id, tp(x, 0, now), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report {
+				pending[id], waiting[id] = st, true
+			}
+			if waiting[id] && now >= pending[id].Te+2 {
+				st, report, err = b.Respond(id, trajectory.TP(pending[id].FSA.Centroid(), pending[id].Te))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending[id], waiting[id] = st, report
+			}
+		}
+	}
+	for range 30 {
+		step()
+	}
+	reports := b.entries[0].f.s.Stats.StatesSent
+	if allocs := testing.AllocsPerRun(30, step); allocs != 0 {
+		t.Errorf("%v allocs per step of waiting filters, want 0", allocs)
+	}
+	if b.entries[0].f.s.Stats.StatesSent-reports < 10 {
+		t.Fatalf("only %d reports while counting: the filters hardly waited", b.entries[0].f.s.Stats.StatesSent-reports)
+	}
+}

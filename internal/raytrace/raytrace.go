@@ -30,6 +30,7 @@ package raytrace
 
 import (
 	"fmt"
+	"slices"
 
 	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
@@ -85,6 +86,31 @@ type Filter struct {
 	tol    ToleranceFunc
 	primed bool        // true once the initial timepoint is set
 	s      FilterState // the SSA, the waiting buffer and the counters
+	bufs   *bufPool    // where the waiting buffer comes from and goes back to
+}
+
+// A bufPool keeps the emptied waiting buffers of a bank's filters for the
+// next filter that starts waiting, so a wait allocates only when more
+// filters wait at once, or buffer more, than ever before. Only waiting
+// filters hold a buffer. A nil pool keeps nothing.
+type bufPool struct {
+	free [][]trajectory.TimePoint
+}
+
+func (p *bufPool) get() []trajectory.TimePoint {
+	if p == nil || len(p.free) == 0 {
+		return nil
+	}
+	b := p.free[len(p.free)-1]
+	p.free[len(p.free)-1] = nil
+	p.free = p.free[:len(p.free)-1]
+	return b
+}
+
+func (p *bufPool) put(b []trajectory.TimePoint) {
+	if p != nil && cap(b) > 0 {
+		p.free = append(p.free, b[:0])
+	}
 }
 
 // New returns a filter with the given initial timepoint and the fixed-ε
@@ -129,15 +155,33 @@ func (f *Filter) Process(tp trajectory.TimePoint) (st State, report bool, err er
 	f.s.LastT = tp.T
 	if f.s.Waiting {
 		f.s.Buf = append(f.s.Buf, tp)
-		f.s.Stats.Buffered++
-		f.s.Stats.MaxBuffer = max(f.s.Stats.MaxBuffer, len(f.s.Buf))
+		f.buffered()
 		return State{}, false, nil
 	}
-	return f.step(tp)
+	st, report, err = f.step(tp)
+	if report {
+		// Park the violating point at the front of the buffer, which is
+		// empty unless a restored state says otherwise.
+		if f.s.Buf == nil {
+			f.s.Buf = f.bufs.get()
+		}
+		f.s.Buf = slices.Insert(f.s.Buf, 0, tp)
+		f.buffered()
+	}
+	return st, report, err
+}
+
+// buffered counts a point just added to the waiting buffer.
+func (f *Filter) buffered() {
+	f.s.Stats.Buffered++
+	f.s.Stats.MaxBuffer = max(f.s.Stats.MaxBuffer, len(f.s.Buf))
 }
 
 // step advances the SSA with one timepoint (the body of Algorithm 1's inner
-// loop).
+// loop). On a violation it reports and enters waiting mode; the caller
+// parks the point at the front of the waiting buffer, since it may have
+// been taken off that buffer during a replay and must keep its place
+// before any younger buffered points.
 func (f *Filter) step(tp trajectory.TimePoint) (State, bool, error) {
 	f.s.Stats.Processed++
 	q := f.tol(tp)
@@ -159,13 +203,8 @@ func (f *Filter) step(tp trajectory.TimePoint) (State, bool, error) {
 		f.s.FSA = inter
 		return State{}, false, nil
 	}
-	// Violation: report state, park the point at the FRONT of the buffer
-	// (it may have been popped off during a replay and must keep its place
-	// before any younger buffered points), and wait for the coordinator.
+	// Violation: report state and wait for the coordinator.
 	f.s.Waiting = true
-	f.s.Buf = append([]trajectory.TimePoint{tp}, f.s.Buf...)
-	f.s.Stats.Buffered++
-	f.s.Stats.MaxBuffer = max(f.s.Stats.MaxBuffer, len(f.s.Buf))
 	f.s.Stats.StatesSent++
 	return f.State(), true, nil
 }
@@ -192,19 +231,24 @@ func (f *Filter) Respond(e trajectory.TimePoint) (st State, report bool, err err
 	f.s.Waiting = false
 	f.reset(e)
 	f.s.LastT = e.T
-	// Replay the buffer.
-	for len(f.s.Buf) > 0 {
-		tp := f.s.Buf[0]
-		f.s.Buf = f.s.Buf[1:]
+	// Replay the buffer. What stays buffered moves to the front of its
+	// backing array; an emptied one goes back to the pool.
+	buf := f.s.Buf
+	for i, tp := range buf {
 		f.s.LastT = tp.T
 		st, report, err = f.step(tp)
 		if err != nil {
+			f.s.Buf = buf[:copy(buf, buf[i+1:])]
 			return State{}, false, err
 		}
 		if report {
+			// tp is parked again, ahead of the points after it.
+			f.s.Buf = buf[:copy(buf, buf[i:])]
+			f.buffered()
 			return st, true, nil
 		}
 	}
+	f.bufs.put(buf)
 	f.s.Buf = nil
 	return State{}, false, nil
 }
@@ -232,9 +276,9 @@ func (f *Filter) Dump() FilterState {
 
 // restore rebuilds a filter from a dumped state and its tolerance model.
 // Only primed filters are ever dumped, so the restored filter is primed.
-func restore(st FilterState, tol ToleranceFunc) Filter {
+func restore(st FilterState, tol ToleranceFunc, bufs *bufPool) Filter {
 	st.Buf = append([]trajectory.TimePoint(nil), st.Buf...)
-	return Filter{tol: tol, primed: true, s: st}
+	return Filter{tol: tol, primed: true, s: st, bufs: bufs}
 }
 
 // Flush force-emits the current SSA as a final state (e.g. at simulation

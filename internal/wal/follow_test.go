@@ -205,7 +205,7 @@ func TestFollowConcurrentWithAppendAndTruncate(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < total; {
 			if i%7 == 0 && i+5 <= total {
-				if _, err := l.AppendBatch(recs[i : i+5]); err != nil {
+				if _, err := l.AppendBatch(batch(recs[i : i+5])); err != nil {
 					t.Errorf("append batch at %d: %v", i, err)
 					return
 				}

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 func floatBits(f float64) uint64 { return math.Float64bits(f) }
@@ -104,37 +105,42 @@ const MaxFrame = frameHeader + MaxPayload
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendRecord encodes r framed into dst and returns the extended slice.
+// The payload is written in place, behind its header, so encoding
+// allocates only when dst must grow.
 func AppendRecord(dst []byte, r Record) ([]byte, error) {
-	var payload [observePayload]byte
 	var n int
 	switch r.Kind {
 	case KindObserve:
-		payload[0] = byte(KindObserve)
+		n = observePayload
+	case KindTick:
+		n = tickPayload
+	case KindHeartbeat:
+		n = heartbeatPayload
+	default:
+		return dst, fmt.Errorf("wal: unknown record kind %d", r.Kind)
+	}
+	off := len(dst)
+	dst = slices.Grow(dst, frameHeader+n)[:off+frameHeader+n]
+	payload := dst[off+frameHeader:]
+	payload[0] = byte(r.Kind)
+	switch r.Kind {
+	case KindObserve:
 		binary.LittleEndian.PutUint64(payload[1:], uint64(r.ObjectID))
 		binary.LittleEndian.PutUint64(payload[9:], uint64(r.T))
 		binary.LittleEndian.PutUint64(payload[17:], floatBits(r.X))
 		binary.LittleEndian.PutUint64(payload[25:], floatBits(r.Y))
 		binary.LittleEndian.PutUint64(payload[33:], floatBits(r.SigmaX))
 		binary.LittleEndian.PutUint64(payload[41:], floatBits(r.SigmaY))
-		n = observePayload
 	case KindTick:
-		payload[0] = byte(KindTick)
 		binary.LittleEndian.PutUint64(payload[1:], uint64(r.T))
-		n = tickPayload
 	case KindHeartbeat:
-		payload[0] = byte(KindHeartbeat)
 		binary.LittleEndian.PutUint64(payload[1:], r.NextLSN)
 		binary.LittleEndian.PutUint64(payload[9:], uint64(r.Epoch))
 		binary.LittleEndian.PutUint64(payload[17:], uint64(r.T))
-		n = heartbeatPayload
-	default:
-		return dst, fmt.Errorf("wal: unknown record kind %d", r.Kind)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload[:n], castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload[:n]...), nil
+	binary.LittleEndian.PutUint32(dst[off:], uint32(n))
+	binary.LittleEndian.PutUint32(dst[off+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
 }
 
 // DecodeRecord decodes the first framed record in b. It returns the record

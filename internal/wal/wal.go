@@ -348,18 +348,20 @@ func (l *Log) Append(r Record) (uint64, error) {
 	return lsn, err
 }
 
-// AppendBatch journals records under one lock acquisition — the fast
+// AppendBatch journals n records under one lock acquisition — the fast
 // path for batched ingestion (records may straddle a segment rotation).
-// An I/O failure mid-batch poisons the log, so a partially journaled
-// batch can never be silently followed by more records. It returns the
-// LSN of the first record.
-func (l *Log) AppendBatch(recs []Record) (uint64, error) {
+// Record i is record(i), encoded as it is read, so a caller journals its
+// own values without building a []Record first; record runs under the
+// log's lock and must not call back into the log. An I/O failure mid-batch
+// poisons the log, so a partially journaled batch can never be silently
+// followed by more records. It returns the LSN of the first record.
+func (l *Log) AppendBatch(n int, record func(i int) Record) (uint64, error) {
 	t0 := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	first := l.nextLSN
-	for _, r := range recs {
-		if _, err := l.appendLocked(r); err != nil {
+	for i := range n {
+		if _, err := l.appendLocked(record(i)); err != nil {
 			return first, err
 		}
 	}

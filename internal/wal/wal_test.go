@@ -1,11 +1,18 @@
 package wal
 
 import (
+	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// batch is AppendBatch's arguments for a slice of records.
+func batch(recs []Record) (int, func(int) Record) {
+	return len(recs), func(i int) Record { return recs[i] }
+}
 
 // testRecords builds a deterministic mixed stream of observe and tick
 // records.
@@ -81,7 +88,7 @@ func TestRotationAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := testRecords(200)
-	if _, err := l.AppendBatch(recs[:120]); err != nil {
+	if _, err := l.AppendBatch(batch(recs[:120])); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -125,7 +132,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := testRecords(20)
-	if _, err := l.AppendBatch(recs); err != nil {
+	if _, err := l.AppendBatch(batch(recs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -172,7 +179,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(testRecords(100)); err != nil {
+	if _, err := l.AppendBatch(batch(testRecords(100))); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -206,7 +213,7 @@ func TestReadFromBeforeOldestSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendBatch(testRecords(100)); err != nil {
+	if _, err := l.AppendBatch(batch(testRecords(100))); err != nil {
 		t.Fatal(err)
 	}
 	starts, _ := segments(dir)
@@ -231,7 +238,7 @@ func TestTruncateBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := testRecords(100)
-	if _, err := l.AppendBatch(recs); err != nil {
+	if _, err := l.AppendBatch(batch(recs)); err != nil {
 		t.Fatal(err)
 	}
 	starts, _ := segments(dir)
@@ -377,5 +384,29 @@ func TestResetTo(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The frame bytes of one record of each kind, appended behind a byte the
+// encoder must leave alone. Journals written by older builds replay, and
+// followers of either build read the same stream, only while these hold.
+func TestAppendRecordBytes(t *testing.T) {
+	for _, c := range []struct {
+		r    Record
+		want string
+	}{
+		{Record{Kind: KindObserve, ObjectID: -7, T: 1234567, X: 0, Y: 3.25, SigmaX: math.SmallestNonzeroFloat64, SigmaY: 1e300},
+			"aa310000007944912201f9ffffffffffffff87d612000000000000000000000000000000000000000a4001000000000000009c7500883ce4377e"},
+		{Record{Kind: KindTick, T: 99}, "aa09000000009b309a026300000000000000"},
+		{Record{Kind: KindHeartbeat, NextLSN: 1 << 40, Epoch: 12, T: -5},
+			"aa190000002c57647c0300000000000100000c00000000000000fbffffffffffffff"},
+	} {
+		b, err := AppendRecord([]byte{0xaa}, c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != c.want {
+			t.Errorf("kind %d encodes as\n %s\nwant\n %s", c.r.Kind, got, c.want)
+		}
 	}
 }

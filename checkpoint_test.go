@@ -11,9 +11,11 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hotpaths/internal/engine"
+	"hotpaths/internal/geom"
 	"hotpaths/internal/wal"
 )
 
@@ -232,6 +234,33 @@ func orphanPendingSeed(tb testing.TB, cfg Config) []byte {
 	return b
 }
 
+// hostileFSASeed is a mid-epoch checkpoint whose first pending report
+// and its waiting filter agree on an FSA 1e60 wide. It restores, but no
+// real filter reports such an FSA: the next epoch must refuse it rather
+// than walk every overlap cell it covers.
+func hostileFSASeed(tb testing.TB, cfg Config) []byte {
+	tb.Helper()
+	st, err := decodeCheckpoint(checkpointSeed(tb, cfg, flowWorkload(16, 80, 9)[:45]), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(st.Pending) == 0 {
+		tb.Fatal("the mid-epoch state holds no pending report")
+	}
+	p := &st.Pending[0]
+	p.State.FSA.Lo = geom.Pt(p.State.FSA.Hi.X-1e60, p.State.FSA.Hi.Y-1e60)
+	i := slices.IndexFunc(st.Filters, func(e engine.FilterEntry) bool { return e.ObjectID == p.ObjectID })
+	if i < 0 {
+		tb.Fatal("the pending report has no filter")
+	}
+	st.Filters[i].Filter.FSA = p.State.FSA
+	b, err := encodeCheckpoint(cfg, st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // The checkpoint is a wire format: a follower decodes a primary's, and a
 // restart decodes the previous build's. Its bytes are pinned for an
 // exact and a mid-epoch noisy state (pending reports, waiting filters,
@@ -289,6 +318,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(checkpointSeed(f, cfg, makeNoisy(flowWorkload(16, 80, 9)[:45])))
 	f.Add(checkpointSeed(f, cfg, negZeroWorkload()))
 	f.Add(orphanPendingSeed(f, cfg))
+	f.Add(hostileFSASeed(f, cfg))
 
 	hdr := len(checkpointMagic) + 8
 	f.Fuzz(func(t *testing.T, b []byte) {

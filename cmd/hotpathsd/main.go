@@ -4,12 +4,12 @@
 // Usage:
 //
 //	hotpathsd [-addr :8080] [-eps 10] [-delta 0] [-w 100] [-epoch 10]
-//	          [-k 10] [-shards 0] [-buffer 256] [-grid 64]
+//	          [-k 10] [-shards 0] [-grid 64]
 //	          [-bounds 0,0,16000,16000] [-snapshot paths.geojson]
 //	          [-wal DIR] [-fsync 25ms] [-pprof localhost:6060]
 //	          [-log-format text|json] [-trace-sample 0.01] [-trace-slow 250ms]
 //	hotpathsd -follow http://primary:8080 [-addr :8081] [-shards 0]
-//	          [-buffer 256] [-max-lag 100000]
+//	          [-max-lag 100000]
 //
 // The public routes, their bodies, query parameters, SSE framing, the
 // -pprof admin listener and the logging/tracing flags are the wire
@@ -93,7 +93,6 @@ func run() int {
 		epoch    = flag.Int64("epoch", 10, "epoch length, timestamps")
 		k        = flag.Int("k", 10, "top-k hottest paths to report")
 		shards   = flag.Int("shards", 0, "filter shards (0 = GOMAXPROCS)")
-		buffer   = flag.Int("buffer", 256, "per-shard ingestion queue capacity")
 		grid     = flag.Int("grid", 64, "coordinator grid resolution (grid x grid cells)")
 		bounds   = flag.String("bounds", "0,0,16000,16000", "monitored region: minx,miny,maxx,maxy")
 		snapshot = flag.String("snapshot", "", "write final paths as GeoJSON here on shutdown")
@@ -158,7 +157,6 @@ func run() int {
 		}
 		fol, err = hotpaths.OpenFollower(*follow, hotpaths.FollowerConfig{
 			Shards: *shards,
-			Buffer: *buffer,
 		})
 		if err != nil {
 			return httpapi.Fail(err)
@@ -174,7 +172,6 @@ func run() int {
 		dur, err = hotpaths.OpenDurable(*walDir, hotpaths.DurableConfig{
 			Config:        cfg,
 			Shards:        *shards,
-			Buffer:        *buffer,
 			FsyncInterval: *fsync,
 			SegmentBytes:  *segBytes,
 		})
@@ -192,7 +189,6 @@ func run() int {
 		eng, err := hotpaths.NewEngine(hotpaths.EngineConfig{
 			Config: cfg,
 			Shards: *shards,
-			Buffer: *buffer,
 		})
 		if err != nil {
 			return httpapi.Fail(err)

@@ -30,8 +30,8 @@ type DurableConfig struct {
 	// by the next benchmark PR.
 	Concurrent bool
 
-	// Shards, Buffer are the backing Engine's concurrency knobs.
-	Shards, Buffer int
+	// Shards is the backing Engine's shard count.
+	Shards int
 
 	// SegmentBytes rotates WAL segments at this size (default 64 MiB).
 	SegmentBytes int64
@@ -193,7 +193,7 @@ func OpenDurable(dir string, cfg DurableConfig) (*Durable, error) {
 		return nil, err
 	}
 
-	eng, ckptLSN, replayed, err := recoverEngine(dir, EngineConfig{Config: cfg.Config, Shards: cfg.Shards, Buffer: cfg.Buffer})
+	eng, ckptLSN, replayed, err := recoverEngine(dir, EngineConfig{Config: cfg.Config, Shards: cfg.Shards})
 	if err != nil {
 		log.Close()
 		return nil, err

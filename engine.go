@@ -39,11 +39,6 @@ type EngineConfig struct {
 	// Shards is the number of filter shards, each a goroutine owning the
 	// filter bank of the objects that hash to it (default: GOMAXPROCS).
 	Shards int
-
-	// Buffer is the per-shard ingestion queue capacity in messages
-	// (default 256). Larger buffers decouple producers from slow shards at
-	// the cost of memory.
-	Buffer int
 }
 
 // Engine is the concurrent, object-sharded deployment of the paper's
@@ -83,7 +78,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		Epoch:     trajectory.Time(c.Epoch),
 		Tolerance: c.toleranceFunc,
 		Shards:    cfg.Shards,
-		Buffer:    cfg.Buffer,
 	})
 	if err != nil {
 		return nil, err

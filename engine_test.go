@@ -91,7 +91,7 @@ func TestEngineConcurrentIngest(t *testing.T) {
 		nObjects  = 64
 		horizon   = 80
 	)
-	eng, err := NewEngine(EngineConfig{Config: engineTestConfig(), Shards: 4, Buffer: 32})
+	eng, err := NewEngine(EngineConfig{Config: engineTestConfig(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

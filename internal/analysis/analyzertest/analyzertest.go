@@ -11,30 +11,21 @@
 // expression that must match exactly one finding reported on that line;
 // findings on lines without a matching want — and wants without a
 // finding — fail the test. Fixtures may import real repo packages
-// (hotpaths/internal/tracing, hotpaths/internal/metrics, ...): imports
-// are resolved through `go list -export`, so the fixture sees the same
-// type information the production analysis does. A fixture line
+// (hotpaths/internal/tracing, hotpaths/internal/metrics, ...): the
+// fixture is loaded by framework.Load, the loader TestContracts runs on
+// the repository, so it sees the same type information. A fixture line
 // suppressed by a //hotpathsvet:ignore directive must NOT carry a want —
 // that is exactly how directive behaviour is tested.
 package analyzertest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"hotpaths/internal/analysis/framework"
@@ -48,10 +39,14 @@ func Run(t *testing.T, a *framework.Analyzer, pkgname string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := load(dir)
+	pkgs, err := framework.Load([]string{dir})
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s loaded as %d packages, want 1", dir, len(pkgs))
+	}
+	pkg := pkgs[0]
 	if len(pkg.TypeErrors) > 0 {
 		t.Fatalf("fixture %s does not type-check: %v", dir, pkg.TypeErrors[0])
 	}
@@ -132,106 +127,5 @@ func parseWants(fset *token.FileSet, files []*ast.File) ([]want, error) {
 		}
 		return out[i].line < out[j].line
 	})
-	return out, nil
-}
-
-// ---- fixture loading -----------------------------------------------------
-
-// load parses every .go file in dir and type-checks them as one package,
-// resolving imports through `go list -export` run from the module.
-func load(dir string) (*framework.Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := make(map[string]bool)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			importSet[strings.Trim(imp.Path.Value, `"`)] = true
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	exports, err := exportData(importSet)
-	if err != nil {
-		return nil, err
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		exp, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(exp)
-	}
-	// The fixture's import path is its slash-separated directory: it
-	// contains "/testdata/", which package-scoped analyzers treat as
-	// in-scope.
-	pkgPath := filepath.ToSlash(dir)
-	pkg := &framework.Package{ImportPath: pkgPath, Dir: dir, Fset: fset, Files: files}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", lookup),
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	pkg.Info = framework.NewTypesInfo()
-	pkg.Types, _ = conf.Check(pkgPath, fset, files, pkg.Info)
-	return pkg, nil
-}
-
-var (
-	exportMu    sync.Mutex
-	exportCache = make(map[string]string) // import path -> export data file
-)
-
-// exportData resolves export-data files for the imports (and their
-// transitive dependencies), caching results for the test binary's life.
-func exportData(imports map[string]bool) (map[string]string, error) {
-	exportMu.Lock()
-	defer exportMu.Unlock()
-	var missing []string
-	for imp := range imports {
-		if _, ok := exportCache[imp]; !ok {
-			missing = append(missing, imp)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		args := append([]string{"list", "-e", "-export", "-json", "-deps"}, missing...)
-		cmd := exec.Command("go", args...)
-		cmd.Stderr = new(bytes.Buffer)
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, cmd.Stderr)
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var lp struct {
-				ImportPath string
-				Export     string
-			}
-			if err := dec.Decode(&lp); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			if lp.Export != "" {
-				exportCache[lp.ImportPath] = lp.Export
-			}
-		}
-	}
-	out := make(map[string]string, len(exportCache))
-	for k, v := range exportCache {
-		out[k] = v
-	}
 	return out, nil
 }

@@ -1,18 +1,18 @@
-// Package framework is the dependency-free driver core behind
-// cmd/hotpathsvet, the repo's contract-enforcing static-analysis suite.
-// It reimplements the small slice of golang.org/x/tools/go/analysis the
-// suite needs — Analyzer, Pass, diagnostics, a package loader, the
-// `go vet -vettool` unit-checker protocol and suppression directives —
-// on the standard library alone (go/ast, go/types, go/importer), so the
-// main module stays dependency-free, matching internal/metrics and
-// internal/tracing.
+// Package framework is the dependency-free core of the repo's
+// contract-enforcing static-analysis suite, which TestContracts in
+// internal/analysis runs over every package on each `go test`. It
+// reimplements the small slice of golang.org/x/tools/go/analysis the
+// suite needs — Analyzer, Pass, diagnostics, a package loader and
+// suppression directives — on the standard library alone (go/ast,
+// go/types, go/importer), so the main module stays dependency-free,
+// matching internal/metrics and internal/tracing.
 //
 // # Analyzers
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // diagnostics through its Pass. Analyzers are purely intra-package: no
-// facts flow between packages, which keeps the vettool protocol trivial
-// and the analyses order-independent.
+// facts flow between packages, which keeps the analyses
+// order-independent.
 //
 // # Suppression directives
 //
@@ -44,7 +44,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and ignore directives.
 	Name string
 
-	// Doc is the contract statement, shown by cmd/hotpathsvet -help.
+	// Doc is the contract statement.
 	Doc string
 
 	// Run inspects one package, reporting findings via pass.Reportf.

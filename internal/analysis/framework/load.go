@@ -51,15 +51,11 @@ type listedPackage struct {
 // Load resolves patterns with the go command, then parses and
 // type-checks every matched (non-dependency) package from source, using
 // `go list -export`-produced export data for imports — the same scheme
-// x/tools' go/packages uses, without the dependency. With includeTests,
-// test files are analyzed too (the package's test variant replaces the
-// plain package, so each file is analyzed once).
-func Load(patterns []string, includeTests bool) ([]*Package, error) {
-	args := []string{"list", "-e", "-export", "-json", "-deps"}
-	if includeTests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+// x/tools' go/packages uses, without the dependency. Test files are
+// analyzed too: a package's test variant replaces the plain package, so
+// each file is analyzed once.
+func Load(patterns []string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-export", "-json", "-deps", "-test"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = new(bytes.Buffer)
 	out, err := cmd.Output()

@@ -9,7 +9,7 @@
 // semantics make double-registration safe only when every call site
 // agrees on the kind — a name registered as both a counter and a gauge
 // panics at runtime (metrics.Registry.family), which this analyzer moves
-// to vet time.
+// to test time.
 //
 // At each Counter / Gauge / Histogram / GaugeFunc call on a
 // *metrics.Registry the analyzer checks:

@@ -190,6 +190,29 @@ type candidatePath struct {
 	h    int
 }
 
+// fsaFits reports whether an FSA could come from a real filter. Every
+// FSA is an intersection of tolerance rectangles m ± w whose half-width w
+// is at most ε (the fixed square, the (ε,δ) rectangle, whose offset stays
+// below ε, and its ε/10 fallback), so each side spans at most 2ε. The
+// slack is two ulps of each end, more than rounding can add to
+// (m+w) − (m−w). A wider FSA comes only from a hostile checkpoint, and
+// the overlap structure would walk every bucket it covers.
+func fsaFits(r geom.Rect, eps float64) bool {
+	fits := func(lo, hi float64) bool {
+		if math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			return false
+		}
+		return hi-lo <= 2*eps+2*(ulp(lo)+ulp(hi))
+	}
+	return fits(r.Lo.X, r.Hi.X) && fits(r.Lo.Y, r.Hi.Y)
+}
+
+// ulp is the gap from |x| to the next larger float64.
+func ulp(x float64) float64 {
+	x = math.Abs(x)
+	return math.Nextafter(x, math.Inf(1)) - x
+}
+
 // ProcessEpoch runs the SinglePath strategy over one epoch's batch of
 // reports and returns one response per report, in input order.
 func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
@@ -209,6 +232,10 @@ func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
 	for i, r := range reports {
 		if r.State.FSA.Empty() {
 			return nil, fmt.Errorf("coordinator: object %d reported empty FSA", r.ObjectID)
+		}
+		if !fsaFits(r.State.FSA, c.cfg.Eps) {
+			return nil, fmt.Errorf("coordinator: object %d reported FSA %v, non-finite or wider than 2ε = %v",
+				r.ObjectID, r.State.FSA, 2*c.cfg.Eps)
 		}
 		if r.State.Te <= r.State.Ts {
 			return nil, fmt.Errorf("coordinator: object %d reported non-positive interval [%d,%d]",

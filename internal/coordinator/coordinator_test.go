@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
 	"hotpaths/internal/geom"
@@ -65,6 +67,38 @@ func TestProcessEpochValidation(t *testing.T) {
 	bad2 := report(1, geom.Pt(0, 0), geom.RectAround(geom.Pt(5, 5), 2), 5, 5)
 	if _, err := c.ProcessEpoch([]Report{bad2}); err == nil {
 		t.Error("zero-length interval must error")
+	}
+}
+
+// A real FSA is at most 2ε wide on each axis. A hostile checkpoint can
+// hand the coordinator a far wider one, which the overlap structure would
+// walk cell by cell; it is refused before anything is written.
+func TestProcessEpochRefusesOversizedFSA(t *testing.T) {
+	c := mustCoord(t, testConfig())
+	if _, err := c.ProcessEpoch([]Report{report(1, geom.Pt(50, 50), geom.RectAround(geom.Pt(100, 100), 10), 0, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	before := append(encode(t, c.DumpState()), encode(t, c.Stats())...)
+	ok := report(2, geom.Pt(50, 50), geom.RectAround(geom.Pt(100, 100), 10), 5, 15)
+	for _, fsa := range []geom.Rect{
+		{Lo: geom.Pt(100-1e60, 100-1e60), Hi: geom.Pt(100, 100)},
+		{Lo: geom.Pt(90, 90), Hi: geom.Pt(math.Inf(1), 110)},
+		{Lo: geom.Pt(math.Inf(-1), 90), Hi: geom.Pt(110, 110)},
+		{Lo: geom.Pt(90, 90), Hi: geom.Pt(110, 110.001)},
+	} {
+		if _, err := c.ProcessEpoch([]Report{ok, report(3, geom.Pt(60, 60), fsa, 5, 15)}); err == nil {
+			t.Errorf("FSA %v accepted", fsa)
+		}
+	}
+	if after := append(encode(t, c.DumpState()), encode(t, c.Stats())...); !bytes.Equal(before, after) {
+		t.Error("a refused batch changed the coordinator")
+	}
+	// Exactly 2ε is a real FSA, also where rounding moved its ends.
+	for _, m := range []float64{100, 1e6 + 0.1, -3e9 + 0.7} {
+		fsa := geom.RectAround(geom.Pt(m, m), 10)
+		if _, err := c.ProcessEpoch([]Report{report(4, geom.Pt(m-20, m), fsa, 20, 30)}); err != nil {
+			t.Errorf("2ε-wide FSA around %v refused: %v", m, err)
+		}
 	}
 }
 
@@ -153,15 +187,16 @@ func TestCase2PicksExistingVertex(t *testing.T) {
 func TestHotterVertexWins(t *testing.T) {
 	c := mustCoord(t, testConfig())
 	// Build two vertices with different hotness: v1 crossed 3 times, v2 once.
-	fsa1 := geom.RectAround(geom.Pt(100, 100), 5)
+	fsa1 := geom.RectAround(geom.Pt(100, 100), 3)
 	r1, _ := c.ProcessEpoch([]Report{report(1, geom.Pt(50, 50), fsa1, 0, 10)})
 	c.ProcessEpoch([]Report{report(2, geom.Pt(50, 50), geom.RectAround(r1[0].End.P, 1), 1, 11)})
 	c.ProcessEpoch([]Report{report(3, geom.Pt(50, 50), geom.RectAround(r1[0].End.P, 1), 2, 12)})
-	fsa2 := geom.RectAround(geom.Pt(130, 100), 5)
+	fsa2 := geom.RectAround(geom.Pt(112, 100), 3)
 	c.ProcessEpoch([]Report{report(4, geom.Pt(60, 60), fsa2, 0, 10)})
 
 	// Object 5's FSA covers both vertices; it must pick the hotter v1.
-	big := geom.Rect{Lo: geom.Pt(90, 90), Hi: geom.Pt(140, 110)}
+	// Like a real filter's, it is at most 2ε wide.
+	big := geom.Rect{Lo: geom.Pt(95, 95), Hi: geom.Pt(113, 105)}
 	resp, err := c.ProcessEpoch([]Report{report(5, geom.Pt(300, 300), big, 5, 15)})
 	if err != nil {
 		t.Fatal(err)
@@ -294,12 +329,12 @@ func TestSharedCandidateBoost(t *testing.T) {
 	s := geom.Pt(0, 0)
 	// Create two paths from s with distinct endpoints.
 	r1, _ := c.ProcessEpoch([]Report{report(1, s, geom.RectAround(geom.Pt(100, 0), 3), 0, 10)})
-	c.ProcessEpoch([]Report{report(2, s, geom.RectAround(geom.Pt(100, 30), 3), 0, 10)})
+	c.ProcessEpoch([]Report{report(2, s, geom.RectAround(geom.Pt(100, 10), 3), 0, 10)})
 	// Make path 1 hotter.
 	c.ProcessEpoch([]Report{report(3, s, geom.RectAround(r1[0].End.P, 1), 1, 11)})
 
 	// Both objects' FSAs include both endpoints.
-	big := geom.Rect{Lo: geom.Pt(90, -10), Hi: geom.Pt(110, 40)}
+	big := geom.Rect{Lo: geom.Pt(90, -5), Hi: geom.Pt(110, 15)}
 	resps, err := c.ProcessEpoch([]Report{
 		report(4, s, big, 5, 15),
 		report(5, s, big, 5, 15),

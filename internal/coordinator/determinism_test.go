@@ -68,7 +68,7 @@ func TestProcessEpochIndependentOfCellOrder(t *testing.T) {
 			}
 			ctr := s.Add(geom.Pt(float64(rng.Intn(5)-2)*10+rng.Float64()*4, float64(rng.Intn(5)-2)*10+rng.Float64()*4))
 			reports[i] = Report{ObjectID: obj, State: raytrace.State{
-				Start: s, Ts: now - 5, FSA: geom.RectAround(ctr, 4+rng.Float64()*12), Te: now,
+				Start: s, Ts: now - 5, FSA: geom.RectAround(ctr, 4+rng.Float64()*6), Te: now,
 			}}
 		}
 		return reports

@@ -60,9 +60,10 @@ func TestCoordinatorRandomBatches(t *testing.T) {
 				}
 			}
 			// FSA somewhere within reach of the start, sized like a
-			// realistic sliver-to-square range.
+			// realistic sliver-to-square range: at most 2ε wide, as
+			// ProcessEpoch requires.
 			ctr := ch.s.Add(geom.Pt(rng.Float64()*80-40, rng.Float64()*80-40))
-			half := 0.5 + rng.Float64()*eps
+			half := 0.5 + rng.Float64()*(eps-0.5)
 			fsa := geom.RectAround(ctr, half)
 			reports = append(reports, Report{
 				ObjectID: obj,

@@ -107,9 +107,6 @@ type Config struct {
 
 	// Shards is the number of filter shards (default: GOMAXPROCS).
 	Shards int
-
-	// Buffer is the per-shard queue capacity in messages (default 256).
-	Buffer int
 }
 
 // Stats aggregates the engine's counters. While ingestion is in flight the
@@ -179,12 +176,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 256
-	}
 	e := &Engine{cfg: cfg, coord: cfg.Coord}
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(cfg.Buffer, cfg.Tolerance)
+		s := newShard(cfg.Tolerance)
 		e.shards = append(e.shards, s)
 		go s.run()
 	}

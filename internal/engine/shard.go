@@ -51,9 +51,15 @@ type shard struct {
 	reported atomic.Int64
 }
 
-func newShard(buffer int, tol func(sigmaX, sigmaY float64) raytrace.ToleranceFunc) *shard {
+// queueLen is each shard queue's capacity in messages. A message is one
+// batch's observations for the shard, so producers can run this many
+// batches ahead of a busy shard before they block; the queue itself holds
+// only slice headers.
+const queueLen = 256
+
+func newShard(tol func(sigmaX, sigmaY float64) raytrace.ToleranceFunc) *shard {
 	return &shard{
-		ch:   make(chan msg, buffer),
+		ch:   make(chan msg, queueLen),
 		done: make(chan struct{}),
 		bank: raytrace.NewBank(tol),
 	}

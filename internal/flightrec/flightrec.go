@@ -23,8 +23,9 @@
 // Events are batch-granularity, exactly like spans and histogram
 // observations: one event per operation (per epoch barrier, per WAL
 // rotation, per checkpoint, per 206 response), never per record. The
-// batchclock analyzer in hotpathsvet enforces this mechanically for this
-// package and every package that records into it.
+// batchclock analyzer (run by TestContracts in internal/analysis)
+// enforces this mechanically for this package and every package that
+// records into it.
 //
 // # Exposition
 //
@@ -38,9 +39,11 @@ package flightrec
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
+	"hotpaths/internal/ringbuf"
 	"hotpaths/internal/tracing"
 )
 
@@ -92,23 +95,17 @@ const DefaultRingSize = 1024
 // Recorder is a bounded ring of events. The zero value is not usable;
 // use New or the package Default.
 type Recorder struct {
-	mu  sync.Mutex
-	buf []Event
-	pos int // next slot to write
-	n   int // valid entries, == len(buf) once wrapped
-	seq uint64
+	ring *ringbuf.Ring[Event]
 
 	// Auto-dump arming, guarded by mu; the dump itself runs without it.
+	mu      sync.Mutex
 	dumpDir string
 	dumpOn  map[string]bool
 }
 
 // New returns a recorder retaining the last capacity events.
 func New(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{ring: ringbuf.New[Event](capacity)}
 }
 
 // Default is the process-wide recorder every instrumented subsystem
@@ -134,13 +131,11 @@ func (r *Recorder) RecordCtx(ctx context.Context, typ string, attrs ...Attr) {
 }
 
 func (r *Recorder) record(now time.Time, typ, tid string, attrs []Attr) {
+	r.ring.Put(func(seq uint64) Event {
+		// Event sequence numbers count from 1.
+		return Event{Seq: seq + 1, Time: now, Type: typ, TraceID: tid, Attrs: attrs}
+	})
 	r.mu.Lock()
-	r.seq++
-	r.buf[r.pos] = Event{Seq: r.seq, Time: now, Type: typ, TraceID: tid, Attrs: attrs}
-	r.pos = (r.pos + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
 	dir := ""
 	if r.dumpDir != "" && r.dumpOn[typ] {
 		dir = r.dumpDir
@@ -172,30 +167,15 @@ func (r *Recorder) AutoDump(dir string, types ...string) {
 }
 
 // Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
+func (r *Recorder) Len() int { return r.ring.Len() }
 
 // Snapshot returns retained events oldest-first. typ filters to one
 // event type ("" for all); since drops events before it (zero for all);
 // limit keeps only the newest limit events after filtering (0 for all).
 func (r *Recorder) Snapshot(typ string, since time.Time, limit int) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
-	start := r.pos - r.n
-	for i := 0; i < r.n; i++ {
-		ev := r.buf[(start+i+len(r.buf))%len(r.buf)]
-		if typ != "" && ev.Type != typ {
-			continue
-		}
-		if !since.IsZero() && ev.Time.Before(since) {
-			continue
-		}
-		out = append(out, ev)
-	}
+	out := slices.DeleteFunc(r.ring.All(), func(ev Event) bool {
+		return typ != "" && ev.Type != typ || !since.IsZero() && ev.Time.Before(since)
+	})
 	if limit > 0 && len(out) > limit {
 		out = out[len(out)-limit:]
 	}

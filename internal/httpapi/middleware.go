@@ -22,7 +22,7 @@ var StatusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 // RouteMetrics are one route's instruments: the request-duration
 // histogram and one counter per status class, indexed like StatusClasses.
 // Each binary registers them under its own family names — literal at the
-// registration site, which hotpathsvet's metricname contract requires —
+// registration site, which the metricname contract requires —
 // and hands them in.
 type RouteMetrics struct {
 	Seconds  *metrics.Histogram

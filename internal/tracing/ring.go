@@ -1,44 +1,29 @@
 package tracing
 
-import "sync"
+import (
+	"slices"
+
+	"hotpaths/internal/ringbuf"
+)
 
 // ring is the bounded buffer of completed traces: newest wins, oldest is
-// overwritten. A single mutex is fine — commits happen once per sampled
-// request, not per span.
-type ring struct {
-	mu  sync.Mutex
-	buf []*trace
-	pos int    // next slot to write
-	seq uint64 // total commits ever; commit order for exposition
-}
+// overwritten.
+type ring struct{ *ringbuf.Ring[*trace] }
 
-func newRing(capacity int) *ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ring{buf: make([]*trace, capacity)}
-}
+func newRing(capacity int) ring { return ring{ringbuf.New[*trace](capacity)} }
 
-func (r *ring) commit(tr *trace) {
-	r.mu.Lock()
-	tr.seq = r.seq
-	r.seq++
-	r.buf[r.pos] = tr
-	r.pos = (r.pos + 1) % len(r.buf)
-	r.mu.Unlock()
+// commit stores tr, numbered in commit order.
+func (r ring) commit(tr *trace) {
+	r.Put(func(seq uint64) *trace {
+		tr.seq = seq
+		return tr
+	})
 }
 
 // snapshot returns the retained traces newest-first.
-func (r *ring) snapshot() []*trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*trace, 0, len(r.buf))
-	for i := 1; i <= len(r.buf); i++ {
-		tr := r.buf[(r.pos-i+len(r.buf))%len(r.buf)]
-		if tr != nil {
-			out = append(out, tr)
-		}
-	}
+func (r ring) snapshot() []*trace {
+	out := r.All()
+	slices.Reverse(out)
 	return out
 }
 
@@ -46,19 +31,6 @@ func (r *ring) snapshot() []*trace {
 // first. More than one entry is normal: a write that also ticks sends two
 // requests to the same partition under one trace ID, and each inbound
 // request commits its own local span set.
-func (r *ring) byID(id TraceID) []*trace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []*trace
-	for i := 1; i <= len(r.buf); i++ {
-		tr := r.buf[(r.pos-i+len(r.buf))%len(r.buf)]
-		if tr != nil && tr.id == id {
-			out = append(out, tr)
-		}
-	}
-	// Collected newest-first; reverse to oldest-first.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+func (r ring) byID(id TraceID) []*trace {
+	return slices.DeleteFunc(r.All(), func(tr *trace) bool { return tr.id != id })
 }

@@ -147,7 +147,7 @@ type Tracer struct {
 	// low 8 bytes of its ID, read as a uint64, fall under it.
 	threshold atomic.Uint64
 	slow      atomic.Int64 // time.Duration; 0 disables slow-request capture
-	ring      *ring
+	ring      ring
 }
 
 // New returns a tracer for the named service. rate is the probabilistic

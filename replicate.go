@@ -24,10 +24,9 @@ var ErrFollowerClosed = errors.New("hotpaths: follower closed")
 // replaying the primary's record stream under different parameters would
 // not reproduce its state.
 type FollowerConfig struct {
-	// Shards, Buffer are the local Engine's concurrency knobs (the
-	// follower may shard differently from the primary — state is
-	// deployment-agnostic).
-	Shards, Buffer int
+	// Shards is the local Engine's shard count (the follower may shard
+	// differently from the primary — state is deployment-agnostic).
+	Shards int
 
 	// ConnectTimeout bounds the initial meta + checkpoint fetch (default
 	// 10s). OpenFollower fails fast when the primary is unreachable;
@@ -158,7 +157,7 @@ func OpenFollower(primary string, cfg FollowerConfig) (*Follower, error) {
 	if err := json.Unmarshal(metaB, &conf); err != nil {
 		return nil, fmt.Errorf("hotpaths: primary served corrupt journal config: %w", err)
 	}
-	eng, err := NewEngine(EngineConfig{Config: conf, Shards: cfg.Shards, Buffer: cfg.Buffer})
+	eng, err := NewEngine(EngineConfig{Config: conf, Shards: cfg.Shards})
 	if err != nil {
 		return nil, fmt.Errorf("hotpaths: primary journal config rejected: %w", err)
 	}

@@ -105,7 +105,6 @@ func TestRecoverNamesSkippedCheckpointVersion(t *testing.T) {
 		FsyncInterval:   -1,
 		SegmentBytes:    4 << 10, // several segments, so the checkpoint truncates the head
 		CheckpointEvery: -1,
-		KeepCheckpoints: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,18 +7,19 @@
 //	genworkload -net network.txt [-trace trace.txt] [-seed 1]
 //	            [-n 1000] [-duration 250] [-agility 0.1] [-step 10] [-err 1]
 //
-// The trace format is one measurement per line:
+// The trace is written in internal/trace's format, one measurement per
+// line:
 //
 //	<timestamp> <objectID> <x> <y>
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 
 	"hotpaths/internal/roadnet"
+	"hotpaths/internal/trace"
 	"hotpaths/internal/trajectory"
 	"hotpaths/internal/workload"
 )
@@ -62,20 +63,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	total := 0
+	w := trace.NewWriter(f)
 	for now := trajectory.Time(1); now <= trajectory.Time(*duration); now++ {
 		for _, m := range sim.Tick(now) {
-			fmt.Fprintf(w, "%d %d %g %g\n", m.TP.T, m.ObjectID, m.TP.P.X, m.TP.P.Y)
-			total++
+			if err := w.WriteMeasurement(m); err != nil {
+				fatal(err)
+			}
 		}
 	}
 	if err := w.Flush(); err != nil {
 		fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("wrote %s: %d measurements from %d objects over %d timestamps\n",
-		*traceFile, total, *n, *duration)
+		*traceFile, w.Count(), *n, *duration)
 }
 
 func writeNetwork(net *roadnet.Network, path string) error {

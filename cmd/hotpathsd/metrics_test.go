@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"hotpaths"
 	"hotpaths/internal/httpapi"
 )
 
@@ -250,5 +255,160 @@ func checkPrometheusText(t *testing.T, body string) {
 	}
 	if open {
 		t.Fatalf("histogram %s has no +Inf bucket", lastHist)
+	}
+}
+
+// stalledWatcher is a /watch client that stops reading: its first write
+// (the reset baseline) blocks until release is closed, so every later
+// epoch's delta piles up in the subscription buffer.
+type stalledWatcher struct {
+	hdr     http.Header
+	blocked chan struct{} // closed when the first write blocks
+	once    sync.Once
+	release chan struct{}
+}
+
+func (w *stalledWatcher) Header() http.Header { return w.hdr }
+func (w *stalledWatcher) WriteHeader(int)     {}
+func (w *stalledWatcher) Flush()              {}
+func (w *stalledWatcher) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.blocked) })
+	<-w.release
+	return len(b), nil
+}
+
+// The replication, subscription and WAL families move with the traffic
+// that should move them: a -wal primary with small segments, one follower
+// attached over a real listener and one /watch subscriber that stops
+// reading. Counters are compared as deltas and gauges are read while the
+// state they describe holds, since the registry is process-global.
+func TestOperationalMetricFamiliesMove(t *testing.T) {
+	dur, err := hotpaths.OpenDurable(t.TempDir(), hotpaths.DurableConfig{
+		Config:          serverTestConfig(),
+		Shards:          2,
+		SegmentBytes:    2048,
+		FsyncInterval:   -1, // records stay buffered until a sync, so lag shows
+		CheckpointEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dur.Close() })
+	primary := newServer(dur, serverOpts{dur: dur}).handler()
+	srv := httptest.NewServer(primary)
+	t.Cleanup(srv.Close)
+	before := scrapeMetrics(t, primary)
+
+	// The slow subscriber: it takes its baseline, then reads nothing
+	// while 24 epochs pass, more than the subscription buffer holds.
+	watcher := &stalledWatcher{hdr: http.Header{}, blocked: make(chan struct{}), release: make(chan struct{})}
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		primary.ServeHTTP(watcher, httptest.NewRequest(http.MethodGet, "/watch?k=5", nil).WithContext(watchCtx))
+	}()
+	<-watcher.blocked
+	feedZigZag(t, primary)
+	for now := int64(50); now <= 240; now += 10 {
+		if rec := do(t, primary, http.MethodPost, "/tick", httpapi.TickRequest{Now: now}); rec.Code != http.StatusOK {
+			t.Fatalf("tick %d: %d %s", now, rec.Code, rec.Body.String())
+		}
+	}
+	stopWatch()
+	close(watcher.release)
+	<-watchDone
+
+	// The follower bootstraps from a checkpoint, so the bootstrap is timed.
+	if rec := do(t, primary, http.MethodPost, "/admin/checkpoint", nil); rec.Code != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body.String())
+	}
+	fol, err := hotpaths.OpenFollower(srv.URL, hotpaths.FollowerConfig{ReconnectMin: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fol.Close() })
+	follower := newServer(fol, serverOpts{fol: fol}).handler()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, fol.Replication())
+			}
+		}
+	}
+	waitFor("the follower to connect", func() bool { return fol.Replication().Connected })
+
+	// One tick the primary journals but has not flushed: the follower
+	// cannot read it yet, and the next heartbeat reports it as lag.
+	if rec := do(t, primary, http.MethodPost, "/tick", httpapi.TickRequest{Now: 250}); rec.Code != http.StatusOK {
+		t.Fatalf("tick 250: %d %s", rec.Code, rec.Body.String())
+	}
+	waitFor("the lag gauge", func() bool {
+		return sampleValue(scrapeMetrics(t, follower), "hotpaths_follower_lag_records") == 1
+	})
+	if err := dur.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the follower to catch up", func() bool { return fol.Replication().AppliedLSN == dur.NextLSN() })
+
+	if rec := do(t, follower, http.MethodPost, "/admin/reconnect", nil); rec.Code != http.StatusOK {
+		t.Fatalf("reconnect: %d %s", rec.Code, rec.Body.String())
+	}
+	waitFor("a reconnect", func() bool {
+		st := fol.Replication()
+		return st.Reconnects >= 1 && st.Connected
+	})
+	live := scrapeMetrics(t, primary)
+	if got := sampleValue(live, "hotpaths_follower_connected"); got != 1 {
+		t.Errorf("hotpaths_follower_connected = %g while streaming, want 1", got)
+	}
+	if got := sampleValue(live, "hotpaths_replication_streams"); got < 1 {
+		t.Errorf("hotpaths_replication_streams = %g while a follower streams, want >= 1", got)
+	}
+	if err := fol.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	after := scrapeMetrics(t, primary)
+	checkPrometheusText(t, after)
+	for _, family := range []string{
+		"hotpaths_follower_applied_total",
+		"hotpaths_follower_bootstrap_seconds",
+		"hotpaths_follower_connected",
+		"hotpaths_follower_lag_records",
+		"hotpaths_follower_reconnects_total",
+		"hotpaths_replication_stream_bytes_total",
+		"hotpaths_replication_stream_records_total",
+		"hotpaths_replication_streams",
+		"hotpaths_subscription_deltas_total",
+		"hotpaths_subscription_missed_total",
+		"hotpaths_subscription_resets_total",
+		"hotpaths_wal_rotations_total",
+	} {
+		if !strings.Contains(after, "# TYPE "+family+" ") {
+			t.Errorf("exposition is missing family %s", family)
+		}
+	}
+	if got := sampleValue(after, "hotpaths_follower_connected"); got != 0 {
+		t.Errorf("hotpaths_follower_connected = %g after Close, want 0", got)
+	}
+	for _, tc := range []struct {
+		series string
+		min    float64
+	}{
+		{"hotpaths_follower_applied_total", 1},
+		{"hotpaths_follower_bootstrap_seconds_count", 1},
+		{"hotpaths_follower_reconnects_total", 1},
+		{"hotpaths_replication_stream_bytes_total", 1},
+		{"hotpaths_replication_stream_records_total", 1},
+		{"hotpaths_subscription_deltas_total", 1},
+		{"hotpaths_subscription_missed_total", 1},
+		{"hotpaths_subscription_resets_total", 1},
+		{"hotpaths_wal_rotations_total", 1},
+	} {
+		if got := sampleValue(after, tc.series) - sampleValue(before, tc.series); got < tc.min {
+			t.Errorf("%s moved by %g, want at least %g", tc.series, got, tc.min)
+		}
 	}
 }

@@ -51,11 +51,11 @@ type DurableConfig struct {
 	// most about one window of records. Negative disables automatic
 	// checkpoints (Checkpoint can still be called explicitly).
 	CheckpointEvery int64
-
-	// KeepCheckpoints is how many checkpoint files to retain (default 2:
-	// the newest plus one fallback in case the newest is unreadable).
-	KeepCheckpoints int
 }
+
+// keepCheckpoints is how many checkpoint files a Durable retains: the
+// newest plus one fallback in case the newest is unreadable.
+const keepCheckpoints = 2
 
 func (cfg DurableConfig) withDefaults() (DurableConfig, error) {
 	c, err := cfg.Config.withDefaults()
@@ -71,9 +71,6 @@ func (cfg DurableConfig) withDefaults() (DurableConfig, error) {
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = cfg.W
-	}
-	if cfg.KeepCheckpoints <= 0 {
-		cfg.KeepCheckpoints = 2
 	}
 	return cfg, nil
 }
@@ -371,7 +368,7 @@ func (d *Durable) checkpointLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := wal.WriteCheckpoint(d.dir, lsn, payload, d.cfg.KeepCheckpoints); err != nil {
+	if err := wal.WriteCheckpoint(d.dir, lsn, payload, keepCheckpoints); err != nil {
 		return fmt.Errorf("hotpaths: write checkpoint: %w", err)
 	}
 	if err := d.log.TruncateBefore(lsn); err != nil {

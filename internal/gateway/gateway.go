@@ -74,21 +74,16 @@ type Config struct {
 	// mirroring hotpathsd's -k.
 	K int
 
-	// Client is the HTTP client for partition requests (default: a
-	// dedicated client; streams rely on no overall timeout, so per-call
-	// deadlines come from RequestTimeout instead).
-	Client *http.Client
-
 	// RequestTimeout bounds each per-partition sub-request (default 10s).
 	RequestTimeout time.Duration
 
-	// AlignRetries and AlignWait govern agreement on reads: a partition
+	// alignRetries and alignWait govern agreement on reads: a partition
 	// that answers at an older epoch or clock than its peers is
-	// re-fetched up to AlignRetries times, AlignWait apart (defaults 50
+	// re-fetched up to alignRetries times, alignWait apart (defaults 50
 	// and 5ms), before the read fails. Alignment only races in-flight
-	// ticks, so one round is the common case.
-	AlignRetries int
-	AlignWait    time.Duration
+	// ticks, so one round is the common case. Only tests shorten them.
+	alignRetries int
+	alignWait    time.Duration
 
 	// ProbeInterval is the health prober cadence (default 1s). Negative
 	// disables background probing (New still probes once).
@@ -99,17 +94,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.K <= 0 {
 		cfg.K = 10
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.AlignRetries <= 0 {
-		cfg.AlignRetries = 50
+	if cfg.alignRetries <= 0 {
+		cfg.alignRetries = 50
 	}
-	if cfg.AlignWait <= 0 {
-		cfg.AlignWait = 5 * time.Millisecond
+	if cfg.alignWait <= 0 {
+		cfg.alignWait = 5 * time.Millisecond
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
@@ -193,10 +185,9 @@ func (p *part) lastError() string {
 // Gateway routes writes to partition owners and merges reads across the
 // fleet. Build one with New, mount Handler, and Close it on shutdown.
 type Gateway struct {
-	cfg    Config
-	client *http.Client
-	parts  []*part
-	start  time.Time
+	cfg   Config
+	parts []*part
+	start time.Time
 
 	// gen counts writes routed through the gateway; the merged read view
 	// is cached per generation.
@@ -233,7 +224,6 @@ func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	g := &Gateway{
 		cfg:       cfg,
-		client:    cfg.Client,
 		start:     time.Now(),
 		closing:   make(chan struct{}),
 		probeDone: make(chan struct{}),
@@ -331,7 +321,7 @@ func (g *Gateway) call(ctx context.Context, p *part, method, path, accept string
 	tracing.Inject(ctx, req.Header)
 	mInflight.Add(1)
 	t0 := time.Now()
-	resp, err := g.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	p.reqHist.ObserveSince(t0)
 	mInflight.Add(-1)
 	if err != nil {
@@ -485,7 +475,7 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 	// instant seen. Laggards are re-fetched — a tick is mid-flight on them
 	// (tickAll posts to the partitions concurrently) — rather than merged
 	// inconsistently.
-	for retry := 0; retry < g.cfg.AlignRetries; retry++ {
+	for retry := 0; retry < g.cfg.alignRetries; retry++ {
 		target := newest()
 		var stale []int
 		for i := range results {
@@ -501,7 +491,7 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 		select {
 		case <-ctx.Done():
 			stale = nil
-		case <-time.After(g.cfg.AlignWait):
+		case <-time.After(g.cfg.alignWait):
 		}
 		if stale == nil {
 			break

@@ -161,8 +161,8 @@ func newTestGateway(t *testing.T, fleet []*fakePart, probe time.Duration) *Gatew
 		Table:         partition.NewTable(urls...),
 		K:             10,
 		ProbeInterval: probe,
-		AlignRetries:  3,
-		AlignWait:     time.Millisecond,
+		alignRetries:  3,
+		alignWait:     time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

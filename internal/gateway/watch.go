@@ -40,9 +40,9 @@ type partUpdate struct {
 	state []hotpaths.HotPath
 }
 
-// openWatch starts one partition's delta stream. The request context has
-// no deadline — streams live as long as the client — so it is not routed
-// through Gateway.do.
+// openWatch starts one partition's delta stream. Neither the request
+// context nor http.DefaultClient has a deadline — streams live as long as
+// the client — so it is not routed through Gateway.call.
 func (g *Gateway) openWatch(ctx context.Context, p *part, bbox string) (*http.Response, error) {
 	u := p.url + "/watch?limit=0"
 	if bbox != "" {
@@ -52,7 +52,7 @@ func (g *Gateway) openWatch(ctx context.Context, p *part, bbox string) (*http.Re
 	if err != nil {
 		return nil, err
 	}
-	resp, err := g.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

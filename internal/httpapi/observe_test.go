@@ -102,7 +102,7 @@ func checkObserveAgrees(t *testing.T, body []byte) (fellBack bool) {
 // (ε,δ) client's, as the shipped encoder emits them.
 func streamBodies(t testing.TB) [][]byte {
 	var out [][]byte
-	for i, batch := range hotpaths.IngestWorkload(8, 3, 11) {
+	for i, batch := range httpapi.IngestWorkload(8, 3, 11) {
 		req := httpapi.ObserveRequest{Tick: int64(i + 1)}
 		noisy := httpapi.ObserveRequest{}
 		for _, o := range batch {

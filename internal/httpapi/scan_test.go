@@ -14,6 +14,34 @@ import (
 	"hotpaths"
 )
 
+// IngestWorkload is a copy of package hotpaths' test generator (seeded
+// random walks with occasional sharp turns, one batch per timestamp from 1
+// to horizon), which other packages' tests cannot import. The external
+// test package reaches it as httpapi.IngestWorkload.
+func IngestWorkload(nObjects int, horizon, seed int64) [][]hotpaths.Observation {
+	rng := rand.New(rand.NewSource(seed))
+	type state struct{ x, y, dx, dy float64 }
+	objs := make([]state, nObjects)
+	for i := range objs {
+		objs[i] = state{x: float64(i%16) * 40, y: float64(i/16) * 40, dx: 6}
+	}
+	out := make([][]hotpaths.Observation, 0, horizon)
+	for t := int64(1); t <= horizon; t++ {
+		batch := make([]hotpaths.Observation, 0, nObjects)
+		for i := range objs {
+			o := &objs[i]
+			if rng.Float64() < 0.15 {
+				o.dx, o.dy = rng.Float64()*12-6, rng.Float64()*12-6
+			}
+			o.x += o.dx + rng.Float64() - 0.5
+			o.y += o.dy + rng.Float64() - 0.5
+			batch = append(batch, hotpaths.Observation{ObjectID: i, X: o.x, Y: o.y, T: t})
+		}
+		out = append(out, batch)
+	}
+	return out
+}
+
 // observeBody encodes one batch the way every shipped client does: the
 // encoding/json form of {observations, tick}.
 func observeBody(tb testing.TB, batch []hotpaths.Observation, tick int64) []byte {
@@ -36,7 +64,7 @@ func observeBody(tb testing.TB, batch []hotpaths.Observation, tick int64) []byte
 // A warm scan of a benchmark-sized body allocates nothing: not per body,
 // not per observation, not per number.
 func TestScanObserveAllocatesNothing(t *testing.T) {
-	batch := hotpaths.IngestWorkload(2000, 1, 5)[0]
+	batch := IngestWorkload(2000, 1, 5)[0]
 	body := observeBody(t, batch, 1)
 	got := make([]hotpaths.Observation, 0, len(batch))
 	scan := func() {
@@ -69,7 +97,7 @@ func TestScanObserveAllocatesNothing(t *testing.T) {
 // over from and still falls back to. allocs/op of the scan case is a
 // deterministic counter: it must read 0.
 func BenchmarkObserveDecode(b *testing.B) {
-	batch := hotpaths.IngestWorkload(2000, 1, 5)[0]
+	batch := IngestWorkload(2000, 1, 5)[0]
 	body := observeBody(b, batch, 1)
 	perObs := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/obs")

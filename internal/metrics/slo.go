@@ -1,62 +1,47 @@
 package metrics
 
 import (
+	"strings"
 	"sync"
 	"time"
+
+	"hotpaths/internal/ringbuf"
 )
 
-// SLOOptions configures multi-window SLO burn-rate derivation over
-// instruments a registry already holds — the per-route request counters
-// and latency histograms the HTTP layers register. Derivation is pure
-// scrape-side arithmetic: nothing new is recorded on the request path.
+// SLOOptions names the instruments, already held by a registry, that
+// multi-window SLO burn-rate derivation reads: the per-route request
+// counters and latency histograms the HTTP layers register. Derivation is
+// pure scrape-side arithmetic: nothing new is recorded on the request
+// path.
 type SLOOptions struct {
 	// RequestsTotal names the counter family carrying one counter per
 	// {route, code} with code a status class ("2xx".."5xx"). Requests in
 	// the "5xx" class spend availability error budget.
 	RequestsTotal string
 	// LatencySeconds names the histogram family carrying one latency
-	// histogram per route. Observations over LatencyThreshold spend
+	// histogram per route. Observations over latencyThreshold spend
 	// latency error budget.
 	LatencySeconds string
-
-	// AvailabilityObjective is the target fraction of non-5xx requests
-	// (default 0.999). LatencyObjective is the target fraction of
-	// requests under LatencyThreshold seconds (default 0.99, threshold
-	// default 0.25 — snapped down to a bucket bound at evaluation, since
-	// bucket counts are the only sub-histogram resolution available).
-	AvailabilityObjective float64
-	LatencyObjective      float64
-	LatencyThreshold      float64
-
-	// FastWindow (default 5m) catches fast burn — an incident in
-	// progress; SlowWindow (default 1h) catches slow burn — budget
-	// leaking away. Interval (default 10s) is the sampling cadence that
-	// bounds window resolution.
-	FastWindow time.Duration
-	SlowWindow time.Duration
-	Interval   time.Duration
 }
 
-func (o *SLOOptions) defaults() {
-	if o.AvailabilityObjective <= 0 || o.AvailabilityObjective >= 1 {
-		o.AvailabilityObjective = 0.999
-	}
-	if o.LatencyObjective <= 0 || o.LatencyObjective >= 1 {
-		o.LatencyObjective = 0.99
-	}
-	if o.LatencyThreshold <= 0 {
-		o.LatencyThreshold = 0.25
-	}
-	if o.FastWindow <= 0 {
-		o.FastWindow = 5 * time.Minute
-	}
-	if o.SlowWindow <= o.FastWindow {
-		o.SlowWindow = time.Hour
-	}
-	if o.Interval <= 0 {
-		o.Interval = 10 * time.Second
-	}
-}
+// The objectives, windows and sampling cadence every SLO derives with.
+const (
+	// availabilityObjective is the target fraction of non-5xx requests.
+	availabilityObjective = 0.999
+	// latencyObjective is the target fraction of requests under
+	// latencyThreshold seconds. The threshold is snapped down to a bucket
+	// bound at evaluation, since bucket counts are the only
+	// sub-histogram resolution available.
+	latencyObjective = 0.99
+	latencyThreshold = 0.25
+
+	// fastWindow catches fast burn (an incident in progress); slowWindow
+	// catches slow burn (budget leaking away). sampleInterval is the
+	// sampling cadence that bounds window resolution.
+	fastWindow     = 5 * time.Minute
+	slowWindow     = time.Hour
+	sampleInterval = 10 * time.Second
+)
 
 // sloSample is one cumulative reading of the SLO inputs.
 type sloSample struct {
@@ -91,12 +76,9 @@ func (s SLOStatus) Max() float64 {
 // sustained fast-window burn well above 1 (see the README's starter
 // expressions).
 type SLO struct {
-	reg *Registry
-	o   SLOOptions
-
-	mu      sync.Mutex
-	samples []sloSample // ring, oldest overwritten
-	pos, n  int
+	reg     *Registry
+	o       SLOOptions
+	samples *ringbuf.Ring[sloSample] // oldest overwritten
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -106,20 +88,18 @@ type SLO struct {
 // the background sampler feeding them. The gauges are computed at scrape
 // time from retained samples; the request path pays nothing.
 func StartSLO(reg *Registry, o SLOOptions) *SLO {
-	o.defaults()
-	cap := int(o.SlowWindow/o.Interval) + 2
-	s := &SLO{reg: reg, o: o, samples: make([]sloSample, cap), stop: make(chan struct{})}
+	s := &SLO{reg: reg, o: o, samples: newSLORing(), stop: make(chan struct{})}
 	s.Sample()
 
 	reg.GaugeFunc("hotpaths_slo_availability_objective_ratio",
 		"configured availability SLO: target fraction of non-5xx requests",
-		nil, func() float64 { return o.AvailabilityObjective })
+		nil, func() float64 { return availabilityObjective })
 	reg.GaugeFunc("hotpaths_slo_latency_objective_ratio",
 		"configured latency SLO: target fraction of requests under the threshold",
-		nil, func() float64 { return o.LatencyObjective })
+		nil, func() float64 { return latencyObjective })
 	reg.GaugeFunc("hotpaths_slo_latency_threshold_seconds",
 		"latency SLO threshold (snapped down to a histogram bucket bound)",
-		nil, func() float64 { return o.LatencyThreshold })
+		nil, func() float64 { return latencyThreshold })
 	reg.GaugeFunc("hotpaths_slo_availability_burn_ratio",
 		"availability error-budget burn rate over the window (1.0 = spending budget exactly at the objective rate)",
 		Labels{"window": "fast"}, func() float64 { return s.Status().AvailabilityFast })
@@ -137,8 +117,14 @@ func StartSLO(reg *Registry, o SLOOptions) *SLO {
 	return s
 }
 
+// newSLORing holds one slow window of samples plus two, so the start of
+// the slow window always has a retained sample at or before it.
+func newSLORing() *ringbuf.Ring[sloSample] {
+	return ringbuf.New[sloSample](int(slowWindow/sampleInterval) + 2)
+}
+
 func (s *SLO) run() {
-	t := time.NewTicker(s.o.Interval)
+	t := time.NewTicker(sampleInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -158,13 +144,7 @@ func (s *SLO) Stop() { s.stopOnce.Do(func() { close(s.stop) }) }
 // it on its cadence; tests call it directly to advance time-free.
 func (s *SLO) Sample() {
 	sm := s.collect()
-	s.mu.Lock()
-	s.samples[s.pos] = sm
-	s.pos = (s.pos + 1) % len(s.samples)
-	if s.n < len(s.samples) {
-		s.n++
-	}
-	s.mu.Unlock()
+	s.samples.Put(func(uint64) sloSample { return sm })
 }
 
 // collect reads the cumulative SLO inputs from the registry's live
@@ -195,7 +175,7 @@ func (s *SLO) collect() sloSample {
 			sm.latTotal += h.Count()
 			var under uint64
 			for i, b := range h.bounds {
-				if b > s.o.LatencyThreshold {
+				if b > latencyThreshold {
 					break
 				}
 				under += h.counts[i].Load()
@@ -210,44 +190,32 @@ func (s *SLO) collect() sloSample {
 // Label keys are rendered with sorted names and quoted values, so a
 // substring probe is exact.
 func isErrorClass(renderedLabels string) bool {
-	return containsLabel(renderedLabels, `code="5xx"`)
-}
-
-func containsLabel(rendered, probe string) bool {
-	for i := 0; i+len(probe) <= len(rendered); i++ {
-		if rendered[i:i+len(probe)] == probe {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(renderedLabels, `code="5xx"`)
 }
 
 // Status evaluates every burn gauge now.
 func (s *SLO) Status() SLOStatus {
 	cur := s.collect()
-	fast := s.at(cur.t.Add(-s.o.FastWindow))
-	slow := s.at(cur.t.Add(-s.o.SlowWindow))
+	retained := s.samples.All()
+	fast := at(retained, cur.t.Add(-fastWindow))
+	slow := at(retained, cur.t.Add(-slowWindow))
 	return SLOStatus{
-		AvailabilityFast: burn(cur.total-fast.total, cur.errs-fast.errs, s.o.AvailabilityObjective),
-		AvailabilitySlow: burn(cur.total-slow.total, cur.errs-slow.errs, s.o.AvailabilityObjective),
-		LatencyFast:      burn(cur.latTotal-fast.latTotal, (cur.latTotal-cur.latGood)-(fast.latTotal-fast.latGood), s.o.LatencyObjective),
-		LatencySlow:      burn(cur.latTotal-slow.latTotal, (cur.latTotal-cur.latGood)-(slow.latTotal-slow.latGood), s.o.LatencyObjective),
+		AvailabilityFast: burn(cur.total-fast.total, cur.errs-fast.errs, availabilityObjective),
+		AvailabilitySlow: burn(cur.total-slow.total, cur.errs-slow.errs, availabilityObjective),
+		LatencyFast:      burn(cur.latTotal-fast.latTotal, (cur.latTotal-cur.latGood)-(fast.latTotal-fast.latGood), latencyObjective),
+		LatencySlow:      burn(cur.latTotal-slow.latTotal, (cur.latTotal-cur.latGood)-(slow.latTotal-slow.latGood), latencyObjective),
 	}
 }
 
-// at returns the newest retained sample at or before t, or the oldest
-// retained sample when none is old enough (early in process life, every
-// window degrades to "since start", which is the honest answer).
-func (s *SLO) at(t time.Time) sloSample {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
+// at returns the newest of the retained samples (oldest first) at or
+// before t, or the oldest when none is old enough (early in process life,
+// every window degrades to "since start", which is the honest answer).
+func at(retained []sloSample, t time.Time) sloSample {
+	if len(retained) == 0 {
 		return sloSample{}
 	}
-	start := s.pos - s.n
-	best := s.samples[(start+len(s.samples))%len(s.samples)]
-	for i := 0; i < s.n; i++ {
-		sm := s.samples[(start+i+len(s.samples))%len(s.samples)]
+	best := retained[0]
+	for _, sm := range retained[1:] {
 		if sm.t.After(t) {
 			break
 		}

@@ -8,20 +8,23 @@ import (
 )
 
 func sloFixture() (*Registry, SLOOptions) {
-	reg := NewRegistry()
-	o := SLOOptions{
+	return NewRegistry(), SLOOptions{
 		RequestsTotal:  "hotpaths_http_requests_total",
 		LatencySeconds: "hotpaths_http_request_seconds",
 	}
-	o.defaults()
-	return reg, o
+}
+
+// newTestSLO is an SLO without the background sampler: tests call Sample
+// themselves.
+func newTestSLO(reg *Registry, o SLOOptions) *SLO {
+	return &SLO{reg: reg, o: o, samples: newSLORing()}
 }
 
 func TestSLOAvailabilityBurn(t *testing.T) {
 	reg, o := sloFixture()
 	ok := reg.Counter(o.RequestsTotal, "req", Labels{"route": "/observe", "code": "2xx"})
 	bad := reg.Counter(o.RequestsTotal, "req", Labels{"route": "/observe", "code": "5xx"})
-	s := &SLO{reg: reg, o: o, samples: make([]sloSample, 8)}
+	s := newTestSLO(reg, o)
 	s.Sample() // zero baseline
 
 	ok.Add(999)
@@ -49,7 +52,7 @@ func TestSLOAvailabilityBurn(t *testing.T) {
 func TestSLOLatencyBurn(t *testing.T) {
 	reg, o := sloFixture()
 	h := reg.Histogram(o.LatencySeconds, "latency", LatencyBuckets, Labels{"route": "/topk"})
-	s := &SLO{reg: reg, o: o, samples: make([]sloSample, 8)}
+	s := newTestSLO(reg, o)
 	s.Sample()
 
 	for i := 0; i < 99; i++ {
@@ -68,40 +71,40 @@ func TestSLOLatencyBurn(t *testing.T) {
 
 func TestSLOThresholdSnapsToBucket(t *testing.T) {
 	reg, o := sloFixture()
-	o.LatencyThreshold = 0.3 // between the 0.25 and 0.5 bounds: snaps down to 0.25
-	h := reg.Histogram(o.LatencySeconds, "latency", LatencyBuckets, nil)
-	s := &SLO{reg: reg, o: o, samples: make([]sloSample, 8)}
+	// The 0.25s threshold lies between the 0.1 and 0.5 bounds: it snaps
+	// down to 0.1.
+	h := reg.Histogram(o.LatencySeconds, "latency", []float64{0.1, 0.5, 1}, nil)
+	s := newTestSLO(reg, o)
 	s.Sample()
-	h.Observe(0.4) // over 0.25, under 0.3: counts as slow after snapping
+	h.Observe(0.2) // over 0.1, under 0.25: counts as slow after snapping
 	if st := s.Status(); st.LatencyFast == 0 {
-		t.Fatalf("0.4s observation should burn against a snapped 0.25s threshold, burn = %g", st.LatencyFast)
+		t.Fatalf("0.2s observation should burn against a snapped 0.1s threshold, burn = %g", st.LatencyFast)
 	}
 }
 
 func TestSLOWindowSelection(t *testing.T) {
 	reg, o := sloFixture()
-	s := &SLO{reg: reg, o: o, samples: make([]sloSample, 8)}
+	s := newTestSLO(reg, o)
 	now := time.Now()
 	// Hand-plant a history: an hour-old sample and a 2-minute-old one.
 	for _, sm := range []sloSample{
 		{t: now.Add(-time.Hour), total: 0, errs: 0},
 		{t: now.Add(-2 * time.Minute), total: 1000, errs: 0},
 	} {
-		s.samples[s.pos] = sm
-		s.pos = (s.pos + 1) % len(s.samples)
-		s.n++
+		s.samples.Put(func(uint64) sloSample { return sm })
 	}
-	if got := s.at(now.Add(-o.FastWindow)); got.total != 0 {
+	retained := s.samples.All()
+	if got := at(retained, now.Add(-fastWindow)); got.total != 0 {
 		t.Fatalf("fast window (5m) should reach past the 2m sample to the 1h one, got total=%d", got.total)
 	}
-	if got := s.at(now.Add(-time.Minute)); got.total != 1000 {
+	if got := at(retained, now.Add(-time.Minute)); got.total != 1000 {
 		t.Fatalf("1m lookback should pick the 2m-old sample, got total=%d", got.total)
 	}
 }
 
 func TestSLOZeroTraffic(t *testing.T) {
 	reg, o := sloFixture()
-	s := &SLO{reg: reg, o: o, samples: make([]sloSample, 8)}
+	s := newTestSLO(reg, o)
 	s.Sample()
 	st := s.Status()
 	if st.Max() != 0 {

@@ -301,21 +301,12 @@ var ErrSnapshotNeeded = errors.New("replication: primary cannot resume from this
 // not written one yet; the follower then replays from LSN 0.
 var ErrNoCheckpoint = errors.New("replication: primary has no checkpoint yet")
 
-// Client fetches a primary's replication feed.
+// Client fetches a primary's replication feed. Its requests go through
+// http.DefaultClient, which has no overall timeout: streams are
+// long-lived, and each caller bounds its own requests by context.
 type Client struct {
 	// Base is the primary's base URL, e.g. "http://primary:8080".
 	Base string
-
-	// HTTP is the client used for every request (default: a client with
-	// no overall timeout — streams are long-lived).
-	HTTP *http.Client
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
@@ -324,7 +315,7 @@ func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.httpClient().Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 // bodyError summarises a non-OK response.

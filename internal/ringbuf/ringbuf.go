@@ -1,15 +1,15 @@
 // Package ringbuf is the bounded buffer behind the trace ring
-// (internal/tracing) and the flight recorder (internal/flightrec): it
-// keeps the newest entries, overwriting the oldest once full, and numbers
-// every entry in the order it was put, so memory stays bounded however
-// long the process runs.
+// (internal/tracing), the flight recorder (internal/flightrec) and the
+// SLO sampler (internal/metrics): it keeps the newest entries,
+// overwriting the oldest once full, and numbers every entry in the order
+// it was put, so memory stays bounded however long the process runs.
 package ringbuf
 
 import "sync"
 
 // Ring holds the last entries put into it. It is safe for concurrent use;
-// one mutex is enough, since its users put once per sampled request or
-// per operational event, never per record.
+// one mutex is enough, since its users put once per sampled request, per
+// operational event or per SLO sample, never per record.
 type Ring[T any] struct {
 	mu   sync.Mutex
 	buf  []T

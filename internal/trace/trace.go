@@ -1,9 +1,10 @@
 // Package trace serialises measurement streams to a line-oriented text
-// format and replays them, decoupling workload generation from discovery
-// runs. A recorded trace makes experiments exactly reproducible across
+// format and reads them back, decoupling workload generation from
+// discovery runs. A recorded trace makes experiments exactly reproducible across
 // machines and lets external datasets be fed into the system.
 //
-// Format, one measurement per line, timestamps non-decreasing:
+// Format, one measurement per line, timestamps non-decreasing and at
+// least 1 (the first timestamp a deployment's clock can tick to):
 //
 //	<timestamp> <objectID> <x> <y>
 //
@@ -90,6 +91,9 @@ func (r *Reader) Next() (Record, error) {
 		if _, err := fmt.Sscanf(line, "%d %d %g %g", &t, &rec.ObjectID, &x, &y); err != nil {
 			return Record{}, fmt.Errorf("trace: line %d: %w", r.line, err)
 		}
+		if t < 1 {
+			return Record{}, fmt.Errorf("trace: line %d: timestamp %d; timestamps start at 1", r.line, t)
+		}
 		rec.TP = trajectory.TP(geom.Pt(x, y), trajectory.Time(t))
 		if rec.TP.T < r.lastT {
 			return Record{}, fmt.Errorf("trace: line %d: timestamp %d after %d", r.line, rec.TP.T, r.lastT)
@@ -116,44 +120,5 @@ func ReadAll(rd io.Reader) ([]Record, error) {
 			return nil, err
 		}
 		out = append(out, rec)
-	}
-}
-
-// Replay feeds the trace to per-timestamp callbacks: batch receives all
-// records of one timestamp, then tick is invoked with that timestamp. This
-// is the access pattern both the hotpaths.System facade and the simulation
-// loop expect.
-func Replay(rd io.Reader, batch func([]Record) error, tick func(trajectory.Time) error) error {
-	r := NewReader(rd)
-	var cur []Record
-	var curT trajectory.Time
-	flush := func() error {
-		if len(cur) == 0 {
-			return nil
-		}
-		if err := batch(cur); err != nil {
-			return err
-		}
-		if err := tick(curT); err != nil {
-			return err
-		}
-		cur = cur[:0]
-		return nil
-	}
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return flush()
-		}
-		if err != nil {
-			return err
-		}
-		if len(cur) > 0 && rec.TP.T != curT {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		curT = rec.TP.T
-		cur = append(cur, rec)
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -87,6 +88,10 @@ func TestReaderErrors(t *testing.T) {
 			t.Errorf("input %q must error", s)
 		}
 	}
+	const want = "trace: line 2: timestamp 0; timestamps start at 1"
+	if _, err := ReadAll(strings.NewReader("# header\n0 0 1 1\n")); fmt.Sprint(err) != want {
+		t.Errorf("timestamp 0: got %v, want %q", err, want)
+	}
 	// Comments and blanks are skipped.
 	ok := "# header\n\n1 0 2 3\n"
 	recs, err := ReadAll(strings.NewReader(ok))
@@ -99,54 +104,5 @@ func TestNextEOF(t *testing.T) {
 	r := NewReader(strings.NewReader(""))
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
-	}
-}
-
-func TestReplayBatching(t *testing.T) {
-	input := "1 0 0 0\n1 1 5 5\n2 0 1 0\n4 1 6 6\n4 2 7 7\n"
-	var batches [][]Record
-	var ticks []trajectory.Time
-	err := Replay(strings.NewReader(input),
-		func(rs []Record) error {
-			cp := append([]Record(nil), rs...)
-			batches = append(batches, cp)
-			return nil
-		},
-		func(now trajectory.Time) error {
-			ticks = append(ticks, now)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 3 || len(ticks) != 3 {
-		t.Fatalf("batches=%d ticks=%d", len(batches), len(ticks))
-	}
-	if len(batches[0]) != 2 || len(batches[1]) != 1 || len(batches[2]) != 2 {
-		t.Errorf("batch sizes: %d %d %d", len(batches[0]), len(batches[1]), len(batches[2]))
-	}
-	if ticks[0] != 1 || ticks[1] != 2 || ticks[2] != 4 {
-		t.Errorf("ticks = %v", ticks)
-	}
-}
-
-func TestReplayEmpty(t *testing.T) {
-	called := false
-	err := Replay(strings.NewReader("# nothing\n"),
-		func([]Record) error { called = true; return nil },
-		func(trajectory.Time) error { called = true; return nil })
-	if err != nil || called {
-		t.Errorf("empty replay: err=%v called=%v", err, called)
-	}
-}
-
-func TestReplayPropagatesErrors(t *testing.T) {
-	input := "1 0 0 0\n2 0 1 1\n"
-	sentinel := io.ErrClosedPipe
-	err := Replay(strings.NewReader(input),
-		func([]Record) error { return sentinel },
-		func(trajectory.Time) error { return nil })
-	if err != sentinel {
-		t.Errorf("batch error not propagated: %v", err)
 	}
 }

@@ -48,7 +48,10 @@ const applyBatch = 1024
 // so the applied position only ever advances over fully-applied prefixes.
 // Apply errors are discarded: the run that wrote the journal saw the
 // identical error from the identical call and carried on, so discarding
-// reproduces its state.
+// reproduces its state. That holds only for records the write path could
+// have journaled, so each observation is checked on arrival: ingest
+// validates whole batches, and one bad record from a hostile stream or a
+// crafted segment would otherwise drop its entire apply group unseen.
 type applier struct {
 	eng   *Engine
 	limit int // flush threshold, applyBatch outside tests
@@ -80,7 +83,11 @@ func (a *applier) start(name string) (context.Context, *tracing.Span) {
 func (a *applier) apply(lsn uint64, r wal.Record) error {
 	switch r.Kind {
 	case wal.KindObserve:
-		a.batch = append(a.batch, observationOf(r))
+		o := observationOf(r)
+		if err := checkObservation(int(lsn), o, a.eng.cfg.Delta); err != nil {
+			return fmt.Errorf("hotpaths: journal record at LSN %d cannot be replayed: %w", lsn, err)
+		}
+		a.batch = append(a.batch, o)
 		a.next = lsn + 1
 		if len(a.batch) >= a.limit {
 			a.flush()

@@ -2,9 +2,15 @@ package hotpaths
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
+	"hotpaths/internal/replication"
 	"hotpaths/internal/wal"
 )
 
@@ -86,5 +92,80 @@ func TestApplierFlushBoundariesDoNotMatter(t *testing.T) {
 	defer eng.Close()
 	if err := newApplier(eng).apply(0, wal.Record{Kind: wal.KindHeartbeat}); err == nil {
 		t.Error("a heartbeat record was applied as if it were journaled")
+	}
+}
+
+// A CRC-valid record that ingest could never have journaled (a
+// non-finite coordinate, from a hostile primary stream or a crafted
+// segment) is refused by its LSN wherever a journal is replayed, and the
+// good records before it are neither dropped with it nor reported past it.
+func TestReplayRefusesInvalidObservation(t *testing.T) {
+	cfg := engineTestConfig()
+	dir := t.TempDir()
+	dcfg := DurableConfig{Config: cfg, FsyncInterval: -1, CheckpointEvery: -1}
+	dur, err := OpenDurable(dir, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []Observation
+	for id := 0; id < 10; id++ {
+		batch = append(batch, Observation{ObjectID: id, X: float64(id), Y: 1, T: 1})
+	}
+	if err := dur.ObserveBatchCtx(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dur.log.Append(wal.Record{Kind: wal.KindObserve, ObjectID: 10, X: math.NaN(), T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const refusal = "hotpaths: journal record at LSN 10 cannot be replayed: hotpaths: observation 10: coordinates must be finite, got (NaN, 0)"
+
+	eng, err := Recover(dir)
+	if fmt.Sprint(err) != refusal {
+		t.Errorf("Recover: %v, want %q", err, refusal)
+	}
+	if eng != nil {
+		t.Errorf("Recover handed back an engine with %d observations applied", eng.Stats().Observations)
+		eng.Close()
+	}
+	d, err := OpenDurable(dir, dcfg)
+	if fmt.Sprint(err) != refusal {
+		t.Errorf("OpenDurable: %v, want %q", err, refusal)
+	}
+	if d != nil {
+		d.Close()
+	}
+
+	rs := &replication.Server{
+		Dir:       dir,
+		Position:  func() replication.Status { return replication.Status{NextLSN: 11} },
+		Heartbeat: 10 * time.Millisecond,
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+replication.StreamPath, rs.ServeStream)
+	mux.HandleFunc("GET "+replication.CheckpointPath, rs.ServeCheckpoint)
+	mux.HandleFunc("GET "+replication.MetaPath, rs.ServeMeta)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	f, err := OpenFollower(srv.URL, FollowerConfig{ReconnectMin: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := f.Replication()
+		if st.LastError == refusal {
+			if st.AppliedLSN != 10 {
+				t.Errorf("follower applied through LSN %d, want 10 (the good prefix only)", st.AppliedLSN)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never refused the record: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -28,44 +28,39 @@ type FollowerConfig struct {
 	// differently from the primary — state is deployment-agnostic).
 	Shards int
 
-	// ConnectTimeout bounds the initial meta + checkpoint fetch (default
-	// 10s). OpenFollower fails fast when the primary is unreachable;
-	// after that, the applier reconnects forever.
-	ConnectTimeout time.Duration
-
-	// ReconnectMin, ReconnectMax bound the reconnect backoff after a
-	// stream drops (defaults 100ms and 5s; the nominal delay doubles
+	// ReconnectMin and a 5s cap bound the reconnect backoff after a
+	// stream drops (default 100ms; the nominal delay doubles
 	// between consecutive failures and resets on a healthy connection).
 	// The actual delay is jittered within [nominal/2, nominal] so the
 	// followers of a restarted primary spread their reconnects out
 	// instead of stampeding it in lockstep waves.
-	ReconnectMin, ReconnectMax time.Duration
+	ReconnectMin time.Duration
 
-	// StallTimeout is how long a live stream may go without any activity
+	// stallTimeout is how long a live stream may go without any activity
 	// (a record or a heartbeat — the primary heartbeats idle streams
 	// every second) before the applier declares it hung, drops it, and
 	// reconnects (default 10s). Without it, a SIGSTOPped primary or a
-	// black-holed network path would leave the follower "connected" —
-	// and its health probe green — while serving unboundedly stale data.
-	StallTimeout time.Duration
-
-	// HTTPClient overrides the client used for every primary request
-	// (default: http.DefaultClient — streams rely on no overall timeout).
-	HTTPClient *http.Client
+	// black-holed network path would leave the follower "connected" — and
+	// its health probe green — while serving unboundedly stale data. Only
+	// tests shorten it.
+	stallTimeout time.Duration
 }
 
+const (
+	// followerConnectTimeout bounds the initial meta + checkpoint fetch
+	// and every re-bootstrap. OpenFollower fails fast when the primary is
+	// unreachable; after that, the applier reconnects forever.
+	followerConnectTimeout = 10 * time.Second
+	// followerReconnectMax caps the reconnect backoff.
+	followerReconnectMax = 5 * time.Second
+)
+
 func (cfg FollowerConfig) withDefaults() FollowerConfig {
-	if cfg.ConnectTimeout <= 0 {
-		cfg.ConnectTimeout = 10 * time.Second
-	}
 	if cfg.ReconnectMin <= 0 {
 		cfg.ReconnectMin = 100 * time.Millisecond
 	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 5 * time.Second
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 10 * time.Second
+	if cfg.stallTimeout <= 0 {
+		cfg.stallTimeout = 10 * time.Second
 	}
 	return cfg
 }
@@ -145,9 +140,9 @@ func OpenFollower(primary string, cfg FollowerConfig) (*Follower, error) {
 		return nil, fmt.Errorf("hotpaths: %w", err)
 	}
 	cfg = cfg.withDefaults()
-	client := &replication.Client{Base: primary, HTTP: cfg.HTTPClient}
+	client := &replication.Client{Base: primary}
 
-	ctx, cancelConnect := context.WithTimeout(context.Background(), cfg.ConnectTimeout)
+	ctx, cancelConnect := context.WithTimeout(context.Background(), followerConnectTimeout)
 	defer cancelConnect()
 	metaB, err := client.Meta(ctx)
 	if err != nil {
@@ -222,7 +217,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // cancels the context.
 func (f *Follower) run(ctx context.Context) {
 	defer close(f.done)
-	backoff := &replication.Backoff{Min: f.cfg.ReconnectMin, Max: f.cfg.ReconnectMax}
+	backoff := &replication.Backoff{Min: f.cfg.ReconnectMin, Max: followerReconnectMax}
 	for {
 		hadConnection, err := f.streamOnce(ctx)
 		if ctx.Err() != nil {
@@ -259,7 +254,7 @@ func (f *Follower) run(ctx context.Context) {
 			flightrec.Default.Record(flightrec.EvReplRebootstrap,
 				flightrec.KV("primary", f.primary),
 				flightrec.KV("refused_lsn", applied))
-			bctx, cancel := context.WithTimeout(ctx, f.cfg.ConnectTimeout)
+			bctx, cancel := context.WithTimeout(ctx, followerConnectTimeout)
 			berr := f.bootstrap(bctx)
 			cancel()
 			if berr != nil && ctx.Err() == nil {
@@ -294,7 +289,7 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 	}()
 
 	// Stall watchdog: every record or heartbeat is activity; a stream
-	// with none for StallTimeout is hung (the read blocks forever on a
+	// with none for stallTimeout is hung (the read blocks forever on a
 	// dead-but-unclosed connection) and gets cancelled so the reconnect
 	// path takes over and the follower stops reporting itself healthy.
 	var actMu sync.Mutex
@@ -308,7 +303,7 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 	watchdogDone := make(chan struct{})
 	go func() {
 		defer close(watchdogDone)
-		t := time.NewTicker(f.cfg.StallTimeout / 4)
+		t := time.NewTicker(f.cfg.stallTimeout / 4)
 		defer t.Stop()
 		for {
 			select {
@@ -316,7 +311,7 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 				return
 			case <-t.C:
 				actMu.Lock()
-				stale := time.Since(lastActivity) > f.cfg.StallTimeout
+				stale := time.Since(lastActivity) > f.cfg.stallTimeout
 				actMu.Unlock()
 				if stale {
 					stalled = true
@@ -370,7 +365,7 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 	cancel()
 	<-watchdogDone // also orders the `stalled` read after its last write
 	if stalled {
-		err = fmt.Errorf("hotpaths: replication stream stalled: no records or heartbeats for %v", f.cfg.StallTimeout)
+		err = fmt.Errorf("hotpaths: replication stream stalled: no records or heartbeats for %v", f.cfg.stallTimeout)
 	}
 	return hadConnection, err
 }

@@ -417,7 +417,7 @@ func TestFollowerStallWatchdog(t *testing.T) {
 
 	f, err := OpenFollower(srv.URL, FollowerConfig{
 		ReconnectMin: time.Millisecond,
-		StallTimeout: 50 * time.Millisecond,
+		stallTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

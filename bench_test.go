@@ -3,11 +3,12 @@
 // the library's ingest, durability and query paths, and ablation benches
 // for choices the paper leaves open.
 //
-// The figure benches run scaled-down workloads (see experiment.QuickBase)
-// so `go test -bench=.` completes in minutes; the cmd/benchfigs tool runs
-// the same sweeps at paper scale. Alongside ns/op, each figure bench
-// reports the paper's own metrics via b.ReportMetric: index sizes, top-k
-// scores and coordinator time, for both SinglePath and the DP benchmark.
+// The figure benches run scaled-down workloads (see experiment.QuickBase),
+// so each takes seconds; cmd/benchfigs runs the same sweeps at paper
+// scale (about 19 s for all of them on 2 vCPUs). Alongside ns/op, each
+// figure bench reports the paper's own metrics via b.ReportMetric: index
+// sizes, top-k scores and coordinator time, for both SinglePath and the
+// DP benchmark.
 package hotpaths_test
 
 import (

@@ -11,9 +11,7 @@
 //	benchfigs -table 2          # Table 2: parameters
 //	benchfigs -all -out dir     # everything
 //
-// -quick shrinks the workload (fewer objects, smaller network) so a full
-// pass finishes in well under a minute; drop it to run the paper-scale
-// parameters.
+// Every run uses the paper's Section 6 parameters (experiment.Base).
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"path/filepath"
 
 	"hotpaths/internal/experiment"
-	"hotpaths/internal/simulation"
 )
 
 func main() {
@@ -33,11 +30,10 @@ func main() {
 		all   = flag.Bool("all", false, "regenerate everything")
 		out   = flag.String("out", ".", "output directory for SVG figures")
 		seed  = flag.Int64("seed", 1, "random seed")
-		quick = flag.Bool("quick", false, "scaled-down workload for fast runs")
 	)
 	flag.Parse()
 
-	base, err := baseConfig(*quick, *seed)
+	base, err := experiment.Base(*seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -50,12 +46,8 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *fig == "7" {
-		ns := []int{10000, 20000, 50000, 100000}
-		if *quick {
-			ns = []int{500, 1000, 2500, 5000}
-		}
 		fmt.Println("== Figure 7: varying the number of objects (eps fixed) ==")
-		rows, err := experiment.SweepN(base, ns)
+		rows, err := experiment.SweepN(base, []int{10000, 20000, 50000, 100000})
 		if err != nil {
 			fatal(err)
 		}
@@ -115,13 +107,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func baseConfig(quick bool, seed int64) (simulation.Config, error) {
-	if quick {
-		return experiment.QuickBase(seed)
-	}
-	return experiment.Base(seed)
 }
 
 func write(dir, name, content string) error {

@@ -1,16 +1,20 @@
 package main
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hotpaths"
 	"hotpaths/internal/flightrec"
+	"hotpaths/internal/gateway"
 	"hotpaths/internal/httpapi"
+	"hotpaths/internal/partition"
 )
 
 // lastEventSeq is the exactly-once baseline: every assertion below
@@ -180,6 +184,120 @@ func TestFollowerReplicationEventsExactlyOnce(t *testing.T) {
 	}
 	if slo, _ := comps["slo"].(map[string]any); slo == nil || slo["status"] == nil {
 		t.Errorf("slo component missing: %v", comps)
+	}
+}
+
+// TestEventTypesThroughRealPaths produces every flight-recorder type that
+// the tests above do not, each by the code that records it, and reads it
+// back through /debug/events: a -wal primary with small segments feeds
+// epochs past a /watch client that stopped reading and checkpoints; its
+// follower is re-bootstrapped when the primary behind its URL is replaced
+// by one with a shorter log; and a gateway reads with a partition down.
+func TestEventTypesThroughRealPaths(t *testing.T) {
+	base := lastEventSeq()
+	open := func() *hotpaths.Durable {
+		dur, err := hotpaths.OpenDurable(t.TempDir(), hotpaths.DurableConfig{
+			Config:          serverTestConfig(),
+			Shards:          2,
+			SegmentBytes:    2048,
+			FsyncInterval:   time.Millisecond,
+			CheckpointEvery: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dur.Close() })
+		return dur
+	}
+	dur := open()
+	primary := newServer(dur, serverOpts{dur: dur}).handler()
+	var behindURL atomic.Pointer[http.Handler]
+	behindURL.Store(&primary)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*behindURL.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	watcher := &stalledWatcher{hdr: http.Header{}, blocked: make(chan struct{}), release: make(chan struct{})}
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		primary.ServeHTTP(watcher, httptest.NewRequest(http.MethodGet, "/watch?k=5", nil).WithContext(watchCtx))
+	}()
+	<-watcher.blocked
+	feedZigZag(t, primary)
+	for now := int64(50); now <= 240; now += 10 {
+		if rec := do(t, primary, http.MethodPost, "/tick", httpapi.TickRequest{Now: now}); rec.Code != http.StatusOK {
+			t.Fatalf("tick %d: %d %s", now, rec.Code, rec.Body.String())
+		}
+	}
+	stopWatch()
+	close(watcher.release)
+	<-watchDone
+	if rec := do(t, primary, http.MethodPost, "/admin/checkpoint", nil); rec.Code != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", rec.Code, rec.Body.String())
+	}
+
+	fol, err := hotpaths.OpenFollower(srv.URL, hotpaths.FollowerConfig{ReconnectMin: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fol.Close() })
+	follower := newServer(fol, serverOpts{fol: fol}).handler()
+	waitReplication(t, fol, func(rs hotpaths.ReplicationStats) bool {
+		return rs.Connected && rs.AppliedLSN == dur.NextLSN()
+	})
+	bootstraps := fol.Replication().Bootstraps
+	fresh := open()
+	replacement := newServer(fresh, serverOpts{dur: fresh}).handler()
+	behindURL.Store(&replacement)
+	if rec := do(t, follower, http.MethodPost, "/admin/reconnect", nil); rec.Code != http.StatusOK {
+		t.Fatalf("/admin/reconnect: %d", rec.Code)
+	}
+	waitReplication(t, fol, func(rs hotpaths.ReplicationStats) bool {
+		return rs.Connected && rs.Bootstraps > bootstraps
+	})
+
+	urls := make([]string, 2)
+	parts := make([]*httptest.Server, 2)
+	for i := range parts {
+		eng, err := hotpaths.NewEngine(hotpaths.EngineConfig{Config: serverTestConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		parts[i] = httptest.NewServer(newServer(eng, serverOpts{partitionID: i, partitionCount: 2}).handler())
+		t.Cleanup(parts[i].Close)
+		urls[i] = parts[i].URL
+	}
+	gw, err := gateway.New(gateway.Config{Table: partition.NewTable(urls...), K: 5, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	parts[1].Close()
+	if rec := do(t, gw.Handler(), http.MethodGet, "/topk", nil); rec.Code != http.StatusPartialContent {
+		t.Fatalf("gateway /topk with partition 1 down: %d %s, want 206", rec.Code, rec.Body.String())
+	}
+
+	for _, typ := range []string{
+		flightrec.EvEpochBarrier,
+		flightrec.EvWALRotation,
+		flightrec.EvCheckpointStart,
+		flightrec.EvCheckpointFinish,
+		flightrec.EvReplRebootstrap,
+		flightrec.EvSubscriberReset,
+		flightrec.EvGatewayPartial,
+	} {
+		if len(eventsVia(t, typ, base)) == 0 {
+			t.Errorf("/debug/events has no %s event", typ)
+		}
+	}
+	for _, ev := range eventsVia(t, flightrec.EvGatewayPartial, base) {
+		if attrs, _ := ev["attrs"].(map[string]any); attrs["missing_partitions"] != "1" {
+			t.Errorf("gateway_partial_read attrs = %v, want missing_partitions 1", attrs)
+		}
 	}
 }
 

@@ -281,8 +281,8 @@ func (e *ConfigError) Error() string { return "hotpaths: Config." + e.Field + " 
 
 // withDefaults validates cfg and fills in the defaulted fields.
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.Eps <= 0 {
-		return cfg, &ConfigError{Field: "Eps", Reason: fmt.Sprintf("must be positive, got %v", cfg.Eps)}
+	if !(cfg.Eps > 0 && cfg.Eps <= maxCoord) {
+		return cfg, &ConfigError{Field: "Eps", Reason: fmt.Sprintf("must be positive and at most 2^53, got %v", cfg.Eps)}
 	}
 	if cfg.Delta < 0 || cfg.Delta >= 1 {
 		return cfg, &ConfigError{Field: "Delta", Reason: fmt.Sprintf("must be in [0,1), got %v", cfg.Delta)}
@@ -390,15 +390,28 @@ func (s *System) ObserveBatchCtx(_ context.Context, batch []Observation) error {
 // would silently wedge a filter's safe-area state instead of erroring.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
+// maxCoord bounds the magnitude of every accepted coordinate and of Eps.
+// A finite coordinate is not enough: between x = 1e308 and x = -1e308 a
+// path's length and its end cell's centroid (Lo+Hi)/2 overflow to ±Inf,
+// which no JSON or binary body can carry. Every path vertex lies within
+// Eps of an accepted point, so with both bounded by 2^53 a vertex stays
+// below 2^54, a coordinate difference or centroid sum below 2^55, a length
+// below 2^56, and a score (an int hotness of at most 2^63 times a length)
+// below 2^119: all far inside float64's 2^1024.
+const maxCoord = 1 << 53
+
 // badCoords and badSigmas are the single source of the ingest validation
 // rules and messages; the prefix-adding wrappers below adapt them to the
 // single-observation and batch error shapes.
 
 func badCoords(x, y float64) error {
+	if math.Abs(x) <= maxCoord && math.Abs(y) <= maxCoord {
+		return nil
+	}
 	if !finite(x) || !finite(y) {
 		return fmt.Errorf("coordinates must be finite, got (%v, %v)", x, y)
 	}
-	return nil
+	return fmt.Errorf("coordinates must be at most 2^53 in magnitude, got (%v, %v)", x, y)
 }
 
 // badSigmas validates noisy-measurement standard deviations: positive

@@ -1,6 +1,9 @@
 package hotpaths
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,6 +37,65 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(testConfig()); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestExtremeCoordinatesRefused: a coordinate may be finite and still
+// wreck the index. Between ±1e308 a path's length and its end cell's
+// centroid overflow to ±Inf, which no read can encode, so ingest refuses
+// any magnitude above 2^53, and Config refuses an Eps above it (or a
+// non-finite one) as a *ConfigError.
+func TestExtremeCoordinatesRefused(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		cfg := testConfig()
+		cfg.Eps = eps
+		var ce *ConfigError
+		if _, err := New(cfg); !errors.As(err, &ce) || ce.Field != "Eps" {
+			t.Errorf("New(Eps: %v) = %v, want a *ConfigError on Eps", eps, err)
+		}
+	}
+
+	sys, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := float64(1 << 53)
+	if err := sys.Observe(7, edge, -edge, 1); err != nil {
+		t.Fatalf("coordinates at the bound refused: %v", err)
+	}
+	// One client alternates ±1e308 while two objects share a route.
+	for now := int64(1); now <= 12; now++ {
+		huge := 1e308
+		if now%2 == 0 {
+			huge = -huge
+		}
+		if err := sys.Observe(999, huge, huge, now); err == nil {
+			t.Fatalf("t=%d: Observe accepted (%v, %v)", now, huge, huge)
+		}
+		batch := []Observation{
+			{ObjectID: 1, X: float64(now) * 8, Y: 0, T: now},
+			{ObjectID: 2, X: float64(now) * 8, Y: 0.5, T: now},
+			{ObjectID: 999, X: math.Nextafter(edge, math.Inf(1)), Y: 0, T: now},
+		}
+		if err := sys.ObserveBatchCtx(context.Background(), batch); err == nil {
+			t.Fatalf("t=%d: a batch with a coordinate beyond 2^53 was accepted", now)
+		}
+		if err := sys.ObserveBatchCtx(context.Background(), batch[:2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, hp := range sys.HotPaths() {
+		for _, v := range []float64{hp.Start.X, hp.Start.Y, hp.End.X, hp.End.Y, hp.Score()} {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				t.Fatalf("stored path %+v is not finite", hp)
+			}
+		}
+	}
+	if _, err := json.Marshal(sys.HotPaths()); err != nil {
+		t.Fatalf("paths do not encode: %v", err)
 	}
 }
 

@@ -62,8 +62,9 @@ const paperSeed = 21
 var paperEps = []float64{2.5, 5, 10, 20}
 
 // RunPaper regenerates the accuracy-vs-communication curve on the
-// scaled-down QuickBase configuration: seconds, where the Section 6
-// configuration (Base, driven by cmd/benchfigs) takes minutes.
+// scaled-down QuickBase configuration, about a second in all. The
+// Section 6 configuration (Base) is not much dearer: `benchfigs -all`
+// runs every figure on it in about 19 s on a 2-vCPU x86-64 machine.
 func RunPaper() (PaperReport, error) {
 	rep := PaperReport{
 		GoVersion: runtime.Version(),

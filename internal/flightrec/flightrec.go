@@ -52,7 +52,6 @@ import (
 // so they are part of the observability contract and must stay stable.
 const (
 	EvEpochBarrier     = "epoch_barrier"
-	EvWALFsyncStall    = "wal_fsync_stall"
 	EvWALRotation      = "wal_rotation"
 	EvWALPoisoned      = "wal_poisoned"
 	EvCheckpointStart  = "checkpoint_start"

@@ -1,8 +1,7 @@
-// Package geojson exports discovered hot motion paths and road networks as
-// GeoJSON FeatureCollections (RFC 7946 structure with planar coordinates),
-// so results drop straight into common mapping tools. Each motion path
-// becomes a LineString feature with hotness, length and score properties;
-// network links carry their road class.
+// Package geojson exports discovered hot motion paths as GeoJSON
+// FeatureCollections (RFC 7946 structure with planar coordinates), so
+// results drop straight into common mapping tools. Each motion path
+// becomes a LineString feature with hotness, length and score properties.
 //
 // Coordinates are emitted in the simulation's metric frame. For real
 // deployments with geodetic input, positions would already be in lon/lat;
@@ -15,7 +14,6 @@ import (
 	"io"
 
 	"hotpaths/internal/motion"
-	"hotpaths/internal/roadnet"
 )
 
 // Feature is a minimal GeoJSON feature with a LineString geometry.
@@ -60,28 +58,6 @@ func FromHotPaths(paths []motion.HotPath) FeatureCollection {
 				"hotness": hp.Hotness,
 				"length":  hp.Path.Length(),
 				"score":   hp.Score(),
-			},
-		})
-	}
-	return fc
-}
-
-// FromNetwork converts a road network into a FeatureCollection, one
-// LineString per link with its class name.
-func FromNetwork(net *roadnet.Network) FeatureCollection {
-	fc := FeatureCollection{Type: "FeatureCollection"}
-	for _, l := range net.Links {
-		a, b := net.Nodes[l.From].P, net.Nodes[l.To].P
-		fc.Features = append(fc.Features, Feature{
-			Type: "Feature",
-			Geometry: Geometry{
-				Type:        "LineString",
-				Coordinates: [][2]float64{{a.X, a.Y}, {b.X, b.Y}},
-			},
-			Properties: map[string]any{
-				"id":     l.ID,
-				"class":  l.Class.String(),
-				"weight": l.Class.Weight(),
 			},
 		})
 	}

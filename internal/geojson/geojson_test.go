@@ -8,7 +8,6 @@ import (
 
 	"hotpaths/internal/geom"
 	"hotpaths/internal/motion"
-	"hotpaths/internal/roadnet"
 )
 
 func TestFromHotPaths(t *testing.T) {
@@ -38,28 +37,6 @@ func TestFromHotPaths(t *testing.T) {
 	}
 	if len(FromHotPaths(nil).Features) != 0 {
 		t.Error("empty input")
-	}
-}
-
-func TestFromNetwork(t *testing.T) {
-	nodes := []roadnet.Node{
-		{ID: 0, P: geom.Pt(0, 0)},
-		{ID: 1, P: geom.Pt(100, 0)},
-	}
-	links := []roadnet.Link{{ID: 0, From: 0, To: 1, Class: roadnet.Motorway}}
-	net, err := roadnet.Build(nodes, links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := FromNetwork(net)
-	if len(fc.Features) != 1 {
-		t.Fatal("feature count")
-	}
-	if fc.Features[0].Properties["class"] != "motorway" {
-		t.Errorf("class = %v", fc.Features[0].Properties["class"])
-	}
-	if fc.Features[0].Properties["weight"].(float64) != 10 {
-		t.Errorf("weight = %v", fc.Features[0].Properties["weight"])
 	}
 }
 

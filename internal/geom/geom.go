@@ -68,9 +68,6 @@ func (p *Point) GobDecode(b []byte) error {
 	return nil
 }
 
-// Near reports whether p and q are within tol under the L∞ metric.
-func (p Point) Near(q Point, tol float64) bool { return p.MaxDist(q) <= tol }
-
 // Min returns the componentwise minimum of p and q.
 func (p Point) Min(q Point) Point {
 	return Point{math.Min(p.X, q.X), math.Min(p.Y, q.Y)}
@@ -184,11 +181,6 @@ func (r Rect) Intersect(s Rect) Rect {
 	return Rect{Lo: r.Lo.Max(s.Lo), Hi: r.Hi.Min(s.Hi)}
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{Lo: r.Lo.Min(s.Lo), Hi: r.Hi.Max(s.Hi)}
-}
-
 // Expand grows the rectangle by d on every side (shrinks for d<0).
 func (r Rect) Expand(d float64) Rect {
 	dd := Point{d, d}
@@ -239,18 +231,6 @@ func (s Segment) DistToPoint(p Point) float64 {
 	t := ((p.X-s.A.X)*d.X + (p.Y-s.A.Y)*d.Y) / len2
 	t = math.Max(0, math.Min(1, t))
 	return s.At(t).Dist(p)
-}
-
-// PerpDist returns the perpendicular distance from p to the infinite line
-// through the segment; used by the classic Douglas-Peucker test. For a
-// degenerate segment it falls back to point distance.
-func (s Segment) PerpDist(p Point) float64 {
-	d := s.B.Sub(s.A)
-	l := math.Hypot(d.X, d.Y)
-	if l == 0 {
-		return s.A.Dist(p)
-	}
-	return math.Abs(d.X*(s.A.Y-p.Y)-d.Y*(s.A.X-p.X)) / l
 }
 
 func (s Segment) String() string { return fmt.Sprintf("%v->%v", s.A, s.B) }

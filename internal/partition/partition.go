@@ -10,10 +10,8 @@
 package partition
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
-	"strings"
 )
 
 // Hash mixes an object id into a uniformly spread 64-bit value (the
@@ -35,19 +33,18 @@ func Index(objectID, n int) int {
 // Partition is one entry of a Table: a partition id and the base URL of
 // the hotpathsd primary that owns it.
 type Partition struct {
-	ID  int    `json:"id"`
-	URL string `json:"url"`
+	ID  int
+	URL string
 }
 
 // Table is the versioned description of a partitioned fleet: partition i
 // of len(Partitions) owns every object id with Index(id, n) == i. The
-// wire form is JSON, like every other hotpaths wire structure, so tables
-// can be checked into config management and served by gateways. Version
-// lets operators tell two table generations apart during a resharding
-// rollout; routing itself depends only on the partition count.
+// gateway reports Version in its /stats, so operators can tell two table
+// generations apart during a resharding rollout; routing itself depends
+// only on the partition count.
 type Table struct {
-	Version    uint64      `json:"version"`
-	Partitions []Partition `json:"partitions"`
+	Version    uint64
+	Partitions []Partition
 }
 
 // NewTable builds a version-1 table owning the given primaries in order:
@@ -62,11 +59,6 @@ func NewTable(urls ...string) Table {
 
 // N returns the partition count.
 func (t Table) N() int { return len(t.Partitions) }
-
-// Owner returns the partition owning objectID. The table must be valid.
-func (t Table) Owner(objectID int) Partition {
-	return t.Partitions[Index(objectID, len(t.Partitions))]
-}
 
 // Validate checks the table is routable: at least one partition, ids
 // exactly 0..n-1 in order (the id IS the hash slot, so gaps or
@@ -89,23 +81,4 @@ func (t Table) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode returns the table's canonical wire form (compact JSON).
-func (t Table) Encode() ([]byte, error) {
-	return json.Marshal(t)
-}
-
-// ParseTable decodes and validates a wire-form table.
-func ParseTable(b []byte) (Table, error) {
-	var t Table
-	dec := json.NewDecoder(strings.NewReader(string(b)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
-		return Table{}, fmt.Errorf("partition: decode table: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return Table{}, err
-	}
-	return t, nil
 }

@@ -155,16 +155,6 @@ func (n *Network) Bounds() geom.Rect {
 	return r
 }
 
-// TotalWeight returns the sum of incident link weights at node; 0 for an
-// isolated node.
-func (n *Network) TotalWeight(node int) float64 {
-	var sum float64
-	for _, l := range n.adj[node] {
-		sum += n.Links[l].Class.Weight()
-	}
-	return sum
-}
-
 // ClassCounts returns the number of links per class.
 func (n *Network) ClassCounts() map[Class]int {
 	out := make(map[Class]int)

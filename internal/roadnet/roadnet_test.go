@@ -78,9 +78,6 @@ func TestAdjacency(t *testing.T) {
 	if n.LinkLength(0) != 100 {
 		t.Errorf("LinkLength = %v", n.LinkLength(0))
 	}
-	if n.TotalWeight(0) != Motorway.Weight()+Highway.Weight()+Secondary.Weight() {
-		t.Errorf("TotalWeight = %v", n.TotalWeight(0))
-	}
 }
 
 func TestBoundsAndComponents(t *testing.T) {

@@ -1,13 +1,11 @@
 // Package stats provides the small numeric summaries used by the
-// experiment harness: means, percentiles, standard deviation and a fixed
-// width table formatter for figure/table rows.
+// experiment harness: mean, minimum, maximum and a fixed width table
+// formatter for figure/table rows.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -22,47 +20,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation; 0 for fewer than two
-// samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation between closest ranks; 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
-// Median is the 50th percentile.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Min returns the minimum; 0 for an empty slice.
 func Min(xs []float64) float64 {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -12,44 +11,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Error("single-sample stddev")
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v want 2", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct{ p, want float64 }{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {-5, 15}, {110, 50},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("P%v = %v want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-	// Interpolation between ranks.
-	if got := Percentile([]float64{10, 20}, 50); got != 15 {
-		t.Errorf("interpolated P50 = %v", got)
-	}
-	if Median(xs) != 35 {
-		t.Error("Median")
-	}
-	// Percentile must not mutate its input.
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 || unsorted[2] != 2 {
-		t.Error("Percentile mutated its input")
 	}
 }
 

@@ -90,16 +90,6 @@ func maxOffsetNorm(a, delta float64) (float64, error) {
 	return lo, nil
 }
 
-// ToleranceInterval returns the interval [lo,hi] of admissible reported
-// locations for a 1-D Gaussian measurement with the given mean and sigma.
-func ToleranceInterval(mean, sigma, eps, delta float64) (lo, hi float64, err error) {
-	w, err := MaxOffset(eps, delta, sigma)
-	if err != nil {
-		return 0, 0, err
-	}
-	return mean - w, mean + w, nil
-}
-
 // Measurement is an imprecise 2-D location: independent Gaussian noise on
 // each axis.
 type Measurement struct {

@@ -96,19 +96,6 @@ func TestMaxOffsetDeterministicLimit(t *testing.T) {
 	}
 }
 
-func TestToleranceInterval(t *testing.T) {
-	lo, hi, err := ToleranceInterval(100, 1, 10, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs((100-lo)-(hi-100)) > 1e-9 {
-		t.Error("interval must be symmetric around the mean")
-	}
-	if hi-100 >= 10 {
-		t.Errorf("offset %v must be strictly below eps for sigma>0", hi-100)
-	}
-}
-
 func TestToleranceRect(t *testing.T) {
 	m := Measurement{Mean: geom.Pt(50, 80), SigmaX: 1, SigmaY: 2}
 	r, err := ToleranceRect(m, 10, 0.05)

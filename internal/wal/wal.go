@@ -19,11 +19,6 @@ import (
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: closed")
 
-// fsyncStallThreshold is the group-commit fsync duration past which a
-// wal_fsync_stall event is recorded: an order of magnitude over the
-// default commit cadence, long enough to back up appenders.
-const fsyncStallThreshold = 250 * time.Millisecond
-
 const (
 	segPrefix  = "wal-"
 	segSuffix  = ".seg"
@@ -319,13 +314,7 @@ func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	d := time.Since(t0)
-	mFsync.Observe(d.Seconds())
-	if d >= fsyncStallThreshold {
-		flightrec.Default.Record(flightrec.EvWALFsyncStall,
-			flightrec.KV("duration_ms", d.Milliseconds()),
-			flightrec.KV("pending_records", l.pending))
-	}
+	mFsync.ObserveSince(t0)
 	mCommitBatch.Observe(float64(l.pending))
 	l.pending = 0
 	l.dirty = false
@@ -439,13 +428,7 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	d := time.Since(t0)
-	mFsync.Observe(d.Seconds())
-	if d >= fsyncStallThreshold {
-		flightrec.Default.Record(flightrec.EvWALFsyncStall,
-			flightrec.KV("duration_ms", d.Milliseconds()),
-			flightrec.KV("pending_records", l.pending))
-	}
+	mFsync.ObserveSince(t0)
 	mCommitBatch.Observe(float64(l.pending))
 	l.pending = 0
 	l.dirty = false

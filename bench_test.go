@@ -285,18 +285,6 @@ func BenchmarkUncertaintySolver(b *testing.B) {
 			}
 		}
 	})
-	b.Run("table", func(b *testing.B) {
-		tab, err := uncertainty.NewTable(0.05, 0.5, 50, 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, ok := tab.MaxOffset(10, 1+float64(i%5)); !ok {
-				b.Fatal("table miss")
-			}
-		}
-	})
 }
 
 // BenchmarkCoordinatorEpoch measures SinglePath's per-epoch batch cost.

@@ -339,8 +339,8 @@ func New(cfg Config) (*System, error) {
 
 // Observe feeds one location measurement for objectID at timestamp t.
 // Timestamps must be strictly increasing per object, and coordinates must
-// be finite. In (ε,δ) mode the measurement is treated as exact; use
-// ObserveNoisy to pass its noise.
+// be finite and at most 2^53 in magnitude. In (ε,δ) mode the measurement
+// is treated as exact; use ObserveNoisy to pass its noise.
 func (s *System) Observe(objectID int, x, y float64, t int64) error {
 	if err := checkCoords(x, y); err != nil {
 		return err
@@ -349,7 +349,8 @@ func (s *System) Observe(objectID int, x, y float64, t int64) error {
 }
 
 // ObserveNoisy feeds a Gaussian measurement with per-axis standard
-// deviations. It requires Config.Delta > 0.
+// deviations. It requires Config.Delta > 0. An object's σ is fixed by its
+// first measurement: the sigmas of later ones are not used.
 func (s *System) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int64) error {
 	if s.cfg.Delta <= 0 {
 		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
@@ -455,14 +456,24 @@ func (s *System) observe(objectID int, tp trajectory.TimePoint, sigmaX, sigmaY f
 // toleranceFunc builds the per-point tolerance model: the fixed ε square,
 // or the Gaussian (ε,δ) rectangle when Delta and sigmas are set. The
 // retroactive minimum of ε/10 guards against unsatisfiable noise levels.
+// The rectangle's half-sides depend only on σ, which is fixed for the
+// filter's life, so they are solved once here — the same arithmetic as
+// uncertainty.ToleranceRectOrMin, which solves them per point.
 func (cfg Config) toleranceFunc(sigmaX, sigmaY float64) raytrace.ToleranceFunc {
 	if cfg.Delta <= 0 || sigmaX <= 0 || sigmaY <= 0 {
 		return raytrace.FixedTolerance(cfg.Eps)
 	}
-	eps, delta := cfg.Eps, cfg.Delta
+	eps, half := cfg.Eps, cfg.Delta/2
+	wx, errX := uncertainty.MaxOffset(eps, half, sigmaX)
+	wy, errY := uncertainty.MaxOffset(eps, half, sigmaY)
+	if errX != nil || errY != nil {
+		return func(tp trajectory.TimePoint) geom.Rect { return geom.RectAround(tp.P, eps/10) }
+	}
 	return func(tp trajectory.TimePoint) geom.Rect {
-		m := uncertainty.Measurement{Mean: tp.P, SigmaX: sigmaX, SigmaY: sigmaY}
-		return uncertainty.ToleranceRectOrMin(m, eps, delta, eps/10)
+		return geom.Rect{
+			Lo: geom.Pt(tp.P.X-wx, tp.P.Y-wy),
+			Hi: geom.Pt(tp.P.X+wx, tp.P.Y+wy),
+		}
 	}
 }
 

@@ -974,3 +974,52 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// rawSink keeps each observation of a body with a copy of its raw text.
+type rawSink struct {
+	obs  []hotpaths.ObservationJSON
+	raws [][]byte
+}
+
+func (c *rawSink) Reset() { c.obs, c.raws = c.obs[:0], c.raws[:0] }
+
+func (c *rawSink) Add(o hotpaths.ObservationJSON, raw []byte) {
+	c.obs, c.raws = append(c.obs, o), append(c.raws, bytes.Clone(raw))
+}
+
+// A body of known length is split with one allocation per partition: each
+// share is sized once from the length. A chunked body, whose length is
+// not known, still grows its shares.
+func TestSharesSizedOnce(t *testing.T) {
+	var req httpapi.ObserveRequest
+	for i := range 2000 {
+		req.Observations = append(req.Observations, hotpaths.ObservationJSON{
+			Object: i, X: 470000 + float64(i)*1.37, Y: 4200000 - float64(i)/3, T: 7,
+		})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink rawSink
+	r := httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(body))
+	if _, n, ok := httpapi.DecodeObserve(httptest.NewRecorder(), r, &sink, mObserveFallback); !ok || n != 2000 || sink.raws[0] == nil {
+		t.Fatalf("decode: %d observations, ok %v", n, ok)
+	}
+	allocs := func(length int64) float64 {
+		s := newShares(2, length)
+		return testing.AllocsPerRun(10, func() {
+			s.Reset()
+			for i, o := range sink.obs {
+				s.Add(o, sink.raws[i])
+			}
+			s.close()
+		})
+	}
+	if n := allocs(int64(len(body))); n != 2 {
+		t.Errorf("splitting %d bytes over 2 partitions allocates %v times, want 2", len(body), n)
+	}
+	if n := allocs(-1); n <= 2 {
+		t.Errorf("a body of unknown length allocates %v times; the test no longer tells the two apart", n)
+	}
+}

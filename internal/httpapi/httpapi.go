@@ -23,6 +23,9 @@
 // gateway merge is no JSON at all: the gateway asks for the fixed-width
 // PathsType body (WritePaths, ReadPaths), which carries every coordinate
 // as its IEEE-754 bits, so neither side formats or parses a number.
+// The JSON path answers clients read — /topk, /paths and each /watch
+// delta — are streamed by the append encoder in encode.go, which writes
+// encoding/json's bytes without reflection or a whole-body buffer.
 // DecodeBody remains for POST /tick's few bytes.
 package httpapi
 
@@ -254,15 +257,30 @@ func Error(w http.ResponseWriter, status int, err error) {
 // status, stamped with the epoch and clock it was answered at so a
 // scatter-gather reader can verify that every partition answered at the
 // same epoch before merging. A request whose Accept is exactly PathsType
-// gets the binary body instead of JSON (GeoJSON ignores Accept). The
-// GeoJSON FeatureCollection is buffered before the first byte is written
-// — it is bounded by the live index size — so an encoding failure still
-// returns a proper 500 instead of a truncated body after headers are gone.
+// gets the binary body instead of JSON (GeoJSON ignores Accept).
+//
+// The JSON answer is the encoding/json text of hotpaths.PathsJSON(paths),
+// streamed in chunks (see encode.go); every number is checked before the
+// status line, so a path encoding/json would refuse answers 500 with the
+// error envelope rather than a 200 with a truncated body. The GeoJSON
+// FeatureCollection is buffered before the first byte is written — it is
+// bounded by the live index size — for the same reason.
 func WritePaths(w http.ResponseWriter, r *http.Request, status int, epoch, clock int64, paths []hotpaths.HotPath, geo bool) {
 	w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(epoch, 10))
 	w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(clock, 10))
 	if !geo && r.Header.Get("Accept") != PathsType {
-		WriteJSON(w, status, hotpaths.PathsJSON(paths))
+		if err := checkFinite(paths); err != nil {
+			Error(w, http.StatusInternalServerError, fmt.Errorf("encode paths: %w", err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		c := newChunkWriter(w)
+		c.paths(paths, false)
+		c.buf = append(c.buf, '\n')
+		if err := c.close(); err != nil {
+			slog.Warn("write paths failed", append([]any{"error", err}, tracing.LogAttrs(r.Context())...)...)
+		}
 		return
 	}
 	buf := bodies.Get().(*bytes.Buffer)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"hotpaths"
@@ -24,16 +25,6 @@ type DeltaJSON struct {
 	Entered []hotpaths.PathJSON `json:"entered"`
 	Changed []hotpaths.PathJSON `json:"changed"`
 	Left    []uint64            `json:"left"`
-}
-
-// unranked converts delta paths to the wire form with rank zeroed (see
-// DeltaJSON).
-func unranked(paths []hotpaths.HotPath) []hotpaths.PathJSON {
-	out := hotpaths.PathsJSON(paths)
-	for i := range out {
-		out[i].Rank = 0
-	}
-	return out
 }
 
 // HotPaths converts wire paths back to the library type (nil when there
@@ -81,27 +72,45 @@ func StartSSE(w http.ResponseWriter, fl http.Flusher) {
 }
 
 // WriteDelta emits one delta as an SSE event: the epoch as the event id
-// (a resume cursor), event type "delta", the DeltaJSON as data. All three
-// slices encode as [] rather than null when empty.
+// (a resume cursor), event type "delta", the DeltaJSON as data — the
+// encoding/json text of it, streamed in chunks (see encode.go). All three
+// slices encode as [] rather than null when empty. A delta encoding/json
+// would refuse is an error before anything is written.
 func WriteDelta(w io.Writer, d hotpaths.Delta) error {
-	left := d.Left
-	if left == nil {
-		left = []uint64{}
+	if err := checkFinite(d.Entered); err != nil {
+		return fmt.Errorf("encode delta: entered %w", err)
 	}
-	body, err := json.Marshal(DeltaJSON{
-		Clock:   d.Clock,
-		Epoch:   d.Epoch,
-		Reset:   d.Reset,
-		Missed:  d.Missed,
-		Entered: unranked(d.Entered),
-		Changed: unranked(d.Changed),
-		Left:    left,
-	})
-	if err != nil {
-		return err
+	if err := checkFinite(d.Changed); err != nil {
+		return fmt.Errorf("encode delta: changed %w", err)
 	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: delta\ndata: %s\n\n", d.Epoch, body)
-	return err
+	c := newChunkWriter(w)
+	c.buf = append(c.buf, "id: "...)
+	c.buf = strconv.AppendInt(c.buf, d.Epoch, 10)
+	c.buf = append(c.buf, "\nevent: delta\ndata: {\"clock\":"...)
+	c.buf = strconv.AppendInt(c.buf, d.Clock, 10)
+	c.buf = append(c.buf, `,"epoch":`...)
+	c.buf = strconv.AppendInt(c.buf, d.Epoch, 10)
+	if d.Reset {
+		c.buf = append(c.buf, `,"reset":true`...)
+	}
+	if d.Missed != 0 {
+		c.buf = append(c.buf, `,"missed":`...)
+		c.buf = strconv.AppendInt(c.buf, int64(d.Missed), 10)
+	}
+	c.buf = append(c.buf, `,"entered":`...)
+	c.paths(d.Entered, true)
+	c.buf = append(c.buf, `,"changed":`...)
+	c.paths(d.Changed, true)
+	c.buf = append(c.buf, `,"left":[`...)
+	for i, id := range d.Left {
+		if i > 0 {
+			c.buf = append(c.buf, ',')
+		}
+		c.buf = strconv.AppendUint(c.buf, id, 10)
+		c.spill()
+	}
+	c.buf = append(c.buf, "]}\n\n"...)
+	return c.close()
 }
 
 // DeltaReader parses the stream WriteDelta produces.

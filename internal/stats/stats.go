@@ -1,6 +1,5 @@
-// Package stats provides the small numeric summaries used by the
-// experiment harness: mean, minimum, maximum and a fixed width table
-// formatter for figure/table rows.
+// Package stats provides the fixed width table formatter the experiment
+// harness prints figure/table rows with.
 package stats
 
 import (
@@ -8,46 +7,6 @@ import (
 	"io"
 	"strings"
 )
-
-// Mean returns the arithmetic mean; 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Min returns the minimum; 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum; 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Table renders rows of cells as a fixed-width text table. The first row is
 // treated as the header and underlined.

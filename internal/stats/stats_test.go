@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("empty mean")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty min/max")
-	}
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-}
-
 func TestTable(t *testing.T) {
 	var tb Table
 	tb.AddRow("N", "index", "score")

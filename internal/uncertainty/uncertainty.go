@@ -13,10 +13,10 @@
 //	Φ((w+ε)/σ) − Φ((w−ε)/σ) = 1 − δ.
 //
 // The package solves this equation numerically (bisection over the standard
-// normal CDF, computed from math.Erf) and also provides a precomputed
-// lookup table delivering constant-time answers, mirroring the paper's two
-// proposed strategies. In two dimensions the per-axis failure budget is
-// δ/2, since (1−δ/2)² ≥ 1−δ.
+// normal CDF, computed from math.Erf). The solution depends only on σ, so
+// a caller whose σ is fixed solves it once rather than per measurement —
+// the constant-time answer the paper gets from a lookup table. In two
+// dimensions the per-axis failure budget is δ/2, since (1−δ/2)² ≥ 1−δ.
 package uncertainty
 
 import (
@@ -126,88 +126,4 @@ func ToleranceRectOrMin(m Measurement, eps, delta, minHalf float64) geom.Rect {
 		return geom.RectAround(m.Mean, minHalf)
 	}
 	return r
-}
-
-// Table is a precomputed lookup table for MaxOffset at a fixed delta,
-// following the paper's constant-time strategy. It stores the normalized
-// solution v*(a) on a uniform grid of a = ε/σ values and interpolates
-// linearly between grid points. Interpolation always rounds down to the
-// conservative (smaller) neighbour first, so the returned offset is within
-// one grid cell of the exact value and never wildly optimistic.
-type Table struct {
-	delta      float64
-	aMin, aMax float64
-	step       float64
-	v          []float64 // v[i] = v*(aMin + i·step); NaN where no solution
-}
-
-// NewTable precomputes steps+1 samples of the normalized offset for
-// a ∈ [aMin, aMax] at the given delta.
-func NewTable(delta, aMin, aMax float64, steps int) (*Table, error) {
-	if delta <= 0 || delta >= 1 {
-		return nil, fmt.Errorf("uncertainty: delta must be in (0,1), got %v", delta)
-	}
-	if !(aMin > 0) || aMax <= aMin || steps < 1 {
-		return nil, fmt.Errorf("uncertainty: bad table range [%v,%v]/%d", aMin, aMax, steps)
-	}
-	t := &Table{
-		delta: delta,
-		aMin:  aMin,
-		aMax:  aMax,
-		step:  (aMax - aMin) / float64(steps),
-		v:     make([]float64, steps+1),
-	}
-	for i := range t.v {
-		a := aMin + float64(i)*t.step
-		v, err := maxOffsetNorm(a, delta)
-		if err != nil {
-			v = math.NaN()
-		}
-		t.v[i] = v
-	}
-	return t, nil
-}
-
-// Delta returns the failure probability the table was built for.
-func (t *Table) Delta() float64 { return t.delta }
-
-// MaxOffset returns the (interpolated) maximal offset for the given eps and
-// sigma. ok is false when a = eps/sigma falls outside the table range or in
-// a region with no solution.
-func (t *Table) MaxOffset(eps, sigma float64) (w float64, ok bool) {
-	if sigma <= 0 || eps <= 0 {
-		return 0, false
-	}
-	a := eps / sigma
-	if a < t.aMin || a > t.aMax {
-		return 0, false
-	}
-	f := (a - t.aMin) / t.step
-	i := int(f)
-	if i >= len(t.v)-1 {
-		i = len(t.v) - 2
-	}
-	v0, v1 := t.v[i], t.v[i+1]
-	if math.IsNaN(v0) || math.IsNaN(v1) {
-		return 0, false
-	}
-	frac := f - float64(i)
-	return (v0 + frac*(v1-v0)) * sigma, true
-}
-
-// ToleranceRect is the table-backed variant of the package-level
-// ToleranceRect; it requires a table built with delta/2 matching.
-func (t *Table) ToleranceRect(m Measurement, eps float64) (geom.Rect, bool) {
-	wx, ok := t.MaxOffset(eps, m.SigmaX)
-	if !ok {
-		return geom.Rect{}, false
-	}
-	wy, ok := t.MaxOffset(eps, m.SigmaY)
-	if !ok {
-		return geom.Rect{}, false
-	}
-	return geom.Rect{
-		Lo: geom.Pt(m.Mean.X-wx, m.Mean.Y-wy),
-		Hi: geom.Pt(m.Mean.X+wx, m.Mean.Y+wy),
-	}, true
 }

@@ -133,89 +133,6 @@ func TestToleranceRectOrMin(t *testing.T) {
 	}
 }
 
-func TestNewTableValidation(t *testing.T) {
-	if _, err := NewTable(0, 1, 10, 8); err == nil {
-		t.Error("delta=0 must error")
-	}
-	if _, err := NewTable(0.05, 0, 10, 8); err == nil {
-		t.Error("aMin=0 must error")
-	}
-	if _, err := NewTable(0.05, 5, 5, 8); err == nil {
-		t.Error("empty range must error")
-	}
-	if _, err := NewTable(0.05, 1, 10, 0); err == nil {
-		t.Error("steps=0 must error")
-	}
-}
-
-func TestTableMatchesExactSolver(t *testing.T) {
-	tab, err := NewTable(0.05, 0.5, 50, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Delta() != 0.05 {
-		t.Error("Delta accessor")
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		sigma := 0.3 + rng.Float64()*3
-		eps := sigma * (0.6 + rng.Float64()*40) // keep a in range
-		exact, err := MaxOffset(eps, 0.05, sigma)
-		approx, ok := tab.MaxOffset(eps, sigma)
-		if err == ErrNoSolution {
-			if ok && approx > 0.1*sigma {
-				t.Errorf("table returned %v where solver says no solution", approx)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("table miss for eps=%v sigma=%v", eps, sigma)
-		}
-		if math.Abs(exact-approx) > 0.02*sigma+1e-6 {
-			t.Errorf("table %v vs exact %v (eps=%v sigma=%v)", approx, exact, eps, sigma)
-		}
-	}
-}
-
-func TestTableOutOfRange(t *testing.T) {
-	tab, _ := NewTable(0.05, 1, 10, 100)
-	if _, ok := tab.MaxOffset(0.5, 1); ok {
-		t.Error("a below range must miss")
-	}
-	if _, ok := tab.MaxOffset(100, 1); ok {
-		t.Error("a above range must miss")
-	}
-	if _, ok := tab.MaxOffset(5, 0); ok {
-		t.Error("sigma=0 must miss")
-	}
-	if _, ok := tab.MaxOffset(0, 1); ok {
-		t.Error("eps=0 must miss")
-	}
-}
-
-func TestTableToleranceRect(t *testing.T) {
-	tab, _ := NewTable(0.025, 0.5, 50, 2000) // delta/2 for delta=0.05
-	m := Measurement{Mean: geom.Pt(10, 20), SigmaX: 1, SigmaY: 1}
-	r, ok := tab.ToleranceRect(m, 10)
-	if !ok {
-		t.Fatal("expected a rect")
-	}
-	exact, err := ToleranceRect(m, 10, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Width()-exact.Width()) > 0.05 {
-		t.Errorf("table rect width %v vs exact %v", r.Width(), exact.Width())
-	}
-	bad := Measurement{Mean: geom.Pt(0, 0), SigmaX: 1000, SigmaY: 1}
-	if _, ok := tab.ToleranceRect(bad, 10); ok {
-		t.Error("out-of-range sigma must miss")
-	}
-}
-
 // Monte-Carlo check: a point at the boundary offset really does contain the
 // true location with probability ≈ 1−δ.
 func TestMaxOffsetMonteCarlo(t *testing.T) {

@@ -56,6 +56,15 @@ func TestExtremeCoordinatesKeepReadsParseable(t *testing.T) {
 // the in-memory and the -wal daemon: each case answers its status, the
 // tick across the next epoch still advances the clock, and every read
 // then answers a parseable 200.
+//
+// A timestamp the object's filter refuses is found by its shard after the
+// write has answered, so it cannot fail that write; failing the next tick
+// instead, as this daemon once did, told whoever sent the tick that a
+// tick which had happened had not. The shard counts it in
+// hotpaths_engine_observations_refused_total, and both requests answer
+// 200. The repeated last timestamp (40) and the out-of-order one (30)
+// are refused against object 1's newest measurement, t=40, which the
+// zig-zag leaves in its filter's waiting buffer.
 func TestAdversarialObservations(t *testing.T) {
 	one := func(o hotpaths.ObservationJSON) httpapi.ObserveRequest {
 		return httpapi.ObserveRequest{Observations: []hotpaths.ObservationJSON{o}}
@@ -66,25 +75,28 @@ func TestAdversarialObservations(t *testing.T) {
 		path   string
 		body   any
 		status int
-		// tick is the status of the tick to 50 that follows. A timestamp
-		// error is found by the object's shard, which reports it at the
-		// next tick; that tick still advances the clock.
+		// tick is the status of the tick to 50 that follows, which
+		// advances the clock whatever the case did.
 		tick int
+		// refused is how far the tick moves the refused-observation
+		// counter.
+		refused float64
 	}{
 		{"duplicate timestamp", "/observe", httpapi.ObserveRequest{Observations: []hotpaths.ObservationJSON{
-			{Object: 1, X: 246, Y: 40, T: 41}, {Object: 1, X: 250, Y: 40, T: 41}}}, 200, 400},
-		{"repeated last timestamp", "/observe", one(hotpaths.ObservationJSON{Object: 1, X: 240, Y: 40, T: 40}), 200, 200},
-		{"out-of-order timestamp", "/observe", one(hotpaths.ObservationJSON{Object: 1, X: 200, Y: 40, T: 30}), 200, 200},
-		{"tick at the clock", "/tick", httpapi.TickRequest{Now: 40}, 400, 200},
-		{"tick below the clock", "/tick", httpapi.TickRequest{Now: 39}, 400, 200},
-		{"teleport", "/observe", one(hotpaths.ObservationJSON{Object: 1, X: 240 + 1e6, Y: 40, T: 41}), 200, 200},
-		{"max float64", "/observe", one(hotpaths.ObservationJSON{Object: 3, X: math.MaxFloat64, Y: 0, T: 41}), 400, 200},
-		{"min float64", "/observe", one(hotpaths.ObservationJSON{Object: 3, X: 0, Y: -math.MaxFloat64, T: 41}), 400, 200},
+			{Object: 1, X: 246, Y: 40, T: 41}, {Object: 1, X: 250, Y: 40, T: 41}}}, 200, 200, 1},
+		{"repeated last timestamp", "/observe", one(hotpaths.ObservationJSON{Object: 1, X: 240, Y: 40, T: 40}), 200, 200, 1},
+		{"out-of-order timestamp", "/observe", one(hotpaths.ObservationJSON{Object: 1, X: 200, Y: 40, T: 30}), 200, 200, 1},
+		{"tick at the clock", "/tick", httpapi.TickRequest{Now: 40}, 400, 200, 0},
+		{"tick below the clock", "/tick", httpapi.TickRequest{Now: 39}, 400, 200, 0},
+		{"teleport", "/observe", one(hotpaths.ObservationJSON{Object: 1, X: 240 + 1e6, Y: 40, T: 41}), 200, 200, 0},
+		{"max float64", "/observe", one(hotpaths.ObservationJSON{Object: 3, X: math.MaxFloat64, Y: 0, T: 41}), 400, 200, 0},
+		{"min float64", "/observe", one(hotpaths.ObservationJSON{Object: 3, X: 0, Y: -math.MaxFloat64, T: 41}), 400, 200, 0},
 		{"smallest subnormal", "/observe", one(hotpaths.ObservationJSON{
-			Object: 3, X: math.SmallestNonzeroFloat64, Y: -math.SmallestNonzeroFloat64, T: 41}), 200, 200},
+			Object: 3, X: math.SmallestNonzeroFloat64, Y: -math.SmallestNonzeroFloat64, T: 41}), 200, 200, 0},
 		{"negative zero", "/observe", one(hotpaths.ObservationJSON{
-			Object: 3, X: math.Copysign(0, -1), Y: math.Copysign(0, -1), T: 41}), 200, 200},
+			Object: 3, X: math.Copysign(0, -1), Y: math.Copysign(0, -1), T: 41}), 200, 200, 0},
 	}
+	const refusedSeries = "hotpaths_engine_observations_refused_total"
 	for _, backend := range []struct {
 		name string
 		new  func(t *testing.T) http.Handler
@@ -96,11 +108,15 @@ func TestAdversarialObservations(t *testing.T) {
 			t.Run(backend.name+"/"+tc.name, func(t *testing.T) {
 				h := backend.new(t)
 				feedZigZag(t, h)
+				before := sampleValue(scrapeMetrics(t, h), refusedSeries)
 				if rec := do(t, h, http.MethodPost, tc.path, tc.body); rec.Code != tc.status {
 					t.Fatalf("POST %s: %d %s, want %d", tc.path, rec.Code, rec.Body.String(), tc.status)
 				}
 				if rec := do(t, h, http.MethodPost, "/tick", httpapi.TickRequest{Now: 50}); rec.Code != tc.tick {
 					t.Fatalf("tick across the next epoch: %d %s, want %d", rec.Code, rec.Body.String(), tc.tick)
+				}
+				if got := sampleValue(scrapeMetrics(t, h), refusedSeries) - before; got != tc.refused {
+					t.Errorf("%s moved by %v, want %v", refusedSeries, got, tc.refused)
 				}
 				if st := decode[map[string]any](t, do(t, h, http.MethodGet, "/stats", nil)); st["clock"] != 50.0 {
 					t.Fatalf("clock after the tick = %v, want 50", st["clock"])

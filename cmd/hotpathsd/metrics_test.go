@@ -68,6 +68,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hotpaths_engine_queue_depth",
 		"hotpaths_engine_observations_total",
 		"hotpaths_engine_epochs_total",
+		"hotpaths_engine_observations_refused_total",
 		"hotpaths_subscribers",
 		"hotpaths_http_request_seconds",
 		"hotpaths_http_requests_total",
@@ -87,6 +88,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		{`hotpaths_http_requests_total{code="2xx",route="/stats"}`, 1},
 		{`hotpaths_http_requests_total{code="2xx",route="/observe_batch"}`, 1},
 		{`hotpaths_engine_observations_total`, 80},
+		{`hotpaths_engine_observations_refused_total`, 0},
 	} {
 		got := sampleValue(body, tc.series) - sampleValue(before, tc.series)
 		if got != tc.delta {

@@ -463,9 +463,7 @@ func (d *Durable) Close() error {
 	if err := d.log.Close(); err != nil {
 		errs = append(errs, err)
 	}
-	if err := d.eng.Close(); err != nil {
-		errs = append(errs, err)
-	}
+	d.eng.Close()
 	d.closed = true
 	return errors.Join(errs...)
 }

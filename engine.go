@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hotpaths/internal/engine"
-	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
 )
 
@@ -20,17 +19,6 @@ type Observation struct {
 	SigmaX, SigmaY float64
 }
 
-// internal is the observation in the internal engine's form.
-func (o Observation) internal() engine.Observation {
-	return engine.Observation{
-		ObjectID: o.ObjectID,
-		P:        geom.Pt(o.X, o.Y),
-		T:        trajectory.Time(o.T),
-		SigmaX:   o.SigmaX,
-		SigmaY:   o.SigmaY,
-	}
-}
-
 // EngineConfig parameterises an Engine: the common Config plus the
 // concurrency knobs.
 type EngineConfig struct {
@@ -41,19 +29,17 @@ type EngineConfig struct {
 	Shards int
 }
 
-// Engine is the concurrent, object-sharded deployment of the paper's
-// architecture. Observations hash by object id to shard goroutines, each
-// owning the filter bank of its objects; at epoch boundaries TickCtx
-// drains the shards and feeds the merged report batch — restored to
-// arrival order — to a single SinglePath coordinator, so results are
-// bit-identical to a System fed the same observations in the same order.
+// Engine is the concurrent deployment: the epoch core a System runs, with
+// object-sharded filter banks. Observations hash by object id to shard
+// goroutines; at epoch boundaries TickCtx drains the shards and merges
+// their reports back into arrival order, so results are bit-identical to
+// a System fed the same observations in the same order.
 //
-// Concurrency contract: ObserveBatchCtx may be called from many goroutines
-// concurrently, and the reads (Snapshot, Stats, Clock) are safe at any
-// time. Observations for one object must be produced in timestamp order
-// by one producer at a time. TickCtx must not race itself, and producers
-// that need an observation counted in a specific epoch must order their
-// batch before that TickCtx.
+// ObserveBatchCtx may be called from many goroutines, and the reads
+// (Snapshot, Stats, Clock) are safe at any time. One object's
+// observations must come in timestamp order from one producer at a time.
+// TickCtx must not race itself; a batch meant for an epoch must be
+// ordered before that TickCtx.
 type Engine struct {
 	cfg Config
 	eng *engine.Engine
@@ -65,20 +51,11 @@ type Engine struct {
 // NewEngine validates cfg and starts the engine's shard goroutines. Call
 // Close to stop them.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
-	c, err := cfg.Config.withDefaults()
+	c, ec, err := cfg.Config.engineConfig(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	coord, err := c.newCoordinator()
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(engine.Config{
-		Coord:     coord,
-		Epoch:     trajectory.Time(c.Epoch),
-		Tolerance: c.toleranceFunc,
-		Shards:    cfg.Shards,
-	})
+	eng, err := engine.New(ec)
 	if err != nil {
 		return nil, err
 	}
@@ -113,10 +90,12 @@ func checkObservation(i int, o Observation, delta float64) error {
 // path for network ingestion: the batch is split into at most one queue
 // message per shard. Order is preserved per object. The batch is
 // validated up front, so a rejected batch enqueues nothing. Processing is
-// asynchronous: a per-observation error (a non-increasing timestamp)
-// surfaces from the next epoch-boundary TickCtx. One engine
-// span per batch — never per record — lands on the context's trace; pass
-// context.Background() when there is none.
+// asynchronous, so an observation its object's filter refuses (a
+// timestamp at or before the object's newest) fails no call: its shard
+// drops it and counts it in hotpaths_engine_observations_refused_total.
+// Returning the refusal here would mean waiting for the shard on every
+// write. One engine span per batch — never per record — lands on the
+// context's trace; pass context.Background() when there is none.
 func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error {
 	if err := e.cfg.checkBatch(batch); err != nil {
 		return err
@@ -130,7 +109,7 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, batch []Observation) error
 // caller may reuse the batch at once (hotpathsd pools its request
 // batches on that). Durable calls it after journaling.
 func (e *Engine) enqueue(ctx context.Context, batch []Observation) error {
-	return e.eng.ObserveBatchCtx(ctx, len(batch), func(i int) engine.Observation { return batch[i].internal() })
+	return e.eng.ObserveBatchCtx(ctx, len(batch), func(i int) engine.Observation { return engine.Observation(batch[i]) })
 }
 
 // checkBatch validates a batch against the deployment's noise mode in
@@ -149,8 +128,10 @@ func (cfg Config) checkBatch(batch []Observation) error {
 // of Config.Epoch — the shards are drained and the coordinator processes
 // the merged report batch. Call it once per timestamp, after that
 // timestamp's observations; sparse clocks that jump over a boundary still
-// trigger the epoch. The epoch-boundary spans (engine.tick and its
-// children) land on the context's trace.
+// trigger the epoch. A tick that does not advance the clock is refused
+// and changes nothing; observations the shards refused are never a
+// tick's error (see ObserveBatchCtx). The epoch-boundary spans
+// (engine.tick and its children) land on the context's trace.
 func (e *Engine) TickCtx(ctx context.Context, now int64) error {
 	_, err := e.tick(ctx, now)
 	return err
@@ -172,12 +153,13 @@ func (e *Engine) tick(ctx context.Context, now int64) (epoch bool, err error) {
 
 // Close drains and stops the shard goroutines and closes every
 // subscription channel (no further epochs can fire). Queries remain valid
-// after Close; ingestion, TickCtx and Subscribe fail. It is idempotent and
-// returns the first unsurfaced processing error, if any.
+// after Close; ingestion, TickCtx and Subscribe fail. It is idempotent
+// and returns nil: observations the shards refused were counted in
+// hotpaths_engine_observations_refused_total as they were refused.
 func (e *Engine) Close() error {
-	err := e.eng.Close()
+	e.eng.Close()
 	e.subs.closeAll()
-	return err
+	return nil
 }
 
 // Config returns the engine's configuration with defaults applied.
@@ -187,27 +169,11 @@ func (e *Engine) Config() Config { return e.cfg }
 // Observations/Reports counters are eventually consistent; after an
 // epoch-boundary TickCtx they exactly match a System fed the same input.
 func (e *Engine) Stats() Stats {
-	return convertStats(e.eng.Stats())
+	return Stats(e.eng.Stats())
 }
 
 // Clock returns the timestamp of the last Tick. Unlike Snapshot().Clock()
 // it copies no paths, so monitoring probes can call it at any rate.
 func (e *Engine) Clock() int64 {
 	return int64(e.eng.Clock())
-}
-
-func convertStats(es engine.Stats) Stats {
-	return Stats{
-		Observations: es.Observations,
-		Reports:      es.Reports,
-		Responses:    es.Responses,
-		Epochs:       es.Coordinator.Epochs,
-		PathsCreated: es.Coordinator.PathsCreated,
-		PathsExpired: es.Coordinator.PathsExpired,
-		Crossings:    es.Coordinator.Crossings,
-		IndexSize:    es.IndexSize,
-		Case1:        es.Coordinator.Case1,
-		Case2:        es.Coordinator.Case2W,
-		Case3:        es.Coordinator.Case3,
-	}
 }

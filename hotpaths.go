@@ -79,37 +79,31 @@
 //
 // # Concurrency: System vs Engine
 //
-// The package offers two deployments of the same architecture. Both are a
-// Reader and a Writer: ObserveBatchCtx feeds one timestamp's
-// measurements, all-or-nothing on validation, and TickCtx advances the
-// clock.
+// Both deployments are a Reader and a Writer (ObserveBatchCtx feeds one
+// timestamp's measurements, all-or-nothing on validation; TickCtx
+// advances the clock), and both run one epoch core: the coordinator, the
+// clock and the epoch batch, around RayTrace filter banks.
 //
-//   - System is single-goroutine: its writes and reads must all be
-//     called from one goroutine. Observe, ObserveNoisy and Tick are its
-//     single-call conveniences. It is the right choice for simulation,
-//     trace replay, step-debugging, and any workload driven by a single
-//     loop — it has zero synchronisation overhead and its behaviour is
-//     trivially deterministic.
-//   - Engine (see NewEngine) is the concurrent, object-sharded realisation
-//     of the paper's distributed design: objects hash to shards, each shard
-//     goroutine owns the filter bank of its objects, fed through a
-//     buffered queue, and reports funnel into a single coordinator at epoch
-//     boundaries. ObserveBatchCtx is safe to call from many goroutines
-//     at once (observations for the same object must still be
-//     time-ordered by their producer), so Engine is the right choice when
-//     many producers push observations concurrently — e.g. the
-//     cmd/hotpathsd network daemon — or when ingest throughput matters.
+//   - System is the core with one inline bank, driven from one
+//     goroutine: every write and read must come from it. A report joins
+//     the epoch batch as it is raised, and a refused observation (a
+//     timestamp at or before the object's newest) is the write's error.
+//     Observe, ObserveNoisy and Tick are its single-call conveniences.
+//     It suits simulation, trace replay and step-debugging.
+//   - Engine (see NewEngine) is the core with object-sharded banks:
+//     objects hash to shard goroutines fed through buffered queues, and
+//     at epoch boundaries their reports merge back into arrival order.
+//     ObserveBatchCtx is safe from many goroutines (one object's
+//     observations must still be time-ordered by their producer), which
+//     suits cmd/hotpathsd. A shard finds a refusal after the write
+//     returned, so it counts it in the
+//     hotpaths_engine_observations_refused_total metric instead.
 //
-// Both produce bit-identical hot paths, scores and counters when fed the
-// same observations in the same order, because the Engine merges shard
-// reports back into the single-threaded arrival order before the
-// coordinator processes an epoch. That equality is what the System is
-// kept for: it is the serial reference the golden tests and the benchmark
-// oracle hold every other deployment against, and it knows nothing of
-// journals, checkpoints or replication. Both keep their RayTrace filters
-// in the same filter bank (one in a System, one per Engine shard), so
-// what the System checks independently is the arrival order and the
-// epoch protocol.
+// Fed the same observations in the same order, both produce
+// bit-identical hot paths, scores and counters. The System is the serial
+// reference the golden tests and the benchmark oracle hold every other
+// deployment against; it knows nothing of journals, checkpoints or
+// replication.
 //
 // # Durability: OpenDurable and Recover
 //
@@ -168,6 +162,7 @@ import (
 	"math"
 
 	"hotpaths/internal/coordinator"
+	"hotpaths/internal/engine"
 	"hotpaths/internal/geom"
 	"hotpaths/internal/motion"
 	"hotpaths/internal/raytrace"
@@ -252,17 +247,13 @@ type Stats struct {
 	Case1, Case2, Case3 int
 }
 
-// System is an in-process deployment of the paper's architecture: one
-// filter bank holding a RayTrace filter per object, plus the SinglePath
-// coordinator. It is not safe for concurrent use; drive it from a single
-// goroutine.
+// System is an in-process deployment of the paper's architecture: the
+// epoch core every deployment runs, with one filter bank holding a
+// RayTrace filter per object, fed in the caller's goroutine. It is not
+// safe for concurrent use; drive it from a single goroutine.
 type System struct {
-	cfg     Config
-	coord   *coordinator.Coordinator
-	bank    raytrace.Bank
-	pending []coordinator.Report
-	stats   Stats
-	lastNow int64
+	cfg Config
+	in  *engine.Inline
 	// subs fans epoch snapshots out to standing queries; it has its own
 	// mutex, so Subscription.Close and channel reads are goroutine-safe
 	// even though the System itself is single-goroutine.
@@ -305,36 +296,38 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// newCoordinator builds the coordinator tier for cfg.
-func (cfg Config) newCoordinator() (*coordinator.Coordinator, error) {
-	bounds := geom.Rect{
-		Lo: geom.Pt(cfg.Bounds.Min.X, cfg.Bounds.Min.Y),
-		Hi: geom.Pt(cfg.Bounds.Max.X, cfg.Bounds.Max.Y),
+// engineConfig validates cfg, fills in its defaults, and builds the
+// coordinator tier and the configuration both internal engine forms take.
+func (cfg Config) engineConfig(shards int) (Config, engine.Config, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return cfg, engine.Config{}, err
 	}
-	return coordinator.New(coordinator.Config{
-		Bounds: bounds,
-		Cols:   cfg.GridCols,
-		Rows:   cfg.GridRows,
-		W:      trajectory.Time(cfg.W),
-		Eps:    cfg.Eps,
+	coord, err := coordinator.New(coordinator.Config{
+		Bounds: geom.Rect{
+			Lo: geom.Pt(cfg.Bounds.Min.X, cfg.Bounds.Min.Y),
+			Hi: geom.Pt(cfg.Bounds.Max.X, cfg.Bounds.Max.Y),
+		},
+		Cols: cfg.GridCols,
+		Rows: cfg.GridRows,
+		W:    trajectory.Time(cfg.W),
+		Eps:  cfg.Eps,
 	})
+	return cfg, engine.Config{
+		Coord:     coord,
+		Epoch:     trajectory.Time(cfg.Epoch),
+		Tolerance: cfg.toleranceFunc,
+		Shards:    shards,
+	}, err
 }
 
 // New validates cfg and creates an empty System.
 func New(cfg Config) (*System, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, ec, err := cfg.engineConfig(0)
 	if err != nil {
 		return nil, err
 	}
-	coord, err := cfg.newCoordinator()
-	if err != nil {
-		return nil, err
-	}
-	return &System{
-		cfg:   cfg,
-		coord: coord,
-		bank:  raytrace.NewBank(cfg.toleranceFunc),
-	}, nil
+	return &System{cfg: cfg, in: engine.NewInline(ec)}, nil
 }
 
 // Observe feeds one location measurement for objectID at timestamp t.
@@ -342,10 +335,10 @@ func New(cfg Config) (*System, error) {
 // be finite and at most 2^53 in magnitude. In (ε,δ) mode the measurement
 // is treated as exact; use ObserveNoisy to pass its noise.
 func (s *System) Observe(objectID int, x, y float64, t int64) error {
-	if err := checkCoords(x, y); err != nil {
-		return err
+	if err := badCoords(x, y); err != nil {
+		return fmt.Errorf("hotpaths: %w", err)
 	}
-	return s.observe(objectID, trajectory.TP(geom.Pt(x, y), trajectory.Time(t)), 0, 0)
+	return s.observe(Observation{ObjectID: objectID, X: x, Y: y, T: t})
 }
 
 // ObserveNoisy feeds a Gaussian measurement with per-axis standard
@@ -355,13 +348,14 @@ func (s *System) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int6
 	if s.cfg.Delta <= 0 {
 		return fmt.Errorf("hotpaths: ObserveNoisy requires Config.Delta > 0")
 	}
-	if err := checkCoords(x, y); err != nil {
-		return err
+	err := badCoords(x, y)
+	if err == nil {
+		err = badSigmas(sigmaX, sigmaY)
 	}
-	if err := checkSigmas(sigmaX, sigmaY); err != nil {
-		return err
+	if err != nil {
+		return fmt.Errorf("hotpaths: %w", err)
 	}
-	return s.observe(objectID, trajectory.TP(geom.Pt(x, y), trajectory.Time(t)), sigmaX, sigmaY)
+	return s.observe(Observation{ObjectID: objectID, X: x, Y: y, T: t, SigmaX: sigmaX, SigmaY: sigmaY})
 }
 
 // ObserveBatchCtx feeds a batch of measurements in order, exact or noisy
@@ -372,14 +366,12 @@ func (s *System) ObserveNoisy(objectID int, x, y, sigmaX, sigmaY float64, t int6
 // fed and the errors are returned together. ctx is unused: a System
 // records no spans.
 func (s *System) ObserveBatchCtx(_ context.Context, batch []Observation) error {
-	for i, o := range batch {
-		if err := checkObservation(i, o, s.cfg.Delta); err != nil {
-			return err
-		}
+	if err := s.cfg.checkBatch(batch); err != nil {
+		return err
 	}
 	var errs []error
 	for _, o := range batch {
-		if err := s.observe(o.ObjectID, trajectory.TP(geom.Pt(o.X, o.Y), trajectory.Time(o.T)), o.SigmaX, o.SigmaY); err != nil {
+		if err := s.observe(o); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -402,8 +394,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 const maxCoord = 1 << 53
 
 // badCoords and badSigmas are the single source of the ingest validation
-// rules and messages; the prefix-adding wrappers below adapt them to the
-// single-observation and batch error shapes.
+// rules and messages; System's single-call writes and checkObservation
+// add the prefix of their error shapes.
 
 func badCoords(x, y float64) error {
 	if math.Abs(x) <= maxCoord && math.Abs(y) <= maxCoord {
@@ -425,30 +417,10 @@ func badSigmas(sigmaX, sigmaY float64) error {
 	return nil
 }
 
-// checkCoords validates a measurement's coordinates at the API boundary,
-// before they can reach filter or WAL state.
-func checkCoords(x, y float64) error {
-	if err := badCoords(x, y); err != nil {
+// observe feeds one validated measurement; a refusal is returned at once.
+func (s *System) observe(o Observation) error {
+	if err := s.in.Observe(engine.Observation(o)); err != nil {
 		return fmt.Errorf("hotpaths: %w", err)
-	}
-	return nil
-}
-
-func checkSigmas(sigmaX, sigmaY float64) error {
-	if err := badSigmas(sigmaX, sigmaY); err != nil {
-		return fmt.Errorf("hotpaths: %w", err)
-	}
-	return nil
-}
-
-func (s *System) observe(objectID int, tp trajectory.TimePoint, sigmaX, sigmaY float64) error {
-	s.stats.Observations++
-	st, report, err := s.bank.Observe(objectID, tp, sigmaX, sigmaY)
-	if err != nil {
-		return fmt.Errorf("hotpaths: %w", err)
-	}
-	if report {
-		s.enqueue(objectID, st)
 	}
 	return nil
 }
@@ -477,69 +449,27 @@ func (cfg Config) toleranceFunc(sigmaX, sigmaY float64) raytrace.ToleranceFunc {
 	}
 }
 
-func (s *System) enqueue(objectID int, st raytrace.State) {
-	s.pending = append(s.pending, coordinator.Report{ObjectID: objectID, State: st})
-	s.stats.Reports++
-}
-
 // Tick advances the system clock to now: the hotness window slides, and at
 // epoch boundaries — whenever the clock reaches or crosses a multiple of
 // Config.Epoch — the coordinator processes all pending reports and
 // re-seeds the reporting filters. Call it once per timestamp, after that
 // timestamp's Observes; sparse clocks that jump over a boundary still
-// trigger the epoch.
+// trigger the epoch. A tick that does not advance the clock is refused
+// and changes nothing.
 func (s *System) Tick(now int64) error {
-	if now <= s.lastNow {
-		return fmt.Errorf("hotpaths: Tick(%d) after Tick(%d); time must advance", now, s.lastNow)
-	}
-	prev := s.lastNow
-	s.lastNow = now
-	s.coord.Advance(trajectory.Time(now))
-	if now/s.cfg.Epoch == prev/s.cfg.Epoch {
-		return nil
-	}
-	batch := s.pending
-	s.pending = nil
-	resps, err := s.coord.ProcessEpoch(batch)
-	if err != nil {
-		// Validation is deterministic per report, so a rejected batch can
-		// never succeed later; it is dropped rather than wedging every
-		// future epoch. RayTrace filters cannot produce such reports.
-		return err
-	}
-	// A sparse clock that jumped more than W past the reports' exit
-	// timestamps makes the just-recorded crossings already stale; expire
-	// them now so TopK/Score never surface phantom hot paths.
-	s.coord.Advance(trajectory.Time(now))
-	var errs []error
-	for _, r := range resps {
-		s.stats.Responses++
-		st, report, err := s.bank.Respond(r.ObjectID, r.End)
-		if err != nil {
-			// Respond validates before mutating, so the filter stays
-			// waiting; keep delivering the remaining responses rather than
-			// leaving other filters un-reseeded (as the Engine does).
-			errs = append(errs, fmt.Errorf("hotpaths: %w", err))
-			continue
-		}
-		if report {
-			s.enqueue(r.ObjectID, st)
-		}
-	}
-	// Fan the post-epoch state out to standing queries. The snapshot copy
-	// is skipped entirely while nobody subscribes; publication itself
-	// never blocks (see hub).
-	if s.subs.any() {
+	epoch, err := s.in.Tick(trajectory.Time(now))
+	// No copy while nobody subscribes; publication never blocks (see hub).
+	if epoch && s.subs.any() {
 		s.subs.publish(s.Snapshot())
 	}
-	return errors.Join(errs...)
+	return err
 }
 
 // TickCtx is Tick; ctx is unused, because a System records no spans.
 func (s *System) TickCtx(_ context.Context, now int64) error { return s.Tick(now) }
 
 // Clock returns the timestamp of the last Tick.
-func (s *System) Clock() int64 { return s.lastNow }
+func (s *System) Clock() int64 { return int64(s.in.Clock()) }
 
 // Config returns the system's configuration with defaults applied.
 func (s *System) Config() Config { return s.cfg }
@@ -569,17 +499,7 @@ func (s *System) WriteGeoJSON(w io.Writer) error {
 }
 
 // Stats returns the system's counters.
-func (s *System) Stats() Stats {
-	cs := s.coord.Stats()
-	out := s.stats
-	out.Epochs = cs.Epochs
-	out.PathsCreated = cs.PathsCreated
-	out.PathsExpired = cs.PathsExpired
-	out.Crossings = cs.Crossings
-	out.IndexSize = s.coord.IndexSize()
-	out.Case1, out.Case2, out.Case3 = cs.Case1, cs.Case2W, cs.Case3
-	return out
-}
+func (s *System) Stats() Stats { return Stats(s.in.Stats()) }
 
 // convert copies paths into a fresh, never nil, public slice.
 func convert(in []motion.HotPath) []HotPath {

@@ -1,62 +1,56 @@
-// Package engine implements the concurrent, object-sharded ingestion
-// pipeline behind hotpaths.Engine.
+// Package engine runs the paper's epoch protocol for every deployment.
 //
-// # Architecture
+// # One core, two bank forms
 //
-// Observations hash by object id to one of N shards. Each shard is a
-// goroutine around a raytrace.Bank, the type a hotpaths.System keeps its
-// filters in too, fed through a buffered queue, so per-object timestamp
-// order is preserved (observations for one object always land on one
-// shard, and queues are FIFO per sender). Filters run concurrently across
-// shards; the coordinator tier stays single-threaded.
+// The core (core.go) is the protocol once: the clock check and window
+// slide; at an epoch boundary the batch — the previous epoch's follow-up
+// reports, then the reports raised since in arrival order — SinglePath
+// over it, a second slide, and each response delivered to the
+// raytrace.Bank holding its object, whose follow-ups open the next batch.
+// It reaches the banks through one seam, banks: collect the reports
+// raised so far, and name the bank that holds an object.
 //
-// Every observation is stamped with a global sequence number when it
-// enters the engine. When a filter emits a state report, the report
-// carries the sequence number of the observation that triggered it. At an
-// epoch boundary Tick raises a flush barrier — a token per shard queue,
-// acknowledged once everything queued before it has been processed — then
-// gathers the shards' report buffers, sorts them by sequence number, and
-// prepends the follow-up reports produced by the previous epoch's
-// responses. That is exactly the batch order the single-threaded
-// hotpaths.System would have produced for the same input order, so the
-// coordinator's order-sensitive SinglePath processing yields bit-identical
-// paths, hotness and counters.
+// Inline, a hotpaths.System, is the core with one bank fed in the
+// caller's goroutine: a report joins the batch as it is raised, and a
+// refused observation is the write's own error.
+//
+// Engine is the core with N shard banks. Observations hash by object id
+// to one of N shard goroutines, each around a raytrace.Bank fed through a
+// FIFO queue, so per-object order holds and filters run concurrently
+// while the coordinator stays single-threaded. Every observation gets a
+// global sequence number on entry, and a report carries its
+// observation's. At an epoch boundary Tick raises a flush barrier — a
+// token per shard queue, acknowledged once everything queued before it
+// is processed — and collect merges the shards' reports by sequence
+// number: the order an Inline fed the same input would have, so the two
+// forms produce bit-identical paths, hotness and counters. A shard
+// cannot hand a refusal back to a write that has already returned, so it
+// counts it in hotpaths_engine_observations_refused_total and drops the
+// observation. Spans, metrics and the epoch_barrier event belong to the
+// Engine; an Inline records none.
 //
 // # Synchronisation
 //
-// A single RWMutex protects the coordinator tier and the engine clock:
-// ingestion takes the read lock (many producers run concurrently, touching
-// only the sequence counter, the group free list and the shard queues),
-// while Tick and Close take the write lock. While Tick holds the write
-// lock no producer can enqueue, so after the flush barrier the shard
-// goroutines are guaranteed idle and Tick may touch their banks directly —
-// delivering epoch responses without any per-message channel round trips.
-// Queries (Snapshot/Stats/Clock) take the read lock: the coordinator is
-// only mutated under the write lock, so they are safe concurrently with
-// ingestion.
+// One RWMutex guards the core. Ingestion takes the read lock (producers
+// touch only the sequence counter, the group free list and the shard
+// queues); Tick, Close and the state calls take the write lock, so after
+// the flush barrier the shards are idle and Tick touches their banks
+// directly. Queries take the read lock.
 //
 // Each observation is copied once, into a group: ObserveBatchCtx splits a
-// batch into one slice per shard, a group set, and sends each non-empty
-// group down its shard's queue. A set is in exactly one of three hands.
-// A producer pops it from the engine's free list (under a small mutex of
-// its own) and fills it; once sent, it belongs to the shards until the
-// next flush barrier, and the engine lists it as sent; every barrier —
-// an epoch Tick, Drain, DumpState, RestoreState, Close — finds every
-// shard idle, so it empties the sent sets and moves them back to the
-// free list. The recycle is deterministic: which set a producer reuses
-// depends on the call sequence alone, never on how fast a shard ran.
-// The sent sets are capped in total (keepObs), so a clock that never
-// reaches an epoch cannot make the engine hold every observation it was
-// sent; a set past the cap is left to the garbage collector. The epoch
-// batch, the staged reports and every shard's report buffer are kept
-// across epochs the same way, under the write lock.
+// batch into one slice per shard, a group set, popped from a free list
+// under a small mutex of its own. Once sent, a set belongs to the shards
+// until the next barrier — an epoch Tick, Drain, DumpState, RestoreState
+// or Close — which finds them idle and moves every sent set back to the
+// free list, so which set a producer reuses depends on the call sequence
+// alone. The sent sets are capped in total (keepObs), so a clock that
+// never reaches an epoch cannot make the engine hold every observation;
+// a set past the cap is left to the garbage collector.
 //
-// The coordinator changes only in Tick (the window slides, an epoch batch
-// lands) and RestoreState, and both clear the engine's kept read view
-// under the write lock. Snapshot refills it under the read lock, so every
-// reader between two ticks shares one copy and whatever that copy has
-// ordered on demand. Taking the copy holds the read lock, so a Tick that
-// arrives meanwhile waits for it.
+// The coordinator changes only in Tick and RestoreState, which clear the
+// kept read view under the write lock. Snapshot refills it under the read
+// lock, so every reader between two ticks shares one copy and what it
+// has ordered; a Tick that arrives meanwhile waits for the copy.
 package engine
 
 import (
@@ -84,14 +78,20 @@ var ErrClosed = errors.New("engine: closed")
 
 // Observation is one location measurement. SigmaX/SigmaY, when positive,
 // carry the measurement's Gaussian noise for the (ε,δ) tolerance model.
+// Its fields are hotpaths.Observation's, so the public type converts to
+// it.
 type Observation struct {
 	ObjectID       int
-	P              geom.Point
-	T              trajectory.Time
+	X, Y           float64
+	T              int64
 	SigmaX, SigmaY float64
 }
 
-// Config parameterises an engine. The coordinator and tolerance factory
+func (o Observation) point() trajectory.TimePoint {
+	return trajectory.TP(geom.Pt(o.X, o.Y), trajectory.Time(o.T))
+}
+
+// Config parameterises both forms. The coordinator and tolerance factory
 // are built by the public hotpaths package so that System and Engine share
 // one configuration surface.
 type Config struct {
@@ -105,19 +105,25 @@ type Config struct {
 	// of the object's first observation (required).
 	Tolerance func(sigmaX, sigmaY float64) raytrace.ToleranceFunc
 
-	// Shards is the number of filter shards (default: GOMAXPROCS).
+	// Shards is the Engine's number of filter shards (default:
+	// GOMAXPROCS). An Inline has one bank and ignores it.
 	Shards int
 }
 
-// Stats aggregates the engine's counters. While ingestion is in flight the
-// Observations/Reports counters are eventually consistent; after a Tick at
-// an epoch boundary they are exact.
+// Stats aggregates the engine's counters, with hotpaths.Stats' fields.
+// While ingestion is in flight an Engine's Observations/Reports counters
+// are eventually consistent; after a Tick at an epoch boundary they are
+// exact.
 type Stats struct {
-	Observations int
-	Reports      int
-	Responses    int
-	IndexSize    int
-	Coordinator  coordinator.Stats
+	Observations        int
+	Reports             int
+	Responses           int
+	Epochs              int
+	PathsCreated        int
+	PathsExpired        int
+	Crossings           int
+	IndexSize           int
+	Case1, Case2, Case3 int
 }
 
 // Engine is the sharded ingestion pipeline. See the package comment for
@@ -127,14 +133,9 @@ type Engine struct {
 	shards []*shard
 	seq    atomic.Uint64
 
-	mu        sync.RWMutex // write: Tick/Close; read: ingestion and queries
-	coord     *coordinator.Coordinator
-	lastNow   trajectory.Time
-	staged    []taggedReport       // shard reports collected but not yet processed
-	followUps []coordinator.Report // reports raised by the previous epoch's responses
-	batch     []coordinator.Report // the epoch batch batchLocked last built
-	responses int
-	followed  int // follow-up reports, counted into Stats.Reports
+	mu     sync.RWMutex   // write: Tick/Close; read: ingestion and queries
+	core                  // under mu
+	staged []taggedReport // collect's merge buffer, empty between calls
 	// Counter baselines carried over from a restored checkpoint (the
 	// shard-level atomics restart at zero after RestoreState).
 	baseObserved int64
@@ -176,7 +177,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{cfg: cfg, coord: cfg.Coord}
+	e := &Engine{cfg: cfg, core: core{coord: cfg.Coord, epoch: cfg.Epoch}}
 	for i := 0; i < cfg.Shards; i++ {
 		s := newShard(cfg.Tolerance)
 		e.shards = append(e.shards, s)
@@ -204,10 +205,10 @@ func (e *Engine) shardIndex(objectID int) int {
 // the caller may reuse whatever at reads as soon as this returns. It is
 // safe to call from many goroutines, but observations for the same object
 // must be produced in timestamp order by a single producer (or otherwise
-// externally ordered). Processing is asynchronous: per-observation errors
-// (e.g. a non-increasing timestamp) surface from the next epoch-boundary
-// Tick. It records one span per batch on the context's trace, never per
-// record; on an unrecorded context the only cost is the context check.
+// externally ordered). A refusal is counted by the shard, never returned
+// (see the package comment). It records one span per batch on the
+// context's trace, never per record; on an unrecorded context the only
+// cost is the context check.
 func (e *Engine) ObserveBatchCtx(ctx context.Context, n int, at func(i int) Observation) error {
 	if n == 0 {
 		return nil
@@ -289,47 +290,27 @@ func (e *Engine) recycleLocked() {
 	e.sentObs = 0
 }
 
-// CheckAdvance is the clock rule TickCtx enforces: a tick to now may only
-// follow one to last if time strictly advances. It is exported so a
-// journal can refuse a tick before writing it, with the same error text.
-func CheckAdvance(now, last trajectory.Time) error {
-	if now <= last {
-		return fmt.Errorf("engine: Tick(%d) after Tick(%d); time must advance", now, last)
-	}
-	return nil
-}
-
-// TickCtx advances the engine clock to now. The hotness window slides every
-// tick; at epoch boundaries — whenever the clock reaches or crosses a
-// multiple of Config.Epoch, so sparse client-driven clocks cannot skip an
-// epoch — the engine drains all shards, merges their reports back into
-// arrival order, runs the coordinator's SinglePath batch, and re-seeds the
-// reporting filters. epoch reports whether this tick was such a boundary
-// (also when the batch itself then failed), so layers above — checkpoint
-// cadence, replication positions — never re-derive the epoch rule.
-// TickCtx must not be called concurrently with itself; it is safe
-// concurrently with ObserveBatchCtx, but observations racing a tick may
-// only be counted in a later epoch — callers wanting the System-identical
-// schedule must order Observe-before-Tick themselves. On the context's
-// trace it records an engine.tick span per epoch-boundary batch, with an
-// engine.epoch_barrier child timing the shard drain and a
-// coordinator.select child timing SinglePath and carrying its case mix.
+// TickCtx advances the engine clock to now; at an epoch boundary it
+// drains the shards and runs the core's epoch over their merged reports.
+// epoch reports whether this tick was a boundary (also when the batch
+// then failed), so layers above never re-derive the epoch rule. A refused
+// tick changes nothing; a refused observation is never a tick's error.
+// TickCtx must not race itself. On the context's trace it records an
+// engine.tick span per epoch, with an engine.epoch_barrier child timing
+// the drain and the core's coordinator.select child.
 func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return false, ErrClosed
 	}
-	if err := CheckAdvance(now, e.lastNow); err != nil {
+	if epoch, err = e.advance(now); err != nil {
 		return false, err
 	}
 	// Every tick slides the window, so the kept read view is stale from
 	// here on whatever the rest of the tick does.
 	e.view.Store(nil)
-	prev := e.lastNow
-	e.lastNow = now
-	e.coord.Advance(now)
-	if now/e.cfg.Epoch == prev/e.cfg.Epoch {
+	if !epoch {
 		return false, nil
 	}
 	tEpoch := time.Now()
@@ -343,117 +324,63 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 	mQueueDepth.Set(int64(depth))
 	_, barrier := tracing.StartSpan(ctx, "engine.epoch_barrier")
 	barrier.SetAttr("queue_depth", depth)
-	e.drainLocked()
+	refused := e.drainLocked()
 	barrier.End()
 	mBarrier.ObserveSince(tEpoch)
-	var nReports, nResponses int
-	defer func() {
-		mEpochs.Inc()
-		d := time.Since(tEpoch)
-		mTick.Observe(d.Seconds())
-		// One event per epoch barrier (batch granularity), carrying the
-		// trace ID when the tick ran inside a traced request.
-		flightrec.Default.RecordCtx(ctx, flightrec.EvEpochBarrier,
-			flightrec.KV("now", int64(now)),
-			flightrec.KV("duration_us", d.Microseconds()),
-			flightrec.KV("queue_depth", depth),
-			flightrec.KV("reports", nReports),
-			flightrec.KV("responses", nResponses))
-	}()
-
-	// Shard errors (e.g. one object's non-increasing timestamps) are
-	// informational — the bad observation was skipped, exactly as a
-	// System caller that ignores an Observe error would skip it — so the
-	// epoch still processes everyone else's reports.
-	var errs []error
-	for _, s := range e.shards {
-		if s.err != nil {
-			errs = append(errs, fmt.Errorf("engine: %w", s.err))
-			s.err = nil
-		}
-	}
-	batch := e.batchLocked()
-	// SinglePath gets its own child span, so a trace splits the epoch into
-	// barrier, selection and response delivery; its attributes are this
-	// batch's SinglePath case mix.
-	before := e.coord.Stats()
-	_, sel := tracing.StartSpan(ctx, "coordinator.select")
-	resps, perr := e.coord.ProcessEpoch(batch)
-	after := e.coord.Stats()
-	sel.SetAttr("reports", after.Reports-before.Reports)
-	sel.SetAttr("case1", after.Case1-before.Case1)
-	sel.SetAttr("case2", after.Case2W-before.Case2W)
-	sel.SetAttr("case3", after.Case3-before.Case3)
-	sel.SetAttr("paths_created", after.PathsCreated-before.PathsCreated)
-	sel.End()
-	span.SetAttr("reports", len(batch))
-	span.SetAttr("responses", len(resps))
-	nReports, nResponses = len(batch), len(resps)
-	e.staged = e.staged[:0]
-	e.followUps = e.followUps[:0]
-	if perr != nil {
-		// Validation is deterministic per report, so a rejected batch can
-		// never succeed later; it is dropped rather than wedging every
-		// future epoch (mirrors System.Tick). RayTrace filters cannot
-		// produce such reports.
-		errs = append(errs, perr)
-		return true, errors.Join(errs...)
-	}
-	// A sparse clock that jumped more than W past the reports' exit
-	// timestamps makes the just-recorded crossings already stale; expire
-	// them now so TopK/Score never surface phantom hot paths.
-	e.coord.Advance(now)
-	for _, r := range resps {
-		e.responses++
-		st, report, err := e.shards[e.shardIndex(r.ObjectID)].bank.Respond(r.ObjectID, r.End)
-		if err != nil {
-			// Respond validates before mutating, so the filter stays
-			// waiting; keep delivering the remaining responses rather
-			// than leaving other filters un-reseeded.
-			errs = append(errs, fmt.Errorf("engine: %w", err))
-			continue
-		}
-		if report {
-			e.followUps = append(e.followUps, coordinator.Report{ObjectID: r.ObjectID, State: st})
-			e.followed++
-		}
-	}
-	return true, errors.Join(errs...)
+	nReports, nResponses, err := e.runEpoch(ctx, e)
+	span.SetAttr("reports", nReports)
+	span.SetAttr("responses", nResponses)
+	mEpochs.Inc()
+	d := time.Since(tEpoch)
+	mTick.Observe(d.Seconds())
+	// One event per epoch barrier (batch granularity), carrying the trace
+	// ID when the tick ran inside a traced request.
+	flightrec.Default.RecordCtx(ctx, flightrec.EvEpochBarrier,
+		flightrec.KV("now", int64(now)),
+		flightrec.KV("duration_us", d.Microseconds()),
+		flightrec.KV("queue_depth", depth),
+		flightrec.KV("reports", nReports),
+		flightrec.KV("responses", nResponses),
+		flightrec.KV("refused", refused))
+	return true, err
 }
 
-// batchLocked moves the reports the shards have raised into staged,
-// restores their arrival order, and returns the next epoch's batch: the
-// previous epoch's follow-ups, then the staged reports. The batch is the
-// engine's, rebuilt in place by the next call (the coordinator keeps no
-// reference to it). Caller holds the write lock and has drained the
-// shards.
-func (e *Engine) batchLocked() []coordinator.Report {
+// collect merges the reports the shards have raised back into arrival
+// order by their sequence numbers. Caller holds the write lock and has
+// drained the shards.
+func (e *Engine) collect(dst []coordinator.Report) []coordinator.Report {
 	for _, s := range e.shards {
 		e.staged = append(e.staged, s.reports...)
 		s.reports = s.reports[:0]
 	}
 	slices.SortFunc(e.staged, func(a, b taggedReport) int { return cmp.Compare(a.seq, b.seq) })
-	e.batch = append(e.batch[:0], e.followUps...)
 	for _, tr := range e.staged {
-		e.batch = append(e.batch, tr.rep)
+		dst = append(dst, tr.rep)
 	}
-	return e.batch
+	e.staged = e.staged[:0]
+	return dst
 }
 
+func (e *Engine) bank(id int) *raytrace.Bank { return &e.shards[e.shardIndex(id)].bank }
+
 // drainLocked flushes every shard queue, waits until all shards are idle
-// and recycles the group sets they were sent. Caller holds the write
-// lock, so no new work can be enqueued.
-func (e *Engine) drainLocked() {
+// and recycles the group sets they were sent. It returns how many
+// observations the shards refused since the previous barrier. Caller
+// holds the write lock, so no new work can be enqueued.
+func (e *Engine) drainLocked() (refused int) {
 	acks := make([]chan struct{}, len(e.shards))
 	for i, s := range e.shards {
 		acks[i] = make(chan struct{})
 		//hotpathsvet:ignore locksnapshot flush barrier: shards always drain their queue, and the lock is exactly what keeps new senders out while they do
 		s.ch <- msg{flush: acks[i]}
 	}
-	for _, ack := range acks {
+	for i, ack := range acks {
 		<-ack
+		refused += e.shards[i].refused
+		e.shards[i].refused = 0
 	}
 	e.recycleLocked()
+	return refused
 }
 
 // Drain blocks until every observation enqueued before the call has been
@@ -472,26 +399,21 @@ func (e *Engine) Drain() error {
 
 // Close drains the shards and stops their goroutines. Queries remain
 // valid after Close, reflecting the last processed epoch; ingestion and
-// Tick return ErrClosed. Close returns the first unprocessed shard error,
-// if any. It is idempotent.
-func (e *Engine) Close() error {
+// Tick return ErrClosed. Observations the shards refused were counted as
+// they were refused, so Close has no error to return. It is idempotent.
+func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return nil
+		return
 	}
 	e.closed = true
 	e.drainLocked()
-	var firstErr error
 	for _, s := range e.shards {
-		if s.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: %w", s.err)
-		}
 		close(s.ch)
 		<-s.done
 	}
 	e.free = nil // nothing will be sent again
-	return firstErr
 }
 
 // Clock returns the timestamp of the last Tick — cheap (no snapshot, no
@@ -510,18 +432,12 @@ func (e *Engine) Stats() Stats {
 }
 
 func (e *Engine) statsLocked() Stats {
-	st := Stats{
-		Observations: int(e.baseObserved),
-		Reports:      e.followed + int(e.baseReported),
-		Responses:    e.responses,
-		IndexSize:    e.coord.IndexSize(),
-		Coordinator:  e.coord.Stats(),
-	}
+	observed, reported := int(e.baseObserved), int(e.baseReported)
 	for _, s := range e.shards {
-		st.Observations += int(s.observed.Load())
-		st.Reports += int(s.reported.Load())
+		observed += int(s.observed.Load())
+		reported += int(s.reported.Load())
 	}
-	return st
+	return e.stats(observed, reported)
 }
 
 // Snapshot returns an immutable copy of the coordinator's path store

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
-	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"hotpaths/internal/coordinator"
+	"hotpaths/internal/flightrec"
 	"hotpaths/internal/geom"
 	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
@@ -95,7 +97,7 @@ func TestBarrierDrains(t *testing.T) {
 	const n = 1000
 	batch := make([]Observation, n)
 	for i := range batch {
-		batch[i] = Observation{ObjectID: i, P: geom.Pt(float64(i), 0), T: 1}
+		batch[i] = Observation{ObjectID: i, X: float64(i), Y: 0, T: 1}
 	}
 	if err := observe(e, batch); err != nil {
 		t.Fatal(err)
@@ -110,37 +112,39 @@ func TestBarrierDrains(t *testing.T) {
 	}
 }
 
-// A per-observation processing error must surface from the next
-// epoch-boundary Tick, naming the object — without suppressing the epoch
-// for everyone else.
-func TestProcessingErrorSurfaces(t *testing.T) {
+// A refused observation is counted, not returned: the tick that finds it
+// at the barrier succeeds and runs the epoch for everyone else, and the
+// event that barrier records says how many it found.
+func TestRefusalsAreCountedNotReturned(t *testing.T) {
 	e := testEngine(t, 4)
 	feed := []Observation{
-		{ObjectID: 7, P: geom.Pt(0, 0), T: 5},
-		{ObjectID: 7, P: geom.Pt(1, 1), T: 6},
-		{ObjectID: 7, P: geom.Pt(2, 2), T: 6}, // repeated timestamp
+		{ObjectID: 7, X: 0, Y: 0, T: 5},
+		{ObjectID: 7, X: 1, Y: 1, T: 6},
+		{ObjectID: 7, X: 2, Y: 2, T: 6}, // repeated timestamp
+		{ObjectID: 7, X: 3, Y: 3, T: 4}, // out of order
 	}
+	before := mRefused.Value()
 	if err := observe(e, feed); err != nil {
 		t.Fatal(err)
 	}
-	err := tick(e, 10)
-	if err == nil {
-		t.Fatal("Tick must surface the shard processing error")
+	if err := tick(e, 10); err != nil {
+		t.Fatalf("a tick after refused observations: %v, want nil", err)
 	}
-	// Typed classification (errstring contract): the object is carried
-	// on *raytrace.ObjectError, not fished out of the rendered message.
-	var objErr *raytrace.ObjectError
-	if !errors.As(err, &objErr) || objErr.ObjectID != 7 {
-		t.Errorf("error %q does not carry *ObjectError for object 7", err)
+	if got := mRefused.Value() - before; got != 2 {
+		t.Errorf("refused counter moved by %d, want 2", got)
 	}
-	// The epoch itself still ran: one bad client must not stall hot-path
-	// discovery for well-behaved objects.
-	if got := e.Stats().Coordinator.Epochs; got != 1 {
-		t.Errorf("Epochs = %d after erroring Tick, want 1", got)
+	if got := e.Stats().Observations; got != len(feed) {
+		t.Errorf("Observations = %d, want %d: a refused one still counts", got, len(feed))
 	}
-	// The error is consumed; the engine keeps working.
+	if got := e.Stats().Epochs; got != 1 {
+		t.Errorf("Epochs = %d after the tick, want 1", got)
+	}
+	evs := flightrec.Default.Snapshot(flightrec.EvEpochBarrier, time.Time{}, 1)
+	if len(evs) != 1 || !slices.Contains(evs[0].Attrs, flightrec.KV("refused", 2)) {
+		t.Errorf("the tick's epoch_barrier event %+v does not carry refused=2", evs)
+	}
 	if err := tick(e, 20); err != nil {
-		t.Errorf("engine did not recover: %v", err)
+		t.Errorf("next epoch: %v", err)
 	}
 }
 
@@ -162,16 +166,12 @@ func TestTickMonotonic(t *testing.T) {
 
 func TestCloseSemantics(t *testing.T) {
 	e := testEngine(t, 4)
-	if err := observe(e, []Observation{{ObjectID: 1, P: geom.Pt(0, 0), T: 1}}); err != nil {
+	if err := observe(e, []Observation{{ObjectID: 1, X: 0, Y: 0, T: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Errorf("double Close must be a no-op, got %v", err)
-	}
-	if err := observe(e, []Observation{{ObjectID: 1, P: geom.Pt(1, 1), T: 2}}); err != ErrClosed {
+	e.Close()
+	e.Close() // a no-op
+	if err := observe(e, []Observation{{ObjectID: 1, X: 1, Y: 1, T: 2}}); err != ErrClosed {
 		t.Errorf("observe after Close = %v, want ErrClosed", err)
 	}
 	if err := tick(e, 10); err != ErrClosed {

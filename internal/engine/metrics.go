@@ -23,4 +23,6 @@ var (
 		"Observations accepted into the engine.", nil)
 	mEpochs = metrics.Default.Counter("hotpaths_engine_epochs_total",
 		"Epoch batches processed by the coordinator tier.", nil)
+	mRefused = metrics.Default.Counter("hotpaths_engine_observations_refused_total",
+		"Observations a shard's filter refused (a timestamp at or before the object's newest); each is dropped.", nil)
 )

@@ -5,7 +5,6 @@ import (
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/raytrace"
-	"hotpaths/internal/trajectory"
 )
 
 // obs is an Observation tagged with its global ingestion sequence number,
@@ -44,7 +43,7 @@ type shard struct {
 
 	bank    raytrace.Bank
 	reports []taggedReport
-	err     error // first processing error since the last barrier
+	refused int // observations the bank refused since the last barrier
 
 	// Monotone counters, atomic so Stats can read them mid-flight.
 	observed atomic.Int64
@@ -81,14 +80,14 @@ func (s *shard) run() {
 }
 
 // process feeds one observation to the bank and queues a raised report
-// for the next epoch, tagged with the observation's sequence number.
+// for the next epoch, tagged with the observation's sequence number. A
+// refused observation is counted and dropped.
 func (s *shard) process(o obs) {
 	s.observed.Add(1)
-	st, report, err := s.bank.Observe(o.ObjectID, trajectory.TP(o.P, o.T), o.SigmaX, o.SigmaY)
+	st, report, err := s.bank.Observe(o.ObjectID, o.point(), o.SigmaX, o.SigmaY)
 	if err != nil {
-		if s.err == nil {
-			s.err = err
-		}
+		s.refused++
+		mRefused.Inc()
 		return
 	}
 	if report {

@@ -22,7 +22,7 @@ func zigZag(t trajectory.Time, n int) []Observation {
 	}
 	batch := make([]Observation, n)
 	for i := range batch {
-		batch[i] = Observation{ObjectID: i, P: geom.Pt(float64(t)*6, y+float64(i)/2), T: t}
+		batch[i] = Observation{ObjectID: i, X: float64(t) * 6, Y: y + float64(i)/2, T: int64(t)}
 	}
 	return batch
 }
@@ -88,8 +88,8 @@ func TestSnapshotSharedUntilTick(t *testing.T) {
 		if again, _, _ := e.Snapshot(); again != s {
 			t.Errorf("after %s, two reads disagree on the snapshot", what)
 		}
-		if s.Epoch != st.Coordinator.Epochs || s.Len() != st.IndexSize {
-			t.Errorf("after %s: snapshot epoch %d with %d paths, engine has epoch %d with %d", what, s.Epoch, s.Len(), st.Coordinator.Epochs, st.IndexSize)
+		if s.Epoch != st.Epochs || s.Len() != st.IndexSize {
+			t.Errorf("after %s: snapshot epoch %d with %d paths, engine has epoch %d with %d", what, s.Epoch, s.Len(), st.Epochs, st.IndexSize)
 		}
 		prev = s
 		return s
@@ -143,7 +143,7 @@ func TestRestoreRefusesOrphanPending(t *testing.T) {
 	}
 	// Object 3 is seen first at 41 and not again, so its filter is seeded
 	// and idle.
-	if err := observe(src, []Observation{{ObjectID: 3, P: geom.Pt(0, 0), T: 41}}); err != nil {
+	if err := observe(src, []Observation{{ObjectID: 3, X: 0, Y: 0, T: 41}}); err != nil {
 		t.Fatal(err)
 	}
 	withIdle, err := src.DumpState()
@@ -218,8 +218,8 @@ func TestSnapshotSharedUntilTickRace(t *testing.T) {
 				s, now, st := e.Snapshot()
 				s.Hottest(5, 0)
 				s.Region(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(400, 50)})
-				if s.Epoch != st.Coordinator.Epochs || s.Epoch != int(now/10) || s.Len() != st.IndexSize {
-					t.Errorf("clock %d: snapshot epoch %d with %d paths, engine epoch %d with %d", now, s.Epoch, s.Len(), st.Coordinator.Epochs, st.IndexSize)
+				if s.Epoch != st.Epochs || s.Epoch != int(now/10) || s.Len() != st.IndexSize {
+					t.Errorf("clock %d: snapshot epoch %d with %d paths, engine epoch %d with %d", now, s.Epoch, s.Len(), st.Epochs, st.IndexSize)
 					return
 				}
 				d := pathDigest(s)

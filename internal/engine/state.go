@@ -34,8 +34,8 @@ type State struct {
 // DumpState drains the shards and captures the engine's state at one
 // consistent point. The caller must guarantee no concurrent ingestion
 // (hotpaths.Durable holds its write path closed while checkpointing).
-// Dumping is read-only apart from moving already-raised shard reports
-// into the engine's staged buffer, which the next Tick would do anyway.
+// Dumping is read-only apart from merging already-raised shard reports
+// behind the pending follow-ups, which the next Tick would do anyway.
 func (e *Engine) DumpState() (State, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -49,7 +49,7 @@ func (e *Engine) DumpState() (State, error) {
 		Responses:    e.responses,
 		Reports:      int64(counters.Reports),
 		Observations: int64(counters.Observations),
-		Pending:      slices.Clone(e.batchLocked()),
+		Pending:      slices.Clone(e.batch(e)),
 		Coord:        e.coord.DumpState(),
 	}
 	for _, s := range e.shards {
@@ -80,7 +80,6 @@ func (e *Engine) RestoreState(st State) error {
 	for _, s := range e.shards {
 		s.bank = raytrace.NewBank(e.cfg.Tolerance)
 		s.reports = nil
-		s.err = nil
 		s.observed.Store(0)
 		s.reported.Store(0)
 	}
@@ -99,8 +98,7 @@ func (e *Engine) RestoreState(st State) error {
 	// The pending batch goes ahead of every report raised after the
 	// restore, as the previous epoch's follow-ups do, so the next epoch
 	// processes it in the dumped order.
-	e.staged = e.staged[:0]
-	e.followUps = append(e.followUps[:0], st.Pending...)
+	e.pending = append(e.pending[:0], st.Pending...)
 	e.lastNow = st.Clock
 	e.responses = st.Responses
 	e.followed = 0

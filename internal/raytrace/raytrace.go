@@ -149,8 +149,14 @@ func (f *Filter) Process(tp trajectory.TimePoint) (st State, report bool, err er
 	if !f.primed {
 		return State{}, false, fmt.Errorf("raytrace: filter used before initialization")
 	}
-	if tp.T <= f.s.LastT {
-		return State{}, false, fmt.Errorf("raytrace: non-increasing timestamp %d (last %d)", tp.T, f.s.LastT)
+	// A replay that reports again leaves LastT at the point it parked,
+	// ahead of later buffered ones.
+	last := f.s.LastT
+	if n := len(f.s.Buf); n > 0 {
+		last = max(last, f.s.Buf[n-1].T)
+	}
+	if tp.T <= last {
+		return State{}, false, fmt.Errorf("raytrace: non-increasing timestamp %d (last %d)", tp.T, last)
 	}
 	f.s.LastT = tp.T
 	if f.s.Waiting {

@@ -190,6 +190,32 @@ func TestReplayViolationPreservesBufferOrder(t *testing.T) {
 	}
 }
 
+// A replay that reports again at point i parks buf[i:], whose later
+// timestamps the filter has already accepted: a measurement at or before
+// the newest buffered one is refused, as it would be before the respond.
+func TestReplayKeepsBufferedTimestamps(t *testing.T) {
+	f := New(tp(0, 0, 0), 1)
+	mustProcess(t, f, tp(10, 0, 1))
+	st, report, _ := f.Process(tp(-10, 0, 2))
+	if !report {
+		t.Fatal("expected report")
+	}
+	f.Process(tp(50, 0, 3))
+	f.Process(tp(-50, 0, 4))
+	if _, report, err := f.Respond(trajectory.TP(st.FSA.Centroid(), st.Te)); err != nil || !report {
+		t.Fatalf("replay must report mid-buffer: report %v, err %v", report, err)
+	}
+	if n := len(f.s.Buf); n < 2 || f.s.Buf[n-1].T != 4 {
+		t.Fatalf("buffer after the replay: %v, want it to end at t=4", f.s.Buf)
+	}
+	for _, ts := range []trajectory.Time{4, 3} {
+		if _, _, err := f.Process(tp(0, 0, ts)); err == nil {
+			t.Errorf("t=%d after t=4 was buffered: accepted, want refused", ts)
+		}
+	}
+	mustProcess(t, f, tp(0, 0, 5))
+}
+
 func TestTimestampValidation(t *testing.T) {
 	f := New(tp(0, 0, 5), 1)
 	if _, _, err := f.Process(tp(1, 1, 5)); err == nil {

@@ -4,7 +4,8 @@
 // machines and lets external datasets be fed into the system.
 //
 // Format, one measurement per line, timestamps non-decreasing and at
-// least 1 (the first timestamp a deployment's clock can tick to):
+// least 1 (the first timestamp a deployment's clock can tick to), at
+// most one line per object and timestamp:
 //
 //	<timestamp> <objectID> <x> <y>
 //
@@ -68,6 +69,7 @@ type Reader struct {
 	sc    *bufio.Scanner
 	line  int
 	lastT trajectory.Time
+	seen  map[int]bool // objects measured at lastT
 }
 
 // NewReader wraps r.
@@ -98,6 +100,17 @@ func (r *Reader) Next() (Record, error) {
 		if rec.TP.T < r.lastT {
 			return Record{}, fmt.Errorf("trace: line %d: timestamp %d after %d", r.line, rec.TP.T, r.lastT)
 		}
+		// A second measurement of one object at one timestamp is refused
+		// here: an Engine would drop it and replay on where a System stops.
+		if rec.TP.T > r.lastT {
+			clear(r.seen)
+		} else if r.seen[rec.ObjectID] {
+			return Record{}, fmt.Errorf("trace: line %d: object %d measured twice at timestamp %d", r.line, rec.ObjectID, t)
+		}
+		if r.seen == nil {
+			r.seen = make(map[int]bool)
+		}
+		r.seen[rec.ObjectID] = true
 		r.lastT = rec.TP.T
 		return rec, nil
 	}

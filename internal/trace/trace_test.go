@@ -92,10 +92,15 @@ func TestReaderErrors(t *testing.T) {
 	if _, err := ReadAll(strings.NewReader("# header\n0 0 1 1\n")); fmt.Sprint(err) != want {
 		t.Errorf("timestamp 0: got %v, want %q", err, want)
 	}
-	// Comments and blanks are skipped.
-	ok := "# header\n\n1 0 2 3\n"
+	const twice = "trace: line 4: object 7 measured twice at timestamp 2"
+	if _, err := ReadAll(strings.NewReader("1 7 0 0\n2 7 1 1\n2 8 1 1\n2 7 2 2\n3 7 3 3\n")); fmt.Sprint(err) != twice {
+		t.Errorf("a repeated (timestamp, object): got %v, want %q", err, twice)
+	}
+	// Comments and blanks are skipped; an object seen at an earlier
+	// timestamp may be seen again.
+	ok := "# header\n\n1 0 2 3\n1 1 2 3\n2 0 4 5\n"
 	recs, err := ReadAll(strings.NewReader(ok))
-	if err != nil || len(recs) != 1 {
+	if err != nil || len(recs) != 3 {
 		t.Errorf("valid input: %v %v", recs, err)
 	}
 }

@@ -144,7 +144,7 @@ type Snapshot struct {
 // Snapshot captures an immutable view of the system's current hot paths,
 // counters and clock.
 func (s *System) Snapshot() Snapshot {
-	return Snapshot{snap: s.coord.Snapshot(), clock: s.lastNow, stats: s.Stats(), k: s.cfg.K}
+	return Snapshot{snap: s.in.Snapshot(), clock: s.Clock(), stats: s.Stats(), k: s.cfg.K}
 }
 
 // Snapshot captures an immutable view of the engine's hot paths, counters
@@ -155,12 +155,7 @@ func (s *System) Snapshot() Snapshot {
 // and counters are read fresh.
 func (e *Engine) Snapshot() Snapshot {
 	snap, now, st := e.eng.Snapshot()
-	return Snapshot{
-		snap:  snap,
-		clock: int64(now),
-		stats: convertStats(st),
-		k:     e.cfg.K,
-	}
+	return Snapshot{snap: snap, clock: int64(now), stats: Stats(st), k: e.cfg.K}
 }
 
 // Clock returns the timestamp of the last Tick before the snapshot was

@@ -12,6 +12,7 @@
 package hotpaths_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -19,6 +20,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -408,16 +411,36 @@ var allocBudgets = []allocBudget{
 func TestAllocBudgets(t *testing.T) {
 	for _, c := range allocBudgets {
 		t.Run(c.name, func(t *testing.T) {
-			got := testing.AllocsPerRun(1, c.build(t))
+			got := countAllocs(c.build(t))
 			tol := 0.0
 			if c.allocs >= 100 {
 				tol = c.allocs / 100
 			}
 			if math.Abs(got-c.allocs) > tol {
-				t.Errorf("%v allocs/op, pinned at %v ± %v", got, c.allocs, tol)
+				// AllocsPerRun counts every goroutine's allocations: name
+				// the goroutines that were running, in case one of them,
+				// not the operation, allocated inside the count (the
+				// runtime's own goroutines are not listed).
+				var running bytes.Buffer
+				pprof.Lookup("goroutine").WriteTo(&running, 1)
+				t.Errorf("%v allocs/op, pinned at %v ± %v; goroutines after the count:\n%s", got, c.allocs, tol, &running)
 			}
 		})
 	}
+}
+
+// countAllocs is testing.AllocsPerRun(1, op) with no garbage collection
+// inside the count. Every cycle wakes the runtime's cleanup goroutine for
+// the unique package's maps (net/netip makes one at init), and
+// AllocsPerRun, which counts every goroutine's allocations, charged its
+// two per cycle to whatever operation the cycle hit: SnapshotCold/topk,
+// which copies 10k paths per operation, read 8 or 10 against its pin of 6
+// under -race.
+func countAllocs(op func()) float64 {
+	runtime.GC() // the last cycle's cleanup runs now, before the count
+	runtime.Gosched()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(1, op)
 }
 
 // runBody times the operation build returns, b.N times.
@@ -644,7 +667,18 @@ func BenchmarkFollowerReplay(b *testing.B) {
 	reportObsRate(b, ingestObjects*ingestHorizon)
 }
 
+// followerReplay stops all it started before its row ends — cleanups run
+// last registered first: the feed server, the follower client's idle
+// connections to it, the durable log, and then waits for their
+// goroutines to exit, so none of them allocates inside a later row's
+// count.
 func followerReplay(tb testing.TB) func() {
+	running := runtime.NumGoroutine()
+	tb.Cleanup(func() {
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > running && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	})
 	dir := tb.TempDir()
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:          ingestConfig(),
@@ -660,7 +694,12 @@ func followerReplay(tb testing.TB) func() {
 		tb.Fatal(err)
 	}
 	srv := httptest.NewServer(replicationFeed(dir, dur))
-	tb.Cleanup(srv.Close)
+	tb.Cleanup(func() {
+		srv.Close()
+		// A follower dials through http.DefaultClient, whose transport
+		// keeps the connections to the feed open after Close.
+		http.DefaultClient.CloseIdleConnections()
+	})
 	return func() {
 		f, err := hotpaths.OpenFollower(srv.URL, hotpaths.FollowerConfig{})
 		if err != nil {
@@ -710,8 +749,8 @@ func BenchmarkDurableObserveBatch(b *testing.B) {
 // their point: a 500- and a 2,000-observation write allocate alike.
 func TestWarmWritesAllocateNothingPerObservation(t *testing.T) {
 	for _, durable := range []bool{false, true} {
-		small := testing.AllocsPerRun(1, observeWarm(durable, 500)(t))
-		large := testing.AllocsPerRun(1, observeWarm(durable, 2000)(t))
+		small := countAllocs(observeWarm(durable, 500)(t))
+		large := countAllocs(observeWarm(durable, 2000)(t))
 		if small != large {
 			t.Errorf("durable=%v: %v allocs/op at 500 observations, %v at 2,000", durable, small, large)
 		}

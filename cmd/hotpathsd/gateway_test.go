@@ -42,9 +42,9 @@ func partitionObjects(p, count, n int) []int {
 }
 
 // goldenFleet builds the 4 partition daemons (ordinary engine-backed
-// servers declaring their slots), a gateway over them, and the single
-// reference engine. Everything is torn down via t.Cleanup.
-func goldenFleet(t *testing.T) (gw, ref *httptest.Server) {
+// servers declaring their slots, at the URLs parts), a gateway over them,
+// and the single reference engine. Everything is torn down via t.Cleanup.
+func goldenFleet(t *testing.T) (gw, ref *httptest.Server, parts []string) {
 	t.Helper()
 	urls := make([]string, goldenPartitions)
 	for i := 0; i < goldenPartitions; i++ {
@@ -84,29 +84,41 @@ func goldenFleet(t *testing.T) (gw, ref *httptest.Server) {
 	t.Cleanup(func() { refEng.Close() })
 	ref = httptest.NewServer(newServer(refEng, serverOpts{}).handler())
 	t.Cleanup(ref.Close)
-	return gw, ref
+	return gw, ref, urls
 }
 
 // goldenBatch builds the observation batch for one timestamp: 8 spatially
 // disjoint lanes (separation 200 ≫ 2ε, so lanes never interact), lane l
 // at y = 200·l driven by two objects owned by partition l mod 4, zigging
-// like feedZigZag so corridors form and expire.
-func goldenBatch(lanes [][]int, now int64) []hotpaths.ObservationJSON {
+// like feedZigZag so corridors form and expire. The shared lane at y = 100
+// is driven by one object of every partition along one trajectory, so
+// each partition discovers its corridors and holds them at hotness 1,
+// below its own lanes' paths: only the sum over the fleet ranks them
+// first.
+func goldenBatch(lanes [][]int, shared []int, now int64) []hotpaths.ObservationJSON {
 	var batch []hotpaths.ObservationJSON
-	for l, objs := range lanes {
-		base := float64(200 * l)
-		x := float64(now) * 6
-		y := base
+	zig := func(base float64) (x, y float64) {
 		if (now/5)%2 == 0 {
-			y = base + 40
+			return float64(now) * 6, base + 40
 		}
+		return float64(now) * 6, base
+	}
+	for l, objs := range lanes {
+		x, y := zig(float64(200 * l))
 		batch = append(batch,
 			hotpaths.ObservationJSON{Object: objs[0], X: x, Y: y, T: now},
 			hotpaths.ObservationJSON{Object: objs[1], X: x, Y: y + 0.5, T: now},
 		)
 	}
+	x, y := zig(100)
+	for _, obj := range shared {
+		batch = append(batch, hotpaths.ObservationJSON{Object: obj, X: x, Y: y, T: now})
+	}
 	return batch
 }
+
+// goldenBox is the bbox of the region rows: lanes 0–2 and the shared lane.
+const goldenBox = "0,0,400,450"
 
 // goldenQueries is the read surface the fleet must answer identically:
 // the three endpoints across the parameter space (defaults, k/limit,
@@ -119,10 +131,18 @@ var goldenQueries = []string{
 	"/topk?k=3",
 	"/paths?limit=5",
 	"/paths?min_hotness=2",
-	"/paths?bbox=0,0,400,450",
-	"/topk?bbox=0,0,400,450&sort=score&k=4",
 	"/paths.geojson?limit=3&sort=score",
 	"/paths?min_hotness=1&sort=score",
+}
+
+// goldenRegionQueries are the bbox rows. Each is asked as the first read
+// after a write, so the gateway answers it from a gather of its region
+// alone rather than from the view of every path an earlier row cached.
+var goldenRegionQueries = []string{
+	"/paths?bbox=" + goldenBox,
+	"/topk?bbox=" + goldenBox + "&sort=score&k=4",
+	"/paths.geojson?bbox=" + goldenBox,
+	"/paths?bbox=" + goldenBox + "&min_hotness=2",
 }
 
 func fetchGolden(t *testing.T, base, path string) (status int, epoch, body string) {
@@ -155,7 +175,7 @@ func readSSEEvent(rd *bufio.Reader) (string, error) {
 }
 
 func TestGatewayMatchesSingleNode(t *testing.T) {
-	gw, ref := goldenFleet(t)
+	gw, ref, parts := goldenFleet(t)
 
 	lanes := make([][]int, 8)
 	for l := range lanes {
@@ -165,12 +185,16 @@ func TestGatewayMatchesSingleNode(t *testing.T) {
 			lanes[l] = partitionObjects(l%goldenPartitions, goldenPartitions, 4)[2:4]
 		}
 	}
+	shared := make([]int, goldenPartitions)
+	for p := range shared {
+		shared[p] = partitionObjects(p, goldenPartitions, 5)[4]
+	}
 
 	// Open the /watch streams before the first epoch so both sides
 	// baseline at epoch 0; headers returned means the subscription (and
 	// the gateway's partition fan-in) is established.
 	watchStreams := make(map[string][2]*bufio.Reader)
-	for _, wq := range []string{"/watch", "/watch?bbox=0,0,400,450&k=5"} {
+	for _, wq := range []string{"/watch", "/watch?bbox=" + goldenBox + "&k=5"} {
 		var readers [2]*bufio.Reader
 		for i, base := range []string{gw.URL, ref.URL} {
 			resp, err := http.Get(base + wq)
@@ -190,8 +214,26 @@ func TestGatewayMatchesSingleNode(t *testing.T) {
 		lastTick   = 60
 		epochEvery = 10 // serverTestConfig().Epoch
 	)
+	// agree asks both sides q: status, epoch header and body must agree
+	// byte for byte. It returns the body.
+	agree := func(now int64, q string) string {
+		t.Helper()
+		gs, ge, gb := fetchGolden(t, gw.URL, q)
+		rs, re, rb := fetchGolden(t, ref.URL, q)
+		if gs != rs {
+			t.Fatalf("t=%d %s: gateway status %d, single node %d", now, q, gs, rs)
+		}
+		if ge != re {
+			t.Fatalf("t=%d %s: gateway epoch %q, single node %q", now, q, ge, re)
+		}
+		if gb != rb {
+			t.Fatalf("t=%d %s: bodies diverge\ngateway: %s\nsingle:  %s", now, q, gb, rb)
+		}
+		return gb
+	}
+	summed := 0 // region answers holding a path stored by several partitions
 	for now := int64(1); now <= lastTick; now++ {
-		req := httpapi.ObserveRequest{Observations: goldenBatch(lanes, now), Tick: now}
+		req := httpapi.ObserveRequest{Observations: goldenBatch(lanes, shared, now), Tick: now}
 		for _, base := range []string{gw.URL, ref.URL} {
 			rec := postJSON(t, base+"/observe", req)
 			if rec != http.StatusOK {
@@ -201,21 +243,27 @@ func TestGatewayMatchesSingleNode(t *testing.T) {
 		if now%epochEvery != 0 {
 			continue
 		}
-		// Epoch boundary: every read must agree byte for byte, and the
-		// epoch header must advertise the same shared epoch.
-		for _, q := range goldenQueries {
-			gs, ge, gb := fetchGolden(t, gw.URL, q)
-			rs, re, rb := fetchGolden(t, ref.URL, q)
-			if gs != rs {
-				t.Fatalf("t=%d %s: gateway status %d, single node %d", now, q, gs, rs)
+		// Epoch boundary: every read must agree. An empty /observe changes
+		// no state, but it is a write: the gateway drops its merged views,
+		// so the region row after it gathers its region from the fleet.
+		for _, q := range goldenRegionQueries {
+			empty := httpapi.ObserveRequest{Observations: []hotpaths.ObservationJSON{}}
+			for _, base := range []string{gw.URL, ref.URL} {
+				if rec := postJSON(t, base+"/observe", empty); rec != http.StatusOK {
+					t.Fatalf("empty observe t=%d against %s: status %d", now, base, rec)
+				}
 			}
-			if ge != re {
-				t.Fatalf("t=%d %s: gateway epoch %q, single node %q", now, q, ge, re)
-			}
-			if gb != rb {
-				t.Fatalf("t=%d %s: bodies diverge\ngateway: %s\nsingle:  %s", now, q, gb, rb)
+			body := agree(now, q)
+			if q == goldenRegionQueries[0] && heldTwice(t, parts, body) {
+				summed++
 			}
 		}
+		for _, q := range goldenQueries {
+			agree(now, q)
+		}
+	}
+	if summed == 0 {
+		t.Error("no region answer held a path stored by two partitions: the merge never summed")
 	}
 
 	// The delta streams: baseline (epoch 0) plus one event per epoch,
@@ -235,6 +283,32 @@ func TestGatewayMatchesSingleNode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heldTwice reports whether some path of a /paths?bbox=goldenBox answer
+// is stored by more than one partition.
+func heldTwice(t *testing.T, parts []string, body string) bool {
+	t.Helper()
+	var answer []hotpaths.PathJSON
+	if err := json.Unmarshal([]byte(body), &answer); err != nil {
+		t.Fatal(err)
+	}
+	holders := make(map[uint64]int)
+	for _, base := range parts {
+		var held []hotpaths.PathJSON
+		if err := json.Unmarshal([]byte(getBody(t, base+"/paths?bbox="+goldenBox)), &held); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range held {
+			holders[p.ID]++
+		}
+	}
+	for _, p := range answer {
+		if holders[p.ID] > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // postJSON posts v to url and returns the status code.
@@ -262,7 +336,7 @@ func postJSON(t *testing.T, url string, v any) int {
 // same status and the same error body, and every well-formed one alike
 // too — they parse with one parser, and this holds them to it.
 func TestQueryMatrixBothServers(t *testing.T) {
-	gw, ref := goldenFleet(t)
+	gw, ref, _ := goldenFleet(t)
 	for want, queries := range map[int][]string{
 		http.StatusBadRequest: httpapitest.BadQueries,
 		http.StatusOK:         httpapitest.GoodQueries,
@@ -321,7 +395,7 @@ func getBody(t *testing.T, url string) string {
 // budget — on the daemon's stack or the gateway's (whose fan-in also
 // holds one stream per partition daemon).
 func TestStreamsDoNotBurnLatencySLO(t *testing.T) {
-	gw, ref := goldenFleet(t)
+	gw, ref, _ := goldenFleet(t)
 	for _, tc := range []struct{ name, base, series string }{
 		{"hotpathsd", ref.URL, `hotpaths_http_request_seconds_count{route="/watch"}`},
 		{"hotpathsgw", gw.URL, `hotpathsgw_http_request_seconds_count{route="/watch"}`},
@@ -366,13 +440,13 @@ func TestStreamsDoNotBurnLatencySLO(t *testing.T) {
 // cases add up to the responses, one per processed report. (`reports`
 // also counts the raised reports the next epoch will process.)
 func TestStatsCaseMix(t *testing.T) {
-	gw, ref := goldenFleet(t)
+	gw, ref, _ := goldenFleet(t)
 	lanes := make([][]int, goldenPartitions)
 	for l := range lanes {
 		lanes[l] = partitionObjects(l, goldenPartitions, 2)
 	}
 	for now := int64(1); now <= 40; now++ {
-		req := httpapi.ObserveRequest{Observations: goldenBatch(lanes, now), Tick: now}
+		req := httpapi.ObserveRequest{Observations: goldenBatch(lanes, nil, now), Tick: now}
 		for _, base := range []string{gw.URL, ref.URL} {
 			if rec := postJSON(t, base+"/observe", req); rec != http.StatusOK {
 				t.Fatalf("observe t=%d against %s: status %d", now, base, rec)

@@ -213,6 +213,25 @@ func ulp(x float64) float64 {
 	return math.Nextafter(x, math.Inf(1)) - x
 }
 
+// CheckReport refuses a report ProcessEpoch would refuse: an empty FSA,
+// a non-finite one or one wider than 2ε, or a non-positive interval.
+// Only a hostile checkpoint holds one: a restore checks its pending
+// reports here, so the next epoch cannot fail after its tick moved the
+// clock.
+func (c *Coordinator) CheckReport(r Report) error {
+	switch {
+	case r.State.FSA.Empty():
+		return fmt.Errorf("coordinator: object %d reported empty FSA", r.ObjectID)
+	case !fsaFits(r.State.FSA, c.cfg.Eps):
+		return fmt.Errorf("coordinator: object %d reported FSA %v, non-finite or wider than 2ε = %v",
+			r.ObjectID, r.State.FSA, 2*c.cfg.Eps)
+	case r.State.Te <= r.State.Ts:
+		return fmt.Errorf("coordinator: object %d reported non-positive interval [%d,%d]",
+			r.ObjectID, r.State.Ts, r.State.Te)
+	}
+	return nil
+}
+
 // ProcessEpoch runs the SinglePath strategy over one epoch's batch of
 // reports and returns one response per report, in input order.
 func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
@@ -230,16 +249,8 @@ func (c *Coordinator) ProcessEpoch(reports []Report) ([]Response, error) {
 	// hotness accentuation) without materialising set intersections.
 	clear(c.pathUses)
 	for i, r := range reports {
-		if r.State.FSA.Empty() {
-			return nil, fmt.Errorf("coordinator: object %d reported empty FSA", r.ObjectID)
-		}
-		if !fsaFits(r.State.FSA, c.cfg.Eps) {
-			return nil, fmt.Errorf("coordinator: object %d reported FSA %v, non-finite or wider than 2ε = %v",
-				r.ObjectID, r.State.FSA, 2*c.cfg.Eps)
-		}
-		if r.State.Te <= r.State.Ts {
-			return nil, fmt.Errorf("coordinator: object %d reported non-positive interval [%d,%d]",
-				r.ObjectID, r.State.Ts, r.State.Te)
+		if err := c.CheckReport(r); err != nil {
+			return nil, err
 		}
 		cps[i] = c.candidatePaths(cps[i][:0], r.State.Start, r.State.FSA)
 		for _, cp := range cps[i] {

@@ -187,6 +187,47 @@ func TestRestoreRefusesOrphanPending(t *testing.T) {
 	}
 }
 
+// A pending report its filter awaits can still be one the coordinator
+// refuses: an empty FSA, one wider than 2ε, or Te ≤ Ts. Only a hostile
+// checkpoint holds one, and restored, it would fail the next epoch after
+// that tick had moved the clock; the restore refuses it instead.
+func TestRestoreRefusesUnprocessablePending(t *testing.T) {
+	src := testEngine(t, 2)
+	feedZigZag(t, src, 1, 40, 3)
+	ckpt, err := src.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt.Pending) == 0 {
+		t.Fatal("the zig-zag left no pending report at clock 40")
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(fsa *geom.Rect, ts, te *trajectory.Time)
+	}{
+		{"empty FSA", func(fsa *geom.Rect, _, _ *trajectory.Time) { fsa.Lo.X = fsa.Hi.X + 1 }},
+		{"FSA wider than 2ε", func(fsa *geom.Rect, _, _ *trajectory.Time) { fsa.Hi.X = fsa.Lo.X + 1e60 }},
+		{"Te = Ts", func(_ *geom.Rect, ts, te *trajectory.Time) { *te = *ts }},
+	} {
+		bad := ckpt
+		bad.Pending = slices.Clone(ckpt.Pending)
+		bad.Filters = slices.Clone(ckpt.Filters)
+		p := &bad.Pending[0]
+		tc.spoil(&p.State.FSA, &p.State.Ts, &p.State.Te)
+		// The object's filter awaits the spoiled report, so the restore's
+		// filter check passes and only the coordinator's can refuse it.
+		i := slices.IndexFunc(bad.Filters, func(fe FilterEntry) bool { return fe.ObjectID == p.ObjectID })
+		f := &bad.Filters[i].Filter
+		f.Start, f.Ts, f.FSA, f.Te = p.State.Start, p.State.Ts, p.State.FSA, p.State.Te
+
+		e := testEngine(t, 2)
+		if err := e.RestoreState(bad); err == nil {
+			err = tick(e, 50) // the epoch that processes it
+			t.Errorf("%s: restored; the next epoch then answered %v at clock %d", tc.name, err, e.Clock())
+		}
+	}
+}
+
 // pathDigest is an order-free digest of a snapshot's paths and hotness.
 func pathDigest(s *coordinator.Snapshot) uint64 {
 	var d uint64

@@ -89,10 +89,14 @@ func (e *Engine) RestoreState(st State) error {
 		}
 	}
 	// A pending report is answered at the next epoch by its object's
-	// filter, which must be there and waiting for exactly that answer.
+	// filter, which must be there and waiting for exactly that answer,
+	// and the coordinator must be able to process it then.
 	for _, p := range st.Pending {
 		if !e.shards[e.shardIndex(p.ObjectID)].bank.Awaits(p.ObjectID, p.State) {
 			return fmt.Errorf("engine: pending report for object %d is not what its filter awaits", p.ObjectID)
+		}
+		if err := e.coord.CheckReport(p); err != nil {
+			return fmt.Errorf("engine: pending report refused: %w", err)
 		}
 	}
 	// The pending batch goes ahead of every report raised after the

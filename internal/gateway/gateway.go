@@ -19,22 +19,35 @@
 //
 // # Read merging
 //
-// GET /topk, /paths and /paths.geojson are answered from one merged view:
-// the gateway fetches every partition's full /paths at an agreed instant
-// (the X-Hotpaths-Epoch and X-Hotpaths-Clock response headers, re-fetching
+// GET /topk, /paths and /paths.geojson are answered from a merged view:
+// the gateway fetches every partition's /paths at an agreed instant (the
+// X-Hotpaths-Epoch and X-Hotpaths-Clock response headers, re-fetching
 // laggards until all partitions answer at the same epoch and clock) as
 // the fixed-width binary body (httpapi.PathsType — a partition answering
 // JSON is an error, not a fallback), and sums hotness by path id — ids
 // are content-addressed, so a corridor discovered by several partitions
 // merges by id alone. The union is a hotpaths.Snapshot, unordered, that
 // orders itself on demand: a /topk costs a bounded selection, a full
-// /paths one memoized sort. The merged view is cached until the next
-// write routed through the gateway, so steady-state reads cost one local
-// query, not a fan-out. (A daemon keeps its view per tick instead; the
-// gateway cannot see a partition's clock move without asking it.) Query
-// parameters (k/limit, min_hotness, bbox, sort) are applied by the same
-// Snapshot.Query a daemon answers with, so a fleet behind a gateway
-// answers byte-identically to one hotpathsd fed the same workload.
+// /paths one memoized sort. The query (k/limit, min_hotness, bbox, sort)
+// is applied to the union by the same Snapshot.Query a daemon answers
+// with, so a fleet behind a gateway answers byte-identically to one
+// hotpathsd fed the same workload.
+//
+// One pushdown rule serves every read, /watch included: only bbox is
+// forwarded to the partitions (see pushdown). Region membership is
+// per-path geometry — a path's end vertex is part of its id, so every
+// partition storing a path agrees on whether it lies in the box — while
+// k and min_hotness are properties of the summed hotness and hold only
+// after the merge: a path two partitions each hold at hotness 1 is a
+// hotness-2 path of the fleet. A read with a bbox gathers only its
+// region; /topk and an unfiltered /paths gather every path.
+//
+// Merged views are cached until the next write routed through the
+// gateway. (A daemon keeps its view per tick instead; the gateway cannot
+// see a partition's clock move without asking it.) The view of every path
+// answers any read of its generation, a bbox read included; a region
+// view answers repeated reads of the same box. So a steady-state read
+// costs one local query, not a fan-out.
 //
 // When a partition cannot be reached the gateway answers 206 with the
 // partitions it could merge and names the missing ones in the
@@ -50,6 +63,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -189,11 +203,13 @@ type Gateway struct {
 	parts []*part
 	start time.Time
 
-	// gen counts writes routed through the gateway; the merged read view
-	// is cached per generation.
+	// gen counts writes routed through the gateway; merged read views are
+	// cached per generation: the view of every path, and the last region
+	// gathered alone.
 	gen    atomic.Uint64
 	mu     sync.Mutex
-	cached *mergedView
+	all    *mergedView
+	region *mergedView
 
 	closing   chan struct{}
 	closeOnce sync.Once
@@ -207,9 +223,10 @@ type Gateway struct {
 }
 
 // mergedView is the fleet's merged read state at one epoch: every
-// partition's paths with hotness summed by id.
+// partition's answer to one leg query with hotness summed by id.
 type mergedView struct {
 	gen   uint64
+	leg   string // the pushed-down query (see pushdown); "" for every path
 	epoch int64
 	clock int64
 	snap  hotpaths.Snapshot
@@ -393,10 +410,26 @@ func readError(resp *http.Response) error {
 
 // ---- merged reads --------------------------------------------------------
 
-// fetchPaths fetches one partition's full path set, as the binary body,
-// and the epoch/clock it was answered at.
-func (g *Gateway) fetchPaths(ctx context.Context, p *part) (paths []hotpaths.HotPath, epoch, clock int64, err error) {
-	hdr, err := g.call(ctx, p, http.MethodGet, "/paths", httpapi.PathsType, nil, func(resp *http.Response) (err error) {
+// pushdown returns the query a read forwards to every partition: the
+// client's bbox and nothing else, encoded ("" when the read has none).
+// k, min_hotness and sort are applied after the merge (see the package
+// doc).
+func pushdown(client url.Values) string {
+	bbox := client.Get("bbox")
+	if bbox == "" {
+		return ""
+	}
+	return url.Values{"bbox": {bbox}}.Encode()
+}
+
+// fetchPaths fetches one partition's answer to /paths?leg, as the binary
+// body, and the epoch/clock it was answered at.
+func (g *Gateway) fetchPaths(ctx context.Context, p *part, leg string) (paths []hotpaths.HotPath, epoch, clock int64, err error) {
+	path := "/paths"
+	if leg != "" {
+		path += "?" + leg
+	}
+	hdr, err := g.call(ctx, p, http.MethodGet, path, httpapi.PathsType, nil, func(resp *http.Response) (err error) {
 		if ct := resp.Header.Get("Content-Type"); ct != httpapi.PathsType {
 			return fmt.Errorf("answered %q, not %s: is this a current hotpathsd?", ct, httpapi.PathsType)
 		}
@@ -432,12 +465,12 @@ func (a instant) before(b instant) bool {
 	return a.epoch < b.epoch || a.epoch == b.epoch && a.clock < b.clock
 }
 
-// gather fetches every partition's paths at one agreed instant (epoch and
-// clock). Partitions that keep failing are reported in missing (with
-// their last error) and excluded from the merge; a partition that answers
-// at an older instant than the newest is re-fetched until the fleet
-// agrees.
-func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []partError) {
+// gather fetches every partition's answer to /paths?leg at one agreed
+// instant (epoch and clock). Partitions that keep failing are reported in
+// missing (with their last error) and excluded from the merge; a
+// partition that answers at an older instant than the newest is
+// re-fetched until the fleet agrees.
+func (g *Gateway) gather(ctx context.Context, leg string) (merged *mergedView, missing []partError) {
 	type result struct {
 		paths []hotpaths.HotPath
 		at    instant
@@ -450,7 +483,7 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				paths, epoch, clock, err := g.fetchPaths(ctx, g.parts[i])
+				paths, epoch, clock, err := g.fetchPaths(ctx, g.parts[i], leg)
 				results[i] = result{paths: paths, at: instant{epoch, clock}, err: err}
 			}(i)
 		}
@@ -534,33 +567,42 @@ func (g *Gateway) gather(ctx context.Context) (merged *mergedView, missing []par
 	span.End()
 	mMergeSeconds.ObserveSince(t0)
 	sort.Slice(missing, func(i, j int) bool { return missing[i].id < missing[j].id })
-	return &mergedView{epoch: target.epoch, clock: target.clock, snap: snap}, missing
+	return &mergedView{leg: leg, epoch: target.epoch, clock: target.clock, snap: snap}, missing
 }
 
-// merged returns the fleet's merged view, cached per write generation.
-// Partial views (missing partitions) are returned but never cached, so
-// the next read retries the failed partitions.
-func (g *Gateway) merged(ctx context.Context) (*mergedView, []partError) {
+// merged returns a merged view that answers reads pushing leg down,
+// cached per write generation: the view of every path answers any read,
+// a region view only its own leg. Partial views (missing partitions) are
+// returned but never cached, so the next read retries the failed
+// partitions.
+func (g *Gateway) merged(ctx context.Context, leg string) (*mergedView, []partError) {
 	gen := g.gen.Load()
 	g.mu.Lock()
-	c := g.cached
+	all, region := g.all, g.region
 	g.mu.Unlock()
-	if c != nil && c.gen == gen {
-		return c, nil
+	switch {
+	case all != nil && all.gen == gen:
+		return all, nil
+	case region != nil && region.gen == gen && region.leg == leg:
+		return region, nil
 	}
-	mv, missing := g.gather(ctx)
+	mv, missing := g.gather(ctx, leg)
 	if len(missing) == 0 {
 		mv.gen = gen
 		g.mu.Lock()
 		if g.gen.Load() == gen {
-			g.cached = mv
+			if leg == "" {
+				g.all = mv
+			} else {
+				g.region = mv
+			}
 		}
 		g.mu.Unlock()
 	}
 	return mv, missing
 }
 
-// invalidate marks the merged view stale after a routed write.
+// invalidate marks the merged views stale after a routed write.
 func (g *Gateway) invalidate() { g.gen.Add(1) }
 
 // writePartial stamps a partial scatter-gather response: 206 with the
@@ -584,7 +626,7 @@ func writePartial(ctx context.Context, w http.ResponseWriter, missing []partErro
 	return http.StatusPartialContent
 }
 
-// answerQuery serves a read endpoint from the merged view: the query's
+// answerQuery serves a read endpoint from a merged view: the query's
 // selection (capped at defaultK when no k is given; 0 = no cap) as JSON
 // or, with geo, as GeoJSON — 206 when partitions are missing, 502 when
 // none answered.
@@ -595,7 +637,7 @@ func (g *Gateway) answerQuery(defaultK int, geo bool) http.HandlerFunc {
 			httpapi.Error(w, http.StatusBadRequest, err)
 			return
 		}
-		mv, missing := g.merged(r.Context())
+		mv, missing := g.merged(r.Context(), pushdown(r.URL.Query()))
 		if len(missing) == len(g.parts) {
 			httpapi.Error(w, http.StatusBadGateway, errors.Join(asErrs(missing)...))
 			return

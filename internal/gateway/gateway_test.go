@@ -24,9 +24,9 @@ import (
 )
 
 // fakePart is a scriptable stand-in for one partition daemon: it records
-// the writes it receives and serves a fixed path set — through
-// httpapi.WritePaths, so it negotiates the body exactly as hotpathsd
-// does — so the tests can check routing (what reached whom, how many
+// the writes it receives and serves a fixed path set — filtered by the
+// request's query and written through httpapi.WritePaths, so it answers
+// and negotiates the body exactly as hotpathsd does — so the tests can check routing (what reached whom, how many
 // times) and failure handling (what the gateway answers when a partition
 // is down or speaks an older contract).
 type fakePart struct {
@@ -43,9 +43,10 @@ type fakePart struct {
 	paths     []hotpaths.PathJSON
 	epoch     int64
 	clock     int64
-	pathReads int  // GET /paths requests served
-	noClock   bool // answer /paths without the clock header
-	jsonOnly  bool // answer /paths in JSON whatever the Accept
+	pathReads int    // GET /paths requests served
+	lastQuery string // raw query of the latest GET /paths
+	noClock   bool   // answer /paths without the clock header
+	jsonOnly  bool   // answer /paths in JSON whatever the Accept
 	srv       *httptest.Server
 }
 
@@ -112,6 +113,7 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 		f.mu.Lock()
 		paths, epoch, clock := f.paths, f.epoch, f.clock
 		f.pathReads++
+		f.lastQuery = r.URL.RawQuery
 		if f.noClock {
 			w = dropHeader{w, hotpaths.ClockHeader}
 		}
@@ -119,7 +121,13 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 			r.Header.Del("Accept")
 		}
 		f.mu.Unlock()
-		httpapi.WritePaths(w, r, http.StatusOK, epoch, clock, httpapi.HotPaths(paths), false)
+		q, err := httpapi.ParseQuery(r, 0)
+		if err != nil {
+			httpapi.Error(w, http.StatusBadRequest, err)
+			return
+		}
+		snap := hotpaths.SnapshotOf(httpapi.HotPaths(paths), hotpaths.Rect{}, 0, 0, 0)
+		httpapi.WritePaths(w, r, http.StatusOK, epoch, clock, snap.Query(q), false)
 	}))
 	mux.HandleFunc("GET /healthz", guard(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -583,6 +591,72 @@ func TestCacheInvalidatedByWrites(t *testing.T) {
 	}
 }
 
+// TestRegionReadPushesDownBbox: a read with a bbox asks every partition
+// for that region and nothing else — k, min_hotness and sort hold only of
+// the summed hotness — and its region view answers repeated reads of the
+// same box until a write. A cached view of every path answers any box.
+func TestRegionReadPushesDownBbox(t *testing.T) {
+	fleet := mergeFleet(t)
+	h := newTestGateway(t, fleet, -1).Handler()
+	reads := func() (n int) {
+		for _, f := range fleet {
+			f.mu.Lock()
+			n += f.pathReads
+			f.mu.Unlock()
+		}
+		return n
+	}
+	asked := func(want, what string) {
+		t.Helper()
+		for i, f := range fleet {
+			f.mu.Lock()
+			got := f.lastQuery
+			f.mu.Unlock()
+			if got != want {
+				t.Errorf("partition %d was asked %q for %s, want %q", i, got, what, want)
+			}
+		}
+	}
+	get := func(url string) []hotpaths.PathJSON {
+		t.Helper()
+		rec := doReq(t, h, http.MethodGet, url, nil)
+		var got []hotpaths.PathJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("%s: %d %s", url, rec.Code, rec.Body)
+		}
+		return got
+	}
+
+	// Id 7 is held at hotness 2 and 3: only the sum clears min_hotness 5.
+	got := get("/paths?bbox=0,5,40,8&min_hotness=5&k=1&sort=score")
+	if len(got) != 1 || got[0].ID != 7 || got[0].Hotness != 5 {
+		t.Fatalf("region read = %+v, want id 7 at hotness 2+3", got)
+	}
+	asked("bbox=0%2C5%2C40%2C8", "a region read") // the bbox alone
+	if n := reads(); n != 2 {
+		t.Fatalf("%d partition reads after one region read, want 2", n)
+	}
+	get("/paths?bbox=0,5,40,8")
+	if n := reads(); n != 2 {
+		t.Errorf("a repeated box re-gathered: %d partition reads, want 2", n)
+	}
+	get("/paths?bbox=0,0,200,5")
+	if n := reads(); n != 4 {
+		t.Errorf("a new box: %d partition reads, want 4", n)
+	}
+	get("/topk")
+	asked("", "/topk") // every path
+	if got := get("/paths?bbox=0,0,10,1"); len(got) != 1 || got[0].ID != 1 || reads() != 6 {
+		t.Errorf("a box after /topk = %+v with %d partition reads, want id 1 from the full view (6 reads)", got, reads())
+	}
+
+	doReq(t, h, http.MethodPost, "/tick", map[string]any{"now": 10})
+	get("/paths?bbox=0,5,40,8")
+	if n := reads(); n != 8 {
+		t.Errorf("a box after a write: %d partition reads, want 8", n)
+	}
+}
+
 // TestObserveReadYourWrites: a read racing an in-flight /observe must not
 // poison the cache. Regression: invalidating before the forward let a
 // mid-write read gather the pre-write state and cache it under the
@@ -691,7 +765,7 @@ func TestStaleClockExcluded(t *testing.T) {
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("merged body = %+v, want the lagging partition's paths excluded", got)
 	}
-	_, missing := g.gather(context.Background())
+	_, missing := g.gather(context.Background(), "")
 	//hotpathsvet:ignore errstring the test pins the operator-facing text that names the lagging clock
 	if len(missing) != 1 || missing[0].err.Error() != "stuck at clock 56 while the fleet reached 57" {
 		t.Fatalf("missing = %+v, want partition 1 stuck at clock 56", missing)
@@ -783,7 +857,7 @@ func TestMissingClockHeader(t *testing.T) {
 	if budget := 50 * 5 * time.Millisecond; elapsed >= budget {
 		t.Errorf("read took %v, the whole alignment budget (%v)", elapsed, budget)
 	}
-	_, missing := g.gather(context.Background())
+	_, missing := g.gather(context.Background(), "")
 	//hotpathsvet:ignore errstring the test pins that the operator-facing text names the header
 	if len(missing) != 1 || !strings.Contains(missing[0].err.Error(), "missing "+hotpaths.ClockHeader+" header") {
 		t.Fatalf("missing = %+v, want partition 1 missing its %s header", missing, hotpaths.ClockHeader)
@@ -814,7 +888,7 @@ func TestJSONPartitionRejected(t *testing.T) {
 		t.Fatalf("paths with a JSON partition: %d %s=%q, want 206 naming 1",
 			rec.Code, hotpaths.PartialHeader, rec.Header().Get(hotpaths.PartialHeader))
 	}
-	_, missing := g.gather(context.Background())
+	_, missing := g.gather(context.Background(), "")
 	//hotpathsvet:ignore errstring the test pins the operator-facing hint at an outdated partition
 	if len(missing) != 1 || !strings.Contains(missing[0].err.Error(), "is this a current hotpathsd?") {
 		t.Fatalf("missing = %+v, want partition 1 refused as outdated", missing)

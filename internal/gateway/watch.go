@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 
 	"hotpaths"
 	"hotpaths/internal/httpapi"
@@ -21,9 +20,9 @@ import (
 // reached a common epoch, merges their results (sum hotness by id),
 // applies the client's query, and emits the diff against the previously
 // emitted result — the same diff a single node would have computed over
-// the same merged state. Only bbox is pushed down to the partitions:
-// region membership is per-path geometry, while k and min_hotness are
-// properties of the global result and must be applied after the merge.
+// the same merged state. The partition streams carry the one-shot reads'
+// pushdown (bbox alone; see the package doc), so k and min_hotness hold
+// of the merged result.
 //
 // A partition stream that re-baselines (its reset with missed > 0 means
 // it skipped epochs) leaves holes no merged increment can cross, so the
@@ -43,10 +42,10 @@ type partUpdate struct {
 // openWatch starts one partition's delta stream. Neither the request
 // context nor http.DefaultClient has a deadline — streams live as long as
 // the client — so it is not routed through Gateway.call.
-func (g *Gateway) openWatch(ctx context.Context, p *part, bbox string) (*http.Response, error) {
+func (g *Gateway) openWatch(ctx context.Context, p *part, leg string) (*http.Response, error) {
 	u := p.url + "/watch?limit=0"
-	if bbox != "" {
-		u += "&bbox=" + url.QueryEscape(bbox)
+	if leg != "" {
+		u += "&" + leg
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -125,10 +124,10 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	// Open every partition stream before committing to SSE, so a dead
 	// partition is a clean 503 instead of a stream that never baselines.
-	bbox := r.URL.Query().Get("bbox")
+	leg := pushdown(r.URL.Query())
 	resps := make([]*http.Response, len(g.parts))
 	for i, p := range g.parts {
-		resp, err := g.openWatch(ctx, p, bbox)
+		resp, err := g.openWatch(ctx, p, leg)
 		if err != nil {
 			for _, open := range resps[:i] {
 				open.Body.Close()

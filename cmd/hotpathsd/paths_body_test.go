@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -31,12 +33,59 @@ func getAccept(h http.Handler, path, accept string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// decodeBody decodes a whole binary path body, as a gateway's merge does.
+func decodeBody(t *testing.T, body []byte) []hotpaths.HotPath {
+	t.Helper()
+	b, err := httpapi.ReadPathsBody(bytes.NewReader(body), int64(len(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	paths := make([]hotpaths.HotPath, b.Len())
+	for i := range paths {
+		if paths[i], err = b.Path(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
+// sameSet reports how a binary body's paths differ from a JSON answer's,
+// as sets: the binary body carries the selection in no particular order,
+// so it must hold as many paths, each id once, and each id's hotness and
+// four coordinates bit for bit, -0 included. "" when they agree.
+func sameSet(bin, js []hotpaths.HotPath) string {
+	if len(bin) != len(js) {
+		return fmt.Sprintf("binary body holds %d paths, JSON %d", len(bin), len(js))
+	}
+	byID := make(map[uint64]hotpaths.HotPath, len(js))
+	for _, w := range js {
+		byID[w.ID] = w
+	}
+	bits := math.Float64bits
+	seen := make(map[uint64]bool, len(bin))
+	for _, g := range bin {
+		w, ok := byID[g.ID]
+		switch {
+		case seen[g.ID]:
+			return fmt.Sprintf("binary body holds id %d twice", g.ID)
+		case !ok:
+			return fmt.Sprintf("binary body holds id %d, JSON does not", g.ID)
+		case g.Hotness != w.Hotness ||
+			bits(g.Start.X) != bits(w.Start.X) || bits(g.Start.Y) != bits(w.Start.Y) ||
+			bits(g.End.X) != bits(w.End.X) || bits(g.End.Y) != bits(w.End.Y):
+			return fmt.Sprintf("binary %+v, JSON %+v", g, w)
+		}
+		seen[g.ID] = true
+	}
+	return ""
+}
+
 // checkBinaryMatchesJSON asks h for each read twice — as JSON and as the
-// binary body a gateway asks for — and holds the two to the same paths,
-// compared bit for bit, at the same epoch and clock.
+// binary body a gateway asks for — and holds the two to the same set of
+// paths, compared bit for bit, at the same epoch and clock.
 func checkBinaryMatchesJSON(t *testing.T, h http.Handler) {
 	t.Helper()
-	bits := math.Float64bits
 	for _, path := range []string{"/paths", "/topk", "/topk?k=1", "/paths?sort=score", "/paths?min_hotness=2", "/paths?bbox=-1,-1,1e301,1e301"} {
 		js, bin := getAccept(h, path, ""), getAccept(h, path, httpapi.PathsType)
 		if js.Code != http.StatusOK || bin.Code != http.StatusOK {
@@ -57,18 +106,8 @@ func checkBinaryMatchesJSON(t *testing.T, h http.Handler) {
 		if err := json.Unmarshal(js.Body.Bytes(), &wire); err != nil {
 			t.Fatal(err)
 		}
-		want := httpapi.HotPaths(wire)
-		got, err := httpapi.ReadPaths(bin.Body, int64(bin.Body.Len()))
-		if err != nil || len(got) != len(want) {
-			t.Fatalf("%s: binary body decodes to %d paths (%v), JSON to %d", path, len(got), err, len(want))
-		}
-		for i, g := range got {
-			w := want[i]
-			if g.ID != w.ID || g.Hotness != w.Hotness ||
-				bits(g.Start.X) != bits(w.Start.X) || bits(g.Start.Y) != bits(w.Start.Y) ||
-				bits(g.End.X) != bits(w.End.X) || bits(g.End.Y) != bits(w.End.Y) {
-				t.Errorf("%s path %d: binary %+v, JSON %+v", path, i, g, w)
-			}
+		if diff := sameSet(decodeBody(t, bin.Body.Bytes()), httpapi.HotPaths(wire)); diff != "" {
+			t.Errorf("%s: %s", path, diff)
 		}
 	}
 	// GeoJSON ignores Accept.
@@ -99,4 +138,84 @@ func TestBinaryPathsMatchJSON(t *testing.T) {
 		}, hotpaths.Rect{}, 0, 0, 10)
 		checkBinaryMatchesJSON(t, newServer(fixedSnapshot{eng, snap}, serverOpts{}).handler())
 	})
+}
+
+// TestSameSetRefuses holds the set comparison itself to what it must
+// catch: a path missing, one held twice, and one altered — in its
+// hotness, or in a coordinate by nothing but the sign of a zero.
+func TestSameSetRefuses(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	js := []hotpaths.HotPath{
+		{ID: 1, Start: hotpaths.Pt(0, 1), End: hotpaths.Pt(2, 3), Hotness: 4},
+		{ID: 2, Start: hotpaths.Pt(negZero, 1), End: hotpaths.Pt(2, 3), Hotness: 1},
+	}
+	altered := func(f func(*hotpaths.HotPath)) []hotpaths.HotPath {
+		bin := []hotpaths.HotPath{js[1], js[0]}
+		f(&bin[0])
+		return bin
+	}
+	for name, bin := range map[string][]hotpaths.HotPath{
+		"missing":   {js[0]},
+		"twice":     {js[0], js[0]},
+		"foreign":   {js[0], {ID: 3}},
+		"hotness":   altered(func(hp *hotpaths.HotPath) { hp.Hotness++ }),
+		"+0 for -0": altered(func(hp *hotpaths.HotPath) { hp.Start.X = 0 }),
+		"end.y":     altered(func(hp *hotpaths.HotPath) { hp.End.Y = math.Nextafter(3, 4) }),
+	} {
+		if sameSet(bin, js) == "" {
+			t.Errorf("%s: sameSet accepts %+v for %+v", name, bin, js)
+		}
+	}
+	if diff := sameSet([]hotpaths.HotPath{js[1], js[0]}, js); diff != "" {
+		t.Errorf("the same set reordered: %s", diff)
+	}
+}
+
+// freshSnapshot is a backend whose every read takes a new snapshot of one
+// path set, as a daemon's first read after a tick does.
+type freshSnapshot struct {
+	*hotpaths.Engine
+	paths []hotpaths.HotPath
+}
+
+func (f freshSnapshot) Snapshot() hotpaths.Snapshot {
+	return hotpaths.SnapshotOf(f.paths, hotpaths.Rect{}, 0, 0, 10)
+}
+
+// discardResponse is a ResponseWriter that keeps nothing of the body.
+type discardResponse struct{ h http.Header }
+
+func (d discardResponse) Header() http.Header         { return d.h }
+func (d discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardResponse) WriteHeader(int)             {}
+
+// BenchmarkPathsLeg measures a partition's side of a gateway leg: the
+// binary /paths answer from a 2,000-path snapshot, taken fresh for each
+// read as it is after every tick.
+func BenchmarkPathsLeg(b *testing.B) {
+	eng, err := hotpaths.NewEngine(hotpaths.EngineConfig{Config: serverTestConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { eng.Close() })
+	rng := rand.New(rand.NewPCG(1, 2))
+	paths := make([]hotpaths.HotPath, 2000)
+	for i := range paths {
+		x, y := rng.Float64()*2000, rng.Float64()*2000
+		paths[i] = hotpaths.HotPath{
+			ID:      rng.Uint64(),
+			Start:   hotpaths.Pt(x, y),
+			End:     hotpaths.Pt(x+rng.Float64()*10, y+rng.Float64()*10),
+			Hotness: 1 + rng.IntN(6),
+		}
+	}
+	h := newServer(freshSnapshot{eng, paths}, serverOpts{}).handler()
+	req := httptest.NewRequest(http.MethodGet, "/paths", nil)
+	req.Header.Set("Accept", httpapi.PathsType)
+	w := discardResponse{http.Header{}}
+	b.ReportAllocs()
+	for b.Loop() {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	}
 }

@@ -258,7 +258,9 @@ func (s *server) handleTick(w http.ResponseWriter, r *http.Request) {
 // answerQuery serves a read endpoint from the backend's snapshot: the
 // k/min_hotness/bbox/sort selection — capped at the engine's Config.K
 // when topK and no k is given — as JSON or, with geo, as a GeoJSON
-// FeatureCollection.
+// FeatureCollection. A gateway's leg, which asks for the binary body, is
+// answered the selection as a set (Snapshot.Matches): the gateway sums
+// and re-orders it, so the daemon orders nothing for it.
 func (s *server) answerQuery(topK, geo bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defaultK := 0
@@ -271,7 +273,11 @@ func (s *server) answerQuery(topK, geo bool) http.HandlerFunc {
 			return
 		}
 		snap := s.src.Snapshot()
-		httpapi.WritePaths(w, r, http.StatusOK, snap.Epoch(), snap.Clock(), snap.Query(q), geo)
+		answer := snap.Query
+		if !geo && httpapi.WantsPaths(r) {
+			answer = snap.Matches
+		}
+		httpapi.WritePaths(w, r, http.StatusOK, snap.Epoch(), snap.Clock(), answer(q), geo)
 	}
 }
 

@@ -165,11 +165,20 @@ func (s *Snapshot) col(x float64) int { return gridindex.ClampCell((x-s.bounds.L
 func (s *Snapshot) row(y float64) int { return gridindex.ClampCell((y-s.bounds.Lo.Y)/s.cellH, s.rows) }
 
 // Region returns the snapshot's paths whose end vertex lies inside r
-// (inclusive), in canonical order. It is answered by a range scan over the
-// region index — only the cells overlapping r are visited — so small
-// viewports over large snapshots cost far less than a linear filter, and
-// only the matches are ordered. The result is freshly allocated.
+// (inclusive), in canonical order: RegionUnordered's matches, and only
+// they, sorted. The result is freshly allocated.
 func (s *Snapshot) Region(r geom.Rect) []motion.HotPath {
+	out := s.RegionUnordered(r)
+	motion.SortRanked(out, (*motion.HotPath).Rank)
+	return out
+}
+
+// RegionUnordered returns the snapshot's paths whose end vertex lies
+// inside r (inclusive), in no particular order. It is answered by a range
+// scan over the region index — only the cells overlapping r are visited —
+// so small viewports over large snapshots cost far less than a linear
+// filter. The result is freshly allocated.
+func (s *Snapshot) RegionUnordered(r geom.Rect) []motion.HotPath {
 	s.once.Do(s.buildIndex)
 	var idx []int32
 	if s.cellStart == nil {
@@ -193,6 +202,5 @@ func (s *Snapshot) Region(r geom.Rect) []motion.HotPath {
 	for i, j := range idx {
 		out[i] = s.paths[j]
 	}
-	motion.SortRanked(out, (*motion.HotPath).Rank)
 	return out
 }

@@ -26,7 +26,14 @@
 // the fixed-width binary body (httpapi.PathsType — a partition answering
 // JSON is an error, not a fallback), and sums hotness by path id — ids
 // are content-addressed, so a corridor discovered by several partitions
-// merges by id alone. The union is a hotpaths.Snapshot, unordered, that
+// merges by id alone. Nobody orders anything on the way: a partition
+// answers a leg as an unordered set (Snapshot.Matches — a copy of its
+// snapshot and an encode, no sort), the gateway keeps the bodies
+// undecoded until the partitions agree, and the merge is one flat pass
+// that decodes every body straight into an open-addressing table (see
+// merge.go). A leg the merge refuses — a negative hotness, a sum that
+// overflows int, a non-finite coordinate — fails its partition like an
+// unreachable one. The union is a hotpaths.Snapshot, unordered, that
 // orders itself on demand: a /topk costs a bounded selection, a full
 // /paths one memoized sort. The query (k/limit, min_hotness, bbox, sort)
 // is applied to the union by the same Snapshot.Query a daemon answers
@@ -423,8 +430,8 @@ func pushdown(client url.Values) string {
 }
 
 // fetchPaths fetches one partition's answer to /paths?leg, as the binary
-// body, and the epoch/clock it was answered at.
-func (g *Gateway) fetchPaths(ctx context.Context, p *part, leg string) (paths []hotpaths.HotPath, epoch, clock int64, err error) {
+// body, and the instant it was answered at. The caller closes the body.
+func (g *Gateway) fetchPaths(ctx context.Context, p *part, leg string) (body httpapi.PathsBody, at instant, err error) {
 	path := "/paths"
 	if leg != "" {
 		path += "?" + leg
@@ -433,16 +440,20 @@ func (g *Gateway) fetchPaths(ctx context.Context, p *part, leg string) (paths []
 		if ct := resp.Header.Get("Content-Type"); ct != httpapi.PathsType {
 			return fmt.Errorf("answered %q, not %s: is this a current hotpathsd?", ct, httpapi.PathsType)
 		}
-		paths, err = httpapi.ReadPaths(resp.Body, resp.ContentLength)
+		body, err = httpapi.ReadPathsBody(resp.Body, resp.ContentLength)
 		return err
 	})
 	if err == nil {
-		epoch, err = instantHeader(hdr, hotpaths.EpochHeader)
+		at.epoch, err = instantHeader(hdr, hotpaths.EpochHeader)
 	}
 	if err == nil {
-		clock, err = instantHeader(hdr, hotpaths.ClockHeader)
+		at.clock, err = instantHeader(hdr, hotpaths.ClockHeader)
 	}
-	return paths, epoch, clock, err
+	if err != nil {
+		body.Close()
+		return httpapi.PathsBody{}, instant{}, err
+	}
+	return body, at, nil
 }
 
 // instantHeader reads the epoch or the clock header of a partition's
@@ -469,22 +480,30 @@ func (a instant) before(b instant) bool {
 // instant (epoch and clock). Partitions that keep failing are reported in
 // missing (with their last error) and excluded from the merge; a
 // partition that answers at an older instant than the newest is
-// re-fetched until the fleet agrees.
+// re-fetched until the fleet agrees. The answers stay undecoded, in their
+// pooled buffers, until then; one pass then decodes every agreed body
+// straight into the merged union.
 func (g *Gateway) gather(ctx context.Context, leg string) (merged *mergedView, missing []partError) {
 	type result struct {
-		paths []hotpaths.HotPath
-		at    instant
-		err   error
+		body httpapi.PathsBody
+		at   instant
+		err  error
 	}
 	results := make([]result, len(g.parts))
+	defer func() {
+		for _, r := range results {
+			r.body.Close()
+		}
+	}()
 	fetch := func(idxs []int) {
 		var wg sync.WaitGroup
 		for _, i := range idxs {
+			results[i].body.Close() // a laggard's stale answer
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				paths, epoch, clock, err := g.fetchPaths(ctx, g.parts[i], leg)
-				results[i] = result{paths: paths, at: instant{epoch, clock}, err: err}
+				body, at, err := g.fetchPaths(ctx, g.parts[i], leg)
+				results[i] = result{body: body, at: at, err: err}
 			}(i)
 		}
 		wg.Wait()
@@ -537,12 +556,11 @@ func (g *Gateway) gather(ctx context.Context, leg string) (merged *mergedView, m
 	// at — then merge only the partitions that reached it. A partition
 	// still behind after the retries above is failed like an unreachable
 	// one (reported in missing, its paths excluded): merging it would
-	// interleave two points in time.
+	// interleave two points in time. So is one whose body the merge
+	// refuses.
 	target := newest()
-	var (
-		states  [][]hotpaths.HotPath
-		pathsIn int
-	)
+	var agreed []int
+	size := 0
 	for i, r := range results {
 		var err error
 		switch {
@@ -553,15 +571,25 @@ func (g *Gateway) gather(ctx context.Context, leg string) (merged *mergedView, m
 		case r.at.clock != target.clock:
 			err = fmt.Errorf("stuck at clock %d while the fleet reached %d", r.at.clock, target.clock)
 		default:
-			states = append(states, r.paths)
-			pathsIn += len(r.paths)
+			agreed = append(agreed, i)
+			size += r.body.Len()
 			continue
 		}
 		missing = append(missing, partError{id: g.parts[i].id, err: err})
 	}
 	_, span := tracing.StartSpan(ctx, "gateway.merge")
-	snap := mergeStates(states, g.cfg.K)
-	span.SetAttr("partitions", len(states))
+	u := newUnion(size)
+	legs, pathsIn := 0, 0
+	for _, i := range agreed {
+		if err := u.addBody(results[i].body); err != nil {
+			missing = append(missing, partError{id: g.parts[i].id, err: fmt.Errorf("merge: %w", err)})
+			continue
+		}
+		legs++
+		pathsIn += results[i].body.Len()
+	}
+	snap := u.snapshot(g.cfg.K)
+	span.SetAttr("partitions", legs)
 	span.SetAttr("paths_in", pathsIn)
 	span.SetAttr("paths_out", snap.Len())
 	span.End()

@@ -24,10 +24,11 @@ import (
 )
 
 // fakePart is a scriptable stand-in for one partition daemon: it records
-// the writes it receives and serves a fixed path set — filtered by the
-// request's query and written through httpapi.WritePaths, so it answers
-// and negotiates the body exactly as hotpathsd does — so the tests can check routing (what reached whom, how many
-// times) and failure handling (what the gateway answers when a partition
+// the writes it receives and serves a fixed path set — selected by the
+// request's query (Matches for the binary body, Query for JSON) and
+// written through httpapi.WritePaths, so it answers and negotiates the
+// body exactly as hotpathsd does — so the tests can check routing (what
+// reached whom, how many times) and failure handling (what the gateway answers when a partition
 // is down or speaks an older contract).
 type fakePart struct {
 	id, count int
@@ -127,7 +128,11 @@ func newFakePart(t *testing.T, id, count int) *fakePart {
 			return
 		}
 		snap := hotpaths.SnapshotOf(httpapi.HotPaths(paths), hotpaths.Rect{}, 0, 0, 0)
-		httpapi.WritePaths(w, r, http.StatusOK, epoch, clock, snap.Query(q), false)
+		answer := snap.Query
+		if httpapi.WantsPaths(r) {
+			answer = snap.Matches
+		}
+		httpapi.WritePaths(w, r, http.StatusOK, epoch, clock, answer(q), false)
 	}))
 	mux.HandleFunc("GET /healthz", guard(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -93,24 +94,26 @@ func regionURL(box uint32, k, minHotness, flags uint8) string {
 
 // FuzzRegionGather holds a region read's pushdown to the full gather.
 // Each partition answers the leg the read pushes down as a daemon's
-// /paths does — a gridded snapshot's Query, sent as the binary body —
-// and the merge of those answers, queried with the client's parameters,
-// must equal the merge of every partition's full set queried alike,
-// byte for byte as JSON and as GeoJSON.
+// binary /paths does — a gridded snapshot's Matches, in an order the
+// fuzz input shuffles, sent as the binary body — and the gateway's merge
+// of those answers, taken in a shuffled partition order too and queried
+// with the client's parameters, must equal modelMerge of every
+// partition's full set queried alike, byte for byte as JSON and as
+// GeoJSON.
 func FuzzRegionGather(f *testing.F) {
 	box := func(x0, y0, x1, y1 uint32) uint32 { return x0 | y0<<3 | x1<<6 | y1<<9 }
 	everywhere := box(6, 6, 7, 7)
 	// Path 9 is held at hotness 1 by partitions 0 and 1: only the sum
 	// clears min_hotness 2.
-	f.Add([]byte{9, 0, 1<<6 | 9, 0, 10, 2}, everywhere, uint8(0), uint8(2), uint8(0))
+	f.Add([]byte{9, 0, 1<<6 | 9, 0, 10, 2}, everywhere, uint8(0), uint8(2), uint8(0), uint64(0))
 	// Partition 0 ranks path 10 above path 9, which the fleet ranks
 	// first: a per-partition top 1 loses it.
-	f.Add([]byte{10, 1, 9, 0, 1<<6 | 9, 1}, everywhere, uint8(1), uint8(0), uint8(8))
+	f.Add([]byte{10, 1, 9, 0, 1<<6 | 9, 1}, everywhere, uint8(1), uint8(0), uint8(8), uint64(1))
 	// End vertices on both zeros, inside the box [-0,0]².
-	f.Add([]byte{0, 0, 1, 1, 8, 2, 1<<6 | 9, 3, 2<<6 | 9, 1}, box(0, 0, 1, 1), uint8(3), uint8(0), uint8(1|2|4|8))
+	f.Add([]byte{0, 0, 1, 1, 8, 2, 1<<6 | 9, 3, 2<<6 | 9, 1}, box(0, 0, 1, 1), uint8(3), uint8(0), uint8(1|2|4|8), uint64(2))
 	// Box edges on the grid's bounds and beyond them.
-	f.Add([]byte{6, 0, 7, 1, 1<<6 | 7, 2, 3<<6 | 54, 4, 63, 5}, box(1, 5, 7, 6), uint8(2), uint8(1), uint8(2|8))
-	f.Fuzz(func(t *testing.T, paths []byte, box uint32, k, minHotness, flags uint8) {
+	f.Add([]byte{6, 0, 7, 1, 1<<6 | 7, 2, 3<<6 | 54, 4, 63, 5}, box(1, 5, 7, 6), uint8(2), uint8(1), uint8(2|8), uint64(3))
+	f.Fuzz(func(t *testing.T, paths []byte, box uint32, k, minHotness, flags uint8, order uint64) {
 		const defaultK = 3
 		client := httptest.NewRequest(http.MethodGet, regionURL(box, k, minHotness, flags), nil)
 		qK := 0
@@ -126,21 +129,22 @@ func FuzzRegionGather(f *testing.F) {
 			t.Fatalf("leg of %s: %v", client.URL, err)
 		}
 		sets := regionFleet(paths)
+		shuffle := rand.New(rand.NewPCG(order, 0)).Shuffle
 		answers := make([][]hotpaths.HotPath, len(sets))
 		for i, set := range sets {
-			ans := hotpaths.SnapshotOf(set, regionGrid, 4, 4, defaultK).Query(leg)
-			body := httpapi.AppendPaths(nil, ans)
-			if answers[i], err = httpapi.ReadPaths(bytes.NewReader(body), int64(len(body))); err != nil {
-				t.Fatal(err)
-			}
+			answers[i] = hotpaths.SnapshotOf(set, regionGrid, 4, 4, defaultK).Matches(leg)
+			shuffle(len(answers[i]), func(a, b int) { answers[i][a], answers[i][b] = answers[i][b], answers[i][a] })
 		}
+		shuffle(len(answers), func(a, b int) { answers[a], answers[b] = answers[b], answers[a] })
+		region := mergeBodies(t, answers, defaultK)
+		full := hotpaths.SnapshotOf(modelMerge(sets), hotpaths.Rect{}, 0, 0, defaultK)
 		for _, geo := range []bool{false, true} {
-			write := func(states [][]hotpaths.HotPath) []byte {
+			write := func(snap hotpaths.Snapshot) []byte {
 				rec := httptest.NewRecorder()
-				httpapi.WritePaths(rec, client, http.StatusOK, 0, 0, mergeStates(states, defaultK).Query(q), geo)
+				httpapi.WritePaths(rec, client, http.StatusOK, 0, 0, snap.Query(q), geo)
 				return rec.Body.Bytes()
 			}
-			if got, want := write(answers), write(sets); !bytes.Equal(got, want) {
+			if got, want := write(region), write(full); !bytes.Equal(got, want) {
 				t.Fatalf("%s (geo %v): the region gather answers\n%s\nthe full gather\n%s", client.URL, geo, got, want)
 			}
 		}

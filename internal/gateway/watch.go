@@ -28,8 +28,10 @@ import (
 // it skipped epochs) leaves holes no merged increment can cross, so the
 // fan-in emits its own reset with the skipped epochs counted in missed —
 // the exact contract a single daemon's slow-consumer path has. A
-// partition stream that dies ends the merged stream; the client
-// reconnects and re-baselines, which is already its reconnect story.
+// partition stream that dies, or whose result the merge refuses (a
+// negative hotness, a sum that overflows int), ends the merged stream;
+// the client reconnects and re-baselines, which is already its reconnect
+// story.
 
 // partUpdate is one partition's rebuilt full result at one epoch.
 type partUpdate struct {
@@ -81,29 +83,23 @@ func (g *Gateway) watchPartition(ctx context.Context, idx int, resp *http.Respon
 	}
 }
 
-// mergeStates merges per-partition results into one snapshot, with k as
-// its TopK cap. The same corridor discovered by more than one partition
-// has the same content-addressed id everywhere, so the merge is a hotness
-// sum by id; nothing is ordered until a query asks (hotpaths.SnapshotOf,
-// with no grid: a region query is a linear filter).
-func mergeStates(states [][]hotpaths.HotPath, k int) hotpaths.Snapshot {
+// mergeStates merges the partitions' results at one epoch, in table
+// order, into one snapshot with k as its TopK cap: the one-shot reads'
+// union (see merge.go), fed decoded paths.
+func mergeStates(states [][]hotpaths.HotPath, k int) (hotpaths.Snapshot, error) {
 	n := 0
 	for _, st := range states {
 		n += len(st)
 	}
-	slot := make(map[uint64]int, n)
-	out := make([]hotpaths.HotPath, 0, n)
-	for _, st := range states {
+	u := newUnion(n)
+	for i, st := range states {
 		for _, hp := range st {
-			if i, ok := slot[hp.ID]; ok {
-				out[i].Hotness += hp.Hotness
-				continue
+			if err := u.add(hp); err != nil {
+				return hotpaths.Snapshot{}, fmt.Errorf("partition %d: %w", i, err)
 			}
-			slot[hp.ID] = len(out)
-			out = append(out, hp)
 		}
 	}
-	return hotpaths.SnapshotOf(out, hotpaths.Rect{}, 0, 0, k)
+	return u.snapshot(k), nil
 }
 
 // handleWatch serves GET /watch: the merged SSE delta stream, with
@@ -160,7 +156,11 @@ func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
 		started    bool
 	)
 	emit := func(e partUpdate, states [][]hotpaths.HotPath, clock int64) error {
-		cur := mergeStates(states, g.cfg.K).Query(q)
+		merged, err := mergeStates(states, g.cfg.K)
+		if err != nil {
+			return err
+		}
+		cur := merged.Query(q)
 		var d hotpaths.Delta
 		if !started || e.epoch != lastEpoch+1 {
 			// First event, or a partition re-baselined across missed

@@ -21,8 +21,10 @@
 // which thereby stays the definition of what is accepted and the author
 // of every error text. A partition's /paths answer on its way into a
 // gateway merge is no JSON at all: the gateway asks for the fixed-width
-// PathsType body (WritePaths, ReadPaths), which carries every coordinate
-// as its IEEE-754 bits, so neither side formats or parses a number.
+// PathsType body (WritePaths, ReadPathsBody), which carries every
+// coordinate as its IEEE-754 bits, so neither side formats or parses a
+// number, and the answer as a set, in no particular order, so the
+// partition sorts nothing for a reader that sums and re-orders it.
 // The JSON path answers clients read — /topk, /paths and each /watch
 // delta — are streamed by the append encoder in encode.go, which writes
 // encoding/json's bytes without reflection or a whole-body buffer.
@@ -102,11 +104,12 @@ type ObserveSink interface {
 	Add(o hotpaths.ObservationJSON, raw []byte)
 }
 
-// bodies holds the buffers DecodeObserve and ReadPaths read into and
+// bodies holds the buffers DecodeObserve and ReadPathsBody read into and
 // binary path bodies are written from. A buffer is held by one request
-// for the length of its decode or write, so what is retained is one body
-// per request in flight; the pool drops idle buffers — an outsized
-// body's among them — at the next GC.
+// for the length of its decode or write — a gateway read holds one per
+// partition until its merge — so what is retained is a few bodies per
+// request in flight; the pool drops idle buffers — an outsized body's
+// among them — at the next GC.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // readBody reads all of src into a pooled buffer, sized up front when the
@@ -174,17 +177,23 @@ func DecodeObserve(w http.ResponseWriter, r *http.Request, sink ObserveSink, fal
 
 // PathsType is the media type of the binary path body: what /topk and
 // /paths answer instead of JSON when a request's Accept is exactly this
-// type, as a gateway's is when it gathers its partitions. The body is
-// PathSize bytes per path, in the order the JSON answer lists them, with
-// no header or framing; epoch and clock stay in EpochHeader and
-// ClockHeader. Each path is, little-endian: id uint64, hotness int64,
-// then start.x, start.y, end.x, end.y as IEEE-754 bits — so every
-// coordinate arrives bit for bit, -0 included, and nothing is formatted
-// or parsed as decimal text.
+// type (WantsPaths), as a gateway's is when it gathers its partitions.
+// The body carries the answer's paths as a set, in no particular order —
+// its reader sums and re-orders them anyway, so a daemon answers it from
+// Snapshot.Matches and sorts nothing; a path's rank is not its position.
+// It is PathSize bytes per path, with no header or framing; epoch and
+// clock stay in EpochHeader and ClockHeader. Each path is, little-endian:
+// id uint64, hotness int64, then start.x, start.y, end.x, end.y as
+// IEEE-754 bits — so every coordinate arrives bit for bit, -0 included,
+// and nothing is formatted or parsed as decimal text.
 const PathsType = "application/x-hotpaths-paths"
 
 // PathSize is the size of one path in a PathsType body.
 const PathSize = 48
+
+// WantsPaths reports whether r asks for the binary path body: its Accept
+// is exactly PathsType. /paths.geojson ignores it.
+func WantsPaths(r *http.Request) bool { return r.Header.Get("Accept") == PathsType }
 
 // AppendPaths appends paths to dst as a PathsType body.
 func AppendPaths(dst []byte, paths []hotpaths.HotPath) []byte {
@@ -199,43 +208,65 @@ func AppendPaths(dst []byte, paths []hotpaths.HotPath) []byte {
 	return dst
 }
 
-// ReadPaths reads a PathsType body whole — length is its Content-Length,
-// or -1 — and decodes it. It rejects a body that is not a whole number of
-// paths, a hotness out of range for int, and a coordinate that is NaN or
-// infinite — no snapshot holds one.
-func ReadPaths(src io.Reader, length int64) ([]hotpaths.HotPath, error) {
+// PathsBody is a PathsType body read whole into a pooled buffer, decoded
+// one path at a time, in place: a gateway keeps its partitions' bodies
+// until they agree on one instant and then merges them straight from
+// here. Close hands the buffer back.
+type PathsBody struct{ buf *bytes.Buffer }
+
+// ReadPathsBody reads a PathsType body whole — length is its
+// Content-Length, or -1 — and rejects one that is not a whole number of
+// paths.
+func ReadPathsBody(src io.Reader, length int64) (PathsBody, error) {
 	buf, err := readBody(src, length)
-	defer bodies.Put(buf)
+	if err == nil && buf.Len()%PathSize != 0 {
+		err = fmt.Errorf("paths body of %d bytes is not a whole number of %d-byte paths", buf.Len(), PathSize)
+	}
 	if err != nil {
-		return nil, err
+		bodies.Put(buf)
+		return PathsBody{}, err
 	}
-	body := buf.Bytes()
-	if len(body)%PathSize != 0 {
-		return nil, fmt.Errorf("paths body of %d bytes is not a whole number of %d-byte paths", len(body), PathSize)
+	return PathsBody{buf}, nil
+}
+
+// Len returns the number of paths in the body.
+func (b PathsBody) Len() int {
+	if b.buf == nil {
+		return 0
 	}
+	return b.buf.Len() / PathSize
+}
+
+// Path decodes path i of the body. It rejects a hotness out of range for
+// int and a coordinate that is NaN or infinite — no snapshot holds one.
+func (b PathsBody) Path(i int) (hotpaths.HotPath, error) {
+	p := b.buf.Bytes()[i*PathSize : (i+1)*PathSize]
 	le := binary.LittleEndian
-	dst := make([]hotpaths.HotPath, 0, len(body)/PathSize)
-	for i := 0; i < len(body); i += PathSize {
-		b := body[i : i+PathSize]
-		var c [4]float64
-		for j := range c {
-			c[j] = math.Float64frombits(le.Uint64(b[16+8*j:]))
-			if math.IsNaN(c[j]) || math.IsInf(c[j], 0) {
-				return nil, fmt.Errorf("path %d: coordinate %v is not finite", i/PathSize, c[j])
-			}
+	var c [4]float64
+	for j := range c {
+		c[j] = math.Float64frombits(le.Uint64(p[16+8*j:]))
+		if math.IsNaN(c[j]) || math.IsInf(c[j], 0) {
+			return hotpaths.HotPath{}, fmt.Errorf("path %d: coordinate %v is not finite", i, c[j])
 		}
-		hotness := int64(le.Uint64(b[8:]))
-		if int64(int(hotness)) != hotness {
-			return nil, fmt.Errorf("path %d: hotness %d out of range", i/PathSize, hotness)
-		}
-		dst = append(dst, hotpaths.HotPath{
-			ID:      le.Uint64(b),
-			Start:   hotpaths.Pt(c[0], c[1]),
-			End:     hotpaths.Pt(c[2], c[3]),
-			Hotness: int(hotness),
-		})
 	}
-	return dst, nil
+	hotness := int64(le.Uint64(p[8:]))
+	if int64(int(hotness)) != hotness {
+		return hotpaths.HotPath{}, fmt.Errorf("path %d: hotness %d out of range", i, hotness)
+	}
+	return hotpaths.HotPath{
+		ID:      le.Uint64(p),
+		Start:   hotpaths.Pt(c[0], c[1]),
+		End:     hotpaths.Pt(c[2], c[3]),
+		Hotness: int(hotness),
+	}, nil
+}
+
+// Close hands the body's buffer back to the pool; the body must not be
+// read after. Closing the zero PathsBody does nothing.
+func (b PathsBody) Close() {
+	if b.buf != nil {
+		bodies.Put(b.buf)
+	}
 }
 
 // WriteJSON writes v as the JSON response body under status.
@@ -256,8 +287,8 @@ func Error(w http.ResponseWriter, status int, err error) {
 // WritePaths answers a /topk, /paths or (geo) /paths.geojson read under
 // status, stamped with the epoch and clock it was answered at so a
 // scatter-gather reader can verify that every partition answered at the
-// same epoch before merging. A request whose Accept is exactly PathsType
-// gets the binary body instead of JSON (GeoJSON ignores Accept).
+// same epoch before merging. A request that WantsPaths gets the binary
+// body instead of JSON (GeoJSON ignores Accept), paths in the order given.
 //
 // The JSON answer is the encoding/json text of hotpaths.PathsJSON(paths),
 // streamed in chunks (see encode.go); every number is checked before the
@@ -268,7 +299,7 @@ func Error(w http.ResponseWriter, status int, err error) {
 func WritePaths(w http.ResponseWriter, r *http.Request, status int, epoch, clock int64, paths []hotpaths.HotPath, geo bool) {
 	w.Header().Set(hotpaths.EpochHeader, strconv.FormatInt(epoch, 10))
 	w.Header().Set(hotpaths.ClockHeader, strconv.FormatInt(clock, 10))
-	if !geo && r.Header.Get("Accept") != PathsType {
+	if !geo && !WantsPaths(r) {
 		if err := checkFinite(paths); err != nil {
 			Error(w, http.StatusInternalServerError, fmt.Errorf("encode paths: %w", err))
 			return

@@ -37,12 +37,29 @@ func nonFinite(body []byte) bool {
 	return false
 }
 
-// checkPathsBody holds ReadPaths to the body's contract: a length that
-// is not a whole number of paths and a non-finite coordinate are
+// decodePaths reads body through ReadPathsBody and decodes every path,
+// as a gateway's merge does.
+func decodePaths(body []byte) ([]hotpaths.HotPath, error) {
+	b, err := httpapi.ReadPathsBody(bytes.NewReader(body), int64(len(body)))
+	if err != nil {
+		return nil, err
+	}
+	defer b.Close()
+	paths := make([]hotpaths.HotPath, b.Len())
+	for i := range paths {
+		if paths[i], err = b.Path(i); err != nil {
+			return nil, err
+		}
+	}
+	return paths, nil
+}
+
+// checkPathsBody holds the body decoder to the body's contract: a length
+// that is not a whole number of paths and a non-finite coordinate are
 // rejected, and whatever is accepted re-encodes to the very same bytes.
 func checkPathsBody(t *testing.T, body []byte) (accepted bool) {
 	t.Helper()
-	got, err := httpapi.ReadPaths(bytes.NewReader(body), int64(len(body)))
+	got, err := decodePaths(body)
 	reject := len(body)%httpapi.PathSize != 0 || nonFinite(body)
 	if (err != nil) != reject {
 		t.Fatalf("error = %v, want rejected = %v\nbody: %x", err, reject, body)
@@ -128,9 +145,9 @@ func TestPathsDecode(t *testing.T) {
 	}
 
 	// The layout, field by field, bit for bit.
-	got, err := httpapi.ReadPaths(bytes.NewReader(edgeRecord), int64(len(edgeRecord)))
+	got, err := decodePaths(edgeRecord)
 	if err != nil || len(got) != 1 {
-		t.Fatalf("ReadPaths(edge record) = %v, %v", got, err)
+		t.Fatalf("decoding the edge record = %v, %v", got, err)
 	}
 	bits := math.Float64bits
 	hp := got[0]

@@ -209,6 +209,11 @@ func SnapshotOf(paths []HotPath, bounds Rect, cols, rows, k int) Snapshot {
 // Order returns the query's sort order.
 func (q Query) Order() SortOrder { return q.order }
 
+// rect is the query's Region in the coordinator's geometry.
+func (q Query) rect() geom.Rect {
+	return geom.Rect{Lo: geom.Pt(q.region.Min.X, q.region.Min.Y), Hi: geom.Pt(q.region.Max.X, q.region.Max.Y)}
+}
+
 // prefix returns how many leading paths of an n-long selection in
 // canonical order survive MinHotness and — under ByHotness, where the k
 // best are a prefix too — K, so both cuts happen before any copy.
@@ -249,23 +254,44 @@ func (s Snapshot) Query(q Query) []HotPath {
 	case s.snap == nil:
 		return nil
 	case q.hasRegion:
-		sel := s.snap.Region(geom.Rect{
-			Lo: geom.Pt(q.region.Min.X, q.region.Min.Y),
-			Hi: geom.Pt(q.region.Max.X, q.region.Max.Y),
-		})
+		sel := s.snap.Region(q.rect())
 		sel = sel[:q.prefix(len(sel), func(i int) int { return sel[i].Hotness })]
 		return q.shape(convert(sel))
 	case q.order == ByHotness:
 		return convert(s.snap.Hottest(q.k, q.minHotness))
 	}
+	return q.shape(s.matches(q))
+}
+
+// Matches returns the paths Query(q) returns, in no particular order. The
+// result is a fresh slice owned by the caller. Without a K it does no
+// ordering work: every path, or a Region's range scan, filtered by
+// MinHotness — what a reader that re-orders the answer anyway (a gateway
+// summing partitions) should ask for.
+func (s Snapshot) Matches(q Query) []HotPath {
+	if q.k > 0 {
+		return s.Query(q) // the K best are a set only once ranked
+	}
+	return s.matches(q)
+}
+
+// matches returns every path the query's Region and MinHotness select,
+// unordered; K and the sort order play no part.
+func (s Snapshot) matches(q Query) []HotPath {
+	if s.snap == nil {
+		return nil
+	}
 	all := s.snap.Unordered()
+	if q.hasRegion {
+		all = s.snap.RegionUnordered(q.rect())
+	}
 	sel := make([]HotPath, 0, len(all))
 	for _, hp := range all {
 		if q.minHotness <= 0 || hp.Hotness >= q.minHotness {
 			sel = append(sel, publicPath(hp))
 		}
 	}
-	return q.shape(sel)
+	return sel
 }
 
 // TopK returns the Config.K hottest paths, hottest first.

@@ -58,11 +58,19 @@ func sameResult(a, b []HotPath) bool {
 }
 
 // checkQuery runs q on s and compares it with the reference answer over
-// ref, a snapshot holding the same paths (often s itself).
+// ref, a snapshot holding the same paths (often s itself). Matches must
+// return the same paths as a set: sorted into the query's order, the
+// reference again.
 func checkQuery(t testing.TB, s, ref Snapshot, q Query) {
 	t.Helper()
-	if got, want := s.Query(q), referenceQuery(ref, q); !sameResult(got, want) {
+	want := referenceQuery(ref, q)
+	if got := s.Query(q); !sameResult(got, want) {
 		t.Fatalf("%+v:\n got  %v\n want %v", q, got, want)
+	}
+	set := s.Matches(q)
+	sortResults(set, q.order)
+	if !sameResult(set, want) {
+		t.Fatalf("Matches(%+v), ordered:\n got  %v\n want %v", q, set, want)
 	}
 }
 

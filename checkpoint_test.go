@@ -16,6 +16,7 @@ import (
 
 	"hotpaths/internal/engine"
 	"hotpaths/internal/geom"
+	"hotpaths/internal/raytrace"
 	"hotpaths/internal/wal"
 )
 
@@ -204,11 +205,7 @@ func checkpointAt(tb testing.TB, cfg Config, shards int, batches [][]Observation
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := encodeCheckpoint(eng.cfg, st)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
+	return encodeCheckpoint(eng.cfg, st)
 }
 
 // orphanPendingSeed is a mid-epoch checkpoint with one more pending
@@ -226,11 +223,7 @@ func orphanPendingSeed(tb testing.TB, cfg Config) []byte {
 	orphan := st.Pending[0]
 	orphan.ObjectID = 999
 	st.Pending = append(st.Pending, orphan)
-	b, err := encodeCheckpoint(cfg, st)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
+	return encodeCheckpoint(cfg, st)
 }
 
 // hostileFSASeed is a mid-epoch checkpoint whose first pending report
@@ -248,16 +241,12 @@ func hostileFSASeed(tb testing.TB, cfg Config) []byte {
 	}
 	p := &st.Pending[0]
 	p.State.FSA.Lo = geom.Pt(p.State.FSA.Hi.X-1e60, p.State.FSA.Hi.Y-1e60)
-	i := slices.IndexFunc(st.Filters, func(e engine.FilterEntry) bool { return e.ObjectID == p.ObjectID })
+	i := slices.IndexFunc(st.Filters, func(e raytrace.FilterEntry) bool { return e.ObjectID == p.ObjectID })
 	if i < 0 {
 		tb.Fatal("the pending report has no filter")
 	}
 	st.Filters[i].Filter.FSA = p.State.FSA
-	b, err := encodeCheckpoint(cfg, st)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
+	return encodeCheckpoint(cfg, st)
 }
 
 // The checkpoint is a wire format: a follower decodes a primary's, and a
@@ -265,7 +254,8 @@ func hostileFSASeed(tb testing.TB, cfg Config) []byte {
 // exact and a mid-epoch noisy state (pending reports, waiting filters,
 // sigma entries) at several engine widths, so a refactor of the state
 // behind it cannot move a byte unnoticed. An intended format change
-// bumps checkpointVersion and re-pins these sums. They were recorded on
+// bumps checkpointVersion and re-pins these sums; they were last re-pinned
+// for version 3, the flat binary body that replaced gob. They were recorded on
 // amd64; an architecture that fuses multiply-adds may place a vertex a
 // bit differently, as the paper-curve golden also allows.
 func TestCheckpointBytesStable(t *testing.T) {
@@ -282,9 +272,9 @@ func TestCheckpointBytesStable(t *testing.T) {
 		sum     string
 	}{
 		{"exact", engineTestConfig(), func() [][]Observation { return IngestWorkload(48, 120, 42) },
-			34778, "5c392e9e7731057fd4f757fe8db209fe8800809c0e57b2d198c99d53b6557bce"},
+			27679, "4bce119603b357c426ceda4d611427df6fda3a76d174097fd3577274ebecb8a3"},
 		{"noisy-mid-epoch", noisy, func() [][]Observation { return makeNoisy(flowWorkload(16, 80, 9)[:45]) },
-			3482, "653e2c43ee377ff5d2a696c82f3a974d63c9b3abfb5bd31abb806413a6fba151"},
+			1956, "941644a12039eee663eb2f7e99dbc34c4ccfca325058af84c55357b9c8b2c2d1"},
 	} {
 		for _, shards := range []int{1, 2, 4} {
 			b := checkpointAt(t, tc.cfg, shards, tc.batches())
@@ -296,14 +286,136 @@ func TestCheckpointBytesStable(t *testing.T) {
 	}
 }
 
+// restamp returns body framed as a checkpoint with a valid checksum, so
+// a malformed body reaches the decoder behind the frame.
+func restamp(body []byte) []byte {
+	b := append(append([]byte(nil), checkpointMagic...), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(b[len(checkpointMagic):], checkpointVersion)
+	b = append(b, body...)
+	binary.LittleEndian.PutUint32(b[len(checkpointMagic)+4:], crc32.Checksum(body, checkpointCRC))
+	return b
+}
+
+// malformedCheckpoint is one hostile variant of a real checkpoint body.
+type malformedCheckpoint struct {
+	name string
+	b    []byte // framed, with a valid checksum
+}
+
+// malformedCheckpoints derives from a real mid-epoch noisy checkpoint
+// one variant per refusal the decoder makes inside a body: a count larger
+// than the remaining bytes can hold (just, at one byte a record, and by
+// far), a non-minimal varint, a bool byte of 2, a trailing byte and
+// another rules identifier. Offsets are found by walking the body with
+// the decoder's own reader.
+func malformedCheckpoints(tb testing.TB, cfg Config) (valid []byte, out []malformedCheckpoint) {
+	tb.Helper()
+	valid = checkpointSeed(tb, cfg, makeNoisy(flowWorkload(16, 80, 9)[:45]))
+	body := valid[len(checkpointMagic)+8:]
+	r := ckptReader{b: body, size: len(body)}
+	r.uvarint()
+	r.config()
+	r.time()
+	r.int64()
+	r.int64()
+	r.int()
+	for range r.count(minPendingBytes) {
+		r.int()
+		r.reportState()
+	}
+	filtersAt := r.offset()
+	nFilters := r.count(minFilterBytes)
+	countEnd := r.offset()
+	r.int()
+	r.float()
+	r.float()
+	r.reportState()
+	waitingAt := r.offset()
+	if r.err != nil || nFilters == 0 || body[0] != rules {
+		tb.Fatalf("walking the seed body: %v (%d filters)", r.err, nFilters)
+	}
+	splice := func(at, end int, mid ...byte) []byte {
+		return restamp(slices.Concat(body[:at], mid, body[end:]))
+	}
+	left := len(body) - countEnd
+	nonMinimal := binary.AppendUvarint(nil, uint64(nFilters))
+	nonMinimal[len(nonMinimal)-1] |= 0x80
+	nonMinimal = append(nonMinimal, 0)
+	badBool := slices.Clone(body)
+	badBool[waitingAt] = 2
+	return valid, []malformedCheckpoint{
+		{"count-beyond-body", splice(filtersAt, countEnd, binary.AppendUvarint(nil, uint64(left/minFilterBytes+1))...)},
+		{"count-one-per-byte", splice(filtersAt, countEnd, binary.AppendUvarint(nil, uint64(left))...)},
+		{"count-huge", splice(filtersAt, countEnd, binary.AppendUvarint(nil, 1<<62)...)},
+		{"non-minimal-varint", splice(filtersAt, countEnd, nonMinimal...)},
+		{"bool-byte-2", restamp(badBool)},
+		{"trailing-byte", restamp(append(slices.Clone(body), 0))},
+		{"rules-mismatch", splice(0, 1, rules+1)},
+	}
+}
+
+// A hostile body is refused with an error, never a panic, and before the
+// decoder allocates more than a state of the body's size would need (a
+// decoded filter entry is about twice its encoding): every truncation of
+// a real body, and each variant of malformedCheckpoints.
+func TestCheckpointDecodeRefusesMalformedBodies(t *testing.T) {
+	cfg := engineTestConfig()
+	cfg.Delta = 0.05
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, cases := malformedCheckpoints(t, cfg)
+	if _, err := decodeCheckpoint(valid, cfg); err != nil {
+		t.Fatalf("the unmodified body is refused: %v", err)
+	}
+	// The least of three counts: the heap total is process-wide, and a
+	// goroutine an earlier test left behind may allocate meanwhile.
+	refused := func(t *testing.T, b []byte) (err error) {
+		t.Helper()
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = decodeCheckpoint(b, cfg)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if err == nil {
+			t.Fatalf("accepted")
+		}
+		if limit := uint64(4*len(b) + 16<<10); least > limit {
+			t.Errorf("allocated %d bytes refusing a %d-byte checkpoint, want at most %d", least, len(b), limit)
+		}
+		return err
+	}
+	hdr := len(checkpointMagic) + 8
+	t.Run("every-truncation", func(t *testing.T) {
+		for n := 0; n < len(valid)-hdr; n++ {
+			refused(t, restamp(valid[hdr:hdr+n]))
+		}
+	})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := refused(t, c.b)
+			var rerr *checkpointRulesError
+			if isRules := errors.As(err, &rerr); isRules != (c.name == "rules-mismatch") {
+				t.Errorf("refusal %v", err)
+			} else if isRules && (rerr.got != rules+1 || rerr.want != rules) {
+				t.Errorf("rules refusal names %d and %d, want %d and %d", rerr.got, rerr.want, rules+1, rules)
+			}
+		})
+	}
+}
+
 // FuzzCheckpointDecode: a follower decodes a blob fetched over HTTP from
 // /wal/checkpoint, so the decoder faces a socket. It must never panic,
-// and whatever it accepts must survive its own encoder: encode(decode(b))
-// decodes, and re-encodes to the same bytes. A state the engine accepts
-// must restore to a store whose IndexSize is its snapshot's size, so
-// /stats and /paths agree. The CRC would stop almost every mutation at
-// the door, so each input is also tried with the checksum re-stamped over
-// its mutated body — that is the gob decoder on hostile bytes.
+// and whatever it accepts must be exactly what its encoder writes:
+// encode(decode(b)) == b. A state the engine accepts must restore to a
+// store whose IndexSize is its snapshot's size, so /stats and /paths
+// agree. The CRC would stop almost every mutation at the door, so each
+// input is also tried with the checksum re-stamped over its mutated body
+// — that is the body decoder on hostile bytes.
 func FuzzCheckpointDecode(f *testing.F) {
 	cfg := engineTestConfig()
 	cfg.Delta = 0.05
@@ -318,6 +430,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(checkpointSeed(f, cfg, negZeroWorkload()))
 	f.Add(orphanPendingSeed(f, cfg))
 	f.Add(hostileFSASeed(f, cfg))
+	valid, malformed := malformedCheckpoints(f, cfg)
+	for _, c := range malformed {
+		f.Add(c.b)
+	}
+	for _, n := range []int{0, 1, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
 
 	hdr := len(checkpointMagic) + 8
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -332,16 +451,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			again, err := encodeCheckpoint(cfg, st)
-			if err != nil {
-				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
-			}
-			st2, err := decodeCheckpoint(again, cfg)
-			if err != nil {
-				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
-			}
-			if third, err := encodeCheckpoint(cfg, st2); err != nil || !bytes.Equal(again, third) {
-				t.Fatalf("encode(decode(b)) is not a fixed point (err %v)", err)
+			if again := encodeCheckpoint(cfg, st); !bytes.Equal(again, in) {
+				t.Fatalf("encode(decode(b)) != b: %d bytes re-encode to %d", len(in), len(again))
 			}
 			restoredIndexMatchesSnapshot(t, cfg, st)
 		}

@@ -152,7 +152,8 @@ func TestObserveRefusesForeignObjects(t *testing.T) {
 func TestEpochSelectSpan(t *testing.T) {
 	withTracing(t)
 	h := newTestHandler(t)
-	const traceID = "4bf92f3577b34da6a3ce929d0e0e4726"
+	// A fresh id per run: tracing.Default keeps the spans of earlier runs.
+	traceID := tracing.NewTraceID().String()
 	for tick := 1; tick <= 40; tick++ {
 		y := 0
 		if (tick/5)%2 == 0 {

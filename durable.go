@@ -364,10 +364,7 @@ func (d *Durable) checkpointLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	payload, err := encodeCheckpoint(d.cfg.Config, st)
-	if err != nil {
-		return err
-	}
+	payload := encodeCheckpoint(d.cfg.Config, st)
 	if err := wal.WriteCheckpoint(d.dir, lsn, payload, keepCheckpoints); err != nil {
 		return fmt.Errorf("hotpaths: write checkpoint: %w", err)
 	}

@@ -2,7 +2,7 @@ package coordinator
 
 import (
 	"bytes"
-	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,16 +14,13 @@ import (
 	"hotpaths/internal/trajectory"
 )
 
-// encode renders v with gob, which writes every coordinate by its
-// IEEE-754 bits (geom.Point.GobEncode): equal bytes mean equal down to the
-// sign of zero, as checkpoints require.
+// encode renders v in Go syntax (%#v, which skips geom.Point's rounded
+// String): every float prints in its shortest round-tripping form, -0 as
+// "-0", so equal renderings mean equal down to the sign of zero, as
+// checkpoints require.
 func encode(t *testing.T, v any) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return fmt.Appendf(nil, "%#v", v)
 }
 
 // restoredWithOrder builds a coordinator from st with its paths inserted

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
@@ -183,5 +184,30 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if snap, now, _ := e.Snapshot(); snap.Len() != 0 || now != 0 {
 		t.Errorf("Snapshot after Close: %d paths at clock %d, want an empty view at 0", snap.Len(), now)
+	}
+}
+
+// sortByObject moves whole entries: after it, ids ascend and every entry
+// still carries the payload it had beside its id, for shuffles that mix
+// fixed points, two-cycles and long cycles.
+func TestSortByObjectMovesWholeEntries(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 500} {
+		for seed := range 4 {
+			fs := make([]raytrace.FilterEntry, n)
+			for i := range fs {
+				id := 3*i - n // negative ids too
+				fs[i] = raytrace.FilterEntry{ObjectID: id, SigmaX: float64(id), Filter: raytrace.FilterState{LastT: trajectory.Time(id)}}
+			}
+			rng := rand.New(rand.NewPCG(uint64(n), uint64(seed)))
+			if seed > 0 {
+				rng.Shuffle(n, func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+			}
+			sortByObject(fs)
+			for i, fe := range fs {
+				if fe.ObjectID != 3*i-n || fe.SigmaX != float64(fe.ObjectID) || fe.Filter.LastT != trajectory.Time(fe.ObjectID) {
+					t.Fatalf("n=%d seed=%d: entry %d is %+v", n, seed, i, fe)
+				}
+			}
+		}
 	}
 }

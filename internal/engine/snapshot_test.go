@@ -9,6 +9,7 @@ import (
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/geom"
+	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
 )
 
@@ -119,7 +120,7 @@ func TestSnapshotSharedUntilTick(t *testing.T) {
 	// (the duplicated filter is checked last) must not leave the old
 	// view behind.
 	bad := ckpt
-	bad.Filters = append(append([]FilterEntry(nil), ckpt.Filters...), ckpt.Filters[0])
+	bad.Filters = append(append([]raytrace.FilterEntry(nil), ckpt.Filters...), ckpt.Filters[0])
 	if err := e.RestoreState(bad); err == nil {
 		t.Fatal("restoring a duplicated filter must fail")
 	}
@@ -216,7 +217,7 @@ func TestRestoreRefusesUnprocessablePending(t *testing.T) {
 		tc.spoil(&p.State.FSA, &p.State.Ts, &p.State.Te)
 		// The object's filter awaits the spoiled report, so the restore's
 		// filter check passes and only the coordinator's can refuse it.
-		i := slices.IndexFunc(bad.Filters, func(fe FilterEntry) bool { return fe.ObjectID == p.ObjectID })
+		i := slices.IndexFunc(bad.Filters, func(fe raytrace.FilterEntry) bool { return fe.ObjectID == p.ObjectID })
 		f := &bad.Filters[i].Filter
 		f.Start, f.Ts, f.FSA, f.Te = p.State.Start, p.State.Ts, p.State.FSA, p.State.Te
 

@@ -1,19 +1,14 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"hotpaths/internal/coordinator"
 	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
 )
-
-// FilterEntry is a bank entry under its checkpoint name. Gob names an
-// unnamed field type by its Go spelling, so State.Filters must stay
-// "[]engine.FilterEntry" for checkpoints to keep their bytes.
-type FilterEntry raytrace.FilterEntry
 
 // State is the engine's complete mutable state, exported for
 // checkpointing. It is shard-count-agnostic: the same State restores into
@@ -26,8 +21,8 @@ type State struct {
 	Observations int64
 	Reports      int64
 	Responses    int
-	Pending      []coordinator.Report // next epoch's batch prefix, in order
-	Filters      []FilterEntry        // sorted by object id
+	Pending      []coordinator.Report   // next epoch's batch prefix, in order
+	Filters      []raytrace.FilterEntry // sorted by object id
 	Coord        coordinator.State
 }
 
@@ -52,13 +47,47 @@ func (e *Engine) DumpState() (State, error) {
 		Pending:      slices.Clone(e.batch(e)),
 		Coord:        e.coord.DumpState(),
 	}
+	n := 0
 	for _, s := range e.shards {
-		for fe := range s.bank.Dump() {
-			st.Filters = append(st.Filters, FilterEntry(fe))
+		n += s.bank.Len()
+	}
+	st.Filters = make([]raytrace.FilterEntry, 0, n)
+	for _, s := range e.shards {
+		st.Filters = slices.AppendSeq(st.Filters, s.bank.Dump())
+	}
+	sortByObject(st.Filters)
+	return st, nil
+}
+
+// sortByObject orders filter entries by object id. An entry is ~176
+// bytes, so it sorts (id, index) pairs and then moves each entry once,
+// following the permutation's cycles, rather than swapping entries.
+func sortByObject(fs []raytrace.FilterEntry) {
+	type key struct{ id, i int }
+	keys := make([]key, len(fs))
+	for i := range fs {
+		keys[i] = key{fs[i].ObjectID, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int { return cmp.Compare(a.id, b.id) })
+	// Position k takes the entry at keys[k].i; a visited position is
+	// marked by setting its source to -1.
+	for start := range keys {
+		if keys[start].i < 0 || keys[start].i == start {
+			continue
+		}
+		tmp := fs[start]
+		k := start
+		for {
+			src := keys[k].i
+			keys[k].i = -1
+			if src == start {
+				fs[k] = tmp
+				break
+			}
+			fs[k] = fs[src]
+			k = src
 		}
 	}
-	sort.Slice(st.Filters, func(i, j int) bool { return st.Filters[i].ObjectID < st.Filters[j].ObjectID })
-	return st, nil
 }
 
 // RestoreState replaces the engine's state with a dumped one. The engine
@@ -84,7 +113,7 @@ func (e *Engine) RestoreState(st State) error {
 		s.reported.Store(0)
 	}
 	for _, fe := range st.Filters {
-		if err := e.shards[e.shardIndex(fe.ObjectID)].bank.Restore(raytrace.FilterEntry(fe)); err != nil {
+		if err := e.shards[e.shardIndex(fe.ObjectID)].bank.Restore(fe); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
 	}

@@ -333,7 +333,7 @@ func TestObservePassThrough(t *testing.T) {
 	fleet := newFakeFleet(t, n)
 	h := newTestGateway(t, fleet, -1).Handler()
 	before := scrape(h)
-	post(h, "4bf92f3577b34da6a3ce929d0e0e4801", "{\n \"observations\": [\n"+strings.Join(obs, " ,\n")+"\n]\n}")
+	post(h, tracing.NewTraceID().String(), "{\n \"observations\": [\n"+strings.Join(obs, " ,\n")+"\n]\n}")
 	if got := scrape(h) - before; got != 0 {
 		t.Errorf("a canonical body moved the fallback counter by %g", got)
 	}
@@ -353,7 +353,7 @@ func TestObservePassThrough(t *testing.T) {
 	// decoder knows. encoding/json accepts both, so the gateway must too.
 	quirky := slices.Clone(obs)
 	quirky[0] = `{"Object":1,"t":5,"y":-0,"x":1,"speed":3}`
-	post(h, "4bf92f3577b34da6a3ce929d0e0e4802", `{"observations":[`+strings.Join(quirky, ",")+`]}`)
+	post(h, tracing.NewTraceID().String(), `{"observations":[`+strings.Join(quirky, ",")+`]}`)
 	if got := scrape(h) - before; got != 1 {
 		t.Errorf("a non-canonical body moved the fallback counter by %g, want 1", got)
 	}
@@ -997,7 +997,8 @@ func TestMergedQueriesMatchReference(t *testing.T) {
 func TestColdReadTrace(t *testing.T) {
 	fleet := mergeFleet(t)
 	h := newTestGateway(t, fleet, -1).Handler()
-	const traceID = "4bf92f3577b34da6a3ce929d0e0e4803"
+	// A fresh id per run: tracing.Default keeps the spans of earlier runs.
+	traceID := tracing.NewTraceID().String()
 	req := httptest.NewRequest(http.MethodGet, "/topk", nil)
 	req.Header.Set(tracing.Header, "00-"+traceID+"-00f067aa0ba902b7-01")
 	rec := httptest.NewRecorder()

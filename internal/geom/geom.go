@@ -7,7 +7,6 @@
 package geom
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -47,26 +46,6 @@ func (p Point) Dist(q Point) float64 {
 
 // Eq reports whether p and q are exactly equal.
 func (p Point) Eq(q Point) bool { return p.X == q.X && p.Y == q.Y }
-
-// GobEncode writes the point as the IEEE-754 bits of X then Y. Gob's own
-// float encoding omits zero-valued struct fields, which decodes a -0
-// coordinate as +0; checkpoints must round-trip every coordinate bit for
-// bit, so a Point never goes through it.
-func (p Point) GobEncode() ([]byte, error) {
-	b := make([]byte, 0, 16)
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y)), nil
-}
-
-// GobDecode is GobEncode's inverse.
-func (p *Point) GobDecode(b []byte) error {
-	if len(b) != 16 {
-		return fmt.Errorf("geom: encoded point is %d bytes, want 16", len(b))
-	}
-	p.X = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	p.Y = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	return nil
-}
 
 // Min returns the componentwise minimum of p and q.
 func (p Point) Min(q Point) Point {

@@ -111,6 +111,9 @@ func (b *Bank) Awaits(id int, st State) bool {
 	return ok && e.f.s.Waiting && e.f.State() == st
 }
 
+// Len returns the number of objects the bank holds a filter for.
+func (b *Bank) Len() int { return len(b.entries) }
+
 // Dump yields every object's entry, in no particular order. It hands
 // them out one at a time, so a checkpoint holds no second copy of the
 // bank while it collects them.

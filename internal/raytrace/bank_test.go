@@ -38,7 +38,7 @@ func TestBankFirstSightingSeeds(t *testing.T) {
 		}
 	}
 	d := sortedDump(&b)
-	if len(d) != 2 || d[0].Filter.Waiting || d[1].Filter.Waiting || d[1].SigmaX != 0.5 || d[1].SigmaY != 0.25 || d[1].Filter.Start != geom.Pt(1e6, -1e6) || d[1].Filter.Ts != 7 {
+	if b.Len() != 2 || len(d) != 2 || d[0].Filter.Waiting || d[1].Filter.Waiting || d[1].SigmaX != 0.5 || d[1].SigmaY != 0.25 || d[1].Filter.Start != geom.Pt(1e6, -1e6) || d[1].Filter.Ts != 7 {
 		t.Errorf("dump after two first sightings: %+v", d)
 	}
 }

@@ -258,12 +258,13 @@ func (d *Durable) ObserveBatchCtx(ctx context.Context, batch []Observation) erro
 	if d.closed {
 		return ErrDurableClosed
 	}
-	_, wspan := tracing.StartSpan(ctx, "wal.append")
-	if wspan != nil { // boxing the length would allocate even for a nil span
-		wspan.SetAttr("records", len(batch))
-	}
-	_, err := d.log.AppendBatch(len(batch), func(i int) wal.Record { return recordOf(batch[i]) })
-	wspan.End()
+	err := tracing.Do(ctx, "wal.append", func(_ context.Context, wspan *tracing.Span) error {
+		if wspan != nil { // boxing the length would allocate even for a nil span
+			wspan.SetAttr("records", len(batch))
+		}
+		_, err := d.log.AppendBatch(len(batch), func(i int) wal.Record { return recordOf(batch[i]) })
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("hotpaths: journal batch: %w", err)
 	}
@@ -291,10 +292,11 @@ func (d *Durable) TickCtx(ctx context.Context, now int64) error {
 	if err := engine.CheckAdvance(trajectory.Time(now), trajectory.Time(d.eng.Clock())); err != nil {
 		return err
 	}
-	_, wspan := tracing.StartSpan(ctx, "wal.append")
-	wspan.SetAttr("records", 1)
-	_, aerr := d.log.Append(wal.Record{Kind: wal.KindTick, T: now})
-	wspan.End()
+	aerr := tracing.Do(ctx, "wal.append", func(_ context.Context, wspan *tracing.Span) error {
+		wspan.SetAttr("records", 1)
+		_, err := d.log.Append(wal.Record{Kind: wal.KindTick, T: now})
+		return err
+	})
 	if aerr != nil {
 		return fmt.Errorf("hotpaths: journal tick: %w", aerr)
 	}
@@ -349,41 +351,39 @@ func (d *Durable) Checkpoint() (uint64, error) {
 // boundary, so checkpoint stalls show up inside that request's trace.
 func (d *Durable) checkpointLocked(ctx context.Context) error {
 	t0 := time.Now()
-	ctx, span := tracing.StartSpan(ctx, "checkpoint")
-	defer span.End()
-	flightrec.Default.RecordCtx(ctx, flightrec.EvCheckpointStart,
-		flightrec.KV("count", d.ckptCount))
-	_, fspan := tracing.StartSpan(ctx, "wal.fsync")
-	serr := d.log.Sync()
-	fspan.End()
-	if serr != nil {
-		return fmt.Errorf("hotpaths: checkpoint sync: %w", serr)
-	}
-	lsn := d.log.NextLSN()
-	st, err := d.eng.eng.DumpState()
-	if err != nil {
-		return err
-	}
-	payload := encodeCheckpoint(d.cfg.Config, st)
-	if err := wal.WriteCheckpoint(d.dir, lsn, payload, keepCheckpoints); err != nil {
-		return fmt.Errorf("hotpaths: write checkpoint: %w", err)
-	}
-	if err := d.log.TruncateBefore(lsn); err != nil {
-		return fmt.Errorf("hotpaths: truncate journal: %w", err)
-	}
-	d.lastCkptLSN = lsn
-	d.lastCkptClock = int64(st.Clock)
-	d.ckptCount++
-	span.SetAttr("lsn", lsn)
-	span.SetAttr("bytes", len(payload))
-	el := time.Since(t0)
-	mCheckpoint.Observe(el.Seconds())
-	mCheckpointBytes.Observe(float64(len(payload)))
-	flightrec.Default.RecordCtx(ctx, flightrec.EvCheckpointFinish,
-		flightrec.KV("lsn", lsn),
-		flightrec.KV("bytes", len(payload)),
-		flightrec.KV("duration_ms", el.Milliseconds()))
-	return nil
+	return tracing.Do(ctx, "checkpoint", func(ctx context.Context, span *tracing.Span) error {
+		flightrec.Default.RecordCtx(ctx, flightrec.EvCheckpointStart,
+			flightrec.KV("count", d.ckptCount))
+		serr := tracing.Do(ctx, "wal.fsync", func(context.Context, *tracing.Span) error { return d.log.Sync() })
+		if serr != nil {
+			return fmt.Errorf("hotpaths: checkpoint sync: %w", serr)
+		}
+		lsn := d.log.NextLSN()
+		st, err := d.eng.eng.DumpState()
+		if err != nil {
+			return err
+		}
+		payload := encodeCheckpoint(d.cfg.Config, st)
+		if err := wal.WriteCheckpoint(d.dir, lsn, payload, keepCheckpoints); err != nil {
+			return fmt.Errorf("hotpaths: write checkpoint: %w", err)
+		}
+		if err := d.log.TruncateBefore(lsn); err != nil {
+			return fmt.Errorf("hotpaths: truncate journal: %w", err)
+		}
+		d.lastCkptLSN = lsn
+		d.lastCkptClock = int64(st.Clock)
+		d.ckptCount++
+		span.SetAttr("lsn", lsn)
+		span.SetAttr("bytes", len(payload))
+		el := time.Since(t0)
+		mCheckpoint.Observe(el.Seconds())
+		mCheckpointBytes.Observe(float64(len(payload)))
+		flightrec.Default.RecordCtx(ctx, flightrec.EvCheckpointFinish,
+			flightrec.KV("lsn", lsn),
+			flightrec.KV("bytes", len(payload)),
+			flightrec.KV("duration_ms", el.Milliseconds()))
+		return nil
+	})
 }
 
 // NextLSN returns the LSN the next journaled record will get — the

@@ -102,7 +102,7 @@ func checkLoopBody(pass *framework.Pass, body *ast.BlockStmt) {
 			pass.Reportf(call.Pos(), "time.%s inside a loop on a hot path reads the clock per record; hoist it and time the whole batch once", fn.Name())
 		case framework.IsMethodOf(fn, "metrics", "Histogram", "Observe") || framework.IsMethodOf(fn, "metrics", "Histogram", "ObserveSince"):
 			pass.Reportf(call.Pos(), "histogram %s inside a loop on a hot path records per record; observe once per batch after the loop", fn.Name())
-		case framework.IsSpanStart(pass.TypesInfo, call):
+		case framework.SpanBody(pass.TypesInfo, call) != nil:
 			pass.Reportf(call.Pos(), "starting a span inside a loop on a hot path allocates per record; one span must cover the whole batch")
 		case framework.IsMethodOf(fn, "flightrec", "Recorder", "Record") || framework.IsMethodOf(fn, "flightrec", "Recorder", "RecordCtx"):
 			pass.Reportf(call.Pos(), "flight-recorder %s inside a loop on a hot path emits an event per record; record one event per batch after the loop", fn.Name())

@@ -11,8 +11,6 @@ import (
 	"hotpaths/internal/analysis/errstring"
 	"hotpaths/internal/analysis/framework"
 	"hotpaths/internal/analysis/locksnapshot"
-	"hotpaths/internal/analysis/metricname"
-	"hotpaths/internal/analysis/spanend"
 )
 
 // contracts is the suite: each analyzer's Doc states the contract it
@@ -21,8 +19,6 @@ var contracts = []*framework.Analyzer{
 	batchclock.Analyzer,
 	errstring.Analyzer,
 	locksnapshot.Analyzer,
-	metricname.Analyzer,
-	spanend.Analyzer,
 }
 
 // TestContracts fails on any finding, on a //hotpathsvet:ignore

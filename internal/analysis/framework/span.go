@@ -5,33 +5,24 @@ import (
 	"go/types"
 )
 
-// IsSpanStart reports whether call starts a tracing span: a call to a
-// function or method named StartSpan, StartRequest or StartRoot whose
-// second result is a *Span defined in a package named "tracing".
-// Matching by shape rather than import path keeps fixture stand-ins in
-// scope alongside hotpaths/internal/tracing itself.
-func IsSpanStart(info *types.Info, call *ast.CallExpr) bool {
+// SpanBody returns the function a call runs under a new tracing span, or
+// nil when call starts no span. A span starter is a function or method
+// whose last parameter is a func taking a *Span, defined in a package
+// named "tracing", as its second argument — tracing.Do, Tracer.Root and
+// Inbound.Do — and the body is that argument. The body runs before the
+// call returns, in the caller's goroutine. Matching by shape rather than
+// import path keeps fixture stand-ins in scope alongside
+// hotpaths/internal/tracing itself.
+func SpanBody(info *types.Info, call *ast.CallExpr) ast.Expr {
 	fn := Callee(info, call)
-	if fn == nil {
-		return false
+	if fn == nil || len(call.Args) == 0 {
+		return nil
 	}
-	switch fn.Name() {
-	case "StartSpan", "StartRequest", "StartRoot":
-	default:
-		return false
+	params := fn.Type().(*types.Signature).Params()
+	body, ok := params.At(params.Len() - 1).Type().(*types.Signature)
+	if !ok || body.Params().Len() != 2 ||
+		types.TypeString(body.Params().At(1).Type(), (*types.Package).Name) != "*tracing.Span" {
+		return nil
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 2 {
-		return false
-	}
-	ptr, ok := sig.Results().At(1).Type().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Name() != "Span" {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && pkg.Name() == "tracing"
+	return call.Args[len(call.Args)-1]
 }

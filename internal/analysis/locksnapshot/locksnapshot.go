@@ -15,7 +15,8 @@
 // Inside a region where a sync.Mutex or sync.RWMutex write lock is held
 // (between x.Lock() and x.Unlock(), to the end of the function when the
 // unlock is deferred, and throughout functions whose name ends in
-// "Locked" — the repo convention for "caller holds the lock"), the
+// "Locked" — the repo convention for "caller holds the lock"; the body a
+// tracing.Do runs in place counts as part of the region around it), the
 // analyzer flags:
 //
 //   - calls to any method named Snapshot — except when the enclosing
@@ -93,7 +94,9 @@ type scanner struct {
 
 // block walks a statement list carrying the held-lock state. Nested
 // function literals are skipped: they run later, usually on another
-// goroutine, outside the critical section.
+// goroutine, outside the critical section. The exception is the body of
+// a span starter (tracing.Do and its kin), which runs in place; see
+// spanBodies.
 func (s *scanner) block(stmts []ast.Stmt, held bool) {
 	for _, stmt := range stmts {
 		switch st := stmt.(type) {
@@ -109,6 +112,7 @@ func (s *scanner) block(stmts []ast.Stmt, held bool) {
 			if held {
 				s.checkExpr(st.X)
 			}
+			s.spanBodies(st.X, held)
 		case *ast.DeferStmt:
 			// defer x.Unlock() releases at return: held stays true for
 			// the rest of the body. Other deferred work runs after (or
@@ -149,6 +153,9 @@ func (s *scanner) block(stmts []ast.Stmt, held bool) {
 				}
 				s.checkExpr(st.Cond)
 			}
+			if st.Init != nil {
+				s.spanBodies(st.Init, held)
+			}
 			s.block(st.Body.List, held)
 			switch e := st.Else.(type) {
 			case *ast.BlockStmt:
@@ -186,8 +193,27 @@ func (s *scanner) block(stmts []ast.Stmt, held bool) {
 			if held {
 				s.checkStmtExprs(stmt)
 			}
+			s.spanBodies(stmt, held)
 		}
 	}
+}
+
+// spanBodies walks, with the held-lock state of the statement around
+// them, the function literals that n's calls run under a tracing span:
+// such a body runs before the call returns, inside the caller's critical
+// section.
+func (s *scanner) spanBodies(n ast.Node, held bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if lit, ok := framework.SpanBody(s.pass.TypesInfo, n).(*ast.FuncLit); ok {
+				s.block(lit.Body.List, held)
+			}
+		}
+		return true
+	})
 }
 
 // checkStmtExprs checks a leaf statement's expressions under the lock.

@@ -3,8 +3,11 @@
 package a
 
 import (
+	"context"
 	"net/http"
 	"sync"
+
+	"hotpaths/internal/tracing"
 )
 
 type store struct{ data map[string]int }
@@ -96,4 +99,33 @@ func (e *engine) goodRead() int {
 func (e *engine) flushLocked() {
 	//hotpathsvet:ignore locksnapshot flush barrier: the receiver always drains, and the lock is what keeps other senders out
 	e.ch <- 3
+}
+
+// A span's body runs in place, so under the caller's lock.
+func (e *engine) badSpanBody(ctx context.Context) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := tracing.Do(ctx, "append", func(context.Context, *tracing.Span) error {
+		e.ch <- 2 // want `channel send while holding the write lock`
+		return nil
+	}); err != nil {
+		return err
+	}
+	return tracing.Do(ctx, "tick", func(ctx context.Context, _ *tracing.Span) error {
+		e.ch <- 1 // want `channel send while holding the write lock`
+		return tracing.Do(ctx, "barrier", func(context.Context, *tracing.Span) error {
+			_ = e.st.Snapshot() // want `Snapshot\(\) under the write lock`
+			return nil
+		})
+	})
+}
+
+// Allowed: a span body that runs after the unlock.
+func (e *engine) spanAfterUnlock(ctx context.Context) {
+	e.mu.Lock()
+	e.mu.Unlock()
+	tracing.Do(ctx, "send", func(context.Context, *tracing.Span) error {
+		e.ch <- 1
+		return nil
+	})
 }

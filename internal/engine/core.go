@@ -71,18 +71,21 @@ func (c *core) batch(b banks) []coordinator.Report {
 // coordinator.select span with its case mix.
 func (c *core) runEpoch(ctx context.Context, b banks) (reports, responses int, err error) {
 	batch := c.batch(b)
-	_, sel := tracing.StartSpan(ctx, "coordinator.select")
-	before := c.coord.Stats()
-	resps, err := c.coord.ProcessEpoch(batch)
-	if sel != nil { // boxing the counts would allocate even for a nil span
-		after := c.coord.Stats()
-		sel.SetAttr("reports", after.Reports-before.Reports)
-		sel.SetAttr("case1", after.Case1-before.Case1)
-		sel.SetAttr("case2", after.Case2W-before.Case2W)
-		sel.SetAttr("case3", after.Case3-before.Case3)
-		sel.SetAttr("paths_created", after.PathsCreated-before.PathsCreated)
-	}
-	sel.End()
+	var resps []coordinator.Response
+	err = tracing.Do(ctx, "coordinator.select", func(_ context.Context, sel *tracing.Span) error {
+		before := c.coord.Stats()
+		rs, err := c.coord.ProcessEpoch(batch)
+		resps = rs
+		if sel != nil { // boxing the counts would allocate even for a nil span
+			after := c.coord.Stats()
+			sel.SetAttr("reports", after.Reports-before.Reports)
+			sel.SetAttr("case1", after.Case1-before.Case1)
+			sel.SetAttr("case2", after.Case2W-before.Case2W)
+			sel.SetAttr("case3", after.Case3-before.Case3)
+			sel.SetAttr("paths_created", after.PathsCreated-before.PathsCreated)
+		}
+		return err
+	})
 	reports = len(batch)
 	c.pending = c.pending[:0]
 	if err != nil {

@@ -213,33 +213,33 @@ func (e *Engine) ObserveBatchCtx(ctx context.Context, n int, at func(i int) Obse
 	if n == 0 {
 		return nil
 	}
-	_, span := tracing.StartSpan(ctx, "engine.observe_batch")
-	if span != nil { // boxing n would allocate even for a nil span
-		span.SetAttr("records", n)
-	}
-	defer span.End()
-	t0 := time.Now()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	base := e.seq.Add(uint64(n)) - uint64(n)
-	gs := e.takeGroups()
-	for i := range n {
-		o := at(i)
-		si := e.shardIndex(o.ObjectID)
-		gs[si] = append(gs[si], obs{Observation: o, seq: base + uint64(i)})
-	}
-	for si, g := range gs {
-		if len(g) > 0 {
-			e.shards[si].ch <- msg{obs: g}
+	return tracing.Do(ctx, "engine.observe_batch", func(_ context.Context, span *tracing.Span) error {
+		if span != nil { // boxing n would allocate even for a nil span
+			span.SetAttr("records", n)
 		}
-	}
-	e.keepGroups(gs)
-	mObservations.Add(uint64(n))
-	mObserveBatch.ObserveSince(t0)
-	return nil
+		t0 := time.Now()
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		if e.closed {
+			return ErrClosed
+		}
+		base := e.seq.Add(uint64(n)) - uint64(n)
+		gs := e.takeGroups()
+		for i := range n {
+			o := at(i)
+			si := e.shardIndex(o.ObjectID)
+			gs[si] = append(gs[si], obs{Observation: o, seq: base + uint64(i)})
+		}
+		for si, g := range gs {
+			if len(g) > 0 {
+				e.shards[si].ch <- msg{obs: g}
+			}
+		}
+		e.keepGroups(gs)
+		mObservations.Add(uint64(n))
+		mObserveBatch.ObserveSince(t0)
+		return nil
+	})
 }
 
 // takeGroups pops an empty group set off the free list, or makes one.
@@ -313,36 +313,38 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 	if !epoch {
 		return false, nil
 	}
-	tEpoch := time.Now()
-	ctx, span := tracing.StartSpan(ctx, "engine.tick")
-	span.SetAttr("now", int64(now))
-	defer span.End()
-	depth := 0
-	for _, s := range e.shards {
-		depth += len(s.ch)
-	}
-	mQueueDepth.Set(int64(depth))
-	_, barrier := tracing.StartSpan(ctx, "engine.epoch_barrier")
-	barrier.SetAttr("queue_depth", depth)
-	refused := e.drainLocked()
-	barrier.End()
-	mBarrier.ObserveSince(tEpoch)
-	nReports, nResponses, err := e.runEpoch(ctx, e)
-	span.SetAttr("reports", nReports)
-	span.SetAttr("responses", nResponses)
-	mEpochs.Inc()
-	d := time.Since(tEpoch)
-	mTick.Observe(d.Seconds())
-	// One event per epoch barrier (batch granularity), carrying the trace
-	// ID when the tick ran inside a traced request.
-	flightrec.Default.RecordCtx(ctx, flightrec.EvEpochBarrier,
-		flightrec.KV("now", int64(now)),
-		flightrec.KV("duration_us", d.Microseconds()),
-		flightrec.KV("queue_depth", depth),
-		flightrec.KV("reports", nReports),
-		flightrec.KV("responses", nResponses),
-		flightrec.KV("refused", refused))
-	return true, err
+	return true, tracing.Do(ctx, "engine.tick", func(ctx context.Context, span *tracing.Span) error {
+		tEpoch := time.Now()
+		span.SetAttr("now", int64(now))
+		depth := 0
+		for _, s := range e.shards {
+			depth += len(s.ch)
+		}
+		mQueueDepth.Set(int64(depth))
+		var refused int
+		tracing.Do(ctx, "engine.epoch_barrier", func(_ context.Context, barrier *tracing.Span) error {
+			barrier.SetAttr("queue_depth", depth)
+			refused = e.drainLocked()
+			return nil
+		})
+		mBarrier.ObserveSince(tEpoch)
+		nReports, nResponses, err := e.runEpoch(ctx, e)
+		span.SetAttr("reports", nReports)
+		span.SetAttr("responses", nResponses)
+		mEpochs.Inc()
+		d := time.Since(tEpoch)
+		mTick.Observe(d.Seconds())
+		// One event per epoch barrier (batch granularity), carrying the
+		// trace ID when the tick ran inside a traced request.
+		flightrec.Default.RecordCtx(ctx, flightrec.EvEpochBarrier,
+			flightrec.KV("now", int64(now)),
+			flightrec.KV("duration_us", d.Microseconds()),
+			flightrec.KV("queue_depth", depth),
+			flightrec.KV("reports", nReports),
+			flightrec.KV("responses", nResponses),
+			flightrec.KV("refused", refused))
+		return err
+	})
 }
 
 // collect merges the reports the shards have raised back into arrival

@@ -83,13 +83,16 @@ func TestRecorderFilters(t *testing.T) {
 func TestRecorderTraceCorrelation(t *testing.T) {
 	r := New(8)
 	tr := tracing.New("flightrec-test", 1, 0)
-	ctx, span := tr.StartRoot(context.Background(), "op")
-	if span == nil {
-		t.Fatal("rate-1 tracer did not sample")
-	}
-	r.RecordCtx(ctx, EvCheckpointStart, KV("lsn", 99))
-	r.RecordCtx(context.Background(), EvCheckpointFinish)
-	span.End()
+	var span *tracing.Span
+	tr.Root(context.Background(), "op", func(ctx context.Context, s *tracing.Span) error {
+		if s == nil {
+			t.Fatal("rate-1 tracer did not sample")
+		}
+		span = s
+		r.RecordCtx(ctx, EvCheckpointStart, KV("lsn", 99))
+		r.RecordCtx(context.Background(), EvCheckpointFinish)
+		return nil
+	})
 
 	evs := r.Snapshot("", time.Time{}, 0)
 	if want := span.TraceID().String(); evs[0].TraceID != want {

@@ -323,56 +323,59 @@ func (g *Gateway) call(ctx context.Context, p *part, method, path, accept string
 	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
-	ctx, span := tracing.StartSpan(ctx, "partition.leg")
-	defer span.End()
-	span.SetAttr("partition", p.id)
-	span.SetAttr("http.method", method)
-	span.SetAttr("http.path", path)
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, p.url+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	tracing.Inject(ctx, req.Header)
-	mInflight.Add(1)
-	t0 := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	p.reqHist.ObserveSince(t0)
-	mInflight.Add(-1)
-	if err != nil {
-		span.Annotate("leg failed: %v", err)
-		// A transport failure on a live request is fresher evidence than
-		// the last probe: flip the partition to degraded now, in the
-		// request's trace context, so the health transition and the 206
-		// the caller is about to emit correlate. Skip it when the caller
-		// itself went away — a client disconnect says nothing about the
-		// partition.
-		if parent.Err() == nil {
-			p.setHealth(parent, false, err.Error(), 0, 0)
+	var hdr http.Header
+	err := tracing.Do(ctx, "partition.leg", func(ctx context.Context, span *tracing.Span) error {
+		span.SetAttr("partition", p.id)
+		span.SetAttr("http.method", method)
+		span.SetAttr("http.path", path)
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	span.SetAttr("http.status", resp.StatusCode)
-	span.SetAttr("bytes", resp.ContentLength)
-	if resp.StatusCode != http.StatusOK {
-		return nil, readError(resp)
-	}
-	if decode == nil {
-		io.Copy(io.Discard, resp.Body) // the 200 already says it all
-	} else if err := decode(resp); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return resp.Header, nil
+		req, err := http.NewRequestWithContext(ctx, method, p.url+path, rd)
+		if err != nil {
+			return err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		tracing.Inject(ctx, req.Header)
+		mInflight.Add(1)
+		t0 := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		p.reqHist.ObserveSince(t0)
+		mInflight.Add(-1)
+		if err != nil {
+			span.Annotate("leg failed: %v", err)
+			// A transport failure on a live request is fresher evidence than
+			// the last probe: flip the partition to degraded now, in the
+			// request's trace context, so the health transition and the 206
+			// the caller is about to emit correlate. Skip it when the caller
+			// itself went away — a client disconnect says nothing about the
+			// partition.
+			if parent.Err() == nil {
+				p.setHealth(parent, false, err.Error(), 0, 0)
+			}
+			return err
+		}
+		defer resp.Body.Close()
+		span.SetAttr("http.status", resp.StatusCode)
+		span.SetAttr("bytes", resp.ContentLength)
+		if resp.StatusCode != http.StatusOK {
+			return readError(resp)
+		}
+		if decode == nil {
+			io.Copy(io.Discard, resp.Body) // the 200 already says it all
+		} else if err := decode(resp); err != nil {
+			return fmt.Errorf("decode %s: %w", path, err)
+		}
+		hdr = resp.Header
+		return nil
+	})
+	return hdr, err
 }
 
 // into decodes a sub-response's JSON body into v.
@@ -577,22 +580,24 @@ func (g *Gateway) gather(ctx context.Context, leg string) (merged *mergedView, m
 		}
 		missing = append(missing, partError{id: g.parts[i].id, err: err})
 	}
-	_, span := tracing.StartSpan(ctx, "gateway.merge")
-	u := newUnion(size)
-	legs, pathsIn := 0, 0
-	for _, i := range agreed {
-		if err := u.addBody(results[i].body); err != nil {
-			missing = append(missing, partError{id: g.parts[i].id, err: fmt.Errorf("merge: %w", err)})
-			continue
+	var snap hotpaths.Snapshot
+	tracing.Do(ctx, "gateway.merge", func(_ context.Context, span *tracing.Span) error {
+		u := newUnion(size)
+		legs, pathsIn := 0, 0
+		for _, i := range agreed {
+			if err := u.addBody(results[i].body); err != nil {
+				missing = append(missing, partError{id: g.parts[i].id, err: fmt.Errorf("merge: %w", err)})
+				continue
+			}
+			legs++
+			pathsIn += results[i].body.Len()
 		}
-		legs++
-		pathsIn += results[i].body.Len()
-	}
-	snap := u.snapshot(g.cfg.K)
-	span.SetAttr("partitions", legs)
-	span.SetAttr("paths_in", pathsIn)
-	span.SetAttr("paths_out", snap.Len())
-	span.End()
+		snap = u.snapshot(g.cfg.K)
+		span.SetAttr("partitions", legs)
+		span.SetAttr("paths_in", pathsIn)
+		span.SetAttr("paths_out", snap.Len())
+		return nil
+	})
 	mMergeSeconds.ObserveSince(t0)
 	sort.Slice(missing, func(i, j int) bool { return missing[i].id < missing[j].id })
 	return &mergedView{leg: leg, epoch: target.epoch, clock: target.clock, snap: snap}, missing

@@ -33,6 +33,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -149,29 +150,33 @@ func DecodeObserve(w http.ResponseWriter, r *http.Request, sink ObserveSink, fal
 		decodeError(w, err)
 		return 0, 0, false
 	}
-	_, span := tracing.StartSpan(r.Context(), "wire.decode")
-	defer span.End()
-	span.SetAttr("bytes", buf.Len())
-	sink.Reset()
-	tick, ok = scanObserve(buf.Bytes(), func(o hotpaths.ObservationJSON, raw []byte) {
-		sink.Add(o, raw)
-		records++
-	})
-	if !ok {
-		fallbacks.Inc()
-		span.SetAttr("fallback", true)
-		var req ObserveRequest
-		if err := json.NewDecoder(buf).Decode(&req); err != nil {
-			decodeError(w, err)
-			return 0, 0, false
-		}
+	err = tracing.Do(r.Context(), "wire.decode", func(_ context.Context, span *tracing.Span) error {
+		span.SetAttr("bytes", buf.Len())
 		sink.Reset()
-		for _, o := range req.Observations {
-			sink.Add(o, nil)
+		tick, ok = scanObserve(buf.Bytes(), func(o hotpaths.ObservationJSON, raw []byte) {
+			sink.Add(o, raw)
+			records++
+		})
+		if !ok {
+			fallbacks.Inc()
+			span.SetAttr("fallback", true)
+			var req ObserveRequest
+			if err := json.NewDecoder(buf).Decode(&req); err != nil {
+				return err
+			}
+			sink.Reset()
+			for _, o := range req.Observations {
+				sink.Add(o, nil)
+			}
+			tick, records = req.Tick, len(req.Observations)
 		}
-		tick, records = req.Tick, len(req.Observations)
+		span.SetAttr("records", records)
+		return nil
+	})
+	if err != nil {
+		decodeError(w, err)
+		return 0, 0, false
 	}
-	span.SetAttr("records", records)
 	return tick, records, true
 }
 

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"io"
 	"log/slog"
@@ -21,9 +22,8 @@ var StatusClasses = [5]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // RouteMetrics are one route's instruments: the request-duration
 // histogram and one counter per status class, indexed like StatusClasses.
-// Each binary registers them under its own family names — literal at the
-// registration site, which the metricname contract requires —
-// and hands them in.
+// Each binary registers them under its own family names, which README
+// §Observability documents, and hands them in.
 type RouteMetrics struct {
 	Seconds  *metrics.Histogram
 	Requests [5]*metrics.Counter
@@ -63,10 +63,11 @@ func Wrap(route string, m RouteMetrics, tr *tracing.Tracer, h http.HandlerFunc) 
 
 // traced runs h under the request's server span: a continuation of the
 // caller's traceparent when one arrives, a fresh root otherwise. An
-// unrecorded request costs only the sampling check in StartRequest. With
-// a slow threshold configured, a request exceeding it is committed to the
-// trace ring regardless of sampling and logged with its trace ID. It
-// reads the status off Wrap's recorder instead of stacking its own.
+// unrecorded request costs only the sampling check in Tracer.Inbound and
+// is served by a direct h(w, r): no closure is built for it. With a slow
+// threshold configured, a request exceeding it is committed to the trace
+// ring regardless of sampling and logged with its trace ID. It reads the
+// status off Wrap's recorder instead of stacking its own.
 func traced(route string, tr *tracing.Tracer, h http.HandlerFunc) http.HandlerFunc {
 	// The header in the form net/http stores it, so the per-request check
 	// is a map index: Header.Get would canonicalise — and allocate — the
@@ -77,24 +78,29 @@ func traced(route string, tr *tracing.Tracer, h http.HandlerFunc) http.HandlerFu
 		if v := r.Header[key]; len(v) > 0 {
 			traceparent = v[0]
 		}
-		ctx, span := tr.StartRequest(r.Context(), route, traceparent)
-		if span == nil {
+		in, ok := tr.Inbound(traceparent)
+		if !ok {
 			h(w, r)
 			return
 		}
-		h(w, r.WithContext(ctx))
-		status := w.(*recorder).code()
-		span.SetAttr("http.method", r.Method)
-		span.SetAttr("http.status", status)
-		dur := span.End()
+		var status int
+		var root *tracing.Span
+		dur, _ := in.Do(r.Context(), route, func(ctx context.Context, span *tracing.Span) error {
+			h(w, r.WithContext(ctx))
+			status = w.(*recorder).code()
+			span.SetAttr("http.method", r.Method)
+			span.SetAttr("http.status", status)
+			root = span
+			return nil
+		})
 		if slow := tr.SlowThreshold(); slow > 0 && dur >= slow {
 			slog.Warn("slow request",
 				"route", route,
 				"method", r.Method,
 				"status", status,
 				"duration", dur,
-				"trace_id", span.TraceID().String(),
-				"span_id", span.SpanID().String(),
+				"trace_id", root.TraceID().String(),
+				"span_id", root.SpanID().String(),
 			)
 		}
 	}

@@ -28,6 +28,11 @@
 // each metric at one instant but the scrape as a whole is not a
 // transaction (standard Prometheus semantics).
 //
+// A new family must follow the Prometheus naming conventions: counters
+// end in _total, nothing else does, histograms carry a unit suffix, and
+// every family has a help string. Registration panics otherwise, as it
+// does when a name is registered again as another kind.
+//
 // Metrics are process-global by design (the Default registry): two
 // engines in one process share families exactly as two libraries
 // sharing a Prometheus default registerer would.
@@ -38,6 +43,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,11 +93,15 @@ func NewRegistry() *Registry {
 // registers with; Handler exposes it.
 var Default = NewRegistry()
 
-// family returns (creating if needed) the named family, enforcing that a
-// name never changes kind — that is a programming error, caught loudly.
+// family returns (creating if needed) the named family. It panics on a
+// programming error: a new family whose name or help breaks the naming
+// rules (see checkFamily), or a name registered again as another kind.
+// Every registration runs at package init or in a constructor under
+// test, so a bad name fails the tests of every package that links it.
 func (r *Registry) family(name, help string, k kind) *family {
 	f, ok := r.families[name]
 	if !ok {
+		checkFamily(name, help, k)
 		f = &family{name: name, help: help, kind: k, metrics: make(map[string]metric)}
 		r.families[name] = f
 		return f
@@ -101,6 +111,32 @@ func (r *Registry) family(name, help string, k kind) *family {
 	}
 	return f
 }
+
+// checkFamily panics unless a new family follows the Prometheus naming
+// conventions dashboards and alerts key on: a base name matching
+// ^[a-z][a-z0-9_]*$, the _total suffix on counters and only there, a unit
+// suffix (_seconds, _bytes or _records) on histograms, and a help string.
+func checkFamily(name, help string, k kind) {
+	problem := ""
+	switch {
+	case !baseName.MatchString(name):
+		problem = "is not a base name matching ^[a-z][a-z0-9_]*$"
+	case k == kindCounter && !strings.HasSuffix(name, "_total"):
+		problem = "is a counter without the _total suffix"
+	case k != kindCounter && strings.HasSuffix(name, "_total"):
+		problem = fmt.Sprintf("is a %s with the counter suffix _total", k)
+	case k == kindHistogram && !strings.HasSuffix(name, "_seconds") &&
+		!strings.HasSuffix(name, "_bytes") && !strings.HasSuffix(name, "_records"):
+		problem = "is a histogram without a unit suffix (_seconds, _bytes or _records)"
+	case help == "":
+		problem = "has no help string"
+	}
+	if problem != "" {
+		panic(fmt.Sprintf("metrics: %s %s", name, problem))
+	}
+}
+
+var baseName = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // get returns the family's metric for the label set, creating it with
 // mk when absent.

@@ -13,7 +13,7 @@ import (
 // a bound lands in that bound's bucket, and exposition is cumulative.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_hist", "", []float64{1, 2, 5}, nil)
+	h := r.Histogram("test_hist_seconds", "h", []float64{1, 2, 5}, nil)
 	for _, v := range []float64{0.5, 1, 1.0000001, 2, 4.9, 5, 100} {
 		h.Observe(v)
 	}
@@ -23,11 +23,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		`test_hist_bucket{le="1"} 2`,    // 0.5, 1
-		`test_hist_bucket{le="2"} 4`,    // + 1.0000001, 2
-		`test_hist_bucket{le="5"} 6`,    // + 4.9, 5
-		`test_hist_bucket{le="+Inf"} 7`, // + 100
-		`test_hist_count 7`,
+		`test_hist_seconds_bucket{le="1"} 2`,    // 0.5, 1
+		`test_hist_seconds_bucket{le="2"} 4`,    // + 1.0000001, 2
+		`test_hist_seconds_bucket{le="5"} 6`,    // + 4.9, 5
+		`test_hist_seconds_bucket{le="+Inf"} 7`, // + 100
+		`test_hist_seconds_count 7`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -44,7 +44,7 @@ func TestHistogramRejectsBadBuckets(t *testing.T) {
 			t.Error("non-increasing buckets did not panic")
 		}
 	}()
-	NewRegistry().Histogram("bad", "", []float64{1, 1}, nil)
+	NewRegistry().Histogram("bad_seconds", "h", []float64{1, 1}, nil)
 }
 
 // Registration is idempotent: same name+labels yields the same instance,
@@ -77,21 +77,46 @@ func TestRegistrationIdempotent(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "", nil)
+	r.Gauge("x_seconds", "x", nil)
 	defer func() {
-		if recover() == nil {
-			t.Error("re-registering a counter as a gauge did not panic")
+		if msg, _ := recover().(string); !strings.Contains(msg, "registered as gauge and histogram") {
+			t.Errorf("re-registering a gauge as a histogram: recovered %q, want a kind clash panic", msg)
 		}
 	}()
-	r.Gauge("x_total", "", nil)
+	r.Histogram("x_seconds", "x", LatencyBuckets, nil)
+}
+
+// A new family that breaks the naming rules is refused at registration.
+func TestRegistrationRefusesBadNames(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		register func(r *Registry)
+		want     string
+	}{
+		{"not a base name", func(r *Registry) { r.Counter("Bad-name_total", "h", nil) }, "is not a base name"},
+		{"counter without _total", func(r *Registry) { r.Counter("requests", "h", nil) }, "counter without the _total suffix"},
+		{"gauge with _total", func(r *Registry) { r.Gauge("depth_total", "h", nil) }, "gauge with the counter suffix"},
+		{"func gauge with _total", func(r *Registry) { r.GaugeFunc("depth_total", "h", nil, func() float64 { return 0 }) }, "gauge with the counter suffix"},
+		{"histogram without a unit", func(r *Registry) { r.Histogram("latency", "h", LatencyBuckets, nil) }, "histogram without a unit suffix"},
+		{"empty help", func(r *Registry) { r.Gauge("depth", "", nil) }, "has no help string"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("recovered %q, want a panic saying %q", msg, tc.want)
+				}
+			}()
+			tc.register(NewRegistry())
+		})
+	}
 }
 
 // GaugeFunc re-registration must repoint the closure (a reopened engine
 // replaces a closed one) and expose the fresh value.
 func TestGaugeFuncReplace(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("depth", "", nil, func() float64 { return 1 })
-	r.GaugeFunc("depth", "", nil, func() float64 { return 42 })
+	r.GaugeFunc("depth", "d", nil, func() float64 { return 1 })
+	r.GaugeFunc("depth", "d", nil, func() float64 { return 42 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -107,7 +132,7 @@ func TestGaugeFuncReplace(t *testing.T) {
 func TestExpositionWellFormed(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "with \"quotes\" and\nnewline", Labels{"p": `v"\x`}).Inc()
-	r.Gauge("b", "", nil).Set(-5)
+	r.Gauge("b", "b", nil).Set(-5)
 	r.Histogram("lat_seconds", "latency", LatencyBuckets, Labels{"route": "/x"}).Observe(0.003)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -219,10 +244,10 @@ func TestConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := r.Counter("hammer_total", "", nil)
-			h := r.Histogram("hammer_seconds", "", LatencyBuckets, nil)
-			g := r.Gauge("hammer_depth", "", nil)
-			lab := r.Counter("hammer_labeled_total", "", Labels{"w": fmt.Sprint(id)})
+			c := r.Counter("hammer_total", "h", nil)
+			h := r.Histogram("hammer_seconds", "h", LatencyBuckets, nil)
+			g := r.Gauge("hammer_depth", "h", nil)
+			lab := r.Counter("hammer_labeled_total", "h", Labels{"w": fmt.Sprint(id)})
 			t0 := time.Now()
 			for j := 0; j < perWriter; j++ {
 				c.Inc()

@@ -34,15 +34,22 @@
 //     for exactly the requests worth keeping.
 //
 // A request that is neither sampled nor under a slow threshold pays one
-// context check per instrumented layer and allocates nothing: StartSpan
-// on a context without a span returns nil, and every *Span method is
-// nil-safe.
+// context check per instrumented layer and allocates nothing: Do on a
+// context without a span runs its function with a nil span, and every
+// *Span method is nil-safe.
+//
+// # Span lifetime
+//
+// A span exists only for the length of a function: Do (a child span),
+// Tracer.Root (a background root) and Inbound.Do (a request's root) start
+// the span, run the function and end the span. No exported function
+// returns a span to end later, so no path can leave one open.
 //
 // # Cost contract
 //
 // Span creation is batch-granularity, like internal/metrics: one span per
 // HTTP request, per partition leg, per engine batch, per WAL append call —
-// never per observation record. Mutations (SetAttr, Annotate, End) take
+// never per observation record. Mutations (SetAttr, Annotate, the end) take
 // the owning trace's mutex; exposition marshals under the same mutex, so
 // spans are safe to publish while a scrape is in flight.
 package tracing
@@ -231,7 +238,7 @@ type Span struct {
 	name   string
 	id     SpanID
 	parent SpanID // zero for the trace root; remote for a continued request
-	root   bool   // local root: its End commits the process's span set
+	root   bool   // local root: its end commits the process's span set
 	start  time.Time
 
 	// Guarded by tr.mu after creation (exposition can race mutation).
@@ -265,52 +272,62 @@ func (tr *trace) newSpan(name string, parent SpanID, root bool) *Span {
 	return s
 }
 
-// StartRequest begins the process-local root span for an inbound request.
-// traceparent is the raw header value ("" when absent): a valid header
-// continues the caller's trace under its sampling decision; a missing or
-// malformed one — or an all-zero trace or parent ID — falls back to a
-// fresh root trace with a locally drawn sampling coin.
-//
-// It returns (ctx, nil) when the request is not recorded — not sampled and
-// no slow threshold configured — which is the only cost unsampled requests
-// pay.
-func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (context.Context, *Span) {
-	var (
-		id      TraceID
-		parent  SpanID
-		sampled bool
-	)
-	if tid, pid, flagged, ok := parseTraceparent(traceparent); ok {
-		id, parent, sampled = tid, pid, flagged
-	} else {
-		id = NewTraceID()
-		sampled = t.sampleFresh(id)
-	}
-	if !sampled && t.slow.Load() == 0 {
-		return ctx, nil
-	}
-	tr := t.newTrace(id, sampled)
-	s := tr.newSpan(name, parent, true)
-	return ContextWithSpan(ctx, s), s
+// Inbound is an inbound request's sampling decision, made by
+// Tracer.Inbound from its traceparent header before any span exists, so
+// that an unrecorded request never reaches the span machinery and its
+// caller builds nothing for it.
+type Inbound struct {
+	t       *Tracer
+	id      TraceID
+	parent  SpanID
+	sampled bool
 }
 
-// StartRoot begins a local root span with a fresh trace ID under the
-// probabilistic coin — for background work that no request context covers,
-// like the replication apply loop. Returns nil when the draw misses.
-func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *Span) {
-	id := NewTraceID()
-	if !t.sampleFresh(id) {
-		return ctx, nil
+// Inbound decides whether the request carrying traceparent ("" when
+// absent) is recorded. A valid header continues the caller's trace under
+// its sampling decision; a missing or malformed one — or an all-zero
+// trace or parent ID — falls back to a fresh trace with a locally drawn
+// sampling coin. ok is false when the request is not recorded: not
+// sampled and no slow threshold configured. That check is the only cost
+// an unsampled request pays.
+func (t *Tracer) Inbound(traceparent string) (in Inbound, ok bool) {
+	slow := t.slow.Load() > 0
+	if tid, pid, flagged, valid := parseTraceparent(traceparent); valid {
+		in = Inbound{t: t, id: tid, parent: pid, sampled: flagged}
+	} else if slow || t.threshold.Load() > 0 { // else the coin cannot land: skip the draw
+		in = Inbound{t: t, id: NewTraceID()}
+		in.sampled = t.sampleFresh(in.id)
 	}
-	tr := t.newTrace(id, true)
-	s := tr.newSpan(name, SpanID{}, true)
-	return ContextWithSpan(ctx, s), s
+	return in, in.sampled || slow
+}
+
+// Do runs fn under the request's process-local root span named name, then
+// ends it, committing the trace when the sampling policy keeps it
+// (sampled, or the root slower than the slow threshold). It returns the
+// root's duration and fn's error.
+func (in Inbound) Do(ctx context.Context, name string, fn func(context.Context, *Span) error) (dur time.Duration, err error) {
+	s := in.t.newTrace(in.id, in.sampled).newSpan(name, in.parent, true)
+	defer func() { dur = s.finish() }()
+	return 0, fn(contextWithSpan(ctx, s), s)
+}
+
+// Root runs fn under a local root span with a fresh trace ID under the
+// probabilistic coin, then ends it — for background work that no request
+// context covers, like the replication apply loop. When the draw misses,
+// fn runs with ctx and a nil span. It returns fn's error.
+func (t *Tracer) Root(ctx context.Context, name string, fn func(context.Context, *Span) error) error {
+	var s *Span
+	if id := NewTraceID(); t.sampleFresh(id) {
+		s = t.newTrace(id, true).newSpan(name, SpanID{}, true)
+		ctx = contextWithSpan(ctx, s)
+	}
+	defer s.finish()
+	return fn(ctx, s)
 }
 
 type ctxKey struct{}
 
-// ContextWithSpan returns ctx carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
+func contextWithSpan(ctx context.Context, s *Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, s)
 }
 
@@ -321,34 +338,39 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// StartSpan begins a child of the context's span. On an unrecorded context
-// it returns (ctx, nil) without allocating — the per-layer cost of an
-// unsampled request.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
+// Do runs fn under a child of the context's span named name, then ends
+// the child: the span's end is structural, so no path through fn can
+// leave it open. On an unrecorded context fn runs with ctx and a nil span
+// and nothing is allocated — the per-layer cost of an unsampled request.
+// It returns fn's error.
+func Do(ctx context.Context, name string, fn func(context.Context, *Span) error) error {
+	s := FromContext(ctx)
+	if s != nil {
+		s = s.tr.newSpan(name, s.id, false)
+		ctx = contextWithSpan(ctx, s)
 	}
-	s := parent.tr.newSpan(name, parent.id, false)
-	return ContextWithSpan(ctx, s), s
+	defer s.finish()
+	return fn(ctx, s)
 }
 
-// End stamps the span's end time and returns its duration. Ending the
-// local root commits the trace to the tracer's ring when the sampling
-// policy keeps it (sampled, or root duration over the slow threshold).
-// Nil-safe; ending twice keeps the first end time.
-func (s *Span) End() time.Duration {
+// finish stamps the span's end time and returns its duration. The first
+// end of the local root commits the trace to the tracer's ring when the
+// sampling policy keeps it (sampled, or root duration over the slow
+// threshold). Nil-safe; ending twice keeps the first end time and
+// commits nothing more.
+func (s *Span) finish() time.Duration {
 	if s == nil {
 		return 0
 	}
 	now := time.Now()
 	s.tr.mu.Lock()
-	if s.end.IsZero() {
+	first := s.end.IsZero()
+	if first {
 		s.end = now
 	}
 	dur := s.end.Sub(s.start)
 	s.tr.mu.Unlock()
-	if s.root {
+	if first && s.root {
 		t := s.tr.tracer
 		slow := time.Duration(t.slow.Load())
 		if s.tr.sampled || (slow > 0 && dur >= slow) {

@@ -3,6 +3,7 @@ package tracing
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -56,7 +57,21 @@ func TestTraceparentMalformed(t *testing.T) {
 	}
 }
 
-func TestStartRequestFallsBackToFreshRoot(t *testing.T) {
+// request serves an empty inbound request under tr and returns its root
+// span, already ended; nil when the request is not recorded.
+func request(tr *Tracer, traceparent string) (root *Span) {
+	in, ok := tr.Inbound(traceparent)
+	if !ok {
+		return nil
+	}
+	in.Do(context.Background(), "req", func(_ context.Context, s *Span) error {
+		root = s
+		return nil
+	})
+	return root
+}
+
+func TestInboundFallsBackToFreshRoot(t *testing.T) {
 	tr := New("test", 1, 0) // sample everything
 	for _, hdr := range []string{
 		"",
@@ -64,7 +79,7 @@ func TestStartRequestFallsBackToFreshRoot(t *testing.T) {
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
 	} {
-		_, span := tr.StartRequest(context.Background(), "req", hdr)
+		span := request(tr, hdr)
 		if span == nil {
 			t.Fatalf("header %q: want fresh sampled root, got nil span", hdr)
 		}
@@ -80,10 +95,10 @@ func TestStartRequestFallsBackToFreshRoot(t *testing.T) {
 	}
 }
 
-func TestStartRequestContinuesTrace(t *testing.T) {
+func TestInboundContinuesTrace(t *testing.T) {
 	tr := New("test", 0, 0) // rate 0: only the inherited decision can record
 	hdr := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	_, span := tr.StartRequest(context.Background(), "req", hdr)
+	span := request(tr, hdr)
 	if span == nil {
 		t.Fatal("sampled traceparent must be recorded even at rate 0")
 	}
@@ -98,25 +113,29 @@ func TestStartRequestContinuesTrace(t *testing.T) {
 	}
 
 	// Unsampled flag, rate 0, no slow threshold: nothing to record.
-	if _, span := tr.StartRequest(context.Background(), "req", strings.TrimSuffix(hdr, "01")+"00"); span != nil {
+	if _, ok := tr.Inbound(strings.TrimSuffix(hdr, "01") + "00"); ok {
 		t.Fatal("unsampled traceparent at rate 0 must not be recorded")
 	}
 }
 
 func TestUnsampledPathIsFree(t *testing.T) {
 	tr := New("test", 0, 0)
-	ctx, span := tr.StartRequest(context.Background(), "req", "")
-	if span != nil {
-		t.Fatal("rate 0 without slow threshold must return nil span")
+	if _, ok := tr.Inbound(""); ok {
+		t.Fatal("rate 0 without slow threshold must not record the request")
 	}
-	ctx2, child := StartSpan(ctx, "child")
-	if child != nil || ctx2 != ctx {
-		t.Fatal("StartSpan on unrecorded context must be a no-op")
-	}
+	ctx := context.Background()
+	var child *Span
+	Do(ctx, "child", func(ctx2 context.Context, s *Span) error {
+		if s != nil || ctx2 != ctx {
+			t.Fatal("Do on an unrecorded context must be a no-op")
+		}
+		child = s
+		return nil
+	})
 	// The nil span's full method set must be safe.
 	child.SetAttr("k", "v")
 	child.Annotate("note %d", 1)
-	child.End()
+	child.finish()
 	if !child.TraceID().IsZero() || !child.SpanID().IsZero() || child.Sampled() {
 		t.Fatal("nil span accessors must return zero values")
 	}
@@ -127,21 +146,26 @@ func TestUnsampledPathIsFree(t *testing.T) {
 
 func TestSpanTreeAndCommit(t *testing.T) {
 	tr := New("test", 1, 0)
-	ctx, root := tr.StartRequest(context.Background(), "req", "")
-	ctx2, child := StartSpan(ctx, "engine.observe_batch")
-	_, grandchild := StartSpan(ctx2, "wal.append")
-	if child.parent != root.id || grandchild.parent != child.id {
-		t.Fatal("parent links broken")
-	}
-	if child.TraceID() != root.TraceID() || grandchild.TraceID() != root.TraceID() {
-		t.Fatal("children must share the root's trace ID")
-	}
-	grandchild.End()
-	child.End()
-	if got := len(tr.ring.snapshot()); got != 0 {
-		t.Fatalf("ring has %d traces before root end, want 0", got)
-	}
-	root.End()
+	in, _ := tr.Inbound("")
+	var root *Span
+	in.Do(context.Background(), "req", func(ctx context.Context, s *Span) error {
+		root = s
+		Do(ctx, "engine.observe_batch", func(ctx2 context.Context, child *Span) error {
+			return Do(ctx2, "wal.append", func(_ context.Context, grandchild *Span) error {
+				if child.parent != root.id || grandchild.parent != child.id {
+					t.Fatal("parent links broken")
+				}
+				if child.TraceID() != root.TraceID() || grandchild.TraceID() != root.TraceID() {
+					t.Fatal("children must share the root's trace ID")
+				}
+				return nil
+			})
+		})
+		if got := len(tr.ring.snapshot()); got != 0 {
+			t.Fatalf("ring has %d traces before root end, want 0", got)
+		}
+		return nil
+	})
 	got := tr.ring.byID(root.TraceID())
 	if len(got) != 1 || len(got[0].spans) != 3 {
 		t.Fatalf("committed trace: got %d entries, want 1 with 3 spans", len(got))
@@ -150,38 +174,94 @@ func TestSpanTreeAndCommit(t *testing.T) {
 
 func TestSlowThresholdForcesCommit(t *testing.T) {
 	tr := New("test", 0, time.Nanosecond)
-	ctx, span := tr.StartRequest(context.Background(), "req", "")
-	if span == nil {
+	in, ok := tr.Inbound("")
+	if !ok {
 		t.Fatal("slow threshold must record unsampled requests")
 	}
-	if span.Sampled() {
-		t.Fatal("slow-only recording must not claim the sampled flag")
-	}
-	_ = ctx
-	time.Sleep(time.Millisecond)
-	span.End()
+	var span *Span
+	in.Do(context.Background(), "req", func(_ context.Context, s *Span) error {
+		span = s
+		if s.Sampled() {
+			t.Fatal("slow-only recording must not claim the sampled flag")
+		}
+		time.Sleep(time.Millisecond)
+		return nil
+	})
 	if len(tr.ring.byID(span.TraceID())) != 1 {
 		t.Fatal("root slower than threshold must be committed")
 	}
 
-	// Fast request under a high threshold: recorded but dropped at End.
+	// Fast request under a high threshold: recorded but dropped at its end.
 	tr2 := New("test", 0, time.Hour)
-	_, fast := tr2.StartRequest(context.Background(), "req", "")
-	fast.End()
+	if request(tr2, "") == nil {
+		t.Fatal("slow threshold must record unsampled requests")
+	}
 	if got := len(tr2.ring.snapshot()); got != 0 {
 		t.Fatalf("fast unsampled request committed %d traces, want 0", got)
 	}
 }
 
+// Do and Root end their span whatever fn returns, and hand fn's error back.
+func TestDoEndsSpanOnError(t *testing.T) {
+	tr := New("test", 1, 0)
+	boom := errors.New("boom")
+	var root, child *Span
+	err := tr.Root(context.Background(), "op", func(ctx context.Context, s *Span) error {
+		root = s
+		return Do(ctx, "leg", func(_ context.Context, s *Span) error {
+			child = s
+			return boom
+		})
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("Root returned %v, want fn's error", err)
+	}
+	if root == nil || child == nil || root.end.IsZero() || child.end.IsZero() {
+		t.Fatal("a span was left open on the error path")
+	}
+	if got := tr.ring.byID(root.TraceID()); len(got) != 1 || len(got[0].spans) != 2 {
+		t.Fatal("the root's trace was not committed with both spans")
+	}
+	if err := New("test", 0, 0).Root(context.Background(), "op", func(_ context.Context, s *Span) error {
+		if s != nil {
+			t.Fatal("a missed draw must run fn with a nil span")
+		}
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatal("Root on a missed draw must return fn's error")
+	}
+}
+
+// A root span ended twice is committed once: /debug/traces/{id} must not
+// list its trace twice.
+func TestRootCommitsOnce(t *testing.T) {
+	tr := New("svc", 1, 0)
+	var root *Span
+	tr.Root(context.Background(), "op", func(_ context.Context, s *Span) error {
+		root = s
+		s.finish() // and Root ends it again on return
+		return nil
+	})
+	if root == nil {
+		t.Fatal("rate-1 tracer did not sample")
+	}
+	if got := len(tr.ring.byID(root.TraceID())); got != 1 {
+		t.Fatalf("a root ended twice is committed %d times, want 1", got)
+	}
+}
+
 func TestInject(t *testing.T) {
 	tr := New("test", 1, 0)
-	ctx, span := tr.StartRequest(context.Background(), "req", "")
-	h := http.Header{}
-	Inject(ctx, h)
-	tid, sid, sampled, ok := parseTraceparent(h.Get(Header))
-	if !ok || tid != span.TraceID() || sid != span.SpanID() || !sampled {
-		t.Fatalf("Inject produced %q", h.Get(Header))
-	}
+	in, _ := tr.Inbound("")
+	in.Do(context.Background(), "req", func(ctx context.Context, span *Span) error {
+		h := http.Header{}
+		Inject(ctx, h)
+		tid, sid, sampled, ok := parseTraceparent(h.Get(Header))
+		if !ok || tid != span.TraceID() || sid != span.SpanID() || !sampled {
+			t.Fatalf("Inject produced %q", h.Get(Header))
+		}
+		return nil
+	})
 	// Unrecorded context: no header.
 	h2 := http.Header{}
 	Inject(context.Background(), h2)
@@ -251,12 +331,16 @@ func TestRingConcurrentWriters(t *testing.T) {
 
 func TestDebugHandlers(t *testing.T) {
 	tracer := New("test", 1, 0)
-	ctx, root := tracer.StartRequest(context.Background(), "POST /observe_batch", "")
-	_, child := StartSpan(ctx, "engine.observe_batch")
-	child.SetAttr("records", 42)
-	child.Annotate("barrier drained")
-	child.End()
-	root.End()
+	in, _ := tracer.Inbound("")
+	var root *Span
+	in.Do(context.Background(), "POST /observe_batch", func(ctx context.Context, s *Span) error {
+		root = s
+		return Do(ctx, "engine.observe_batch", func(_ context.Context, child *Span) error {
+			child.SetAttr("records", 42)
+			child.Annotate("barrier drained")
+			return nil
+		})
+	})
 
 	mux := http.NewServeMux()
 	tracer.RegisterDebug(mux)

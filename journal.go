@@ -72,11 +72,13 @@ func newApplier(eng *Engine) *applier {
 	return &applier{eng: eng, limit: applyBatch, batch: make([]Observation, 0, applyBatch)}
 }
 
-func (a *applier) start(name string) (context.Context, *tracing.Span) {
+// run runs fn under its own root span when the applier is traced.
+func (a *applier) run(name string, fn func(context.Context, *tracing.Span) error) {
 	if !a.traced {
-		return context.Background(), nil
+		fn(context.Background(), nil)
+		return
 	}
-	return tracing.Default.StartRoot(context.Background(), name)
+	tracing.Default.Root(context.Background(), name, fn)
 }
 
 // apply consumes the record at lsn.
@@ -94,10 +96,10 @@ func (a *applier) apply(lsn uint64, r wal.Record) error {
 		}
 	case wal.KindTick:
 		a.flush()
-		ctx, span := a.start("replication.tick")
-		span.SetAttr("tick", r.T)
-		_ = a.eng.TickCtx(ctx, r.T)
-		span.End()
+		a.run("replication.tick", func(ctx context.Context, span *tracing.Span) error {
+			span.SetAttr("tick", r.T)
+			return a.eng.TickCtx(ctx, r.T)
+		})
 		a.next = lsn + 1
 		a.advanced()
 	default:
@@ -114,10 +116,10 @@ func (a *applier) flush() {
 	if len(a.batch) == 0 {
 		return
 	}
-	ctx, span := a.start("replication.apply")
-	span.SetAttr("records", len(a.batch))
-	_ = a.eng.ObserveBatchCtx(ctx, a.batch)
-	span.End()
+	a.run("replication.apply", func(ctx context.Context, span *tracing.Span) error {
+		span.SetAttr("records", len(a.batch))
+		return a.eng.ObserveBatchCtx(ctx, a.batch)
+	})
 	a.batch = a.batch[:0]
 	a.advanced()
 }

@@ -89,8 +89,8 @@ func newServer(src backend, opts serverOpts) *server {
 		s.repl = hotpaths.NewReplicationFeed(opts.dur, s.closing)
 	}
 	s.slo = metrics.StartSLO(metrics.Default, metrics.SLOOptions{
-		RequestsTotal:  "hotpaths_http_requests_total",
-		LatencySeconds: "hotpaths_http_request_seconds",
+		RequestsTotal:  requestsFamily,
+		LatencySeconds: latencySecondsFamily,
 	})
 	return s
 }
@@ -105,13 +105,20 @@ func (s *server) stopWatches() {
 	})
 }
 
+// The daemon's request families, named once: routeMetrics registers
+// them and the SLO reads them, which skips a family it cannot find.
+const (
+	requestsFamily       = "hotpaths_http_requests_total"
+	latencySecondsFamily = "hotpaths_http_request_seconds"
+)
+
 // routeMetrics registers one route's request instruments.
 func routeMetrics(route string) httpapi.RouteMetrics {
-	m := httpapi.RouteMetrics{Seconds: metrics.Default.Histogram("hotpaths_http_request_seconds",
+	m := httpapi.RouteMetrics{Seconds: metrics.Default.Histogram(latencySecondsFamily,
 		"HTTP request duration by route.",
 		metrics.LatencyBuckets, metrics.Labels{"route": route})}
 	for i, class := range httpapi.StatusClasses {
-		m.Requests[i] = metrics.Default.Counter("hotpaths_http_requests_total",
+		m.Requests[i] = metrics.Default.Counter(requestsFamily,
 			"HTTP requests by route and status class.",
 			metrics.Labels{"route": route, "code": class})
 	}

@@ -593,10 +593,12 @@ scan:
 	}
 }
 
-// Once journal I/O fails the WAL is poisoned and every write is refused;
-// /healthz must flip to 503 with the poisoning error and /stats must
-// surface it as wal_error, instead of the old unconditional 200.
-func TestHealthzReportsPoisonedWAL(t *testing.T) {
+// poisonableDaemon is a -wal daemon whose every append after the first
+// rotates a segment. obs posts one observation at tick; poison yanks the
+// journal directory out from under it, so the next append's rotation
+// fails and poisons the log — the closest test stand-in for a dying disk.
+func poisonableDaemon(t *testing.T) (s *server, h http.Handler, obs func(tick int64) *httptest.ResponseRecorder, poison func()) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
 	dur, err := hotpaths.OpenDurable(dir, hotpaths.DurableConfig{
 		Config:          serverTestConfig(),
@@ -609,7 +611,27 @@ func TestHealthzReportsPoisonedWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dur.Close() }) // returns the poisoning error; irrelevant here
-	h := newServer(dur, serverOpts{dur: dur}).handler()
+	s = newServer(dur, serverOpts{dur: dur})
+	t.Cleanup(s.stopWatches)
+	h = s.handler()
+	obs = func(tick int64) *httptest.ResponseRecorder {
+		return do(t, h, http.MethodPost, "/observe", httpapi.ObserveRequest{
+			Observations: []hotpaths.ObservationJSON{{Object: 1, X: float64(tick), Y: 0, T: tick}},
+		})
+	}
+	poison = func() {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, h, obs, poison
+}
+
+// Once journal I/O fails the WAL is poisoned and every write is refused;
+// /healthz must flip to 503 with the poisoning error and /stats must
+// surface it as wal_error, instead of the old unconditional 200.
+func TestHealthzReportsPoisonedWAL(t *testing.T) {
+	_, h, obs, poison := poisonableDaemon(t)
 
 	if rec := do(t, h, http.MethodGet, "/healthz", nil); rec.Code != http.StatusOK {
 		t.Fatalf("healthy daemon: healthz = %d", rec.Code)
@@ -619,20 +641,10 @@ func TestHealthzReportsPoisonedWAL(t *testing.T) {
 		t.Fatalf("healthy daemon: wal_error = %v", got)
 	}
 
-	obs := func(tick int64) *httptest.ResponseRecorder {
-		return do(t, h, http.MethodPost, "/observe", httpapi.ObserveRequest{
-			Observations: []hotpaths.ObservationJSON{{Object: 1, X: float64(tick), Y: 0, T: tick}},
-		})
-	}
 	if rec := obs(1); rec.Code != http.StatusOK {
 		t.Fatalf("first observe: %d %s", rec.Code, rec.Body.String())
 	}
-	// Yank the journal directory out from under the daemon: the next
-	// append needs a segment rotation, whose create fails and poisons the
-	// log — the closest test stand-in for a dying disk.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
+	poison()
 	// The poisoning write itself may surface as either status depending
 	// on when the failure is detected, but once poisoned every further
 	// write must be 503 — it is a server fault, not a client one.
@@ -654,5 +666,21 @@ func TestHealthzReportsPoisonedWAL(t *testing.T) {
 	st = decode[map[string]any](t, do(t, h, http.MethodGet, "/stats", nil))
 	if got, _ := st["wal_error"].(string); !strings.Contains(got, "wal") {
 		t.Errorf("stats wal_error = %q, want the poisoning error", got)
+	}
+}
+
+// The daemon's SLO reads the request families its routes register: a 503
+// from a poisoned WAL burns availability budget. An SLO pointed at a
+// family nobody registers reads 0 forever, whatever the daemon answers.
+func TestSLOBurnsOnServerErrors(t *testing.T) {
+	s, _, obs, poison := poisonableDaemon(t)
+	obs(1)
+	poison()
+	obs(2)
+	if rec := obs(3); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("write on a poisoned WAL: %d, want 503", rec.Code)
+	}
+	if got := s.slo.Status().AvailabilityFast; got <= 0 {
+		t.Fatalf("availability burn after a 503 = %v, want > 0", got)
 	}
 }

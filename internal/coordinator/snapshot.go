@@ -119,7 +119,7 @@ func (s *Snapshot) prefix(k int) []motion.HotPath {
 	if 2*k >= len(s.paths) {
 		n = len(s.paths) // TopRanked sorts every key anyway: keep them all
 	}
-	top := motion.TopRanked(s.paths, n, (*motion.HotPath).Rank)
+	top := motion.TopRanked(s.paths, n, (*motion.HotPath).Rank, (*motion.HotPath).RankMajor)
 	s.ranked.Store(&top)
 	return top[:k]
 }

@@ -268,8 +268,8 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	mPartitions.Set(int64(len(g.parts)))
 	g.slo = metrics.StartSLO(metrics.Default, metrics.SLOOptions{
-		RequestsTotal:  "hotpathsgw_http_requests_total",
-		LatencySeconds: "hotpathsgw_http_request_seconds",
+		RequestsTotal:  requestsFamily,
+		LatencySeconds: latencySecondsFamily,
 	})
 	g.probeAll()
 	if cfg.ProbeInterval > 0 {

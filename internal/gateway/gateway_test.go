@@ -797,6 +797,22 @@ func TestWriteErrStatusClassification(t *testing.T) {
 	}
 }
 
+// The gateway's SLO reads the request families its routes register: a
+// 502 with every partition down burns availability budget. An SLO pointed
+// at a family nobody registers reads 0 forever, whatever it answers.
+func TestSLOBurnsOnServerErrors(t *testing.T) {
+	fleet := newFakeFleet(t, 2)
+	g := newTestGateway(t, fleet, -1)
+	fleet[0].failing.Store(true)
+	fleet[1].failing.Store(true)
+	if rec := doReq(t, g.Handler(), http.MethodGet, "/topk", nil); rec.Code != http.StatusBadGateway {
+		t.Fatalf("topk with whole fleet down: %d, want 502", rec.Code)
+	}
+	if got := g.slo.Status().AvailabilityFast; got <= 0 {
+		t.Fatalf("availability burn after a 502 = %v, want > 0", got)
+	}
+}
+
 // TestStatsAllPartitionsDown: /stats fails hard (502) when no partition
 // answers, matching the merged read endpoints, rather than presenting
 // all-zero sums as a partial result.

@@ -21,13 +21,20 @@ var (
 		"POST /observe bodies outside the canonical form, decoded by encoding/json.", nil)
 )
 
+// The gateway's request families, named once: routeMetrics registers
+// them and the SLO reads them, which skips a family it cannot find.
+const (
+	requestsFamily       = "hotpathsgw_http_requests_total"
+	latencySecondsFamily = "hotpathsgw_http_request_seconds"
+)
+
 // routeMetrics registers one gateway route's request instruments.
 func routeMetrics(route string) httpapi.RouteMetrics {
-	m := httpapi.RouteMetrics{Seconds: metrics.Default.Histogram("hotpathsgw_http_request_seconds",
+	m := httpapi.RouteMetrics{Seconds: metrics.Default.Histogram(latencySecondsFamily,
 		"Gateway HTTP request duration by route.",
 		metrics.LatencyBuckets, metrics.Labels{"route": route})}
 	for i, class := range httpapi.StatusClasses {
-		m.Requests[i] = metrics.Default.Counter("hotpathsgw_http_requests_total",
+		m.Requests[i] = metrics.Default.Counter(requestsFamily,
 			"Gateway HTTP requests by route and status class.",
 			metrics.Labels{"route": route, "code": class})
 	}

@@ -17,13 +17,16 @@ import (
 // same memory whatever the size of its answer. The bytes are exactly
 // what encoding/json makes of hotpaths.PathsJSON and DeltaJSON, which stay
 // the client-side types; encode_test.go holds the two to each other.
+// Floats are written by appendFloat (ftoa.go), not strconv.
 
 // chunkSize is the size of the buffer a JSON answer is written through.
 const chunkSize = 32 << 10
 
 // maxPathText bounds the text of one path: 83 bytes of keys and
 // punctuation, three integers of at most 20 bytes and six floats of at
-// most 24, and the comma before it — 288 bytes, rounded up.
+// most 24, and the comma before it — 288 bytes — plus the 48 bytes of
+// spare room appendFloat writes through, rounded up; so a chunk is never
+// grown.
 const maxPathText = 512
 
 // chunks holds the buffers JSON answers are written through.
@@ -126,22 +129,4 @@ func appendPath(dst []byte, hp hotpaths.HotPath, rank int) []byte {
 	dst = append(dst, `,"y":`...)
 	dst = appendFloat(dst, hp.End.Y)
 	return append(dst, `}}`...)
-}
-
-// appendFloat appends a finite f as encoding/json writes a float64: the
-// shortest text that reads back to f, in exponent form below 1e-6 and
-// from 1e21 on, with a one-digit negative exponent written e-7, not e-07.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
 }

@@ -156,6 +156,19 @@ func FuzzPathsJSON(f *testing.F) {
 	}
 	f.Add(uint64(1), int64(1), bits(math.NaN()), uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(1), int64(1), bits(-math.MaxFloat64), uint64(0), bits(math.MaxFloat64), uint64(0))
+	// Where a shortest-digits kernel goes wrong first: the smallest
+	// subnormals (rescaled, one digit), the ends of the subnormal range and
+	// of a binade, powers of two (the spacing below halves), a halfway
+	// digit (ties to even), 2^53 ± 1 and the neighbours of 1e-6 and 1e21.
+	for _, v := range [][4]uint64{
+		{1, 2, 20, 3},
+		{1<<52 - 1, 1 << 52, 0x3ff0000000000000, 0x3fefffffffffffff},
+		{0x7fe0000000000000, 0x0010000000000000, 0x0010000000000001, bits(1125899906842624.25)},
+		{bits(1<<53 - 1), bits(1<<53 + 2), bits(1 << 54), bits(562949953421312.125)},
+		{bits(1e-6) - 1, bits(1e-6) + 1, bits(1e21) - 1, bits(1e21) + 1},
+	} {
+		f.Add(uint64(3), int64(2), v[0], v[1], v[2], v[3])
+	}
 	f.Fuzz(func(t *testing.T, id uint64, hotness int64, sx, sy, ex, ey uint64) {
 		from := math.Float64frombits
 		hp := path(id, int(hotness), from(sx), from(sy), from(ex), from(ey))

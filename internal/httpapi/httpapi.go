@@ -27,7 +27,10 @@
 // partition sorts nothing for a reader that sums and re-orders it.
 // The JSON path answers clients read — /topk, /paths and each /watch
 // delta — are streamed by the append encoder in encode.go, which writes
-// encoding/json's bytes without reflection or a whole-body buffer.
+// encoding/json's bytes without reflection or a whole-body buffer, and
+// its floats by the shortest-digits kernel in ftoa.go, which takes its
+// powers of ten from the scanner's table and strconv only as its tests'
+// reference.
 // DecodeBody remains for POST /tick's few bytes.
 package httpapi
 

@@ -117,8 +117,12 @@ type RankKey struct {
 // Rank is the canonical (hottest-first) key of hp: every snapshot answer
 // ordered by hotness is in this order.
 func (hp HotPath) Rank() RankKey {
-	return RankKey{float64(hp.Hotness), hp.Path.Length(), uint64(hp.Path.ID)}
+	return RankKey{hp.RankMajor(), hp.Path.Length(), uint64(hp.Path.ID)}
 }
+
+// RankMajor is Rank's Major alone: the hotness, without the hypot Rank
+// takes for the length. TopRanked turns most candidates away on it.
+func (hp HotPath) RankMajor() float64 { return float64(hp.Hotness) }
 
 func (a RankKey) compare(b RankKey) int {
 	switch {
@@ -179,7 +183,14 @@ func SortRanked[T any](s []T, key func(*T) RankKey) {
 // O(n + k log k) when few candidates displace the root, O(n log k) at
 // worst. A larger k sorts every key once, as SortRanked does. Both result
 // orders are total, so the answer is the k-prefix of SortRanked exactly.
-func TopRanked[T any](s []T, k int, key func(*T) RankKey) []T {
+//
+// major, when not nil, returns key's Major alone at less cost than the
+// whole key: the canonical order's hotness, where the key also takes a
+// hypot for the length. A candidate whose major part ranks below the
+// root's is then turned away without its key, which is the fate of most
+// candidates of a large set. The score order passes nil: its Major is
+// the score, which costs the hypot itself.
+func TopRanked[T any](s []T, k int, key func(*T) RankKey, major func(*T) float64) []T {
 	k = min(max(k, 0), len(s))
 	type rec struct {
 		RankKey
@@ -200,6 +211,9 @@ func TopRanked[T any](s []T, k int, key func(*T) RankKey) []T {
 	// h[0] ranks last; a parent never ranks before its children.
 	h := make([]rec, 0, k)
 	for i := range s {
+		if major != nil && len(h) == k && k > 0 && major(&s[i]) < h[0].Major {
+			continue
+		}
 		r := rec{key(&s[i]), i}
 		if len(h) < k {
 			h = append(h, r)

@@ -106,9 +106,12 @@ func TestSortRankedMatchesComparatorSort(t *testing.T) {
 		})
 		input := slices.Clone(paths)
 		for _, k := range []int{-1, 0, 1, 2, 5, n / 2, n - 1, n, n + 1} {
-			got := TopRanked(paths, k, (*HotPath).Rank)
-			if want := want[:min(max(k, 0), n)]; !slices.Equal(got, want) {
+			want := want[:min(max(k, 0), n)]
+			if got := TopRanked(paths, k, (*HotPath).Rank, nil); !slices.Equal(got, want) {
 				t.Fatalf("n=%d: TopRanked(%d) is not the sorted order's prefix", n, k)
+			}
+			if got := TopRanked(paths, k, (*HotPath).Rank, (*HotPath).RankMajor); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: TopRanked(%d) turning candidates away on hotness is not the sorted order's prefix", n, k)
 			}
 		}
 		if !slices.Equal(paths, input) {

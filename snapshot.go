@@ -235,7 +235,7 @@ func (q Query) shape(out []HotPath) []HotPath {
 	case q.order == ByHotness:
 		return out
 	case q.k > 0 && q.k < len(out):
-		return motion.TopRanked(out, q.k, resultKey(q.order))
+		return motion.TopRanked(out, q.k, resultKey(q.order), nil)
 	}
 	sortResults(out, q.order)
 	return out

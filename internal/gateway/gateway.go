@@ -63,7 +63,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -319,7 +318,7 @@ func (g *Gateway) Handler() http.Handler { return httpapi.NewMux(routeMetrics, g
 // child span — covering the body read; its bytes attribute is the body's
 // Content-Length (-1 when chunked) — and the trace context is propagated
 // to the partition in the traceparent header.
-func (g *Gateway) call(ctx context.Context, p *part, method, path, accept string, body []byte, decode func(*http.Response) error) (http.Header, error) {
+func (g *Gateway) call(ctx context.Context, p *part, method, path, accept string, body *share, decode func(*http.Response) error) (http.Header, error) {
 	parent := ctx
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
@@ -328,15 +327,17 @@ func (g *Gateway) call(ctx context.Context, p *part, method, path, accept string
 		span.SetAttr("partition", p.id)
 		span.SetAttr("http.method", method)
 		span.SetAttr("http.path", path)
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, p.url+path, rd)
+		req, err := http.NewRequestWithContext(ctx, method, p.url+path, nil)
 		if err != nil {
 			return err
 		}
 		if body != nil {
+			// The transport may rewind the body to retry on a fresh
+			// connection, and only ever inside Do: the caller's own
+			// reference keeps the share out of the pool until then.
+			req.Body = body.open()
+			req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
+			req.ContentLength = int64(len(body.buf))
 			req.Header.Set("Content-Type", "application/json")
 		}
 		if accept != "" {
@@ -693,7 +694,7 @@ func asErrs(pes []partError) []error {
 // postAll posts one body to the given partitions concurrently and
 // collects the failures. bodies[i] addresses parts[i]; a nil body skips
 // that partition.
-func (g *Gateway) postAll(ctx context.Context, path string, bodies [][]byte) []partError {
+func (g *Gateway) postAll(ctx context.Context, path string, bodies []*share) []partError {
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -704,7 +705,7 @@ func (g *Gateway) postAll(ctx context.Context, path string, bodies [][]byte) []p
 			continue
 		}
 		wg.Add(1)
-		go func(p *part, body []byte) {
+		go func(p *part, body *share) {
 			defer wg.Done()
 			if _, err := g.call(ctx, p, http.MethodPost, path, "", body, nil); err != nil {
 				mu.Lock()
@@ -720,8 +721,11 @@ func (g *Gateway) postAll(ctx context.Context, path string, bodies [][]byte) []p
 
 // tickAll drives the epoch barrier: POST /tick to every partition.
 func (g *Gateway) tickAll(ctx context.Context, now int64) []partError {
-	body, _ := json.Marshal(httpapi.TickRequest{Now: now})
-	bodies := make([][]byte, len(g.parts))
+	b, _ := json.Marshal(httpapi.TickRequest{Now: now})
+	body := newShare(len(b))
+	defer body.release()
+	body.buf = append(body.buf, b...)
+	bodies := make([]*share, len(g.parts))
 	for i := range bodies {
 		bodies[i] = body
 	}
@@ -748,7 +752,7 @@ func writeErrStatus(errs []partError) int {
 // "ok" for the partitions that applied their share, the error for those
 // that did not — the operator-facing answer to "which primaries have the
 // records?".
-func (g *Gateway) errPartitions(errs []partError, touched [][]byte) map[string]string {
+func (g *Gateway) errPartitions(errs []partError, touched []*share) map[string]string {
 	out := make(map[string]string)
 	failed := make(map[int]string, len(errs))
 	for _, pe := range errs {
@@ -772,6 +776,7 @@ func (g *Gateway) errPartitions(errs []partError, touched [][]byte) map[string]s
 // epoch barrier.
 func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 	split := newShares(len(g.parts), r.ContentLength)
+	defer split.Reset()
 	tick, accepted, ok := httpapi.DecodeObserve(w, r, &split, mObserveFallback)
 	if !ok {
 		return
@@ -806,59 +811,6 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 		resp["now"] = tick
 	}
 	httpapi.WriteJSON(w, http.StatusOK, resp)
-}
-
-// shares is the gateway's httpapi.ObserveSink: one /observe body per
-// partition, built by appending each observation's JSON text — the
-// client's own bytes, unparsed beyond the object id that picks the
-// owner — to its owner's body, in arrival order. Only an observation
-// that encoding/json had to decode, which keeps no text, is re-encoded.
-// The bodies are not pooled: net/http may still be writing one out when
-// its partition's answer has already arrived.
-type shares struct {
-	bodies [][]byte // by partition; nil where no observation went
-	size   int      // capacity a body starts with; 0 grows it from empty
-}
-
-const sharesOpen, sharesClose = `{"observations":[`, `]}`
-
-// newShares splits a body of length bytes (-1 when unknown) over parts
-// partitions. A known length sizes each share once, at its even part plus
-// a quarter for the hash's unevenness, instead of growing it observation
-// by observation.
-func newShares(parts int, length int64) shares {
-	s := shares{bodies: make([][]byte, parts)}
-	if length > 0 && length <= httpapi.MaxRequestBytes {
-		even := int(length) / parts
-		s.size = even + even/4
-	}
-	return s
-}
-
-func (s *shares) Reset() { clear(s.bodies) }
-
-func (s *shares) Add(o hotpaths.ObservationJSON, raw []byte) {
-	i := partition.Index(o.Object, len(s.bodies))
-	b := s.bodies[i]
-	if b == nil {
-		b = append(make([]byte, 0, s.size), sharesOpen...)
-	} else {
-		b = append(b, ',')
-	}
-	if raw == nil {
-		raw, _ = json.Marshal(o) // finite numbers, decoded from JSON a moment ago: cannot fail
-	}
-	s.bodies[i] = append(b, raw...)
-}
-
-// close ends every started body and returns them.
-func (s *shares) close() [][]byte {
-	for i, b := range s.bodies {
-		if b != nil {
-			s.bodies[i] = append(b, sharesClose...)
-		}
-	}
-	return s.bodies
 }
 
 // handleTick serves POST /tick as the fleet-wide epoch barrier.

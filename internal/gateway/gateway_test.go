@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -1083,9 +1085,12 @@ func (c *rawSink) Add(o hotpaths.ObservationJSON, raw []byte) {
 	c.obs, c.raws = append(c.obs, o), append(c.raws, bytes.Clone(raw))
 }
 
-// A body of known length is split with one allocation per partition: each
-// share is sized once from the length. A chunked body, whose length is
-// not known, still grows its shares.
+// A body of known length is split into shares sized once: from an empty
+// pool, each partition's share is one allocation and its buffer one more.
+// A chunked body, whose length is not known, grows its shares. Once the
+// pool holds the shares of the previous split, a split allocates nothing;
+// that last check needs a pool that keeps what it is given, so a -race
+// build, whose sync.Pool drops items at random, leaves it out.
 func TestSharesSizedOnce(t *testing.T) {
 	var req httpapi.ObserveRequest
 	for i := range 2000 {
@@ -1102,20 +1107,104 @@ func TestSharesSizedOnce(t *testing.T) {
 	if _, n, ok := httpapi.DecodeObserve(httptest.NewRecorder(), r, &sink, mObserveFallback); !ok || n != 2000 || sink.raws[0] == nil {
 		t.Fatalf("decode: %d observations, ok %v", n, ok)
 	}
-	allocs := func(length int64) float64 {
+	// A collection empties the pool, and the pool's next use allocates its
+	// per-P slots anew; a collection between runs would count those too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(length int64, cold bool) float64 {
 		s := newShares(2, length)
 		return testing.AllocsPerRun(10, func() {
 			s.Reset()
+			if cold {
+				for sharePool.Get() != nil {
+				}
+			}
 			for i, o := range sink.obs {
 				s.Add(o, sink.raws[i])
 			}
 			s.close()
 		})
 	}
-	if n := allocs(int64(len(body))); n != 2 {
-		t.Errorf("splitting %d bytes over 2 partitions allocates %v times, want 2", len(body), n)
+	if n := allocs(int64(len(body)), true); n != 4 {
+		t.Errorf("splitting %d bytes over 2 partitions from an empty pool allocates %v times, want 4", len(body), n)
 	}
-	if n := allocs(-1); n <= 2 {
+	if n := allocs(-1, true); n <= 4 {
 		t.Errorf("a body of unknown length allocates %v times; the test no longer tells the two apart", n)
 	}
+	if raceEnabled {
+		return
+	}
+	if n := allocs(int64(len(body)), false); n != 0 {
+		t.Errorf("splitting %d bytes over 2 partitions with the pool warm allocates %v times, want 0", len(body), n)
+	}
 }
+
+// lateReader is a transport that answers every POST /observe at once and
+// reads its body 20 ms later, from another goroutine — as
+// http.RoundTripper allows: it must close the body, "but depending on the
+// implementation may do so in a separate goroutine even after RoundTrip
+// returns". Every other request goes to http.DefaultTransport.
+type lateReader struct {
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	bodies map[string]int // each body read, by its bytes
+}
+
+func (l *lateReader) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method != http.MethodPost || r.URL.Path != "/observe" {
+		return http.DefaultTransport.RoundTrip(r)
+	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		time.Sleep(20 * time.Millisecond)
+		body, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		l.mu.Lock()
+		l.bodies[string(body)]++
+		l.mu.Unlock()
+	}()
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+		Body: io.NopCloser(strings.NewReader(`{"accepted":0}`)),
+	}, nil
+}
+
+// A partition's answer may come back before its request body has been
+// written — the transport still holds the body after the gateway's
+// request has ended. The share must not go back to the pool, to be
+// rebuilt by the next write, before the transport is done with it: each
+// body the slow transport reads is one the gateway sent, each once. Under
+// -race a share reused too early also shows as a race between the next
+// split and the transport's read.
+func TestSlowPartitionBodyNotReused(t *testing.T) {
+	late := &lateReader{bodies: map[string]int{}}
+	http.DefaultClient.Transport = late
+	t.Cleanup(func() { http.DefaultClient.Transport = nil })
+	h := newTestGateway(t, newFakeFleet(t, 1), time.Hour).Handler()
+	want := map[string]int{}
+	for k := range 8 {
+		var req httpapi.ObserveRequest
+		for i := range 500 + 100*k {
+			req.Observations = append(req.Observations, hotpaths.ObservationJSON{
+				Object: i, X: 470000 + float64(k), Y: 4200000 + float64(i)/7, T: int64(k + 1),
+			})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[string(body)]++ // one partition: its share is the client's body
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("write %d: %d %s", k, rec.Code, rec.Body)
+		}
+	}
+	late.wg.Wait()
+	if !maps.Equal(late.bodies, want) {
+		t.Errorf("the transport read %d distinct bodies of the %d sent, or some more than once", len(late.bodies), len(want))
+	}
+}
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool

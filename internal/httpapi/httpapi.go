@@ -16,8 +16,10 @@
 // Two bodies carry the system's volume. A POST /observe batch
 // (DecodeObserve — the one place either binary reads one) is read whole
 // into a pooled buffer and scanned in its canonical form by the strict,
-// allocation-free scanner in scan.go; a body the scanner does not
-// recognise is decoded from the same bytes by encoding/json,
+// allocation-free scanner in scan.go — each observation in encoding/json's
+// own form in one straight line of fixed-word compares, any other by a
+// general walk, both reading digits eight at a time; a body the scanner
+// does not recognise is decoded from the same bytes by encoding/json,
 // which thereby stays the definition of what is accepted and the author
 // of every error text. A partition's /paths answer on its way into a
 // gateway merge is no JSON at all: the gateway asks for the fixed-width

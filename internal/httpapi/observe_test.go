@@ -98,30 +98,6 @@ func checkObserveAgrees(t *testing.T, body []byte) (fellBack bool) {
 	return fellBack
 }
 
-// streamBodies are bodies shaped like the benchmark's and like a noisy
-// (ε,δ) client's, as the shipped encoder emits them.
-func streamBodies(t testing.TB) [][]byte {
-	var out [][]byte
-	for i, batch := range httpapi.IngestWorkload(8, 3, 11) {
-		req := httpapi.ObserveRequest{Tick: int64(i + 1)}
-		noisy := httpapi.ObserveRequest{}
-		for _, o := range batch {
-			oj := hotpaths.ObservationJSON{Object: o.ObjectID, X: o.X + 470000, Y: o.Y + 4200000, T: o.T}
-			req.Observations = append(req.Observations, oj)
-			oj.SigmaX, oj.SigmaY = 0.5+o.X/1e3, 1.25
-			noisy.Observations = append(noisy.Observations, oj)
-		}
-		for _, r := range []httpapi.ObserveRequest{req, noisy} {
-			b, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // observeQuirks names the corners of encoding/json's accepted language
 // around the canonical body. fallback says whether the scanner must hand
 // the body over; either way the answer must be what encoding/json alone
@@ -144,7 +120,29 @@ var observeQuirks = []struct {
 	{"subnormal", `{"observations":[{"object":1,"x":4.9e-324,"y":2.2250738585072011e-308}]}`, false, true},
 	{"largest finite", `{"observations":[{"object":1,"x":1.7976931348623157e308,"y":-1.7976931348623157E+308}]}`, false, true},
 	{"-0.0", `{"observations":[{"object":1,"x":-0.0,"sigma_y":-0.000}]}`, false, true},
+	{"reordered keys", `{"observations":[{"object":1,"y":2,"x":1.5,"t":3},{"x":1,"object":2,"t":3,"y":2}]}`, false, true},
+	{"python spacing", `{"observations": [{"object": 1, "x": 1.5, "y": 2.0, "t": 3}, {"object": 2, "x": 4.25, "y": -1.0, "t": 3}], "tick": 3}`, false, true},
+	{"sigma_x alone", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":1}]}`, false, true},
+	{"sigma_y alone", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1}]}`, false, true},
+	{"sigmas reversed", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":0.25,"sigma_x":0.5}]}`, false, true},
+	{"7 digits before y", `{"observations":[{"object":1,"x":1234567,"y":7654321,"t":3}]}`, false, true},
+	{"8 digits before y", `{"observations":[{"object":1,"x":12345678,"y":87654321,"t":3}]}`, false, true},
+	{"9 digits before y", `{"observations":[{"object":1,"x":123456789,"y":987654321,"t":3}]}`, false, true},
+	{"16 digits before y", `{"observations":[{"object":1,"x":470123.4567890123,"y":1234567890123456,"t":3}]}`, false, true},
+	{"17 digits before y", `{"observations":[{"object":1,"x":470123.45678901234,"y":12345678901234567,"t":3}]}`, false, true},
+	{"21 digits before y", `{"observations":[{"object":1,"x":470123.456789012345678,"y":123456789012345678901,"t":3}]}`, false, true},
+	{"7 digits before }", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":0.1234567}],"tick":3}`, false, true},
+	{"8 digits before }", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":12345678}],"tick":3}`, false, true},
+	{"9 digits before }", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1.23456789}],"tick":3}`, false, true},
+	{"7 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1234567}]}`, false, true},
+	{"8 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":0.12345678}]}`, false, true},
+	{"16 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1234567890123456}]}`, false, true},
+	{"17 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1.2345678901234567}]}`, false, true},
+	{"22 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":12345678901.23456789012}]}`, false, true},
 
+	{"objects", `{"observations":[{"objects":1,"x":1.5,"y":2,"t":3}]}`, true, true},
+	{"xx", `{"observations":[{"object":1,"xx":1.5,"y":2,"t":3}]}`, true, true},
+	{"duplicate sigma", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":1,"sigma_x":2}]}`, true, true},
 	{"capitalised key", `{"observations":[{"Object":1,"X":1.5,"y":2,"t":3}]}`, true, true},
 	{"capitalised top-level key", `{"Observations":[{"object":1}],"TICK":3}`, true, true},
 	{"duplicate key", `{"observations":[{"object":1,"object":2,"x":1,"y":2,"t":3}]}`, true, true},
@@ -174,6 +172,9 @@ var observeQuirks = []struct {
 	{"bare fraction", `{"observations":[{"object":1,"x":.5}]}`, true, false},
 	{"dangling fraction", `{"observations":[{"object":1,"x":1.}]}`, true, false},
 	{"hex float", `{"observations":[{"object":1,"x":0x1p-2}]}`, true, false},
+	{"slash in a digit word", `{"observations":[{"object":1,"x":1234567/,"y":2,"t":3}]}`, true, false},
+	{"colon in a digit word", `{"observations":[{"object":1,"x":0.1234567:,"y":2,"t":3}]}`, true, false},
+	{"colon ends the digits", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1234567:}]}`, true, false},
 	{"infinity", `{"observations":[{"object":1,"x":Inf}]}`, true, false},
 	{"quoted number", `{"observations":[{"object":"1"}]}`, true, false},
 	{"list is no list", `{"observations":"not-a-list"}`, true, false},
@@ -196,7 +197,7 @@ func TestObserveQuirks(t *testing.T) {
 			}
 		})
 	}
-	for i, body := range streamBodies(t) {
+	for i, body := range httpapi.StreamBodies(t) {
 		if checkObserveAgrees(t, body) {
 			t.Errorf("stream body %d took the fallback: %.120q…", i, body)
 		}
@@ -207,7 +208,7 @@ func TestObserveQuirks(t *testing.T) {
 // whatever the bytes, scanner-plus-fallback and encoding/json alone give
 // the same answer.
 func FuzzObserveDecode(f *testing.F) {
-	for _, b := range streamBodies(f) {
+	for _, b := range httpapi.StreamBodies(f) {
 		f.Add(b)
 	}
 	for _, q := range observeQuirks {

@@ -61,6 +61,131 @@ func observeBody(tb testing.TB, batch []hotpaths.Observation, tick int64) []byte
 	return body
 }
 
+// StreamBodies are bodies shaped like the benchmark's and like a noisy
+// (ε,δ) client's, as the shipped encoder emits them. The external test
+// package reaches it as httpapi.StreamBodies.
+func StreamBodies(tb testing.TB) [][]byte {
+	var out [][]byte
+	for i, batch := range IngestWorkload(8, 3, 11) {
+		req := ObserveRequest{Tick: int64(i + 1)}
+		noisy := ObserveRequest{}
+		for _, o := range batch {
+			oj := hotpaths.ObservationJSON{Object: o.ObjectID, X: o.X + 470000, Y: o.Y + 4200000, T: o.T}
+			req.Observations = append(req.Observations, oj)
+			oj.SigmaX, oj.SigmaY = 0.5+o.X/1e3, 1.25
+			noisy.Observations = append(noisy.Observations, oj)
+		}
+		for _, r := range []ObserveRequest{req, noisy} {
+			b, err := json.Marshal(r)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+// canonicalCount reads the observations list of body with the canonical
+// reader alone, and returns how many observations it took or an error
+// naming the first it gave up on.
+func canonicalCount(body []byte) (int, error) {
+	const list = `{"observations":[`
+	if !bytes.HasPrefix(body, []byte(list)) {
+		return 0, fmt.Errorf("body does not open with %s: %.40q", list, body)
+	}
+	s := scanner{b: body, i: len(list)}
+	for n := 0; ; n++ {
+		start := s.i
+		if _, ok := s.canonical(); !ok {
+			return n, fmt.Errorf("observation %d, at byte %d, is not read in one line: %.80q", n, start, body[start:])
+		}
+		if s.eat(']') {
+			return n + 1, nil
+		}
+		if !s.eat(',') {
+			return n + 1, fmt.Errorf("no separator after observation %d: %.40q", n, body[s.i:])
+		}
+	}
+}
+
+// Every observation a shipped encoder writes takes the straight line,
+// not the general walk. A canonical reader that never fires would leave
+// every answer right and every write slower, so only this test sees it:
+// the benchmark's and a noisy client's bodies, and encoding/json's
+// bodies whose last observation ends as tightly as it can — one-digit
+// values, each sigma alone — where the reader's eight-byte words reach
+// the end of the body.
+func TestCanonicalReaderTakesShippedBodies(t *testing.T) {
+	bodies := StreamBodies(t)
+	bodies = append(bodies, observeBody(t, IngestWorkload(2000, 1, 5)[0], 1))
+	for _, o := range []hotpaths.ObservationJSON{
+		{}, {Object: 1, X: 1, Y: 2, T: 3, SigmaX: 1}, {Object: 1, X: 1, Y: 2, T: 3, SigmaY: 1},
+		{Object: -1, X: -0.5, Y: 1e-7, T: -3, SigmaX: 1e21, SigmaY: 5e-324},
+	} {
+		body, err := json.Marshal(ObserveRequest{Observations: []hotpaths.ObservationJSON{o}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	for i, body := range bodies {
+		n, err := canonicalCount(body)
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		scanned := 0
+		if _, ok := scanObserve(body, func(hotpaths.ObservationJSON, []byte) { scanned++ }); !ok || scanned != n {
+			t.Fatalf("body %d: the canonical reader took %d observations, scanObserve %d (ok %v)", i, n, scanned, ok)
+		}
+	}
+}
+
+// FuzzCanonicalMatchesWalk is differential: whatever bytes the canonical
+// reader accepts, the general walk accepts too, with the same value, bit
+// for bit, and the same cursor.
+func FuzzCanonicalMatchesWalk(f *testing.F) {
+	for _, body := range StreamBodies(f)[:2] {
+		f.Add(body[len(`{"observations":[`):])
+	}
+	for _, seed := range []string{
+		`{"object":7,"x":1.5,"y":2,"t":9}]}`,
+		`{"object":-0,"x":-0,"y":-0.0,"t":-0,"sigma_x":-0e0}]}`,
+		`{"object":1,"x":1,"y":2,"t":3,"sigma_y":1}]}`,
+		`{"object":1,"x":1,"y":2,"t":3,"sigma_x":0.5,"sigma_y":0.25},`,
+		`{"object":1,"x":1,"y":2,"t":3,"sigma_y":1,"sigma_x":2}]}`,
+		`{"object":1,"x":12345678,"y":123456789,"t":1234567}]}`,
+		`{"object":1,"x":1234567890123456,"y":12345678901234567,"t":3,"sigma_x":123456789012345678901}]}`,
+		`{"object":1,"x":470123.4567890123,"y":4200000.1234567891,"t":12}]}`,
+		`{"object":1,"x":1E3,"y":2.5e-3,"t":3,"sigma_x":1e+2}]}`,
+		`{"object":9223372036854775807,"x":1e-400,"y":4.9e-324,"t":-9223372036854775808}]}`,
+		`{"object":1,"x":1234567:,"y":2,"t":3}]}`,
+		`{"object":1,"x":1234567/,"y":2,"t":3}]}`,
+		`{"object":1,"x": 1,"y":2,"t":3}]}`,
+		`{"object":1,"x":1,"y":2,"t":3}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c := scanner{b: b}
+		got, ok := c.canonical()
+		if !ok {
+			return
+		}
+		w := scanner{b: b}
+		want, wantOK := w.observation()
+		bits := math.Float64bits
+		if !wantOK || got.Object != want.Object || got.T != want.T ||
+			bits(got.X) != bits(want.X) || bits(got.Y) != bits(want.Y) ||
+			bits(got.SigmaX) != bits(want.SigmaX) || bits(got.SigmaY) != bits(want.SigmaY) {
+			t.Fatalf("%q: canonical reads %+v, the walk %+v (ok %v)", b, got, want, wantOK)
+		}
+		if c.i != w.i {
+			t.Fatalf("%q: canonical stops at %d, the walk at %d", b, c.i, w.i)
+		}
+	})
+}
+
 // A warm scan of a benchmark-sized body allocates nothing: not per body,
 // not per observation, not per number.
 func TestScanObserveAllocatesNothing(t *testing.T) {
@@ -187,6 +312,8 @@ func TestScanFloatMatchesStrconv(t *testing.T) {
 		"0e400", "0.000e-400", "-0", "-0.0", "-0e0", "-0.000E+999", "-0.0000001",
 		"1E22", "1e23", "9007199254740991e22", "9007199254740992e-22", "1e-22", "1e-23",
 		"-", "+1", "01", "1.", ".5", "1e", "1e+", "-.5", "0x10", "1_0", "Inf", "NaN", "1.5e3x",
+		"1234567/", "1234567:", "0.1234567/", "0.1234567:", "12345678", "-12345678.87654321",
+		"1234567890123456.0", "0.1234567890123456789e-7",
 	} {
 		checkFloat(t, lit)
 	}
@@ -245,7 +372,10 @@ func TestPowersOfTenTable(t *testing.T) {
 
 // FuzzScanFloat is differential: one number literal, placed as x in a
 // canonical body, reads as strconv.ParseFloat reads it under JSON's
-// grammar — accepted or refused alike, and bit for bit.
+// grammar — accepted or refused alike, and bit for bit — and so does the
+// literal placed as y, and as the last member before the observation's
+// "}", where the scanner's eight-byte digit words meet ,"t": and "}]}"
+// instead of ,"y":.
 func FuzzScanFloat(f *testing.F) {
 	for _, lit := range []string{
 		"0", "-0.0", "1.5", "470123.4567890123", "4200000.123456789", "9007199254740993",
@@ -268,6 +398,22 @@ func FuzzScanFloat(f *testing.F) {
 		if ok != wantOK || ok && math.Float64bits(got.X) != math.Float64bits(want) {
 			t.Fatalf("x %q: scanner reads %v (%#x) accepted %v; want %v (%#x) accepted %v",
 				lit, got.X, math.Float64bits(got.X), ok, want, math.Float64bits(want), wantOK)
+		}
+		for _, place := range []struct {
+			name, body string
+			field      func(hotpaths.ObservationJSON) float64
+		}{
+			{"y", `{"observations":[{"object":1,"x":1,"y":` + lit + `,"t":3}],"tick":3}`,
+				func(o hotpaths.ObservationJSON) float64 { return o.Y }},
+			{"last", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":` + lit + `}]}`,
+				func(o hotpaths.ObservationJSON) float64 { return o.SigmaY }},
+		} {
+			got = hotpaths.ObservationJSON{}
+			_, ok := scanObserve([]byte(place.body), func(o hotpaths.ObservationJSON, _ []byte) { got = o })
+			if v := place.field(got); ok != wantOK || ok && math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s %q: scanner reads %v (%#x) accepted %v; want %v (%#x) accepted %v",
+					place.name, lit, v, math.Float64bits(v), ok, want, math.Float64bits(want), wantOK)
+			}
 		}
 	})
 }

@@ -23,8 +23,8 @@ func withTracing(t *testing.T) {
 // Streaming endpoints type-assert their ResponseWriter: /watch needs
 // http.Flusher for SSE, /wal/stream refuses to start without it. Both
 // must keep working through the daemon's full route wrapper with tracing
-// sampling every request. (The wrapper's own Flusher/Hijacker/ReaderFrom
-// forwarding is unit-tested in internal/httpapi.)
+// sampling every request. (The wrapper's own Flusher and Unwrap are
+// unit-tested in internal/httpapi.)
 func TestStreamingSurvivesMiddlewareStack(t *testing.T) {
 	withTracing(t)
 	h, _ := newDurableHandler(t)

@@ -165,9 +165,7 @@ import (
 	"hotpaths/internal/engine"
 	"hotpaths/internal/geom"
 	"hotpaths/internal/motion"
-	"hotpaths/internal/raytrace"
 	"hotpaths/internal/trajectory"
-	"hotpaths/internal/uncertainty"
 )
 
 // Point is a location in the plane, in metres.
@@ -208,6 +206,10 @@ type Config struct {
 	// Delta, when positive, enables the (ε,δ) uncertainty model: observations
 	// are treated as Gaussian with the per-observation standard deviations
 	// passed to ObserveNoisy, and proximity holds with probability ≥ 1−δ.
+	// An object's tolerance is decided once, by the filter bank that first
+	// sees it: the σ of its first observation fixes it for the filter's
+	// life (internal/uncertainty's HalfWidths), and the σ of later
+	// observations are not used.
 	Delta float64
 
 	// W is the sliding window length in timestamps (required, positive):
@@ -314,10 +316,11 @@ func (cfg Config) engineConfig(shards int) (Config, engine.Config, error) {
 		Eps:  cfg.Eps,
 	})
 	return cfg, engine.Config{
-		Coord:     coord,
-		Epoch:     trajectory.Time(cfg.Epoch),
-		Tolerance: cfg.toleranceFunc,
-		Shards:    shards,
+		Coord:  coord,
+		Epoch:  trajectory.Time(cfg.Epoch),
+		Eps:    cfg.Eps,
+		Delta:  cfg.Delta,
+		Shards: shards,
 	}, err
 }
 
@@ -423,30 +426,6 @@ func (s *System) observe(o Observation) error {
 		return fmt.Errorf("hotpaths: %w", err)
 	}
 	return nil
-}
-
-// toleranceFunc builds the per-point tolerance model: the fixed ε square,
-// or the Gaussian (ε,δ) rectangle when Delta and sigmas are set. The
-// retroactive minimum of ε/10 guards against unsatisfiable noise levels.
-// The rectangle's half-sides depend only on σ, which is fixed for the
-// filter's life, so they are solved once here — the same arithmetic as
-// uncertainty.ToleranceRectOrMin, which solves them per point.
-func (cfg Config) toleranceFunc(sigmaX, sigmaY float64) raytrace.ToleranceFunc {
-	if cfg.Delta <= 0 || sigmaX <= 0 || sigmaY <= 0 {
-		return raytrace.FixedTolerance(cfg.Eps)
-	}
-	eps, half := cfg.Eps, cfg.Delta/2
-	wx, errX := uncertainty.MaxOffset(eps, half, sigmaX)
-	wy, errY := uncertainty.MaxOffset(eps, half, sigmaY)
-	if errX != nil || errY != nil {
-		return func(tp trajectory.TimePoint) geom.Rect { return geom.RectAround(tp.P, eps/10) }
-	}
-	return func(tp trajectory.TimePoint) geom.Rect {
-		return geom.Rect{
-			Lo: geom.Pt(tp.P.X-wx, tp.P.Y-wy),
-			Hi: geom.Pt(tp.P.X+wx, tp.P.Y+wy),
-		}
-	}
 }
 
 // Tick advances the system clock to now: the hotness window slides, and at

@@ -7,10 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"hotpaths/internal/geom"
-	"hotpaths/internal/trajectory"
-	"hotpaths/internal/uncertainty"
 )
 
 func testConfig() Config {
@@ -323,38 +319,6 @@ func TestPathsStayNearObservations(t *testing.T) {
 			// observations.
 			if best > 5+1e-9 {
 				t.Errorf("endpoint %v at distance %v from every observation", end, best)
-			}
-		}
-	}
-}
-
-// The (ε,δ) tolerance a filter is built with solves its rectangle once,
-// for its σ; at every point it must be bit for bit the rectangle that
-// uncertainty.ToleranceRectOrMin solves there, the ε/10 fallback square
-// included (σ = 2.5 and 40 have no solution at ε = 5, δ = 0.05).
-func TestToleranceFuncMatchesPerPointSolve(t *testing.T) {
-	cfg := testConfig()
-	cfg.Delta = 0.05
-	rng := rand.New(rand.NewSource(3))
-	sigmas := []float64{1e-9, 0.1, 1, 2, 2.2, 2.5, 40}
-	points := []geom.Point{geom.Pt(0, 0), geom.Pt(math.Copysign(0, -1), 1<<53), geom.Pt(-(1 << 53), 0.1)}
-	for range 50 {
-		points = append(points, geom.Pt(rng.NormFloat64()*1e4, rng.Float64()*4e6))
-	}
-	same := func(a, b geom.Rect) bool {
-		bits := math.Float64bits
-		return bits(a.Lo.X) == bits(b.Lo.X) && bits(a.Lo.Y) == bits(b.Lo.Y) &&
-			bits(a.Hi.X) == bits(b.Hi.X) && bits(a.Hi.Y) == bits(b.Hi.Y)
-	}
-	for _, sx := range sigmas {
-		for _, sy := range sigmas {
-			tol := cfg.toleranceFunc(sx, sy)
-			for _, p := range points {
-				got := tol(trajectory.TP(p, 1))
-				want := uncertainty.ToleranceRectOrMin(uncertainty.Measurement{Mean: p, SigmaX: sx, SigmaY: sy}, cfg.Eps, cfg.Delta, cfg.Eps/10)
-				if !same(got, want) {
-					t.Fatalf("σ (%v, %v) at %v: %v, want %v", sx, sy, p, got, want)
-				}
 			}
 		}
 	}

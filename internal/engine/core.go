@@ -143,7 +143,7 @@ type Inline struct {
 // NewInline returns an Inline under cfg, which its caller has validated
 // (hotpaths.New does); Shards is not used.
 func NewInline(cfg Config) *Inline {
-	return &Inline{core: core{coord: cfg.Coord, epoch: cfg.Epoch}, filters: raytrace.NewBank(cfg.Tolerance)}
+	return &Inline{core: core{coord: cfg.Coord, epoch: cfg.Epoch}, filters: raytrace.NewBank(cfg.Eps, cfg.Delta)}
 }
 
 // collect adds nothing: Observe appends each report as it is raised.

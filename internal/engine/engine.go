@@ -10,6 +10,12 @@
 // It reaches the banks through one seam, banks: collect the reports
 // raised so far, and name the bank that holds an object.
 //
+// A bank decides each object's tolerance at the object's first sighting,
+// from Config.Eps and Config.Delta and the noise levels of that first
+// observation (uncertainty.HalfWidths), and keeps it for the filter's
+// life: the σ of later observations are not used. A restore solves it
+// again from the σ the state carries.
+//
 // Inline, a hotpaths.System, is the core with one bank fed in the
 // caller's goroutine: a report joins the batch as it is raised, and a
 // refused observation is the write's own error.
@@ -91,9 +97,9 @@ func (o Observation) point() trajectory.TimePoint {
 	return trajectory.TP(geom.Pt(o.X, o.Y), trajectory.Time(o.T))
 }
 
-// Config parameterises both forms. The coordinator and tolerance factory
-// are built by the public hotpaths package so that System and Engine share
-// one configuration surface.
+// Config parameterises both forms. The coordinator is built by the public
+// hotpaths package so that System and Engine share one configuration
+// surface.
 type Config struct {
 	// Coord is the coordinator tier processing epoch batches (required).
 	Coord *coordinator.Coordinator
@@ -101,9 +107,10 @@ type Config struct {
 	// Epoch is the coordinator cadence Λ in timestamps (required, positive).
 	Epoch trajectory.Time
 
-	// Tolerance builds the per-object tolerance model from the noise levels
-	// of the object's first observation (required).
-	Tolerance func(sigmaX, sigmaY float64) raytrace.ToleranceFunc
+	// Eps (required, positive) and Delta are the filters' (ε,δ): each
+	// bank solves an object's tolerance from them and the noise levels of
+	// the object's first observation (raytrace.NewBank).
+	Eps, Delta float64
 
 	// Shards is the Engine's number of filter shards (default:
 	// GOMAXPROCS). An Inline has one bank and ignores it.
@@ -171,15 +178,15 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Epoch <= 0 {
 		return nil, fmt.Errorf("engine: Config.Epoch must be positive, got %d", cfg.Epoch)
 	}
-	if cfg.Tolerance == nil {
-		return nil, fmt.Errorf("engine: Config.Tolerance is required")
+	if !(cfg.Eps > 0) {
+		return nil, fmt.Errorf("engine: Config.Eps must be positive, got %v", cfg.Eps)
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{cfg: cfg, core: core{coord: cfg.Coord, epoch: cfg.Epoch}}
 	for i := 0; i < cfg.Shards; i++ {
-		s := newShard(cfg.Tolerance)
+		s := newShard(cfg)
 		e.shards = append(e.shards, s)
 		go s.run()
 	}

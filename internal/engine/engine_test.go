@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -27,8 +28,6 @@ func testCoordinator(t *testing.T) *coordinator.Coordinator {
 	return c
 }
 
-func fixedTol(_, _ float64) raytrace.ToleranceFunc { return raytrace.FixedTolerance(5) }
-
 // tick is the test shorthand for an untraced TickCtx.
 // observe enqueues a batch the caller keeps as one slice.
 func observe(e *Engine, batch []Observation) error {
@@ -43,10 +42,10 @@ func tick(e *Engine, now trajectory.Time) error {
 func testEngine(t *testing.T, shards int) *Engine {
 	t.Helper()
 	e, err := New(Config{
-		Coord:     testCoordinator(t),
-		Epoch:     10,
-		Tolerance: fixedTol,
-		Shards:    shards,
+		Coord:  testCoordinator(t),
+		Epoch:  10,
+		Eps:    5,
+		Shards: shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,17 +57,18 @@ func testEngine(t *testing.T, shards int) *Engine {
 func TestNewValidation(t *testing.T) {
 	coord := testCoordinator(t)
 	bad := []Config{
-		{Epoch: 10, Tolerance: fixedTol},               // no coordinator
-		{Coord: coord, Tolerance: fixedTol},            // no epoch
-		{Coord: coord, Epoch: -1, Tolerance: fixedTol}, // negative epoch
-		{Coord: coord, Epoch: 10},                      // no tolerance factory
+		{Epoch: 10, Eps: 5},                        // no coordinator
+		{Coord: coord, Eps: 5},                     // no epoch
+		{Coord: coord, Epoch: -1, Eps: 5},          // negative epoch
+		{Coord: coord, Epoch: 10},                  // no eps
+		{Coord: coord, Epoch: 10, Eps: math.NaN()}, // NaN eps
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: config must be rejected", i)
 		}
 	}
-	e, err := New(Config{Coord: coord, Epoch: 10, Tolerance: fixedTol})
+	e, err := New(Config{Coord: coord, Epoch: 10, Eps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,11 @@ type shard struct {
 // only slice headers.
 const queueLen = 256
 
-func newShard(tol func(sigmaX, sigmaY float64) raytrace.ToleranceFunc) *shard {
+func newShard(cfg Config) *shard {
 	return &shard{
 		ch:   make(chan msg, queueLen),
 		done: make(chan struct{}),
-		bank: raytrace.NewBank(tol),
+		bank: raytrace.NewBank(cfg.Eps, cfg.Delta),
 	}
 }
 

@@ -107,7 +107,7 @@ func (e *Engine) RestoreState(st State) error {
 		return err
 	}
 	for _, s := range e.shards {
-		s.bank = raytrace.NewBank(e.cfg.Tolerance)
+		s.bank = raytrace.NewBank(e.cfg.Eps, e.cfg.Delta)
 		s.reports = nil
 		s.observed.Store(0)
 		s.reported.Store(0)

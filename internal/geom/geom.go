@@ -29,8 +29,10 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
 
 // Lerp linearly interpolates from p to q; λ=0 gives p, λ=1 gives q.
+// The conversions round each product, so no architecture fuses it with
+// the sum (the Go spec allows x*y + z to round once otherwise).
 func (p Point) Lerp(q Point, lambda float64) Point {
-	return Point{p.X + lambda*(q.X-p.X), p.Y + lambda*(q.Y-p.Y)}
+	return Point{p.X + float64(lambda*(q.X-p.X)), p.Y + float64(lambda*(q.Y-p.Y))}
 }
 
 // MaxDist returns the L∞ (Chebyshev) distance between p and q. This is the

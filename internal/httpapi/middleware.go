@@ -1,12 +1,8 @@
 package httpapi
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -109,9 +105,8 @@ func traced(route string, tr *tracing.Tracer, h http.HandlerFunc) http.HandlerFu
 // recorder captures what Wrap reports about a response: its status and
 // when it first flushed. It implements Flusher unconditionally so the
 // streaming handlers — which type-assert their writer — keep streaming
-// through it, and forwards Hijacker/ReaderFrom to the underlying writer
-// when it supports them (connection takeover and sendfile keep working
-// behind the wrapper).
+// through it, and Unwrap hands an http.ResponseController the underlying
+// writer for anything else (hijacking, deadlines).
 type recorder struct {
 	http.ResponseWriter
 	status  int
@@ -149,24 +144,8 @@ func (r *recorder) Flush() {
 	}
 }
 
-func (r *recorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	if hj, ok := r.ResponseWriter.(http.Hijacker); ok {
-		return hj.Hijack()
-	}
-	return nil, nil, errors.New("httpapi: underlying ResponseWriter does not support hijacking")
-}
-
-func (r *recorder) ReadFrom(src io.Reader) (int64, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(src)
-	}
-	// Strip ReadFrom from the destination or io.Copy would recurse right
-	// back into this method.
-	return io.Copy(struct{ io.Writer }{r.ResponseWriter}, src)
-}
+// Unwrap is what http.ResponseController reaches the connection through.
+func (r *recorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // NewMux builds a public listener's mux from routes (ServeMux pattern →
 // handler, e.g. "POST /observe"), plus GET /metrics. Every route goes

@@ -3,12 +3,12 @@ package httpapi_test
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -115,37 +115,36 @@ func TestWrapUnsampledAllocations(t *testing.T) {
 	}
 }
 
-// Streaming handlers type-assert their ResponseWriter: SSE needs
-// http.Flusher, connection takeover needs http.Hijacker, and io.Copy
-// reaches sendfile through io.ReaderFrom. All three must survive the one
-// wrapper, with tracing sampling every request (the path that used to
-// stack a second recorder).
+// Streaming handlers type-assert their ResponseWriter for http.Flusher,
+// and anything else goes through an http.ResponseController, which
+// reaches the connection through the wrapper's Unwrap: flushing,
+// deadlines and connection takeover must all survive the one wrapper,
+// with tracing sampling every request (the path that used to stack a
+// second recorder).
 func TestWrapForwardsStreamingInterfaces(t *testing.T) {
 	tracer := tracing.New("test", 1, 0)
 	reg := metrics.NewRegistry()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/flush", httpapi.Wrap("/flush", testMetrics(reg)("/flush"), tracer,
 		func(w http.ResponseWriter, r *http.Request) {
-			fl, ok := w.(http.Flusher)
-			if !ok {
+			if _, ok := w.(http.Flusher); !ok {
 				http.Error(w, "no flusher", http.StatusInternalServerError)
 				return
 			}
-			fmt.Fprint(w, "first\n")
-			fl.Flush()
-			<-r.Context().Done() // hold the stream open until the client hangs up
-		}))
-	mux.HandleFunc("/readfrom", httpapi.Wrap("/readfrom", testMetrics(reg)("/readfrom"), tracer,
-		func(w http.ResponseWriter, r *http.Request) {
-			if _, ok := w.(io.ReaderFrom); !ok {
-				http.Error(w, "no ReaderFrom", http.StatusInternalServerError)
+			rc := http.NewResponseController(w)
+			if err := rc.SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
-			io.Copy(w, strings.NewReader("copied"))
+			fmt.Fprint(w, "first\n")
+			if err := rc.Flush(); err != nil {
+				t.Errorf("flush through the controller: %v", err)
+			}
+			<-r.Context().Done() // hold the stream open until the client hangs up
 		}))
 	mux.HandleFunc("/hijack", httpapi.Wrap("/hijack", testMetrics(reg)("/hijack"), tracer,
 		func(w http.ResponseWriter, r *http.Request) {
-			conn, rw, err := w.(http.Hijacker).Hijack()
+			conn, rw, err := http.NewResponseController(w).Hijack()
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -167,31 +166,28 @@ func TestWrapForwardsStreamingInterfaces(t *testing.T) {
 		t.Fatalf("flushed line did not arrive while the handler was still running: %q, %v", line, err)
 	}
 
-	for path, want := range map[string]string{"/readfrom": "copied", "/hijack": "taken"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || string(body) != want {
-			t.Errorf("GET %s = %d %q, want 200 %q", path, resp.StatusCode, body, want)
-		}
+	resp, err = http.Get(ts.URL + "/hijack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != "taken" {
+		t.Errorf("GET /hijack = %d %q, want 200 %q", resp.StatusCode, body, "taken")
 	}
 
-	// Behind a writer that has neither, Hijack reports it and ReadFrom
-	// falls back to a plain copy instead of recursing into itself.
+	// Behind a writer that cannot hijack, the controller says so.
 	plain := httpapi.Wrap("/plain", testMetrics(reg)("/plain"), tracer,
 		func(w http.ResponseWriter, r *http.Request) {
-			if _, _, err := w.(http.Hijacker).Hijack(); err == nil {
-				t.Error("Hijack must fail when the underlying writer cannot")
+			if _, _, err := http.NewResponseController(w).Hijack(); !errors.Is(err, http.ErrNotSupported) {
+				t.Errorf("Hijack behind a writer that cannot: %v, want http.ErrNotSupported", err)
 			}
-			io.Copy(w, strings.NewReader("fallback"))
+			fmt.Fprint(w, "plain")
 		})
 	rec := httptest.NewRecorder()
 	plain(struct{ http.ResponseWriter }{rec}, httptest.NewRequest("GET", "/plain", nil))
-	if rec.Body.String() != "fallback" {
-		t.Errorf("ReadFrom fallback wrote %q", rec.Body.String())
+	if rec.Body.String() != "plain" {
+		t.Errorf("plain writer got %q", rec.Body.String())
 	}
 }
 

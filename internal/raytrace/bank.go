@@ -5,6 +5,7 @@ import (
 	"iter"
 
 	"hotpaths/internal/trajectory"
+	"hotpaths/internal/uncertainty"
 )
 
 // An ObjectError is a measurement one object's filter refused (e.g. a
@@ -21,7 +22,7 @@ func (e *ObjectError) Error() string { return fmt.Sprintf("object %d: %v", e.Obj
 func (e *ObjectError) Unwrap() error { return e.Err }
 
 // FilterEntry is one object's bank state, as checkpoints carry it: the
-// filter dump plus the noise levels its tolerance model was built with.
+// filter dump plus the noise levels its tolerance was solved for.
 type FilterEntry struct {
 	ObjectID       int
 	SigmaX, SigmaY float64
@@ -34,34 +35,25 @@ type FilterEntry struct {
 // (a copy would share the original's filters). It is not safe for
 // concurrent use.
 type Bank struct {
-	tol     func(sigmaX, sigmaY float64) ToleranceFunc
-	exact   ToleranceFunc // tol(0, 0)
-	entries map[int]*bankEntry
-	bufs    *bufPool // the waiting buffers its filters pass on
+	eps, delta float64 // the (ε,δ) its filters' tolerances are solved for
+	entries    map[int]*bankEntry
+	bufs       *bufPool // the waiting buffers its filters pass on
 }
 
 // bankEntry is a filter with the noise levels of the measurement that
-// seeded it, the parameters a restore rebuilds its tolerance from. One
+// seeded it, which a restore solves its tolerance from again. One
 // allocation holds both.
 type bankEntry struct {
 	f              Filter
 	sigmaX, sigmaY float64
 }
 
-// NewBank returns an empty bank whose filters take their tolerance model
-// from tol, called with the noise levels of each object's first
-// measurement. tol must depend on nothing else: every exact object
-// shares the one model tol(0, 0).
-func NewBank(tol func(sigmaX, sigmaY float64) ToleranceFunc) Bank {
-	return Bank{tol: tol, exact: tol(0, 0), entries: make(map[int]*bankEntry), bufs: new(bufPool)}
-}
-
-// tolerance is the model for a filter seeded with the given noise levels.
-func (b *Bank) tolerance(sigmaX, sigmaY float64) ToleranceFunc {
-	if sigmaX == 0 && sigmaY == 0 {
-		return b.exact
-	}
-	return b.tol(sigmaX, sigmaY)
+// NewBank returns an empty bank whose filters are closeness-checked under
+// (eps, delta): each object's tolerance is solved by
+// uncertainty.HalfWidths from the noise levels of its first measurement,
+// and stays fixed for the filter's life.
+func NewBank(eps, delta float64) Bank {
+	return Bank{eps: eps, delta: delta, entries: make(map[int]*bankEntry), bufs: new(bufPool)}
 }
 
 // Observe feeds one measurement of object id. The first one seeds the
@@ -71,7 +63,7 @@ func (b *Bank) tolerance(sigmaX, sigmaY float64) ToleranceFunc {
 func (b *Bank) Observe(id int, tp trajectory.TimePoint, sigmaX, sigmaY float64) (st State, report bool, err error) {
 	e, ok := b.entries[id]
 	if !ok {
-		e = &bankEntry{f: Filter{tol: b.tolerance(sigmaX, sigmaY), bufs: b.bufs}, sigmaX: sigmaX, sigmaY: sigmaY}
+		e = &bankEntry{f: Filter{half: uncertainty.HalfWidths(b.eps, b.delta, sigmaX, sigmaY), bufs: b.bufs}, sigmaX: sigmaX, sigmaY: sigmaY}
 		e.f.reset(tp)
 		b.entries[id] = e
 		return State{}, false, nil
@@ -127,13 +119,13 @@ func (b *Bank) Dump() iter.Seq[FilterEntry] {
 	}
 }
 
-// Restore adds a dumped entry, rebuilding its tolerance model from the
+// Restore adds a dumped entry, solving its tolerance again from the
 // entry's noise levels; the filter then behaves bit-identically to the
 // dumped one. An object the bank already holds is refused.
 func (b *Bank) Restore(fe FilterEntry) error {
 	if _, dup := b.entries[fe.ObjectID]; dup {
 		return fmt.Errorf("restored filter for object %d is duplicated", fe.ObjectID)
 	}
-	b.entries[fe.ObjectID] = &bankEntry{f: restore(fe.Filter, b.tolerance(fe.SigmaX, fe.SigmaY), b.bufs), sigmaX: fe.SigmaX, sigmaY: fe.SigmaY}
+	b.entries[fe.ObjectID] = &bankEntry{f: restore(fe.Filter, uncertainty.HalfWidths(b.eps, b.delta, fe.SigmaX, fe.SigmaY), b.bufs), sigmaX: fe.SigmaX, sigmaY: fe.SigmaY}
 	return nil
 }

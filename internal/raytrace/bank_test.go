@@ -9,18 +9,14 @@ import (
 
 	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
+	"hotpaths/internal/uncertainty"
 )
 
-// noiseTol widens the plain ε square by the noise levels, so a filter's
-// behaviour depends on the sigmas it was built with.
-func noiseTol(sigmaX, sigmaY float64) ToleranceFunc {
-	return func(p trajectory.TimePoint) geom.Rect {
-		return geom.Rect{
-			Lo: geom.Pt(p.P.X-2-sigmaX, p.P.Y-2-sigmaY),
-			Hi: geom.Pt(p.P.X+2+sigmaX, p.P.Y+2+sigmaY),
-		}
-	}
-}
+// noisyBank is a bank under a real (ε,δ) = (2, 0.05): an exact object
+// gets the square of half-side 2, and a noisy one a narrower rectangle
+// solved from the sigmas it was first seen with, so a filter's behaviour
+// depends on them.
+func noisyBank() Bank { return NewBank(2, 0.05) }
 
 func sortedDump(b *Bank) []FilterEntry {
 	d := slices.Collect(b.Dump())
@@ -29,7 +25,7 @@ func sortedDump(b *Bank) []FilterEntry {
 }
 
 func TestBankFirstSightingSeeds(t *testing.T) {
-	b := NewBank(noiseTol)
+	b := noisyBank()
 	// However far apart, first sightings only seed.
 	for id, p := range []geom.Point{geom.Pt(0, 0), geom.Pt(1e6, -1e6)} {
 		st, report, err := b.Observe(id, trajectory.TP(p, 7), 0.5, 0.25)
@@ -44,7 +40,7 @@ func TestBankFirstSightingSeeds(t *testing.T) {
 }
 
 func TestBankObjectError(t *testing.T) {
-	b := NewBank(noiseTol)
+	b := noisyBank()
 	for _, p := range []trajectory.TimePoint{tp(0, 0, 5), tp(1, 0, 6)} {
 		if _, _, err := b.Observe(1, p, 0, 0); err != nil {
 			t.Fatal(err)
@@ -104,11 +100,11 @@ func zig(id int, t trajectory.Time) trajectory.TimePoint {
 }
 
 // A bank restored from a dump continues exactly as the original: the
-// noisy object's tolerance is rebuilt from its dumped sigmas, so a
-// restore that dropped them would report at different timestamps.
+// noisy object's tolerance is solved again from its dumped sigmas, and a
+// restore that dropped them diverges.
 func TestBankDumpRestoreContinues(t *testing.T) {
 	sigma := map[int][2]float64{1: {0.8, 0.5}, 2: {0, 0}}
-	orig := NewBank(noiseTol)
+	orig := noisyBank()
 	var reports int
 	feed := func(b *Bank, from, to trajectory.Time) [][]State {
 		var out [][]State
@@ -131,16 +127,20 @@ func TestBankDumpRestoreContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored := NewBank(noiseTol)
+	restored, exact := noisyBank(), noisyBank()
 	for fe := range orig.Dump() {
 		if err := restored.Restore(fe); err != nil {
+			t.Fatal(err)
+		}
+		fe.SigmaX, fe.SigmaY = 0, 0
+		if err := exact.Restore(fe); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !reflect.DeepEqual(sortedDump(&orig), sortedDump(&restored)) {
 		t.Fatal("a restored bank dumps differently from the original")
 	}
-	for _, b := range []*Bank{&orig, &restored} {
+	for _, b := range []*Bank{&orig, &restored, &exact} {
 		if !b.Awaits(2, st) || b.Awaits(2, State{}) || b.Awaits(1, st) {
 			t.Fatal("only object 2 awaits the answer to its report")
 		}
@@ -156,13 +156,17 @@ func TestBankDumpRestoreContinues(t *testing.T) {
 	if got := feed(&restored, 21, 60); !reflect.DeepEqual(got, want) {
 		t.Error("the restored bank diverged from the original on the same tail")
 	}
+	sigma[1] = [2]float64{} // only first sightings read them
+	if got := feed(&exact, 21, 60); reflect.DeepEqual(got, want) {
+		t.Error("a bank restored without the noisy object's sigmas did not diverge")
+	}
 	if !reflect.DeepEqual(sortedDump(&orig), sortedDump(&restored)) {
 		t.Error("after the tail, the restored bank dumps differently from the original")
 	}
 }
 
 func TestBankRestoreRefusesDuplicate(t *testing.T) {
-	b := NewBank(noiseTol)
+	b := noisyBank()
 	if _, _, err := b.Observe(4, tp(0, 0, 1), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestBankRestoreRefusesDuplicate(t *testing.T) {
 	if err := b.Restore(fe); err == nil || err.Error() != "restored filter for object 4 is duplicated" {
 		t.Errorf("restoring a held object: %v", err)
 	}
-	fresh := NewBank(noiseTol)
+	fresh := noisyBank()
 	if err := fresh.Restore(fe); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestBankRestoreRefusesDuplicate(t *testing.T) {
 // — the report's parked point, the points buffered behind it and the
 // replay that answers it — allocates nothing.
 func TestBankWaitsReuseBuffers(t *testing.T) {
-	b := NewBank(noiseTol)
+	b := noisyBank()
 	var now trajectory.Time
 	var pending [3]State
 	var waiting [3]bool
@@ -221,4 +225,132 @@ func TestBankWaitsReuseBuffers(t *testing.T) {
 	if b.entries[0].f.s.Stats.StatesSent-reports < 10 {
 		t.Fatalf("only %d reports while counting: the filters hardly waited", b.entries[0].f.s.Stats.StatesSent-reports)
 	}
+}
+
+// FuzzBankCovers holds a bank to the paper's covering property (Section 4)
+// on random walks of 1–4 objects, each first seen exact, with a solvable
+// (ε,δ) noise level or with one that has no solution (the ε/10 fallback).
+// Every report, and every follow-up, is answered with a point of its FSA
+// — the centroid, a corner or an interior point — at once or some steps
+// later. Each object's answered paths must chain into a covering set, and
+// every measurement must lie within the object's tolerance of each path
+// covering its timestamp: the ε square for an exact object, else the
+// rectangle uncertainty.ToleranceRectOrMin solves for its first σ. Later
+// measurements carry other sigmas, which must not matter.
+func FuzzBankCovers(f *testing.F) {
+	const eps, delta = 5.0, 0.05
+	sigmas := [4][2]float64{{0, 0}, {1, 0.5}, {2.5, 40}, {1, 40}}
+	for i, kinds := range []uint8{0, 0b01010101, 0b10101010, 0b11100100} {
+		walk := make([]byte, 3*60*(i+1))
+		for j := range walk {
+			walk[j] = byte(j*37 + i*11)
+		}
+		f.Add(uint8(i), kinds, walk)
+	}
+	f.Fuzz(func(t *testing.T, objects, kinds uint8, walk []byte) {
+		n := 1 + int(objects%4)
+		b := NewBank(eps, delta)
+		type object struct {
+			pos      geom.Point
+			now      trajectory.Time
+			sigma    [2]float64
+			measured []trajectory.TimePoint
+			paths    []trajectory.MotionPath
+			pending  *State
+		}
+		objs := make([]object, n)
+		for id := range objs {
+			objs[id] = object{pos: geom.Pt(float64(id)*100, 0), sigma: sigmas[kinds>>(2*id)&3]}
+		}
+		// answer responds to id's pending report with the point of its FSA
+		// that choice, fx and fy pick, and keeps a follow-up pending.
+		answer := func(id int, choice, fx, fy byte) {
+			o := &objs[id]
+			st := *o.pending
+			fsa := st.FSA
+			e := fsa.Centroid()
+			switch choice % 6 {
+			case 1:
+				e = fsa.Lo
+			case 2:
+				e = fsa.Hi
+			case 3:
+				e = geom.Pt(fsa.Lo.X, fsa.Hi.Y)
+			case 4:
+				e = geom.Pt(fsa.Hi.X, fsa.Lo.Y)
+			case 5:
+				// Rounding may carry Lo + f·(Hi−Lo) past Hi: clamp.
+				at := func(lo, hi float64, f byte) float64 { return min(hi, max(lo, lo+float64(f)/255*(hi-lo))) }
+				e = geom.Pt(at(fsa.Lo.X, fsa.Hi.X, fx), at(fsa.Lo.Y, fsa.Hi.Y, fy))
+			}
+			o.paths = append(o.paths, trajectory.MotionPath{S: st.Start, E: e, Ts: st.Ts, Te: st.Te})
+			next, report, err := b.Respond(id, trajectory.TP(e, st.Te))
+			if err != nil {
+				t.Fatalf("object %d: answer %v to %v: %v", id, e, st, err)
+			}
+			o.pending = nil
+			if report {
+				o.pending = &next
+			}
+		}
+		for ; len(walk) >= 3; walk = walk[3:] {
+			c, bx, by := walk[0], walk[1], walk[2]
+			id := int(c) % n
+			o := &objs[id]
+			o.now += 1 + trajectory.Time(c>>2&3)
+			o.pos = o.pos.Add(geom.Pt(float64(int(bx)-128)/32, float64(int(by)-128)/32))
+			p := trajectory.TP(o.pos, o.now)
+			sx, sy := o.sigma[0], o.sigma[1]
+			if len(o.measured) > 0 {
+				sx, sy = float64(bx%4), float64(by%4)
+			}
+			st, report, err := b.Observe(id, p, sx, sy)
+			if err != nil {
+				t.Fatalf("object %d at %v: %v", id, p, err)
+			}
+			o.measured = append(o.measured, p)
+			if report {
+				if o.pending != nil {
+					t.Fatalf("object %d reported %v while awaiting the answer to %v", id, st, *o.pending)
+				}
+				o.pending = &st
+			}
+			if o.pending != nil && c&0x10 != 0 {
+				answer(id, c>>5, bx, by)
+			}
+		}
+		for id := range objs {
+			for objs[id].pending != nil {
+				answer(id, 0, 0, 0)
+			}
+		}
+
+		for id, o := range objs {
+			if len(o.paths) == 0 {
+				continue
+			}
+			first := o.measured[0]
+			if o.paths[0].Ts != first.T || !o.paths[0].S.Eq(first.P) {
+				t.Fatalf("object %d: first path %v does not start at its first measurement %v", id, o.paths[0], first)
+			}
+			end := o.paths[len(o.paths)-1].Te
+			if !trajectory.CoveringSet(o.paths, first.T, end) {
+				t.Fatalf("object %d: paths do not chain: %v", id, o.paths)
+			}
+			for _, m := range o.measured {
+				tol := geom.RectAround(m.P, eps)
+				if o.sigma != [2]float64{} {
+					tol = uncertainty.ToleranceRectOrMin(uncertainty.Measurement{Mean: m.P, SigmaX: o.sigma[0], SigmaY: o.sigma[1]}, eps, delta, eps/10)
+				}
+				for _, mp := range o.paths {
+					if m.T < mp.Ts || m.T > mp.Te {
+						continue
+					}
+					if at := mp.LocationAt(m.T); !tol.Expand(1e-9).Contains(at) {
+						t.Fatalf("object %d (σ %v): path %v passes %v at t=%d, outside the tolerance %v of measurement %v", id, o.sigma, mp, at, m.T, tol, m.P)
+					}
+				}
+			}
+		}
+	})
 }

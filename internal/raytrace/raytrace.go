@@ -57,19 +57,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state{s=%v ts=%d fsa=%v te=%d}", s.Start, s.Ts, s.FSA, s.Te)
 }
 
-// ToleranceFunc maps a timepoint to its tolerance rectangle. The plain-ε
-// model uses the square of side 2ε around the measurement; the (ε,δ) model
-// substitutes the Gaussian tolerance rectangle of package uncertainty.
-type ToleranceFunc func(tp trajectory.TimePoint) geom.Rect
-
-// FixedTolerance returns the deterministic tolerance function: the square
-// of side 2·eps centred at the measurement.
-func FixedTolerance(eps float64) ToleranceFunc {
-	return func(tp trajectory.TimePoint) geom.Rect {
-		return geom.RectAround(tp.P, eps)
-	}
-}
-
 // Stats aggregates a filter's lifetime counters for communication and
 // processing accounting.
 type Stats struct {
@@ -83,7 +70,7 @@ type Stats struct {
 // Filter is the per-object RayTrace instance. It is not safe for concurrent
 // use; each moving object owns exactly one filter.
 type Filter struct {
-	tol    ToleranceFunc
+	half   geom.Point  // the tolerance rectangle's half-widths
 	primed bool        // true once the initial timepoint is set
 	s      FilterState // the SSA, the waiting buffer and the counters
 	bufs   *bufPool    // where the waiting buffer comes from and goes back to
@@ -114,14 +101,9 @@ func (p *bufPool) put(b []trajectory.TimePoint) {
 }
 
 // New returns a filter with the given initial timepoint and the fixed-ε
-// tolerance model.
+// tolerance model: the square Q of side 2·eps around each measurement.
 func New(initial trajectory.TimePoint, eps float64) *Filter {
-	return NewWithTolerance(initial, FixedTolerance(eps))
-}
-
-// NewWithTolerance returns a filter with a custom tolerance model.
-func NewWithTolerance(initial trajectory.TimePoint, tol ToleranceFunc) *Filter {
-	f := &Filter{tol: tol}
+	f := &Filter{half: geom.Pt(eps, eps)}
 	f.reset(initial)
 	return f
 }
@@ -190,7 +172,7 @@ func (f *Filter) buffered() {
 // before any younger buffered points.
 func (f *Filter) step(tp trajectory.TimePoint) (State, bool, error) {
 	f.s.Stats.Processed++
-	q := f.tol(tp)
+	q := geom.Rect{Lo: tp.P.Sub(f.half), Hi: tp.P.Add(f.half)}
 	if q.Empty() {
 		return State{}, false, fmt.Errorf("raytrace: empty tolerance rect for %v", tp)
 	}
@@ -260,7 +242,7 @@ func (f *Filter) Respond(e trajectory.TimePoint) (st State, report bool, err err
 }
 
 // FilterState is the complete mutable state of a Filter, exported for
-// checkpointing. Restoring it (with the same tolerance model) yields a
+// checkpointing. Restoring it (with the same tolerance) yields a
 // filter whose future behaviour is bit-identical to the dumped one.
 type FilterState struct {
 	Start   geom.Point
@@ -280,19 +262,10 @@ func (f *Filter) Dump() FilterState {
 	return st
 }
 
-// restore rebuilds a filter from a dumped state and its tolerance model.
-// Only primed filters are ever dumped, so the restored filter is primed.
-func restore(st FilterState, tol ToleranceFunc, bufs *bufPool) Filter {
+// restore rebuilds a filter from a dumped state and its tolerance's
+// half-widths. Only primed filters are ever dumped, so the restored filter
+// is primed.
+func restore(st FilterState, half geom.Point, bufs *bufPool) Filter {
 	st.Buf = append([]trajectory.TimePoint(nil), st.Buf...)
-	return Filter{tol: tol, primed: true, s: st, bufs: bufs}
-}
-
-// Flush force-emits the current SSA as a final state (e.g. at simulation
-// end) provided at least one timepoint extended it. It does not enter
-// waiting mode.
-func (f *Filter) Flush() (State, bool) {
-	if !f.primed || f.s.Te == f.s.Ts {
-		return State{}, false
-	}
-	return f.State(), true
+	return Filter{half: half, primed: true, s: st, bufs: bufs}
 }

@@ -230,42 +230,18 @@ func TestTimestampValidation(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	f := New(tp(0, 0, 0), 1)
-	if _, ok := f.Flush(); ok {
-		t.Error("flush with no extension must be empty")
-	}
-	mustProcess(t, f, tp(10, 0, 1))
-	st, ok := f.Flush()
-	if !ok || st.Te != 1 {
-		t.Errorf("flush = %v %v", st, ok)
-	}
-	var zero Filter
-	if _, ok := zero.Flush(); ok {
-		t.Error("unprimed flush must be empty")
-	}
-}
-
-func TestCustomToleranceFunc(t *testing.T) {
-	// Per-point rectangles that are wider in x than in y.
-	tol := func(p trajectory.TimePoint) geom.Rect {
-		return geom.Rect{
-			Lo: p.P.Sub(geom.Pt(4, 1)),
-			Hi: p.P.Add(geom.Pt(4, 1)),
-		}
-	}
-	f := NewWithTolerance(tp(0, 0, 0), tol)
+func TestAnisotropicTolerance(t *testing.T) {
+	// Half-widths that are wider in x than in y.
+	f := &Filter{half: geom.Pt(4, 1)}
+	f.reset(tp(0, 0, 0))
 	mustProcess(t, f, tp(10, 0, 1))
 	st := f.State()
 	want := geom.Rect{Lo: geom.Pt(6, -1), Hi: geom.Pt(14, 1)}
 	if st.FSA != want {
 		t.Errorf("FSA = %v want %v", st.FSA, want)
 	}
-	// An empty tolerance rect is an error.
-	badTol := func(trajectory.TimePoint) geom.Rect {
-		return geom.Rect{Lo: geom.Pt(1, 1), Hi: geom.Pt(0, 0)}
-	}
-	g := NewWithTolerance(tp(0, 0, 0), badTol)
+	// Negative half-widths make an empty tolerance rect, which is an error.
+	g := New(tp(0, 0, 0), -1)
 	if _, _, err := g.Process(tp(1, 0, 1)); err == nil {
 		t.Error("empty tolerance rect must error")
 	}
@@ -336,7 +312,8 @@ func TestSSAClosenessInvariant(t *testing.T) {
 				}
 			}
 		}
-		if st, ok := f.Flush(); ok {
+		// The last safe area, if a point extended it, as a final report.
+		if st := f.State(); st.Te != st.Ts {
 			check(st)
 		}
 	}

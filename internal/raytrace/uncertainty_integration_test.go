@@ -4,45 +4,35 @@ import (
 	"math/rand"
 	"testing"
 
-	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
 	"hotpaths/internal/uncertainty"
 )
 
-// Integration of the filter with the (ε,δ) Gaussian tolerance model of
-// Section 4.1: the per-point tolerance rectangles are strictly tighter than
-// the deterministic ε squares, so every motion path the filter certifies
-// under (ε,δ) also satisfies the plain-ε closeness invariant — and the
-// filter reports at least as often as the deterministic one.
+// Integration of the bank with the (ε,δ) Gaussian tolerance model of
+// Section 4.1: a noisy object's tolerance rectangle is strictly tighter
+// than the deterministic ε square, so every motion path its filter
+// certifies under (ε,δ) also satisfies the plain-ε closeness invariant —
+// and it reports at least as often as the same walk in an exact bank.
 func TestGaussianToleranceTighterThanFixed(t *testing.T) {
 	const (
 		eps   = 8.0
 		delta = 0.05
 		sigma = 1.0
 	)
-	tol := func(tp trajectory.TimePoint) geom.Rect {
-		m := uncertainty.Measurement{Mean: tp.P, SigmaX: sigma, SigmaY: sigma}
-		r, err := uncertainty.ToleranceRect(m, eps, delta)
-		if err != nil {
-			t.Fatalf("tolerance rect: %v", err)
-		}
-		// Tightness: the Gaussian rect must sit inside the ε square.
-		if !geom.RectAround(tp.P, eps).ContainsRect(r) {
-			t.Fatalf("gaussian rect %v escapes the eps square", r)
-		}
-		return r
+	// Tightness: the Gaussian rect sits inside the ε square.
+	if h := uncertainty.HalfWidths(eps, delta, sigma, sigma); !(h.X < eps && h.Y < eps) {
+		t.Fatalf("gaussian half-widths %v are not below eps %v", h, eps)
 	}
 
 	rng := rand.New(rand.NewSource(61))
 	pts := randomWalk(rng, 300, 4)
-	fu := NewWithTolerance(pts[0], tol)
-	fd := New(pts[0], eps)
+	noisy, exact := NewBank(eps, delta), NewBank(eps, 0)
 
 	var uncertainReports, fixedReports int
-	recorded := []trajectory.TimePoint{pts[0]}
-	for _, p := range pts[1:] {
+	recorded := []trajectory.TimePoint{}
+	for _, p := range pts {
 		recorded = append(recorded, p)
-		st, report, err := fu.Process(p)
+		st, report, err := noisy.Observe(1, p, sigma, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,58 +48,25 @@ func TestGaussianToleranceTighterThanFixed(t *testing.T) {
 					t.Fatalf("(eps,delta) path violates plain-eps closeness: %v", d)
 				}
 			}
-			st, report, err = fu.Respond(trajectory.TP(st.FSA.Centroid(), st.Te))
+			st, report, err = noisy.Respond(1, trajectory.TP(st.FSA.Centroid(), st.Te))
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		std, reportd, err := fd.Process(p)
+		std, reportd, err := exact.Observe(1, p, sigma, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for reportd {
 			fixedReports++
-			std, reportd, err = fd.Respond(trajectory.TP(std.FSA.Centroid(), std.Te))
+			std, reportd, err = exact.Respond(1, trajectory.TP(std.FSA.Centroid(), std.Te))
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if uncertainReports < fixedReports {
-		t.Errorf("(eps,delta) filter reported %d times, fixed filter %d; tighter tolerance cannot report less",
+	if uncertainReports < fixedReports || uncertainReports == 0 {
+		t.Errorf("(eps,delta) bank reported %d times, exact bank %d; tighter tolerance cannot report less",
 			uncertainReports, fixedReports)
-	}
-}
-
-// A per-point tolerance that degenerates over time must still produce valid
-// (non-inverted) states.
-func TestShrinkingToleranceStates(t *testing.T) {
-	i := 0
-	tol := func(tp trajectory.TimePoint) geom.Rect {
-		i++
-		half := 10.0 / float64(1+i%7)
-		return geom.RectAround(tp.P, half)
-	}
-	f := NewWithTolerance(tp(0, 0, 0), tol)
-	rng := rand.New(rand.NewSource(71))
-	cur := geom.Pt(0, 0)
-	for k := 1; k <= 500; k++ {
-		cur = cur.Add(geom.Pt(rng.Float64()*10-2, rng.Float64()*8-4))
-		st, report, err := f.Process(trajectory.TP(cur, trajectory.Time(k)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for report {
-			if st.Te <= st.Ts {
-				t.Fatalf("inverted state [%d,%d]", st.Ts, st.Te)
-			}
-			if st.FSA.Empty() {
-				t.Fatal("empty FSA reported")
-			}
-			st, report, err = f.Respond(trajectory.TP(st.FSA.Centroid(), st.Te))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 }

@@ -196,7 +196,8 @@ func (t *Tracer) Configure(service string, rate float64, slow time.Duration) {
 	case rate >= 1:
 		t.threshold.Store(math.MaxUint64)
 	default:
-		t.threshold.Store(uint64(rate * math.MaxUint64))
+		// float64 rounds the product, so no architecture fuses it.
+		t.threshold.Store(uint64(float64(rate * math.MaxUint64)))
 	}
 	if slow < 0 {
 		slow = 0

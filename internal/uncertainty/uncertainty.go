@@ -14,8 +14,8 @@
 //
 // The package solves this equation numerically (bisection over the standard
 // normal CDF, computed from math.Erf). The solution depends only on σ, so
-// a caller whose σ is fixed solves it once rather than per measurement —
-// the constant-time answer the paper gets from a lookup table. In two
+// HalfWidths solves it once per filter rather than per measurement — the
+// constant-time answer the paper gets from a lookup table. In two
 // dimensions the per-axis failure budget is δ/2, since (1−δ/2)² ≥ 1−δ.
 package uncertainty
 
@@ -32,8 +32,10 @@ import (
 var ErrNoSolution = errors.New("uncertainty: no admissible tolerance interval (sigma too large for eps,delta)")
 
 // Phi is the standard normal cumulative distribution function.
+// The conversion rounds the product, so a difference of two Phis (as in
+// coverage) is not fused into one multiply-subtract on any architecture.
 func Phi(z float64) float64 {
-	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
+	return float64(0.5 * (1 + math.Erf(z/math.Sqrt2)))
 }
 
 // coverage returns Pr(X ∈ [x'−ε, x'+ε]) for X ~ N(0,1) scaled measurements:
@@ -90,6 +92,31 @@ func maxOffsetNorm(a, delta float64) (float64, error) {
 	return lo, nil
 }
 
+// HalfWidths returns the half-widths of the tolerance rectangle that a
+// RayTrace filter centres on each measurement of an object whose
+// measurements have noise levels sigmaX and sigmaY. This is the one place
+// the tolerance model is decided:
+//   - with delta ≤ 0, or either sigma ≤ 0 (an exact measurement), the
+//     paper's square Q of side 2·eps;
+//   - otherwise the Gaussian (eps, delta) rectangle, δ/2 per axis as in
+//     ToleranceRect;
+//   - and when that has no solution, the retroactive minimal square of
+//     half-side eps/10 (see ToleranceRectOrMin).
+//
+// Centred on a point p, a noisy object's rectangle {p − h, p + h} is bit
+// for bit what ToleranceRectOrMin(…, eps, delta, eps/10) solves at p.
+func HalfWidths(eps, delta, sigmaX, sigmaY float64) geom.Point {
+	if delta <= 0 || sigmaX <= 0 || sigmaY <= 0 {
+		return geom.Pt(eps, eps)
+	}
+	wx, errX := MaxOffset(eps, delta/2, sigmaX)
+	wy, errY := MaxOffset(eps, delta/2, sigmaY)
+	if errX != nil || errY != nil {
+		return geom.Pt(eps/10, eps/10)
+	}
+	return geom.Pt(wx, wy)
+}
+
 // Measurement is an imprecise 2-D location: independent Gaussian noise on
 // each axis.
 type Measurement struct {
@@ -120,6 +147,8 @@ func ToleranceRect(m Measurement, eps, delta float64) (geom.Rect, error) {
 // ToleranceRectOrMin is the paper's "retroactive" fallback: when (ε,δ) has
 // no solution for this measurement's noise, assign a predefined minimal
 // tolerance square of half-side minHalf around the mean instead of failing.
+// It solves per measurement, the paper's literal form; tests hold the
+// filters' HalfWidths to it.
 func ToleranceRectOrMin(m Measurement, eps, delta, minHalf float64) geom.Rect {
 	r, err := ToleranceRect(m, eps, delta)
 	if err != nil {

@@ -159,3 +159,43 @@ func TestMaxOffsetMonteCarlo(t *testing.T) {
 		t.Errorf("empirical coverage %v want %v", got, 1-delta)
 	}
 }
+
+// A filter solves its tolerance once, for its σ; centred on any point,
+// its half-widths must give bit for bit the rectangle ToleranceRectOrMin
+// solves there, the ε/10 fallback square included (σ = 2.5 and 40 have
+// no solution at ε = 5, δ = 0.05). Exact measurements, and any with
+// δ = 0, get the plain ε square.
+func TestHalfWidthsMatchPerPointSolve(t *testing.T) {
+	const eps, delta = 5.0, 0.05
+	rng := rand.New(rand.NewSource(3))
+	sigmas := []float64{1e-9, 0.1, 1, 2, 2.2, 2.5, 40}
+	points := []geom.Point{geom.Pt(0, 0), geom.Pt(math.Copysign(0, -1), 1<<53), geom.Pt(-(1 << 53), 0.1)}
+	for range 50 {
+		points = append(points, geom.Pt(rng.NormFloat64()*1e4, rng.Float64()*4e6))
+	}
+	same := func(a, b geom.Rect) bool {
+		bits := math.Float64bits
+		return bits(a.Lo.X) == bits(b.Lo.X) && bits(a.Lo.Y) == bits(b.Lo.Y) &&
+			bits(a.Hi.X) == bits(b.Hi.X) && bits(a.Hi.Y) == bits(b.Hi.Y)
+	}
+	around := func(p, h geom.Point) geom.Rect { return geom.Rect{Lo: p.Sub(h), Hi: p.Add(h)} }
+	for _, sx := range sigmas {
+		for _, sy := range sigmas {
+			h := HalfWidths(eps, delta, sx, sy)
+			for _, p := range points {
+				want := ToleranceRectOrMin(Measurement{Mean: p, SigmaX: sx, SigmaY: sy}, eps, delta, eps/10)
+				if got := around(p, h); !same(got, want) {
+					t.Fatalf("σ (%v, %v) at %v: %v, want %v", sx, sy, p, got, want)
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ delta, sx, sy float64 }{{delta, 0, 0}, {delta, 0, 1}, {0, 1, 1}, {0, 0, 0}} {
+		h := HalfWidths(eps, c.delta, c.sx, c.sy)
+		for _, p := range points {
+			if got, want := around(p, h), geom.RectAround(p, eps); !same(got, want) {
+				t.Fatalf("δ %v, σ (%v, %v) at %v: %v, want the ε square %v", c.delta, c.sx, c.sy, p, got, want)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hotpaths/internal/engine"
@@ -288,39 +289,17 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 		f.mu.Unlock()
 	}()
 
-	// Stall watchdog: every record or heartbeat is activity; a stream
-	// with none for stallTimeout is hung (the read blocks forever on a
-	// dead-but-unclosed connection) and gets cancelled so the reconnect
-	// path takes over and the follower stops reporting itself healthy.
-	var actMu sync.Mutex
-	lastActivity := time.Now()
-	touch := func() {
-		actMu.Lock()
-		lastActivity = time.Now()
-		actMu.Unlock()
-	}
-	stalled := false
-	watchdogDone := make(chan struct{})
-	go func() {
-		defer close(watchdogDone)
-		t := time.NewTicker(f.cfg.stallTimeout / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-sctx.Done():
-				return
-			case <-t.C:
-				actMu.Lock()
-				stale := time.Since(lastActivity) > f.cfg.stallTimeout
-				actMu.Unlock()
-				if stale {
-					stalled = true
-					cancel()
-					return
-				}
-			}
-		}
-	}()
+	// Stall watchdog: every record or heartbeat is activity and winds it
+	// back; a stream with none for stallTimeout is hung (the read blocks
+	// forever on a dead-but-unclosed connection) and gets cancelled so
+	// the reconnect path takes over and the follower stops reporting
+	// itself healthy.
+	var stalled atomic.Bool
+	watchdog := time.AfterFunc(f.cfg.stallTimeout, func() {
+		stalled.Store(true)
+		cancel()
+	})
+	touch := func() { watchdog.Reset(f.cfg.stallTimeout) }
 
 	a := newApplier(f.eng)
 	a.traced = true
@@ -362,9 +341,10 @@ func (f *Follower) streamOnce(ctx context.Context) (hadConnection bool, err erro
 			hadConnection = true
 		})
 	a.flush() // records received before the drop are valid; keep them
-	cancel()
-	<-watchdogDone // also orders the `stalled` read after its last write
-	if stalled {
+	watchdog.Stop()
+	// A stall ends the stream through cancel, which the watchdog calls
+	// after it sets stalled, so that read sees it.
+	if stalled.Load() {
 		err = fmt.Errorf("hotpaths: replication stream stalled: no records or heartbeats for %v", f.cfg.stallTimeout)
 	}
 	return hadConnection, err

@@ -102,7 +102,6 @@ type OpeningWindow struct {
 	eps    float64
 	policy Policy
 	win    []trajectory.TimePoint // win[0] is the anchor
-	checks int                    // distance checks performed (cost metric)
 }
 
 // NewOpeningWindow returns a simplifier with the given tolerance and
@@ -116,13 +115,6 @@ func NewOpeningWindow(eps float64, policy Policy) (*OpeningWindow, error) {
 	}
 	return &OpeningWindow{eps: eps, policy: policy}, nil
 }
-
-// Checks returns the cumulative number of point-to-segment distance checks,
-// the dominant cost of the method.
-func (w *OpeningWindow) Checks() int { return w.checks }
-
-// WindowLen returns the current number of buffered timepoints.
-func (w *OpeningWindow) WindowLen() int { return len(w.win) }
 
 // Process consumes one timepoint and returns any segments emitted as a
 // consequence (usually zero or one; a violation can cascade when the
@@ -156,7 +148,6 @@ func (w *OpeningWindow) check() (*Emitted, bool) {
 	cand := geom.Seg(anchor.P, float.P)
 	maxD, maxI := -1.0, -1
 	for i := 1; i < n-1; i++ {
-		w.checks++
 		if d := cand.DistToPoint(w.win[i].P); d > maxD {
 			maxD, maxI = d, i
 		}

@@ -230,18 +230,3 @@ func TestOpeningWindowChaining(t *testing.T) {
 		}
 	}
 }
-
-func TestOpeningWindowChecksGrow(t *testing.T) {
-	w, _ := NewOpeningWindow(1e9, NOPW) // never violates
-	for i := 0; i < 100; i++ {
-		w.Process(tp(float64(i), float64(i%7), trajectory.Time(i)))
-	}
-	// Cost is quadratic when the window never breaks: Σ_{i=3..100}(i−2)
-	// = 98·99/2 = 4851 checks.
-	if w.Checks() != 98*99/2 {
-		t.Errorf("checks = %d, expected quadratic growth", w.Checks())
-	}
-	if w.WindowLen() != 100 {
-		t.Errorf("window len = %d", w.WindowLen())
-	}
-}

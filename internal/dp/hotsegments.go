@@ -25,7 +25,6 @@ type HotSegments struct {
 	segs     map[motion.PathID]geom.Segment
 	buckets  map[[2]int][]motion.PathID // midpoint cell -> ids
 	nextID   motion.PathID
-	queries  int
 }
 
 // NewHotSegments builds a store with the given tolerance and window.
@@ -57,7 +56,6 @@ func (h *HotSegments) midCell(s geom.Segment) [2]int {
 // whether the candidate was merged into an existing segment.
 func (h *HotSegments) Offer(seg geom.Segment, te trajectory.Time) (motion.PathID, bool) {
 	mbb := seg.MBB().Expand(h.eps)
-	h.queries++
 	// One range query over the grid: candidate cells are those the MBB
 	// covers; a contained segment's midpoint necessarily lies in the MBB.
 	c0 := int(math.Floor(mbb.Lo.X / h.cellSize))
@@ -127,9 +125,6 @@ func (h *HotSegments) Advance(now trajectory.Time) {
 
 // IndexSize returns the number of live segments.
 func (h *HotSegments) IndexSize() int { return len(h.segs) }
-
-// Queries returns the number of range queries issued (DP's cost metric).
-func (h *HotSegments) Queries() int { return h.queries }
 
 // Hotness returns the current hotness of a stored segment.
 func (h *HotSegments) Hotness(id motion.PathID) int { return h.counts[id] }

@@ -176,9 +176,11 @@ func Figure10(base simulation.Config, k int) (string, error) {
 		return "", err
 	}
 	b := base.Net.Bounds()
+	// The conversions round each product before Add's sum (see
+	// geom.Point.Lerp).
 	centre := geom.Rect{
-		Lo: b.Lo.Add(geom.Pt(b.Width()*0.3, b.Height()*0.3)),
-		Hi: b.Lo.Add(geom.Pt(b.Width()*0.7, b.Height()*0.7)),
+		Lo: b.Lo.Add(geom.Pt(float64(b.Width()*0.3), float64(b.Height()*0.3))),
+		Hi: b.Lo.Add(geom.Pt(float64(b.Width()*0.7), float64(b.Height()*0.7))),
 	}
 	return svg.RenderHotPaths(res.TopK, b, svg.Options{WidthPx: 900, Crop: centre}), nil
 }

@@ -21,6 +21,7 @@ import (
 
 	"hotpaths"
 	"hotpaths/internal/httpapi"
+	"hotpaths/internal/metrics"
 	"hotpaths/internal/partition"
 	"hotpaths/internal/tracing"
 )
@@ -273,25 +274,27 @@ func TestBatchSplitExactlyOnce(t *testing.T) {
 }
 
 // TestObservePassThrough: the gateway forwards a canonical body's
-// observations as the bytes the client sent — number spelling, key order
-// and inner whitespace included — appended to their owner's body in
-// arrival order, and counts no fallback. A body outside the canonical
-// form (here: a capitalised key and an unknown field) takes the
-// encoding/json path, still splits by owner in order, and is counted.
+// observations as the bytes the client sent — number spelling included —
+// appended to their owner's body in arrival order, and counts no
+// fallback. A body outside the canonical form (here: a capitalised key
+// and an unknown field) takes the encoding/json path, still splits by
+// owner in order, and is counted once; its re-encoded shares are
+// canonical bodies, which a partition reads without a fallback.
 func TestObservePassThrough(t *testing.T) {
 	const n = 3
-	// The same observation spelled four ways; objects chosen so every
-	// partition gets some, in an interleaved order.
+	// Canonical observations whose numbers are spelled four ways no
+	// encoder writes; objects chosen so every partition gets some, in an
+	// interleaved order.
 	texts := func(id int) string {
 		switch id % 4 {
 		case 0:
 			return fmt.Sprintf(`{"object":%d,"x":1.50,"y":2e0,"t":5}`, id)
 		case 1:
-			return fmt.Sprintf(`{"t":5,"y":-0,"x":100E-2,"object":%d}`, id)
+			return fmt.Sprintf(`{"object":%d,"x":100E-2,"y":-0,"t":5}`, id)
 		case 2:
-			return fmt.Sprintf(`{ "object" : %d , "x" : 0.1 , "y" : 2 , "t" : 5 , "sigma_x" : 0.5 }`, id)
+			return fmt.Sprintf(`{"object":%d,"x":0.1,"y":2,"t":5,"sigma_x":0.5}`, id)
 		}
-		return fmt.Sprintf(`{"object":%d}`, id)
+		return fmt.Sprintf(`{"object":%d,"x":-0.0,"y":0E+0,"t":5,"sigma_y":25e-2}`, id)
 	}
 	var obs []string
 	want := make([][]string, n)
@@ -335,7 +338,7 @@ func TestObservePassThrough(t *testing.T) {
 	fleet := newFakeFleet(t, n)
 	h := newTestGateway(t, fleet, -1).Handler()
 	before := scrape(h)
-	post(h, tracing.NewTraceID().String(), "{\n \"observations\": [\n"+strings.Join(obs, " ,\n")+"\n]\n}")
+	post(h, tracing.NewTraceID().String(), `{"observations":[`+strings.Join(obs, ",")+`]}`)
 	if got := scrape(h) - before; got != 0 {
 		t.Errorf("a canonical body moved the fallback counter by %g", got)
 	}
@@ -372,6 +375,12 @@ func TestObservePassThrough(t *testing.T) {
 			if o != sent {
 				t.Errorf("partition %d observation %d = %+v, want %+v", i, j, o, sent)
 			}
+		}
+		fallbacks := metrics.NewRegistry().Counter("test_fallback_total", "n", nil)
+		r := httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(f.bodies[0]))
+		if _, n, ok := httpapi.DecodeObserve(httptest.NewRecorder(), r, &rawSink{}, fallbacks); !ok || n != len(want[i]) || fallbacks.Value() != 0 {
+			t.Errorf("partition %d: its share %q is read with %d observations, ok %v, %d fallbacks; want %d, true, 0",
+				i, f.bodies[0], n, ok, fallbacks.Value(), len(want[i]))
 		}
 		f.mu.Unlock()
 	}

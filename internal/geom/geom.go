@@ -203,13 +203,14 @@ func (s Segment) MBB() Rect { return RectFromPoints(s.A, s.B) }
 func (s Segment) Reverse() Segment { return Segment{A: s.B, B: s.A} }
 
 // DistToPoint returns the minimum Euclidean distance from p to the segment.
+// The conversions round each product before the sum (see Point.Lerp).
 func (s Segment) DistToPoint(p Point) float64 {
 	d := s.B.Sub(s.A)
-	len2 := d.X*d.X + d.Y*d.Y
+	len2 := float64(d.X*d.X) + float64(d.Y*d.Y)
 	if len2 == 0 {
 		return s.A.Dist(p)
 	}
-	t := ((p.X-s.A.X)*d.X + (p.Y-s.A.Y)*d.Y) / len2
+	t := (float64((p.X-s.A.X)*d.X) + float64((p.Y-s.A.Y)*d.Y)) / len2
 	t = math.Max(0, math.Min(1, t))
 	return s.At(t).Dist(p)
 }

@@ -163,14 +163,3 @@ func (g *Grid) QueryAll(r geom.Rect) []Entry {
 	})
 	return out
 }
-
-// ForEach visits every entry in the index.
-func (g *Grid) ForEach(fn func(Entry) bool) {
-	for _, cell := range g.cells {
-		for _, e := range cell {
-			if !fn(e) {
-				return
-			}
-		}
-	}
-}

@@ -117,23 +117,6 @@ func TestQueryEarlyStop(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	g := mustGrid(t, geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(10, 10)}, 3, 3)
-	for i := 0; i < 5; i++ {
-		g.Insert(Entry{ID: motion.PathID(i), End: geom.Pt(float64(i*2), float64(i*2)), Start: geom.Pt(0, 0)})
-	}
-	n := 0
-	g.ForEach(func(Entry) bool { n++; return true })
-	if n != 5 {
-		t.Errorf("ForEach visited %d", n)
-	}
-	n = 0
-	g.ForEach(func(Entry) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("ForEach early stop visited %d", n)
-	}
-}
-
 // Property: grid query results always equal the brute-force scan, across
 // random insert/remove workloads and random query rectangles.
 func TestQueryMatchesBruteForce(t *testing.T) {
@@ -282,15 +265,16 @@ func TestGridMatchesMapReference(t *testing.T) {
 		}
 	}
 	n := 0
-	g.ForEach(func(e Entry) bool {
-		if model[e.ID] != e {
-			t.Errorf("ForEach visited %v, the model holds %v", e, model[e.ID])
+	for _, cell := range g.cells {
+		for _, e := range cell {
+			if model[e.ID] != e {
+				t.Errorf("the grid holds %v, the model %v", e, model[e.ID])
+			}
+			n++
 		}
-		n++
-		return true
-	})
+	}
 	if n != len(model) {
-		t.Errorf("ForEach visited %d entries, model %d", n, len(model))
+		t.Errorf("the grid holds %d entries, the model %d", n, len(model))
 	}
 }
 

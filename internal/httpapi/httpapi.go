@@ -15,13 +15,12 @@
 //
 // Two bodies carry the system's volume. A POST /observe batch
 // (DecodeObserve — the one place either binary reads one) is read whole
-// into a pooled buffer and scanned in its canonical form by the strict,
-// allocation-free scanner in scan.go — each observation in encoding/json's
-// own form in one straight line of fixed-word compares, any other by a
-// general walk, both reading digits eight at a time; a body the scanner
-// does not recognise is decoded from the same bytes by encoding/json,
-// which thereby stays the definition of what is accepted and the author
-// of every error text. A partition's /paths answer on its way into a
+// into a pooled buffer; in exactly the form encoding/json writes, it is
+// read by the allocation-free scanner in scan.go in one straight line of
+// fixed-word compares that takes digits eight at a time, and any other
+// body is decoded from the same bytes by encoding/json, which thereby
+// stays the definition of what is accepted and the author of every error
+// text. A partition's /paths answer on its way into a
 // gateway merge is no JSON at all: the gateway asks for the fixed-width
 // PathsType body (WritePaths, ReadPathsBody), which carries every
 // coordinate as its IEEE-754 bits, so neither side formats or parses a
@@ -138,16 +137,18 @@ func readBody(src io.Reader, length int64) (*bytes.Buffer, error) {
 // response: 413 for a body over the cap — whatever it holds; the body is
 // read before it is looked at — and 400 for a malformed one.
 //
-// The canonical body (see the README's "HTTP API") is decoded by
-// scanObserve in one pass, with no reflection and no allocation: each
-// number is checked against JSON's grammar and converted in the same walk
-// over its digits, and every float comes out bit for bit as
-// strconv.ParseFloat reads it — literals the scanner cannot convert
-// exactly are handed to strconv. Anything the scanner does not recognise
-// is decoded from the same bytes by encoding/json into an ObserveRequest,
-// exactly as before the scanner existed: encoding/json defines what is
-// accepted and words every 400. fallbacks counts those bodies. The decode
-// is a wire.decode span on the request's trace.
+// The canonical body — byte for byte what encoding/json writes for an
+// ObserveRequest, with at most one trailing newline (see the README's
+// "HTTP API") — is decoded by scanObserve in one straight line, with no
+// reflection and no allocation: each number is checked against JSON's
+// grammar and converted in the same pass over its digits, and every float
+// comes out bit for bit as strconv.ParseFloat reads it — literals the
+// scanner cannot convert exactly are handed to strconv. Every other
+// spelling (other key orders, whitespace, missing keys) is decoded from
+// the same bytes by encoding/json into an ObserveRequest, exactly as
+// before the scanner existed: encoding/json defines what is accepted and
+// words every 400. fallbacks counts those bodies. The decode is a
+// wire.decode span on the request's trace.
 func DecodeObserve(w http.ResponseWriter, r *http.Request, sink ObserveSink, fallbacks *metrics.Counter) (tick int64, records int, ok bool) {
 	buf, err := readBody(http.MaxBytesReader(w, r.Body, MaxRequestBytes), r.ContentLength)
 	defer bodies.Put(buf)

@@ -107,24 +107,19 @@ var observeQuirks = []struct {
 	fallback, accepted bool
 }{
 	{"canonical", `{"observations":[{"object":1,"x":1.5,"y":2,"t":3}],"tick":3}`, false, true},
-	{"any key order", `{"tick":3,"observations":[{"t":3,"y":2,"x":1.5,"object":1}]}`, false, true},
-	{"whitespace", " {\n\t\"observations\" : [ { \"object\" : 1 , \"x\" : 1 } , { } ] ,\r\n \"tick\" : 3 } \n", false, true},
-	{"no observations", `{"tick":7}`, false, true},
-	{"empty object", `{}`, false, true},
+	{"empty list", `{"observations":[],"tick":5}`, false, true},
+	{"json.Encoder's newline", "{\"observations\":[{\"object\":1,\"x\":1.5,\"y\":2,\"t\":3}],\"tick\":3}\n", false, true},
 	{"sigmas", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":0.5,"sigma_y":0.25}]}`, false, true},
 	{"-0 kept by bits", `{"observations":[{"object":-0,"x":-0,"y":-0.0,"t":-0,"sigma_x":-0e0}]}`, false, true},
 	{"exponents", `{"observations":[{"object":1,"x":1E3,"y":2.5e-3,"t":3,"sigma_x":1e+2}]}`, false, true},
-	{"int64 limits", `{"observations":[{"object":1,"t":-9223372036854775808}],"tick":9223372036854775807}`, false, true},
-	{"underflow is zero", `{"observations":[{"object":1,"x":1e-400}]}`, false, true},
-	{"20 significant digits", `{"observations":[{"object":1,"x":470123.12345678901234,"y":4200000.0000000000001}]}`, false, true},
-	{"subnormal", `{"observations":[{"object":1,"x":4.9e-324,"y":2.2250738585072011e-308}]}`, false, true},
-	{"largest finite", `{"observations":[{"object":1,"x":1.7976931348623157e308,"y":-1.7976931348623157E+308}]}`, false, true},
-	{"-0.0", `{"observations":[{"object":1,"x":-0.0,"sigma_y":-0.000}]}`, false, true},
-	{"reordered keys", `{"observations":[{"object":1,"y":2,"x":1.5,"t":3},{"x":1,"object":2,"t":3,"y":2}]}`, false, true},
-	{"python spacing", `{"observations": [{"object": 1, "x": 1.5, "y": 2.0, "t": 3}, {"object": 2, "x": 4.25, "y": -1.0, "t": 3}], "tick": 3}`, false, true},
+	{"int64 limits", `{"observations":[{"object":-9223372036854775808,"x":1,"y":2,"t":-9223372036854775808}],"tick":9223372036854775807}`, false, true},
+	{"underflow is zero", `{"observations":[{"object":1,"x":1e-400,"y":2,"t":3}]}`, false, true},
+	{"20 significant digits", `{"observations":[{"object":1,"x":470123.12345678901234,"y":4200000.0000000000001,"t":3}]}`, false, true},
+	{"subnormal", `{"observations":[{"object":1,"x":4.9e-324,"y":2.2250738585072011e-308,"t":3}]}`, false, true},
+	{"largest finite", `{"observations":[{"object":1,"x":1.7976931348623157e308,"y":-1.7976931348623157E+308,"t":3}]}`, false, true},
+	{"-0.0", `{"observations":[{"object":1,"x":-0.0,"y":2,"t":3,"sigma_y":-0.000}]}`, false, true},
 	{"sigma_x alone", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":1}]}`, false, true},
 	{"sigma_y alone", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1}]}`, false, true},
-	{"sigmas reversed", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":0.25,"sigma_x":0.5}]}`, false, true},
 	{"7 digits before y", `{"observations":[{"object":1,"x":1234567,"y":7654321,"t":3}]}`, false, true},
 	{"8 digits before y", `{"observations":[{"object":1,"x":12345678,"y":87654321,"t":3}]}`, false, true},
 	{"9 digits before y", `{"observations":[{"object":1,"x":123456789,"y":987654321,"t":3}]}`, false, true},
@@ -140,6 +135,13 @@ var observeQuirks = []struct {
 	{"17 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":1.2345678901234567}]}`, false, true},
 	{"22 digits at the end", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":12345678901.23456789012}]}`, false, true},
 
+	{"any key order", `{"tick":3,"observations":[{"t":3,"y":2,"x":1.5,"object":1}]}`, true, true},
+	{"whitespace", " {\n\t\"observations\" : [ { \"object\" : 1 , \"x\" : 1 } , { } ] ,\r\n \"tick\" : 3 } \n", true, true},
+	{"no observations", `{"tick":7}`, true, true},
+	{"empty object", `{}`, true, true},
+	{"reordered keys", `{"observations":[{"object":1,"y":2,"x":1.5,"t":3},{"x":1,"object":2,"t":3,"y":2}]}`, true, true},
+	{"python spacing", `{"observations": [{"object": 1, "x": 1.5, "y": 2.0, "t": 3}, {"object": 2, "x": 4.25, "y": -1.0, "t": 3}], "tick": 3}`, true, true},
+	{"sigmas reversed", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_y":0.25,"sigma_x":0.5}]}`, true, true},
 	{"objects", `{"observations":[{"objects":1,"x":1.5,"y":2,"t":3}]}`, true, true},
 	{"xx", `{"observations":[{"object":1,"xx":1.5,"y":2,"t":3}]}`, true, true},
 	{"duplicate sigma", `{"observations":[{"object":1,"x":1,"y":2,"t":3,"sigma_x":1,"sigma_x":2}]}`, true, true},
@@ -159,6 +161,7 @@ var observeQuirks = []struct {
 	{"long number", `{"observations":[{"object":1,"x":0.000000000000000000000000000000000012}]}`, true, true},
 	{"trailing bytes", `{"observations":[{"object":1}],"tick":2} trailing`, true, true},
 	{"second value", `{"observations":[{"object":1}]}{"tick":9}`, true, true},
+	{"two newlines", "{\"observations\":[{\"object\":1,\"x\":1,\"y\":2,\"t\":3}]}\n\n", true, true},
 
 	{"t with exponent", `{"observations":[{"object":1,"t":1e3}]}`, true, false},
 	{"t with fraction", `{"observations":[{"object":1,"t":1.0}]}`, true, false},
@@ -179,6 +182,7 @@ var observeQuirks = []struct {
 	{"quoted number", `{"observations":[{"object":"1"}]}`, true, false},
 	{"list is no list", `{"observations":"not-a-list"}`, true, false},
 	{"trailing comma", `{"observations":[{"object":1},]}`, true, false},
+	{"trailing comma after a canonical observation", `{"observations":[{"object":1,"x":1,"y":2,"t":3},],"tick":3}`, true, false},
 	{"truncated", `{"observations":[{"object":1,"x":1.5`, true, false},
 	{"unterminated key", `{"observations":[{"obj`, true, false},
 	{"top-level list", `[{"object":1}]`, true, false},

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/big"
@@ -12,85 +13,62 @@ import (
 
 // ---- the canonical /observe body, without reflection ----------------------
 //
-// scanObserve recognises the JSON body that carries the system's volume —
-// a POST /observe batch — in the form every shipped encoder emits, and
-// decodes it in one pass with no allocation. It is strict on purpose:
-// keys are the exact lower-case names without escapes (in any order, each
-// at most once), values are plain JSON numbers (integers without fraction
-// or exponent), nothing is null and nothing but whitespace follows the
-// value. Whatever else encoding/json would also accept — other key
-// spellings, duplicate keys, unknown fields, "t":1e3 — it does not judge:
+// scanObserve reads the JSON body that carries the system's volume — a
+// POST /observe batch — in exactly the form encoding/json writes for an
+// ObserveRequest, which is what every shipped client and the gateway
+// send, in one straight line with no allocation: punctuation and keys are
+// matched as whole 8-byte words, with no key scan and no record of the
+// keys seen. Its digits are read eight at a time (digitRun, after
+// simdjson: Langdale & Lemire, "Parsing gigabytes of JSON per second",
+// VLDB J. 2019) and converted exactly (Clinger, Eisel–Lemire, strconv for
+// the rest). Any other spelling of the same request — other key orders,
+// whitespace, missing keys, unknown fields, "t":1e3 — it does not judge:
 // it reports false, and DecodeObserve hands the same bytes to
 // encoding/json, which stays the definition of the accepted language and
 // the author of every error.
-//
-// Each observation is read by one of two readers, chosen by its bytes.
-// The exact text encoding/json writes for hotpaths.ObservationJSON — what
-// every shipped client and the gateway send — takes canonical, a straight
-// line that matches punctuation and keys as whole 8-byte words. At its
-// first mismatch the observation is read again from its start by the
-// general walk (observation), which takes any key order and whitespace.
-// Both read digits eight at a time (digitRun, after simdjson: Langdale &
-// Lemire, "Parsing gigabytes of JSON per second", VLDB J. 2019) and
-// convert them exactly (Clinger, Eisel–Lemire, strconv for the rest), so
-// the reader an observation takes changes nothing but its cost.
 
-// scanObserve walks a canonical POST /observe body,
+// scanObserve reads a canonical POST /observe body, byte for byte
 //
-//	{"observations":[{"object":7,"x":1.5,"y":2,"t":9,"sigma_x":0.5,"sigma_y":0.5},…],"tick":9}
+//	{"observations":[OBS,OBS,…],"tick":N}
 //
-// calling each once per observation, in order, with the decoded value and
-// its JSON text (a slice of body). Every key is optional, as it is to
-// encoding/json. It returns the tick (0 when absent). When ok is false
-// the body is outside the strict subset — each may already have been
-// called for a prefix of it — and must be decoded by encoding/json.
+// where the list may be empty, ,"tick":N may be missing (omitempty drops
+// a zero), one trailing "\n" (what json.Encoder writes) may follow, and
+// each OBS is what canonical reads. It calls each once per observation,
+// in order, with the decoded value and its JSON text (a slice of body),
+// and returns the tick (0 when absent). When ok is false the body is
+// outside that form — each may already have been called for a prefix of
+// it — and must be decoded by encoding/json.
 func scanObserve(body []byte, each func(o hotpaths.ObservationJSON, raw []byte)) (tick int64, ok bool) {
-	s := scanner{b: body}
-	var seen fieldSet
-	more, ok := s.open('{', '}')
-	for ; more; more, ok = s.next('}') {
-		key, ok := s.key()
-		if !ok {
-			return 0, false
-		}
-		switch string(key) {
-		case "observations":
-			if !seen.first(0) || !s.observations(each) {
-				return 0, false
-			}
-		case "tick":
-			if tick, ok = s.int(); !ok || !seen.first(1) {
-				return 0, false
-			}
-		default:
-			return 0, false
-		}
+	const list = `{"observations":[`
+	if !bytes.HasPrefix(body, []byte(list)) {
+		return 0, false
 	}
-	return tick, ok && s.end()
-}
-
-// observations walks the list of observations, calling each with every
-// element and its text.
-func (s *scanner) observations(each func(o hotpaths.ObservationJSON, raw []byte)) bool {
-	more, ok := s.open('[', ']')
-	for ; more; more, ok = s.next(']') {
-		s.skip()
+	s := scanner{b: body, i: len(list)}
+	for more := !s.eat(']'); more; {
 		start := s.i
 		o, ok := s.canonical()
 		if !ok {
-			s.i = start
-			o, ok = s.observation()
-		}
-		if !ok {
-			return false
+			return 0, false
 		}
 		each(o, s.b[start:s.i])
+		if more = !s.eat(']'); more && !s.eat(',') {
+			return 0, false
+		}
 	}
-	return ok
+	if s.word(wTick, 8) {
+		if tick, ok = s.int(); !ok {
+			return 0, false
+		}
+	}
+	if !s.eat('}') {
+		return 0, false
+	}
+	s.eat('\n')
+	return tick, s.i == len(s.b)
 }
 
-// The words of the canonical observation, as a little-endian load of its
-// bytes sees them.
+// The words of the canonical body, as a little-endian load of its bytes
+// sees them.
 const (
 	wOpen   = 0x7463656a626f227b // {"object
 	wObject = 0x3a227463656a626f // object":
@@ -100,6 +78,7 @@ const (
 	wSigma  = 0x5f616d676973222c // ,"sigma_
 	wSigmaX = 0x3a22785f         // _x":
 	wSigmaY = 0x3a22795f         // _y":
+	wTick   = 0x3a226b636974222c // ,"tick":
 )
 
 // canonical reads, at the cursor, one observation in exactly the form
@@ -108,12 +87,8 @@ const (
 //	{"object":7,"x":1.5,"y":2,"t":9}  or  {…,"t":9,"sigma_x":0.5,"sigma_y":0.5}
 //
 // (either sigma may be missing: omitempty drops a zero), in one straight
-// line: it matches the punctuation and keys as whole words, with no key
-// scan and no record of the keys seen; it reads each number as the walk
-// does, with the same readers. On the first byte that differs it
-// reports false, with the cursor anywhere, and the caller rewinds to the
-// observation's start for the general walk. Whatever it accepts the walk
-// accepts too, with the same value and the same cursor.
+// line. On the first byte that differs it reports false, with the cursor
+// anywhere.
 func (s *scanner) canonical() (o hotpaths.ObservationJSON, ok bool) {
 	if !s.at(0, wOpen, 8) || !s.at(2, wObject, 8) {
 		return o, false
@@ -143,11 +118,14 @@ func (s *scanner) canonical() (o hotpaths.ObservationJSON, ok bool) {
 			return o, false
 		}
 	}
-	if s.i < len(s.b) && s.b[s.i] == '}' {
-		s.i++
-		return o, true
-	}
-	return o, false
+	return o, s.eat('}')
+}
+
+// scanner is a cursor over a JSON text. Its methods report false on
+// input outside the canonical form, leaving the cursor anywhere.
+type scanner struct {
+	b []byte
+	i int
 }
 
 // at reports whether the n ≤ 8 bytes at s.i+off are those of the word w.
@@ -168,79 +146,8 @@ func (s *scanner) word(w uint64, n uint) bool {
 	return true
 }
 
-func (s *scanner) observation() (o hotpaths.ObservationJSON, ok bool) {
-	var seen fieldSet
-	more, ok := s.open('{', '}')
-	for ; more; more, ok = s.next('}') {
-		key, ok := s.key()
-		if !ok {
-			return o, false
-		}
-		var field uint
-		switch string(key) {
-		case "object":
-			o.Object, ok = s.goInt()
-		case "x":
-			o.X, ok = s.float()
-			field = 1
-		case "y":
-			o.Y, ok = s.float()
-			field = 2
-		case "t":
-			o.T, ok = s.int()
-			field = 3
-		case "sigma_x":
-			o.SigmaX, ok = s.float()
-			field = 4
-		case "sigma_y":
-			o.SigmaY, ok = s.float()
-			field = 5
-		default:
-			return o, false
-		}
-		if !ok || !seen.first(field) {
-			return o, false
-		}
-	}
-	return o, ok
-}
-
-// fieldSet records which keys of one object have been seen, so a
-// duplicate — which encoding/json resolves by its own merge rules — is
-// refused.
-type fieldSet uint8
-
-func (f *fieldSet) first(bit uint) bool {
-	dup := *f&(1<<bit) != 0
-	*f |= 1 << bit
-	return !dup
-}
-
-// scanner is a cursor over a JSON text. Its methods skip leading
-// whitespace and report false on input outside the strict subset, leaving
-// the cursor anywhere.
-type scanner struct {
-	b []byte
-	i int
-}
-
-func (s *scanner) skip() {
-	if s.i < len(s.b) && s.b[s.i] > ' ' { // the canonical body has no whitespace
-		return
-	}
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
-// eat consumes c if it is the next token.
+// eat consumes c if it is the next byte.
 func (s *scanner) eat(c byte) bool {
-	s.skip()
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
 		return true
@@ -248,56 +155,10 @@ func (s *scanner) eat(c byte) bool {
 	return false
 }
 
-// end reports that nothing but whitespace is left.
-func (s *scanner) end() bool {
-	s.skip()
-	return s.i == len(s.b)
-}
-
-// open consumes the opening bracket of an object or array, and next the
-// separator after each of its members. Both report more when a member
-// follows, and ok when the container is well formed so far: a walk is
-//
-//	more, ok := s.open('{', '}')
-//	for ; more; more, ok = s.next('}') { …consume one member… }
-//
-// after which ok says whether the container closed.
-func (s *scanner) open(opening, closing byte) (more, ok bool) {
-	if !s.eat(opening) {
-		return false, false
-	}
-	return !s.eat(closing), true
-}
-
-func (s *scanner) next(closing byte) (more, ok bool) {
-	if s.eat(',') {
-		return true, true
-	}
-	return false, s.eat(closing)
-}
-
-// key consumes an object key and the colon after it. An escaped quote
-// ends the key early, at a backslash, and no field name has one.
-func (s *scanner) key() ([]byte, bool) {
-	if !s.eat('"') {
-		return nil, false
-	}
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] != '"' { // keys are short: no IndexByte call
-		s.i++
-	}
-	if s.i == len(s.b) {
-		return nil, false
-	}
-	key := s.b[start:s.i]
-	s.i++
-	return key, s.eat(':')
-}
-
 // natural reads, at the cursor, JSON's int production without its sign:
 // digits with no leading zero, at most 19 of them, so the value is exact
 // in a uint64 — a 20-digit one is out of int64's range anyway. A fraction
-// or an exponent behind it is left for the caller's next eat to trip
+// or an exponent behind it is left for the caller's next word to trip
 // over.
 func (s *scanner) natural() (v uint64, ok bool) {
 	b, i := s.b, s.i
@@ -352,7 +213,6 @@ const maxMantDigits = 19
 // the same bytes, whose range error is a refusal. So strconv stays the
 // definition of every value.
 func (s *scanner) float() (float64, bool) {
-	s.skip()
 	b, i := s.b, s.i
 	start := i
 	neg := i < len(b) && b[i] == '-'

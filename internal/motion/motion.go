@@ -86,9 +86,10 @@ type HotPath struct {
 }
 
 // Score is the paper's quality metric for a single path:
-// hotness × length.
+// hotness × length. The outer conversion rounds the product, so a sum of
+// scores (TopKScore) is not fused into multiply-adds on any architecture.
 func (hp HotPath) Score() float64 {
-	return float64(hp.Hotness) * hp.Path.Length()
+	return float64(float64(hp.Hotness) * hp.Path.Length())
 }
 
 // TopKScore is the paper's quality metric for a top-k set: the average

@@ -234,8 +234,8 @@ func TestBankWaitsReuseBuffers(t *testing.T) {
 // — the centroid, a corner or an interior point — at once or some steps
 // later. Each object's answered paths must chain into a covering set, and
 // every measurement must lie within the object's tolerance of each path
-// covering its timestamp: the ε square for an exact object, else the
-// rectangle uncertainty.ToleranceRectOrMin solves for its first σ. Later
+// covering its timestamp: the rectangle uncertainty.ToleranceRectOrMin
+// solves for its first σ (for an exact object, the ε square). Later
 // measurements carry other sigmas, which must not matter.
 func FuzzBankCovers(f *testing.F) {
 	const eps, delta = 5.0, 0.05
@@ -338,10 +338,7 @@ func FuzzBankCovers(f *testing.F) {
 				t.Fatalf("object %d: paths do not chain: %v", id, o.paths)
 			}
 			for _, m := range o.measured {
-				tol := geom.RectAround(m.P, eps)
-				if o.sigma != [2]float64{} {
-					tol = uncertainty.ToleranceRectOrMin(uncertainty.Measurement{Mean: m.P, SigmaX: o.sigma[0], SigmaY: o.sigma[1]}, eps, delta, eps/10)
-				}
+				tol := uncertainty.ToleranceRectOrMin(uncertainty.Measurement{Mean: m.P, SigmaX: o.sigma[0], SigmaY: o.sigma[1]}, eps, delta, eps/10)
 				for _, mp := range o.paths {
 					if m.T < mp.Ts || m.T > mp.Te {
 						continue

@@ -66,15 +66,17 @@ func Generate(cfg GenConfig) (*Network, error) {
 	// links of ~100–200 m (where traffic concentrates and objects turn
 	// often) and peripheral links of several hundred metres, while keeping
 	// the configured overall extent. warp maps u∈[0,1] to [0,1] with a
-	// small derivative at the centre.
+	// small derivative at the centre. Here and below, a conversion rounds
+	// each product that meets a sum, so no architecture fuses the two (see
+	// geom.Point.Lerp).
 	warp := func(u float64) float64 {
-		v := 2*u - 1 // [-1,1]
+		v := float64(2*u) - 1 // [-1,1]
 		s := math.Abs(v)
 		w := math.Pow(s, 1.5)
 		if v < 0 {
 			w = -w
 		}
-		return 0.5 + 0.5*w
+		return 0.5 + float64(0.5*w)
 	}
 	at := func(c, r int) int { return r*cols + c }
 	base := make([]geom.Point, cols*rows)
@@ -102,8 +104,8 @@ func Generate(cfg GenConfig) (*Network, error) {
 					local = dd
 				}
 			}
-			jx := (rng.Float64()*2 - 1) * cfg.Jitter * local
-			jy := (rng.Float64()*2 - 1) * cfg.Jitter * local
+			jx := float64((float64(2*float64(rng.Float64())) - 1) * cfg.Jitter * local)
+			jy := float64((float64(2*float64(rng.Float64())) - 1) * cfg.Jitter * local)
 			nodes[at(c, r)] = Node{ID: at(c, r), P: p.Add(geom.Pt(jx, jy))}
 		}
 	}

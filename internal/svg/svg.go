@@ -48,8 +48,10 @@ func newCanvas(world geom.Rect, widthPx int) canvas {
 	return canvas{world: world, scale: scale, hPx: world.Height() * scale}
 }
 
+// pt maps p to pixels. The conversion rounds the product before the
+// difference, so no architecture fuses the two (see geom.Point.Lerp).
 func (c canvas) pt(p geom.Point) (x, y float64) {
-	return (p.X - c.world.Lo.X) * c.scale, c.hPx - (p.Y-c.world.Lo.Y)*c.scale
+	return (p.X - c.world.Lo.X) * c.scale, c.hPx - float64((p.Y-c.world.Lo.Y)*c.scale)
 }
 
 // RenderNetwork draws the road network, colour-coded by class (Figure 6).
@@ -113,9 +115,9 @@ func RenderHotPaths(paths []motion.HotPath, bounds geom.Rect, opts Options) stri
 		x1, y1 := c.pt(seg.A)
 		x2, y2 := c.pt(seg.B)
 		frac := float64(hp.Hotness) / float64(maxHot)
-		width := 0.8 + 4.2*frac
+		width := 0.8 + float64(4.2*frac)
 		// Shade from light blue (cold) to dark red (hot).
-		r := int(40 + 180*frac)
+		r := int(40 + float64(180*frac))
 		g := int(60 * (1 - frac))
 		bl := int(200 * (1 - frac))
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="rgb(%d,%d,%d)" stroke-width="%.1f" stroke-linecap="round"/>`+"\n",

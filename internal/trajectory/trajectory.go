@@ -111,15 +111,6 @@ func (tr *Trajectory) Sub(t0, t1 Time) []TimePoint {
 	return tr.pts[lo:hi]
 }
 
-// PathLength returns the total Euclidean length of the polyline.
-func (tr *Trajectory) PathLength() float64 {
-	var sum float64
-	for i := 1; i < len(tr.pts); i++ {
-		sum += tr.pts[i-1].P.Dist(tr.pts[i].P)
-	}
-	return sum
-}
-
 // MBB returns the minimum bounding rectangle of all locations; the zero Rect
 // for an empty trajectory.
 func (tr *Trajectory) MBB() geom.Rect {

@@ -1,7 +1,6 @@
 package trajectory
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -111,15 +110,12 @@ func TestSub(t *testing.T) {
 	}
 }
 
-func TestPathLengthAndMBB(t *testing.T) {
+func TestMBB(t *testing.T) {
 	tr := MustNew(
 		TP(geom.Pt(0, 0), 0),
 		TP(geom.Pt(3, 4), 1),
 		TP(geom.Pt(3, 10), 2),
 	)
-	if got := tr.PathLength(); math.Abs(got-11) > 1e-12 {
-		t.Errorf("PathLength = %v", got)
-	}
 	if got := tr.MBB(); got != (geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(3, 10)}) {
 		t.Errorf("MBB = %v", got)
 	}

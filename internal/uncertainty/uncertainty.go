@@ -144,15 +144,24 @@ func ToleranceRect(m Measurement, eps, delta float64) (geom.Rect, error) {
 	}, nil
 }
 
-// ToleranceRectOrMin is the paper's "retroactive" fallback: when (ε,δ) has
-// no solution for this measurement's noise, assign a predefined minimal
-// tolerance square of half-side minHalf around the mean instead of failing.
-// It solves per measurement, the paper's literal form; tests hold the
-// filters' HalfWidths to it.
+// ToleranceRectOrMin is the tolerance rectangle of one measurement under
+// HalfWidths' rule, solved per measurement, the paper's literal form;
+// tests hold the filters' HalfWidths to it. An exact measurement (either
+// sigma ≤ 0), or delta ≤ 0, gets the paper's square of half-side eps.
+// When (ε,δ) has no solution for the measurement's noise (ErrNoSolution)
+// it is the paper's "retroactive" fallback: a predefined minimal square of
+// half-side minHalf around the mean instead of a failure. It panics on an
+// eps ≤ 0 or a delta ≥ 2, which no configuration allows.
 func ToleranceRectOrMin(m Measurement, eps, delta, minHalf float64) geom.Rect {
+	if delta <= 0 || m.SigmaX <= 0 || m.SigmaY <= 0 {
+		return geom.RectAround(m.Mean, eps)
+	}
 	r, err := ToleranceRect(m, eps, delta)
-	if err != nil {
+	if errors.Is(err, ErrNoSolution) {
 		return geom.RectAround(m.Mean, minHalf)
+	}
+	if err != nil {
+		panic(err)
 	}
 	return r
 }

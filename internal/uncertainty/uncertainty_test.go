@@ -131,6 +131,19 @@ func TestToleranceRectOrMin(t *testing.T) {
 	if r2.Width() <= 1 {
 		t.Error("solvable case must not use the fallback")
 	}
+	// An exact measurement is refused by MaxOffset, but it is not too
+	// noisy: it gets the ε square the filters use, not the fallback.
+	for _, exact := range []Measurement{
+		{Mean: geom.Pt(5, 5), SigmaX: 0, SigmaY: 1},
+		{Mean: geom.Pt(5, 5), SigmaX: 1, SigmaY: 0},
+	} {
+		if r := ToleranceRectOrMin(exact, 10, 0.05, 0.5); r != geom.RectAround(geom.Pt(5, 5), 10) {
+			t.Errorf("σ (%v, %v): rect = %v, want the ε square", exact.SigmaX, exact.SigmaY, r)
+		}
+	}
+	if r := ToleranceRectOrMin(good, 10, 0, 0.5); r != geom.RectAround(geom.Pt(5, 5), 10) {
+		t.Errorf("δ = 0: rect = %v, want the ε square", r)
+	}
 }
 
 // Monte-Carlo check: a point at the boundary offset really does contain the

@@ -84,7 +84,6 @@ type Simulator struct {
 	cfg      Config
 	rng      *rand.Rand
 	objs     []objState
-	moves    int
 	stopMean float64 // Bursty: mean red-light duration
 }
 
@@ -151,9 +150,6 @@ func New(net *roadnet.Network, cfg Config) (*Simulator, error) {
 // N returns the population size.
 func (s *Simulator) N() int { return s.cfg.N }
 
-// Moves returns the total number of object moves so far.
-func (s *Simulator) Moves() int { return s.moves }
-
 // chooseLink picks an incident link of node with probability proportional
 // to its class weight.
 func (s *Simulator) chooseLink(node int) int {
@@ -188,12 +184,6 @@ func (s *Simulator) Position(id int) geom.Point {
 	return s.position(&s.objs[id])
 }
 
-// Stopped reports whether object id is currently waiting at a light
-// (always false under the IID model).
-func (s *Simulator) Stopped(id int, now trajectory.Time) bool {
-	return s.objs[id].stopUntil > now
-}
-
 // Tick advances the world to timestamp now; objects that move emit one
 // noisy measurement each.
 func (s *Simulator) Tick(now trajectory.Time) []Measurement {
@@ -211,12 +201,13 @@ func (s *Simulator) Tick(now trajectory.Time) []Measurement {
 			}
 		}
 		s.advance(o, now)
-		s.moves++
 		truth := s.position(o)
-		noisy := geom.Pt(
-			truth.X+(s.rng.Float64()*2-1)*s.cfg.Err,
-			truth.Y+(s.rng.Float64()*2-1)*s.cfg.Err,
-		)
+		// The conversions round each product, so no architecture fuses
+		// it with the sum after it (see geom.Point.Lerp) — the draw's own
+		// product, inlined from math/rand, included.
+		ex := float64(2*float64(s.rng.Float64())) - 1
+		ey := float64(2*float64(s.rng.Float64())) - 1
+		noisy := geom.Pt(truth.X+float64(ex*s.cfg.Err), truth.Y+float64(ey*s.cfg.Err))
 		out = append(out, Measurement{
 			ObjectID: i,
 			TP:       trajectory.TP(noisy, now),

@@ -65,9 +65,6 @@ func TestAllObjectsMoveAtFullAgility(t *testing.T) {
 	if len(ms) != 10 {
 		t.Errorf("agility 1.0: %d of 10 objects moved", len(ms))
 	}
-	if s.Moves() != 10 {
-		t.Errorf("Moves = %d", s.Moves())
-	}
 	if s.N() != 10 {
 		t.Errorf("N = %d", s.N())
 	}
@@ -136,7 +133,7 @@ func TestBurstyConstantSpeedWithinBurst(t *testing.T) {
 	}
 }
 
-func TestStoppedAccessor(t *testing.T) {
+func TestBurstyStartsMostlyStopped(t *testing.T) {
 	cfg := Config{N: 500, Agility: 0.1, Step: 10, Err: 0, Seed: 5, Model: Bursty}
 	s, err := New(lineNet(t), cfg)
 	if err != nil {
@@ -144,7 +141,7 @@ func TestStoppedAccessor(t *testing.T) {
 	}
 	stopped := 0
 	for id := 0; id < 500; id++ {
-		if s.Stopped(id, 1) {
+		if s.objs[id].stopUntil > 1 {
 			stopped++
 		}
 	}

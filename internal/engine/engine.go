@@ -335,6 +335,12 @@ func (e *Engine) TickCtx(ctx context.Context, now trajectory.Time) (epoch bool, 
 			return nil
 		})
 		mBarrier.ObserveSince(tEpoch)
+		// The shards are idle until the next ObserveBatchCtx.
+		filters := 0
+		for _, s := range e.shards {
+			filters += s.bank.Len()
+		}
+		mFilters.Set(int64(filters))
 		nReports, nResponses, err := e.runEpoch(ctx, e)
 		span.SetAttr("reports", nReports)
 		span.SetAttr("responses", nResponses)

@@ -113,6 +113,27 @@ func TestBarrierDrains(t *testing.T) {
 	}
 }
 
+// The live-filter gauge reads one filter per object the shards hold once
+// an epoch's barrier has drained them.
+func TestFiltersGaugeCountsObjects(t *testing.T) {
+	e := testEngine(t, 2)
+	feed := []Observation{
+		{ObjectID: 1, X: 0, Y: 0, T: 1},
+		{ObjectID: 2, X: 5, Y: 0, T: 1},
+		{ObjectID: 1, X: 1, Y: 0, T: 2},
+		{ObjectID: 3, X: 9, Y: 9, T: 2},
+	}
+	if err := observe(e, feed); err != nil {
+		t.Fatal(err)
+	}
+	if err := tick(e, 10); err != nil {
+		t.Fatal(err)
+	}
+	if got := mFilters.Value(); got != 3 {
+		t.Errorf("hotpaths_engine_filters = %d after the first epoch of 3 objects, want 3", got)
+	}
+}
+
 // A refused observation is counted, not returned: the tick that finds it
 // at the barrier succeeds and runs the epoch for everyone else, and the
 // event that barrier records says how many it found.

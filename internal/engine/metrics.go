@@ -19,6 +19,9 @@ var (
 	mQueueDepth = metrics.Default.Gauge("hotpaths_engine_queue_depth",
 		"Observations waiting in shard queues, sampled at the start of each epoch-boundary Tick.",
 		nil)
+	mFilters = metrics.Default.Gauge("hotpaths_engine_filters",
+		"Live RayTrace filters, one per object the shards' banks hold, sampled after each epoch barrier.",
+		nil)
 	mObservations = metrics.Default.Counter("hotpaths_engine_observations_total",
 		"Observations accepted into the engine.", nil)
 	mEpochs = metrics.Default.Counter("hotpaths_engine_epochs_total",

@@ -2,10 +2,14 @@ package raytrace
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"hotpaths/internal/geom"
 	"hotpaths/internal/trajectory"
@@ -218,12 +222,12 @@ func TestBankWaitsReuseBuffers(t *testing.T) {
 	for range 30 {
 		step()
 	}
-	reports := b.entries[0].f.s.Stats.StatesSent
+	reports := b.find(0).f.s.Stats.StatesSent
 	if allocs := testing.AllocsPerRun(30, step); allocs != 0 {
 		t.Errorf("%v allocs per step of waiting filters, want 0", allocs)
 	}
-	if b.entries[0].f.s.Stats.StatesSent-reports < 10 {
-		t.Fatalf("only %d reports while counting: the filters hardly waited", b.entries[0].f.s.Stats.StatesSent-reports)
+	if b.find(0).f.s.Stats.StatesSent-reports < 10 {
+		t.Fatalf("only %d reports while counting: the filters hardly waited", b.find(0).f.s.Stats.StatesSent-reports)
 	}
 }
 
@@ -350,4 +354,379 @@ func FuzzBankCovers(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkIndex holds a bank's index to its invariant: every filter's id
+// finds its own slot, an id is in the dense index exactly when
+// 0 <= id < len(dense), and the dense index spans at most
+// denseBound(Len()) slots.
+func checkIndex(t *testing.T, b *Bank) {
+	t.Helper()
+	if n := len(b.dense); n > denseBound(b.Len()) {
+		t.Fatalf("dense index spans %d slots for %d filters, bound %d", n, b.Len(), denseBound(b.Len()))
+	}
+	refs := 0
+	for id, ref := range b.dense {
+		if ref != 0 {
+			refs++
+			if got := b.ids[ref-1]; got != id {
+				t.Fatalf("dense[%d] is slot %d, which holds object %d", id, ref-1, got)
+			}
+		}
+	}
+	for id, ref := range b.far {
+		refs++
+		if 0 <= id && id < len(b.dense) {
+			t.Fatalf("object %d is in the map, inside the dense range [0, %d)", id, len(b.dense))
+		}
+		if got := b.ids[ref-1]; got != id {
+			t.Fatalf("far[%d] is slot %d, which holds object %d", id, ref-1, got)
+		}
+	}
+	if refs != b.Len() {
+		t.Fatalf("the index holds %d ids for %d filters", refs, b.Len())
+	}
+	for slot, id := range b.ids {
+		if b.find(id) != b.at(slot) {
+			t.Fatalf("object %d does not find its slot %d", id, slot)
+		}
+	}
+}
+
+// An id first seen beyond the dense bound lives in the map until growth
+// covers it, and then in the dense index: its filter goes on rather than
+// being seeded a second time.
+func TestBankIndexInvariant(t *testing.T) {
+	b := noisyBank()
+	far := []int{5000, -3, math.MinInt, math.MaxInt, 1 << 40}
+	for _, id := range far {
+		step(t, &b, id, tp(0, 0, 1), 0, 0)
+		checkIndex(t, &b)
+	}
+	if len(b.far) != len(far) {
+		t.Fatalf("%d of %d ids beyond the bound are in the map", len(b.far), len(far))
+	}
+	for id := range 6000 {
+		if id != 5000 {
+			step(t, &b, id, tp(0, 0, 1), 0, 0)
+		}
+		if id%997 == 0 {
+			checkIndex(t, &b)
+		}
+	}
+	checkIndex(t, &b)
+	if _, ok := b.far[5000]; ok || len(b.dense) <= 5000 {
+		t.Fatalf("object 5000 stayed in the map after the dense index grew to %d", len(b.dense))
+	}
+	if st := step(t, &b, 5000, tp(1, 0, 2), 0, 0); b.Len() != 6000-1+len(far) || len(st) != 1 {
+		t.Fatalf("object 5000 was seeded again: %d filters", b.Len())
+	}
+	if b.find(5000).f.s.LastT != 2 {
+		t.Fatal("object 5000's filter did not step")
+	}
+}
+
+// However sparse the ids, the dense index takes no more slots than the
+// bound: a filter is 192 bytes and a slot 4, so the index never outgrows
+// the filters it finds by more than a fixed 16 KiB. Ids that each sit
+// just inside the bound as it stands cannot make it grow on every
+// sighting either: each growth at least doubles it.
+func TestBankIndexBound(t *testing.T) {
+	if got := unsafe.Sizeof(bankEntry{}) / unsafe.Sizeof(int32(0)); got < 48 {
+		t.Errorf("a filter is %d slots wide, and denseBound assumes 48", got)
+	}
+	b := noisyBank()
+	growths := 0
+	for i := range 2000 {
+		id := denseBound(b.Len()+1) - 1
+		if i%2 == 1 {
+			id = i * 1_000_003 // beyond it
+		}
+		n := len(b.dense)
+		step(t, &b, id, tp(0, 0, 1), 0, 0)
+		if len(b.dense) != n {
+			growths++
+		}
+		if n := len(b.dense); n > denseBound(b.Len()) {
+			t.Fatalf("after %d filters the dense index spans %d slots, bound %d", b.Len(), n, denseBound(b.Len()))
+		}
+	}
+	checkIndex(t, &b)
+	if len(b.far) < 1000 {
+		t.Errorf("%d ids went to the map, want at least the 1000 beyond the bound", len(b.far))
+	}
+	if growths > 12 {
+		t.Errorf("the dense index grew %d times, to %d slots", growths, len(b.dense))
+	}
+}
+
+// FuzzBankMatchesFilters holds a bank to one plain Filter per object id,
+// each seeded the way the bank seeds its own: every Observe and Respond
+// answers alike, and Len and the sorted Dump agree. The ids come from
+// each regime of the index: small dense ids, negatives, math.MinInt and
+// math.MaxInt, ids first seen beyond the dense bound that later growth
+// covers (a burst seeds 24 fresh ids spread over the range), and ids no
+// growth reaches. The dump is then restored into a fresh bank in shuffled
+// order, and the original and the restored bank must answer the same
+// further steps identically.
+func FuzzBankMatchesFilters(f *testing.F) {
+	for i, n := range []int{40, 200, 600} {
+		script := make([]byte, 3*n)
+		for j := range script {
+			script[j] = byte(j*53 + i*29 + j/7)
+		}
+		f.Add(script)
+	}
+	// Object 5000 first seen beyond the bound, bursts until the index
+	// covers it, and object 5000 again.
+	covered := []byte{0x26, 14, 128}
+	for range 12 {
+		covered = append(covered, 0x03, 0, 0)
+	}
+	f.Add(append(covered, 0x26, 14, 90, 0x26, 14, 250))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const eps, delta = 2.0, 0.05
+		sigmas := [4][2]float64{{0, 0}, {0.5, 0.25}, {1, 40}, {3, 3}}
+		picks := []int{0, 1, 2, 3, 7, 15, -1, -2, -4096, math.MinInt, math.MinInt + 1, math.MaxInt, math.MaxInt - 1, 4200, 5000, 7000, 11000, 1 << 40}
+		var (
+			seen   []int // ids in first-sighting order
+			now    = map[int]trajectory.Time{}
+			pos    = map[int]geom.Point{}
+			filler int
+		)
+		// pick draws an object id from the script's byte c.
+		pick := func(c, x byte) int {
+			if c&0x08 != 0 && len(seen) > 0 {
+				return seen[int(x)%len(seen)]
+			}
+			return picks[int(x)%len(picks)]
+		}
+		type call struct {
+			respond        bool
+			id             int
+			p              trajectory.TimePoint
+			sigmaX, sigmaY float64
+		}
+		// next turns three bytes into calls; waiting reads the state a
+		// waiting filter reported, from the side whose answers are the
+		// reference.
+		next := func(c, x, y byte, waiting func(int) (State, bool)) []call {
+			switch {
+			case c&0x07 == 0x03: // a burst of first sightings
+				out := make([]call, 24)
+				for i := range out {
+					filler++
+					id := 16 + 61*filler
+					now[id], pos[id] = 1, geom.Pt(float64(id), 0)
+					seen = append(seen, id)
+					s := sigmas[i%4]
+					out[i] = call{id: id, p: trajectory.TP(pos[id], 1), sigmaX: s[0], sigmaY: s[1]}
+				}
+				return out
+			case c&0x07 == 0x05: // an answer, or a stray one
+				id := pick(c, x)
+				st, ok := waiting(id)
+				e := st.FSA.Centroid()
+				switch y % 4 {
+				case 1:
+					e = st.FSA.Lo
+				case 2:
+					e = st.FSA.Hi
+				case 3:
+					e = e.Add(geom.Pt(100, 0)) // outside the FSA
+				}
+				if !ok && y%2 == 0 {
+					return []call{{respond: true, id: id, p: trajectory.TP(pos[id], now[id])}}
+				}
+				return []call{{respond: true, id: id, p: trajectory.TP(e, st.Te)}}
+			}
+			id := pick(c, x)
+			if _, ok := now[id]; !ok {
+				seen = append(seen, id)
+			}
+			// Mostly forward, sometimes repeated or backwards.
+			now[id] += trajectory.Time(int(c>>4&3) - 1)
+			pos[id] = pos[id].Add(geom.Pt(float64(int(x)-128)/16, float64(int(y)-128)/16))
+			s := sigmas[y%4]
+			return []call{{id: id, p: trajectory.TP(pos[id], now[id]), sigmaX: s[0], sigmaY: s[1]}}
+		}
+		type answer struct {
+			st     State
+			report bool
+			err    error
+		}
+
+		b := NewBank(eps, delta)
+		model := map[int]*bankEntry{}
+		modelDo := func(k call) answer {
+			e, ok := model[k.id]
+			if k.respond {
+				if !ok {
+					return answer{err: errors.New("no filter")}
+				}
+				st, report, err := e.f.Respond(k.p)
+				return answer{st, report, err}
+			}
+			if !ok {
+				e = &bankEntry{f: Filter{half: uncertainty.HalfWidths(eps, delta, k.sigmaX, k.sigmaY)}, sigmaX: k.sigmaX, sigmaY: k.sigmaY}
+				e.f.reset(k.p)
+				model[k.id] = e
+				return answer{}
+			}
+			st, report, err := e.f.Process(k.p)
+			if !report {
+				st = State{}
+			}
+			return answer{st, report, err}
+		}
+		bankDo := func(b *Bank, k call) answer {
+			if k.respond {
+				st, report, err := b.Respond(k.id, k.p)
+				return answer{st, report, err}
+			}
+			st, report, err := b.Observe(k.id, k.p, k.sigmaX, k.sigmaY)
+			var oe *ObjectError
+			if errors.As(err, &oe) {
+				if oe.ObjectID != k.id {
+					t.Fatalf("object %d's refusal names object %d", k.id, oe.ObjectID)
+				}
+				err = oe.Err
+			}
+			return answer{st, report, err}
+		}
+		same := func(got, want answer) bool {
+			if (got.err == nil) != (want.err == nil) {
+				return false
+			}
+			return got.st == want.st && got.report == want.report
+		}
+		modelWaiting := func(id int) (State, bool) {
+			if e, ok := model[id]; ok && e.f.s.Waiting {
+				return e.f.State(), true
+			}
+			return State{}, false
+		}
+		for i := 0; i+3 <= len(script); i += 3 {
+			for _, k := range next(script[i], script[i+1], script[i+2], modelWaiting) {
+				got, want := bankDo(&b, k), modelDo(k)
+				if !same(got, want) {
+					t.Fatalf("%+v: the bank answered %+v, its object's filter %+v", k, got, want)
+				}
+				if k.respond || want.err == nil {
+					continue
+				}
+				if !reflect.DeepEqual(got.err, want.err) {
+					t.Fatalf("%+v: the bank refused with %v, its object's filter with %v", k, got.err, want.err)
+				}
+			}
+			if b.Len() != len(model) {
+				t.Fatalf("the bank holds %d filters for %d objects", b.Len(), len(model))
+			}
+		}
+		checkIndex(t, &b)
+		var want []FilterEntry
+		for id, e := range model {
+			want = append(want, FilterEntry{ObjectID: id, SigmaX: e.sigmaX, SigmaY: e.sigmaY, Filter: e.f.Dump()})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].ObjectID < want[j].ObjectID })
+		dump := sortedDump(&b)
+		if !reflect.DeepEqual(dump, want) {
+			t.Fatalf("the bank dumps %d entries unlike its objects' %d filters", len(dump), len(want))
+		}
+
+		restored := NewBank(eps, delta)
+		h := uint64(len(script))
+		for _, c := range script {
+			h = h*31 + uint64(c)
+		}
+		rand.New(rand.NewPCG(h, 1)).Shuffle(len(dump), func(i, j int) { dump[i], dump[j] = dump[j], dump[i] })
+		for _, fe := range dump {
+			if err := restored.Restore(fe); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkIndex(t, &restored)
+		origWaiting := func(id int) (State, bool) {
+			if e := b.find(id); e != nil && e.f.s.Waiting {
+				return e.f.State(), true
+			}
+			return State{}, false
+		}
+		for i := 0; i+3 <= len(script); i += 3 {
+			for _, k := range next(script[i]^0x40, script[i+2], script[i+1], origWaiting) {
+				want, got := bankDo(&b, k), bankDo(&restored, k)
+				if !same(got, want) || !reflect.DeepEqual(got.err, want.err) {
+					t.Fatalf("%+v: the restored bank answered %+v, the original %+v", k, got, want)
+				}
+			}
+		}
+		if !reflect.DeepEqual(sortedDump(&restored), sortedDump(&b)) {
+			t.Fatal("after the same steps, the restored bank dumps differently from the original")
+		}
+		checkIndex(t, &b)
+		checkIndex(t, &restored)
+	})
+}
+
+// BenchmarkBankObserve times one bank at the paper's scale (20,000
+// objects) and at BenchmarkSystemIngest's (500): every object is seeded at
+// timestamp 0, then a tenth of them, those whose id is the timestamp mod
+// 10, measure at each timestamp, and each report is answered at once with
+// its FSA's centroid. Each object zig-zags, turning every fourth
+// measurement. The objects measure in ascending id order, as
+// workload.Simulator.Tick emits them, or in one shuffled order; both are
+// built before the timer starts, and the bank first sees its objects in
+// the same order.
+func BenchmarkBankObserve(b *testing.B) {
+	for _, n := range []int{500, 20_000} {
+		for _, shuffled := range []bool{false, true} {
+			name := fmt.Sprintf("objects=%d/ascending", n)
+			if shuffled {
+				name = fmt.Sprintf("objects=%d/shuffled", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				order := make([]int, n)
+				for i := range order {
+					order[i] = i
+				}
+				if shuffled {
+					rand.New(rand.NewPCG(1, uint64(n))).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+				}
+				var tenths [10][]int
+				for _, id := range order {
+					tenths[id%10] = append(tenths[id%10], id)
+				}
+				at := func(id int, t trajectory.Time) trajectory.TimePoint {
+					k := float64(t / 10)
+					y := float64(id)
+					if (t/40)%2 == 1 {
+						y += 9
+					}
+					return tp(5*k, y, t)
+				}
+				bank := noisyBank()
+				for _, id := range order {
+					if _, _, err := bank.Observe(id, at(id, 0), 0, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+				obs := 0
+				b.ResetTimer()
+				for i := range b.N {
+					t := trajectory.Time(i + 1)
+					for _, id := range tenths[t%10] {
+						st, report, err := bank.Observe(id, at(id, t), 0, 0)
+						for err == nil && report {
+							st, report, err = bank.Respond(id, trajectory.TP(st.FSA.Centroid(), st.Te))
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					obs += len(tenths[t%10])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(obs), "ns/obs")
+			})
+		}
+	}
 }
